@@ -67,14 +67,16 @@ def _fail(message: str, code: int = 2):
     sys.exit(code)
 
 
-def _power_mode(name: str, p_max_mw: float, levels: int):
-    if name == "fixed-max":
-        return None  # resolved per graph once frontends are known
-    if name == "continuous":
-        return ContinuousPower()
-    if name == "discrete":
-        return DiscretePower(default_power_levels(p_max_mw, levels))
-    raise ValueError(f"unknown power mode {name!r}")
+def _resolve_power_mode(name: str, problem: str, method: str) -> str:
+    """The power mode a run uses when ``name`` is asked for.
+
+    The energy model cannot keep powers continuous: the exact model and
+    selective reduction fall back to the discrete grid, local search to
+    every frontend at full power (its refinement grids powers itself).
+    """
+    if problem == "energy" and name == "continuous":
+        return "fixed-max" if method == "local-search" else "discrete"
+    return name
 
 
 def _build_instance(graph, config, demand_mbps, power_mode_name, levels, mcs_table):
@@ -85,9 +87,15 @@ def _build_instance(graph, config, demand_mbps, power_mode_name, levels, mcs_tab
     commodities = tuple(
         Commodity(i, donor, ue.id, demand_mbps) for i, ue in enumerate(graph.ues)
     )
-    mode = _power_mode(power_mode_name, config.radio.p_max_mw, levels)
-    if mode is None:
-        mode = FixedPower({n.id: config.radio.p_max_mw for n in graph.frontends})
+    p_max = config.radio.p_max_mw
+    if power_mode_name == "fixed-max":
+        mode = FixedPower({n.id: p_max for n in graph.frontends})
+    elif power_mode_name == "continuous":
+        mode = ContinuousPower()
+    elif power_mode_name == "discrete":
+        mode = DiscretePower(default_power_levels(p_max, levels))
+    else:
+        raise ValueError(f"unknown power mode {power_mode_name!r}")
     return ProblemInstance(
         graph=graph,
         commodities=commodities,
@@ -218,9 +226,8 @@ def cmd_solve(
     try:
         graph = load_graph(graph_path)
         config = config_from_json(config_path) if config_path else ScenarioConfig()
-        if problem == "energy" and power_mode == "continuous":
-            power_mode = "discrete" if method != "local-search" else "fixed-max"
-        instance = _build_instance(graph, config, demand_mbps, power_mode, levels, mcs_table)
+        mode = _resolve_power_mode(power_mode, problem, method)
+        instance = _build_instance(graph, config, demand_mbps, mode, levels, mcs_table)
     except IabError as exc:
         _fail(str(exc))
 
@@ -277,9 +284,7 @@ def _sweep_one(args) -> tuple[dict, dict | None, list | None]:
     start = time.monotonic()
     try:
         graph, _ = generate(config, profile, hour)
-        mode = "continuous" if problem == "throughput" else "fixed-max"
-        if method in ("exact", "selective-reduction") and problem == "energy":
-            mode = "discrete"
+        mode = _resolve_power_mode("continuous", problem, method)
         instance = _build_instance(graph, config, demand, mode, levels, None)
         solution, state = _run_method(instance, method, problem, options, prune)
     except Exception as exc:

@@ -174,9 +174,6 @@ class MeasurementGraph:
     def wired_edges(self) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.kind is EdgeKind.WIRED)
 
-    def unit_frontends(self, unit_id: int) -> tuple[Node, ...]:
-        return tuple(n for n in self.frontends if n.unit_id == unit_id)
-
     def edge(self, src: int, dst: int) -> Edge | None:
         for e in self.out_edges(src):
             if e.dst == dst:

@@ -1,10 +1,16 @@
 """Two-phase local search and selective-reduction pruning.
 
 Local search keeps every solve small by fixing frontend powers and only
-freeing one at a time: phase one toggles frontends between 0 and full
-power (accepting ties), phase two refines one continuous power at a time
-under strict improvement.  A final strict-toggle pass certifies that no
-single on/off flip improves the phase-one solution.
+moving one frontend per trial.  Every phase is the same sweep: pass over
+the frontends in id order, try one move per frontend, take it when an
+acceptance rule holds, and repeat passes until one leaves the objective
+unchanged.  The phases differ only in the move and the rule:
+
+- phase one toggles a frontend between 0 and full power, ties allowed;
+- a certify pass repeats the toggles under strict gain, so its last clean
+  pass proves no single on/off flip improves the phase-one powers;
+- phase two frees one frontend's power at a time, strict gain;
+- energy refinement frees one frontend on a power grid, strict decrease.
 
 Selective reduction shrinks the routing edge set to each receiver's top-k
 ranked incoming links and re-solves the exact model, widening k until
@@ -17,6 +23,7 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import milp, oracle
 from .channel import RadioParams, serving_gains_dbi
@@ -80,7 +87,6 @@ class SearchState:
 
     curr_best_sol: dict[int, float]
     curr_best_obj: float
-    prev_best_obj: float
     log: list[LogEntry] = field(default_factory=list)
     phase1_powers: dict[int, float] | None = None
 
@@ -120,13 +126,84 @@ def _objective_of(raw: milp.RawSolution) -> float | None:
     return None
 
 
-def _extracted_power(built: milp.BuiltModel, raw: milp.RawSolution, frontend: int) -> float:
-    rep = built.power_reps[frontend]
-    if rep.cont_idx is not None:
-        p = max(float(raw.values[rep.cont_idx]), 0.0)
-        p_on = milp.builder.MIN_ON_POWER_FRACTION * built.instance.radio.p_max_mw
-        return p if p >= p_on else 0.0
-    return sum(lvl * round(float(raw.values[idx])) for lvl, idx in rep.level_terms)
+# Acceptance rules: (trial objective, best objective) -> take the move.
+def _tie_or_gain(z: float, best: float) -> bool:
+    return z >= best
+
+
+def _strict_gain(z: float, best: float) -> bool:
+    return z > best + _IMPROVE_TOL
+
+
+def _strict_decrease(z: float, best: float) -> bool:
+    return z < best - _IMPROVE_TOL
+
+
+def _sweep(
+    state: SearchState,
+    frontends: list[int],
+    clock: _Clock,
+    iteration: int,
+    trial: Callable[[int], tuple[milp.BuiltModel, milp.RawSolution]],
+    accept: Callable[[float, float], bool],
+) -> int:
+    """Pass over ``frontends`` until a pass leaves the objective unchanged.
+
+    ``trial(u)`` builds and solves the model of one move of frontend
+    ``u``; an accepted move takes ``u``'s power from that solution.
+    Returns the iteration count, advanced by one per trial.
+    """
+    prev = None
+    while state.curr_best_obj != prev and not clock.expired():
+        prev = state.curr_best_obj
+        for u in frontends:
+            if clock.expired():
+                break
+            built, raw = trial(u)
+            iteration += 1
+            z = _objective_of(raw)
+            if z is not None and accept(z, state.curr_best_obj):
+                state.curr_best_sol[u] = milp.frontend_power(built, raw, u)
+                state.curr_best_obj = z
+                state.record(iteration, clock.elapsed(), z)
+    return iteration
+
+
+def _one_free(state: SearchState, u: int) -> dict[int, float]:
+    return {v: p for v, p in state.curr_best_sol.items() if v != u}
+
+
+def _start(
+    solved: tuple[milp.BuiltModel, milp.RawSolution],
+    powers: dict[int, float],
+    clock: _Clock,
+    what: str,
+) -> SearchState:
+    # Only the objective is kept, so the start model is freed before the
+    # first trial builds its own.
+    _built, raw = solved
+    obj = _objective_of(raw)
+    if obj is None:
+        raise NoFeasibleStart(f"{what} ended {raw.status.value}")
+    state = SearchState(curr_best_sol=dict(powers), curr_best_obj=obj)
+    state.record(0, clock.elapsed(), obj)
+    return state
+
+
+def _finish(
+    state: SearchState,
+    clock: _Clock,
+    iteration: int,
+    built: milp.BuiltModel,
+    raw: milp.RawSolution,
+    what: str,
+) -> tuple[NetworkSolution, SearchState]:
+    if _objective_of(raw) is None:
+        raise BackendError(f"final {what} solve ended {raw.status.value}")
+    solution = milp.extract_solution(built, raw)
+    state.curr_best_obj = solution.objective
+    state.record(iteration + 1, clock.elapsed(), solution.objective)
+    return solution, state
 
 
 def local_search_throughput(
@@ -135,95 +212,41 @@ def local_search_throughput(
     """Iterated on/off toggling plus one-at-a-time continuous power refinement."""
     options = options or SearchOptions()
     clock = _Clock(options.global_budget_s)
-    g = instance.graph
-    frontends = sorted(n.id for n in g.frontends)
+    frontends = sorted(n.id for n in instance.graph.frontends)
     # "Full power" and the phase-2 refinement domain follow the instance's
     # power mode, so the search never leaves the declared power space.
     discrete = isinstance(instance.power_mode, DiscretePower)
     p_max = max(instance.power_mode.levels_mw) if discrete else instance.radio.p_max_mw
+    refine = instance if discrete else instance.with_power_mode(ContinuousPower())
 
-    def solve_fixed(powers: dict[int, float]) -> milp.RawSolution:
-        built = milp.build_throughput_model(instance, fixed_powers=powers)
-        return milp.solve(built.ir, options.solver(clock.remaining()))
+    def solve(
+        model: ProblemInstance, fixed: dict[int, float], limit: SolverOptions | None = None
+    ):
+        built = milp.build_throughput_model(model, fixed_powers=fixed)
+        return built, milp.solve(built.ir, limit or options.solver(clock.remaining()))
 
     powers = {u: p_max for u in frontends}
-    raw = solve_fixed(powers)
-    z0 = _objective_of(raw)
-    if z0 is None:
-        raise NoFeasibleStart(f"initial all-on solve ended {raw.status.value}")
+    state = _start(solve(instance, powers), powers, clock, "initial all-on solve")
 
-    state = SearchState(curr_best_sol=dict(powers), curr_best_obj=z0, prev_best_obj=-1.0)
-    state.record(0, clock.elapsed(), z0)
-    iteration = 0
+    def toggle(u: int):
+        trial = dict(state.curr_best_sol)
+        trial[u] = p_max if trial[u] == 0 else 0.0
+        return solve(instance, trial)
 
-    # Phase 1: toggle each frontend between 0 and p_max, accepting ties.
-    prev = -1.0
-    while state.curr_best_obj != prev and not clock.expired():
-        prev = state.curr_best_obj
-        for u in frontends:
-            if clock.expired():
-                break
-            val = p_max if state.curr_best_sol[u] == 0 else 0.0
-            trial = dict(state.curr_best_sol)
-            trial[u] = val
-            z = _objective_of(solve_fixed(trial))
-            iteration += 1
-            if z is not None and z >= state.curr_best_obj:
-                state.curr_best_sol[u] = val
-                state.curr_best_obj = z
-                state.record(iteration, clock.elapsed(), z)
-        state.prev_best_obj = prev
-
-    # Certify the fixed point: only strict toggle improvements are taken, so
-    # the last clean pass proves no single flip beats the final powers.
-    improved = True
-    while improved and not clock.expired():
-        improved = False
-        for u in frontends:
-            if clock.expired():
-                break
-            val = p_max if state.curr_best_sol[u] == 0 else 0.0
-            trial = dict(state.curr_best_sol)
-            trial[u] = val
-            z = _objective_of(solve_fixed(trial))
-            iteration += 1
-            if z is not None and z > state.curr_best_obj + _IMPROVE_TOL:
-                state.curr_best_sol[u] = val
-                state.curr_best_obj = z
-                state.record(iteration, clock.elapsed(), z)
-                improved = True
+    iteration = _sweep(state, frontends, clock, 0, toggle, _tie_or_gain)
+    iteration = _sweep(state, frontends, clock, iteration, toggle, _strict_gain)
     state.phase1_powers = dict(state.curr_best_sol)
-
-    # Phase 2: free one frontend's power at a time, continuous in
-    # [0, p_max] unless the instance itself restricts powers to a grid.
-    refine = instance if discrete else instance.with_power_mode(ContinuousPower())
-    prev = -1.0
-    while state.curr_best_obj != prev and not clock.expired():
-        prev = state.curr_best_obj
-        for u in frontends:
-            if clock.expired():
-                break
-            fixed = {v: p for v, p in state.curr_best_sol.items() if v != u}
-            built = milp.build_throughput_model(refine, fixed_powers=fixed)
-            raw = milp.solve(built.ir, options.solver(clock.remaining()))
-            iteration += 1
-            z = _objective_of(raw)
-            if z is not None and z > state.curr_best_obj + _IMPROVE_TOL:
-                state.curr_best_sol[u] = _extracted_power(built, raw, u)
-                state.curr_best_obj = z
-                state.record(iteration, clock.elapsed(), z)
-        state.prev_best_obj = prev
+    # Phase 2 is continuous in [0, p_max] unless the instance itself
+    # restricts powers to a grid.
+    iteration = _sweep(
+        state, frontends, clock, iteration,
+        lambda u: solve(refine, _one_free(state, u)), _strict_gain,
+    )
 
     # The returned solution always comes from a full-budget fixed-power
     # solve, even when the sweep budget ran dry.
-    built = milp.build_throughput_model(instance, fixed_powers=state.curr_best_sol)
-    raw = milp.solve(built.ir, options.solver())
-    if _objective_of(raw) is None:
-        raise BackendError(f"final fixed-power solve ended {raw.status.value}")
-    solution = milp.extract_solution(built, raw)
-    state.curr_best_obj = solution.objective
-    state.record(iteration + 1, clock.elapsed(), solution.objective)
-    return solution, state
+    built, raw = solve(instance, state.curr_best_sol, options.solver())
+    return _finish(state, clock, iteration, built, raw, "fixed-power")
 
 
 def local_search_energy(
@@ -240,58 +263,29 @@ def local_search_energy(
             )
 
     clock = _Clock(options.global_budget_s)
-    g = instance.graph
-    frontends = sorted(n.id for n in g.frontends)
-
+    frontends = sorted(n.id for n in instance.graph.frontends)
     if isinstance(instance.power_mode, DiscretePower):
         levels = instance.power_mode.levels_mw
     else:
         levels = default_power_levels(instance.radio.p_max_mw, options.power_levels)
     gridded = instance.with_power_mode(DiscretePower(levels))
 
-    def solve_energy(fixed: dict[int, float], grid_frontend: int | None, clamp=True):
-        if grid_frontend is None:
-            built = milp.build_energy_model(instance, fixed_powers=fixed)
-        else:
-            built = milp.build_energy_model(gridded, fixed_powers=fixed)
-        limit = options.solver(clock.remaining()) if clamp else options.solver()
-        raw = milp.solve(built.ir, limit)
-        return built, raw
+    def solve(
+        model: ProblemInstance, fixed: dict[int, float], limit: SolverOptions | None = None
+    ):
+        built = milp.build_energy_model(model, fixed_powers=fixed)
+        return built, milp.solve(built.ir, limit or options.solver(clock.remaining()))
 
-    powers = dict(tput_state.curr_best_sol)
-    built, raw = solve_energy(powers, None)
-    y0 = _objective_of(raw)
-    if y0 is None:
-        raise NoFeasibleStart(f"energy solve at throughput powers ended {raw.status.value}")
+    powers = tput_state.curr_best_sol
+    state = _start(solve(instance, powers), powers, clock, "energy solve at throughput powers")
 
-    state = SearchState(curr_best_sol=dict(powers), curr_best_obj=y0, prev_best_obj=-1.0)
-    state.record(0, clock.elapsed(), y0)
-    iteration = 0
+    iteration = _sweep(
+        state, frontends, clock, 0,
+        lambda u: solve(gridded, _one_free(state, u)), _strict_decrease,
+    )
 
-    # Refinement: one frontend at a time on the discrete grid, strict decrease.
-    prev = -1.0
-    while state.curr_best_obj != prev and not clock.expired():
-        prev = state.curr_best_obj
-        for u in frontends:
-            if clock.expired():
-                break
-            fixed = {v: p for v, p in state.curr_best_sol.items() if v != u}
-            built, raw = solve_energy(fixed, u)
-            iteration += 1
-            y = _objective_of(raw)
-            if y is not None and y < state.curr_best_obj - _IMPROVE_TOL:
-                state.curr_best_sol[u] = _extracted_power(built, raw, u)
-                state.curr_best_obj = y
-                state.record(iteration, clock.elapsed(), y)
-        state.prev_best_obj = prev
-
-    built, raw = solve_energy(state.curr_best_sol, None, clamp=False)
-    if _objective_of(raw) is None:
-        raise BackendError(f"final energy solve ended {raw.status.value}")
-    solution = milp.extract_solution(built, raw)
-    state.curr_best_obj = solution.objective
-    state.record(iteration + 1, clock.elapsed(), solution.objective)
-    return solution, state
+    built, raw = solve(instance, state.curr_best_sol, options.solver())
+    return _finish(state, clock, iteration, built, raw, "energy")
 
 
 # -- selective reduction -------------------------------------------------------

@@ -18,7 +18,7 @@ from .builder import (
     build_throughput_model,
     compute_big_m,
 )
-from .extract import extract_solution
+from .extract import extract_solution, frontend_power
 from .ir import (
     ModelIR,
     Sense,
@@ -47,6 +47,7 @@ __all__ = [
     "compute_big_m",
     "default_power_levels",
     "extract_solution",
+    "frontend_power",
     "linearize_binary_product",
     "linearize_indicator",
     "solve",

@@ -18,8 +18,6 @@ from .ir import ModelIR, Sense, VarKind
 class SolverOptions:
     time_limit_s: float = 60.0
     rel_gap: float = 0.0
-    big_m_cap: float | None = None
-    seed: int = 0
     # The bundled HiGHS presolve returns wrong optima on some of these
     # big-M models (verified against pinned assignments); off by default.
     presolve: bool = False

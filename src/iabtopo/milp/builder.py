@@ -32,7 +32,6 @@ from ..problem import (
     FixedPower,
     ProblemInstance,
 )
-from .backend import SolverOptions
 from .ir import (
     ModelIR,
     Sense,
@@ -88,28 +87,20 @@ class BuiltModel:
     act: dict[int, int] = field(default_factory=dict)
 
 
-def compute_big_m(
-    edge: Edge,
-    instance: ProblemInstance,
-    options: SolverOptions | None = None,
-) -> list[tuple[float, float]]:
+def compute_big_m(edge: Edge, instance: ProblemInstance) -> list[tuple[float, float]]:
     """Per-ladder-level (m_lower, m_upper) bounds for an edge's indicator rows.
 
     m_upper bounds the edge signal at maximum transmit power; m_lower
     bounds th_i times the worst-case interference (all other frontends at
-    their maximum power).  Both are capped by ``options.big_m_cap``.
+    their maximum power).
     """
-    cap = options.big_m_cap if options and options.big_m_cap else math.inf
     p_max = _max_powers(instance)
     g = instance.graph
     s_max = signal_coefficient(g, edge, instance.radio) * p_max.get(edge.src, 0.0)
     i_max = instance.radio.noise_mw
     for fid, coeff in interference_coefficients(g, edge, instance.radio).items():
         i_max += coeff * p_max.get(fid, 0.0)
-    out = []
-    for th in instance.capacity_table.thresholds_linear:
-        out.append((min(th * i_max, cap), min(s_max, cap)))
-    return out
+    return [(th * i_max, s_max) for th in instance.capacity_table.thresholds_linear]
 
 
 def _max_powers(instance: ProblemInstance) -> dict[int, float]:
@@ -127,7 +118,6 @@ def build_throughput_model(
     instance: ProblemInstance,
     fixed_powers: Mapping[int, float] | None = None,
     routing_edges: Iterable[EdgeKey] | None = None,
-    options: SolverOptions | None = None,
 ) -> BuiltModel:
     """Maximize the smallest per-UE rate over tree, airtime and power choices.
 
@@ -137,14 +127,13 @@ def build_throughput_model(
     """
     if not instance.commodities:
         raise EmptyCommodities("throughput problem needs at least one commodity")
-    return _build(instance, THROUGHPUT, instance.commodities, fixed_powers, routing_edges, options)
+    return _build(instance, THROUGHPUT, instance.commodities, fixed_powers, routing_edges)
 
 
 def build_energy_model(
     instance: ProblemInstance,
     fixed_powers: Mapping[int, float] | None = None,
     routing_edges: Iterable[EdgeKey] | None = None,
-    options: SolverOptions | None = None,
 ) -> BuiltModel:
     """Minimize total network power while routing every positive demand.
 
@@ -158,7 +147,7 @@ def build_energy_model(
         if math.isnan(c.demand_mbps):
             raise DemandMissing(f"commodity {c.id} has no demand")
     active = tuple(c for c in instance.commodities if c.demand_mbps > 0)
-    return _build(instance, ENERGY, active, fixed_powers, routing_edges, options)
+    return _build(instance, ENERGY, active, fixed_powers, routing_edges)
 
 
 # -- internals ---------------------------------------------------------------
@@ -170,13 +159,11 @@ def _build(
     commodities: tuple[Commodity, ...],
     fixed_powers: Mapping[int, float] | None,
     routing_edges: Iterable[EdgeKey] | None,
-    options: SolverOptions | None,
 ) -> BuiltModel:
     g = instance.graph
     table = instance.capacity_table
     radio = instance.radio
     ir = ModelIR(name=f"{problem}__{len(g.nodes)}n_{len(g.edges)}e")
-    options = options or SolverOptions()
 
     allowed = None if routing_edges is None else set(routing_edges)
     wireless = tuple(e for e in g.wireless_edges if allowed is None or e.key in allowed)
@@ -199,7 +186,7 @@ def _build(
         ir.add_constraint(
             f"use_ge_alpha[{k[0]}->{k[1]}]", [(1.0, use[k]), (-1.0, alpha[k])], Sense.GE, 0.0
         )
-        _emit_capacity_ladder(ir, instance, e, reps, alpha[k], cap[k], use[k], phi_vars, phi_const_level, options)
+        _emit_capacity_ladder(ir, instance, e, reps, alpha[k], cap[k], use[k], phi_vars, phi_const_level)
 
     # Airtime budgets: each wireless edge charges both its endpoints.
     incident: dict[int, list[EdgeKey]] = {}
@@ -472,7 +459,6 @@ def _emit_capacity_ladder(
     use_idx: int,
     phi_vars: dict[EdgeKey, tuple[int, ...]],
     phi_const_level: dict[EdgeKey, int | None],
-    options: SolverOptions,
 ) -> None:
     g = instance.graph
     table = instance.capacity_table
@@ -530,20 +516,17 @@ def _emit_capacity_ladder(
         return
 
     s_max = g_sig * src_rep.max_mw
-    cap_m = options.big_m_cap if options.big_m_cap else math.inf
     phis = []
     for i, th in enumerate(table.thresholds_linear):
         phi = ir.add_var(f"phi[{key[0]}->{key[1]},{i}]", VarKind.BINARY)
         phis.append(phi)
         expr_terms = sig_terms + [(-th * c, idx) for c, idx in int_terms]
         expr_const = sig_const - th * int_const
-        m_lower = min(th * i_max, cap_m)
-        m_upper = min(s_max, cap_m)
         linearize_indicator(
-            ir, expr_terms, expr_const, phi, "geq", m_lower, f"thr[{key[0]}->{key[1]},{i}]"
+            ir, expr_terms, expr_const, phi, "geq", th * i_max, f"thr[{key[0]}->{key[1]},{i}]"
         )
         linearize_indicator(
-            ir, expr_terms, expr_const, phi, "leq", m_upper, f"thr[{key[0]}->{key[1]},{i}]"
+            ir, expr_terms, expr_const, phi, "leq", s_max, f"thr[{key[0]}->{key[1]},{i}]"
         )
         if i > 0:
             ir.add_constraint(

@@ -26,39 +26,47 @@ _FLOW_TOL = 1e-6
 _BOUNDARY_SLACK = 1e-4
 
 
-def extract_solution(built: BuiltModel, raw: RawSolution, validate: bool = True) -> NetworkSolution:
+def _value(raw: RawSolution, idx: int) -> float:
+    return float(raw.values[idx])
+
+
+def _binary(raw: RawSolution, idx: int, what: str) -> int:
+    v = _value(raw, idx)
+    r = round(v)
+    if abs(v - r) > _BIN_TOL:
+        raise ExtractionMismatch(f"{what}: binary value {v} not within 1e-6 of an integer")
+    return int(r)
+
+
+def frontend_power(built: BuiltModel, raw: RawSolution, fid: int) -> float:
+    """Effective transmit power of one frontend in a solved model.
+
+    Continuous powers under the model's minimum-on threshold mean "off"
+    (they grant no ladder level) and are snapped to exactly zero.
+    """
+    rep = built.power_reps[fid]
+    if rep.is_const:
+        return rep.const_mw
+    if rep.cont_idx is not None:
+        p = max(_value(raw, rep.cont_idx), 0.0)
+        if p < MIN_ON_POWER_FRACTION * built.instance.radio.p_max_mw:
+            p = 0.0
+        return p
+    return sum(lvl * _binary(raw, idx, f"power level of {fid}") for lvl, idx in rep.level_terms)
+
+
+def extract_solution(built: BuiltModel, raw: RawSolution) -> NetworkSolution:
     if raw.values is None:
         raise BackendError(f"cannot extract from status {raw.status.value} without values")
 
-    def val(idx: int) -> float:
-        return float(raw.values[idx])
-
-    def bval(idx: int, what: str) -> int:
-        v = val(idx)
-        r = round(v)
-        if abs(v - r) > _BIN_TOL:
-            raise ExtractionMismatch(f"{what}: binary value {v} not within 1e-6 of an integer")
-        return int(r)
-
-    # Effective transmit powers.  Continuous powers under the model's
-    # minimum-on threshold mean "off" (they grant no ladder level) and are
-    # snapped to exactly zero.
-    p_on = MIN_ON_POWER_FRACTION * built.instance.radio.p_max_mw
     powers: dict[int, float] = {}
     activations: dict[int, int] = {}
     for fid in sorted(built.power_reps):
-        rep = built.power_reps[fid]
-        if rep.is_const:
-            p = rep.const_mw
-        elif rep.cont_idx is not None:
-            p = max(val(rep.cont_idx), 0.0)
-            if p < p_on:
-                p = 0.0
-        else:
-            p = sum(lvl * bval(idx, f"power level of {fid}") for lvl, idx in rep.level_terms)
+        p = frontend_power(built, raw, fid)
         powers[fid] = p
         if built.problem == ENERGY:
-            activations[fid] = bval(rep.act_idx, f"act[{fid}]") if rep.act_idx is not None else 0
+            act = built.power_reps[fid].act_idx
+            activations[fid] = 0 if act is None else _binary(raw, act, f"act[{fid}]")
         else:
             activations[fid] = 1 if p > 0 else 0
 
@@ -71,9 +79,9 @@ def extract_solution(built: BuiltModel, raw: RawSolution, validate: bool = True)
         for e in routing:
             idx = built.flow[(comm.id, e.key)]
             if built.problem == ENERGY:
-                v = float(bval(idx, f"f[k{comm.id},{e.key}]"))
+                v = float(_binary(raw, idx, f"f[k{comm.id},{e.key}]"))
             else:
-                v = max(val(idx), 0.0)
+                v = max(_value(raw, idx), 0.0)
                 if v < _FLOW_TOL:
                     v = 0.0
             if v:
@@ -85,8 +93,8 @@ def extract_solution(built: BuiltModel, raw: RawSolution, validate: bool = True)
     capacities: dict[EdgeKey, float] = {}
     for e in built.routing_wireless:
         if e.key in chosen:
-            airtimes[e.key] = min(max(val(built.alpha[e.key]), 0.0), 1.0)
-            capacities[e.key] = max(val(built.cap[e.key]), 0.0)
+            airtimes[e.key] = min(max(_value(raw, built.alpha[e.key]), 0.0), 1.0)
+            capacities[e.key] = max(_value(raw, built.cap[e.key]), 0.0)
         else:
             airtimes[e.key] = 0.0
             capacities[e.key] = 0.0
@@ -101,7 +109,7 @@ def extract_solution(built: BuiltModel, raw: RawSolution, validate: bool = True)
         if phis:
             model_count = 0
             for i, idx in enumerate(phis):
-                b = bval(idx, f"phi[{e.key},{i}]")
+                b = _binary(raw, idx, f"phi[{e.key},{i}]")
                 if b and model_count < i:
                     raise ExtractionMismatch(f"phi chain broken on edge {e.key} at level {i}")
                 model_count += b
@@ -148,11 +156,8 @@ def extract_solution(built: BuiltModel, raw: RawSolution, validate: bool = True)
         gap=raw.gap,
     )
 
-    if validate:
-        report = oracle.validate_solution(built.instance, solution)
-        if not report.ok:
-            summary = "; ".join(str(v) for v in report.violations[:8])
-            raise ExtractionMismatch(
-                f"solution failed re-validation: {summary}", report
-            )
+    report = oracle.validate_solution(built.instance, solution)
+    if not report.ok:
+        summary = "; ".join(str(v) for v in report.violations[:8])
+        raise ExtractionMismatch(f"solution failed re-validation: {summary}", report)
     return solution

@@ -86,9 +86,6 @@ class ModelIR:
         self._by_name[name] = idx
         return idx
 
-    def var_index(self, name: str) -> int:
-        return self._by_name[name]
-
     def fix_var(self, idx: int, value: float) -> None:
         self.variables[idx].lb = value
         self.variables[idx].ub = value
@@ -135,10 +132,6 @@ class ModelIR:
     @property
     def num_vars(self) -> int:
         return len(self.variables)
-
-    @property
-    def num_constraints(self) -> int:
-        return len(self.constraints)
 
     def lp_text(self) -> str:
         """Dump in LP-format text for external debugging."""

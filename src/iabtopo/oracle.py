@@ -188,7 +188,14 @@ def _edge_capacities(
     return caps
 
 
-def _enumeration_space(instance: ProblemInstance, ue_ids: Sequence[int]):
+def _trees(instance: ProblemInstance, ue_ids: Sequence[int]):
+    """Yield (powers, capacities, UE parents, tree edges) of every candidate tree.
+
+    Powers range over the instance's grid.  Each UE takes one wireless
+    parent and each MT-DU one wireless parent or none, both only over
+    links with positive capacity at those powers; choices that leave a UE
+    unservable or a unit cut off from the donor are skipped.
+    """
     g = instance.graph
     frontends, grids = _power_grids(instance)
     ue_candidates = {
@@ -209,7 +216,25 @@ def _enumeration_space(instance: ProblemInstance, ue_ids: Sequence[int]):
         total *= len(c)
     if total > _CONFIG_GUARD:
         raise TooLarge(f"{total} configurations exceed the {_CONFIG_GUARD} guard")
-    return frontends, grids, ue_candidates, mtdus, mtdu_candidates
+
+    for combo in itertools.product(*grids):
+        powers = dict(zip(frontends, combo))
+        caps = _edge_capacities(instance, powers)
+        ue_options = [
+            [f for f in ue_candidates[ue] if caps.get((f, ue), 0.0) > 0] for ue in ue_ids
+        ]
+        if any(not opts for opts in ue_options):
+            continue  # some UE unservable at these powers
+        mtdu_options = [
+            [None] + [f for f in mtdu_candidates[m][1:] if caps.get((f, m), 0.0) > 0]
+            for m in mtdus
+        ]
+        for ue_pick in itertools.product(*ue_options):
+            ue_parent = dict(zip(ue_ids, ue_pick))
+            for m_pick in itertools.product(*mtdu_options):
+                tree = _parent_chain_edges(g, ue_parent, dict(zip(mtdus, m_pick)))
+                if tree is not None:
+                    yield powers, caps, ue_parent, tree
 
 
 def enumerate_optimal_throughput(instance: ProblemInstance) -> float:
@@ -218,31 +243,11 @@ def enumerate_optimal_throughput(instance: ProblemInstance) -> float:
     if not ue_ids:
         return 0.0
     g = instance.graph
-    frontends, grids, ue_cand, mtdus, mtdu_cand = _enumeration_space(instance, ue_ids)
-
     best = 0.0
-    for combo in itertools.product(*grids):
-        powers = dict(zip(frontends, combo))
-        caps = _edge_capacities(instance, powers)
-        ue_options = [
-            [f for f in ue_cand[ue] if caps.get((f, ue), 0.0) > 0] for ue in ue_ids
-        ]
-        if any(not opts for opts in ue_options):
-            continue  # some UE unservable at these powers: Z = 0
-        mtdu_options = [
-            [None] + [f for f in mtdu_cand[m][1:] if caps.get((f, m), 0.0) > 0]
-            for m in mtdus
-        ]
-        for ue_pick in itertools.product(*ue_options):
-            ue_parent = dict(zip(ue_ids, ue_pick))
-            for m_pick in itertools.product(*mtdu_options):
-                unit_parent = dict(zip(mtdus, m_pick))
-                tree = _parent_chain_edges(g, ue_parent, unit_parent)
-                if tree is None:
-                    continue
-                z = max_min_on_tree(g, tree, caps, ue_ids)
-                if z > best:
-                    best = z
+    for _powers, caps, _ue_parent, tree in _trees(instance, ue_ids):
+        z = max_min_on_tree(g, tree, caps, ue_ids)
+        if z > best:
+            best = z
     return best
 
 
@@ -275,49 +280,29 @@ def enumerate_optimal_energy(instance: ProblemInstance) -> float:
 
     ue_ids = sorted({c.dest for c in commodities})
     demand = {c.dest: c.demand_mbps for c in commodities}
-    frontends, grids, ue_cand, mtdus, mtdu_cand = _enumeration_space(instance, ue_ids)
-
     best = math.inf
-    for combo in itertools.product(*grids):
-        powers = dict(zip(frontends, combo))
-        caps = _edge_capacities(instance, powers)
-        ue_options = [
-            [f for f in ue_cand[ue] if caps.get((f, ue), 0.0) > 0] for ue in ue_ids
-        ]
-        if any(not opts for opts in ue_options):
+    for powers, caps, ue_parent, tree in _trees(instance, ue_ids):
+        # Demand routed over each wireless tree edge.
+        load = _routed_demand(g, tree, ue_parent, demand)
+        if load is None:
             continue
-        mtdu_options = [
-            [None] + [f for f in mtdu_cand[m][1:] if caps.get((f, m), 0.0) > 0]
-            for m in mtdus
-        ]
-        for ue_pick in itertools.product(*ue_options):
-            ue_parent = dict(zip(ue_ids, ue_pick))
-            for m_pick in itertools.product(*mtdu_options):
-                unit_parent = dict(zip(mtdus, m_pick))
-                tree = _parent_chain_edges(g, ue_parent, unit_parent)
-                if tree is None:
-                    continue
-                # Demand routed over each wireless tree edge.
-                load = _routed_demand(g, tree, ue_parent, demand)
-                if load is None:
-                    continue
-                airtimes: dict[EdgeKey, float] = {}
-                node_load: dict[int, float] = {}
-                ok = True
-                for key, d_e in load.items():
-                    c = caps.get(key, 0.0)
-                    if c <= 0:
-                        ok = False
-                        break
-                    a = d_e / c
-                    airtimes[key] = a
-                    node_load[key[0]] = node_load.get(key[0], 0.0) + a
-                    node_load[key[1]] = node_load.get(key[1], 0.0) + a
-                if not ok or any(v > 1.0 + 1e-9 for v in node_load.values()):
-                    continue
-                value = solution_power(powers, airtimes)
-                if value < best:
-                    best = value
+        airtimes: dict[EdgeKey, float] = {}
+        node_load: dict[int, float] = {}
+        ok = True
+        for key, d_e in load.items():
+            c = caps.get(key, 0.0)
+            if c <= 0:
+                ok = False
+                break
+            a = d_e / c
+            airtimes[key] = a
+            node_load[key[0]] = node_load.get(key[0], 0.0) + a
+            node_load[key[1]] = node_load.get(key[1], 0.0) + a
+        if not ok or any(v > 1.0 + 1e-9 for v in node_load.values()):
+            continue
+        value = solution_power(powers, airtimes)
+        if value < best:
+            best = value
     if not math.isfinite(best):
         raise NoFeasible("no power/tree/routing combination meets the demands")
     return best

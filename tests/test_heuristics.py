@@ -82,6 +82,26 @@ def test_energy_search_beats_nothing_and_validates():
     assert all(b <= a + 1e-6 for a, b in zip(objs, objs[1:]))
 
 
+def test_search_trajectories_pinned():
+    # Pins the order of accepted moves; the iteration numbers also pin the
+    # solve count, since every trial is one solve.
+    _sol, state = local_search_throughput(two_unit_instance(), FAST)
+    assert [e.iteration for e in state.log] == [0, 2, 9]
+    assert [e.objective for e in state.log] == pytest.approx(
+        [550.6896213, 613.4625315, 613.4625315], rel=1e-9
+    )
+    assert state.phase1_powers == {1: 6300.0, 11: 0.0}
+    assert state.curr_best_sol == {1: 6300.0, 11: 0.0}
+
+    _sol, state = local_search_energy(two_unit_instance(demand=20.0), FAST)
+    assert [e.iteration for e in state.log] == [0, 3]
+    assert [e.objective for e in state.log] == pytest.approx(
+        [190.53401794433796, 190.53401794433796], rel=1e-9
+    )
+    assert state.phase1_powers is None
+    assert state.curr_best_sol == {1: 6300.0, 11: 0.0}
+
+
 def test_demand_at_max_min_rate_rejected():
     inst = two_unit_instance(demand=20.0)
     sol, state = local_search_throughput(inst, FAST)

@@ -182,10 +182,9 @@ def test_energy_rejects_continuous_powers():
 def test_big_m_dominates_random_power_assignments():
     inst = two_unit_instance()
     rng = np.random.default_rng(4)
-    options = SolverOptions(time_limit_s=10)
     table = inst.capacity_table
     for e in inst.graph.wireless_edges:
-        bounds = milp.compute_big_m(e, inst, options)
+        bounds = milp.compute_big_m(e, inst)
         from iabtopo.channel import interference_coefficients, signal_coefficient
 
         g_sig = signal_coefficient(inst.graph, e, inst.radio)
@@ -202,11 +201,11 @@ def test_big_m_dominates_random_power_assignments():
 def test_big_m_monotone_in_interferers():
     inst = two_unit_instance()
     e = inst.graph.edge(1, 20)
-    with_both = milp.compute_big_m(e, inst, None)
+    with_both = milp.compute_big_m(e, inst)
     # Single-frontend instance: the interference side collapses to zero.
     single = _single_frontend_instance(coarse_table(), [80.0])
     e_single = single.graph.edge(1, 10)
-    alone = milp.compute_big_m(e_single, single, None)
+    alone = milp.compute_big_m(e_single, single)
     assert all(m_lo == 0.0 for m_lo, _ in alone)
     assert all(m_lo > 0.0 for m_lo, _ in with_both)
 
