@@ -14,6 +14,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -274,11 +275,8 @@ def _parse_hours(text: str) -> list[int]:
 
 def _sweep_one(args) -> tuple[dict, dict | None, list | None]:
     """One (hour, method, problem) run; returns (row, solution payload, state rows)."""
-    (hour, method, problem, config_path, profile_path, seed, demand, time_limit,
-     global_budget, k0, k_max, levels) = args
-    config = config_from_json(config_path)
-    config = type(config)(**{**vars(config), "seed": seed})
-    profile = load_profile_csv(profile_path)
+    (hour, method, problem, config, profile, demand, time_limit, global_budget, k0, k_max,
+     levels) = args
     options = SearchOptions(solve_time_limit_s=time_limit, global_budget_s=global_budget)
     prune = PruneParams(k0=k0, k_max=k_max)
     start = time.monotonic()
@@ -341,11 +339,16 @@ def cmd_sweep(
         if p not in PROBLEMS:
             _fail(f"unknown problem {p!r}")
 
+    try:
+        config = replace(config_from_json(config_path), seed=seed)
+        profile = load_profile_csv(profile_path)
+    except IabError as exc:
+        _fail(str(exc))
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tasks = [
-        (h, m, p, config_path, profile_path, seed, demand_mbps, time_limit,
-         global_budget, k0, k_max, levels)
+        (h, m, p, config, profile, demand_mbps, time_limit, global_budget, k0, k_max, levels)
         for h in hour_list
         for m in method_list
         for p in problem_list

@@ -206,12 +206,10 @@ def _finish(
     return solution, state
 
 
-def local_search_throughput(
-    instance: ProblemInstance, options: SearchOptions | None = None
-) -> tuple[NetworkSolution, SearchState]:
-    """Iterated on/off toggling plus one-at-a-time continuous power refinement."""
-    options = options or SearchOptions()
-    clock = _Clock(options.global_budget_s)
+def _throughput_search(
+    instance: ProblemInstance, options: SearchOptions, clock: _Clock
+) -> tuple[SearchState, int]:
+    """Phase one, certify and phase two; returns the state and iteration count."""
     frontends = sorted(n.id for n in instance.graph.frontends)
     # "Full power" and the phase-2 refinement domain follow the instance's
     # power mode, so the search never leaves the declared power space.
@@ -219,11 +217,9 @@ def local_search_throughput(
     p_max = max(instance.power_mode.levels_mw) if discrete else instance.radio.p_max_mw
     refine = instance if discrete else instance.with_power_mode(ContinuousPower())
 
-    def solve(
-        model: ProblemInstance, fixed: dict[int, float], limit: SolverOptions | None = None
-    ):
+    def solve(model: ProblemInstance, fixed: dict[int, float]):
         built = milp.build_throughput_model(model, fixed_powers=fixed)
-        return built, milp.solve(built.ir, limit or options.solver(clock.remaining()))
+        return built, milp.solve(built.ir, options.solver(clock.remaining()))
 
     powers = {u: p_max for u in frontends}
     state = _start(solve(instance, powers), powers, clock, "initial all-on solve")
@@ -242,10 +238,20 @@ def local_search_throughput(
         state, frontends, clock, iteration,
         lambda u: solve(refine, _one_free(state, u)), _strict_gain,
     )
+    return state, iteration
 
+
+def local_search_throughput(
+    instance: ProblemInstance, options: SearchOptions | None = None
+) -> tuple[NetworkSolution, SearchState]:
+    """Iterated on/off toggling plus one-at-a-time continuous power refinement."""
+    options = options or SearchOptions()
+    clock = _Clock(options.global_budget_s)
+    state, iteration = _throughput_search(instance, options, clock)
     # The returned solution always comes from a full-budget fixed-power
     # solve, even when the sweep budget ran dry.
-    built, raw = solve(instance, state.curr_best_sol, options.solver())
+    built = milp.build_throughput_model(instance, fixed_powers=state.curr_best_sol)
+    raw = milp.solve(built.ir, options.solver())
     return _finish(state, clock, iteration, built, raw, "fixed-power")
 
 
@@ -254,7 +260,7 @@ def local_search_energy(
 ) -> tuple[NetworkSolution, SearchState]:
     """Throughput search for a power seed, then energy refinement sweeps."""
     options = options or SearchOptions()
-    _tput_sol, tput_state = local_search_throughput(instance, options)
+    tput_state, _ = _throughput_search(instance, options, _Clock(options.global_budget_s))
     z = tput_state.curr_best_obj
     for comm in instance.commodities:
         if comm.demand_mbps > 0 and comm.demand_mbps >= z:

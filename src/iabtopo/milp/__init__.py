@@ -16,7 +16,6 @@ from .builder import (
     BuiltModel,
     build_energy_model,
     build_throughput_model,
-    compute_big_m,
 )
 from .extract import extract_solution, frontend_power
 from .ir import (
@@ -44,7 +43,6 @@ __all__ = [
     "VarKind",
     "build_energy_model",
     "build_throughput_model",
-    "compute_big_m",
     "default_power_levels",
     "extract_solution",
     "frontend_power",

@@ -7,9 +7,13 @@ explicit big-M indicator rows plus a telescoping coupling
 
     c(e) <= alpha(e) * (C_0*phi_0 + sum_i (C_i - C_{i-1})*phi_i),
 
-with the monotone chain phi_{i+1} <= phi_i.  The ladder indicators for an
-edge are constants whenever every power influencing that edge is fixed,
-so fixed-power models collapse to plain flow MILPs.
+with the monotone chain phi_{i+1} <= phi_i.  Each edge's ladder comes from
+the SINR interval its power reps can reach: levels met even at minimum
+signal over maximum interference are the constant 1, levels missed even
+at maximum signal over minimum interference are the constant 0, and only
+the levels in between get an indicator, with big-Ms taken from the same
+interval.  With every power fixed the interval is a point, so fixed-power
+models collapse to plain flow MILPs.
 
 Interference coefficients always come from the full measurement graph,
 even when routing is restricted to a pruned edge subset; a solution of a
@@ -22,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from ..capacity import ladder_position
+from ..capacity import CapacityTable, ladder_position
 from ..channel import interference_coefficients, signal_coefficient
 from ..errors import DemandMissing, EmptyCommodities, UnsupportedMode
 from ..graph import Commodity, Edge, EdgeKey
@@ -67,6 +71,10 @@ class _PowerRep:
     def is_const(self) -> bool:
         return self.const_mw is not None
 
+    @property
+    def min_mw(self) -> float:
+        return self.const_mw if self.is_const else 0.0
+
 
 @dataclass
 class BuiltModel:
@@ -82,36 +90,9 @@ class BuiltModel:
     cap: dict[EdgeKey, int]
     flow: dict[tuple[int, EdgeKey], int]
     phi_vars: dict[EdgeKey, tuple[int, ...]]
-    phi_const_level: dict[EdgeKey, int | None]
+    phi_floor: dict[EdgeKey, int]  # ladder levels every power choice meets
     z_idx: int | None = None
     act: dict[int, int] = field(default_factory=dict)
-
-
-def compute_big_m(edge: Edge, instance: ProblemInstance) -> list[tuple[float, float]]:
-    """Per-ladder-level (m_lower, m_upper) bounds for an edge's indicator rows.
-
-    m_upper bounds the edge signal at maximum transmit power; m_lower
-    bounds th_i times the worst-case interference (all other frontends at
-    their maximum power).
-    """
-    p_max = _max_powers(instance)
-    g = instance.graph
-    s_max = signal_coefficient(g, edge, instance.radio) * p_max.get(edge.src, 0.0)
-    i_max = instance.radio.noise_mw
-    for fid, coeff in interference_coefficients(g, edge, instance.radio).items():
-        i_max += coeff * p_max.get(fid, 0.0)
-    return [(th * i_max, s_max) for th in instance.capacity_table.thresholds_linear]
-
-
-def _max_powers(instance: ProblemInstance) -> dict[int, float]:
-    mode = instance.power_mode
-    frontends = [n.id for n in instance.graph.frontends]
-    if isinstance(mode, FixedPower):
-        return {fid: float(mode.powers_mw.get(fid, 0.0)) for fid in frontends}
-    if isinstance(mode, DiscretePower):
-        top = max(mode.levels_mw)
-        return {fid: top for fid in frontends}
-    return {fid: instance.radio.p_max_mw for fid in frontends}
 
 
 def build_throughput_model(
@@ -176,7 +157,7 @@ def _build(
     use: dict[EdgeKey, int] = {}
     cap: dict[EdgeKey, int] = {}
     phi_vars: dict[EdgeKey, tuple[int, ...]] = {}
-    phi_const_level: dict[EdgeKey, int | None] = {}
+    phi_floor: dict[EdgeKey, int] = {}
 
     for e in wireless:
         k = e.key
@@ -186,7 +167,7 @@ def _build(
         ir.add_constraint(
             f"use_ge_alpha[{k[0]}->{k[1]}]", [(1.0, use[k]), (-1.0, alpha[k])], Sense.GE, 0.0
         )
-        _emit_capacity_ladder(ir, instance, e, reps, alpha[k], cap[k], use[k], phi_vars, phi_const_level)
+        _emit_capacity_ladder(ir, instance, e, reps, alpha[k], cap[k], use[k], phi_vars, phi_floor)
 
     # Airtime budgets: each wireless edge charges both its endpoints.
     incident: dict[int, list[EdgeKey]] = {}
@@ -271,7 +252,7 @@ def _build(
         cap=cap,
         flow=flow,
         phi_vars=phi_vars,
-        phi_const_level=phi_const_level,
+        phi_floor=phi_floor,
     )
 
     if problem == ENERGY:
@@ -449,6 +430,37 @@ def _power_reps(
     return reps
 
 
+def _ladder_interval(
+    table: CapacityTable,
+    noise_mw: float,
+    g_sig: float,
+    src: _PowerRep,
+    interferers: Iterable[tuple[float, _PowerRep]],
+) -> tuple[int, int, list[tuple[float, float]]]:
+    """Ladder levels an edge surely meets, levels it can meet, and big-Ms.
+
+    Over every power the reps allow, the signal spans [S_lo, S_hi] and
+    noise plus interference spans [I_lo, I_hi].  The first ``floor``
+    levels are met even at (S_lo, I_hi); no level from ``top`` up is met
+    even at (S_hi, I_lo).  For each level i in ``floor..top-1`` the pair
+    (th_i*I_hi - S_lo, S_hi - th_i*I_lo) bounds -(S - th_i*I) and
+    S - th_i*I from above.
+    """
+    s_lo, s_hi = g_sig * src.min_mw, g_sig * src.max_mw
+    i_lo = i_hi = noise_mw
+    for coeff, rep in interferers:
+        i_lo += coeff * rep.min_mw
+        i_hi += coeff * rep.max_mw
+    pos = ladder_position(table, s_lo, i_hi)
+    floor = 0 if pos is None else pos + 1
+    pos = ladder_position(table, s_hi, i_lo)
+    top = 0 if pos is None else pos + 1
+    big_ms = [
+        (th * i_hi - s_lo, s_hi - th * i_lo) for th in table.thresholds_linear[floor:top]
+    ]
+    return floor, top, big_ms
+
+
 def _emit_capacity_ladder(
     ir: ModelIR,
     instance: ProblemInstance,
@@ -458,7 +470,7 @@ def _emit_capacity_ladder(
     cap_idx: int,
     use_idx: int,
     phi_vars: dict[EdgeKey, tuple[int, ...]],
-    phi_const_level: dict[EdgeKey, int | None],
+    phi_floor: dict[EdgeKey, int],
 ) -> None:
     g = instance.graph
     table = instance.capacity_table
@@ -466,80 +478,52 @@ def _emit_capacity_ladder(
     key = edge.key
     g_sig = signal_coefficient(g, edge, radio)
     g_int = interference_coefficients(g, edge, radio)
-
     src_rep = reps[edge.src]
+    interferers = [(g_int[fid], reps[fid]) for fid in sorted(g_int)]
+    floor, top, big_ms = _ladder_interval(table, radio.noise_mw, g_sig, src_rep, interferers)
+    caps = table.capacities_mbps
+    phi_floor[key] = floor
     if src_rep.max_mw == 0.0:
-        # Dead transmitter: no capacity, no airtime, no usage.
+        ir.variables[use_idx].ub = 0.0
+    if top == 0:
+        # No power choice grants a level: no capacity, no airtime.
         phi_vars[key] = ()
-        phi_const_level[key] = None
         ir.variables[cap_idx].ub = 0.0
         ir.variables[alpha_idx].ub = 0.0
-        ir.variables[use_idx].ub = 0.0
         return
+    if floor == top:
+        ir.variables[cap_idx].ub = caps[top - 1]
 
-    sig_terms: list[Term] = []
-    sig_const = 0.0
-    if src_rep.is_const:
-        sig_const = g_sig * src_rep.const_mw
-    else:
-        sig_terms = [(g_sig * c, i) for c, i in src_rep.terms]
-
+    # S - th*I as an affine expression; constant reps have no terms.
+    sig_terms = [(g_sig * c, i) for c, i in src_rep.terms]
     int_terms: list[Term] = []
     int_const = radio.noise_mw
-    i_max = radio.noise_mw
-    for fid in sorted(g_int):
-        coeff = g_int[fid]
-        rep = reps[fid]
-        i_max += coeff * rep.max_mw
-        if rep.is_const:
-            int_const += coeff * rep.const_mw
-        else:
-            int_terms.extend((coeff * c, i) for c, i in rep.terms)
+    for coeff, rep in interferers:
+        int_terms.extend((coeff * c, i) for c, i in rep.terms)
+        int_const += coeff * rep.min_mw
 
-    if not sig_terms and not int_terms:
-        # Everything fixed: the ladder level is a straight lookup.
-        pos = ladder_position(table, sig_const, int_const)
-        phi_vars[key] = ()
-        phi_const_level[key] = pos
-        if pos is None:
-            ir.variables[cap_idx].ub = 0.0
-            ir.variables[alpha_idx].ub = 0.0
-        else:
-            c_val = table.entries[pos].capacity_mbps
-            ir.variables[cap_idx].ub = c_val
-            ir.add_constraint(
-                f"couple[{key[0]}->{key[1]}]",
-                [(1.0, cap_idx), (-c_val, alpha_idx)],
-                Sense.LE,
-                0.0,
-            )
-        return
-
-    s_max = g_sig * src_rep.max_mw
     phis = []
-    for i, th in enumerate(table.thresholds_linear):
+    for i, (m_on, m_off) in enumerate(big_ms, start=floor):
         phi = ir.add_var(f"phi[{key[0]}->{key[1]},{i}]", VarKind.BINARY)
-        phis.append(phi)
+        th = table.thresholds_linear[i]
         expr_terms = sig_terms + [(-th * c, idx) for c, idx in int_terms]
-        expr_const = sig_const - th * int_const
-        linearize_indicator(
-            ir, expr_terms, expr_const, phi, "geq", th * i_max, f"thr[{key[0]}->{key[1]},{i}]"
-        )
-        linearize_indicator(
-            ir, expr_terms, expr_const, phi, "leq", s_max, f"thr[{key[0]}->{key[1]},{i}]"
-        )
-        if i > 0:
+        expr_const = g_sig * src_rep.min_mw - th * int_const
+        name = f"thr[{key[0]}->{key[1]},{i}]"
+        linearize_indicator(ir, expr_terms, expr_const, phi, "geq", m_on, name)
+        linearize_indicator(ir, expr_terms, expr_const, phi, "leq", m_off, name)
+        if phis:
             ir.add_constraint(
                 f"chain[{key[0]}->{key[1]},{i}]",
-                [(1.0, phi), (-1.0, phis[i - 1])],
+                [(1.0, phi), (-1.0, phis[-1])],
                 Sense.LE,
                 0.0,
             )
+        phis.append(phi)
     phi_vars[key] = tuple(phis)
-    phi_const_level[key] = None
 
     # Capacity needs transmit power: tie the lowest rung to the source
-    # actually being on.
+    # actually being on.  A source that can be off has S_lo = 0, so its
+    # floor is 0 and phis[0] is that rung.
     if src_rep.on_terms is not None:
         ir.add_constraint(
             f"powered[{key[0]}->{key[1]}]",
@@ -556,9 +540,11 @@ def _emit_capacity_ladder(
             0.0,
         )
 
-    caps = table.capacities_mbps
+    # Levels below the floor always hold, so they add caps[floor-1]*alpha.
     terms: list[Term] = [(1.0, cap_idx)]
-    for i, phi in enumerate(phis):
+    if floor:
+        terms.append((-caps[floor - 1], alpha_idx))
+    for i, phi in enumerate(phis, start=floor):
         delta = caps[i] - (caps[i - 1] if i else 0.0)
         if delta == 0.0:
             continue

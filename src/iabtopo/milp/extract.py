@@ -99,35 +99,30 @@ def extract_solution(built: BuiltModel, raw: RawSolution) -> NetworkSolution:
             airtimes[e.key] = 0.0
             capacities[e.key] = 0.0
 
-    # Ladder indicators against a direct SINR recompute.  The solver may
-    # leave an indicator at 0 despite a met threshold (a within-tolerance
+    # Ladder levels against a direct SINR recompute.  The solver may leave
+    # an indicator at 0 despite a met threshold (a within-tolerance
     # violation on an unused edge, which only wastes capacity); granting a
     # level the physics denies is the bug this check exists to catch.
     table = built.instance.capacity_table
     for e in built.routing_wireless:
-        phis = built.phi_vars.get(e.key, ())
-        if phis:
-            model_count = 0
-            for i, idx in enumerate(phis):
-                b = _binary(raw, idx, f"phi[{e.key},{i}]")
-                if b and model_count < i:
-                    raise ExtractionMismatch(f"phi chain broken on edge {e.key} at level {i}")
-                model_count += b
-        else:
-            pos = built.phi_const_level.get(e.key)
-            model_count = 0 if pos is None else pos + 1
+        floor = built.phi_floor[e.key]
+        model_count = floor
+        for i, idx in enumerate(built.phi_vars[e.key], start=floor):
+            b = _binary(raw, idx, f"phi[{e.key},{i}]")
+            if b and model_count < i:
+                raise ExtractionMismatch(f"phi chain broken on edge {e.key} at level {i}")
+            model_count += b
         budget = link_budget(e, powers, built.instance.graph, built.instance.radio)
         pos = ladder_position(table, budget.signal_mw, budget.interference_mw)
         direct_count = 0 if pos is None else pos + 1
-        if model_count > direct_count and phis:
-            for j in range(direct_count, model_count):
-                th = table.thresholds_linear[j]
-                lhs, rhs = budget.signal_mw, th * budget.interference_mw
-                if abs(lhs - rhs) > _BOUNDARY_SLACK * max(lhs, rhs, 1e-30):
-                    raise ExtractionMismatch(
-                        f"edge {e.key}: model grants {model_count} ladder levels, "
-                        f"direct recompute grants {direct_count}"
-                    )
+        for j in range(direct_count, model_count):
+            th = table.thresholds_linear[j]
+            lhs, rhs = budget.signal_mw, th * budget.interference_mw
+            if abs(lhs - rhs) > _BOUNDARY_SLACK * max(lhs, rhs, 1e-30):
+                raise ExtractionMismatch(
+                    f"edge {e.key}: model grants {model_count} ladder levels, "
+                    f"direct recompute grants {direct_count}"
+                )
 
     per_ue: dict[int, float] = {}
     for comm in built.commodities:

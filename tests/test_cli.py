@@ -167,6 +167,21 @@ def test_sweep_determinism_modulo_runtime(workspace):
     assert rows[0] == rows[1]
 
 
+def test_sweep_rejects_bad_profile(workspace):
+    tmp, cfg, _profile = workspace
+    bad = tmp / "bad_profile.csv"
+    bad.write_text("hour,p\n0,2.0\n")
+    out_dir = tmp / "sweep"
+    result = _run(
+        ["sweep", "--config", str(cfg), "--profile", str(bad),
+         "--hours", "0", "--methods", "local-search", "--seed", "3",
+         "--out-dir", str(out_dir)]
+    )
+    assert result.exit_code == 2
+    assert "error:" in result.output
+    assert not (out_dir / "results.csv").exists()
+
+
 def test_single_row_cdf_degenerate(tmp_path):
     results = tmp_path / "results.csv"
     with open(results, "w", newline="") as fh:

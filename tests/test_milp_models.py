@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from iabtopo import milp
-from iabtopo.capacity import capacity_from_sinr
-from iabtopo.channel import RadioParams, link_budget
+from iabtopo.capacity import capacity_from_sinr, ladder_position
+from iabtopo.channel import (
+    RadioParams,
+    interference_coefficients,
+    link_budget,
+    signal_coefficient,
+)
 from iabtopo.errors import EmptyCommodities, UnsupportedMode
 from iabtopo.graph import Commodity, Edge, EdgeKind, Node, NodeKind, build_graph
-from iabtopo.milp import SolverOptions
+from iabtopo.milp import SolverOptions, builder
 from iabtopo.oracle import validate_solution
 from iabtopo.problem import ContinuousPower, DiscretePower, FixedPower, ProblemInstance
 
@@ -179,35 +184,77 @@ def test_energy_rejects_continuous_powers():
         milp.build_energy_model(inst)
 
 
+def _ladder_interval(built, e):
+    """The builder's (floor, top, big-Ms) for edge ``e`` of a built model."""
+    inst = built.instance
+    reps = built.power_reps
+    g_int = interference_coefficients(inst.graph, e, inst.radio)
+    return builder._ladder_interval(
+        inst.capacity_table,
+        inst.radio.noise_mw,
+        signal_coefficient(inst.graph, e, inst.radio),
+        reps[e.src],
+        [(g_int[fid], reps[fid]) for fid in sorted(g_int)],
+    )
+
+
+def _levels_met(table, signal_mw, interference_mw):
+    pos = ladder_position(table, signal_mw, interference_mw)
+    return 0 if pos is None else pos + 1
+
+
 def test_big_m_dominates_random_power_assignments():
     inst = two_unit_instance()
     rng = np.random.default_rng(4)
+    # All powers free, then frontend 1 fixed so its edges get floor > 0.
+    for fixed in (None, {1: 6300.0}):
+        built = milp.build_throughput_model(inst, fixed_powers=fixed)
+        _check_interval_on_random_powers(built, rng)
+
+
+def _check_interval_on_random_powers(built, rng):
+    inst = built.instance
+    reps = built.power_reps
     table = inst.capacity_table
     for e in inst.graph.wireless_edges:
-        bounds = milp.compute_big_m(e, inst)
-        from iabtopo.channel import interference_coefficients, signal_coefficient
-
+        floor, top, big_ms = _ladder_interval(built, e)
+        assert len(big_ms) == top - floor
         g_sig = signal_coefficient(inst.graph, e, inst.radio)
         g_int = interference_coefficients(inst.graph, e, inst.radio)
         for _ in range(100):
-            powers = {f.id: float(rng.uniform(0, 6300)) for f in inst.graph.frontends}
+            powers = {fid: float(rng.uniform(r.min_mw, r.max_mw)) for fid, r in reps.items()}
             s = g_sig * powers[e.src]
-            i = sum(c * powers[f] for f, c in g_int.items())
-            for (m_lo, m_up), th in zip(bounds, table.thresholds_linear):
-                assert s - th * i <= m_up + 1e-9
-                assert -(s - th * i) <= m_lo + 1e-9
+            i = inst.radio.noise_mw + sum(c * powers[f] for f, c in g_int.items())
+            for (m_on, m_off), th in zip(big_ms, table.thresholds_linear[floor:top]):
+                assert s - th * i <= m_off + 1e-12
+                assert -(s - th * i) <= m_on + 1e-12
+            assert floor <= _levels_met(table, s, i) <= top
 
 
 def test_big_m_monotone_in_interferers():
     inst = two_unit_instance()
-    e = inst.graph.edge(1, 20)
-    with_both = milp.compute_big_m(e, inst)
-    # Single-frontend instance: the interference side collapses to zero.
-    single = _single_frontend_instance(coarse_table(), [80.0])
-    e_single = single.graph.edge(1, 10)
-    alone = milp.compute_big_m(e_single, single)
-    assert all(m_lo == 0.0 for m_lo, _ in alone)
-    assert all(m_lo > 0.0 for m_lo, _ in with_both)
+    _, _, with_both = _ladder_interval(milp.build_throughput_model(inst), inst.graph.edge(1, 20))
+    # Single frontend, no noise: the interference side collapses to zero.
+    single = _single_frontend_instance(coarse_table(), [80.0]).with_power_mode(ContinuousPower())
+    built = milp.build_throughput_model(single)
+    _, _, alone = _ladder_interval(built, single.graph.edge(1, 10))
+    assert alone and all(m_on == 0.0 for m_on, _ in alone)
+    assert with_both and all(m_on > 0.0 for m_on, _ in with_both)
+
+
+@pytest.mark.parametrize(
+    "powers", [{1: 6300.0, 11: 2000.0}, {1: 6300.0, 11: 0.0}, {1: 0.0, 11: 6300.0}]
+)
+def test_ladder_interval_is_a_point_when_powers_fixed(powers):
+    inst = two_unit_instance()
+    built = milp.build_throughput_model(inst, fixed_powers=powers)
+    for e in inst.graph.wireless_edges:
+        floor, top, big_ms = _ladder_interval(built, e)
+        budget = link_budget(e, powers, inst.graph, inst.radio)
+        assert floor == top == _levels_met(inst.capacity_table, budget.signal_mw, budget.interference_mw)
+        assert big_ms == []
+        assert built.phi_vars[e.key] == ()
+        assert built.phi_floor[e.key] == floor
 
 
 def test_extraction_flags_tampered_model():
