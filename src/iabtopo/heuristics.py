@@ -139,19 +139,50 @@ def _strict_decrease(z: float, best: float) -> bool:
     return z < best - _IMPROVE_TOL
 
 
+# Objective (None without one) and every frontend's power of one solve.
+_Solved = tuple[float | None, dict[int, float]]
+
+
+def _memo_solve(
+    build: Callable[..., milp.BuiltModel], options: SearchOptions, clock: _Clock
+) -> Callable[[ProblemInstance, dict[int, float]], _Solved]:
+    """``build`` and solve a trial model, once per (instance, fixed powers).
+
+    Only proven results (optimal or infeasible) are remembered, so a
+    time-limited incumbent is never reused.  No model outlives its solve.
+    """
+    seen: dict[tuple, _Solved] = {}
+
+    def solve(model: ProblemInstance, fixed: dict[int, float]) -> _Solved:
+        key = (id(model), tuple(sorted(fixed.items())))
+        if key in seen:
+            return seen[key]
+        built = build(model, fixed_powers=fixed)
+        raw = milp.solve(built.ir, options.solver(clock.remaining()))
+        z = _objective_of(raw)
+        powers = {} if z is None else {
+            fid: milp.frontend_power(built, raw, fid) for fid in built.power_reps
+        }
+        if raw.status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
+            seen[key] = (z, powers)
+        return z, powers
+
+    return solve
+
+
 def _sweep(
     state: SearchState,
     frontends: list[int],
     clock: _Clock,
     iteration: int,
-    trial: Callable[[int], tuple[milp.BuiltModel, milp.RawSolution]],
+    trial: Callable[[int], _Solved],
     accept: Callable[[float, float], bool],
 ) -> int:
     """Pass over ``frontends`` until a pass leaves the objective unchanged.
 
-    ``trial(u)`` builds and solves the model of one move of frontend
-    ``u``; an accepted move takes ``u``'s power from that solution.
-    Returns the iteration count, advanced by one per trial.
+    ``trial(u)`` solves the model of one move of frontend ``u``; an
+    accepted move takes ``u``'s power from that solution.  Returns the
+    iteration count, advanced by one per trial.
     """
     prev = None
     while state.curr_best_obj != prev and not clock.expired():
@@ -159,11 +190,10 @@ def _sweep(
         for u in frontends:
             if clock.expired():
                 break
-            built, raw = trial(u)
+            z, powers = trial(u)
             iteration += 1
-            z = _objective_of(raw)
             if z is not None and accept(z, state.curr_best_obj):
-                state.curr_best_sol[u] = milp.frontend_power(built, raw, u)
+                state.curr_best_sol[u] = powers[u]
                 state.curr_best_obj = z
                 state.record(iteration, clock.elapsed(), z)
     return iteration
@@ -174,17 +204,10 @@ def _one_free(state: SearchState, u: int) -> dict[int, float]:
 
 
 def _start(
-    solved: tuple[milp.BuiltModel, milp.RawSolution],
-    powers: dict[int, float],
-    clock: _Clock,
-    what: str,
+    obj: float | None, powers: dict[int, float], clock: _Clock, what: str
 ) -> SearchState:
-    # Only the objective is kept, so the start model is freed before the
-    # first trial builds its own.
-    _built, raw = solved
-    obj = _objective_of(raw)
     if obj is None:
-        raise NoFeasibleStart(f"{what} ended {raw.status.value}")
+        raise NoFeasibleStart(f"{what} found no solution")
     state = SearchState(curr_best_sol=dict(powers), curr_best_obj=obj)
     state.record(0, clock.elapsed(), obj)
     return state
@@ -217,12 +240,9 @@ def _throughput_search(
     p_max = max(instance.power_mode.levels_mw) if discrete else instance.radio.p_max_mw
     refine = instance if discrete else instance.with_power_mode(ContinuousPower())
 
-    def solve(model: ProblemInstance, fixed: dict[int, float]):
-        built = milp.build_throughput_model(model, fixed_powers=fixed)
-        return built, milp.solve(built.ir, options.solver(clock.remaining()))
-
+    solve = _memo_solve(milp.build_throughput_model, options, clock)
     powers = {u: p_max for u in frontends}
-    state = _start(solve(instance, powers), powers, clock, "initial all-on solve")
+    state = _start(solve(instance, powers)[0], powers, clock, "initial all-on solve")
 
     def toggle(u: int):
         trial = dict(state.curr_best_sol)
@@ -276,21 +296,19 @@ def local_search_energy(
         levels = default_power_levels(instance.radio.p_max_mw, options.power_levels)
     gridded = instance.with_power_mode(DiscretePower(levels))
 
-    def solve(
-        model: ProblemInstance, fixed: dict[int, float], limit: SolverOptions | None = None
-    ):
-        built = milp.build_energy_model(model, fixed_powers=fixed)
-        return built, milp.solve(built.ir, limit or options.solver(clock.remaining()))
-
+    solve = _memo_solve(milp.build_energy_model, options, clock)
     powers = tput_state.curr_best_sol
-    state = _start(solve(instance, powers), powers, clock, "energy solve at throughput powers")
+    state = _start(
+        solve(instance, powers)[0], powers, clock, "energy solve at throughput powers"
+    )
 
     iteration = _sweep(
         state, frontends, clock, 0,
         lambda u: solve(gridded, _one_free(state, u)), _strict_decrease,
     )
 
-    built, raw = solve(instance, state.curr_best_sol, options.solver())
+    built = milp.build_energy_model(instance, fixed_powers=state.curr_best_sol)
+    raw = milp.solve(built.ir, options.solver())
     return _finish(state, clock, iteration, built, raw, "energy")
 
 

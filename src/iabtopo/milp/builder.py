@@ -8,12 +8,15 @@ explicit big-M indicator rows plus a telescoping coupling
     c(e) <= alpha(e) * (C_0*phi_0 + sum_i (C_i - C_{i-1})*phi_i),
 
 with the monotone chain phi_{i+1} <= phi_i.  Each edge's ladder comes from
-the SINR interval its power reps can reach: levels met even at minimum
-signal over maximum interference are the constant 1, levels missed even
-at maximum signal over minimum interference are the constant 0, and only
-the levels in between get an indicator, with big-Ms taken from the same
-interval.  With every power fixed the interval is a point, so fixed-power
-models collapse to plain flow MILPs.
+the SINR interval its power reps can reach: levels met at the source's
+on-power over maximum interference are the constant 1 whenever the
+source carries traffic, levels missed even at maximum signal over
+minimum interference are the constant 0, and only the levels in between
+get an indicator, with big-Ms taken from the same interval.  The
+on-power is the source's one power above zero when it has exactly one
+(a constant, or a single level it can also switch off), and 0 otherwise.
+With every power fixed the interval is a point, so fixed-power models
+collapse to plain flow MILPs.
 
 Interference coefficients always come from the full measurement graph,
 even when routing is restricted to a pruned edge subset; a solution of a
@@ -74,6 +77,15 @@ class _PowerRep:
     @property
     def min_mw(self) -> float:
         return self.const_mw if self.is_const else 0.0
+
+    @property
+    def on_mw(self) -> float:
+        """The one power this rep can take above zero, or 0 if it has several."""
+        if self.is_const:
+            return self.const_mw
+        if len(self.level_terms) == 1:
+            return self.level_terms[0][0]
+        return 0.0
 
 
 @dataclass
@@ -275,6 +287,18 @@ def _finish_throughput(built: BuiltModel, commodities: tuple[Commodity, ...]) ->
         terms = [(1.0, built.flow[(comm.id, k)]) for k in in_by_dst.get(comm.dest, ())]
         terms.append((-1.0, z))
         ir.add_constraint(f"rate[k{comm.id}]", terms, Sense.GE, 0.0)
+
+    # A source that can be off meets its edges' floor levels only while on,
+    # so those edges carry traffic only then.
+    for e in built.routing_wireless:
+        rep = built.power_reps[e.src]
+        if rep.on_terms is not None and built.phi_floor[e.key]:
+            ir.add_constraint(
+                f"use_le_on[{e.src}->{e.dst}]",
+                [(1.0, built.use[e.key])] + [(-c, i) for c, i in rep.on_terms],
+                Sense.LE,
+                0.0,
+            )
     ir.set_objective("max", [(1.0, z)])
 
 
@@ -437,21 +461,23 @@ def _ladder_interval(
     src: _PowerRep,
     interferers: Iterable[tuple[float, _PowerRep]],
 ) -> tuple[int, int, list[tuple[float, float]]]:
-    """Ladder levels an edge surely meets, levels it can meet, and big-Ms.
+    """Ladder levels an edge meets while on, levels it can meet, and big-Ms.
 
     Over every power the reps allow, the signal spans [S_lo, S_hi] and
     noise plus interference spans [I_lo, I_hi].  The first ``floor``
-    levels are met even at (S_lo, I_hi); no level from ``top`` up is met
-    even at (S_hi, I_lo).  For each level i in ``floor..top-1`` the pair
-    (th_i*I_hi - S_lo, S_hi - th_i*I_lo) bounds -(S - th_i*I) and
-    S - th_i*I from above.
+    levels are met at (g_sig*on_mw, I_hi), so they hold whenever the
+    source carries traffic (an edge's airtime is 0 while its source is
+    off); no level from ``top`` up is met even at (S_hi, I_lo).  For each
+    level i in ``floor..top-1`` the pair (th_i*I_hi - S_lo,
+    S_hi - th_i*I_lo) bounds -(S - th_i*I) and S - th_i*I from above,
+    the source being off included.
     """
     s_lo, s_hi = g_sig * src.min_mw, g_sig * src.max_mw
     i_lo = i_hi = noise_mw
     for coeff, rep in interferers:
         i_lo += coeff * rep.min_mw
         i_hi += coeff * rep.max_mw
-    pos = ladder_position(table, s_lo, i_hi)
+    pos = ladder_position(table, g_sig * src.on_mw, i_hi)
     floor = 0 if pos is None else pos + 1
     pos = ladder_position(table, s_hi, i_lo)
     top = 0 if pos is None else pos + 1
@@ -521,17 +547,17 @@ def _emit_capacity_ladder(
         phis.append(phi)
     phi_vars[key] = tuple(phis)
 
-    # Capacity needs transmit power: tie the lowest rung to the source
-    # actually being on.  A source that can be off has S_lo = 0, so its
-    # floor is 0 and phis[0] is that rung.
-    if src_rep.on_terms is not None:
+    # Capacity needs transmit power: tie the lowest indicator to the
+    # source actually being on.  The floor's levels need it too, which
+    # use <= on (use_le_act, use_le_on) enforces.
+    if phis and src_rep.on_terms is not None:
         ir.add_constraint(
             f"powered[{key[0]}->{key[1]}]",
             [(1.0, phis[0])] + [(-c, i) for c, i in src_rep.on_terms],
             Sense.LE,
             0.0,
         )
-    elif src_rep.cont_idx is not None:
+    elif phis and src_rep.cont_idx is not None:
         p_eps = MIN_ON_POWER_FRACTION * instance.radio.p_max_mw
         ir.add_constraint(
             f"powered[{key[0]}->{key[1]}]",

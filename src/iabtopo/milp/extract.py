@@ -106,7 +106,8 @@ def extract_solution(built: BuiltModel, raw: RawSolution) -> NetworkSolution:
     table = built.instance.capacity_table
     for e in built.routing_wireless:
         floor = built.phi_floor[e.key]
-        model_count = floor
+        # The floor's levels hold only while the source transmits.
+        model_count = floor if powers[e.src] > 0 else 0
         for i, idx in enumerate(built.phi_vars[e.key], start=floor):
             b = _binary(raw, idx, f"phi[{e.key},{i}]")
             if b and model_count < i:

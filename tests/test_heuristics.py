@@ -84,7 +84,7 @@ def test_energy_search_beats_nothing_and_validates():
 
 def test_search_trajectories_pinned():
     # Pins the order of accepted moves; the iteration numbers also pin the
-    # solve count, since every trial is one solve.
+    # trial count, since every trial is one iteration.
     _sol, state = local_search_throughput(two_unit_instance(), FAST)
     assert [e.iteration for e in state.log] == [0, 2, 9]
     assert [e.objective for e in state.log] == pytest.approx(
@@ -100,6 +100,22 @@ def test_search_trajectories_pinned():
     )
     assert state.phase1_powers is None
     assert state.curr_best_sol == {1: 6300.0, 11: 0.0}
+
+
+def test_search_solves_each_trial_once(monkeypatch):
+    builds = []
+    build = milp.build_throughput_model
+
+    def recording(instance, fixed_powers=None, routing_edges=None):
+        builds.append((repr(instance.power_mode), tuple(sorted(fixed_powers.items()))))
+        return build(instance, fixed_powers, routing_edges)
+
+    monkeypatch.setattr(milp, "build_throughput_model", recording)
+    _sol, state = local_search_throughput(two_unit_instance(), FAST)
+    # The last build is the full-budget final solve of the accepted powers.
+    trials, final = builds[:-1], builds[-1]
+    assert len(set(trials)) == len(trials)
+    assert final[1] == tuple(sorted(state.curr_best_sol.items()))
 
 
 def test_demand_at_max_min_rate_rejected():

@@ -206,10 +206,25 @@ def _levels_met(table, signal_mw, interference_mw):
 def test_big_m_dominates_random_power_assignments():
     inst = two_unit_instance()
     rng = np.random.default_rng(4)
-    # All powers free, then frontend 1 fixed so its edges get floor > 0.
-    for fixed in (None, {1: 6300.0}):
-        built = milp.build_throughput_model(inst, fixed_powers=fixed)
+    models = [
+        milp.build_throughput_model(inst),  # {0, p} grid: on-power floors
+        milp.build_throughput_model(inst.with_power_mode(ContinuousPower())),
+        milp.build_throughput_model(inst, fixed_powers={1: 6300.0}),
+        # Fixed powers that can sleep: floor > 0 on reps whose power can be 0.
+        milp.build_energy_model(inst, fixed_powers={1: 6300.0, 11: 6300.0}),
+    ]
+    for built in models:
         _check_interval_on_random_powers(built, rng)
+    assert any(_ladder_interval(models[-1], e)[0] > 0 for e in inst.graph.wireless_edges)
+
+
+def _allowed_power(rep, rng) -> float:
+    """One power a rep can take: its constant, 0 or a level, or uniform."""
+    if rep.is_const:
+        return rep.const_mw
+    if rep.cont_idx is not None:
+        return float(rng.uniform(0.0, rep.max_mw))
+    return float(rng.choice([0.0] + [lvl for lvl, _ in rep.level_terms]))
 
 
 def _check_interval_on_random_powers(built, rng):
@@ -222,13 +237,17 @@ def _check_interval_on_random_powers(built, rng):
         g_sig = signal_coefficient(inst.graph, e, inst.radio)
         g_int = interference_coefficients(inst.graph, e, inst.radio)
         for _ in range(100):
-            powers = {fid: float(rng.uniform(r.min_mw, r.max_mw)) for fid, r in reps.items()}
+            powers = {fid: _allowed_power(r, rng) for fid, r in reps.items()}
             s = g_sig * powers[e.src]
             i = inst.radio.noise_mw + sum(c * powers[f] for f, c in g_int.items())
             for (m_on, m_off), th in zip(big_ms, table.thresholds_linear[floor:top]):
                 assert s - th * i <= m_off + 1e-12
                 assert -(s - th * i) <= m_on + 1e-12
-            assert floor <= _levels_met(table, s, i) <= top
+            met = _levels_met(table, s, i)
+            if powers[e.src] > 0:
+                assert floor <= met <= top
+            else:
+                assert met == 0
 
 
 def test_big_m_monotone_in_interferers():
@@ -255,6 +274,37 @@ def test_ladder_interval_is_a_point_when_powers_fixed(powers):
         assert big_ms == []
         assert built.phi_vars[e.key] == ()
         assert built.phi_floor[e.key] == floor
+
+
+def test_off_source_grants_no_capacity():
+    # {0, p} grid: frontend 11's edges meet their floor levels only while
+    # it transmits, so switched off it must grant them nothing.
+    inst = two_unit_instance()
+    for e in inst.graph.wireless_edges:
+        if e.src != 11:
+            continue
+        for on in (True, False):
+            built = milp.build_throughput_model(inst)
+            assert built.phi_floor[e.key] > 0
+            if not on:
+                (_, lam), = built.power_reps[11].level_terms
+                built.ir.variables[lam].ub = 0.0
+            built.ir.set_objective("max", [(1.0, built.cap[e.key])])
+            raw = milp.solve(built.ir, SolverOptions(time_limit_s=30))
+            assert (raw.objective > 1.0) if on else (raw.objective <= 1e-9)
+
+
+def test_fixed_energy_floor_at_on_power():
+    inst = two_unit_instance(demand=20.0)
+    built = milp.build_energy_model(inst, fixed_powers={1: 6300.0, 11: 6300.0})
+    # A floor at zero signal would leave every edge its `top` indicators.
+    tops = sum(_ladder_interval(built, e)[1] for e in inst.graph.wireless_edges)
+    assert sum(len(phis) for phis in built.phi_vars.values()) < tops == 30
+    # Frontend 11 sleeps although its edges have floor > 0.
+    assert all(built.phi_floor[e.key] > 0 for e in inst.graph.wireless_edges if e.src == 11)
+    sol = _solve(built)
+    assert sol.activations == {1: 1, 11: 0}
+    assert sol.powers_mw[11] == 0.0
 
 
 def test_extraction_flags_tampered_model():
