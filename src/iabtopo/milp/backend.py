@@ -101,7 +101,9 @@ def _scipy_backend(ir: ModelIR, options: SolverOptions) -> RawSolution:
 
     gap = float(res.mip_gap) if getattr(res, "mip_gap", None) is not None else 0.0
     if res.status == 0:
-        status = SolveStatus.OPTIMAL if gap <= max(options.rel_gap, 1e-9) else SolveStatus.FEASIBLE
+        # HiGHS's own verdict: optimal within its gap tolerances, which may
+        # leave a gap above rel_gap; the gap travels with the solution.
+        status = SolveStatus.OPTIMAL
     elif res.status == 1:
         status = SolveStatus.TIME_LIMIT
     elif res.status == 2:

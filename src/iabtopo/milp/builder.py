@@ -18,16 +18,23 @@ on-power is the source's one power above zero when it has exactly one
 With every power fixed the interval is a point, so fixed-power models
 collapse to plain flow MILPs.
 
+An edge whose interval grants no level at all is dead.  When its source
+has at most one power above zero, the edge is left out of routing like
+an edge outside ``routing_edges``: it gets no variables and no rows.
+Dead edges of continuous or multi-level sources stay, with capacity and
+airtime bounded to 0.
+
 Interference coefficients always come from the full measurement graph,
-even when routing is restricted to a pruned edge subset; a solution of a
-restricted model is therefore feasible in the unrestricted one.
+even when routing is restricted to a pruned edge subset or an edge is
+dead; a solution of a restricted model is therefore feasible in the
+unrestricted one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from ..capacity import CapacityTable, ladder_position
 from ..channel import interference_coefficients, signal_coefficient
@@ -79,13 +86,24 @@ class _PowerRep:
         return self.const_mw if self.is_const else 0.0
 
     @property
+    def single_power(self) -> bool:
+        """At most one power above zero: a constant, or one switchable level."""
+        return self.is_const or len(self.level_terms) == 1
+
+    @property
     def on_mw(self) -> float:
         """The one power this rep can take above zero, or 0 if it has several."""
-        if self.is_const:
-            return self.const_mw
-        if len(self.level_terms) == 1:
-            return self.level_terms[0][0]
-        return 0.0
+        return self.max_mw if self.single_power else 0.0
+
+
+class _Ladder(NamedTuple):
+    """One wireless edge's signal gain, interferers and SINR interval."""
+
+    g_sig: float
+    interferers: list[tuple[float, _PowerRep]]
+    floor: int
+    top: int
+    big_ms: list[tuple[float, float]]
 
 
 @dataclass
@@ -154,17 +172,24 @@ def _build(
     routing_edges: Iterable[EdgeKey] | None,
 ) -> BuiltModel:
     g = instance.graph
-    table = instance.capacity_table
-    radio = instance.radio
     ir = ModelIR(name=f"{problem}__{len(g.nodes)}n_{len(g.edges)}e")
 
     allowed = None if routing_edges is None else set(routing_edges)
-    wireless = tuple(e for e in g.wireless_edges if allowed is None or e.key in allowed)
     wired = tuple(e for e in g.wired_edges if allowed is None or e.key in allowed)
 
     reps = _power_reps(ir, instance, problem, fixed_powers)
 
-    c_max = table.max_capacity_mbps
+    # Dead edges of single-power sources leave routing; they still
+    # interfere, since coefficients come from the full graph.
+    ladders: dict[EdgeKey, _Ladder] = {}
+    for e in g.wireless_edges:
+        if allowed is None or e.key in allowed:
+            ladder = _edge_ladder(instance, e, reps)
+            if ladder.top or not reps[e.src].single_power:
+                ladders[e.key] = ladder
+    wireless = tuple(e for e in g.wireless_edges if e.key in ladders)
+
+    c_max = instance.capacity_table.max_capacity_mbps
     alpha: dict[EdgeKey, int] = {}
     use: dict[EdgeKey, int] = {}
     cap: dict[EdgeKey, int] = {}
@@ -179,7 +204,10 @@ def _build(
         ir.add_constraint(
             f"use_ge_alpha[{k[0]}->{k[1]}]", [(1.0, use[k]), (-1.0, alpha[k])], Sense.GE, 0.0
         )
-        _emit_capacity_ladder(ir, instance, e, reps, alpha[k], cap[k], use[k], phi_vars, phi_floor)
+        phi_floor[k] = ladders[k].floor
+        phi_vars[k] = _emit_capacity_ladder(
+            ir, instance, e, reps[e.src], ladders[k], alpha[k], cap[k]
+        )
 
     # Airtime budgets: each wireless edge charges both its endpoints.
     incident: dict[int, list[EdgeKey]] = {}
@@ -276,7 +304,6 @@ def _build(
 
 def _finish_throughput(built: BuiltModel, commodities: tuple[Commodity, ...]) -> None:
     ir = built.ir
-    g = built.instance.graph
     c_max = built.instance.capacity_table.max_capacity_mbps
     z = ir.add_var("Z", VarKind.CONTINUOUS, 0.0, c_max)
     built.z_idx = z
@@ -310,6 +337,8 @@ def _finish_energy(built: BuiltModel, commodities: tuple[Commodity, ...]) -> Non
     reps = built.power_reps
 
     # f(e) >= f_k(e) ties usage to routing; usage implies the source is on.
+    # A source without an activation binary is a constant above zero here:
+    # a switched-off one has only dead edges, which are out of routing.
     for e in built.routing_wireless:
         for comm in commodities:
             ir.add_constraint(
@@ -326,8 +355,6 @@ def _finish_energy(built: BuiltModel, commodities: tuple[Commodity, ...]) -> Non
                 Sense.LE,
                 0.0,
             )
-        elif rep.max_mw == 0.0:
-            ir.variables[built.use[e.key]].ub = 0.0
 
     obj_terms: list[Term] = []
     constant = 0.0
@@ -341,12 +368,7 @@ def _finish_energy(built: BuiltModel, commodities: tuple[Commodity, ...]) -> Non
     # Amplifier term: delta_p * P_tx * alpha, expanded per power level with
     # exact binary-times-continuous products.
     for e in built.routing_wireless:
-        rep = reps[e.src]
-        if rep.max_mw == 0.0:
-            continue
-        for level_mw, lam_idx in rep.level_terms:
-            if level_mw <= 0:
-                continue
+        for level_mw, lam_idx in reps[e.src].level_terms:
             z_idx = linearize_binary_product(
                 ir, lam_idx, built.alpha[e.key], 1.0, f"w[{e.src}->{e.dst},l{lam_idx}]"
             )
@@ -487,43 +509,44 @@ def _ladder_interval(
     return floor, top, big_ms
 
 
+def _edge_ladder(instance: ProblemInstance, edge: Edge, reps: dict[int, _PowerRep]) -> _Ladder:
+    g = instance.graph
+    radio = instance.radio
+    g_sig = signal_coefficient(g, edge, radio)
+    g_int = interference_coefficients(g, edge, radio)
+    interferers = [(g_int[fid], reps[fid]) for fid in sorted(g_int)]
+    floor, top, big_ms = _ladder_interval(
+        instance.capacity_table, radio.noise_mw, g_sig, reps[edge.src], interferers
+    )
+    return _Ladder(g_sig, interferers, floor, top, big_ms)
+
+
 def _emit_capacity_ladder(
     ir: ModelIR,
     instance: ProblemInstance,
     edge: Edge,
-    reps: dict[int, _PowerRep],
+    src_rep: _PowerRep,
+    ladder: _Ladder,
     alpha_idx: int,
     cap_idx: int,
-    use_idx: int,
-    phi_vars: dict[EdgeKey, tuple[int, ...]],
-    phi_floor: dict[EdgeKey, int],
-) -> None:
-    g = instance.graph
+) -> tuple[int, ...]:
+    """Emit one edge's ladder rows; returns its ``phi`` binaries."""
     table = instance.capacity_table
-    radio = instance.radio
     key = edge.key
-    g_sig = signal_coefficient(g, edge, radio)
-    g_int = interference_coefficients(g, edge, radio)
-    src_rep = reps[edge.src]
-    interferers = [(g_int[fid], reps[fid]) for fid in sorted(g_int)]
-    floor, top, big_ms = _ladder_interval(table, radio.noise_mw, g_sig, src_rep, interferers)
+    g_sig, interferers, floor, top, big_ms = ladder
     caps = table.capacities_mbps
-    phi_floor[key] = floor
-    if src_rep.max_mw == 0.0:
-        ir.variables[use_idx].ub = 0.0
     if top == 0:
         # No power choice grants a level: no capacity, no airtime.
-        phi_vars[key] = ()
         ir.variables[cap_idx].ub = 0.0
         ir.variables[alpha_idx].ub = 0.0
-        return
+        return ()
     if floor == top:
         ir.variables[cap_idx].ub = caps[top - 1]
 
     # S - th*I as an affine expression; constant reps have no terms.
     sig_terms = [(g_sig * c, i) for c, i in src_rep.terms]
     int_terms: list[Term] = []
-    int_const = radio.noise_mw
+    int_const = instance.radio.noise_mw
     for coeff, rep in interferers:
         int_terms.extend((coeff * c, i) for c, i in rep.terms)
         int_const += coeff * rep.min_mw
@@ -545,7 +568,6 @@ def _emit_capacity_ladder(
                 0.0,
             )
         phis.append(phi)
-    phi_vars[key] = tuple(phis)
 
     # Capacity needs transmit power: tie the lowest indicator to the
     # source actually being on.  The floor's levels need it too, which
@@ -579,3 +601,4 @@ def _emit_capacity_ladder(
         )
         terms.append((-delta, y))
     ir.add_constraint(f"couple[{key[0]}->{key[1]}]", terms, Sense.LE, 0.0)
+    return tuple(phis)

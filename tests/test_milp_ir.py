@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from iabtopo.errors import NonPositiveBigM, UnboundedContinuous
 from iabtopo.milp import (
@@ -13,6 +14,7 @@ from iabtopo.milp import (
     linearize_indicator,
     solve,
 )
+from iabtopo.milp import backend
 from iabtopo.problem import SolveStatus
 
 
@@ -178,3 +180,19 @@ def test_time_limit_contract():
     ir.set_objective("max", [(float(v[i]), xs[i]) for i in range(60)])
     raw = solve(ir, SolverOptions(time_limit_s=0.01))
     assert raw.status in (SolveStatus.OPTIMAL, SolveStatus.TIME_LIMIT)
+
+
+def test_highs_optimal_verdict_kept_with_small_gap(monkeypatch):
+    # HiGHS may stop "optimal" on a gap of a few 1e-9 (its own tolerances
+    # on the objective); the backend keeps that verdict and the gap.
+    ir = ModelIR("gap")
+    x = ir.add_var("x", VarKind.BINARY)
+    ir.set_objective("max", [(132.873741, x)])
+    result = OptimizeResult(
+        status=0, message="Optimal", x=np.array([1.0]), mip_gap=5.16e-9
+    )
+    monkeypatch.setattr(backend, "milp", lambda **kwargs: result)
+    raw = solve(ir)
+    assert raw.status is SolveStatus.OPTIMAL
+    assert raw.gap == 5.16e-9
+    assert raw.objective == pytest.approx(132.873741)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from iabtopo import milp
+from iabtopo import milp, oracle
 from iabtopo.capacity import capacity_from_sinr, ladder_position
 from iabtopo.channel import (
     RadioParams,
@@ -11,11 +11,17 @@ from iabtopo.channel import (
     link_budget,
     signal_coefficient,
 )
-from iabtopo.errors import EmptyCommodities, UnsupportedMode
+from iabtopo.errors import EmptyCommodities, NoFeasible, UnsupportedMode
 from iabtopo.graph import Commodity, Edge, EdgeKind, Node, NodeKind, build_graph
 from iabtopo.milp import SolverOptions, builder
 from iabtopo.oracle import validate_solution
-from iabtopo.problem import ContinuousPower, DiscretePower, FixedPower, ProblemInstance
+from iabtopo.problem import (
+    ContinuousPower,
+    DiscretePower,
+    FixedPower,
+    ProblemInstance,
+    SolveStatus,
+)
 
 from conftest import coarse_table, two_step_table, two_unit_instance
 
@@ -267,13 +273,59 @@ def test_big_m_monotone_in_interferers():
 def test_ladder_interval_is_a_point_when_powers_fixed(powers):
     inst = two_unit_instance()
     built = milp.build_throughput_model(inst, fixed_powers=powers)
+    routed = {e.key for e in built.routing_wireless}
     for e in inst.graph.wireless_edges:
-        floor, top, big_ms = _ladder_interval(built, e)
         budget = link_budget(e, powers, inst.graph, inst.radio)
-        assert floor == top == _levels_met(inst.capacity_table, budget.signal_mw, budget.interference_mw)
+        met = _levels_met(inst.capacity_table, budget.signal_mw, budget.interference_mw)
+        # Fixed powers: exactly the edges that meet no level leave routing.
+        assert (e.key in routed) == (met > 0)
+        if e.key not in routed:
+            continue
+        floor, top, big_ms = _ladder_interval(built, e)
+        assert floor == top == met
         assert big_ms == []
         assert built.phi_vars[e.key] == ()
         assert built.phi_floor[e.key] == floor
+
+
+def _dead_ue_instance(power_mode=None):
+    """UE 10 served at the top step; UE 11 meets no level at any power."""
+    inst = _single_frontend_instance(coarse_table(), [80.0, 250.0], noise_mw=1e-9)
+    return inst if power_mode is None else inst.with_power_mode(power_mode)
+
+
+def test_dead_ue_edges_leave_single_power_models():
+    inst = _dead_ue_instance()
+    dead = (1, 11)
+    built = milp.build_throughput_model(inst)
+    assert dead not in {e.key for e in built.routing_wireless}
+    assert dead not in built.alpha and all(k != dead for _, k in built.flow)
+    sol = _solve(built)
+    assert sol.objective == pytest.approx(0.0, abs=1e-9)
+    assert oracle.enumerate_optimal_throughput(inst) == 0.0
+
+    built = milp.build_energy_model(inst)
+    assert dead not in built.alpha
+    (dst_row,) = [c for c in built.ir.constraints if c.name == "dst[k1]"]
+    assert dst_row.terms == () and dst_row.rhs == 1.0
+    raw = milp.solve(built.ir, SolverOptions(time_limit_s=30))
+    assert raw.status is SolveStatus.INFEASIBLE
+    with pytest.raises(NoFeasible):
+        oracle.enumerate_optimal_energy(inst)
+
+
+@pytest.mark.parametrize(
+    "mode", [ContinuousPower(), DiscretePower((0.0, 3150.0, 6300.0))], ids=["continuous", "grid"]
+)
+def test_dead_edges_of_multi_power_sources_stay(mode):
+    inst = _dead_ue_instance(mode)
+    built = milp.build_throughput_model(inst)
+    dead = (1, 11)
+    assert _ladder_interval(built, inst.graph.edge(*dead))[1] == 0
+    assert dead in {e.key for e in built.routing_wireless}
+    assert built.ir.variables[built.alpha[dead]].ub == 0.0
+    assert built.ir.variables[built.cap[dead]].ub == 0.0
+    assert built.phi_vars[dead] == ()
 
 
 def test_off_source_grants_no_capacity():
