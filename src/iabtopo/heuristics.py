@@ -12,6 +12,15 @@ unchanged.  The phases differ only in the move and the rule:
 - phase two frees one frontend's power at a time, strict gain;
 - energy refinement frees one frontend on a power grid, strict decrease.
 
+The strict sweeps only need to know whether a trial beats the best
+objective by the acceptance tolerance, so they solve each trial against an
+objective cutoff half that tolerance past the best: a trial that ties the
+best is pruned inside HiGHS, and no accepted trial sits near the cutoff.
+A ``CUTOFF`` result means only that nothing beats the cutoff; it is a
+rejection, never an optimum.  A trial that beats the cutoff is solved again
+without it on the same model, so the search sees the same objectives and
+powers as without a cutoff.  Phase one keeps full solves: it must see ties.
+
 Selective reduction shrinks the routing edge set to each receiver's top-k
 ranked incoming links and re-solves the exact model, widening k until
 feasible.  Interference always accumulates over the full graph, so a
@@ -54,11 +63,13 @@ class SearchOptions:
     rel_gap: float = 0.0
     power_levels: int = 9  # grid size for the energy refinement sweeps
 
-    def solver(self, remaining_s: float | None = None) -> SolverOptions:
+    def solver(
+        self, remaining_s: float | None = None, cutoff: float | None = None
+    ) -> SolverOptions:
         limit = self.solve_time_limit_s
         if remaining_s is not None:
             limit = max(min(limit, remaining_s), 0.05)
-        return SolverOptions(time_limit_s=limit, rel_gap=self.rel_gap)
+        return SolverOptions(time_limit_s=limit, rel_gap=self.rel_gap, cutoff=cutoff)
 
 
 @dataclass(frozen=True)
@@ -119,11 +130,7 @@ class _Clock:
 
 
 def _objective_of(raw: milp.RawSolution) -> float | None:
-    if raw.status in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE) or (
-        raw.status is SolveStatus.TIME_LIMIT and raw.values is not None
-    ):
-        return raw.objective
-    return None
+    return None if raw.values is None else raw.objective
 
 
 # Acceptance rules: (trial objective, best objective) -> take the move.
@@ -139,25 +146,51 @@ def _strict_decrease(z: float, best: float) -> bool:
     return z < best - _IMPROVE_TOL
 
 
+# Cutoffs of the strict rules, half their tolerance past the best objective.
+def _above(state: SearchState) -> float:
+    return state.curr_best_obj + _IMPROVE_TOL / 2
+
+
+def _below(state: SearchState) -> float:
+    return state.curr_best_obj - _IMPROVE_TOL / 2
+
+
 # Objective (None without one) and every frontend's power of one solve.
 _Solved = tuple[float | None, dict[int, float]]
+_REJECTED: _Solved = (None, {})
 
 
 def _memo_solve(
     build: Callable[..., milp.BuiltModel], options: SearchOptions, clock: _Clock
-) -> Callable[[ProblemInstance, dict[int, float]], _Solved]:
+) -> Callable[..., _Solved]:
     """``build`` and solve a trial model, once per (instance, fixed powers).
 
     Only proven results (optimal or infeasible) are remembered, so a
     time-limited incumbent is never reused.  No model outlives its solve.
+
+    With a ``cutoff``, a trial nothing beats is rejected and its key kept
+    with that cutoff, so a repeat under a cutoff no looser needs no build;
+    any other answer is solved again without the cutoff on the same model.
     """
     seen: dict[tuple, _Solved] = {}
+    rejected: dict[tuple, tuple[str, float]] = {}  # key -> (sense, cutoff)
 
-    def solve(model: ProblemInstance, fixed: dict[int, float]) -> _Solved:
+    def solve(
+        model: ProblemInstance, fixed: dict[int, float], cutoff: float | None = None
+    ) -> _Solved:
         key = (id(model), tuple(sorted(fixed.items())))
         if key in seen:
             return seen[key]
+        if cutoff is not None and key in rejected:
+            sense, old = rejected[key]
+            if not milp.beats(sense, old, cutoff):
+                return _REJECTED
         built = build(model, fixed_powers=fixed)
+        if cutoff is not None:
+            raw = milp.solve(built.ir, options.solver(clock.remaining(), cutoff))
+            if raw.status is SolveStatus.CUTOFF:
+                rejected[key] = (built.ir.objective.sense, cutoff)
+                return _REJECTED
         raw = milp.solve(built.ir, options.solver(clock.remaining()))
         z = _objective_of(raw)
         powers = {} if z is None else {
@@ -244,19 +277,23 @@ def _throughput_search(
     powers = {u: p_max for u in frontends}
     state = _start(solve(instance, powers)[0], powers, clock, "initial all-on solve")
 
-    def toggle(u: int):
+    def toggle(u: int, cutoff: float | None = None):
         trial = dict(state.curr_best_sol)
         trial[u] = p_max if trial[u] == 0 else 0.0
-        return solve(instance, trial)
+        return solve(instance, trial, cutoff)
 
+    # Phase one must see ties, so only the strict sweeps get a cutoff.
     iteration = _sweep(state, frontends, clock, 0, toggle, _tie_or_gain)
-    iteration = _sweep(state, frontends, clock, iteration, toggle, _strict_gain)
+    iteration = _sweep(
+        state, frontends, clock, iteration,
+        lambda u: toggle(u, _above(state)), _strict_gain,
+    )
     state.phase1_powers = dict(state.curr_best_sol)
     # Phase 2 is continuous in [0, p_max] unless the instance itself
     # restricts powers to a grid.
     iteration = _sweep(
         state, frontends, clock, iteration,
-        lambda u: solve(refine, _one_free(state, u)), _strict_gain,
+        lambda u: solve(refine, _one_free(state, u), _above(state)), _strict_gain,
     )
     return state, iteration
 
@@ -304,7 +341,7 @@ def local_search_energy(
 
     iteration = _sweep(
         state, frontends, clock, 0,
-        lambda u: solve(gridded, _one_free(state, u)), _strict_decrease,
+        lambda u: solve(gridded, _one_free(state, u), _below(state)), _strict_decrease,
     )
 
     built = milp.build_energy_model(instance, fixed_powers=state.curr_best_sol)

@@ -9,7 +9,7 @@ from ..problem import (
     SolveStatus,
     default_power_levels,
 )
-from .backend import RawSolution, SolverOptions, solve
+from .backend import RawSolution, SolverOptions, beats, solve
 from .builder import (
     ENERGY,
     THROUGHPUT,
@@ -41,6 +41,7 @@ __all__ = [
     "SolverOptions",
     "THROUGHPUT",
     "VarKind",
+    "beats",
     "build_energy_model",
     "build_throughput_model",
     "default_power_levels",

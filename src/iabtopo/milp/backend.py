@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import os
+import sys
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,6 +26,8 @@ class SolverOptions:
     # The bundled HiGHS presolve returns wrong optima on some of these
     # big-M models (verified against pinned assignments); off by default.
     presolve: bool = False
+    cutoff: float | None = None
+    """Objective (model sense, constant included) a solution must strictly beat."""
 
     def __post_init__(self):
         if self.time_limit_s <= 0:
@@ -43,6 +50,35 @@ class RawSolution:
 
 
 Backend = Callable[[ModelIR, SolverOptions], RawSolution]
+
+try:
+    _LIBC = ctypes.CDLL(None)
+except (OSError, TypeError):  # no C runtime reachable this way; fd 1 is left alone
+    _LIBC = None
+
+
+@contextlib.contextmanager
+def _native_stdout_to_stderr():
+    """Send what native code prints to file descriptor 1 to descriptor 2.
+
+    HiGHS prints some debug lines with C ``printf``, past ``disp=False``
+    and past ``sys.stdout`` (seen under an objective bound); they must not
+    mix into a caller's standard output.  The C buffer is flushed on both
+    sides of the switch, so each line lands where it was printed.
+    """
+    if _LIBC is None:
+        yield
+        return
+    sys.stdout.flush()
+    _LIBC.fflush(None)
+    saved = os.dup(1)
+    os.dup2(2, 1)
+    try:
+        yield
+    finally:
+        _LIBC.fflush(None)
+        os.dup2(saved, 1)
+        os.close(saved)
 
 
 def _scipy_backend(ir: ModelIR, options: SolverOptions) -> RawSolution:
@@ -83,19 +119,29 @@ def _scipy_backend(ir: ModelIR, options: SolverOptions) -> RawSolution:
         a = sparse.csc_matrix((data, (rows, cols)), shape=(len(ir.constraints), n))
         constraints.append(LinearConstraint(a, c_lo, c_hi))
 
+    highs_options = {
+        "disp": False,
+        "presolve": options.presolve,
+        "time_limit": options.time_limit_s,
+        "mip_rel_gap": options.rel_gap,
+    }
+    if options.cutoff is not None:
+        # HiGHS minimises c without the constant; scipy passes the option
+        # through verbatim.
+        bound = options.cutoff - ir.objective.constant
+        highs_options["objective_bound"] = bound if minimize else -bound
     try:
-        res = milp(
-            c=c,
-            constraints=constraints,
-            integrality=integrality,
-            bounds=Bounds(lb, ub),
-            options={
-                "disp": False,
-                "presolve": options.presolve,
-                "time_limit": options.time_limit_s,
-                "mip_rel_gap": options.rel_gap,
-            },
-        )
+        with warnings.catch_warnings(), _native_stdout_to_stderr():
+            warnings.filterwarnings(
+                "ignore", "Unrecognized options detected", RuntimeWarning
+            )
+            res = milp(
+                c=c,
+                constraints=constraints,
+                integrality=integrality,
+                bounds=Bounds(lb, ub),
+                options=highs_options,
+            )
     except Exception as exc:  # scipy raises on malformed inputs only
         raise BackendError(f"milp backend failed: {exc}") from exc
 
@@ -119,8 +165,24 @@ def _scipy_backend(ir: ModelIR, options: SolverOptions) -> RawSolution:
     return RawSolution(status, values, objective, gap)
 
 
+def beats(sense: str, objective: float, cutoff: float) -> bool:
+    """Whether ``objective`` is strictly better than ``cutoff`` in ``sense``."""
+    return objective < cutoff if sense == "min" else objective > cutoff
+
+
 def solve(ir: ModelIR, options: SolverOptions | None = None, backend: Backend | None = None) -> RawSolution:
-    """Run the model through a backend (default: scipy/HiGHS)."""
+    """Run the model through a backend (default: scipy/HiGHS).
+
+    Under ``options.cutoff`` a proven result that does not strictly beat
+    the cutoff is ``CUTOFF``, without values: it means only that nothing
+    beats the cutoff.  HiGHS reports that as "infeasible", or as "optimal"
+    at a worse point (it also ignores the bound on pure LPs).
+    """
     options = options or SolverOptions()
-    backend = backend or _scipy_backend
-    return backend(ir, options)
+    raw = (backend or _scipy_backend)(ir, options)
+    cutoff = options.cutoff
+    if cutoff is None or raw.status not in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
+        return raw
+    if raw.objective is not None and beats(ir.objective.sense, raw.objective, cutoff):
+        return raw
+    return RawSolution(SolveStatus.CUTOFF, None, None)

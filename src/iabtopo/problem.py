@@ -113,6 +113,9 @@ class SolveStatus(str, Enum):
     FEASIBLE = "feasible"
     INFEASIBLE = "infeasible"
     TIME_LIMIT = "time_limit"
+    # Solved against an objective cutoff and nothing strictly better was
+    # returned; says nothing else about the model (no values, not infeasible).
+    CUTOFF = "cutoff"
 
 
 @dataclass

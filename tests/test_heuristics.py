@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from iabtopo import milp
-from iabtopo.errors import DemandExceedsMaxMin, NoFeasibleWithinKmax
+from iabtopo.errors import DemandExceedsMaxMin, IabError, NoFeasibleWithinKmax
 from iabtopo.graph import Commodity, Edge, EdgeKind, Node, NodeKind, build_graph
 from iabtopo.heuristics import (
     PruneParams,
     SearchOptions,
+    _Clock,
+    _memo_solve,
     local_search_energy,
     local_search_throughput,
     prune_graph,
@@ -116,6 +120,98 @@ def test_search_solves_each_trial_once(monkeypatch):
     trials, final = builds[:-1], builds[-1]
     assert len(set(trials)) == len(trials)
     assert final[1] == tuple(sorted(state.curr_best_sol.items()))
+
+
+def test_energy_refinement_builds_each_trial_once(monkeypatch):
+    builds = []
+    build = milp.build_energy_model
+
+    def recording(instance, fixed_powers=None, routing_edges=None):
+        builds.append((repr(instance.power_mode), tuple(sorted(fixed_powers.items()))))
+        return build(instance, fixed_powers, routing_edges)
+
+    monkeypatch.setattr(milp, "build_energy_model", recording)
+    _sol, state = local_search_energy(two_unit_instance(demand=20.0), FAST)
+    # Start solve, refinement trials, then the final solve of the accepted
+    # powers; an accepted trial is re-solved on its model, not rebuilt.
+    trials, final = builds[1:-1], builds[-1]
+    assert trials and len(set(trials)) == len(trials)
+    assert final[1] == tuple(sorted(state.curr_best_sol.items()))
+
+
+def _search_outcome(search, instance):
+    try:
+        _sol, state = search(instance, FAST)
+    except IabError as exc:
+        return type(exc).__name__
+    log = [(e.iteration, repr(e.objective)) for e in state.log]
+    return log, state.phase1_powers, state.curr_best_sol
+
+
+def test_cutoff_leaves_every_search_answer_unchanged(monkeypatch):
+    grid = (0.0, 1575.0, 3150.0, 4725.0, 6300.0)
+    instances = [two_unit_instance(), two_unit_instance(levels=grid)]
+    for seed in range(6):
+        instances.append(random_small_instance(np.random.default_rng(seed)))
+        # Larger instances on a 5-level grid accept strict moves.
+        instances.append(random_small_instance(
+            np.random.default_rng(seed), max_units=4, max_ues=4, levels=grid
+        ))
+    searches = (local_search_throughput, local_search_energy)
+    with_cutoff = [_search_outcome(f, inst) for inst in instances for f in searches]
+
+    solve = milp.solve
+
+    def without_cutoff(ir, options=None, backend=None):
+        options = dataclasses.replace(options or SolverOptions(), cutoff=None)
+        return solve(ir, options, backend)
+
+    monkeypatch.setattr(milp, "solve", without_cutoff)
+    without = [_search_outcome(f, inst) for inst in instances for f in searches]
+    assert with_cutoff == without
+    # Energy refinement is all strict moves; its log holds the start, the
+    # accepted moves and the final solve.
+    energy_logs = [o[0] for o in with_cutoff[1::2] if not isinstance(o, str)]
+    assert sum(len(log) > 2 for log in energy_logs) >= 6
+
+
+def test_rejection_under_cutoff_is_not_an_optimum(monkeypatch):
+    inst = two_unit_instance(demand=20.0)
+    fixed = {1: 6300.0, 11: 6300.0}
+    builds = []
+    build = milp.build_energy_model
+
+    def recording(instance, fixed_powers=None, routing_edges=None):
+        builds.append(fixed_powers)
+        return build(instance, fixed_powers, routing_edges)
+
+    monkeypatch.setattr(milp, "build_energy_model", recording)
+    z_star, powers = _memo_solve(milp.build_energy_model, FAST, _Clock(60.0))(inst, fixed)
+    assert z_star is not None
+
+    solve = _memo_solve(milp.build_energy_model, FAST, _Clock(60.0))
+    builds.clear()
+    assert solve(inst, fixed, z_star - 1.0) == (None, {})
+    # A repeat under a cutoff no looser is rejected without a build ...
+    assert solve(inst, fixed, z_star - 2.0) == (None, {})
+    assert len(builds) == 1
+    # ... but without a cutoff the trial is solved to its true optimum.
+    assert solve(inst, fixed) == (z_star, powers)
+    assert len(builds) == 2
+    # A cutoff the optimum beats gives the optimum, which is then remembered.
+    solve = _memo_solve(milp.build_energy_model, FAST, _Clock(60.0))
+    assert solve(inst, fixed, z_star + 1.0) == (z_star, powers)
+    assert solve(inst, fixed) == (z_star, powers)
+    assert len(builds) == 3
+
+
+def test_search_writes_nothing_to_stdout(capfd):
+    local_search_energy(two_unit_instance(demand=20.0), FAST)
+    built = milp.build_energy_model(two_unit_instance(demand=20.0))
+    raw = milp.solve(built.ir, SolverOptions(time_limit_s=20.0, cutoff=0.0))
+    assert raw.status is milp.SolveStatus.CUTOFF
+    captured = capfd.readouterr()
+    assert captured.out == ""
 
 
 def test_demand_at_max_min_rate_rejected():

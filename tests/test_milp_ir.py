@@ -1,21 +1,29 @@
 import itertools
+import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from iabtopo.errors import NonPositiveBigM, UnboundedContinuous
+from iabtopo import scenario
+from iabtopo.capacity import default_table
+from iabtopo.errors import BackendError, NonPositiveBigM, UnboundedContinuous
 from iabtopo.milp import (
     ModelIR,
     Sense,
     SolverOptions,
     VarKind,
+    build_throughput_model,
+    extract_solution,
     linearize_binary_product,
     linearize_indicator,
     solve,
 )
 from iabtopo.milp import backend
-from iabtopo.problem import SolveStatus
+from iabtopo.graph import Commodity
+from iabtopo.problem import ContinuousPower, ProblemInstance, SolveStatus
 
 
 def test_solver_options_validation():
@@ -196,3 +204,79 @@ def test_highs_optimal_verdict_kept_with_small_gap(monkeypatch):
     assert raw.status is SolveStatus.OPTIMAL
     assert raw.gap == 5.16e-9
     assert raw.objective == pytest.approx(132.873741)
+
+
+# -- objective cutoff ----------------------------------------------------------
+
+
+def _cutoff_model(sense, binary=True):
+    # Pick two of a, b, c at costs 3, 2, 4 (LP relaxation without binaries),
+    # plus a constant of 7: min 12, max 14.
+    ir = ModelIR(f"cutoff-{sense}")
+    kind = VarKind.BINARY if binary else VarKind.CONTINUOUS
+    xs = [ir.add_var(name, kind, 0, 1) for name in "abc"]
+    ir.add_constraint("two", [(1.0, x) for x in xs], Sense.EQ, 2.0)
+    ir.set_objective(sense, list(zip((3.0, 2.0, 4.0), xs)), constant=7.0)
+    return ir
+
+
+_OPTIMA = [("min", 12.0), ("max", 14.0)]
+
+
+@pytest.mark.parametrize("sense, optimum", _OPTIMA)
+def test_cutoff_beyond_optimum_keeps_the_solve(sense, optimum):
+    ir = _cutoff_model(sense)
+    plain = solve(ir)
+    assert plain.status is SolveStatus.OPTIMAL
+    assert plain.objective == pytest.approx(optimum)
+    looser = optimum + (0.5 if sense == "min" else -0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        raw = solve(ir, SolverOptions(cutoff=looser))
+    assert raw.status is SolveStatus.OPTIMAL
+    assert raw.objective == plain.objective
+    assert np.array_equal(raw.values, plain.values)
+
+
+@pytest.mark.parametrize("binary", [True, False], ids=["milp", "lp"])
+@pytest.mark.parametrize("margin", [0.0, 0.5e-6, 1.0])
+@pytest.mark.parametrize("sense, optimum", _OPTIMA)
+def test_cutoff_the_optimum_does_not_beat(sense, optimum, margin, binary):
+    # HiGHS answers "infeasible" or "optimal" at the optimum here, and
+    # ignores the bound on an LP; all of them mean nothing beats the cutoff.
+    ir = _cutoff_model(sense, binary)
+    cutoff = optimum - margin if sense == "min" else optimum + margin
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        raw = solve(ir, SolverOptions(cutoff=cutoff))
+    assert raw.status is SolveStatus.CUTOFF
+    assert raw.values is None and raw.objective is None
+    with pytest.raises(BackendError):
+        extract_solution(SimpleNamespace(ir=ir), raw)
+
+
+def test_highs_debug_print_stays_off_stdout(capfd):
+    # On this demo hour-6 phase-two trial, HiGHS under an objective bound
+    # prints a debug line from C; it must reach stderr, not stdout.
+    demo = Path(__file__).resolve().parent.parent / "demo"
+    config = scenario.config_from_json(demo / "scenario_config.json")
+    profile = scenario.load_profile_csv(demo / "weekly_load_profile.csv")
+    graph, _ = scenario.generate(config, profile, 6)
+    instance = ProblemInstance(
+        graph=graph,
+        commodities=tuple(
+            Commodity(i, graph.donor.id, ue.id, 5.0) for i, ue in enumerate(graph.ues)
+        ),
+        radio=config.radio,
+        power_model=config.power_model,
+        capacity_table=default_table(config.radio.bandwidth_mhz, config.radio.mimo_layers),
+        power_mode=ContinuousPower(),
+    )
+    on = (1, 2, 3, 14, 18, 19)
+    fixed = {fid: 6300.0 if fid in on else 0.0 for fid in (*on, 5, 6, 9, 10, 11, 13, 15, 17)}
+    built = build_throughput_model(instance, fixed_powers=fixed)
+    raw = solve(built.ir, SolverOptions(cutoff=132.87374150000002))
+    assert raw.status is SolveStatus.CUTOFF
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert "HighsMipSolverData" in captured.err
