@@ -16,7 +16,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from ..errors import BackendError
 from ..problem import SolveStatus
-from .ir import ModelIR, Sense, VarKind
+from .ir import ModelIR, VarKind
 
 
 @dataclass(frozen=True)
@@ -88,36 +88,16 @@ def _scipy_backend(ir: ModelIR, options: SolverOptions) -> RawSolution:
 
     minimize = ir.objective.sense == "min"
     c = np.zeros(n)
-    for coeff, idx in ir.objective.terms:
-        c[idx] += coeff if minimize else -coeff
-
-    integrality = np.zeros(n)
-    lb = np.full(n, -np.inf)
-    ub = np.full(n, np.inf)
-    for v in ir.variables:
-        lb[v.idx] = v.lb
-        ub[v.idx] = v.ub
-        if v.kind is VarKind.BINARY:
-            integrality[v.idx] = 1
+    c[ir.objective.cols] = ir.objective.coefs if minimize else -ir.objective.coefs
+    integrality = np.array([v.kind is VarKind.BINARY for v in ir.variables], dtype=float)
+    lb = np.array([v.lb for v in ir.variables], dtype=float)
+    ub = np.array([v.ub for v in ir.variables], dtype=float)
 
     constraints = []
-    if ir.constraints:
-        data, rows, cols = [], [], []
-        c_lo = np.full(len(ir.constraints), -np.inf)
-        c_hi = np.full(len(ir.constraints), np.inf)
-        for r, con in enumerate(ir.constraints):
-            for coeff, idx in con.terms:
-                data.append(coeff)
-                rows.append(r)
-                cols.append(idx)
-            if con.sense is Sense.LE:
-                c_hi[r] = con.rhs
-            elif con.sense is Sense.GE:
-                c_lo[r] = con.rhs
-            else:
-                c_lo[r] = c_hi[r] = con.rhs
-        a = sparse.csc_matrix((data, (rows, cols)), shape=(len(ir.constraints), n))
-        constraints.append(LinearConstraint(a, c_lo, c_hi))
+    if ir.num_rows:
+        rows, cols, coefs = ir.coo()
+        a = sparse.csc_matrix((coefs, (rows, cols)), shape=(ir.num_rows, n))
+        constraints.append(LinearConstraint(a, *ir.row_bounds()))
 
     highs_options = {
         "disp": False,

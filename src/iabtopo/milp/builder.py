@@ -28,18 +28,26 @@ Interference coefficients always come from the full measurement graph,
 even when routing is restricted to a pruned edge subset or an edge is
 dead; a solution of a restricted model is therefore feasible in the
 unrestricted one.
+
+Models are built from arrays.  Each graph's channel gains are computed
+once per radio and shared by every model built on it; every edge's
+ladder interval and every family of rows is computed with numpy over
+all edges at once, with the same float operations, in the same order, as
+a scalar computation of one term at a time would use.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
-from ..capacity import CapacityTable, ladder_position
-from ..channel import interference_coefficients, signal_coefficient
+import numpy as np
+
+from ..channel import RadioParams, interference_coefficients, signal_coefficient
 from ..errors import DemandMissing, EmptyCommodities, UnsupportedMode
-from ..graph import Commodity, Edge, EdgeKey
+from ..graph import Commodity, Edge, EdgeKey, MeasurementGraph
 from ..problem import (
     ContinuousPower,
     DiscretePower,
@@ -47,12 +55,14 @@ from ..problem import (
     ProblemInstance,
 )
 from .ir import (
+    SENSE_CODE,
     ModelIR,
     Sense,
     Term,
     VarKind,
-    linearize_binary_product,
-    linearize_indicator,
+    indicator_row,
+    linearize_binary_products,
+    product_rows,
 )
 
 # Smallest transmit power (fraction of p_max) a continuous-power frontend
@@ -62,6 +72,8 @@ MIN_ON_POWER_FRACTION = 1e-6
 
 THROUGHPUT = "throughput"
 ENERGY = "energy"
+
+_LE, _GE = SENSE_CODE[Sense.LE], SENSE_CODE[Sense.GE]
 
 
 @dataclass
@@ -96,14 +108,72 @@ class _PowerRep:
         return self.max_mw if self.single_power else 0.0
 
 
-class _Ladder(NamedTuple):
-    """One wireless edge's signal gain, interferers and SINR interval."""
+def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Owner and position of each item when owner k has ``counts[k]`` items."""
+    who = np.repeat(np.arange(len(counts)), counts)
+    return who, np.arange(len(who)) - np.repeat(np.cumsum(counts) - counts, counts)
 
-    g_sig: float
-    interferers: list[tuple[float, _PowerRep]]
-    floor: int
-    top: int
-    big_ms: list[tuple[float, float]]
+
+class _Ragged(NamedTuple):
+    """Groups of (coefficient, index) terms as flat arrays; group k is ptr[k]:ptr[k+1]."""
+
+    ptr: np.ndarray
+    coefs: np.ndarray
+    cols: np.ndarray
+
+    @classmethod
+    def of(cls, groups) -> _Ragged:
+        flat = [t for grp in groups for t in grp]
+        ptr = np.zeros(len(groups) + 1, dtype=np.int64)
+        ptr[1:] = np.cumsum([len(grp) for grp in groups])
+        return cls(
+            ptr,
+            np.array([c for c, _ in flat], dtype=float),
+            np.array([i for _, i in flat], dtype=np.int64),
+        )
+
+    def expand(self, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(position in ``owners``, term index) of every term of every owner."""
+        who, pos = _spread(self.ptr[owners + 1] - self.ptr[owners])
+        return who, self.ptr[owners][who] + pos
+
+
+class _Reps(NamedTuple):
+    """The power reps as arrays; column j is the j-th frontend id in order."""
+
+    col: dict[int, int]
+    lo: np.ndarray  # lowest power (mW)
+    hi: np.ndarray  # highest power (mW)
+    on: np.ndarray  # the one power above zero, or 0
+    single: np.ndarray
+    terms: _Ragged  # affine power expression
+    on_terms: _Ragged  # binaries summing to 1 iff on (empty when it has none)
+    has_on: np.ndarray
+    cont: np.ndarray  # continuous power variable, or -1
+    act: np.ndarray  # activation binary, or -1
+    levels: _Ragged  # (level mW, binary idx)
+
+    @classmethod
+    def of(cls, reps: dict[int, _PowerRep]) -> _Reps:
+        rs = [reps[fid] for fid in sorted(reps)]
+
+        def index(attr):
+            return np.array([-1 if getattr(r, attr) is None else getattr(r, attr) for r in rs],
+                            dtype=np.int64)
+
+        return cls(
+            {r.frontend_id: j for j, r in enumerate(rs)},
+            np.array([r.min_mw for r in rs], dtype=float),
+            np.array([r.max_mw for r in rs], dtype=float),
+            np.array([r.on_mw for r in rs], dtype=float),
+            np.array([r.single_power for r in rs], dtype=bool),
+            _Ragged.of([r.terms for r in rs]),
+            _Ragged.of([r.on_terms or () for r in rs]),
+            np.array([r.on_terms is not None for r in rs], dtype=bool),
+            index("cont_idx"),
+            index("act_idx"),
+            _Ragged.of([r.level_terms for r in rs]),
+        )
 
 
 @dataclass
@@ -161,7 +231,132 @@ def build_energy_model(
     return _build(instance, ENERGY, active, fixed_powers, routing_edges)
 
 
-# -- internals ---------------------------------------------------------------
+# -- channel gains, once per graph -------------------------------------------
+
+
+class _Gains(NamedTuple):
+    """Every wireless edge's gains under one radio, rows in graph edge order."""
+
+    row: dict[EdgeKey, int]
+    signal: np.ndarray  # received mW per transmitted mW on the edge's own link
+    interference: np.ndarray  # edges x frontends in id order; 0 = not an interferer
+
+
+# id(graph) -> (weak reference to the graph, gains per radio).  The entry
+# leaves with its graph, so a later graph at the same address never hits it.
+_GAINS: dict[int, tuple[weakref.ref, dict[RadioParams, _Gains]]] = {}
+
+
+def _gains(graph: MeasurementGraph, radio: RadioParams) -> _Gains:
+    key = id(graph)
+    entry = _GAINS.get(key)
+    if entry is None or entry[0]() is not graph:
+        entry = _GAINS[key] = (weakref.ref(graph, lambda _, k=key: _GAINS.pop(k, None)), {})
+    gains = entry[1].get(radio)
+    if gains is None:
+        edges = graph.wireless_edges
+        col = {fid: j for j, fid in enumerate(sorted(n.id for n in graph.frontends))}
+        interference = np.zeros((len(edges), len(col)))
+        for r, e in enumerate(edges):
+            for fid, coeff in interference_coefficients(graph, e, radio).items():
+                interference[r, col[fid]] = coeff
+        signal = np.array([signal_coefficient(graph, e, radio) for e in edges], dtype=float)
+        gains = entry[1][radio] = _Gains(
+            {e.key: r for r, e in enumerate(edges)}, signal, interference
+        )
+    return gains
+
+
+# -- ladders -------------------------------------------------------------------
+
+
+def _levels_met(thresholds: np.ndarray, signal_mw: np.ndarray, interference_mw: np.ndarray):
+    """Ladder levels met at each (S, I), as ``capacity.ladder_position`` + 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        met = np.searchsorted(thresholds, signal_mw / interference_mw, side="right")
+    met[interference_mw == 0] = len(thresholds)
+    met[signal_mw == 0] = 0
+    return met
+
+
+def _big_ms(th, s_lo, s_hi, i_lo, i_hi):
+    """(M_on, M_off) of a level at threshold ``th``.
+
+    They bound -(S - th*I) and S - th*I from above over the interval, the
+    source being off included.
+    """
+    return th * i_hi - s_lo, s_hi - th * i_lo
+
+
+class _Ladders(NamedTuple):
+    """Wireless edges with their gains and SINR intervals, one entry per edge."""
+
+    edges: tuple[Edge, ...]
+    src: np.ndarray  # rep column of the source
+    g_sig: np.ndarray
+    g_int: np.ndarray  # interference gains, edges x frontends
+    floor: np.ndarray
+    top: np.ndarray
+    s_lo: np.ndarray
+    s_hi: np.ndarray
+    i_lo: np.ndarray
+    i_hi: np.ndarray
+
+    def take(self, keep: np.ndarray) -> _Ladders:
+        edges = tuple(e for e, k in zip(self.edges, keep.tolist()) if k)
+        return _Ladders(edges, *(a[keep] for a in self[1:]))
+
+
+def _ladders(instance: ProblemInstance, reps: _Reps, edges: list[Edge]) -> _Ladders:
+    """Each edge's ladder levels met while on, levels it can meet, and SINR interval.
+
+    Over every power the reps allow, the signal spans [S_lo, S_hi] and
+    noise plus interference spans [I_lo, I_hi].  The first ``floor``
+    levels are met at (g_sig*on_mw, I_hi), so they hold whenever the
+    source carries traffic (an edge's airtime is 0 while its source is
+    off); no level from ``top`` up is met even at (S_hi, I_lo).
+    """
+    gains = _gains(instance.graph, instance.radio)
+    at = np.array([gains.row[e.key] for e in edges], dtype=np.intp)
+    src = np.array([reps.col[e.src] for e in edges], dtype=np.intp)
+    g_sig, g_int = gains.signal[at], gains.interference[at]
+    i_lo = np.full(len(edges), float(instance.radio.noise_mw))
+    i_hi = i_lo.copy()
+    # One frontend at a time in id order, so each sum is the scalar one.
+    for j in range(g_int.shape[1]):
+        i_lo += g_int[:, j] * reps.lo[j]
+        i_hi += g_int[:, j] * reps.hi[j]
+    s_hi = g_sig * reps.hi[src]
+    th = np.asarray(instance.capacity_table.thresholds_linear)
+    floor = _levels_met(th, g_sig * reps.on[src], i_hi)
+    top = _levels_met(th, s_hi, i_lo)
+    return _Ladders(
+        tuple(edges), src, g_sig, g_int, floor, top, g_sig * reps.lo[src], s_hi, i_lo, i_hi
+    )
+
+
+# -- model ---------------------------------------------------------------------
+
+
+class _Terms:
+    """COO terms of one block of rows, gathered piecewise."""
+
+    def __init__(self):
+        self.parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def add(self, rows, cols, coefs) -> None:
+        """Terms ``coefs[k] * x[cols[k]]`` in ``rows[k]``; a scalar row or coefficient repeats."""
+        n = len(cols)
+        self.parts.append((
+            rows if isinstance(rows, np.ndarray) else np.full(n, rows),
+            cols,
+            coefs if isinstance(coefs, np.ndarray) else np.full(n, coefs),
+        ))
+
+    def coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if not self.parts:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
+        return tuple(np.concatenate(p) for p in zip(*self.parts))
 
 
 def _build(
@@ -177,108 +372,59 @@ def _build(
     allowed = None if routing_edges is None else set(routing_edges)
     wired = tuple(e for e in g.wired_edges if allowed is None or e.key in allowed)
 
-    reps = _power_reps(ir, instance, problem, fixed_powers)
-
+    power_reps = _power_reps(ir, instance, problem, fixed_powers)
+    reps = _Reps.of(power_reps)
+    lad = _ladders(
+        instance, reps, [e for e in g.wireless_edges if allowed is None or e.key in allowed]
+    )
     # Dead edges of single-power sources leave routing; they still
-    # interfere, since coefficients come from the full graph.
-    ladders: dict[EdgeKey, _Ladder] = {}
-    for e in g.wireless_edges:
-        if allowed is None or e.key in allowed:
-            ladder = _edge_ladder(instance, e, reps)
-            if ladder.top or not reps[e.src].single_power:
-                ladders[e.key] = ladder
-    wireless = tuple(e for e in g.wireless_edges if e.key in ladders)
-
-    c_max = instance.capacity_table.max_capacity_mbps
-    alpha: dict[EdgeKey, int] = {}
-    use: dict[EdgeKey, int] = {}
-    cap: dict[EdgeKey, int] = {}
-    phi_vars: dict[EdgeKey, tuple[int, ...]] = {}
-    phi_floor: dict[EdgeKey, int] = {}
-
-    for e in wireless:
-        k = e.key
-        alpha[k] = ir.add_var(f"alpha[{k[0]}->{k[1]}]", VarKind.CONTINUOUS, 0.0, 1.0)
-        use[k] = ir.add_var(f"use[{k[0]}->{k[1]}]", VarKind.BINARY)
-        cap[k] = ir.add_var(f"cap[{k[0]}->{k[1]}]", VarKind.CONTINUOUS, 0.0, c_max)
-        ir.add_constraint(
-            f"use_ge_alpha[{k[0]}->{k[1]}]", [(1.0, use[k]), (-1.0, alpha[k])], Sense.GE, 0.0
-        )
-        phi_floor[k] = ladders[k].floor
-        phi_vars[k] = _emit_capacity_ladder(
-            ir, instance, e, reps[e.src], ladders[k], alpha[k], cap[k]
-        )
+    # interfere, since the gains cover the full graph.
+    lad = lad.take((lad.top > 0) | ~reps.single[lad.src])
+    wireless = lad.edges
+    v0 = _emit_edges(ir, instance, reps, lad)
+    alpha, use, cap = v0, v0 + 1, v0 + 2
+    n_wl = len(wireless)
+    src_ids = np.array([e.src for e in wireless], dtype=np.int64)
+    dst_ids = np.array([e.dst for e in wireless], dtype=np.int64)
 
     # Airtime budgets: each wireless edge charges both its endpoints.
-    incident: dict[int, list[EdgeKey]] = {}
-    for e in wireless:
-        incident.setdefault(e.src, []).append(e.key)
-        incident.setdefault(e.dst, []).append(e.key)
-    for node_id in sorted(incident):
-        terms = [(1.0, alpha[k]) for k in incident[node_id]]
-        ir.add_constraint(f"airtime[{node_id}]", terms, Sense.LE, 1.0)
+    nodes, row = np.unique(np.concatenate([src_ids, dst_ids]), return_inverse=True)
+    ir.add_rows(
+        [f"airtime[{n}]" for n in nodes.tolist()], Sense.LE, 1.0,
+        row, np.concatenate([alpha, alpha]), 1.0,
+    )
 
     # Tree rule: at most one chosen incoming wireless edge per non-donor node.
-    donor_id = g.donor.id
-    incoming: dict[int, list[EdgeKey]] = {}
-    for e in wireless:
-        incoming.setdefault(e.dst, []).append(e.key)
-    for node_id in sorted(incoming):
-        if node_id == donor_id or len(incoming[node_id]) < 2:
-            continue
-        ir.add_constraint(
-            f"indegree[{node_id}]",
-            [(1.0, use[k]) for k in incoming[node_id]],
-            Sense.LE,
-            1.0,
-        )
+    nodes, row, count = np.unique(dst_ids, return_inverse=True, return_counts=True)
+    capped = (count >= 2) & (nodes != g.donor.id)
+    hit = capped[row]
+    ir.add_rows(
+        [f"indegree[{n}]" for n in nodes[capped].tolist()], Sense.LE, 1.0,
+        (np.cumsum(capped) - 1)[row[hit]], use[hit], 1.0,
+    )
 
     # Commodity flows.
     routing = wireless + wired
-    flow: dict[tuple[int, EdgeKey], int] = {}
     flow_kind = VarKind.BINARY if problem == ENERGY else VarKind.CONTINUOUS
-    flow_ub = 1.0 if problem == ENERGY else c_max
-    for comm in commodities:
-        for e in routing:
-            flow[(comm.id, e.key)] = ir.add_var(
-                f"f[k{comm.id},{e.src}->{e.dst}]", flow_kind, 0.0, flow_ub
-            )
-
-    out_by_node: dict[int, list[EdgeKey]] = {}
-    in_by_node: dict[int, list[EdgeKey]] = {}
-    for e in routing:
-        out_by_node.setdefault(e.src, []).append(e.key)
-        in_by_node.setdefault(e.dst, []).append(e.key)
-
-    for comm in commodities:
-        for n in g.nodes:
-            if n.id in (comm.source, comm.dest):
-                continue
-            terms = [(1.0, flow[(comm.id, k)]) for k in out_by_node.get(n.id, ())]
-            terms += [(-1.0, flow[(comm.id, k)]) for k in in_by_node.get(n.id, ())]
-            if terms:
-                ir.add_constraint(f"cons[k{comm.id},{n.id}]", terms, Sense.EQ, 0.0)
-        src_net = [(1.0, flow[(comm.id, k)]) for k in out_by_node.get(comm.source, ())]
-        src_net += [(-1.0, flow[(comm.id, k)]) for k in in_by_node.get(comm.source, ())]
-        dst_net = [(1.0, flow[(comm.id, k)]) for k in in_by_node.get(comm.dest, ())]
-        dst_net += [(-1.0, flow[(comm.id, k)]) for k in out_by_node.get(comm.dest, ())]
-        if problem == ENERGY:
-            ir.add_constraint(f"src[k{comm.id}]", src_net, Sense.EQ, 1.0)
-            ir.add_constraint(f"dst[k{comm.id}]", dst_net, Sense.EQ, 1.0)
-        else:
-            # Net outflow at the donor mirrors net inflow at the UE.
-            ir.add_constraint(f"srcdst[k{comm.id}]", src_net + [(-t, i) for t, i in dst_net], Sense.EQ, 0.0)
+    flow_ub = 1.0 if problem == ENERGY else instance.capacity_table.max_capacity_mbps
+    flow_vars = ir.add_vars(
+        [f"f[k{c.id},{e.src}->{e.dst}]" for c in commodities for e in routing],
+        flow_kind, 0.0, flow_ub,
+    )
+    flows = np.asarray(flow_vars, dtype=np.int64).reshape(len(commodities), len(routing))
+    _emit_conservation(ir, g, problem, commodities, routing, flows)
 
     # Wireless capacity caps aggregate (demand-weighted) flow.
-    for e in wireless:
-        if problem == ENERGY:
-            terms = [(comm.demand_mbps, flow[(comm.id, e.key)]) for comm in commodities]
-        else:
-            terms = [(1.0, flow[(comm.id, e.key)]) for comm in commodities]
-        ir.add_constraint(
-            f"capacity[{e.src}->{e.dst}]", terms + [(-1.0, cap[e.key])], Sense.LE, 0.0
-        )
+    weight = [c.demand_mbps if problem == ENERGY else 1.0 for c in commodities]
+    edge_at = np.arange(n_wl)
+    ir.add_rows(
+        [f"capacity[{e.src}->{e.dst}]" for e in wireless], Sense.LE, 0.0,
+        np.concatenate([np.tile(edge_at, len(commodities)), edge_at]),
+        np.concatenate([flows[:, :n_wl].ravel(), cap]),
+        np.concatenate([np.repeat(weight, n_wl), -np.ones(n_wl)]),
+    )
 
+    keys = [e.key for e in wireless]
     built = BuiltModel(
         problem=problem,
         ir=ir,
@@ -286,114 +432,303 @@ def _build(
         commodities=commodities,
         routing_wireless=wireless,
         routing_wired=wired,
-        power_reps=reps,
-        alpha=alpha,
-        use=use,
-        cap=cap,
-        flow=flow,
-        phi_vars=phi_vars,
-        phi_floor=phi_floor,
+        power_reps=power_reps,
+        alpha=dict(zip(keys, alpha.tolist())),
+        use=dict(zip(keys, use.tolist())),
+        cap=dict(zip(keys, cap.tolist())),
+        flow=dict(zip(((c.id, e.key) for c in commodities for e in routing), flow_vars)),
+        phi_vars={
+            k: tuple(range(v + 3, v + 3 + t - f))
+            for k, v, f, t in zip(keys, v0.tolist(), lad.floor.tolist(), lad.top.tolist())
+        },
+        phi_floor=dict(zip(keys, lad.floor.tolist())),
     )
 
     if problem == ENERGY:
-        _finish_energy(built, commodities)
+        _finish_energy(built, reps, lad, v0, flows)
     else:
-        _finish_throughput(built, commodities)
+        _finish_throughput(built, reps, lad, v0, flows)
     return built
 
 
-def _finish_throughput(built: BuiltModel, commodities: tuple[Commodity, ...]) -> None:
+def _emit_edges(ir: ModelIR, instance: ProblemInstance, reps: _Reps, lad: _Ladders) -> np.ndarray:
+    """Declare each wireless edge's variables and emit its ladder rows.
+
+    Per edge, in order: variables alpha, use, cap, the ``phi`` binaries of
+    levels floor..top-1 and one product ``y`` per level with a capacity
+    step; rows use_ge_alpha, then per level its two indicator rows (S -
+    th*I >= 0 while phi is 1, <= 0 while it is 0) and its chain row, the
+    powered row, the product rows and the coupling row
+
+        cap <= C_{floor-1}*alpha + sum_i (C_i - C_{i-1}) * phi_i * alpha.
+
+    An edge whose interval grants no level gets only use_ge_alpha, with
+    capacity and airtime bounded to 0.  Returns each edge's first variable.
+    """
+    table = instance.capacity_table
+    th = np.asarray(table.thresholds_linear)
+    caps = np.asarray(table.capacities_mbps)
+    delta = np.diff(caps, prepend=0.0)
+    stepped = np.concatenate([[0], np.cumsum(delta != 0.0)])  # steps below each level
+    floor, top, src = lad.floor, lad.top, lad.src
+    n_lvl = top - floor
+    n_y = stepped[top] - stepped[floor]
+    powered = (n_lvl > 0) & (reps.has_on | (reps.cont >= 0))[src]
+    n_thr = np.maximum(3 * n_lvl - 1, 0)
+    n_rows = 1 + (top > 0) * (n_thr + powered + 3 * n_y + 1)
+    n_vars = 3 + n_lvl + n_y
+    v0 = ir.num_vars + np.cumsum(n_vars) - n_vars
+    r0 = np.cumsum(n_rows) - n_rows
+
+    names, kinds, ubs, row_names = [], [], [], []
+    c_max = table.max_capacity_mbps
+    cont, binary = VarKind.CONTINUOUS, VarKind.BINARY
+    for e, f, t, pw in zip(lad.edges, floor.tolist(), top.tolist(), powered.tolist()):
+        k = f"{e.src}->{e.dst}"
+        steps = [i for i in range(f, t) if delta[i] != 0.0]
+        names += [f"alpha[{k}]", f"use[{k}]", f"cap[{k}]"]
+        names += [f"phi[{k},{i}]" for i in range(f, t)] + [f"y[{k},{i}]" for i in steps]
+        kinds += [cont, binary, cont] + [binary] * (t - f) + [cont] * len(steps)
+        cap_ub = 0.0 if t == 0 else caps[t - 1] if f == t else c_max
+        ubs += [0.0 if t == 0 else 1.0, 1.0, cap_ub] + [1.0] * (t - f + len(steps))
+        row_names.append(f"use_ge_alpha[{k}]")
+        if t == 0:
+            continue
+        for i in range(f, t):
+            row_names += [f"thr[{k},{i}]_on", f"thr[{k},{i}]_off"]
+            if i > f:
+                row_names.append(f"chain[{k},{i}]")
+        if pw:
+            row_names.append(f"powered[{k}]")
+        row_names += [f"y[{k},{i}]{s}" for i in steps for s in ("_le_cont", "_le_bin", "_ge")]
+        row_names.append(f"couple[{k}]")
+    ir.add_vars(names, kinds, 0.0, ubs)
+
+    codes = np.full(len(row_names), _LE)
+    rhs = np.zeros(len(row_names))
+    normalize = np.zeros(len(row_names), dtype=bool)
+    out = _Terms()
+    codes[r0] = _GE
+    out.add(r0, v0 + 1, 1.0)
+    out.add(r0, v0, -1.0)
+
+    # Indicator rows of every level: S - th*I as an affine expression
+    # (constant reps have no terms) against phi with big-Ms from the interval.
+    e_of, j = _spread(n_lvl)
+    lvl = floor[e_of] + j
+    th_l = th[lvl]
+    phi = v0[e_of] + 3 + j
+    on = r0[e_of] + 1 + 3 * j - (j > 0)
+    m_on, m_off = _big_ms(th_l, lad.s_lo[e_of], lad.s_hi[e_of], lad.i_lo[e_of], lad.i_hi[e_of])
+    expr_const = lad.s_lo[e_of] - th_l * lad.i_lo[e_of]
+    who, at = reps.terms.expand(src[e_of])
+    signal = (who, reps.terms.cols[at], lad.g_sig[e_of][who] * reps.terms.coefs[at])
+    # Interference: g_k times the power terms of interferer k, k in id order.
+    pair_e, pair_f = np.nonzero(lad.g_int)
+    of_pair, at = reps.terms.expand(pair_f)
+    per_edge = _Ragged(
+        np.concatenate([[0], np.cumsum(np.bincount(pair_e[of_pair], minlength=len(floor)))]),
+        lad.g_int[pair_e, pair_f][of_pair] * reps.terms.coefs[at],
+        reps.terms.cols[at],
+    )
+    who, at = per_edge.expand(e_of)
+    interference = (who, per_edge.cols[at], -th_l[who] * per_edge.coefs[at])
+    for rows, sense, big_m in ((on, "geq", m_on), (on + 1, "leq", m_off)):
+        coeff, codes[rows], rhs[rows] = indicator_row(sense, big_m, expr_const)
+        normalize[rows] = True
+        out.add(rows, phi, coeff)
+        for who, cols, coefs in (signal, interference):
+            out.add(rows[who], cols, coefs)
+    chained = j > 0
+    out.add(on[chained] + 2, phi[chained], 1.0)
+    out.add(on[chained] + 2, phi[chained] - 1, -1.0)
+
+    # Capacity needs transmit power: tie the lowest indicator to the
+    # source actually being on.  The floor's levels need it too, which
+    # use <= on (use_le_act, use_le_on) enforces.
+    p_row = r0 + 1 + n_thr
+    by_on = powered & reps.has_on[src]
+    out.add(p_row[by_on], v0[by_on] + 3, 1.0)
+    who, at = reps.on_terms.expand(src[by_on])
+    out.add(p_row[by_on][who], reps.on_terms.cols[at], -reps.on_terms.coefs[at])
+    by_cont = powered & ~reps.has_on[src]
+    codes[p_row[by_cont]] = _GE
+    out.add(p_row[by_cont], reps.cont[src[by_cont]], 1.0)
+    p_eps = MIN_ON_POWER_FRACTION * instance.radio.p_max_mw
+    out.add(p_row[by_cont], v0[by_cont] + 3, -p_eps)
+
+    # y = phi * alpha for every level with a capacity step.
+    step = delta[lvl] != 0.0
+    rank = (stepped[lvl] - stepped[floor[e_of]])[step]
+    y = (v0 + 3 + n_lvl)[e_of][step] + rank
+    y_row = (p_row + powered)[e_of][step] + 3 * rank
+    rows, cols, coefs, y_codes, y_rhs = product_rows(phi[step], v0[e_of][step], 1.0, y)
+    placed = (y_row[:, None] + np.arange(3)).ravel()  # block row of each product row
+    codes[placed], rhs[placed] = y_codes, y_rhs
+    out.add(placed[rows], cols, coefs)
+
+    # Levels below the floor always hold, so they add caps[floor-1]*alpha.
+    live = top > 0
+    c_row = r0 + n_rows - 1
+    out.add(c_row[live], v0[live] + 2, 1.0)
+    low = live & (floor > 0)
+    out.add(c_row[low], v0[low], -caps[floor[low] - 1])
+    out.add(c_row[e_of][step], y, -delta[lvl][step])
+    ir.add_rows(row_names, codes, rhs, *out.coo(), normalize)
+    return v0
+
+
+def _emit_conservation(ir, g, problem, commodities, routing, flows) -> None:
+    """Per commodity: conservation at every other node, then source and destination rows."""
+    node_ids = [n.id for n in g.nodes]
+    pos = {n: p for p, n in enumerate(node_ids)}
+    tail = np.array([pos[e.src] for e in routing], dtype=np.int64)
+    head = np.array([pos[e.dst] for e in routing], dtype=np.int64)
+    touched = np.zeros(len(node_ids), dtype=bool)
+    touched[tail] = True
+    touched[head] = True
+    names: list[str] = []
+    rhs: list[float] = []
+    out = _Terms()
+    for comm, f in zip(commodities, flows):
+        s, d = pos[comm.source], pos[comm.dest]
+        inner = touched.copy()
+        inner[[s, d]] = False
+        row = len(names) + np.cumsum(inner) - 1
+        names += [f"cons[k{comm.id},{node_ids[p]}]" for p in np.flatnonzero(inner).tolist()]
+        rhs += [0.0] * (len(names) - len(rhs))
+        out.add(row[tail[inner[tail]]], f[inner[tail]], 1.0)
+        out.add(row[head[inner[head]]], f[inner[head]], -1.0)
+        src_net = ((tail == s, 1.0), (head == s, -1.0))
+        dst_net = ((head == d, 1.0), (tail == d, -1.0))
+        r = len(names)
+        if problem == ENERGY:
+            names += [f"src[k{comm.id}]", f"dst[k{comm.id}]"]
+            rhs += [1.0, 1.0]
+            for m, c in src_net:
+                out.add(r, f[m], c)
+            for m, c in dst_net:
+                out.add(r + 1, f[m], c)
+        else:
+            # Net outflow at the donor mirrors net inflow at the UE.
+            names.append(f"srcdst[k{comm.id}]")
+            rhs.append(0.0)
+            for m, c in src_net:
+                out.add(r, f[m], c)
+            for m, c in dst_net:
+                out.add(r, f[m], -c)
+    ir.add_rows(names, Sense.EQ, rhs, *out.coo())
+
+
+def _finish_throughput(
+    built: BuiltModel, reps: _Reps, lad: _Ladders, v0: np.ndarray, flows: np.ndarray
+) -> None:
     ir = built.ir
+    commodities = built.commodities
     c_max = built.instance.capacity_table.max_capacity_mbps
     z = ir.add_var("Z", VarKind.CONTINUOUS, 0.0, c_max)
     built.z_idx = z
-    in_by_dst: dict[int, list[EdgeKey]] = {}
-    for e in built.routing_wireless + built.routing_wired:
-        in_by_dst.setdefault(e.dst, []).append(e.key)
-    for comm in commodities:
-        terms = [(1.0, built.flow[(comm.id, k)]) for k in in_by_dst.get(comm.dest, ())]
-        terms.append((-1.0, z))
-        ir.add_constraint(f"rate[k{comm.id}]", terms, Sense.GE, 0.0)
+    heads = np.array([e.dst for e in built.routing_wireless + built.routing_wired], dtype=np.int64)
+    dests = np.array([c.dest for c in commodities], dtype=np.int64)
+    comm_of, edge_of = np.nonzero(heads[None, :] == dests[:, None])
+    out = _Terms()
+    out.add(comm_of, flows[comm_of, edge_of], 1.0)
+    out.add(np.arange(len(commodities)), np.full(len(commodities), z), -1.0)
+    ir.add_rows([f"rate[k{c.id}]" for c in commodities], Sense.GE, 0.0, *out.coo())
 
     # A source that can be off meets its edges' floor levels only while on,
     # so those edges carry traffic only then.
-    for e in built.routing_wireless:
-        rep = built.power_reps[e.src]
-        if rep.on_terms is not None and built.phi_floor[e.key]:
-            ir.add_constraint(
-                f"use_le_on[{e.src}->{e.dst}]",
-                [(1.0, built.use[e.key])] + [(-c, i) for c, i in rep.on_terms],
-                Sense.LE,
-                0.0,
-            )
+    gated = reps.has_on[lad.src] & (lad.floor > 0)
+    who, at = reps.on_terms.expand(lad.src[gated])
+    out = _Terms()
+    out.add(np.arange(int(gated.sum())), (v0 + 1)[gated], 1.0)
+    out.add(who, reps.on_terms.cols[at], -reps.on_terms.coefs[at])
+    ir.add_rows(
+        [f"use_le_on[{e.src}->{e.dst}]" for e, m in zip(lad.edges, gated.tolist()) if m],
+        Sense.LE, 0.0, *out.coo(),
+    )
     ir.set_objective("max", [(1.0, z)])
 
 
-def _finish_energy(built: BuiltModel, commodities: tuple[Commodity, ...]) -> None:
+def _finish_energy(
+    built: BuiltModel, reps: _Reps, lad: _Ladders, v0: np.ndarray, flows: np.ndarray
+) -> None:
     ir = built.ir
     instance = built.instance
     g = instance.graph
     pm = instance.power_model
-    reps = built.power_reps
+    power_reps = built.power_reps
 
     # f(e) >= f_k(e) ties usage to routing; usage implies the source is on.
     # A source without an activation binary is a constant above zero here:
     # a switched-off one has only dead edges, which are out of routing.
-    for e in built.routing_wireless:
-        for comm in commodities:
-            ir.add_constraint(
-                f"use_ge_f[k{comm.id},{e.src}->{e.dst}]",
-                [(1.0, built.use[e.key]), (-1.0, built.flow[(comm.id, e.key)])],
-                Sense.GE,
-                0.0,
-            )
-        rep = reps[e.src]
-        if rep.act_idx is not None:
-            ir.add_constraint(
-                f"use_le_act[{e.src}->{e.dst}]",
-                [(1.0, built.use[e.key]), (-1.0, rep.act_idx)],
-                Sense.LE,
-                0.0,
-            )
+    n_c = len(built.commodities)
+    act = reps.act[lad.src]
+    gated = act >= 0
+    n_rows = n_c + gated
+    r0 = np.cumsum(n_rows) - n_rows
+    codes = np.full(int(n_rows.sum()), _GE)
+    out = _Terms()
+    e_of, k = _spread(np.full(len(lad.edges), n_c))
+    out.add(r0[e_of] + k, v0[e_of] + 1, 1.0)
+    out.add(r0[e_of] + k, flows[k, e_of], -1.0)
+    act_row = r0[gated] + n_c
+    codes[act_row] = _LE
+    out.add(act_row, v0[gated] + 1, 1.0)
+    out.add(act_row, act[gated], -1.0)
+    names = []
+    for e, a in zip(lad.edges, gated.tolist()):
+        names += [f"use_ge_f[k{c.id},{e.src}->{e.dst}]" for c in built.commodities]
+        if a:
+            names.append(f"use_le_act[{e.src}->{e.dst}]")
+    ir.add_rows(names, codes, 0.0, *out.coo())
 
-    obj_terms: list[Term] = []
+    obj_cols: list[int] = []
+    obj_coefs: list[float] = []
     constant = 0.0
-    for fid in sorted(reps):
-        rep = reps[fid]
+    for fid in sorted(power_reps):
+        rep = power_reps[fid]
         constant += pm.n_trx * pm.p_sleep_w
         if rep.act_idx is not None:
-            obj_terms.append((pm.n_trx * (pm.p0_w - pm.p_sleep_w), rep.act_idx))
+            obj_cols.append(rep.act_idx)
+            obj_coefs.append(pm.n_trx * (pm.p0_w - pm.p_sleep_w))
         built.act[fid] = rep.act_idx if rep.act_idx is not None else -1
 
     # Amplifier term: delta_p * P_tx * alpha, expanded per power level with
     # exact binary-times-continuous products.
-    for e in built.routing_wireless:
-        for level_mw, lam_idx in reps[e.src].level_terms:
-            z_idx = linearize_binary_product(
-                ir, lam_idx, built.alpha[e.key], 1.0, f"w[{e.src}->{e.dst},l{lam_idx}]"
-            )
-            obj_terms.append((pm.delta_p * level_mw / 1000.0, z_idx))
+    who, at = reps.levels.expand(lad.src)
+    lam = reps.levels.cols[at]
+    w = linearize_binary_products(
+        ir, lam, v0[who], 1.0,
+        [f"w[{lad.edges[i].src}->{lad.edges[i].dst},l{l}]" for i, l in zip(who.tolist(), lam.tolist())],
+    )
 
     if pm.p_active_unit_w > 0:
         units: dict[int, list[int]] = {}
-        for fid in sorted(reps):
-            unit = g.node(fid).unit_id
-            units.setdefault(unit, []).append(fid)
+        for fid in sorted(power_reps):
+            units.setdefault(g.node(fid).unit_id, []).append(fid)
+        names, cols = [], []
         for unit in sorted(units):
-            members = [reps[fid].act_idx for fid in units[unit] if reps[fid].act_idx is not None]
+            members = [power_reps[f].act_idx for f in units[unit] if power_reps[f].act_idx is not None]
             if not members:
                 continue
             a_unit = ir.add_var(f"unit_on[{unit}]", VarKind.BINARY)
             for act_idx in members:
-                ir.add_constraint(
-                    f"unit_on_ge[{unit},{act_idx}]",
-                    [(1.0, a_unit), (-1.0, act_idx)],
-                    Sense.GE,
-                    0.0,
-                )
-            obj_terms.append((pm.p_active_unit_w, a_unit))
+                names.append(f"unit_on_ge[{unit},{act_idx}]")
+                cols += [a_unit, act_idx]
+            obj_cols.append(a_unit)
+            obj_coefs.append(pm.p_active_unit_w)
+        ir.add_rows(
+            names, Sense.GE, 0.0, np.repeat(np.arange(len(names)), 2), cols,
+            np.tile([1.0, -1.0], len(names)),
+        )
 
-    ir.set_objective("min", obj_terms, constant)
+    ir.set_objective_arrays(
+        "min",
+        np.concatenate([np.asarray(w, dtype=np.int64), np.array(obj_cols, dtype=np.int64)]),
+        np.concatenate([pm.delta_p * reps.levels.coefs[at] / 1000.0, np.array(obj_coefs, dtype=float)]),
+        constant,
+    )
 
 
 def _power_reps(
@@ -474,131 +809,3 @@ def _power_reps(
         else:
             raise UnsupportedMode(f"unknown power mode {mode!r}")
     return reps
-
-
-def _ladder_interval(
-    table: CapacityTable,
-    noise_mw: float,
-    g_sig: float,
-    src: _PowerRep,
-    interferers: Iterable[tuple[float, _PowerRep]],
-) -> tuple[int, int, list[tuple[float, float]]]:
-    """Ladder levels an edge meets while on, levels it can meet, and big-Ms.
-
-    Over every power the reps allow, the signal spans [S_lo, S_hi] and
-    noise plus interference spans [I_lo, I_hi].  The first ``floor``
-    levels are met at (g_sig*on_mw, I_hi), so they hold whenever the
-    source carries traffic (an edge's airtime is 0 while its source is
-    off); no level from ``top`` up is met even at (S_hi, I_lo).  For each
-    level i in ``floor..top-1`` the pair (th_i*I_hi - S_lo,
-    S_hi - th_i*I_lo) bounds -(S - th_i*I) and S - th_i*I from above,
-    the source being off included.
-    """
-    s_lo, s_hi = g_sig * src.min_mw, g_sig * src.max_mw
-    i_lo = i_hi = noise_mw
-    for coeff, rep in interferers:
-        i_lo += coeff * rep.min_mw
-        i_hi += coeff * rep.max_mw
-    pos = ladder_position(table, g_sig * src.on_mw, i_hi)
-    floor = 0 if pos is None else pos + 1
-    pos = ladder_position(table, s_hi, i_lo)
-    top = 0 if pos is None else pos + 1
-    big_ms = [
-        (th * i_hi - s_lo, s_hi - th * i_lo) for th in table.thresholds_linear[floor:top]
-    ]
-    return floor, top, big_ms
-
-
-def _edge_ladder(instance: ProblemInstance, edge: Edge, reps: dict[int, _PowerRep]) -> _Ladder:
-    g = instance.graph
-    radio = instance.radio
-    g_sig = signal_coefficient(g, edge, radio)
-    g_int = interference_coefficients(g, edge, radio)
-    interferers = [(g_int[fid], reps[fid]) for fid in sorted(g_int)]
-    floor, top, big_ms = _ladder_interval(
-        instance.capacity_table, radio.noise_mw, g_sig, reps[edge.src], interferers
-    )
-    return _Ladder(g_sig, interferers, floor, top, big_ms)
-
-
-def _emit_capacity_ladder(
-    ir: ModelIR,
-    instance: ProblemInstance,
-    edge: Edge,
-    src_rep: _PowerRep,
-    ladder: _Ladder,
-    alpha_idx: int,
-    cap_idx: int,
-) -> tuple[int, ...]:
-    """Emit one edge's ladder rows; returns its ``phi`` binaries."""
-    table = instance.capacity_table
-    key = edge.key
-    g_sig, interferers, floor, top, big_ms = ladder
-    caps = table.capacities_mbps
-    if top == 0:
-        # No power choice grants a level: no capacity, no airtime.
-        ir.variables[cap_idx].ub = 0.0
-        ir.variables[alpha_idx].ub = 0.0
-        return ()
-    if floor == top:
-        ir.variables[cap_idx].ub = caps[top - 1]
-
-    # S - th*I as an affine expression; constant reps have no terms.
-    sig_terms = [(g_sig * c, i) for c, i in src_rep.terms]
-    int_terms: list[Term] = []
-    int_const = instance.radio.noise_mw
-    for coeff, rep in interferers:
-        int_terms.extend((coeff * c, i) for c, i in rep.terms)
-        int_const += coeff * rep.min_mw
-
-    phis = []
-    for i, (m_on, m_off) in enumerate(big_ms, start=floor):
-        phi = ir.add_var(f"phi[{key[0]}->{key[1]},{i}]", VarKind.BINARY)
-        th = table.thresholds_linear[i]
-        expr_terms = sig_terms + [(-th * c, idx) for c, idx in int_terms]
-        expr_const = g_sig * src_rep.min_mw - th * int_const
-        name = f"thr[{key[0]}->{key[1]},{i}]"
-        linearize_indicator(ir, expr_terms, expr_const, phi, "geq", m_on, name)
-        linearize_indicator(ir, expr_terms, expr_const, phi, "leq", m_off, name)
-        if phis:
-            ir.add_constraint(
-                f"chain[{key[0]}->{key[1]},{i}]",
-                [(1.0, phi), (-1.0, phis[-1])],
-                Sense.LE,
-                0.0,
-            )
-        phis.append(phi)
-
-    # Capacity needs transmit power: tie the lowest indicator to the
-    # source actually being on.  The floor's levels need it too, which
-    # use <= on (use_le_act, use_le_on) enforces.
-    if phis and src_rep.on_terms is not None:
-        ir.add_constraint(
-            f"powered[{key[0]}->{key[1]}]",
-            [(1.0, phis[0])] + [(-c, i) for c, i in src_rep.on_terms],
-            Sense.LE,
-            0.0,
-        )
-    elif phis and src_rep.cont_idx is not None:
-        p_eps = MIN_ON_POWER_FRACTION * instance.radio.p_max_mw
-        ir.add_constraint(
-            f"powered[{key[0]}->{key[1]}]",
-            [(1.0, src_rep.cont_idx), (-p_eps, phis[0])],
-            Sense.GE,
-            0.0,
-        )
-
-    # Levels below the floor always hold, so they add caps[floor-1]*alpha.
-    terms: list[Term] = [(1.0, cap_idx)]
-    if floor:
-        terms.append((-caps[floor - 1], alpha_idx))
-    for i, phi in enumerate(phis, start=floor):
-        delta = caps[i] - (caps[i - 1] if i else 0.0)
-        if delta == 0.0:
-            continue
-        y = linearize_binary_product(
-            ir, phi, alpha_idx, 1.0, f"y[{key[0]}->{key[1]},{i}]"
-        )
-        terms.append((-delta, y))
-    ir.add_constraint(f"couple[{key[0]}->{key[1]}]", terms, Sense.LE, 0.0)
-    return tuple(phis)

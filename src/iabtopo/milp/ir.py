@@ -2,7 +2,10 @@
 
 Holds variables, linear constraints and a linear objective, plus the
 explicit linearization helpers for indicator implications and
-binary-times-continuous products.  Rows touching physically tiny
+binary-times-continuous products.  Constraint rows live in COO buffers
+(flat row, column and coefficient arrays, plus each row's name, sense
+and right-hand side) that are appended a block of rows at a time and
+handed to the backend as arrays.  Rows touching physically tiny
 coefficients (received powers in mW) can be normalized so the largest
 magnitude per row is 1, which keeps solver feasibility tolerances
 meaningful.
@@ -11,9 +14,11 @@ meaningful.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from ..errors import NonPositiveBigM, UnboundedContinuous
 
@@ -31,7 +36,11 @@ class Sense(str, Enum):
     GE = ">="
 
 
-@dataclass
+_SENSES = (Sense.LE, Sense.EQ, Sense.GE)  # row sense codes 0, 1, 2
+SENSE_CODE = {s: np.int8(i) for i, s in enumerate(_SENSES)}
+
+
+@dataclass(slots=True)
 class Var:
     idx: int
     name: str
@@ -40,7 +49,7 @@ class Var:
     ub: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinConstraint:
     name: str
     terms: tuple[Term, ...]
@@ -51,8 +60,45 @@ class LinConstraint:
 @dataclass
 class Objective:
     sense: str = "min"  # "min" | "max"
-    terms: tuple[Term, ...] = ()
+    cols: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    coefs: np.ndarray = field(default_factory=lambda: np.zeros(0))
     constant: float = 0.0
+
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        return tuple(zip(self.coefs.tolist(), self.cols.tolist()))
+
+
+def _as_block(terms: Iterable[Term]) -> tuple[list[float], list[int]]:
+    pairs = list(terms)
+    return [c for c, _ in pairs], [i for _, i in pairs]
+
+
+def _filled(values, n: int) -> np.ndarray:
+    """``values`` as n floats; a scalar is repeated."""
+    values = np.asarray(values, dtype=float)
+    return np.full(n, values) if values.ndim == 0 else values
+
+
+def _merge(rows, cols, coefs, n_cols):
+    """Sort terms by (row, column); sum duplicates in term order; drop zeros."""
+    keep = coefs != 0.0
+    rows, cols, coefs = rows[keep], cols[keep], coefs[keep]
+    order = np.argsort(rows * n_cols + cols, kind="stable")
+    rows, cols, coefs = rows[order], cols[order], coefs[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    if first.all():
+        return rows, cols, coefs
+    run = np.cumsum(first) - 1
+    depth = np.arange(len(rows)) - np.flatnonzero(first)[run]
+    sums = coefs[first]
+    for k in range(1, int(depth.max()) + 1):  # one pass per duplicate depth
+        at = depth == k
+        sums[run[at]] += coefs[at]
+    rows, cols = rows[first], cols[first]
+    nz = sums != 0.0
+    return rows[nz], cols[nz], sums[nz]
 
 
 class ModelIR:
@@ -61,11 +107,45 @@ class ModelIR:
     def __init__(self, name: str = "model"):
         self.name = name
         self.variables: list[Var] = []
-        self.constraints: list[LinConstraint] = []
         self.objective = Objective()
+        self.row_names: list[str] = []
         self._by_name: dict[str, int] = {}
+        empty = np.zeros(0, dtype=np.int64)
+        # (rows, cols, coefs, sense codes, rhs) per block of rows
+        self._chunks: list[tuple[np.ndarray, ...]] = [
+            (empty, empty, np.zeros(0), np.zeros(0, dtype=np.int8), np.zeros(0))
+        ]
+        self._joined: tuple[np.ndarray, ...] | None = None
 
     # -- variables --------------------------------------------------------
+
+    def add_vars(
+        self,
+        names: Sequence[str],
+        kind: VarKind | Sequence[VarKind] = VarKind.CONTINUOUS,
+        lb: float | Sequence[float] = 0.0,
+        ub: float | Sequence[float] = math.inf,
+    ) -> range:
+        """Declare one variable per name; ``kind``, ``lb`` and ``ub`` broadcast."""
+        n = len(names)
+        start = len(self.variables)
+        kinds = [kind] * n if isinstance(kind, VarKind) else list(kind)
+        lbs = np.full(n, lb, dtype=float) if np.isscalar(lb) else np.array(lb, dtype=float)
+        ubs = np.full(n, ub, dtype=float) if np.isscalar(ub) else np.array(ub, dtype=float)
+        binary = np.array([k is VarKind.BINARY for k in kinds], dtype=bool)
+        lbs[binary] = np.maximum(lbs[binary], 0.0)
+        ubs[binary] = np.minimum(ubs[binary], 1.0)
+        if len(set(names)) < n or not self._by_name.keys().isdisjoint(names):
+            seen = set(self._by_name)
+            dup = next(x for x in names if x in seen or seen.add(x))
+            raise ValueError(f"variable {dup!r} already declared")
+        if (lbs > ubs).any():
+            i = int(np.argmax(lbs > ubs))
+            raise ValueError(f"variable {names[i]!r}: lb {lbs[i]} above ub {ubs[i]}")
+        idx = range(start, start + n)
+        self.variables += map(Var, idx, names, kinds, lbs.tolist(), ubs.tolist())
+        self._by_name.update(zip(names, idx))
+        return idx
 
     def add_var(
         self,
@@ -74,23 +154,62 @@ class ModelIR:
         lb: float = 0.0,
         ub: float = math.inf,
     ) -> int:
-        if name in self._by_name:
-            raise ValueError(f"variable {name!r} already declared")
-        if kind is VarKind.BINARY:
-            lb = max(lb, 0.0)
-            ub = min(ub, 1.0)
-        if lb > ub:
-            raise ValueError(f"variable {name!r}: lb {lb} above ub {ub}")
-        idx = len(self.variables)
-        self.variables.append(Var(idx, name, kind, lb, ub))
-        self._by_name[name] = idx
-        return idx
+        return self.add_vars([name], kind, lb, ub)[0]
 
     def fix_var(self, idx: int, value: float) -> None:
         self.variables[idx].lb = value
         self.variables[idx].ub = value
 
     # -- constraints ------------------------------------------------------
+
+    def add_rows(
+        self,
+        names: Sequence[str],
+        sense: Sense | Sequence[Sense] | np.ndarray,
+        rhs,
+        rows,
+        cols,
+        coefs,
+        normalize=False,
+    ) -> int:
+        """Append ``len(names)`` rows given as COO terms; returns the first row.
+
+        Term k adds ``coefs[k] * x[cols[k]]`` to block row ``rows[k]`` (a
+        scalar ``coefs`` applies to every term).  In each row, duplicate
+        columns are summed in term order, and zero coefficients and zero
+        sums are dropped.  A row whose ``normalize`` (a bool, or one per
+        row) is set is divided, right-hand side included, by its largest
+        absolute coefficient.  ``sense`` and ``rhs`` are one value or one
+        per row; ``sense`` may also be an array of ``SENSE_CODE`` values.
+        """
+        n = len(names)
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        coefs = _filled(coefs, len(rows))
+        bad = (cols < 0) | (cols >= len(self.variables))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"constraint {names[rows[k]]!r}: unknown variable index {cols[k]}")
+        rows, cols, coefs = _merge(rows, cols, coefs, len(self.variables))
+        if isinstance(sense, Sense):
+            codes = np.full(n, SENSE_CODE[sense])
+        elif isinstance(sense, np.ndarray):
+            codes = sense.astype(np.int8)
+        else:
+            codes = np.array([SENSE_CODE[s] for s in sense], dtype=np.int8)
+        rhs = _filled(rhs, n)
+        if np.any(normalize) and len(rows):
+            starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+            scale = np.ones(n)
+            scale[rows[starts]] = np.maximum.reduceat(np.abs(coefs), starts)
+            scale[~np.broadcast_to(normalize, (n,))] = 1.0
+            coefs = coefs / scale[rows]
+            rhs = rhs / scale
+        first = len(self.row_names)
+        self.row_names.extend(names)
+        self._chunks.append((rows + first, cols, coefs, codes, rhs))
+        self._joined = None
+        return first
 
     def add_constraint(
         self,
@@ -100,38 +219,64 @@ class ModelIR:
         rhs: float,
         normalize: bool = False,
     ) -> int:
-        merged: dict[int, float] = {}
-        for coeff, idx in terms:
-            if idx < 0 or idx >= len(self.variables):
-                raise ValueError(f"constraint {name!r}: unknown variable index {idx}")
-            if coeff != 0.0:
-                merged[idx] = merged.get(idx, 0.0) + coeff
-        row = tuple((c, i) for i, c in sorted(merged.items()) if c != 0.0)
-        if normalize and row:
-            scale = max(abs(c) for c, _ in row)
-            if scale > 0 and scale != 1.0:
-                row = tuple((c / scale, i) for c, i in row)
-                rhs = rhs / scale
-        self.constraints.append(LinConstraint(name, row, sense, rhs))
-        return len(self.constraints) - 1
+        coefs, cols = _as_block(terms)
+        return self.add_rows([name], sense, rhs, [0] * len(cols), cols, coefs, normalize)
 
     def set_objective(self, sense: str, terms: Iterable[Term], constant: float = 0.0) -> None:
+        coefs, cols = _as_block(terms)
+        self.set_objective_arrays(sense, cols, coefs, constant)
+
+    def set_objective_arrays(self, sense: str, cols, coefs, constant: float = 0.0) -> None:
+        """``set_objective`` from column and coefficient arrays."""
         if sense not in ("min", "max"):
             raise ValueError(f"objective sense {sense!r}")
-        merged: dict[int, float] = {}
-        for coeff, idx in terms:
-            merged[idx] = merged.get(idx, 0.0) + coeff
-        self.objective = Objective(
-            sense=sense,
-            terms=tuple((c, i) for i, c in sorted(merged.items()) if c != 0.0),
-            constant=constant,
+        cols = np.asarray(cols, dtype=np.int64)
+        if ((cols < 0) | (cols >= len(self.variables))).any():
+            raise ValueError("objective: unknown variable index")
+        _, cols, coefs = _merge(
+            np.zeros(len(cols), dtype=np.int64), cols, np.asarray(coefs, dtype=float),
+            len(self.variables),
         )
+        self.objective = Objective(sense, cols, coefs, constant)
 
     # -- introspection ------------------------------------------------------
 
     @property
     def num_vars(self) -> int:
         return len(self.variables)
+
+    @property
+    def num_rows(self) -> int:
+        return len(self.row_names)
+
+    def _join(self) -> tuple[np.ndarray, ...]:
+        if self._joined is None:
+            self._joined = tuple(np.concatenate(p) for p in zip(*self._chunks))
+        return self._joined
+
+    def coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row, column, coefficient) of every term, in row order."""
+        return self._join()[:3]
+
+    def row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper bound of every row (±inf where the sense leaves one open)."""
+        codes, rhs = self._join()[3:]
+        lo = np.where(codes == SENSE_CODE[Sense.LE], -np.inf, rhs)
+        hi = np.where(codes == SENSE_CODE[Sense.GE], np.inf, rhs)
+        return lo, hi
+
+    @property
+    def constraints(self) -> tuple[LinConstraint, ...]:
+        """Read-only view of the rows."""
+        rows, cols, coefs, codes, rhs = self._join()
+        bounds = np.searchsorted(rows, np.arange(self.num_rows + 1)).tolist()
+        cols, coefs = cols.tolist(), coefs.tolist()
+        return tuple(
+            LinConstraint(name, tuple(zip(coefs[a:b], cols[a:b])), _SENSES[code], r)
+            for name, a, b, code, r in zip(
+                self.row_names, bounds, bounds[1:], codes.tolist(), rhs.tolist()
+            )
+        )
 
     def lp_text(self) -> str:
         """Dump in LP-format text for external debugging."""
@@ -170,6 +315,20 @@ class ModelIR:
 # -- linearization helpers -------------------------------------------------
 
 
+def indicator_row(sense: str, big_m, expr_const):
+    """Indicator coefficient, row sense code and rhs of a big-M implication.
+
+    sense "geq": indicator=1 forces expr >= 0, via expr >= -M*(1-indicator),
+    i.e. expr - M*ind >= -M - const.  sense "leq": indicator=0 forces
+    expr <= 0, via expr - M*ind <= -const.  Works on arrays.
+    """
+    if sense == "geq":
+        return -big_m, SENSE_CODE[Sense.GE], -big_m - expr_const
+    if sense == "leq":
+        return -big_m, SENSE_CODE[Sense.LE], -expr_const
+    raise ValueError(f"indicator sense {sense!r}")
+
+
 def linearize_indicator(
     ir: ModelIR,
     expr_terms: Iterable[Term],
@@ -181,40 +340,60 @@ def linearize_indicator(
 ) -> list[int]:
     """Encode an implication between a binary and the sign of an affine expr.
 
-    sense "geq": indicator=1 forces expr >= 0, via expr >= -M*(1-indicator).
-    sense "leq": indicator=0 forces expr <= 0, via expr <= M*indicator.
-    big_m must dominate the relevant side of the expression's range;
-    0 is legal when that side is degenerate.
+    See ``indicator_row`` for the two senses.  big_m must dominate the
+    relevant side of the expression's range; 0 is legal when that side
+    is degenerate.  The row is normalized.
     """
     if big_m < 0:
         raise NonPositiveBigM(f"{name}: big-M {big_m} is negative")
-    terms = list(expr_terms)
-    rows = []
-    if sense not in ("geq", "leq"):
-        raise ValueError(f"indicator sense {sense!r}")
-    if sense == "geq":
-        # expr - M*ind >= -M - const  <=>  expr >= -M*(1-ind)
-        rows.append(
-            ir.add_constraint(
-                name + "_on",
-                terms + [(-big_m, indicator_idx)],
-                Sense.GE,
-                -big_m - expr_const,
-                normalize=True,
-            )
-        )
-    else:
-        # expr - M*ind <= -const  <=>  expr <= M*ind
-        rows.append(
-            ir.add_constraint(
-                name + "_off",
-                terms + [(-big_m, indicator_idx)],
-                Sense.LE,
-                -expr_const,
-                normalize=True,
-            )
-        )
-    return rows
+    coeff, code, rhs = indicator_row(sense, big_m, expr_const)
+    coefs, cols = _as_block(expr_terms)
+    suffix = "_on" if sense == "geq" else "_off"
+    row = ir.add_rows(
+        [name + suffix], np.array([code]), rhs, [0] * (len(cols) + 1),
+        cols + [indicator_idx], coefs + [coeff], normalize=True,
+    )
+    return [row]
+
+
+def product_rows(binary_idx, cont_idx, cont_upper, aux_idx):
+    """COO terms, sense codes and rhs of aux = binary * continuous, 3 rows each.
+
+    Per product: aux <= cont; aux <= ub * binary; aux >= cont + ub * binary - ub.
+    Returns (rows, cols, coefs, codes, rhs) with rows local to the block.
+    """
+    n = len(aux_idx)
+    base = 3 * np.arange(n)
+    rows = np.concatenate([base, base, base + 1, base + 1, base + 2, base + 2, base + 2])
+    cols = np.concatenate([aux_idx, cont_idx, aux_idx, binary_idx, aux_idx, cont_idx, binary_idx])
+    one, ub = np.ones(n), np.full(n, float(cont_upper))
+    coefs = np.concatenate([one, -one, one, -ub, one, -one, -ub])
+    le, ge = SENSE_CODE[Sense.LE], SENSE_CODE[Sense.GE]
+    rhs = np.zeros(3 * n)
+    rhs[2::3] = -ub
+    return rows, cols, coefs, np.tile(np.array([le, le, ge]), n), rhs
+
+
+def linearize_binary_products(
+    ir: ModelIR,
+    binary_idx: Sequence[int],
+    cont_idx: Sequence[int],
+    cont_upper: float,
+    names: Sequence[str],
+) -> range:
+    """Exact products aux = binary * continuous for continuous in [0, ub].
+
+    Declares one aux variable per name, then three rows per product.
+    """
+    if not math.isfinite(cont_upper):
+        raise UnboundedContinuous(f"{names[0]}: continuous factor has no finite upper bound")
+    aux = ir.add_vars(names, VarKind.CONTINUOUS, 0.0, max(cont_upper, 0.0))
+    rows, cols, coefs, codes, rhs = product_rows(
+        np.asarray(binary_idx), np.asarray(cont_idx), cont_upper, np.asarray(aux)
+    )
+    suffixes = ("_le_cont", "_le_bin", "_ge")
+    ir.add_rows([n + s for n in names for s in suffixes], codes, rhs, rows, cols, coefs)
+    return aux
 
 
 def linearize_binary_product(
@@ -225,17 +404,4 @@ def linearize_binary_product(
     name: str,
 ) -> int:
     """Exact product aux = binary * continuous for continuous in [0, ub]."""
-    if not math.isfinite(cont_upper):
-        raise UnboundedContinuous(f"{name}: continuous factor has no finite upper bound")
-    aux = ir.add_var(name, VarKind.CONTINUOUS, lb=0.0, ub=max(cont_upper, 0.0))
-    ir.add_constraint(name + "_le_cont", [(1.0, aux), (-1.0, cont_idx)], Sense.LE, 0.0)
-    ir.add_constraint(
-        name + "_le_bin", [(1.0, aux), (-cont_upper, binary_idx)], Sense.LE, 0.0
-    )
-    ir.add_constraint(
-        name + "_ge",
-        [(1.0, aux), (-1.0, cont_idx), (-cont_upper, binary_idx)],
-        Sense.GE,
-        -cont_upper,
-    )
-    return aux
+    return linearize_binary_products(ir, [binary_idx], [cont_idx], cont_upper, [name])[0]

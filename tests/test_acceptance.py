@@ -73,7 +73,8 @@ def test_criterion_1_capacity_ladder_fidelity():
 def test_criterion_2_threshold_equivalence():
     table = default_table(100, 4)
     rng = np.random.default_rng(1234)
-    start = time.monotonic()
+    # CPU time of this process, so a busy machine cannot fail the bound.
+    start = time.process_time()
     violations = 0
     checked = 0
     for entry in table.entries:
@@ -87,7 +88,7 @@ def test_criterion_2_threshold_equivalence():
             if (cap >= entry.capacity_mbps) != (s_mw >= th * i_mw):
                 violations += 1
             checked += 1
-    elapsed = time.monotonic() - start
+    elapsed = time.process_time() - start
     ok = violations == 0 and elapsed < 1.0
     _report(2, ok, f"{checked} pairs, {violations} violations, {elapsed:.2f}s")
 

@@ -18,7 +18,7 @@ from iabtopo.heuristics import (
     selective_reduction,
 )
 from iabtopo.channel import RadioParams
-from iabtopo.milp import SolverOptions
+from iabtopo.milp import SolverOptions, builder
 from iabtopo.oracle import (
     enumerate_optimal_energy,
     enumerate_optimal_throughput,
@@ -120,6 +120,25 @@ def test_search_solves_each_trial_once(monkeypatch):
     trials, final = builds[:-1], builds[-1]
     assert len(set(trials)) == len(trials)
     assert final[1] == tuple(sorted(state.curr_best_sol.items()))
+
+
+def test_channel_gains_computed_once_per_graph(monkeypatch):
+    # Gains depend only on the graph and the radio, so a whole search and a
+    # selective reduction on the same graph share one table of them.
+    calls = []
+    interference = builder.interference_coefficients
+
+    def counting(graph, edge, radio):
+        calls.append(edge.key)
+        return interference(graph, edge, radio)
+
+    monkeypatch.setattr(builder, "interference_coefficients", counting)
+    inst = two_unit_instance()
+    n_wireless = len(inst.graph.wireless_edges)
+    local_search_energy(inst, FAST)
+    assert 0 < len(calls) <= n_wireless
+    selective_reduction(inst, PruneParams(1, 3), "energy", FAST)
+    assert len(calls) <= n_wireless
 
 
 def test_energy_refinement_builds_each_trial_once(monkeypatch):

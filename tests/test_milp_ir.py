@@ -66,6 +66,11 @@ def test_duplicate_variable_names_rejected():
     ir.add_var("x")
     with pytest.raises(ValueError):
         ir.add_var("x")
+    with pytest.raises(ValueError):
+        ir.add_vars(["y", "x"])
+    with pytest.raises(ValueError):
+        ir.add_vars(["y", "y"])
+    assert [v.name for v in ir.variables] == ["x"]
 
 
 def test_lp_text_dump():
@@ -78,6 +83,66 @@ def test_lp_text_dump():
     assert "Maximize" in text
     assert "x - 2 b <= 3" in text
     assert "Binaries" in text
+
+
+# Rows as (name, terms, sense, rhs, normalize): y's three terms sum in
+# term order, the "zeros" row loses every term, "scaled" is divided by
+# its largest magnitude (4e-9 after summing z's two terms).
+_ROWS = [
+    ("dup", [(0.1, 1), (0.2, 0), (0.2, 1), (0.3, 1)], Sense.LE, 1.5, False),
+    ("zeros", [(0.0, 0), (2.0, 1), (-0.0, 2), (-2.0, 1)], Sense.GE, 0.25, False),
+    ("scaled", [(-3e-9, 0), (2.5e-9, 2), (1.5e-9, 2)], Sense.EQ, 6e-9, True),
+    ("empty", [], Sense.LE, 3.0, True),
+    ("unit", [(-1.0, 2), (1.0, 0)], Sense.GE, -2.0, True),
+]
+
+
+def _rows_model(name):
+    ir = ModelIR(name)
+    ir.add_vars(["x", "y", "z"], VarKind.CONTINUOUS, -5.0, 5.0)
+    return ir
+
+
+def test_block_rows_match_one_row_constraints():
+    one = _rows_model("rows")
+    for name, terms, sense, rhs, normalize in _ROWS:
+        one.add_constraint(name, terms, sense, rhs, normalize=normalize)
+    block = _rows_model("rows")
+    block.add_rows(
+        [r[0] for r in _ROWS],
+        [r[2] for r in _ROWS],
+        [r[3] for r in _ROWS],
+        [k for k, r in enumerate(_ROWS) for _ in r[1]],
+        [i for r in _ROWS for _, i in r[1]],
+        [c for r in _ROWS for c, _ in r[1]],
+        normalize=[r[4] for r in _ROWS],
+    )
+    for a, b in zip(one.coo() + one.row_bounds(), block.coo() + block.row_bounds()):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert one.row_names == block.row_names
+    assert one.lp_text() == block.lp_text()
+
+    rows = {con.name: con for con in block.constraints}
+    assert rows["dup"].terms == ((0.2, 0), ((0.1 + 0.2) + 0.3, 1))
+    assert rows["zeros"].terms == () and rows["zeros"].rhs == 0.25
+    scale = 2.5e-9 + 1.5e-9
+    assert rows["scaled"].terms == ((-3e-9 / scale, 0), (1.0, 2))
+    assert rows["scaled"].rhs == 6e-9 / scale
+    assert rows["empty"].terms == () and rows["empty"].rhs == 3.0
+    assert rows["unit"].terms == ((1.0, 0), (-1.0, 2)) and rows["unit"].rhs == -2.0
+    lo, hi = block.row_bounds()
+    assert list(lo) == [-np.inf, 0.25, 6e-9 / scale, -np.inf, -2.0]
+    assert list(hi) == [1.5, np.inf, 6e-9 / scale, 3.0, np.inf]
+
+
+@pytest.mark.parametrize("idx", [3, -1])
+def test_unknown_variable_index_rejected(idx):
+    ir = _rows_model("bad")
+    with pytest.raises(ValueError, match="unknown variable index"):
+        ir.add_constraint("bad", [(1.0, 0), (0.0, idx)], Sense.LE, 0.0)
+    with pytest.raises(ValueError, match="'bad2': unknown variable index"):
+        ir.add_rows(["ok", "bad2"], Sense.LE, 0.0, [0, 1], [1, idx], [1.0, 1.0])
+    assert ir.num_rows == 0 and ir.constraints == ()
 
 
 # -- indicator linearization ------------------------------------------------

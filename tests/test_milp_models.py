@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -193,15 +195,38 @@ def test_energy_rejects_continuous_powers():
 def _ladder_interval(built, e):
     """The builder's (floor, top, big-Ms) for edge ``e`` of a built model."""
     inst = built.instance
-    reps = built.power_reps
-    g_int = interference_coefficients(inst.graph, e, inst.radio)
-    return builder._ladder_interval(
-        inst.capacity_table,
-        inst.radio.noise_mw,
-        signal_coefficient(inst.graph, e, inst.radio),
-        reps[e.src],
-        [(g_int[fid], reps[fid]) for fid in sorted(g_int)],
-    )
+    lad = builder._ladders(inst, builder._Reps.of(built.power_reps), [e])
+    floor, top = int(lad.floor[0]), int(lad.top[0])
+    interval = [a[0] for a in (lad.s_lo, lad.s_hi, lad.i_lo, lad.i_hi)]
+    return floor, top, [
+        builder._big_ms(th, *interval) for th in inst.capacity_table.thresholds_linear[floor:top]
+    ]
+
+
+def test_channel_gains_follow_the_graph():
+    inst = two_unit_instance()
+    text = milp.build_throughput_model(inst).ir.lp_text()
+    # Same layout, frontend 11 heard 3 dB fainter at UE 20: a new graph,
+    # which must get its own gains.
+    g = inst.graph
+    edges = [
+        dataclasses.replace(e, pathloss_db=e.pathloss_db + 3.0) if e.key == (11, 20) else e
+        for e in g.edges
+    ]
+    other = dataclasses.replace(inst, graph=build_graph(g.nodes, edges))
+    assert milp.build_throughput_model(other).ir.lp_text() != text
+    gains = builder._gains(other.graph, other.radio)
+    for e in other.graph.wireless_edges:
+        row = gains.row[e.key]
+        assert gains.signal[row] == signal_coefficient(other.graph, e, other.radio)
+        coeffs = interference_coefficients(other.graph, e, other.radio)
+        fids = sorted(n.id for n in other.graph.frontends)
+        assert list(gains.interference[row]) == [coeffs.get(f, 0.0) for f in fids]
+    # The table leaves with its graph.
+    key = id(other.graph)
+    del other, gains
+    gc.collect()
+    assert key not in builder._GAINS
 
 
 def _levels_met(table, signal_mw, interference_mw):

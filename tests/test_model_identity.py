@@ -1,0 +1,157 @@
+"""Pinned text of a fixed set of small models.
+
+Each model is pinned by the sha256 of ``ir.lp_text()`` and of an exact
+dump, both as the term-by-term builder wrote them, before models were
+built from arrays.  ``lp_text`` rounds to 12 significant digits; the
+exact dump holds every float at full precision, so a coefficient summed
+in another order changes it.  A change that claims to leave the models
+as they are must keep every hash; a change that alters a model on
+purpose must argue it and re-pin that model.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from iabtopo import milp
+from iabtopo.problem import DiscretePower, default_power_levels
+
+from conftest import random_small_instance, two_unit_instance
+
+# (sha256 of ir.lp_text(), sha256 of _exact_text(ir))
+MODEL_SHA256 = {
+    ("two_unit", "throughput", "fixed"): (
+        "dcaef805dda2e4ea7236b11f2cfae79015965369db2f79ed0ef9d7e6852128c8",
+        "1428ef7ca65533daaeb410fcb6a36d8a2e66be046c624a9d7d74c664ad96952f",
+    ),
+    ("two_unit", "throughput", "one_free"): (
+        "8f348ef3d63f1e9a3042b150263880ea89adfd469981f3032b03db48251349dc",
+        "8b3e81abc26b4eca967480b05b0f0bc0b1522338505e87b8cde426e4d052e096",
+    ),
+    ("two_unit", "throughput", "exact"): (
+        "082cb83c25d2f615537571253e2a04e585d02f644227e18dba263bf0ae533552",
+        "32f129cf5b199f4de9fd77eea1a9b984afcd2deff98afc8f3273214624acde7d",
+    ),
+    ("two_unit", "energy", "fixed"): (
+        "44f3b8acfdcbe383fa1e466c73df0393e57fc6e47b747d62ebdb8f742b4873ef",
+        "3772f9c17f59d4f0622789c8baec80b127a77f695adbe964d96a8701ab3defed",
+    ),
+    ("two_unit", "energy", "one_free"): (
+        "61d7f9ae85df32edfd6318c9bbd0e903c9f707d011c51f532ae4e801f5616db3",
+        "51b93421c8ab3a8f69b6fd00f426c578a5eb13f6afb788322e7c78227280291f",
+    ),
+    ("two_unit", "energy", "exact"): (
+        "5bf3d3a8e51f99b6280188db66628e01d9fcd98dc8899bbb429a7c522966501e",
+        "4d62d46b3163c0867873ca0a8e8a3ab6a39c9503de673afaa535840bf1e6acc4",
+    ),
+    ("random0", "throughput", "fixed"): (
+        "578ce75fee052507a07f66a4413684b880eed38c8393410af266b8e0335f2d9b",
+        "50268c4afc8e3bbd2ff2857c59aafa952586af45c4c4be5098fd1cd2e9dff164",
+    ),
+    ("random0", "throughput", "one_free"): (
+        "ff0fce6c8e77375295abe2bfab4a8a31ce44e53139e4fcec36bfe6957fa0cb2b",
+        "3f89251f17b6acaacd45b14bc94d8e963a4470dc38a86d948d7ff23551753513",
+    ),
+    ("random0", "throughput", "exact"): (
+        "7714ce025a7dbd4c02071611a013563d5d0e33842a0d5e90269d1cd8cfd452c6",
+        "5f46039394b1d1ab7615ade9445959f6bef566db711a2f0f3f90dfab715d5a22",
+    ),
+    ("random0", "energy", "fixed"): (
+        "5d0a7a9161f9392e4745b0d2c54102d7c7ac3c346e30a00507854084d4b0e4fa",
+        "0df465f4f5266589f0a5c88183bea0210313662bca2e736d0635e540ae9984ad",
+    ),
+    ("random0", "energy", "one_free"): (
+        "d5db91267b694ca64210db72ccda650078f4e73780706a5dac8f27ec7ba80af2",
+        "2ede204a42d036a515404ab2f76f7e1df0ab45561f1a5fd61bd78420524829f2",
+    ),
+    ("random0", "energy", "exact"): (
+        "be3bc897a4dca04eb4ab9b9a0b103a1a995013afcf441fa882c50f6f699eb9d2",
+        "196faa904a8f9a625a87cf6a45fb6fb27f5a67602baba40d43816562bc3cebf3",
+    ),
+    ("random1", "throughput", "fixed"): (
+        "bc0fede05a011f3452beb90af2671e9098cbb55a916dc65213f9737ce8cf6b12",
+        "5f1a6f4e250a21295a41ea381f7353c8e014f3053710c4f0e59462d017159f4d",
+    ),
+    ("random1", "throughput", "one_free"): (
+        "6135158ffccacb25040f21efc6d15ca0a5460d49324604555fd99be7e1dddf2d",
+        "58c9faa10a5d5e87306d2d6e4f628dd854f99c7b87cf784df8d5e8838c85b37f",
+    ),
+    ("random1", "throughput", "exact"): (
+        "a3bdb2783b91ae1d4805f5620731fc04794bbe9622a84d5fc717ffe675d23103",
+        "4ee3914cadbaf5be6a7ebf6bfeb0450bf512af41a5bdc29a5322e0ce7b60abcd",
+    ),
+    ("random1", "energy", "fixed"): (
+        "fddad55df954b90aa0a0b8c254f1a02ccde33b19b4793a6642faaf8167830d76",
+        "ee09c3eb70f660c1e19dbd18e1ddd82f75af5310e3661a0c4ae5f12df1725f30",
+    ),
+    ("random1", "energy", "one_free"): (
+        "fcdc0a4edf6125a0939b1c169718103832dda52bef57f5098ef2f950b57d329b",
+        "c8ff196e30ab99f121f7f095a2cca7b6b5a1af0eceb565a04b215233b0d643a1",
+    ),
+    ("random1", "energy", "exact"): (
+        "1fa513ac054fc9f07b5e35645d4372782eb0edd55291542f6f51aed40e3717b4",
+        "3ddc1a50dd8f43ad2f8d81dc8337ced7cddd20d70b79d0d5ee4a8360efcfc01d",
+    ),
+    ("random2", "throughput", "fixed"): (
+        "918f3511460821c7566e9faa9a836a3b59ee319d8d18baabec6a443625b5258a",
+        "dd82af81ddf7baca44396b4fc0ef50c48fae116a60886969bc60c899dd370321",
+    ),
+    ("random2", "throughput", "one_free"): (
+        "cc55bea18badd8549bd35c2657f81d8b746780e254203bb3fbf0447b643f8da3",
+        "5116c45614b1afbb1dcb872d059fbe96235e9ac2ec0264632cb9b82715a346ae",
+    ),
+    ("random2", "throughput", "exact"): (
+        "03e83ca168f6e1490060b202444ce2cd57952f460d80f10c257a11c79269a66e",
+        "4c81ab11b9614d5a98e839a4a49f2ef52819f039d20d65e76a389cb38bfeaf20",
+    ),
+    ("random2", "energy", "fixed"): (
+        "e831e34a923e6d970588c2e27f300bf98689853aad92b046099be219c4a4c3f6",
+        "ca7624429a6d888b80f0f5f42ae2ff7493fa5f0a7cc0b0026740bbfcdac16262",
+    ),
+    ("random2", "energy", "one_free"): (
+        "b079d3cadb937f8b5e27b4182f31e9afa985a2e40ebea5494f8711052dbdfc2c",
+        "1a6facd2890a841fb092eea930b22b2b6fabfeaa9438dfe37aa60ef4aaab52e7",
+    ),
+    ("random2", "energy", "exact"): (
+        "6b2bfd08f9abfef2f25e92e280dd24a8ea84629007af8c7dcbccbe4b5e1a997c",
+        "df4ab2bd29a6a7dc37348db13e0bd224b41a03ad1a1a979ed96ed81520333dd2",
+    ),
+}
+
+# Fixed powers cycle through these, in frontend id order.
+_POWERS = (6300.0, 0.0, 3150.0)
+
+
+def _instance(name):
+    if name == "two_unit":
+        return two_unit_instance()
+    return random_small_instance(np.random.default_rng(int(name.removeprefix("random"))))
+
+
+def _build_args(inst, mode):
+    """All frontends fixed, all but the first fixed on a 5-level grid, or none."""
+    fids = sorted(n.id for n in inst.graph.frontends)
+    if mode == "fixed":
+        return inst, {f: _POWERS[i % 3] for i, f in enumerate(fids)}
+    if mode == "one_free":
+        grid = DiscretePower(default_power_levels(inst.radio.p_max_mw, 5))
+        return inst.with_power_mode(grid), {f: _POWERS[i % 3] for i, f in enumerate(fids[1:])}
+    return inst, None
+
+
+def _exact_text(ir):
+    rows = [(c.name, c.terms, c.sense.value, c.rhs) for c in ir.constraints]
+    cols = [(v.name, v.kind.value, v.lb, v.ub) for v in ir.variables]
+    return repr((rows, cols, (ir.objective.sense, ir.objective.terms, ir.objective.constant)))
+
+
+@pytest.mark.parametrize("name, problem, mode", list(MODEL_SHA256))
+def test_model_pinned(name, problem, mode):
+    build = milp.build_throughput_model if problem == "throughput" else milp.build_energy_model
+    inst, fixed = _build_args(_instance(name), mode)
+    ir = build(inst, fixed_powers=fixed).ir
+    digests = tuple(
+        hashlib.sha256(text.encode()).hexdigest() for text in (ir.lp_text(), _exact_text(ir))
+    )
+    assert digests == MODEL_SHA256[(name, problem, mode)]
