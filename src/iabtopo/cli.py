@@ -24,7 +24,7 @@ from .capacity import default_table, load_table
 from .energy import energy_efficiency, total_power
 from .errors import EmptyResults, IabError, ParseError
 from .graph import Commodity, load_graph, save_graph
-from .heuristics import PruneParams, SearchOptions
+from .heuristics import PruneParams, SearchOptions, SearchState
 from .problem import (
     ContinuousPower,
     DiscretePower,
@@ -232,7 +232,9 @@ def cmd_solve(
     except IabError as exc:
         _fail(str(exc))
 
-    options = SearchOptions(solve_time_limit_s=time_limit, global_budget_s=global_budget)
+    options = SearchOptions(
+        solve_time_limit_s=time_limit, global_budget_s=global_budget, power_levels=levels
+    )
     prune = PruneParams(k0=k0, k_max=k_max)
     if lp_out:
         built = (
@@ -273,11 +275,13 @@ def _parse_hours(text: str) -> list[int]:
     return sorted(set(hours))
 
 
-def _sweep_one(args) -> tuple[dict, dict | None, list | None]:
-    """One (hour, method, problem) run; returns (row, solution payload, state rows)."""
+def _sweep_one(args) -> tuple[dict, dict | None, SearchState | None]:
+    """One (hour, method, problem) run; returns (row, solution payload, search state)."""
     (hour, method, problem, config, profile, demand, time_limit, global_budget, k0, k_max,
      levels) = args
-    options = SearchOptions(solve_time_limit_s=time_limit, global_budget_s=global_budget)
+    options = SearchOptions(
+        solve_time_limit_s=time_limit, global_budget_s=global_budget, power_levels=levels
+    )
     prune = PruneParams(k0=k0, k_max=k_max)
     start = time.monotonic()
     try:
@@ -289,12 +293,7 @@ def _sweep_one(args) -> tuple[dict, dict | None, list | None]:
         return _error_record(hour, method, problem, exc, time.monotonic() - start), None, None
     runtime = time.monotonic() - start
     row = _record(hour, method, problem, solution, graph, config.power_model, runtime)
-    state_rows = (
-        [[e.iteration, f"{e.timestamp_s:.6f}", repr(e.objective)] for e in state.log]
-        if state is not None
-        else None
-    )
-    return row, solution_payload(solution), state_rows
+    return row, solution_payload(solution), state
 
 
 @main.command("sweep")
@@ -360,7 +359,7 @@ def cmd_sweep(
         outputs = [_sweep_one(t) for t in tasks]
 
     rows = []
-    for task, (row, payload, state_rows) in zip(tasks, outputs):
+    for task, (row, payload, state) in zip(tasks, outputs):
         hour, method, problem = task[0], task[1], task[2]
         rows.append(row)
         stem = f"hour{hour:03d}_{method}_{problem}"
@@ -368,11 +367,8 @@ def cmd_sweep(
             with open(out / f"{stem}_solution.json", "w") as fh:
                 json.dump(payload, fh, indent=2)
                 fh.write("\n")
-        if state_rows is not None:
-            with open(out / f"{stem}_state.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["iter", "timestamp_s", "objective"])
-                writer.writerows(state_rows)
+        if state is not None:
+            state.write_csv(out / f"{stem}_state.csv")
 
     rows.sort(key=lambda r: (r["hour"], r["method"], r["problem"]))
     results_path = out / "results.csv"

@@ -80,14 +80,6 @@ class DemandMissing(IabError):
     pass
 
 
-class NonPositiveBigM(IabError):
-    pass
-
-
-class UnboundedContinuous(IabError):
-    pass
-
-
 class BackendError(IabError):
     pass
 

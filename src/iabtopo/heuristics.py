@@ -60,7 +60,6 @@ _IMPROVE_TOL = 1e-6
 class SearchOptions:
     solve_time_limit_s: float = 60.0
     global_budget_s: float = 2400.0
-    rel_gap: float = 0.0
     power_levels: int = 9  # grid size for the energy refinement sweeps
 
     def solver(
@@ -69,7 +68,7 @@ class SearchOptions:
         limit = self.solve_time_limit_s
         if remaining_s is not None:
             limit = max(min(limit, remaining_s), 0.05)
-        return SolverOptions(time_limit_s=limit, rel_gap=self.rel_gap, cutoff=cutoff)
+        return SolverOptions(time_limit_s=limit, cutoff=cutoff)
 
 
 @dataclass(frozen=True)
@@ -194,7 +193,7 @@ def _memo_solve(
         raw = milp.solve(built.ir, options.solver(clock.remaining()))
         z = _objective_of(raw)
         powers = {} if z is None else {
-            fid: milp.frontend_power(built, raw, fid) for fid in built.power_reps
+            fid: milp.frontend_power(built, raw, fid) for fid in built.power_reps.col
         }
         if raw.status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
             seen[key] = (z, powers)
@@ -386,7 +385,6 @@ def selective_reduction(
     prune_params: PruneParams,
     problem_kind: str,
     options: SearchOptions | None = None,
-    radio_params=None,
 ) -> tuple[NetworkSolution, int]:
     """Solve the exact model on a top-k pruned edge set, widening k on infeasibility.
 
@@ -401,7 +399,7 @@ def selective_reduction(
 
     k = prune_params.k0
     while k <= prune_params.k_max:
-        pruned = prune_graph(instance.graph, k, radio_params or instance.radio)
+        pruned = prune_graph(instance.graph, k, instance.radio)
         retained = [e.key for e in pruned.edges]
         if problem_kind == milp.THROUGHPUT:
             built = milp.build_throughput_model(instance, routing_edges=retained)

@@ -18,13 +18,7 @@ from .builder import (
     build_throughput_model,
 )
 from .extract import extract_solution, frontend_power
-from .ir import (
-    ModelIR,
-    Sense,
-    VarKind,
-    linearize_binary_product,
-    linearize_indicator,
-)
+from .ir import ModelIR, Sense, VarKind
 
 __all__ = [
     "BuiltModel",
@@ -47,7 +41,5 @@ __all__ = [
     "default_power_levels",
     "extract_solution",
     "frontend_power",
-    "linearize_binary_product",
-    "linearize_indicator",
     "solve",
 ]

@@ -22,18 +22,12 @@ from .ir import ModelIR, VarKind
 @dataclass(frozen=True)
 class SolverOptions:
     time_limit_s: float = 60.0
-    rel_gap: float = 0.0
-    # The bundled HiGHS presolve returns wrong optima on some of these
-    # big-M models (verified against pinned assignments); off by default.
-    presolve: bool = False
     cutoff: float | None = None
     """Objective (model sense, constant included) a solution must strictly beat."""
 
     def __post_init__(self):
         if self.time_limit_s <= 0:
             raise ValueError("time_limit_s must be positive")
-        if self.rel_gap < 0:
-            raise ValueError("rel_gap must be >= 0")
 
 
 @dataclass
@@ -101,9 +95,11 @@ def _scipy_backend(ir: ModelIR, options: SolverOptions) -> RawSolution:
 
     highs_options = {
         "disp": False,
-        "presolve": options.presolve,
+        # The bundled HiGHS presolve returns wrong optima on some of these
+        # big-M models (verified against pinned assignments).
+        "presolve": False,
         "time_limit": options.time_limit_s,
-        "mip_rel_gap": options.rel_gap,
+        "mip_rel_gap": 0.0,
     }
     if options.cutoff is not None:
         # HiGHS minimises c without the constant; scipy passes the option
@@ -128,7 +124,7 @@ def _scipy_backend(ir: ModelIR, options: SolverOptions) -> RawSolution:
     gap = float(res.mip_gap) if getattr(res, "mip_gap", None) is not None else 0.0
     if res.status == 0:
         # HiGHS's own verdict: optimal within its gap tolerances, which may
-        # leave a gap above rel_gap; the gap travels with the solution.
+        # leave a gap above mip_rel_gap; the gap travels with the solution.
         status = SolveStatus.OPTIMAL
     elif res.status == 1:
         status = SolveStatus.TIME_LIMIT

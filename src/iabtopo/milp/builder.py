@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -55,13 +55,12 @@ from ..problem import (
     ProblemInstance,
 )
 from .ir import (
+    PRODUCT_ROWS,
     SENSE_CODE,
     ModelIR,
     Sense,
-    Term,
     VarKind,
     indicator_row,
-    linearize_binary_products,
     product_rows,
 )
 
@@ -74,38 +73,6 @@ THROUGHPUT = "throughput"
 ENERGY = "energy"
 
 _LE, _GE = SENSE_CODE[Sense.LE], SENSE_CODE[Sense.GE]
-
-
-@dataclass
-class _PowerRep:
-    """How one frontend's effective transmit power enters the model."""
-
-    frontend_id: int
-    const_mw: float | None = None  # set when the power is a model constant
-    terms: tuple[Term, ...] = ()  # affine expression otherwise
-    max_mw: float = 0.0
-    on_terms: tuple[Term, ...] | None = None  # binaries summing to 1 iff power > 0
-    cont_idx: int | None = None  # continuous power variable
-    level_terms: tuple[tuple[float, int], ...] = ()  # (level mW, binary idx)
-    act_idx: int | None = None  # activation binary (energy problem)
-
-    @property
-    def is_const(self) -> bool:
-        return self.const_mw is not None
-
-    @property
-    def min_mw(self) -> float:
-        return self.const_mw if self.is_const else 0.0
-
-    @property
-    def single_power(self) -> bool:
-        """At most one power above zero: a constant, or one switchable level."""
-        return self.is_const or len(self.level_terms) == 1
-
-    @property
-    def on_mw(self) -> float:
-        """The one power this rep can take above zero, or 0 if it has several."""
-        return self.max_mw if self.single_power else 0.0
 
 
 def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,6 +99,11 @@ class _Ragged(NamedTuple):
             np.array([i for _, i in flat], dtype=np.int64),
         )
 
+    def group(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients and indices of group ``k``."""
+        a, b = self.ptr[k], self.ptr[k + 1]
+        return self.coefs[a:b], self.cols[a:b]
+
     def expand(self, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(position in ``owners``, term index) of every term of every owner."""
         who, pos = _spread(self.ptr[owners + 1] - self.ptr[owners])
@@ -139,41 +111,35 @@ class _Ragged(NamedTuple):
 
 
 class _Reps(NamedTuple):
-    """The power reps as arrays; column j is the j-th frontend id in order."""
+    """Each frontend's transmit power in the model; entry j is the j-th frontend id in order.
+
+    A power is a constant (no terms: ``lo`` = ``hi``), a continuous
+    variable, or a sum of level x binary terms whose binaries sum to 1
+    iff it is on.
+    """
 
     col: dict[int, int]
     lo: np.ndarray  # lowest power (mW)
     hi: np.ndarray  # highest power (mW)
-    on: np.ndarray  # the one power above zero, or 0
-    single: np.ndarray
     terms: _Ragged  # affine power expression
-    on_terms: _Ragged  # binaries summing to 1 iff on (empty when it has none)
-    has_on: np.ndarray
     cont: np.ndarray  # continuous power variable, or -1
-    act: np.ndarray  # activation binary, or -1
+    act: np.ndarray  # activation binary (energy problem), or -1
     levels: _Ragged  # (level mW, binary idx)
 
-    @classmethod
-    def of(cls, reps: dict[int, _PowerRep]) -> _Reps:
-        rs = [reps[fid] for fid in sorted(reps)]
+    @property
+    def has_on(self) -> np.ndarray:
+        """Whether level binaries tell if the frontend is on."""
+        return np.diff(self.levels.ptr) > 0
 
-        def index(attr):
-            return np.array([-1 if getattr(r, attr) is None else getattr(r, attr) for r in rs],
-                            dtype=np.int64)
+    @property
+    def single(self) -> np.ndarray:
+        """At most one power above zero: a constant, or one switchable level."""
+        return (self.cont < 0) & (np.diff(self.levels.ptr) <= 1)
 
-        return cls(
-            {r.frontend_id: j for j, r in enumerate(rs)},
-            np.array([r.min_mw for r in rs], dtype=float),
-            np.array([r.max_mw for r in rs], dtype=float),
-            np.array([r.on_mw for r in rs], dtype=float),
-            np.array([r.single_power for r in rs], dtype=bool),
-            _Ragged.of([r.terms for r in rs]),
-            _Ragged.of([r.on_terms or () for r in rs]),
-            np.array([r.on_terms is not None for r in rs], dtype=bool),
-            index("cont_idx"),
-            index("act_idx"),
-            _Ragged.of([r.level_terms for r in rs]),
-        )
+    @property
+    def on(self) -> np.ndarray:
+        """The one power above zero, or 0 where there are several."""
+        return np.where(self.single, self.hi, 0.0)
 
 
 @dataclass
@@ -184,7 +150,7 @@ class BuiltModel:
     commodities: tuple[Commodity, ...]
     routing_wireless: tuple[Edge, ...]
     routing_wired: tuple[Edge, ...]
-    power_reps: dict[int, _PowerRep]
+    power_reps: _Reps
     alpha: dict[EdgeKey, int]
     use: dict[EdgeKey, int]
     cap: dict[EdgeKey, int]
@@ -192,7 +158,6 @@ class BuiltModel:
     phi_vars: dict[EdgeKey, tuple[int, ...]]
     phi_floor: dict[EdgeKey, int]  # ladder levels every power choice meets
     z_idx: int | None = None
-    act: dict[int, int] = field(default_factory=dict)
 
 
 def build_throughput_model(
@@ -372,8 +337,7 @@ def _build(
     allowed = None if routing_edges is None else set(routing_edges)
     wired = tuple(e for e in g.wired_edges if allowed is None or e.key in allowed)
 
-    power_reps = _power_reps(ir, instance, problem, fixed_powers)
-    reps = _Reps.of(power_reps)
+    reps = _power_reps(ir, instance, problem, fixed_powers)
     lad = _ladders(
         instance, reps, [e for e in g.wireless_edges if allowed is None or e.key in allowed]
     )
@@ -432,7 +396,7 @@ def _build(
         commodities=commodities,
         routing_wireless=wireless,
         routing_wired=wired,
-        power_reps=power_reps,
+        power_reps=reps,
         alpha=dict(zip(keys, alpha.tolist())),
         use=dict(zip(keys, use.tolist())),
         cap=dict(zip(keys, cap.tolist())),
@@ -500,7 +464,7 @@ def _emit_edges(ir: ModelIR, instance: ProblemInstance, reps: _Reps, lad: _Ladde
                 row_names.append(f"chain[{k},{i}]")
         if pw:
             row_names.append(f"powered[{k}]")
-        row_names += [f"y[{k},{i}]{s}" for i in steps for s in ("_le_cont", "_le_bin", "_ge")]
+        row_names += [f"y[{k},{i}]{s}" for i in steps for s in PRODUCT_ROWS]
         row_names.append(f"couple[{k}]")
     ir.add_vars(names, kinds, 0.0, ubs)
 
@@ -549,8 +513,8 @@ def _emit_edges(ir: ModelIR, instance: ProblemInstance, reps: _Reps, lad: _Ladde
     p_row = r0 + 1 + n_thr
     by_on = powered & reps.has_on[src]
     out.add(p_row[by_on], v0[by_on] + 3, 1.0)
-    who, at = reps.on_terms.expand(src[by_on])
-    out.add(p_row[by_on][who], reps.on_terms.cols[at], -reps.on_terms.coefs[at])
+    who, at = reps.levels.expand(src[by_on])
+    out.add(p_row[by_on][who], reps.levels.cols[at], -1.0)
     by_cont = powered & ~reps.has_on[src]
     codes[p_row[by_cont]] = _GE
     out.add(p_row[by_cont], reps.cont[src[by_cont]], 1.0)
@@ -626,7 +590,7 @@ def _finish_throughput(
     ir = built.ir
     commodities = built.commodities
     c_max = built.instance.capacity_table.max_capacity_mbps
-    z = ir.add_var("Z", VarKind.CONTINUOUS, 0.0, c_max)
+    (z,) = ir.add_vars(["Z"], VarKind.CONTINUOUS, 0.0, c_max)
     built.z_idx = z
     heads = np.array([e.dst for e in built.routing_wireless + built.routing_wired], dtype=np.int64)
     dests = np.array([c.dest for c in commodities], dtype=np.int64)
@@ -639,15 +603,15 @@ def _finish_throughput(
     # A source that can be off meets its edges' floor levels only while on,
     # so those edges carry traffic only then.
     gated = reps.has_on[lad.src] & (lad.floor > 0)
-    who, at = reps.on_terms.expand(lad.src[gated])
+    who, at = reps.levels.expand(lad.src[gated])
     out = _Terms()
     out.add(np.arange(int(gated.sum())), (v0 + 1)[gated], 1.0)
-    out.add(who, reps.on_terms.cols[at], -reps.on_terms.coefs[at])
+    out.add(who, reps.levels.cols[at], -1.0)
     ir.add_rows(
         [f"use_le_on[{e.src}->{e.dst}]" for e, m in zip(lad.edges, gated.tolist()) if m],
         Sense.LE, 0.0, *out.coo(),
     )
-    ir.set_objective("max", [(1.0, z)])
+    ir.set_objective("max", [z], [1.0])
 
 
 def _finish_energy(
@@ -657,7 +621,6 @@ def _finish_energy(
     instance = built.instance
     g = instance.graph
     pm = instance.power_model
-    power_reps = built.power_reps
 
     # f(e) >= f_k(e) ties usage to routing; usage implies the source is on.
     # A source without an activation binary is a constant above zero here:
@@ -686,34 +649,33 @@ def _finish_energy(
     obj_cols: list[int] = []
     obj_coefs: list[float] = []
     constant = 0.0
-    for fid in sorted(power_reps):
-        rep = power_reps[fid]
+    for a in reps.act.tolist():
         constant += pm.n_trx * pm.p_sleep_w
-        if rep.act_idx is not None:
-            obj_cols.append(rep.act_idx)
+        if a >= 0:
+            obj_cols.append(a)
             obj_coefs.append(pm.n_trx * (pm.p0_w - pm.p_sleep_w))
-        built.act[fid] = rep.act_idx if rep.act_idx is not None else -1
 
     # Amplifier term: delta_p * P_tx * alpha, expanded per power level with
-    # exact binary-times-continuous products.
+    # exact products w = lam * alpha.
     who, at = reps.levels.expand(lad.src)
     lam = reps.levels.cols[at]
-    w = linearize_binary_products(
-        ir, lam, v0[who], 1.0,
-        [f"w[{lad.edges[i].src}->{lad.edges[i].dst},l{l}]" for i, l in zip(who.tolist(), lam.tolist())],
-    )
+    names = [
+        f"w[{lad.edges[i].src}->{lad.edges[i].dst},l{l}]"
+        for i, l in zip(who.tolist(), lam.tolist())
+    ]
+    w = np.asarray(ir.add_vars(names, VarKind.CONTINUOUS, 0.0, 1.0), dtype=np.int64)
+    rows, cols, coefs, codes, rhs = product_rows(lam, v0[who], 1.0, w)
+    ir.add_rows([n + s for n in names for s in PRODUCT_ROWS], codes, rhs, rows, cols, coefs)
 
     if pm.p_active_unit_w > 0:
         units: dict[int, list[int]] = {}
-        for fid in sorted(power_reps):
-            units.setdefault(g.node(fid).unit_id, []).append(fid)
+        for fid, a in zip(reps.col, reps.act.tolist()):
+            if a >= 0:
+                units.setdefault(g.node(fid).unit_id, []).append(a)
+        unit_on = ir.add_vars([f"unit_on[{u}]" for u in sorted(units)], VarKind.BINARY)
         names, cols = [], []
-        for unit in sorted(units):
-            members = [power_reps[f].act_idx for f in units[unit] if power_reps[f].act_idx is not None]
-            if not members:
-                continue
-            a_unit = ir.add_var(f"unit_on[{unit}]", VarKind.BINARY)
-            for act_idx in members:
+        for unit, a_unit in zip(sorted(units), unit_on):
+            for act_idx in units[unit]:
                 names.append(f"unit_on_ge[{unit},{act_idx}]")
                 cols += [a_unit, act_idx]
             obj_cols.append(a_unit)
@@ -723,9 +685,9 @@ def _finish_energy(
             np.tile([1.0, -1.0], len(names)),
         )
 
-    ir.set_objective_arrays(
+    ir.set_objective(
         "min",
-        np.concatenate([np.asarray(w, dtype=np.int64), np.array(obj_cols, dtype=np.int64)]),
+        np.concatenate([w, np.array(obj_cols, dtype=np.int64)]),
         np.concatenate([pm.delta_p * reps.levels.coefs[at] / 1000.0, np.array(obj_coefs, dtype=float)]),
         constant,
     )
@@ -736,12 +698,22 @@ def _power_reps(
     instance: ProblemInstance,
     problem: str,
     fixed_powers: Mapping[int, float] | None,
-) -> dict[int, _PowerRep]:
+) -> _Reps:
+    """Declare every frontend's power variables and rows; returns the reps."""
     mode = instance.power_mode
     fixed_powers = dict(fixed_powers or {})
-    reps: dict[int, _PowerRep] = {}
-    for n in sorted(instance.graph.frontends, key=lambda n: n.id):
-        fid = n.id
+    p_max = instance.radio.p_max_mw
+    fids = sorted(n.id for n in instance.graph.frontends)
+    names, kinds, ubs = [], [], []
+    lo, hi, cont, act, terms, levels, rows = [], [], [], [], [], [], []
+
+    def declare(name: str, kind: VarKind = VarKind.BINARY, ub: float = 1.0) -> int:
+        names.append(name)
+        kinds.append(kind)
+        ubs.append(ub)
+        return ir.num_vars + len(names) - 1
+
+    for fid in fids:
         if fid in fixed_powers:
             p = float(fixed_powers[fid])
         elif isinstance(mode, FixedPower):
@@ -751,61 +723,53 @@ def _power_reps(
         else:
             p = None
 
+        c, a, lam = -1, -1, []
         if p is not None:
-            if p < 0 or p > instance.radio.p_max_mw + 1e-9:
+            if p < 0 or p > p_max + 1e-9:
                 raise ValueError(f"frontend {fid}: power {p} mW outside [0, p_max]")
-            if problem == THROUGHPUT:
-                reps[fid] = _PowerRep(fid, const_mw=p, max_mw=p)
-            elif p == 0.0:
-                reps[fid] = _PowerRep(fid, const_mw=0.0, max_mw=0.0)
-            else:
+            if problem == ENERGY and p > 0:
                 # Energy: a preset power applies only while the frontend is
                 # awake, so the effective power is p * a(fid).
-                act = ir.add_var(f"act[{fid}]", VarKind.BINARY)
-                reps[fid] = _PowerRep(
-                    fid,
-                    terms=((p, act),),
-                    max_mw=p,
-                    on_terms=((1.0, act),),
-                    level_terms=((p, act),),
-                    act_idx=act,
-                )
-            continue
-
-        if isinstance(mode, ContinuousPower):
+                a = declare(f"act[{fid}]")
+                lam = [(p, a)]
+            low, high = (0.0 if lam else p), p
+        elif isinstance(mode, ContinuousPower):
             if problem == ENERGY:
                 raise UnsupportedMode("energy problem cannot leave powers continuous")
-            idx = ir.add_var(
-                f"ptx[{fid}]", VarKind.CONTINUOUS, 0.0, instance.radio.p_max_mw
-            )
-            reps[fid] = _PowerRep(
-                fid, terms=((1.0, idx),), max_mw=instance.radio.p_max_mw, cont_idx=idx
-            )
+            c = declare(f"ptx[{fid}]", VarKind.CONTINUOUS, p_max)
+            low, high = 0.0, p_max
         elif isinstance(mode, DiscretePower):
-            levels = [l for l in mode.levels_mw if l > 0]
-            if max(mode.levels_mw) > instance.radio.p_max_mw + 1e-9:
+            grid = [l for l in mode.levels_mw if l > 0]
+            if max(mode.levels_mw) > p_max + 1e-9:
                 raise ValueError("power grid exceeds p_max")
-            lam = [
-                (lvl, ir.add_var(f"lam[{fid},{i}]", VarKind.BINARY))
-                for i, lvl in enumerate(levels)
-            ]
-            terms = tuple((lvl, idx) for lvl, idx in lam)
-            on = tuple((1.0, idx) for _, idx in lam)
+            lam = [(lvl, declare(f"lam[{fid},{i}]")) for i, lvl in enumerate(grid)]
+            row = [(1.0, idx) for _, idx in lam]
             if problem == ENERGY:
-                act = ir.add_var(f"act[{fid}]", VarKind.BINARY)
-                ir.add_constraint(
-                    f"act_def[{fid}]", list(on) + [(-1.0, act)], Sense.EQ, 0.0
-                )
-                reps[fid] = _PowerRep(
-                    fid, terms=terms, max_mw=max(levels), on_terms=on,
-                    level_terms=tuple(lam), act_idx=act,
-                )
-            else:
-                ir.add_constraint(f"one_level[{fid}]", list(on), Sense.LE, 1.0)
-                reps[fid] = _PowerRep(
-                    fid, terms=terms, max_mw=max(levels), on_terms=on,
-                    level_terms=tuple(lam),
-                )
+                a = declare(f"act[{fid}]")
+                row.append((-1.0, a))
+            rows.append((f"act_def[{fid}]" if problem == ENERGY else f"one_level[{fid}]", row))
+            low, high = 0.0, max(grid)
         else:
             raise UnsupportedMode(f"unknown power mode {mode!r}")
-    return reps
+        lo.append(low)
+        hi.append(high)
+        cont.append(c)
+        act.append(a)
+        terms.append([(1.0, c)] if c >= 0 else lam)
+        levels.append(lam)
+
+    ir.add_vars(names, kinds, 0.0, ubs)
+    # A grid's level binaries sum to its activation (energy) or to at most 1.
+    sense, rhs = (Sense.EQ, 0.0) if problem == ENERGY else (Sense.LE, 1.0)
+    flat = _Ragged.of([row for _, row in rows])
+    owner, _ = _spread(np.diff(flat.ptr))
+    ir.add_rows([name for name, _ in rows], sense, rhs, owner, flat.cols, flat.coefs)
+    return _Reps(
+        {fid: j for j, fid in enumerate(fids)},
+        np.array(lo, dtype=float),
+        np.array(hi, dtype=float),
+        _Ragged.of(terms),
+        np.array(cont, dtype=np.int64),
+        np.array(act, dtype=np.int64),
+        _Ragged.of(levels),
+    )

@@ -44,15 +44,20 @@ def frontend_power(built: BuiltModel, raw: RawSolution, fid: int) -> float:
     Continuous powers under the model's minimum-on threshold mean "off"
     (they grant no ladder level) and are snapped to exactly zero.
     """
-    rep = built.power_reps[fid]
-    if rep.is_const:
-        return rep.const_mw
-    if rep.cont_idx is not None:
-        p = max(_value(raw, rep.cont_idx), 0.0)
+    reps = built.power_reps
+    j = reps.col[fid]
+    if reps.cont[j] >= 0:
+        p = max(_value(raw, int(reps.cont[j])), 0.0)
         if p < MIN_ON_POWER_FRACTION * built.instance.radio.p_max_mw:
             p = 0.0
         return p
-    return sum(lvl * _binary(raw, idx, f"power level of {fid}") for lvl, idx in rep.level_terms)
+    levels, binaries = reps.levels.group(j)
+    if not len(binaries):  # a constant
+        return float(reps.lo[j])
+    return sum(
+        lvl * _binary(raw, idx, f"power level of {fid}")
+        for lvl, idx in zip(levels.tolist(), binaries.tolist())
+    )
 
 
 def extract_solution(built: BuiltModel, raw: RawSolution) -> NetworkSolution:
@@ -61,12 +66,11 @@ def extract_solution(built: BuiltModel, raw: RawSolution) -> NetworkSolution:
 
     powers: dict[int, float] = {}
     activations: dict[int, int] = {}
-    for fid in sorted(built.power_reps):
+    for fid, act in zip(built.power_reps.col, built.power_reps.act.tolist()):
         p = frontend_power(built, raw, fid)
         powers[fid] = p
         if built.problem == ENERGY:
-            act = built.power_reps[fid].act_idx
-            activations[fid] = 0 if act is None else _binary(raw, act, f"act[{fid}]")
+            activations[fid] = 0 if act < 0 else _binary(raw, act, f"act[{fid}]")
         else:
             activations[fid] = 1 if p > 0 else 0
 

@@ -1,14 +1,14 @@
 """Solver-agnostic mixed-integer model representation.
 
 Holds variables, linear constraints and a linear objective, plus the
-explicit linearization helpers for indicator implications and
-binary-times-continuous products.  Constraint rows live in COO buffers
-(flat row, column and coefficient arrays, plus each row's name, sense
-and right-hand side) that are appended a block of rows at a time and
-handed to the backend as arrays.  Rows touching physically tiny
-coefficients (received powers in mW) can be normalized so the largest
-magnitude per row is 1, which keeps solver feasibility tolerances
-meaningful.
+rows of big-M indicator implications and binary-times-continuous
+products.  Variables are declared a block at a time.  Constraint rows
+live in COO buffers (flat row, column and coefficient arrays, plus each
+row's name, sense and right-hand side) that are appended a block of rows
+at a time and handed to the backend as arrays.  Rows touching
+physically tiny coefficients (received powers in mW) can be normalized
+so the largest magnitude per row is 1, which keeps solver feasibility
+tolerances meaningful.
 """
 
 from __future__ import annotations
@@ -16,11 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from ..errors import NonPositiveBigM, UnboundedContinuous
 
 Term = tuple[float, int]  # (coefficient, variable index)
 
@@ -67,11 +65,6 @@ class Objective:
     @property
     def terms(self) -> tuple[Term, ...]:
         return tuple(zip(self.coefs.tolist(), self.cols.tolist()))
-
-
-def _as_block(terms: Iterable[Term]) -> tuple[list[float], list[int]]:
-    pairs = list(terms)
-    return [c for c, _ in pairs], [i for _, i in pairs]
 
 
 def _filled(values, n: int) -> np.ndarray:
@@ -147,25 +140,12 @@ class ModelIR:
         self._by_name.update(zip(names, idx))
         return idx
 
-    def add_var(
-        self,
-        name: str,
-        kind: VarKind = VarKind.CONTINUOUS,
-        lb: float = 0.0,
-        ub: float = math.inf,
-    ) -> int:
-        return self.add_vars([name], kind, lb, ub)[0]
-
-    def fix_var(self, idx: int, value: float) -> None:
-        self.variables[idx].lb = value
-        self.variables[idx].ub = value
-
     # -- constraints ------------------------------------------------------
 
     def add_rows(
         self,
         names: Sequence[str],
-        sense: Sense | Sequence[Sense] | np.ndarray,
+        sense: Sense | np.ndarray,
         rhs,
         rows,
         cols,
@@ -179,8 +159,8 @@ class ModelIR:
         columns are summed in term order, and zero coefficients and zero
         sums are dropped.  A row whose ``normalize`` (a bool, or one per
         row) is set is divided, right-hand side included, by its largest
-        absolute coefficient.  ``sense`` and ``rhs`` are one value or one
-        per row; ``sense`` may also be an array of ``SENSE_CODE`` values.
+        absolute coefficient.  ``sense`` is one ``Sense`` or an array of
+        ``SENSE_CODE`` values, one per row; ``rhs`` is one value or one per row.
         """
         n = len(names)
         rows = np.asarray(rows, dtype=np.int64)
@@ -191,12 +171,7 @@ class ModelIR:
             k = int(np.argmax(bad))
             raise ValueError(f"constraint {names[rows[k]]!r}: unknown variable index {cols[k]}")
         rows, cols, coefs = _merge(rows, cols, coefs, len(self.variables))
-        if isinstance(sense, Sense):
-            codes = np.full(n, SENSE_CODE[sense])
-        elif isinstance(sense, np.ndarray):
-            codes = sense.astype(np.int8)
-        else:
-            codes = np.array([SENSE_CODE[s] for s in sense], dtype=np.int8)
+        codes = np.full(n, SENSE_CODE[sense]) if isinstance(sense, Sense) else sense.astype(np.int8)
         rhs = _filled(rhs, n)
         if np.any(normalize) and len(rows):
             starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
@@ -211,23 +186,8 @@ class ModelIR:
         self._joined = None
         return first
 
-    def add_constraint(
-        self,
-        name: str,
-        terms: Iterable[Term],
-        sense: Sense,
-        rhs: float,
-        normalize: bool = False,
-    ) -> int:
-        coefs, cols = _as_block(terms)
-        return self.add_rows([name], sense, rhs, [0] * len(cols), cols, coefs, normalize)
-
-    def set_objective(self, sense: str, terms: Iterable[Term], constant: float = 0.0) -> None:
-        coefs, cols = _as_block(terms)
-        self.set_objective_arrays(sense, cols, coefs, constant)
-
-    def set_objective_arrays(self, sense: str, cols, coefs, constant: float = 0.0) -> None:
-        """``set_objective`` from column and coefficient arrays."""
+    def set_objective(self, sense: str, cols, coefs, constant: float = 0.0) -> None:
+        """Objective ``sum(coefs[k] * x[cols[k]]) + constant``; duplicate columns are summed."""
         if sense not in ("min", "max"):
             raise ValueError(f"objective sense {sense!r}")
         cols = np.asarray(cols, dtype=np.int64)
@@ -312,7 +272,7 @@ class ModelIR:
         return "\n".join(lines) + "\n"
 
 
-# -- linearization helpers -------------------------------------------------
+# -- big-M rows ----------------------------------------------------------------
 
 
 def indicator_row(sense: str, big_m, expr_const):
@@ -329,31 +289,7 @@ def indicator_row(sense: str, big_m, expr_const):
     raise ValueError(f"indicator sense {sense!r}")
 
 
-def linearize_indicator(
-    ir: ModelIR,
-    expr_terms: Iterable[Term],
-    expr_const: float,
-    indicator_idx: int,
-    sense: str,
-    big_m: float,
-    name: str,
-) -> list[int]:
-    """Encode an implication between a binary and the sign of an affine expr.
-
-    See ``indicator_row`` for the two senses.  big_m must dominate the
-    relevant side of the expression's range; 0 is legal when that side
-    is degenerate.  The row is normalized.
-    """
-    if big_m < 0:
-        raise NonPositiveBigM(f"{name}: big-M {big_m} is negative")
-    coeff, code, rhs = indicator_row(sense, big_m, expr_const)
-    coefs, cols = _as_block(expr_terms)
-    suffix = "_on" if sense == "geq" else "_off"
-    row = ir.add_rows(
-        [name + suffix], np.array([code]), rhs, [0] * (len(cols) + 1),
-        cols + [indicator_idx], coefs + [coeff], normalize=True,
-    )
-    return [row]
+PRODUCT_ROWS = ("_le_cont", "_le_bin", "_ge")  # name suffixes of a product's rows
 
 
 def product_rows(binary_idx, cont_idx, cont_upper, aux_idx):
@@ -372,36 +308,3 @@ def product_rows(binary_idx, cont_idx, cont_upper, aux_idx):
     rhs = np.zeros(3 * n)
     rhs[2::3] = -ub
     return rows, cols, coefs, np.tile(np.array([le, le, ge]), n), rhs
-
-
-def linearize_binary_products(
-    ir: ModelIR,
-    binary_idx: Sequence[int],
-    cont_idx: Sequence[int],
-    cont_upper: float,
-    names: Sequence[str],
-) -> range:
-    """Exact products aux = binary * continuous for continuous in [0, ub].
-
-    Declares one aux variable per name, then three rows per product.
-    """
-    if not math.isfinite(cont_upper):
-        raise UnboundedContinuous(f"{names[0]}: continuous factor has no finite upper bound")
-    aux = ir.add_vars(names, VarKind.CONTINUOUS, 0.0, max(cont_upper, 0.0))
-    rows, cols, coefs, codes, rhs = product_rows(
-        np.asarray(binary_idx), np.asarray(cont_idx), cont_upper, np.asarray(aux)
-    )
-    suffixes = ("_le_cont", "_le_bin", "_ge")
-    ir.add_rows([n + s for n in names for s in suffixes], codes, rhs, rows, cols, coefs)
-    return aux
-
-
-def linearize_binary_product(
-    ir: ModelIR,
-    binary_idx: int,
-    cont_idx: int,
-    cont_upper: float,
-    name: str,
-) -> int:
-    """Exact product aux = binary * continuous for continuous in [0, ub]."""
-    return linearize_binary_products(ir, [binary_idx], [cont_idx], cont_upper, [name])[0]

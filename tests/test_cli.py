@@ -4,7 +4,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from iabtopo import heuristics
 from iabtopo.cli import RESULT_COLUMNS, evolution_stats, main
+from iabtopo.errors import NoFeasibleStart
 from iabtopo.scenario import ScenarioConfig, config_to_json
 
 
@@ -141,6 +143,32 @@ def test_sweep_and_report(workspace):
     assert all(b[1] >= a[1] and b[0] >= a[0] for a, b in zip(cdf, cdf[1:]))
     assert (report_dir / "evolution.csv").exists()
     assert (report_dir / "activation_timeseries.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_levels_reach_the_energy_search(workspace, monkeypatch, command):
+    # Local-search energy runs on a fixed-power instance, so --levels
+    # reaches it only as the size of its refinement grid.
+    tmp, cfg, profile = workspace
+    seen = []
+
+    def capture(instance, options=None):
+        seen.append(options.power_levels)
+        raise NoFeasibleStart("stopped after capturing the options")
+
+    monkeypatch.setattr(heuristics, "local_search_energy", capture)
+    if command == "solve":
+        graph_path = tmp / "g.json"
+        _run(["scenario-gen", "--config", str(cfg), "--profile", str(profile),
+              "--hour", "10", "--out", str(graph_path)])
+        args = ["solve", "--graph", str(graph_path), "--config", str(cfg),
+                "--problem", "energy", "--method", "local-search", "--demand-mbps", "2"]
+    else:
+        args = ["sweep", "--config", str(cfg), "--profile", str(profile),
+                "--hours", "10", "--methods", "local-search", "--problems", "energy",
+                "--seed", "3", "--out-dir", str(tmp / "sweep")]
+    _run(args + ["--levels", "3"])
+    assert seen == [3]
 
 
 def test_sweep_determinism_modulo_runtime(workspace):

@@ -9,7 +9,7 @@ from scipy.optimize import OptimizeResult
 
 from iabtopo import scenario
 from iabtopo.capacity import default_table
-from iabtopo.errors import BackendError, NonPositiveBigM, UnboundedContinuous
+from iabtopo.errors import BackendError
 from iabtopo.milp import (
     ModelIR,
     Sense,
@@ -17,11 +17,10 @@ from iabtopo.milp import (
     VarKind,
     build_throughput_model,
     extract_solution,
-    linearize_binary_product,
-    linearize_indicator,
     solve,
 )
 from iabtopo.milp import backend
+from iabtopo.milp.ir import PRODUCT_ROWS, SENSE_CODE, indicator_row, product_rows
 from iabtopo.graph import Commodity
 from iabtopo.problem import ContinuousPower, ProblemInstance, SolveStatus
 
@@ -33,9 +32,9 @@ def test_solver_options_validation():
 
 def test_trivial_model_optimal():
     ir = ModelIR("trivial")
-    x = ir.add_var("x", VarKind.CONTINUOUS, 0, 10)
-    ir.add_constraint("cap", [(1.0, x)], Sense.LE, 4.0)
-    ir.set_objective("max", [(1.0, x)])
+    (x,) = ir.add_vars(["x"], VarKind.CONTINUOUS, 0, 10)
+    ir.add_rows(["cap"], Sense.LE, 4.0, [0], [x], [1.0])
+    ir.set_objective("max", [x], [1.0])
     raw = solve(ir)
     assert raw.status is SolveStatus.OPTIMAL
     assert raw.objective == pytest.approx(4.0)
@@ -44,10 +43,10 @@ def test_trivial_model_optimal():
 
 def test_contradictory_bounds_infeasible():
     ir = ModelIR("infeasible")
-    z = ir.add_var("z", VarKind.CONTINUOUS, 0, 100)
-    ir.add_constraint("lo", [(1.0, z)], Sense.GE, 10.0)
-    ir.add_constraint("hi", [(1.0, z)], Sense.LE, 5.0)
-    ir.set_objective("max", [(1.0, z)])
+    (z,) = ir.add_vars(["z"], VarKind.CONTINUOUS, 0, 100)
+    ir.add_rows(["lo"], Sense.GE, 10.0, [0], [z], 1.0)
+    ir.add_rows(["hi"], Sense.LE, 5.0, [0], [z], 1.0)
+    ir.set_objective("max", [z], [1.0])
     raw = solve(ir)
     assert raw.status is SolveStatus.INFEASIBLE
     assert raw.values is None
@@ -55,17 +54,17 @@ def test_contradictory_bounds_infeasible():
 
 def test_minimize_with_constant_offset():
     ir = ModelIR("offset")
-    x = ir.add_var("x", VarKind.CONTINUOUS, 2, 10)
-    ir.set_objective("min", [(3.0, x)], constant=7.0)
+    (x,) = ir.add_vars(["x"], VarKind.CONTINUOUS, 2, 10)
+    ir.set_objective("min", [x], [3.0], constant=7.0)
     raw = solve(ir)
     assert raw.objective == pytest.approx(13.0)
 
 
 def test_duplicate_variable_names_rejected():
     ir = ModelIR()
-    ir.add_var("x")
+    ir.add_vars(["x"])
     with pytest.raises(ValueError):
-        ir.add_var("x")
+        ir.add_vars(["x"])
     with pytest.raises(ValueError):
         ir.add_vars(["y", "x"])
     with pytest.raises(ValueError):
@@ -75,10 +74,9 @@ def test_duplicate_variable_names_rejected():
 
 def test_lp_text_dump():
     ir = ModelIR("dump")
-    x = ir.add_var("x", VarKind.CONTINUOUS, 0, 5)
-    b = ir.add_var("b", VarKind.BINARY)
-    ir.add_constraint("row", [(1.0, x), (-2.0, b)], Sense.LE, 3.0)
-    ir.set_objective("max", [(1.0, x)])
+    x, b = ir.add_vars(["x", "b"], [VarKind.CONTINUOUS, VarKind.BINARY], 0, [5, 1])
+    ir.add_rows(["row"], Sense.LE, 3.0, [0, 0], [x, b], [1.0, -2.0])
+    ir.set_objective("max", [x], [1.0])
     text = ir.lp_text()
     assert "Maximize" in text
     assert "x - 2 b <= 3" in text
@@ -104,140 +102,140 @@ def _rows_model(name):
 
 
 def test_block_rows_match_one_row_constraints():
-    one = _rows_model("rows")
-    for name, terms, sense, rhs, normalize in _ROWS:
-        one.add_constraint(name, terms, sense, rhs, normalize=normalize)
     block = _rows_model("rows")
     block.add_rows(
         [r[0] for r in _ROWS],
-        [r[2] for r in _ROWS],
+        np.array([SENSE_CODE[r[2]] for r in _ROWS]),
         [r[3] for r in _ROWS],
         [k for k, r in enumerate(_ROWS) for _ in r[1]],
         [i for r in _ROWS for _, i in r[1]],
         [c for r in _ROWS for c, _ in r[1]],
         normalize=[r[4] for r in _ROWS],
     )
-    for a, b in zip(one.coo() + one.row_bounds(), block.coo() + block.row_bounds()):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert one.row_names == block.row_names
-    assert one.lp_text() == block.lp_text()
+    scale = 2.5e-9 + 1.5e-9
+    rows, cols, coefs = block.coo()
+    assert rows.dtype == cols.dtype == np.int64 and coefs.dtype == np.float64
+    assert rows.tolist() == [0, 0, 2, 2, 4, 4]
+    assert cols.tolist() == [0, 1, 0, 2, 0, 2]
+    assert coefs.tolist() == [0.2, (0.1 + 0.2) + 0.3, -3e-9 / scale, 1.0, 1.0, -1.0]
+    assert block.row_names == [r[0] for r in _ROWS]
 
     rows = {con.name: con for con in block.constraints}
     assert rows["dup"].terms == ((0.2, 0), ((0.1 + 0.2) + 0.3, 1))
     assert rows["zeros"].terms == () and rows["zeros"].rhs == 0.25
-    scale = 2.5e-9 + 1.5e-9
     assert rows["scaled"].terms == ((-3e-9 / scale, 0), (1.0, 2))
     assert rows["scaled"].rhs == 6e-9 / scale
     assert rows["empty"].terms == () and rows["empty"].rhs == 3.0
     assert rows["unit"].terms == ((1.0, 0), (-1.0, 2)) and rows["unit"].rhs == -2.0
     lo, hi = block.row_bounds()
+    assert lo.dtype == hi.dtype == np.float64
     assert list(lo) == [-np.inf, 0.25, 6e-9 / scale, -np.inf, -2.0]
     assert list(hi) == [1.5, np.inf, 6e-9 / scale, 3.0, np.inf]
+    text = block.lp_text()
+    assert " c0_dup: 0.2 x + 0.6 y <= 1.5\n" in text
+    assert " c1_zeros: 0 >= 0.25\n" in text
+    assert " c4_unit: 1 x - 1 z >= -2\n" in text
 
 
 @pytest.mark.parametrize("idx", [3, -1])
 def test_unknown_variable_index_rejected(idx):
     ir = _rows_model("bad")
     with pytest.raises(ValueError, match="unknown variable index"):
-        ir.add_constraint("bad", [(1.0, 0), (0.0, idx)], Sense.LE, 0.0)
+        ir.add_rows(["bad"], Sense.LE, 0.0, [0, 0], [0, idx], [1.0, 0.0])
     with pytest.raises(ValueError, match="'bad2': unknown variable index"):
         ir.add_rows(["ok", "bad2"], Sense.LE, 0.0, [0, 1], [1, idx], [1.0, 1.0])
     assert ir.num_rows == 0 and ir.constraints == ()
 
 
-# -- indicator linearization ------------------------------------------------
+# -- indicator rows -------------------------------------------------------------
+
+
+def _add_indicator(ir, x, phi, sense, big_m, coeff=1.0, const=0.0):
+    """The builder's indicator row for expr = coeff*x + const against phi."""
+    ind, code, rhs = indicator_row(sense, big_m, const)
+    ir.add_rows([f"ind_{sense}"], np.array([code]), rhs, [0, 0], [x, phi], [coeff, ind], True)
 
 
 def _indicator_model(phi_value, sense, big_m, coeff=1.0, const=0.0):
     ir = ModelIR()
-    x = ir.add_var("x", VarKind.CONTINUOUS, -50, 50)
-    phi = ir.add_var("phi", VarKind.BINARY)
-    ir.fix_var(phi, phi_value)
-    linearize_indicator(ir, [(coeff, x)], const, phi, sense, big_m, "ind")
+    x, phi = ir.add_vars(
+        ["x", "phi"], [VarKind.CONTINUOUS, VarKind.BINARY], [-50, phi_value], [50, phi_value]
+    )
+    _add_indicator(ir, x, phi, sense, big_m, coeff, const)
     return ir, x, phi
 
 
 def test_indicator_fixed_on_forces_expression_nonnegative():
     ir, x, _ = _indicator_model(1, "geq", 100.0)
-    ir.set_objective("min", [(1.0, x)])
+    ir.set_objective("min", [x], [1.0])
     raw = solve(ir)
     assert raw.value(x) == pytest.approx(0.0, abs=1e-7)
 
 
 def test_indicator_fixed_off_forces_upper_branch():
     ir, x, _ = _indicator_model(0, "leq", 100.0)
-    ir.set_objective("max", [(1.0, x)])
+    ir.set_objective("max", [x], [1.0])
     raw = solve(ir)
     assert raw.value(x) == pytest.approx(0.0, abs=1e-7)
 
 
 def test_indicator_off_relaxes_lower_branch():
     ir, x, _ = _indicator_model(0, "geq", 100.0)
-    ir.set_objective("min", [(1.0, x)])
+    ir.set_objective("min", [x], [1.0])
     raw = solve(ir)
     assert raw.value(x) == pytest.approx(-50.0, abs=1e-6)
 
 
-def test_indicator_rejects_negative_big_m():
-    ir = ModelIR()
-    x = ir.add_var("x")
-    phi = ir.add_var("phi", VarKind.BINARY)
-    with pytest.raises(NonPositiveBigM):
-        linearize_indicator(ir, [(1.0, x)], 0.0, phi, "geq", -1.0, "bad")
-
-
 def test_indicator_pair_matches_pointwise_logic():
     # Evaluate the emitted rows on a grid: a (x, phi) point satisfies the
-    # big-M pair iff it satisfies the implications.
-    ir = ModelIR()
-    x = ir.add_var("x", VarKind.CONTINUOUS, -50, 50)
-    phi = ir.add_var("phi", VarKind.BINARY)
+    # big-M pair iff it satisfies the implications on expr = x + const.
     big_m = 60.0
-    linearize_indicator(ir, [(1.0, x)], 0.0, phi, "geq", big_m, "p")
-    linearize_indicator(ir, [(1.0, x)], 0.0, phi, "leq", big_m, "p")
+    for const in (0.0, -5.0):
+        ir = ModelIR()
+        x, phi = ir.add_vars(["x", "phi"], [VarKind.CONTINUOUS, VarKind.BINARY], [-50, 0], 50)
+        _add_indicator(ir, x, phi, "geq", big_m, const=const)
+        _add_indicator(ir, x, phi, "leq", big_m, const=const)
 
-    def rows_hold(x_val, phi_val):
-        values = {x: x_val, phi: phi_val}
-        for con in ir.constraints:
-            lhs = sum(c * values[i] for c, i in con.terms)
-            if con.sense is Sense.GE and lhs < con.rhs - 1e-9:
-                return False
-            if con.sense is Sense.LE and lhs > con.rhs + 1e-9:
-                return False
-        return True
+        def rows_hold(x_val, phi_val):
+            values = {x: x_val, phi: phi_val}
+            for con in ir.constraints:
+                lhs = sum(c * values[i] for c, i in con.terms)
+                if con.sense is Sense.GE and lhs < con.rhs - 1e-9:
+                    return False
+                if con.sense is Sense.LE and lhs > con.rhs + 1e-9:
+                    return False
+            return True
 
-    for x_val in np.linspace(-50, 50, 41):
-        for phi_val in (0, 1):
-            implication = x_val >= -1e-9 if phi_val == 1 else x_val <= 1e-9
-            assert rows_hold(float(x_val), phi_val) == implication
+        for x_val in np.linspace(-50, 50, 41):
+            for phi_val in (0, 1):
+                expr = x_val + const
+                implication = expr >= -1e-9 if phi_val == 1 else expr <= 1e-9
+                assert rows_hold(float(x_val), phi_val) == implication
 
 
-# -- product linearization -----------------------------------------------------
+# -- product rows ----------------------------------------------------------------
 
 
 def test_product_corners():
     for b_val, c_val in itertools.product((0, 1), (0.0, 0.37, 1.0)):
         ir = ModelIR()
-        b = ir.add_var("b", VarKind.BINARY)
-        c = ir.add_var("c", VarKind.CONTINUOUS, 0, 1)
-        ir.fix_var(b, b_val)
-        ir.fix_var(c, c_val)
-        y = linearize_binary_product(ir, b, c, 1.0, "y")
-        ir.set_objective("max", [(1.0, y)])
+        b, c, y = ir.add_vars(
+            ["b", "c", "y"],
+            [VarKind.BINARY, VarKind.CONTINUOUS, VarKind.CONTINUOUS],
+            [b_val, c_val, 0.0],
+            [b_val, c_val, 1.0],
+        )
+        rows, cols, coefs, codes, rhs = product_rows(
+            np.array([b]), np.array([c]), 1.0, np.array([y])
+        )
+        ir.add_rows([f"y{s}" for s in PRODUCT_ROWS], codes, rhs, rows, cols, coefs)
+        ir.set_objective("max", [y], [1.0])
         raw = solve(ir)
         assert raw.status is SolveStatus.OPTIMAL
         assert raw.value(y) == pytest.approx(b_val * c_val, abs=1e-9)
-        ir.set_objective("min", [(1.0, y)])
+        ir.set_objective("min", [y], [1.0])
         raw = solve(ir)
         assert raw.value(y) == pytest.approx(b_val * c_val, abs=1e-9)
-
-
-def test_product_requires_finite_upper_bound():
-    ir = ModelIR()
-    b = ir.add_var("b", VarKind.BINARY)
-    c = ir.add_var("c", VarKind.CONTINUOUS, 0, float("inf"))
-    with pytest.raises(UnboundedContinuous):
-        linearize_binary_product(ir, b, c, float("inf"), "y")
 
 
 def test_time_limit_contract():
@@ -246,11 +244,11 @@ def test_time_limit_contract():
     # what matters.
     rng = np.random.default_rng(0)
     ir = ModelIR("knapsack")
-    xs = [ir.add_var(f"x{i}", VarKind.BINARY) for i in range(60)]
+    xs = ir.add_vars([f"x{i}" for i in range(60)], VarKind.BINARY)
     w = rng.uniform(1, 10, size=60)
     v = rng.uniform(1, 10, size=60)
-    ir.add_constraint("w", [(float(w[i]), xs[i]) for i in range(60)], Sense.LE, 25.0)
-    ir.set_objective("max", [(float(v[i]), xs[i]) for i in range(60)])
+    ir.add_rows(["w"], Sense.LE, 25.0, np.zeros(60, dtype=int), xs, w)
+    ir.set_objective("max", xs, v)
     raw = solve(ir, SolverOptions(time_limit_s=0.01))
     assert raw.status in (SolveStatus.OPTIMAL, SolveStatus.TIME_LIMIT)
 
@@ -259,8 +257,8 @@ def test_highs_optimal_verdict_kept_with_small_gap(monkeypatch):
     # HiGHS may stop "optimal" on a gap of a few 1e-9 (its own tolerances
     # on the objective); the backend keeps that verdict and the gap.
     ir = ModelIR("gap")
-    x = ir.add_var("x", VarKind.BINARY)
-    ir.set_objective("max", [(132.873741, x)])
+    (x,) = ir.add_vars(["x"], VarKind.BINARY)
+    ir.set_objective("max", [x], [132.873741])
     result = OptimizeResult(
         status=0, message="Optimal", x=np.array([1.0]), mip_gap=5.16e-9
     )
@@ -279,9 +277,9 @@ def _cutoff_model(sense, binary=True):
     # plus a constant of 7: min 12, max 14.
     ir = ModelIR(f"cutoff-{sense}")
     kind = VarKind.BINARY if binary else VarKind.CONTINUOUS
-    xs = [ir.add_var(name, kind, 0, 1) for name in "abc"]
-    ir.add_constraint("two", [(1.0, x) for x in xs], Sense.EQ, 2.0)
-    ir.set_objective(sense, list(zip((3.0, 2.0, 4.0), xs)), constant=7.0)
+    xs = ir.add_vars(list("abc"), kind, 0, 1)
+    ir.add_rows(["two"], Sense.EQ, 2.0, [0, 0, 0], xs, 1.0)
+    ir.set_objective(sense, xs, [3.0, 2.0, 4.0], constant=7.0)
     return ir
 
 

@@ -195,7 +195,7 @@ def test_energy_rejects_continuous_powers():
 def _ladder_interval(built, e):
     """The builder's (floor, top, big-Ms) for edge ``e`` of a built model."""
     inst = built.instance
-    lad = builder._ladders(inst, builder._Reps.of(built.power_reps), [e])
+    lad = builder._ladders(inst, built.power_reps, [e])
     floor, top = int(lad.floor[0]), int(lad.top[0])
     interval = [a[0] for a in (lad.s_lo, lad.s_hi, lad.i_lo, lad.i_hi)]
     return floor, top, [
@@ -249,13 +249,14 @@ def test_big_m_dominates_random_power_assignments():
     assert any(_ladder_interval(models[-1], e)[0] > 0 for e in inst.graph.wireless_edges)
 
 
-def _allowed_power(rep, rng) -> float:
-    """One power a rep can take: its constant, 0 or a level, or uniform."""
-    if rep.is_const:
-        return rep.const_mw
-    if rep.cont_idx is not None:
-        return float(rng.uniform(0.0, rep.max_mw))
-    return float(rng.choice([0.0] + [lvl for lvl, _ in rep.level_terms]))
+def _allowed_power(reps, j, rng) -> float:
+    """One power rep j can take: its constant, 0 or a level, or uniform."""
+    levels, _ = reps.levels.group(j)
+    if reps.cont[j] >= 0:
+        return float(rng.uniform(0.0, reps.hi[j]))
+    if not len(levels):
+        return float(reps.lo[j])
+    return float(rng.choice([0.0] + levels.tolist()))
 
 
 def _check_interval_on_random_powers(built, rng):
@@ -268,7 +269,7 @@ def _check_interval_on_random_powers(built, rng):
         g_sig = signal_coefficient(inst.graph, e, inst.radio)
         g_int = interference_coefficients(inst.graph, e, inst.radio)
         for _ in range(100):
-            powers = {fid: _allowed_power(r, rng) for fid, r in reps.items()}
+            powers = {fid: _allowed_power(reps, j, rng) for fid, j in reps.col.items()}
             s = g_sig * powers[e.src]
             i = inst.radio.noise_mw + sum(c * powers[f] for f, c in g_int.items())
             for (m_on, m_off), th in zip(big_ms, table.thresholds_linear[floor:top]):
@@ -364,9 +365,9 @@ def test_off_source_grants_no_capacity():
             built = milp.build_throughput_model(inst)
             assert built.phi_floor[e.key] > 0
             if not on:
-                (_, lam), = built.power_reps[11].level_terms
+                _, (lam,) = built.power_reps.levels.group(built.power_reps.col[11])
                 built.ir.variables[lam].ub = 0.0
-            built.ir.set_objective("max", [(1.0, built.cap[e.key])])
+            built.ir.set_objective("max", [built.cap[e.key]], [1.0])
             raw = milp.solve(built.ir, SolverOptions(time_limit_s=30))
             assert (raw.objective > 1.0) if on else (raw.objective <= 1e-9)
 

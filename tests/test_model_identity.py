@@ -4,17 +4,21 @@ Each model is pinned by the sha256 of ``ir.lp_text()`` and of an exact
 dump, both as the term-by-term builder wrote them, before models were
 built from arrays.  ``lp_text`` rounds to 12 significant digits; the
 exact dump holds every float at full precision, so a coefficient summed
-in another order changes it.  A change that claims to leave the models
-as they are must keep every hash; a change that alters a model on
-purpose must argue it and re-pin that model.
+in another order changes it.  ``HIGHS_SHA256`` pins, for the same
+models, every argument the backend hands scipy's ``milp``.  A change
+that claims to leave the models as they are must keep every hash; a
+change that alters a model on purpose must argue it and re-pin that
+model.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from iabtopo import milp
+from iabtopo.milp import backend
 from iabtopo.problem import DiscretePower, default_power_levels
 
 from conftest import random_small_instance, two_unit_instance
@@ -155,3 +159,88 @@ def test_model_pinned(name, problem, mode):
         hashlib.sha256(text.encode()).hexdigest() for text in (ir.lp_text(), _exact_text(ir))
     )
     assert digests == MODEL_SHA256[(name, problem, mode)]
+
+
+def _highs_digest(kwargs):
+    """sha256 of every argument the backend hands scipy's ``milp``."""
+    (con,) = kwargs["constraints"]
+    arrays = (
+        kwargs["c"], kwargs["integrality"], kwargs["bounds"].lb, kwargs["bounds"].ub,
+        con.A.indptr, con.A.indices, con.A.data, con.lb, con.ub,
+    )
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    h.update(repr(kwargs["options"]).encode())
+    return h.hexdigest()
+
+
+# _highs_digest of each model of MODEL_SHA256, solved with default options.
+HIGHS_SHA256 = {
+    ("two_unit", "throughput", "fixed"):
+        "5b87c66d866d1a5dcef106d23dba4810880be5d51255b8b851dd8a53430fc290",
+    ("two_unit", "throughput", "one_free"):
+        "5ba8c30f49cf488d4079915ffbadf0378b1f79a4d6e18d9c87e531e93037e146",
+    ("two_unit", "throughput", "exact"):
+        "45eb4889848773ce8bbf57cb6b74775bfd734f1889c252d8b5dfcdf1531d7eea",
+    ("two_unit", "energy", "fixed"):
+        "1c7a2872edf3f5f8f04e3a416f3f01d668fc0d44309b64a5ef3e7d0708eb1beb",
+    ("two_unit", "energy", "one_free"):
+        "025af7540e1262ef596bcffba6c74c221956654d47611b490dc4bca2e2b0ce2a",
+    ("two_unit", "energy", "exact"):
+        "1a053c4c53e046594ab89d76899b89024a80955436c276e7c3a85343c18bce21",
+    ("random0", "throughput", "fixed"):
+        "adaee1dfe591f0ac82908cf99b7acb5a82ba2bc06914d1b42ee324779eb278f4",
+    ("random0", "throughput", "one_free"):
+        "2b934b3ed273b316d7dce84275e6b5ecf9c95e6a5dcc4d997c60ec65627c80a7",
+    ("random0", "throughput", "exact"):
+        "ca749c1ab79f74553f935ea4e8c23accdd598b6cdeb62781f916724aa380c3b1",
+    ("random0", "energy", "fixed"):
+        "9647bfc9030ae2336bac19bd37bf7679928a7d0e5595cd3249ef39e06d25ebfc",
+    ("random0", "energy", "one_free"):
+        "65824a349dff6112cf34e430fd654715fc9d77550825765d87659b7082cf80b6",
+    ("random0", "energy", "exact"):
+        "b577725cd3b9eb6030929bf9eea978cb4055664147061574828f223cf3f16f21",
+    ("random1", "throughput", "fixed"):
+        "c2a3708684bfac0432b3d0ef0dbffe5fb0ff6b8e538aff8e4e876dd37d275a3f",
+    ("random1", "throughput", "one_free"):
+        "d917b59ce3ba5cf70a8aa8f793a332754aa0b19119ebfa2c0500c442a26dde3a",
+    ("random1", "throughput", "exact"):
+        "d2efaae714f27ae9ed6484d3acd470ef7f0e52900a3ca13e2501c8ef6910a18a",
+    ("random1", "energy", "fixed"):
+        "c51f8a551a5835e158e336dde39cc7c1c9197a6af72dd26d36bdec45a1bc355d",
+    ("random1", "energy", "one_free"):
+        "cc5f95c1c01c55b58ad128d214f38666c49a4c716ffd2bab0a94a5607f6c8c5f",
+    ("random1", "energy", "exact"):
+        "4a2adda68453fcd8dd05c7950a50217dcbfbd03ce1038be441a4463bdedb05f0",
+    ("random2", "throughput", "fixed"):
+        "ff2ee51c2939ad0d8c91a9b5ed877532c1670201ae0a4855c94647ddd8442a91",
+    ("random2", "throughput", "one_free"):
+        "25f53ae59d385e6d63cd30435c50c49eef743a1a16a027bdb35093699e1515eb",
+    ("random2", "throughput", "exact"):
+        "e7696fc90e27530c9e5ff4880f52f70d18aa5aa9fe5f261a143a32bd12e86810",
+    ("random2", "energy", "fixed"):
+        "8f627c9a0dca2ec3ffeec2be9eaf5545037340928508331bc236e86e6c337349",
+    ("random2", "energy", "one_free"):
+        "16b54586bb268a798d077075a7261a4bce58733f8e1204c7c76e631ba39d335f",
+    ("random2", "energy", "exact"):
+        "313eda2349cf4b471c9d345187d09db1a6436ec06b7c386928ba91126cb7a1c7",
+}
+
+
+@pytest.mark.parametrize("name, problem, mode", list(MODEL_SHA256))
+def test_highs_arguments_pinned(name, problem, mode, monkeypatch):
+    seen = []
+
+    def fake_milp(**kwargs):
+        seen.append(kwargs)
+        return OptimizeResult(status=2, message="infeasible", x=None)
+
+    monkeypatch.setattr(backend, "milp", fake_milp)
+    build = milp.build_throughput_model if problem == "throughput" else milp.build_energy_model
+    inst, fixed = _build_args(_instance(name), mode)
+    milp.solve(build(inst, fixed_powers=fixed).ir)
+    (kwargs,) = seen
+    assert _highs_digest(kwargs) == HIGHS_SHA256[(name, problem, mode)]
