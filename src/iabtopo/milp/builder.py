@@ -18,6 +18,14 @@ on-power is the source's one power above zero when it has exactly one
 With every power fixed the interval is a point, so fixed-power models
 collapse to plain flow MILPs.
 
+Every frontend's power is at most one (coefficient, column) term, which
+the indicator rows read: a continuous power variable, the one binary of a
+single power, or, for a grid of several levels above zero, one continuous
+power column ``pw`` in [0, 1] defined by ``pw_def``: pw = sum (level/top)
+* lam over the level binaries.  So each multi-level interferer costs a
+row one coefficient, not one per level; the level binaries still carry
+the level choice, the powered rows, the energy products and extraction.
+
 An edge whose interval grants no level at all is dead.  When its source
 has at most one power above zero, the edge is left out of routing like
 an edge outside ``routing_edges``: it gets no variables and no rows.
@@ -113,15 +121,17 @@ class _Ragged(NamedTuple):
 class _Reps(NamedTuple):
     """Each frontend's transmit power in the model; entry j is the j-th frontend id in order.
 
-    A power is a constant (no terms: ``lo`` = ``hi``), a continuous
-    variable, or a sum of level x binary terms whose binaries sum to 1
-    iff it is on.
+    A power is ``coef * x[var]``, or the constant ``lo`` (= ``hi``) where
+    ``var`` is -1.  Its column is a continuous power variable, the one
+    binary of a single power, or the power column of a grid with several
+    levels, defined from the grid's level binaries.
     """
 
     col: dict[int, int]
     lo: np.ndarray  # lowest power (mW)
     hi: np.ndarray  # highest power (mW)
-    terms: _Ragged  # affine power expression
+    coef: np.ndarray  # power = coef * x[var]
+    var: np.ndarray  # the power's column, or -1 for a constant
     cont: np.ndarray  # continuous power variable, or -1
     act: np.ndarray  # activation binary (energy problem), or -1
     levels: _Ragged  # (level mW, binary idx)
@@ -157,7 +167,6 @@ class BuiltModel:
     flow: dict[tuple[int, EdgeKey], int]
     phi_vars: dict[EdgeKey, tuple[int, ...]]
     phi_floor: dict[EdgeKey, int]  # ladder levels every power choice meets
-    z_idx: int | None = None
 
 
 def build_throughput_model(
@@ -477,7 +486,7 @@ def _emit_edges(ir: ModelIR, instance: ProblemInstance, reps: _Reps, lad: _Ladde
     out.add(r0, v0, -1.0)
 
     # Indicator rows of every level: S - th*I as an affine expression
-    # (constant reps have no terms) against phi with big-Ms from the interval.
+    # (constant reps have no term) against phi with big-Ms from the interval.
     e_of, j = _spread(n_lvl)
     lvl = floor[e_of] + j
     th_l = th[lvl]
@@ -485,15 +494,15 @@ def _emit_edges(ir: ModelIR, instance: ProblemInstance, reps: _Reps, lad: _Ladde
     on = r0[e_of] + 1 + 3 * j - (j > 0)
     m_on, m_off = _big_ms(th_l, lad.s_lo[e_of], lad.s_hi[e_of], lad.i_lo[e_of], lad.i_hi[e_of])
     expr_const = lad.s_lo[e_of] - th_l * lad.i_lo[e_of]
-    who, at = reps.terms.expand(src[e_of])
-    signal = (who, reps.terms.cols[at], lad.g_sig[e_of][who] * reps.terms.coefs[at])
-    # Interference: g_k times the power terms of interferer k, k in id order.
-    pair_e, pair_f = np.nonzero(lad.g_int)
-    of_pair, at = reps.terms.expand(pair_f)
+    who = np.flatnonzero(reps.var[src[e_of]] >= 0)
+    sender = src[e_of][who]
+    signal = (who, reps.var[sender], lad.g_sig[e_of][who] * reps.coef[sender])
+    # Interference: g_k times the power term of interferer k, k in id order.
+    pair_e, pair_f = np.nonzero((lad.g_int != 0) & (reps.var >= 0))
     per_edge = _Ragged(
-        np.concatenate([[0], np.cumsum(np.bincount(pair_e[of_pair], minlength=len(floor)))]),
-        lad.g_int[pair_e, pair_f][of_pair] * reps.terms.coefs[at],
-        reps.terms.cols[at],
+        np.concatenate([[0], np.cumsum(np.bincount(pair_e, minlength=len(floor)))]),
+        lad.g_int[pair_e, pair_f] * reps.coef[pair_f],
+        reps.var[pair_f],
     )
     who, at = per_edge.expand(e_of)
     interference = (who, per_edge.cols[at], -th_l[who] * per_edge.coefs[at])
@@ -591,7 +600,6 @@ def _finish_throughput(
     commodities = built.commodities
     c_max = built.instance.capacity_table.max_capacity_mbps
     (z,) = ir.add_vars(["Z"], VarKind.CONTINUOUS, 0.0, c_max)
-    built.z_idx = z
     heads = np.array([e.dst for e in built.routing_wireless + built.routing_wired], dtype=np.int64)
     dests = np.array([c.dest for c in commodities], dtype=np.int64)
     comm_of, edge_of = np.nonzero(heads[None, :] == dests[:, None])
@@ -705,7 +713,7 @@ def _power_reps(
     p_max = instance.radio.p_max_mw
     fids = sorted(n.id for n in instance.graph.frontends)
     names, kinds, ubs = [], [], []
-    lo, hi, cont, act, terms, levels, rows = [], [], [], [], [], [], []
+    lo, hi, cont, act, terms, levels, rows, defs = [], [], [], [], [], [], [], []
 
     def declare(name: str, kind: VarKind = VarKind.BINARY, ub: float = 1.0) -> int:
         names.append(name)
@@ -723,7 +731,7 @@ def _power_reps(
         else:
             p = None
 
-        c, a, lam = -1, -1, []
+        c, a, lam, term = -1, -1, [], None
         if p is not None:
             if p < 0 or p > p_max + 1e-9:
                 raise ValueError(f"frontend {fid}: power {p} mW outside [0, p_max]")
@@ -737,7 +745,7 @@ def _power_reps(
             if problem == ENERGY:
                 raise UnsupportedMode("energy problem cannot leave powers continuous")
             c = declare(f"ptx[{fid}]", VarKind.CONTINUOUS, p_max)
-            low, high = 0.0, p_max
+            low, high, term = 0.0, p_max, (1.0, c)
         elif isinstance(mode, DiscretePower):
             grid = [l for l in mode.levels_mw if l > 0]
             if max(mode.levels_mw) > p_max + 1e-9:
@@ -749,26 +757,35 @@ def _power_reps(
                 row.append((-1.0, a))
             rows.append((f"act_def[{fid}]" if problem == ENERGY else f"one_level[{fid}]", row))
             low, high = 0.0, max(grid)
+            if len(lam) > 1:
+                # One power column, as a fraction of the top level, stands
+                # for the level sum in every row that reads the power.
+                pw = declare(f"pw[{fid}]", VarKind.CONTINUOUS)
+                defs.append((f"pw_def[{fid}]", [(1.0, pw)] + [(-l / high, i) for l, i in lam]))
+                term = (high, pw)
         else:
             raise UnsupportedMode(f"unknown power mode {mode!r}")
         lo.append(low)
         hi.append(high)
         cont.append(c)
         act.append(a)
-        terms.append([(1.0, c)] if c >= 0 else lam)
+        # Otherwise one power above zero, or a constant.
+        terms.append(term or (lam[0] if lam else (0.0, -1)))
         levels.append(lam)
 
     ir.add_vars(names, kinds, 0.0, ubs)
     # A grid's level binaries sum to its activation (energy) or to at most 1.
-    sense, rhs = (Sense.EQ, 0.0) if problem == ENERGY else (Sense.LE, 1.0)
-    flat = _Ragged.of([row for _, row in rows])
-    owner, _ = _spread(np.diff(flat.ptr))
-    ir.add_rows([name for name, _ in rows], sense, rhs, owner, flat.cols, flat.coefs)
+    one = (Sense.EQ, 0.0) if problem == ENERGY else (Sense.LE, 1.0)
+    for block, (sense, rhs) in ((rows, one), (defs, (Sense.EQ, 0.0))):
+        flat = _Ragged.of([row for _, row in block])
+        owner, _ = _spread(np.diff(flat.ptr))
+        ir.add_rows([name for name, _ in block], sense, rhs, owner, flat.cols, flat.coefs)
     return _Reps(
         {fid: j for j, fid in enumerate(fids)},
         np.array(lo, dtype=float),
         np.array(hi, dtype=float),
-        _Ragged.of(terms),
+        np.array([k for k, _ in terms], dtype=float),
+        np.array([v for _, v in terms], dtype=np.int64),
         np.array(cont, dtype=np.int64),
         np.array(act, dtype=np.int64),
         _Ragged.of(levels),

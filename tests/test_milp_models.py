@@ -16,6 +16,7 @@ from iabtopo.channel import (
 from iabtopo.errors import EmptyCommodities, NoFeasible, UnsupportedMode
 from iabtopo.graph import Commodity, Edge, EdgeKind, Node, NodeKind, build_graph
 from iabtopo.milp import SolverOptions, builder
+from iabtopo.milp.ir import Sense
 from iabtopo.oracle import validate_solution
 from iabtopo.problem import (
     ContinuousPower,
@@ -23,9 +24,10 @@ from iabtopo.problem import (
     FixedPower,
     ProblemInstance,
     SolveStatus,
+    default_power_levels,
 )
 
-from conftest import coarse_table, two_step_table, two_unit_instance
+from conftest import coarse_table, random_small_instance, two_step_table, two_unit_instance
 
 
 def _single_frontend_instance(table, pathlosses, noise_mw=0.0, demand=5.0):
@@ -396,3 +398,77 @@ def test_extraction_flags_tampered_model():
     report = validate_solution(inst, sol)
     assert not report.ok
     assert any(v.rule in ("CapacityOverclaim", "ObjectiveMismatch") for v in report.violations)
+
+
+MULTI_LEVEL_GRID = (0.0, 2100.0, 4200.0, 6300.0)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_multi_level_grid_matches_brute_force(seed):
+    # Criterion 4's instances only use {0, p} grids; this runs the same
+    # comparison on a grid with several levels above zero.
+    rng = np.random.default_rng(seed)
+    inst = random_small_instance(
+        rng, table=coarse_table(), levels=MULTI_LEVEL_GRID, demand_range=(0.5, 2.0)
+    )
+    rel_tol = 1e-6
+
+    built = milp.build_throughput_model(inst)
+    raw = milp.solve(built.ir, SolverOptions(time_limit_s=60))
+    milp.extract_solution(built, raw)
+    z_oracle = oracle.enumerate_optimal_throughput(inst)
+    assert abs(raw.objective - z_oracle) <= rel_tol * max(abs(z_oracle), 1.0)
+
+    built = milp.build_energy_model(inst)
+    raw = milp.solve(built.ir, SolverOptions(time_limit_s=60))
+    try:
+        p_oracle = oracle.enumerate_optimal_energy(inst)
+    except NoFeasible:
+        assert raw.status is SolveStatus.INFEASIBLE
+        return
+    assert raw.status is not SolveStatus.INFEASIBLE
+    milp.extract_solution(built, raw)
+    assert abs(raw.objective - p_oracle) <= rel_tol * max(abs(p_oracle), 1.0)
+
+
+@pytest.mark.parametrize("problem", ["throughput", "energy"])
+def test_multi_level_power_is_one_column(problem):
+    build = milp.build_throughput_model if problem == "throughput" else milp.build_energy_model
+    inst = two_unit_instance(levels=default_power_levels(6300.0, 5))
+    built = build(inst)
+    reps = built.power_reps
+    names = [v.name for v in built.ir.variables]
+    rows = built.ir.constraints
+    for fid, j in reps.col.items():
+        pw = int(reps.var[j])
+        assert names[pw] == f"pw[{fid}]" and reps.coef[j] == reps.hi[j] == 6300.0
+        (row,) = [r for r in rows if r.name == f"pw_def[{fid}]"]
+        levels, binaries = reps.levels.group(j)
+        assert row.sense is Sense.EQ and row.rhs == 0.0
+        assert sorted(row.terms, key=lambda t: t[1]) == sorted(
+            [(1.0, pw)] + [(-l / 6300.0, i) for l, i in zip(levels.tolist(), binaries.tolist())],
+            key=lambda t: t[1],
+        )
+    # Each SINR row reads one column per frontend, plus its phi (whose
+    # coefficient is a big-M, dropped where it is 0).
+    phi = {i for v in built.phi_vars.values() for i in v}
+    thr = [r for r in rows if r.name.startswith("thr[")]
+    assert thr
+    for r in thr:
+        cols = [i for _, i in r.terms]
+        assert len(cols) == len(set(cols))
+        assert sum(i in phi for i in cols) <= 1
+        assert set(cols) - phi <= set(reps.var.tolist())
+
+    raw = milp.solve(built.ir, SolverOptions(time_limit_s=60))
+    milp.extract_solution(built, raw)
+    for fid, j in reps.col.items():
+        p = milp.frontend_power(built, raw, fid)
+        assert abs(raw.values[reps.var[j]] * reps.hi[j] - p) <= 1e-6 * reps.hi[j]
+
+
+def test_single_level_grid_has_no_power_column():
+    for build in (milp.build_throughput_model, milp.build_energy_model):
+        built = build(two_unit_instance())
+        assert not any(v.name.startswith("pw[") for v in built.ir.variables)
+        assert not any(r.name.startswith("pw_def[") for r in built.ir.constraints)

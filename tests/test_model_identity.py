@@ -23,15 +23,16 @@ from iabtopo.problem import DiscretePower, default_power_levels
 
 from conftest import random_small_instance, two_unit_instance
 
-# (sha256 of ir.lp_text(), sha256 of _exact_text(ir))
+# (sha256 of ir.lp_text(), sha256 of _exact_text(ir)).  The one_free models
+# were re-pinned when a grid of several levels got one power column.
 MODEL_SHA256 = {
     ("two_unit", "throughput", "fixed"): (
         "dcaef805dda2e4ea7236b11f2cfae79015965369db2f79ed0ef9d7e6852128c8",
         "1428ef7ca65533daaeb410fcb6a36d8a2e66be046c624a9d7d74c664ad96952f",
     ),
     ("two_unit", "throughput", "one_free"): (
-        "8f348ef3d63f1e9a3042b150263880ea89adfd469981f3032b03db48251349dc",
-        "8b3e81abc26b4eca967480b05b0f0bc0b1522338505e87b8cde426e4d052e096",
+        "d66dbbcc5aa303327d341e8bf82cd1572c13203edb77c8c2d46547a42382a951",
+        "3326c29c29500943f8d008c54f0452ba26ef5ebf0a69a0e55f2991262217b2a1",
     ),
     ("two_unit", "throughput", "exact"): (
         "082cb83c25d2f615537571253e2a04e585d02f644227e18dba263bf0ae533552",
@@ -42,8 +43,8 @@ MODEL_SHA256 = {
         "3772f9c17f59d4f0622789c8baec80b127a77f695adbe964d96a8701ab3defed",
     ),
     ("two_unit", "energy", "one_free"): (
-        "61d7f9ae85df32edfd6318c9bbd0e903c9f707d011c51f532ae4e801f5616db3",
-        "51b93421c8ab3a8f69b6fd00f426c578a5eb13f6afb788322e7c78227280291f",
+        "4d73682b9c210f4a5a84c4d4b86f6f797cbe96b6cf99347b7645ab23600dbd36",
+        "12fade539e6d8abc15f16b1ef7285b77509ebde0496bb4cc8dcc1cdcb6bcafa9",
     ),
     ("two_unit", "energy", "exact"): (
         "5bf3d3a8e51f99b6280188db66628e01d9fcd98dc8899bbb429a7c522966501e",
@@ -54,8 +55,8 @@ MODEL_SHA256 = {
         "50268c4afc8e3bbd2ff2857c59aafa952586af45c4c4be5098fd1cd2e9dff164",
     ),
     ("random0", "throughput", "one_free"): (
-        "ff0fce6c8e77375295abe2bfab4a8a31ce44e53139e4fcec36bfe6957fa0cb2b",
-        "3f89251f17b6acaacd45b14bc94d8e963a4470dc38a86d948d7ff23551753513",
+        "fd8910212c18e912016c94359034a93082667fb639368e177dd5409da6fa3c80",
+        "cdd8412fe2db2bb62e2abf139a16ef0c4d5f15c604e8537994620e300d4e3e28",
     ),
     ("random0", "throughput", "exact"): (
         "7714ce025a7dbd4c02071611a013563d5d0e33842a0d5e90269d1cd8cfd452c6",
@@ -66,8 +67,8 @@ MODEL_SHA256 = {
         "0df465f4f5266589f0a5c88183bea0210313662bca2e736d0635e540ae9984ad",
     ),
     ("random0", "energy", "one_free"): (
-        "d5db91267b694ca64210db72ccda650078f4e73780706a5dac8f27ec7ba80af2",
-        "2ede204a42d036a515404ab2f76f7e1df0ab45561f1a5fd61bd78420524829f2",
+        "58a17cb47638a3ea3b926fa0affedfecd87e1519475fdb3601f115ba2a56aba9",
+        "a9f017cbf75c5cc1338aba6fb5c0174c5bd2d1c2cf180eb6ff352cebf9867b67",
     ),
     ("random0", "energy", "exact"): (
         "be3bc897a4dca04eb4ab9b9a0b103a1a995013afcf441fa882c50f6f699eb9d2",
@@ -78,8 +79,8 @@ MODEL_SHA256 = {
         "5f1a6f4e250a21295a41ea381f7353c8e014f3053710c4f0e59462d017159f4d",
     ),
     ("random1", "throughput", "one_free"): (
-        "6135158ffccacb25040f21efc6d15ca0a5460d49324604555fd99be7e1dddf2d",
-        "58c9faa10a5d5e87306d2d6e4f628dd854f99c7b87cf784df8d5e8838c85b37f",
+        "2de1a48ac14df7b6c753ffe285571e25279376c453f8b399b997429bf84e0974",
+        "37d54cd97b4e0cda66888c1e27f043096dcb098e4903b18ff9c456ad46fa2b32",
     ),
     ("random1", "throughput", "exact"): (
         "a3bdb2783b91ae1d4805f5620731fc04794bbe9622a84d5fc717ffe675d23103",
@@ -90,8 +91,8 @@ MODEL_SHA256 = {
         "ee09c3eb70f660c1e19dbd18e1ddd82f75af5310e3661a0c4ae5f12df1725f30",
     ),
     ("random1", "energy", "one_free"): (
-        "fcdc0a4edf6125a0939b1c169718103832dda52bef57f5098ef2f950b57d329b",
-        "c8ff196e30ab99f121f7f095a2cca7b6b5a1af0eceb565a04b215233b0d643a1",
+        "734ba1062c0d57031a17fb86d6a5edcefcaca7722eadcd91afef51a01babfd38",
+        "3fcb0fb682be63b8d32c8c4f08d3790a4c1b5e99597732337838bbe7a6864be8",
     ),
     ("random1", "energy", "exact"): (
         "1fa513ac054fc9f07b5e35645d4372782eb0edd55291542f6f51aed40e3717b4",
@@ -102,8 +103,8 @@ MODEL_SHA256 = {
         "dd82af81ddf7baca44396b4fc0ef50c48fae116a60886969bc60c899dd370321",
     ),
     ("random2", "throughput", "one_free"): (
-        "cc55bea18badd8549bd35c2657f81d8b746780e254203bb3fbf0447b643f8da3",
-        "5116c45614b1afbb1dcb872d059fbe96235e9ac2ec0264632cb9b82715a346ae",
+        "f7cb3b8b2b37a6c62bc874399fe0df7e1df78d2315f4f4f7f51eec25318433c2",
+        "f113a1444b92e0790853e10eddd145acdd11bbcf762877679926c5dfa898fc2b",
     ),
     ("random2", "throughput", "exact"): (
         "03e83ca168f6e1490060b202444ce2cd57952f460d80f10c257a11c79269a66e",
@@ -114,8 +115,8 @@ MODEL_SHA256 = {
         "ca7624429a6d888b80f0f5f42ae2ff7493fa5f0a7cc0b0026740bbfcdac16262",
     ),
     ("random2", "energy", "one_free"): (
-        "b079d3cadb937f8b5e27b4182f31e9afa985a2e40ebea5494f8711052dbdfc2c",
-        "1a6facd2890a841fb092eea930b22b2b6fabfeaa9438dfe37aa60ef4aaab52e7",
+        "7d4829fdfd4e4bda7c1dcbe5a7f25a1929833a42738d8793d2cead7381cae6a4",
+        "e0f786340ed47a50e75e9c66d1798aa53318f313335e71066a4c36a3d1bafb61",
     ),
     ("random2", "energy", "exact"): (
         "6b2bfd08f9abfef2f25e92e280dd24a8ea84629007af8c7dcbccbe4b5e1a997c",
@@ -182,49 +183,49 @@ HIGHS_SHA256 = {
     ("two_unit", "throughput", "fixed"):
         "5b87c66d866d1a5dcef106d23dba4810880be5d51255b8b851dd8a53430fc290",
     ("two_unit", "throughput", "one_free"):
-        "5ba8c30f49cf488d4079915ffbadf0378b1f79a4d6e18d9c87e531e93037e146",
+        "ed3fd8b4a044dea9a7fc3b64c1e82f65fdfd994beee00f20d4b89852301273a2",
     ("two_unit", "throughput", "exact"):
         "45eb4889848773ce8bbf57cb6b74775bfd734f1889c252d8b5dfcdf1531d7eea",
     ("two_unit", "energy", "fixed"):
         "1c7a2872edf3f5f8f04e3a416f3f01d668fc0d44309b64a5ef3e7d0708eb1beb",
     ("two_unit", "energy", "one_free"):
-        "025af7540e1262ef596bcffba6c74c221956654d47611b490dc4bca2e2b0ce2a",
+        "f528f61e1bd3b602165050c489f6d11d7f662afedb6b87b9802f261d3d38ac4b",
     ("two_unit", "energy", "exact"):
         "1a053c4c53e046594ab89d76899b89024a80955436c276e7c3a85343c18bce21",
     ("random0", "throughput", "fixed"):
         "adaee1dfe591f0ac82908cf99b7acb5a82ba2bc06914d1b42ee324779eb278f4",
     ("random0", "throughput", "one_free"):
-        "2b934b3ed273b316d7dce84275e6b5ecf9c95e6a5dcc4d997c60ec65627c80a7",
+        "50b186cbd8e46a8f630ac3029f7a6f740ce7688278e8e0c48a2e27ae33a6cd93",
     ("random0", "throughput", "exact"):
         "ca749c1ab79f74553f935ea4e8c23accdd598b6cdeb62781f916724aa380c3b1",
     ("random0", "energy", "fixed"):
         "9647bfc9030ae2336bac19bd37bf7679928a7d0e5595cd3249ef39e06d25ebfc",
     ("random0", "energy", "one_free"):
-        "65824a349dff6112cf34e430fd654715fc9d77550825765d87659b7082cf80b6",
+        "1e3c702c6f8ab970cd736385338a9d23d1857b68749f0dfd1bab6d51732847f9",
     ("random0", "energy", "exact"):
         "b577725cd3b9eb6030929bf9eea978cb4055664147061574828f223cf3f16f21",
     ("random1", "throughput", "fixed"):
         "c2a3708684bfac0432b3d0ef0dbffe5fb0ff6b8e538aff8e4e876dd37d275a3f",
     ("random1", "throughput", "one_free"):
-        "d917b59ce3ba5cf70a8aa8f793a332754aa0b19119ebfa2c0500c442a26dde3a",
+        "83dd1041553cba8a34b16c0398c9f69905129b6b57d3a3629573cab118b0e927",
     ("random1", "throughput", "exact"):
         "d2efaae714f27ae9ed6484d3acd470ef7f0e52900a3ca13e2501c8ef6910a18a",
     ("random1", "energy", "fixed"):
         "c51f8a551a5835e158e336dde39cc7c1c9197a6af72dd26d36bdec45a1bc355d",
     ("random1", "energy", "one_free"):
-        "cc5f95c1c01c55b58ad128d214f38666c49a4c716ffd2bab0a94a5607f6c8c5f",
+        "5483051228378288247875bb79aeab5ca890f3befc3e6c628e93db54ba615aad",
     ("random1", "energy", "exact"):
         "4a2adda68453fcd8dd05c7950a50217dcbfbd03ce1038be441a4463bdedb05f0",
     ("random2", "throughput", "fixed"):
         "ff2ee51c2939ad0d8c91a9b5ed877532c1670201ae0a4855c94647ddd8442a91",
     ("random2", "throughput", "one_free"):
-        "25f53ae59d385e6d63cd30435c50c49eef743a1a16a027bdb35093699e1515eb",
+        "93bc5a7a41663adfc4c5b635ae2b0de1e1d4900b489f67e0c9a5b94ae3b8dc74",
     ("random2", "throughput", "exact"):
         "e7696fc90e27530c9e5ff4880f52f70d18aa5aa9fe5f261a143a32bd12e86810",
     ("random2", "energy", "fixed"):
         "8f627c9a0dca2ec3ffeec2be9eaf5545037340928508331bc236e86e6c337349",
     ("random2", "energy", "one_free"):
-        "16b54586bb268a798d077075a7261a4bce58733f8e1204c7c76e631ba39d335f",
+        "3fa406b07e2f2bca2725cc77d65e3ebbd69483df0d5e305271998012b66f3210",
     ("random2", "energy", "exact"):
         "313eda2349cf4b471c9d345187d09db1a6436ec06b7c386928ba91126cb7a1c7",
 }
