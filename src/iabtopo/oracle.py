@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from . import channel
 from .capacity import CapacityTable, capacity_from_sinr
 from .channel import link_budget
 from .energy import total_power
@@ -35,7 +36,7 @@ _CONFIG_GUARD = 10**6
 _LEVEL_SLACK = 1e-4
 
 
-# -- max-min airtime feasibility on a fixed tree -----------------------------
+# -- max-min airtime on a fixed tree ------------------------------------------
 
 
 def max_min_on_tree(
@@ -44,77 +45,36 @@ def max_min_on_tree(
     capacities_mbps: Mapping[EdgeKey, float],
     ue_ids: Iterable[int],
 ) -> float:
-    """Largest common per-UE rate a fixed tree supports, by bisection.
+    """Largest common per-UE rate a fixed tree supports, in closed form.
 
-    Feasibility at rate Z charges every wireless tree edge airtime
-    Z * (UEs downstream) / capacity at both endpoints and checks each
-    node's unit budget of 1.  Converges to 1e-9 absolute.
+    Rate Z charges every wireless tree edge airtime Z * (UEs downstream) /
+    capacity at both endpoints, and each node has a unit budget of 1.  Each
+    node's airtime is linear in Z, so Z* = 1 / max_v sum_{e at v} n_e / c_e.
+    0 when some UE has no unique path to the donor.
     """
-    tree = set(tree_edges)
-    ues = set(ue_ids)
-    if not ues:
+    ues = {ue: 1 for ue in ue_ids}
+    wireless = {e.key for e in graph.wireless_edges}
+    loads = _routed_demand(set(tree_edges), ues, graph.donor.id, wireless)
+    if not ues or loads is None:
         return 0.0
+    return _max_min(loads, capacities_mbps)
 
-    children: dict[int, list[int]] = {}
-    for src, dst in tree:
-        children.setdefault(src, []).append(dst)
 
-    donor = graph.donor.id
-    # Downstream UE count per tree edge (iterative postorder).
-    subtree_ues: dict[int, int] = {}
-    order: list[int] = []
-    seen = {donor}
-    stack = [donor]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for v in children.get(u, ()):
-            if v in seen:
-                continue  # defensive; trees should not revisit
-            seen.add(v)
-            stack.append(v)
-    for u in reversed(order):
-        count = 1 if u in ues else 0
-        count += sum(subtree_ues.get(v, 0) for v in children.get(u, ()))
-        subtree_ues[u] = count
-
-    if any(ue not in seen for ue in ues):
-        return 0.0
-
-    wireless_loads: list[tuple[EdgeKey, float, int]] = []  # (key, capacity, ue count)
-    for key in sorted(tree):
-        edge = graph.edge(*key)
-        if edge is None or edge.kind is not EdgeKind.WIRELESS:
-            continue
-        n_down = subtree_ues.get(key[1], 0)
-        if n_down == 0:
-            continue
+def _max_min(
+    ues_down: Mapping[EdgeKey, int], capacities_mbps: Mapping[EdgeKey, float]
+) -> float:
+    """1 / the largest airtime per unit rate at any node (max c + 1 if none)."""
+    node_load: dict[int, float] = {}
+    for key, n_down in ues_down.items():
         c = capacities_mbps.get(key, 0.0)
         if c <= 0:
             raise ZeroCapacityLink(f"tree edge {key} carries {n_down} UEs at zero capacity")
-        wireless_loads.append((key, c, n_down))
-
-    def feasible(z: float) -> bool:
-        load: dict[int, float] = {}
-        for (src, dst), c, n_down in wireless_loads:
-            a = z * n_down / c
-            load[src] = load.get(src, 0.0) + a
-            load[dst] = load.get(dst, 0.0) + a
-        return all(v <= 1.0 + 1e-12 for v in load.values())
-
-    lo = 0.0
-    hi = max(capacities_mbps.values(), default=0.0) + 1.0
-    if feasible(hi):
-        return hi  # unbounded only when no wireless edge is loaded
-    for _ in range(200):
-        if hi - lo <= 1e-9:
-            break
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        a = n_down / c
+        node_load[key[0]] = node_load.get(key[0], 0.0) + a
+        node_load[key[1]] = node_load.get(key[1], 0.0) + a
+    if not node_load:
+        return max(capacities_mbps.values(), default=0.0) + 1.0
+    return 1.0 / max(node_load.values())
 
 
 # -- exhaustive optima --------------------------------------------------------
@@ -175,26 +135,48 @@ def _parent_chain_edges(
     return edges
 
 
-def _edge_capacities(
-    instance: ProblemInstance, powers: dict[int, float]
-) -> dict[EdgeKey, float]:
-    caps: dict[EdgeKey, float] = {}
-    for e in instance.graph.wireless_edges:
-        budget = link_budget(e, powers, instance.graph, instance.radio)
-        _, c = capacity_from_sinr(
-            instance.capacity_table, budget.signal_mw, budget.interference_mw
+def _capacity_model(instance: ProblemInstance):
+    """Function from powers to every wireless edge's capacity.
+
+    Each edge's signal and interference coefficients come from ``channel``
+    once; a call only multiplies and sums them, in ``link_interference``'s
+    order, so each capacity equals the ``link_budget`` path's exactly.
+    """
+    g, radio, table = instance.graph, instance.radio, instance.capacity_table
+    gains = [
+        (
+            e.key,
+            channel.signal_coefficient(g, e, radio),
+            list(channel.interference_coefficients(g, e, radio).items()),
         )
-        caps[e.key] = c
-    return caps
+        for e in g.wireless_edges
+    ]
+
+    def capacities(powers: Mapping[int, float]) -> dict[EdgeKey, float]:
+        caps: dict[EdgeKey, float] = {}
+        for key, s_coeff, interferers in gains:
+            interference = radio.noise_mw
+            for fid, coeff in interferers:
+                p = powers.get(fid, 0.0)
+                if p > 0:
+                    interference += coeff * p
+            signal = s_coeff * powers.get(key[0], 0.0)
+            caps[key] = capacity_from_sinr(table, signal, interference)[1]
+        return caps
+
+    return capacities
 
 
-def _trees(instance: ProblemInstance, ue_ids: Sequence[int]):
-    """Yield (powers, capacities, UE parents, tree edges) of every candidate tree.
+def _trees(instance: ProblemInstance, ue_ids: Sequence[int], shape):
+    """Yield (powers, capacities, shape) of every candidate tree.
 
     Powers range over the instance's grid.  Each UE takes one wireless
     parent and each MT-DU one wireless parent or none, both only over
     links with positive capacity at those powers; choices that leave a UE
-    unservable or a unit cut off from the donor are skipped.
+    unservable or a unit cut off from the donor are skipped.  A tree does
+    not depend on the powers, so ``shape(tree)``, the per-tree data the
+    caller needs, runs once per distinct parent choice; trees it maps to
+    None are skipped.
     """
     g = instance.graph
     frontends, grids = _power_grids(instance)
@@ -217,9 +199,11 @@ def _trees(instance: ProblemInstance, ue_ids: Sequence[int]):
     if total > _CONFIG_GUARD:
         raise TooLarge(f"{total} configurations exceed the {_CONFIG_GUARD} guard")
 
+    capacities = _capacity_model(instance)
+    shapes: dict[tuple, object] = {}  # parent choice -> shape(tree) or None
     for combo in itertools.product(*grids):
         powers = dict(zip(frontends, combo))
-        caps = _edge_capacities(instance, powers)
+        caps = capacities(powers)
         ue_options = [
             [f for f in ue_candidates[ue] if caps.get((f, ue), 0.0) > 0] for ue in ue_ids
         ]
@@ -229,12 +213,17 @@ def _trees(instance: ProblemInstance, ue_ids: Sequence[int]):
             [None] + [f for f in mtdu_candidates[m][1:] if caps.get((f, m), 0.0) > 0]
             for m in mtdus
         ]
-        for ue_pick in itertools.product(*ue_options):
-            ue_parent = dict(zip(ue_ids, ue_pick))
-            for m_pick in itertools.product(*mtdu_options):
-                tree = _parent_chain_edges(g, ue_parent, dict(zip(mtdus, m_pick)))
-                if tree is not None:
-                    yield powers, caps, ue_parent, tree
+        for choice in itertools.product(
+            itertools.product(*ue_options), itertools.product(*mtdu_options)
+        ):
+            if choice not in shapes:
+                ue_pick, m_pick = choice
+                tree = _parent_chain_edges(
+                    g, dict(zip(ue_ids, ue_pick)), dict(zip(mtdus, m_pick))
+                )
+                shapes[choice] = None if tree is None else shape(tree)
+            if shapes[choice] is not None:
+                yield powers, caps, shapes[choice]
 
 
 def enumerate_optimal_throughput(instance: ProblemInstance) -> float:
@@ -242,10 +231,14 @@ def enumerate_optimal_throughput(instance: ProblemInstance) -> float:
     ue_ids = sorted({c.dest for c in instance.commodities})
     if not ue_ids:
         return 0.0
-    g = instance.graph
+    ues = {ue: 1 for ue in ue_ids}
+    donor = instance.graph.donor.id
+    wireless = {e.key for e in instance.graph.wireless_edges}
     best = 0.0
-    for _powers, caps, _ue_parent, tree in _trees(instance, ue_ids):
-        z = max_min_on_tree(g, tree, caps, ue_ids)
+    for _powers, caps, loads in _trees(
+        instance, ue_ids, lambda tree: _routed_demand(tree, ues, donor, wireless)
+    ):
+        z = _max_min(loads, caps)
         if z > best:
             best = z
     return best
@@ -280,12 +273,12 @@ def enumerate_optimal_energy(instance: ProblemInstance) -> float:
 
     ue_ids = sorted({c.dest for c in commodities})
     demand = {c.dest: c.demand_mbps for c in commodities}
+    donor = g.donor.id
+    wireless = {e.key for e in g.wireless_edges}
     best = math.inf
-    for powers, caps, ue_parent, tree in _trees(instance, ue_ids):
-        # Demand routed over each wireless tree edge.
-        load = _routed_demand(g, tree, ue_parent, demand)
-        if load is None:
-            continue
+    for powers, caps, load in _trees(
+        instance, ue_ids, lambda tree: _routed_demand(tree, demand, donor, wireless)
+    ):
         airtimes: dict[EdgeKey, float] = {}
         node_load: dict[int, float] = {}
         ok = True
@@ -309,19 +302,20 @@ def enumerate_optimal_energy(instance: ProblemInstance) -> float:
 
 
 def _routed_demand(
-    graph: MeasurementGraph,
     tree: set[EdgeKey],
-    ue_parent: Mapping[int, int],
     demand: Mapping[int, float],
+    donor: int,
+    wireless: set[EdgeKey],
 ) -> dict[EdgeKey, float] | None:
-    """Summed demand per wireless tree edge along each UE's unique path."""
-    wireless = {e.key for e in graph.wireless_edges}
+    """Summed demand per wireless tree edge along each UE's unique path.
+
+    None when some node has two parents or some UE no path to the donor.
+    """
     parent_of: dict[int, int] = {}
     for src, dst in tree:
         if dst in parent_of:
             return None
         parent_of[dst] = src
-    donor = graph.donor.id
     load: dict[EdgeKey, float] = {}
     for ue, d in demand.items():
         node = ue
@@ -472,7 +466,8 @@ def validate_solution(
         violations.append(Violation(tv.rule, tv.location))
 
     # Activation consistency (sleeping frontends neither transmit nor serve).
-    chosen_srcs = {src for src, _ in solution.chosen_edges}
+    chosen = set(solution.chosen_edges)
+    chosen_srcs = {src for src, _ in chosen}
     for fid, on in sorted(solution.activations.items()):
         p = solution.powers_mw.get(fid, 0.0)
         if not on:
@@ -480,7 +475,7 @@ def validate_solution(
                 violations.append(Violation("SleepingTransmitter", (fid,), p))
             wireless_out = {e.dst for e in g.out_edges(fid) if e.kind is EdgeKind.WIRELESS}
             if fid in chosen_srcs and any(
-                (fid, dst) in set(solution.chosen_edges) for dst in wireless_out
+                (fid, dst) in chosen for dst in wireless_out
             ):
                 violations.append(Violation("SleepingServer", (fid,)))
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from iabtopo import milp
+from iabtopo import channel, milp, oracle
+from iabtopo.capacity import capacity_from_sinr, default_table
+from iabtopo.channel import RadioParams, link_budget
 from iabtopo.errors import NoFeasible, TooLarge, ZeroCapacityLink
 from iabtopo.graph import Commodity, Edge, EdgeKind, Node, NodeKind, build_graph
 from iabtopo.milp import SolverOptions
@@ -11,7 +13,7 @@ from iabtopo.oracle import (
     max_min_on_tree,
     validate_solution,
 )
-from iabtopo.problem import ProblemInstance, NetworkSolution, SolveStatus
+from iabtopo.problem import FixedPower, ProblemInstance, NetworkSolution, SolveStatus
 
 from conftest import coarse_table, random_small_instance, two_unit_graph, two_unit_instance
 
@@ -75,6 +77,95 @@ def test_bisection_is_feasibility_tight():
 
     assert load_at(z - 1e-6) <= 1.0
     assert load_at(z + 1e-6) > 1.0
+
+
+def _bisection_max_min(graph, tree_edges, capacities_mbps, ue_ids):
+    """Reference (max-min rate, feasibility test) by bisection on airtime.
+
+    A second method to check the closed form against: every
+    wireless tree edge takes airtime z * (UEs downstream) / capacity at
+    both endpoints, each node's budget is 1 (+1e-12 slack), and the search
+    stops at 1e-9 absolute.
+    """
+    ues = set(ue_ids)
+    parent_of = {dst: src for src, dst in tree_edges}
+    donor = graph.donor.id
+    n_down = {}
+    for ue in ues:
+        node = ue
+        while node != donor:
+            key = (parent_of[node], node)
+            n_down[key] = n_down.get(key, 0) + 1
+            node = key[0]
+    loads = [
+        (key, capacities_mbps[key], n)
+        for key, n in sorted(n_down.items())
+        if graph.edge(*key).kind is EdgeKind.WIRELESS
+    ]
+
+    def feasible(z):
+        load = {}
+        for (src, dst), c, n in loads:
+            a = z * n / c
+            load[src] = load.get(src, 0.0) + a
+            load[dst] = load.get(dst, 0.0) + a
+        return all(v <= 1.0 + 1e-12 for v in load.values())
+
+    lo, hi = 0.0, max(capacities_mbps.values()) + 1.0
+    if feasible(hi):
+        return hi, feasible
+    for _ in range(200):
+        if hi - lo <= 1e-9:
+            break
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, feasible
+
+
+def _random_tree_case(rng):
+    """A random tree, UE set and capacities on the two-unit or chain graph.
+
+    Capacities stay at or below 1000 Mbps, so the rate is too, and the
+    reference's 1e-12 relative slack stays inside a 1e-9 absolute match.
+    """
+    if rng.random() < 0.25:
+        g = _chain_graph()
+        tree, ues = [(0, 1), (1, 2), (2, 3), (3, 4)], [4]
+    else:
+        g = two_unit_graph()
+        ues = [ue for ue in (20, 21) if rng.random() < 0.7] or [20]
+        parents = {ue: int(rng.choice([1, 11])) for ue in ues}
+        tree = {(0, 1)} | {(f, ue) for ue, f in parents.items()}
+        if 11 in parents.values() or rng.random() < 0.3:
+            tree |= {(1, 10), (10, 11)}
+        tree = sorted(tree)
+    caps = {e.key: float(rng.uniform(1.0, 1000.0)) for e in g.wireless_edges}
+    return g, tree, caps, ues
+
+
+def test_closed_form_matches_bisection_reference():
+    rng = np.random.default_rng(2026)
+    for _ in range(250):
+        g, tree, caps, ues = _random_tree_case(rng)
+        z = max_min_on_tree(g, tree, caps, ues)
+        ref, feasible = _bisection_max_min(g, tree, caps, ues)
+        assert z == pytest.approx(ref, abs=1e-9)
+        assert feasible(z * (1 - 1e-9))
+        assert not feasible(z * (1 + 1e-9))
+
+
+def test_max_min_unreachable_ue_is_zero_and_unloaded_tree_unbounded():
+    g = two_unit_graph()
+    caps = {(1, 20): 100.0, (1, 21): 300.0}
+    # UE 20 sits outside the tree: unreachable, so no common rate.
+    assert max_min_on_tree(g, [(0, 1), (1, 21)], caps, [20]) == 0.0
+    assert max_min_on_tree(g, [(0, 1)], caps, []) == 0.0
+    # A target reached over wired hops only loads no airtime.
+    g = _chain_graph()
+    assert max_min_on_tree(g, [(0, 1)], {(1, 2): 50.0, (3, 4): 80.0}, [1]) == 81.0
 
 
 def test_zero_capacity_loaded_link_raises():
@@ -172,7 +263,7 @@ def test_milp_solutions_validate_clean():
 
 
 def test_fixed_power_milp_matches_tree_enumeration():
-    # With powers pinned, the solver's optimum must equal the bisection
+    # With powers pinned, the solver's optimum must equal the closed-form
     # max-min over every enumerable tree.
     from iabtopo.channel import RadioParams
     from iabtopo.problem import FixedPower
@@ -189,3 +280,134 @@ def test_fixed_power_milp_matches_tree_enumeration():
         raw = milp.solve(built.ir, SolverOptions(time_limit_s=30))
         z_oracle = enumerate_optimal_throughput(inst)
         assert raw.objective == pytest.approx(z_oracle, rel=1e-6, abs=1e-6)
+
+
+# Brute-force optima pinned as literals, so any rework of the enumeration
+# must reproduce them: (case, throughput, energy or None for NoFeasible).
+# Cases are built by `_pinned_instance`: "seedN" is a default-grid random
+# instance, "grid" a four-level grid, "fixedN" fixed powers, "heavy" an
+# instance whose demands no configuration meets.
+PINNED_OPTIMA = [
+    ('seed0', 613.4625315005446, 274.6684185446443),
+    ('seed1', 613.4625315005446, 199.01011639108657),
+    ('seed2', 1226.9250630010893, 272.9364958103786),
+    ('seed3', 1226.9250630010893, 272.7633428336143),
+    ('seed4', 408.9750210001769, 279.05637116119885),
+    ('seed5', 408.9750210001769, 314.53742164498857),
+    ('seed6', 613.4625315005446, 193.6681437380896),
+    ('seed7', 613.4625315005446, 273.27101097653076),
+    ('seed8', 1226.9250630010893, 270.1156824907951),
+    ('seed9', 380.090749854312, 239.93941294433992),
+    ('seed10', 408.9750210001769, 276.4634292689011),
+    ('seed11', 1226.9250630010893, 112.70463408503461),
+    ('seed12', 1226.9250630010893, 191.38743240228155),
+    ('seed13', 408.9750210001769, 279.8880150249115),
+    ('seed14', 408.9750210001769, 121.27053051539681),
+    ('seed15', 408.9750210001769, 279.61383413369714),
+    ('seed16', 613.4625315005446, 192.81513107809337),
+    ('seed17', 408.9750210001769, 274.0696396669663),
+    ('seed18', 613.4625315005446, 315.58502040386),
+    ('seed19', 613.4625315005446, 225.02848347220237),
+    ('grid', 403.3604795271341, 306.1731964762574),
+    ('fixed200', 613.4625315005446, 119.67331325051988),
+    ('fixed201', 408.9750210001769, 116.69177727119656),
+    ('fixed202', 613.4625315005446, 116.85398133030972),
+    ('fixed203', 408.9750210001769, 119.67053654026105),
+    ('fixed204', 531.9263722500053, 348.82214825290004),
+    ('fixed205', 0.0, None),
+    ('fixed206', 408.9750210001769, 235.978462527155),
+    ('fixed207', 1226.9250630010893, 115.54310323509307),
+    ('fixed208', 0.0, None),
+    ('fixed209', 930.5475952504734, 340.7643384159784),
+    ('heavy', 408.9750210001769, None),
+]
+
+
+def _pinned_instance(case: str) -> ProblemInstance:
+    kw = dict(table=default_table(), demand_range=(1.0, 400.0))
+    if case.startswith("seed"):
+        return random_small_instance(np.random.default_rng(int(case[4:])), **kw)
+    if case == "grid":
+        return random_small_instance(
+            np.random.default_rng(100), levels=(0.0, 2100.0, 4200.0, 6300.0), **kw
+        )
+    if case.startswith("fixed"):
+        rng = np.random.default_rng(int(case[5:]))
+        base = random_small_instance(rng, **kw)
+        fs = sorted(n.id for n in base.graph.frontends)
+        powers = {f: float(rng.choice([0.0, 3150.0, 6300.0])) for f in fs}
+        powers[fs[0]] = 6300.0
+        return base.with_power_mode(FixedPower(powers))
+    assert case == "heavy"
+    return random_small_instance(
+        np.random.default_rng(300), table=default_table(), demand_range=(600.0, 1200.0)
+    )
+
+
+@pytest.mark.parametrize("case, throughput, energy", PINNED_OPTIMA)
+def test_enumerated_optima_match_pinned_values(case, throughput, energy):
+    inst = _pinned_instance(case)
+    assert enumerate_optimal_throughput(inst) == pytest.approx(throughput, rel=1e-9)
+    if energy is None:
+        with pytest.raises(NoFeasible):
+            enumerate_optimal_energy(inst)
+    else:
+        assert enumerate_optimal_energy(inst) == pytest.approx(energy, rel=1e-12)
+
+
+def test_cached_gain_capacities_equal_link_budget_path():
+    rng = np.random.default_rng(77)
+    for k in range(10):
+        inst = random_small_instance(rng)
+        if k % 2:  # a noise floor strong enough to move the ladder step
+            inst = ProblemInstance(
+                graph=inst.graph,
+                commodities=inst.commodities,
+                radio=RadioParams(noise_mw=float(10 ** rng.uniform(-7.0, -4.0))),
+                capacity_table=default_table(),
+                power_mode=inst.power_mode,
+            )
+        capacities = oracle._capacity_model(inst)
+        frontends = [n.id for n in inst.graph.frontends]
+        for _ in range(5):
+            powers = {
+                f: float(rng.choice([0.0, rng.uniform(1.0, 6300.0)])) for f in frontends
+            }
+            caps = capacities(powers)
+            assert set(caps) == {e.key for e in inst.graph.wireless_edges}
+            for e in inst.graph.wireless_edges:
+                b = link_budget(e, powers, inst.graph, inst.radio)
+                _, expected = capacity_from_sinr(
+                    inst.capacity_table, b.signal_mw, b.interference_mw
+                )
+                assert caps[e.key] == expected
+
+
+@pytest.mark.parametrize(
+    "enumerate_optimal", [enumerate_optimal_throughput, enumerate_optimal_energy]
+)
+def test_enumeration_builds_each_tree_and_gain_once(monkeypatch, enumerate_optimal):
+    # Work counts, not times: one tree per distinct parent choice and one
+    # gain computation per wireless edge in a whole enumeration.
+    inst = random_small_instance(
+        np.random.default_rng(4), levels=(0.0, 2100.0, 4200.0, 6300.0)
+    )
+    trees, gains = {}, {}
+    build_tree = oracle._parent_chain_edges
+    coefficients = channel.interference_coefficients
+
+    def counting_tree(graph, ue_parent, unit_parent):
+        choice = (tuple(sorted(ue_parent.items())), tuple(sorted(unit_parent.items())))
+        trees[choice] = trees.get(choice, 0) + 1
+        return build_tree(graph, ue_parent, unit_parent)
+
+    def counting_gains(graph, edge, params):
+        gains[edge.key] = gains.get(edge.key, 0) + 1
+        return coefficients(graph, edge, params)
+
+    monkeypatch.setattr(oracle, "_parent_chain_edges", counting_tree)
+    monkeypatch.setattr(channel, "interference_coefficients", counting_gains)
+    enumerate_optimal(inst)
+    assert len(trees) > 10
+    assert set(trees.values()) == {1}
+    assert gains == {e.key: 1 for e in inst.graph.wireless_edges}
