@@ -8,7 +8,10 @@ Exit codes: 0 ok, 1 validation failure, 2 input error.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
+import itertools
 import json
 import math
 import sys
@@ -35,7 +38,7 @@ from .problem import (
     save_solution,
     solution_payload,
 )
-from .scenario import config_from_json, generate, load_profile_csv
+from .scenario import ScenarioConfig, config_from_json, generate, load_profile_csv
 
 RESULT_COLUMNS = [
     "hour",
@@ -107,6 +110,33 @@ def _build_instance(graph, config, demand_mbps, power_mode_name, levels, mcs_tab
     )
 
 
+def _search_flags(command):
+    """Declare the search flags; ``command`` gets ``options`` and ``prune`` instead."""
+
+    @functools.wraps(command)
+    def run(time_limit, global_budget, k0, k_max, levels, **kwargs):
+        options = SearchOptions(
+            solve_time_limit_s=time_limit, global_budget_s=global_budget, power_levels=levels
+        )
+        return command(options=options, prune=PruneParams(k0=k0, k_max=k_max), **kwargs)
+
+    for flag in (
+        click.option("--levels", type=int, default=9, show_default=True),
+        click.option("--k-max", type=int, default=10, show_default=True),
+        click.option("--k0", type=int, default=5, show_default=True),
+        click.option("--global-budget", type=float, default=2400.0, show_default=True),
+        click.option("--time-limit", type=float, default=60.0, show_default=True),
+    ):
+        run = flag(run)
+    return run
+
+
+def _exact_model(instance, problem):
+    if problem == "throughput":
+        return milp.build_throughput_model(instance)
+    return milp.build_energy_model(instance)
+
+
 def _run_method(instance, method, problem, options, prune):
     """Returns (solution, state-or-None)."""
     if method == "local-search":
@@ -116,11 +146,7 @@ def _run_method(instance, method, problem, options, prune):
     if method == "selective-reduction":
         solution, _k = heuristics.selective_reduction(instance, prune, problem, options)
         return solution, None
-    # exact
-    if problem == "throughput":
-        built = milp.build_throughput_model(instance)
-    else:
-        built = milp.build_energy_model(instance)
+    built = _exact_model(instance, problem)
     raw = milp.solve(built.ir, options.solver())
     return milp.extract_solution(built, raw), None
 
@@ -147,15 +173,11 @@ def _record(hour, method, problem, solution, graph, power_model, runtime_s) -> d
 
 def _error_record(hour, method, problem, exc, runtime_s) -> dict:
     return {
+        **dict.fromkeys(RESULT_COLUMNS, ""),
         "hour": hour,
         "method": method,
         "problem": problem,
         "status": f"error:{type(exc).__name__}",
-        "objective": "",
-        "min_ue_mbps": "",
-        "activated_frontends": "",
-        "p_total_w": "",
-        "eta_mbps_per_w": "",
         "runtime_s": f"{runtime_s:.3f}",
     }
 
@@ -195,12 +217,8 @@ def cmd_scenario_gen(config_path, profile_path, hour, out_path):
     default="continuous",
     show_default=True,
 )
-@click.option("--levels", type=int, default=9, show_default=True)
 @click.option("--mcs-table", type=click.Path(exists=True), default=None)
-@click.option("--time-limit", type=float, default=60.0, show_default=True)
-@click.option("--global-budget", type=float, default=2400.0, show_default=True)
-@click.option("--k0", type=int, default=5, show_default=True)
-@click.option("--k-max", type=int, default=10, show_default=True)
+@_search_flags
 @click.option("--out-solution", type=click.Path(), default=None)
 @click.option("--out-state", type=click.Path(), default=None)
 @click.option("--lp-out", type=click.Path(), default=None)
@@ -211,38 +229,26 @@ def cmd_solve(
     method,
     demand_mbps,
     power_mode,
-    levels,
     mcs_table,
-    time_limit,
-    global_budget,
-    k0,
-    k_max,
+    options,
+    prune,
     out_solution,
     out_state,
     lp_out,
 ):
     """Solve one problem on one graph file."""
-    from .scenario import ScenarioConfig
-
     try:
         graph = load_graph(graph_path)
         config = config_from_json(config_path) if config_path else ScenarioConfig()
         mode = _resolve_power_mode(power_mode, problem, method)
-        instance = _build_instance(graph, config, demand_mbps, mode, levels, mcs_table)
+        instance = _build_instance(
+            graph, config, demand_mbps, mode, options.power_levels, mcs_table
+        )
     except IabError as exc:
         _fail(str(exc))
 
-    options = SearchOptions(
-        solve_time_limit_s=time_limit, global_budget_s=global_budget, power_levels=levels
-    )
-    prune = PruneParams(k0=k0, k_max=k_max)
     if lp_out:
-        built = (
-            milp.build_throughput_model(instance)
-            if problem == "throughput"
-            else milp.build_energy_model(instance)
-        )
-        Path(lp_out).write_text(built.ir.lp_text())
+        Path(lp_out).write_text(_exact_model(instance, problem).ir.lp_text())
     start = time.monotonic()
     try:
         solution, state = _run_method(instance, method, problem, options, prune)
@@ -275,19 +281,24 @@ def _parse_hours(text: str) -> list[int]:
     return sorted(set(hours))
 
 
-def _sweep_one(args) -> tuple[dict, dict | None, SearchState | None]:
-    """One (hour, method, problem) run; returns (row, solution payload, search state)."""
-    (hour, method, problem, config, profile, demand, time_limit, global_budget, k0, k_max,
-     levels) = args
-    options = SearchOptions(
-        solve_time_limit_s=time_limit, global_budget_s=global_budget, power_levels=levels
-    )
-    prune = PruneParams(k0=k0, k_max=k_max)
+def _parse_names(text: str, allowed: tuple[str, ...], what: str) -> list[str]:
+    names = sorted(n.strip() for n in text.split(",") if n.strip())
+    for n in names:
+        if n not in allowed:
+            _fail(f"unknown {what} {n!r}")
+    return names
+
+
+def _sweep_one(
+    config, profile, demand_mbps, options, prune, task
+) -> tuple[dict, dict | None, SearchState | None]:
+    """One ``task`` (hour, method, problem); returns (row, solution payload, search state)."""
+    hour, method, problem = task
     start = time.monotonic()
     try:
         graph, _ = generate(config, profile, hour)
         mode = _resolve_power_mode("continuous", problem, method)
-        instance = _build_instance(graph, config, demand, mode, levels, None)
+        instance = _build_instance(graph, config, demand_mbps, mode, options.power_levels, None)
         solution, state = _run_method(instance, method, problem, options, prune)
     except Exception as exc:
         return _error_record(hour, method, problem, exc, time.monotonic() - start), None, None
@@ -304,11 +315,7 @@ def _sweep_one(args) -> tuple[dict, dict | None, SearchState | None]:
 @click.option("--problems", default="throughput", show_default=True)
 @click.option("--seed", type=int, required=True)
 @click.option("--demand-mbps", type=float, default=5.0, show_default=True)
-@click.option("--time-limit", type=float, default=60.0, show_default=True)
-@click.option("--global-budget", type=float, default=2400.0, show_default=True)
-@click.option("--k0", type=int, default=5, show_default=True)
-@click.option("--k-max", type=int, default=10, show_default=True)
-@click.option("--levels", type=int, default=9, show_default=True)
+@_search_flags
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--out-dir", required=True, type=click.Path())
 def cmd_sweep(
@@ -319,25 +326,22 @@ def cmd_sweep(
     problems,
     seed,
     demand_mbps,
-    time_limit,
-    global_budget,
-    k0,
-    k_max,
-    levels,
+    options,
+    prune,
     workers,
     out_dir,
 ):
-    """Generate each hour, run every method/problem, append result rows."""
-    hour_list = _parse_hours(hours)
-    method_list = [m.strip() for m in methods.split(",") if m.strip()]
-    problem_list = [p.strip() for p in problems.split(",") if p.strip()]
-    for m in method_list:
-        if m not in METHODS:
-            _fail(f"unknown method {m!r}")
-    for p in problem_list:
-        if p not in PROBLEMS:
-            _fail(f"unknown problem {p!r}")
+    """Generate each hour, run every method/problem, write each row as it finishes.
 
+    Tasks run in the row order of results.csv.  A task's row, solution
+    JSON and search-state CSV are written once it and every task before it
+    have finished, so an interrupted sweep keeps every finished row.
+    """
+    tasks = list(itertools.product(
+        _parse_hours(hours),
+        _parse_names(methods, METHODS, "method"),
+        _parse_names(problems, PROBLEMS, "problem"),
+    ))
     try:
         config = replace(config_from_json(config_path), seed=seed)
         profile = load_profile_csv(profile_path)
@@ -346,37 +350,26 @@ def cmd_sweep(
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [
-        (h, m, p, config, profile, demand_mbps, time_limit, global_budget, k0, k_max, levels)
-        for h in hour_list
-        for m in method_list
-        for p in problem_list
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_sweep_one, tasks))
-    else:
-        outputs = [_sweep_one(t) for t in tasks]
-
-    rows = []
-    for task, (row, payload, state) in zip(tasks, outputs):
-        hour, method, problem = task[0], task[1], task[2]
-        rows.append(row)
-        stem = f"hour{hour:03d}_{method}_{problem}"
-        if payload is not None:
-            with open(out / f"{stem}_solution.json", "w") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
-        if state is not None:
-            state.write_csv(out / f"{stem}_state.csv")
-
-    rows.sort(key=lambda r: (r["hour"], r["method"], r["problem"]))
+    run = functools.partial(_sweep_one, config, profile, demand_mbps, options, prune)
     results_path = out / "results.csv"
-    with open(results_path, "w", newline="") as fh:
+    with (
+        ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+    ) as pool, open(results_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
         writer.writeheader()
-        writer.writerows(rows)
-    click.echo(f"wrote {results_path} ({len(rows)} rows)")
+        fh.flush()
+        outputs = pool.map(run, tasks) if pool else map(run, tasks)
+        for (hour, method, problem), (row, payload, state) in zip(tasks, outputs):
+            stem = f"hour{hour:03d}_{method}_{problem}"
+            if payload is not None:
+                with open(out / f"{stem}_solution.json", "w") as sol:
+                    json.dump(payload, sol, indent=2)
+                    sol.write("\n")
+            if state is not None:
+                state.write_csv(out / f"{stem}_state.csv")
+            writer.writerow(row)
+            fh.flush()
+    click.echo(f"wrote {results_path} ({len(tasks)} rows)")
 
 
 # -- report -------------------------------------------------------------------
@@ -502,8 +495,6 @@ def cmd_report(results_path, states_dir, out_dir):
 @click.option("--mcs-table", type=click.Path(exists=True), default=None)
 def cmd_validate(solution_path, graph_path, config_path, demand_mbps, mcs_table):
     """Re-validate a solution JSON against its graph; exit 0 iff clean."""
-    from .scenario import ScenarioConfig
-
     try:
         graph = load_graph(graph_path)
         solution = load_solution(solution_path)

@@ -16,8 +16,6 @@ if TYPE_CHECKING:
     from .graph import MeasurementGraph
     from .problem import NetworkSolution
 
-_REL_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class PowerModelParams:

@@ -34,14 +34,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from . import milp, oracle
+from . import milp
 from .channel import RadioParams, serving_gains_dbi
-from .errors import (
-    BackendError,
-    DemandExceedsMaxMin,
-    NoFeasibleStart,
-    NoFeasibleWithinKmax,
-)
+from .errors import DemandExceedsMaxMin, NoFeasibleStart, NoFeasibleWithinKmax
 from .graph import Edge, MeasurementGraph, build_graph
 from .milp import SolverOptions
 from .problem import (
@@ -75,13 +70,10 @@ class SearchOptions:
 class PruneParams:
     k0: int = 5
     k_max: int = 10
-    step: int = 1
 
     def __post_init__(self):
         if not 1 <= self.k0 <= self.k_max:
             raise ValueError("need 1 <= k0 <= k_max")
-        if self.step < 1:
-            raise ValueError("step must be >= 1")
 
 
 @dataclass
@@ -126,10 +118,6 @@ class _Clock:
 
     def expired(self) -> bool:
         return self.remaining() <= 0
-
-
-def _objective_of(raw: milp.RawSolution) -> float | None:
-    return None if raw.values is None else raw.objective
 
 
 # Acceptance rules: (trial objective, best objective) -> take the move.
@@ -191,7 +179,7 @@ def _memo_solve(
                 rejected[key] = (built.ir.objective.sense, cutoff)
                 return _REJECTED
         raw = milp.solve(built.ir, options.solver(clock.remaining()))
-        z = _objective_of(raw)
+        z = raw.objective
         powers = {} if z is None else {
             fid: milp.frontend_power(built, raw, fid) for fid in built.power_reps.col
         }
@@ -251,10 +239,7 @@ def _finish(
     iteration: int,
     built: milp.BuiltModel,
     raw: milp.RawSolution,
-    what: str,
 ) -> tuple[NetworkSolution, SearchState]:
-    if _objective_of(raw) is None:
-        raise BackendError(f"final {what} solve ended {raw.status.value}")
     solution = milp.extract_solution(built, raw)
     state.curr_best_obj = solution.objective
     state.record(iteration + 1, clock.elapsed(), solution.objective)
@@ -308,7 +293,7 @@ def local_search_throughput(
     # solve, even when the sweep budget ran dry.
     built = milp.build_throughput_model(instance, fixed_powers=state.curr_best_sol)
     raw = milp.solve(built.ir, options.solver())
-    return _finish(state, clock, iteration, built, raw, "fixed-power")
+    return _finish(state, clock, iteration, built, raw)
 
 
 def local_search_energy(
@@ -345,7 +330,7 @@ def local_search_energy(
 
     built = milp.build_energy_model(instance, fixed_powers=state.curr_best_sol)
     raw = milp.solve(built.ir, options.solver())
-    return _finish(state, clock, iteration, built, raw, "energy")
+    return _finish(state, clock, iteration, built, raw)
 
 
 # -- selective reduction -------------------------------------------------------
@@ -389,16 +374,16 @@ def selective_reduction(
     """Solve the exact model on a top-k pruned edge set, widening k on infeasibility.
 
     Returns the solution and the retention count that produced it.  The
-    solution is re-validated against the unpruned instance (the model's
-    interference terms already span the full graph).
+    solution is extracted against the unpruned instance, so extraction's
+    oracle check covers the full graph (the model's interference terms
+    already span it).
     """
     if problem_kind not in (milp.THROUGHPUT, milp.ENERGY):
         raise ValueError(f"unknown problem kind {problem_kind!r}")
     options = options or SearchOptions()
     clock = _Clock(options.global_budget_s)
 
-    k = prune_params.k0
-    while k <= prune_params.k_max:
+    for k in range(prune_params.k0, prune_params.k_max + 1):
         pruned = prune_graph(instance.graph, k, instance.radio)
         retained = [e.key for e in pruned.edges]
         if problem_kind == milp.THROUGHPUT:
@@ -406,18 +391,8 @@ def selective_reduction(
         else:
             built = milp.build_energy_model(instance, routing_edges=retained)
         raw = milp.solve(built.ir, options.solver(clock.remaining()))
-        if raw.status is SolveStatus.INFEASIBLE:
-            k += prune_params.step
-            continue
-        if raw.values is None:
-            raise BackendError(f"pruned solve at k={k} ended {raw.status.value}")
-        solution = milp.extract_solution(built, raw)
-        report = oracle.validate_solution(instance, solution)
-        if not report.ok:
-            raise BackendError(
-                f"pruned solution invalid in full graph: {report.violations[:4]}"
-            )
-        return solution, k
+        if raw.status is not SolveStatus.INFEASIBLE:
+            return milp.extract_solution(built, raw), k
     raise NoFeasibleWithinKmax(
         f"infeasible for every retention count in [{prune_params.k0}, {prune_params.k_max}]"
     )

@@ -1,4 +1,4 @@
-"""Pluggable solve step; ships a HiGHS backend via scipy.optimize.milp."""
+"""The solve step: HiGHS through scipy.optimize.milp."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -42,8 +41,6 @@ class RawSolution:
             raise BackendError("no incumbent values available")
         return float(self.values[idx])
 
-
-Backend = Callable[[ModelIR, SolverOptions], RawSolution]
 
 try:
     _LIBC = ctypes.CDLL(None)
@@ -146,8 +143,8 @@ def beats(sense: str, objective: float, cutoff: float) -> bool:
     return objective < cutoff if sense == "min" else objective > cutoff
 
 
-def solve(ir: ModelIR, options: SolverOptions | None = None, backend: Backend | None = None) -> RawSolution:
-    """Run the model through a backend (default: scipy/HiGHS).
+def solve(ir: ModelIR, options: SolverOptions | None = None) -> RawSolution:
+    """Run the model through HiGHS.
 
     Under ``options.cutoff`` a proven result that does not strictly beat
     the cutoff is ``CUTOFF``, without values: it means only that nothing
@@ -155,7 +152,7 @@ def solve(ir: ModelIR, options: SolverOptions | None = None, backend: Backend | 
     at a worse point (it also ignores the bound on pure LPs).
     """
     options = options or SolverOptions()
-    raw = (backend or _scipy_backend)(ir, options)
+    raw = _scipy_backend(ir, options)
     cutoff = options.cutoff
     if cutoff is None or raw.status not in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
         return raw

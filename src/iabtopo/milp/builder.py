@@ -162,7 +162,6 @@ class BuiltModel:
     routing_wired: tuple[Edge, ...]
     power_reps: _Reps
     alpha: dict[EdgeKey, int]
-    use: dict[EdgeKey, int]
     cap: dict[EdgeKey, int]
     flow: dict[tuple[int, EdgeKey], int]
     phi_vars: dict[EdgeKey, tuple[int, ...]]
@@ -407,7 +406,6 @@ def _build(
         routing_wired=wired,
         power_reps=reps,
         alpha=dict(zip(keys, alpha.tolist())),
-        use=dict(zip(keys, use.tolist())),
         cap=dict(zip(keys, cap.tolist())),
         flow=dict(zip(((c.id, e.key) for c in commodities for e in routing), flow_vars)),
         phi_vars={

@@ -195,6 +195,91 @@ def test_sweep_determinism_modulo_runtime(workspace):
     assert rows[0] == rows[1]
 
 
+def _sweep_args(cfg, profile, out_dir, *extra):
+    return ["sweep", "--config", str(cfg), "--profile", str(profile), "--seed", "3",
+            "--demand-mbps", "2", "--time-limit", "15", "--global-budget", "60",
+            "--levels", "3", "--out-dir", str(out_dir), *extra]
+
+
+def _rows_without_runtime(out_dir):
+    with open(out_dir / "results.csv", newline="") as fh:
+        return [{k: v for k, v in r.items() if k != "runtime_s"} for r in csv.DictReader(fh)]
+
+
+def test_interrupted_sweep_keeps_finished_rows(workspace, monkeypatch):
+    # KeyboardInterrupt is no Exception, so no error row absorbs it: the
+    # second task ends the sweep, and the first task's output must stay.
+    tmp, cfg, profile = workspace
+    search = heuristics.local_search_throughput
+    calls = []
+
+    def interrupt_second(instance, options=None):
+        calls.append(instance)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return search(instance, options)
+
+    monkeypatch.setattr(heuristics, "local_search_throughput", interrupt_second)
+    out_dir = tmp / "sweep"
+    result = CliRunner().invoke(main, _sweep_args(
+        cfg, profile, out_dir, "--hours", "9,10", "--methods", "local-search",
+        "--problems", "throughput",
+    ))
+    assert result.exit_code != 0
+    with open(out_dir / "results.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == RESULT_COLUMNS
+    assert len(rows) == 2
+    assert rows[1][:4] == ["9", "local-search", "throughput", "optimal"]
+    assert (out_dir / "hour009_local-search_throughput_solution.json").exists()
+    assert not (out_dir / "hour010_local-search_throughput_solution.json").exists()
+
+
+def test_pool_sweep_matches_serial_sweep(workspace):
+    tmp, cfg, profile = workspace
+    outputs = []
+    for workers in ("1", "2"):
+        out_dir = tmp / f"workers{workers}"
+        # Problems listed out of row order: rows still come out sorted.
+        result = _run(_sweep_args(
+            cfg, profile, out_dir, "--hours", "0,9,10", "--methods", "local-search",
+            "--problems", "energy,throughput", "--workers", workers,
+        ))
+        assert result.exit_code == 0, result.output
+        solutions = {p.name: p.read_text() for p in sorted(out_dir.glob("*_solution.json"))}
+        outputs.append((_rows_without_runtime(out_dir), solutions))
+    rows, solutions = outputs[0]
+    assert [(r["hour"], r["problem"]) for r in rows] == [
+        (h, p) for h in ("0", "9", "10") for p in ("energy", "throughput")
+    ]
+    assert len(solutions) == 6
+    assert outputs[1] == outputs[0]
+
+
+def test_solve_matches_its_sweep_row(workspace):
+    tmp, cfg, profile = workspace
+    graph_path = tmp / "g.json"
+    _run(["scenario-gen", "--config", str(cfg), "--profile", str(profile),
+          "--hour", "10", "--out", str(graph_path)])
+    out_dir = tmp / "sweep"
+    result = _run(_sweep_args(
+        cfg, profile, out_dir, "--hours", "10", "--methods", "local-search",
+        "--problems", "throughput,energy",
+    ))
+    assert result.exit_code == 0, result.output
+    for row in _rows_without_runtime(out_dir):
+        assert row["status"] == "optimal"
+        result = _run(["solve", "--graph", str(graph_path), "--config", str(cfg),
+                       "--problem", row["problem"], "--method", row["method"],
+                       "--demand-mbps", "2", "--time-limit", "15",
+                       "--global-budget", "60", "--levels", "3"])
+        assert result.exit_code == 0, result.output
+        assert (
+            f"status={row['status']} objective={row['objective']} "
+            f"min_ue={row['min_ue_mbps']} activated={row['activated_frontends']} "
+        ) in result.output
+
+
 def test_sweep_rejects_bad_profile(workspace):
     tmp, cfg, _profile = workspace
     bad = tmp / "bad_profile.csv"

@@ -181,9 +181,9 @@ def test_cutoff_leaves_every_search_answer_unchanged(monkeypatch):
 
     solve = milp.solve
 
-    def without_cutoff(ir, options=None, backend=None):
+    def without_cutoff(ir, options=None):
         options = dataclasses.replace(options or SolverOptions(), cutoff=None)
-        return solve(ir, options, backend)
+        return solve(ir, options)
 
     monkeypatch.setattr(milp, "solve", without_cutoff)
     without = [_search_outcome(f, inst) for inst in instances for f in searches]
