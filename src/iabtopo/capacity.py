@@ -210,11 +210,8 @@ def load_table(path) -> CapacityTable:
 @lru_cache(maxsize=None)
 def _reference_table() -> CapacityTable:
     resource = importlib.resources.files("iabtopo").joinpath("data", _DEFAULT_TABLE_RESOURCE)
-    entries: list[McsEntry] = []
-    lines = resource.read_text().strip().splitlines()
-    for row in csv.reader(lines[1:]):
-        entries.append(McsEntry(int(row[0]), float(row[1]), float(row[2])))
-    return CapacityTable(entries=tuple(entries))
+    with importlib.resources.as_file(resource) as path:
+        return load_table(path)
 
 
 def default_table(

@@ -118,7 +118,11 @@ def _search_flags(command):
         options = SearchOptions(
             solve_time_limit_s=time_limit, global_budget_s=global_budget, power_levels=levels
         )
-        return command(options=options, prune=PruneParams(k0=k0, k_max=k_max), **kwargs)
+        try:
+            prune = PruneParams(k0=k0, k_max=k_max)
+        except ValueError as exc:
+            _fail(f"--k0 {k0} --k-max {k_max}: {exc}")
+        return command(options=options, prune=prune, **kwargs)
 
     for flag in (
         click.option("--levels", type=int, default=9, show_default=True),

@@ -10,7 +10,6 @@ are capacity-free.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
@@ -179,10 +178,6 @@ class MeasurementGraph:
             if e.dst == dst:
                 return e
         return None
-
-    def distance(self, a: int, b: int) -> float:
-        pa, pb = self.node(a).pos, self.node(b).pos
-        return math.dist(pa, pb)
 
 
 def build_graph(nodes: Iterable[Node], edges: Iterable[Edge]) -> MeasurementGraph:

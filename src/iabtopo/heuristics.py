@@ -180,9 +180,7 @@ def _memo_solve(
                 return _REJECTED
         raw = milp.solve(built.ir, options.solver(clock.remaining()))
         z = raw.objective
-        powers = {} if z is None else {
-            fid: milp.frontend_power(built, raw, fid) for fid in built.power_reps.col
-        }
+        powers = {} if z is None else milp.frontend_powers(built, raw)
         if raw.status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
             seen[key] = (z, powers)
         return z, powers

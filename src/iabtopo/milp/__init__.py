@@ -17,7 +17,7 @@ from .builder import (
     build_energy_model,
     build_throughput_model,
 )
-from .extract import extract_solution, frontend_power
+from .extract import extract_solution, frontend_powers
 from .ir import ModelIR, Sense, VarKind
 
 __all__ = [
@@ -40,6 +40,6 @@ __all__ = [
     "build_throughput_model",
     "default_power_levels",
     "extract_solution",
-    "frontend_power",
+    "frontend_powers",
     "solve",
 ]

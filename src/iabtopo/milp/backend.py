@@ -15,7 +15,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from ..errors import BackendError
 from ..problem import SolveStatus
-from .ir import ModelIR, VarKind
+from .ir import ModelIR
 
 
 @dataclass(frozen=True)
@@ -35,11 +35,6 @@ class RawSolution:
     values: np.ndarray | None
     objective: float | None
     gap: float = 0.0
-
-    def value(self, idx: int) -> float:
-        if self.values is None:
-            raise BackendError("no incumbent values available")
-        return float(self.values[idx])
 
 
 try:
@@ -80,9 +75,6 @@ def _scipy_backend(ir: ModelIR, options: SolverOptions) -> RawSolution:
     minimize = ir.objective.sense == "min"
     c = np.zeros(n)
     c[ir.objective.cols] = ir.objective.coefs if minimize else -ir.objective.coefs
-    integrality = np.array([v.kind is VarKind.BINARY for v in ir.variables], dtype=float)
-    lb = np.array([v.lb for v in ir.variables], dtype=float)
-    ub = np.array([v.ub for v in ir.variables], dtype=float)
 
     constraints = []
     if ir.num_rows:
@@ -111,8 +103,8 @@ def _scipy_backend(ir: ModelIR, options: SolverOptions) -> RawSolution:
             res = milp(
                 c=c,
                 constraints=constraints,
-                integrality=integrality,
-                bounds=Bounds(lb, ub),
+                integrality=ir.binary.astype(float),
+                bounds=Bounds(ir.lb, ir.ub),
                 options=highs_options,
             )
     except Exception as exc:  # scipy raises on malformed inputs only

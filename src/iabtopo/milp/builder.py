@@ -154,6 +154,14 @@ class _Reps(NamedTuple):
 
 @dataclass
 class BuiltModel:
+    """A model with its column layout; edge arrays follow ``routing_wireless``.
+
+    Wireless edge j's columns start at ``v0[j]``: alpha, use, cap, then
+    the ``phi`` binaries of ladder levels ``floor[j]`` to ``top[j] - 1``.
+    ``flows[k, j]`` is commodity k's flow column on routing edge j of
+    ``routing_wireless + routing_wired``.
+    """
+
     problem: str
     ir: ModelIR
     instance: ProblemInstance
@@ -161,11 +169,10 @@ class BuiltModel:
     routing_wireless: tuple[Edge, ...]
     routing_wired: tuple[Edge, ...]
     power_reps: _Reps
-    alpha: dict[EdgeKey, int]
-    cap: dict[EdgeKey, int]
-    flow: dict[tuple[int, EdgeKey], int]
-    phi_vars: dict[EdgeKey, tuple[int, ...]]
-    phi_floor: dict[EdgeKey, int]  # ladder levels every power choice meets
+    v0: np.ndarray
+    floor: np.ndarray  # ladder levels every power choice meets while on
+    top: np.ndarray  # first ladder level no power choice meets
+    flows: np.ndarray
 
 
 def build_throughput_model(
@@ -379,11 +386,10 @@ def _build(
     routing = wireless + wired
     flow_kind = VarKind.BINARY if problem == ENERGY else VarKind.CONTINUOUS
     flow_ub = 1.0 if problem == ENERGY else instance.capacity_table.max_capacity_mbps
-    flow_vars = ir.add_vars(
+    flows = np.asarray(ir.add_vars(
         [f"f[k{c.id},{e.src}->{e.dst}]" for c in commodities for e in routing],
         flow_kind, 0.0, flow_ub,
-    )
-    flows = np.asarray(flow_vars, dtype=np.int64).reshape(len(commodities), len(routing))
+    ), dtype=np.int64).reshape(len(commodities), len(routing))
     _emit_conservation(ir, g, problem, commodities, routing, flows)
 
     # Wireless capacity caps aggregate (demand-weighted) flow.
@@ -396,29 +402,13 @@ def _build(
         np.concatenate([np.repeat(weight, n_wl), -np.ones(n_wl)]),
     )
 
-    keys = [e.key for e in wireless]
     built = BuiltModel(
-        problem=problem,
-        ir=ir,
-        instance=instance,
-        commodities=commodities,
-        routing_wireless=wireless,
-        routing_wired=wired,
-        power_reps=reps,
-        alpha=dict(zip(keys, alpha.tolist())),
-        cap=dict(zip(keys, cap.tolist())),
-        flow=dict(zip(((c.id, e.key) for c in commodities for e in routing), flow_vars)),
-        phi_vars={
-            k: tuple(range(v + 3, v + 3 + t - f))
-            for k, v, f, t in zip(keys, v0.tolist(), lad.floor.tolist(), lad.top.tolist())
-        },
-        phi_floor=dict(zip(keys, lad.floor.tolist())),
+        problem, ir, instance, commodities, wireless, wired, reps, v0, lad.floor, lad.top, flows
     )
-
     if problem == ENERGY:
-        _finish_energy(built, reps, lad, v0, flows)
+        _finish_energy(built, lad)
     else:
-        _finish_throughput(built, reps, lad, v0, flows)
+        _finish_throughput(built, lad)
     return built
 
 
@@ -591,10 +581,8 @@ def _emit_conservation(ir, g, problem, commodities, routing, flows) -> None:
     ir.add_rows(names, Sense.EQ, rhs, *out.coo())
 
 
-def _finish_throughput(
-    built: BuiltModel, reps: _Reps, lad: _Ladders, v0: np.ndarray, flows: np.ndarray
-) -> None:
-    ir = built.ir
+def _finish_throughput(built: BuiltModel, lad: _Ladders) -> None:
+    ir, reps, v0, flows = built.ir, built.power_reps, built.v0, built.flows
     commodities = built.commodities
     c_max = built.instance.capacity_table.max_capacity_mbps
     (z,) = ir.add_vars(["Z"], VarKind.CONTINUOUS, 0.0, c_max)
@@ -620,10 +608,8 @@ def _finish_throughput(
     ir.set_objective("max", [z], [1.0])
 
 
-def _finish_energy(
-    built: BuiltModel, reps: _Reps, lad: _Ladders, v0: np.ndarray, flows: np.ndarray
-) -> None:
-    ir = built.ir
+def _finish_energy(built: BuiltModel, lad: _Ladders) -> None:
+    ir, reps, v0, flows = built.ir, built.power_reps, built.v0, built.flows
     instance = built.instance
     g = instance.graph
     pm = instance.power_model

@@ -11,123 +11,109 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .. import oracle
-from ..capacity import ladder_position
 from ..channel import link_budget
 from ..errors import BackendError, ExtractionMismatch
 from ..graph import EdgeKey
 from ..problem import NetworkSolution, SolveStatus
 from .backend import RawSolution
-from .builder import ENERGY, MIN_ON_POWER_FRACTION, BuiltModel
+from .builder import ENERGY, MIN_ON_POWER_FRACTION, BuiltModel, _spread
+from .ir import ModelIR
 
 _BIN_TOL = 1e-6
 _FLOW_TOL = 1e-6
-# Matches the oracle's level-granting slack (solver row tolerance).
-_BOUNDARY_SLACK = 1e-4
 
 
-def _value(raw: RawSolution, idx: int) -> float:
-    return float(raw.values[idx])
+def _bits(ir: ModelIR, values: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``values[cols]`` as 0/1 flags; a value off an integer by over 1e-6 raises."""
+    v = values[cols]
+    off = np.abs(v - np.rint(v)) > _BIN_TOL
+    if off.any():
+        k = int(np.argmax(off))
+        raise ExtractionMismatch(
+            f"{ir.var_names[cols.flat[k]]}: binary value {v.flat[k]} "
+            "not within 1e-6 of an integer"
+        )
+    return v > 0.5
 
 
-def _binary(raw: RawSolution, idx: int, what: str) -> int:
-    v = _value(raw, idx)
-    r = round(v)
-    if abs(v - r) > _BIN_TOL:
-        raise ExtractionMismatch(f"{what}: binary value {v} not within 1e-6 of an integer")
-    return int(r)
-
-
-def frontend_power(built: BuiltModel, raw: RawSolution, fid: int) -> float:
-    """Effective transmit power of one frontend in a solved model.
+def frontend_powers(built: BuiltModel, raw: RawSolution) -> dict[int, float]:
+    """Effective transmit power of every frontend in a solved model, by id.
 
     Continuous powers under the model's minimum-on threshold mean "off"
     (they grant no ladder level) and are snapped to exactly zero.
     """
     reps = built.power_reps
-    j = reps.col[fid]
-    if reps.cont[j] >= 0:
-        p = max(_value(raw, int(reps.cont[j])), 0.0)
-        if p < MIN_ON_POWER_FRACTION * built.instance.radio.p_max_mw:
-            p = 0.0
-        return p
-    levels, binaries = reps.levels.group(j)
-    if not len(binaries):  # a constant
-        return float(reps.lo[j])
-    return sum(
-        lvl * _binary(raw, idx, f"power level of {fid}")
-        for lvl, idx in zip(levels.tolist(), binaries.tolist())
-    )
+    levels = reps.levels
+    p = reps.lo.copy()  # a constant's power; 0 where level binaries or ptx give it
+    owner, _ = _spread(np.diff(levels.ptr))
+    np.add.at(p, owner, levels.coefs * _bits(built.ir, raw.values, levels.cols))
+    cont = reps.cont >= 0
+    pc = np.maximum(raw.values[reps.cont[cont]], 0.0)
+    p[cont] = np.where(pc < MIN_ON_POWER_FRACTION * built.instance.radio.p_max_mw, 0.0, pc)
+    return dict(zip(reps.col, p.tolist()))
 
 
 def extract_solution(built: BuiltModel, raw: RawSolution) -> NetworkSolution:
     if raw.values is None:
         raise BackendError(f"cannot extract from status {raw.status.value} without values")
+    x, ir = raw.values, built.ir
 
-    powers: dict[int, float] = {}
-    activations: dict[int, int] = {}
-    for fid, act in zip(built.power_reps.col, built.power_reps.act.tolist()):
-        p = frontend_power(built, raw, fid)
-        powers[fid] = p
-        if built.problem == ENERGY:
-            activations[fid] = 0 if act < 0 else _binary(raw, act, f"act[{fid}]")
-        else:
-            activations[fid] = 1 if p > 0 else 0
+    powers = frontend_powers(built, raw)
+    if built.problem == ENERGY:
+        act = built.power_reps.act
+        on = np.zeros(len(act), dtype=bool)
+        on[act >= 0] = _bits(ir, x, act[act >= 0])
+    else:
+        on = np.array(list(powers.values())) > 0
+    activations = dict(zip(powers, on.astype(int).tolist()))
 
     # Flows and chosen edges.
-    flows: dict[int, dict[EdgeKey, float]] = {}
-    chosen: set[EdgeKey] = set()
-    routing = built.routing_wireless + built.routing_wired
-    for comm in built.commodities:
-        per_edge: dict[EdgeKey, float] = {}
-        for e in routing:
-            idx = built.flow[(comm.id, e.key)]
-            if built.problem == ENERGY:
-                v = float(_binary(raw, idx, f"f[k{comm.id},{e.key}]"))
-            else:
-                v = max(_value(raw, idx), 0.0)
-                if v < _FLOW_TOL:
-                    v = 0.0
-            if v:
-                per_edge[e.key] = v
-                chosen.add(e.key)
-        flows[comm.id] = per_edge
+    if built.problem == ENERGY:
+        f = _bits(ir, x, built.flows).astype(float)
+    else:
+        f = x[built.flows]
+        f = np.where(f >= _FLOW_TOL, f, 0.0)
+    keys = [e.key for e in built.routing_wireless + built.routing_wired]
+    flows: dict[int, dict[EdgeKey, float]] = {
+        comm.id: {k: v for k, v in zip(keys, row) if v}
+        for comm, row in zip(built.commodities, f.tolist())
+    }
+    used = (f != 0).any(axis=0).tolist()
+    chosen = {k for k, u in zip(keys, used) if u}
 
-    airtimes: dict[EdgeKey, float] = {}
-    capacities: dict[EdgeKey, float] = {}
-    for e in built.routing_wireless:
-        if e.key in chosen:
-            airtimes[e.key] = min(max(_value(raw, built.alpha[e.key]), 0.0), 1.0)
-            capacities[e.key] = max(_value(raw, built.cap[e.key]), 0.0)
-        else:
-            airtimes[e.key] = 0.0
-            capacities[e.key] = 0.0
+    n_wl = len(built.routing_wireless)
+    alpha, cap = x[built.v0].tolist(), x[built.v0 + 2].tolist()
+    airtimes = {
+        k: min(max(a, 0.0), 1.0) if u else 0.0 for k, a, u in zip(keys, alpha, used[:n_wl])
+    }
+    capacities = {k: max(c, 0.0) if u else 0.0 for k, c, u in zip(keys, cap, used[:n_wl])}
 
     # Ladder levels against a direct SINR recompute.  The solver may leave
     # an indicator at 0 despite a met threshold (a within-tolerance
     # violation on an unused edge, which only wastes capacity); granting a
     # level the physics denies is the bug this check exists to catch.
     table = built.instance.capacity_table
-    for e in built.routing_wireless:
-        floor = built.phi_floor[e.key]
+    n_phi = built.top - built.floor
+    e_of, j = _spread(n_phi)
+    phi = _bits(ir, x, built.v0[e_of] + 3 + j).tolist()
+    ends = np.cumsum(n_phi).tolist()
+    for e, floor, a, b in zip(built.routing_wireless, built.floor.tolist(), [0] + ends, ends):
         # The floor's levels hold only while the source transmits.
         model_count = floor if powers[e.src] > 0 else 0
-        for i, idx in enumerate(built.phi_vars[e.key], start=floor):
-            b = _binary(raw, idx, f"phi[{e.key},{i}]")
-            if b and model_count < i:
+        for i, bit in enumerate(phi[a:b], start=floor):
+            if bit and model_count < i:
                 raise ExtractionMismatch(f"phi chain broken on edge {e.key} at level {i}")
-            model_count += b
+            model_count += bit
         budget = link_budget(e, powers, built.instance.graph, built.instance.radio)
-        pos = ladder_position(table, budget.signal_mw, budget.interference_mw)
-        direct_count = 0 if pos is None else pos + 1
-        for j in range(direct_count, model_count):
-            th = table.thresholds_linear[j]
-            lhs, rhs = budget.signal_mw, th * budget.interference_mw
-            if abs(lhs - rhs) > _BOUNDARY_SLACK * max(lhs, rhs, 1e-30):
-                raise ExtractionMismatch(
-                    f"edge {e.key}: model grants {model_count} ladder levels, "
-                    f"direct recompute grants {direct_count}"
-                )
+        granted = oracle.granted_levels(table, budget.signal_mw, budget.interference_mw)
+        if model_count > granted:
+            raise ExtractionMismatch(
+                f"edge {e.key}: model grants {model_count} ladder levels, "
+                f"direct recompute grants {granted}"
+            )
 
     per_ue: dict[int, float] = {}
     for comm in built.commodities:

@@ -2,13 +2,15 @@
 
 Holds variables, linear constraints and a linear objective, plus the
 rows of big-M indicator implications and binary-times-continuous
-products.  Variables are declared a block at a time.  Constraint rows
-live in COO buffers (flat row, column and coefficient arrays, plus each
-row's name, sense and right-hand side) that are appended a block of rows
-at a time and handed to the backend as arrays.  Rows touching
-physically tiny coefficients (received powers in mW) can be normalized
-so the largest magnitude per row is 1, which keeps solver feasibility
-tolerances meaningful.
+products.  Variables are declared a block at a time and live as arrays:
+a name list plus one ``binary``, ``lb`` and ``ub`` entry per column, read
+by column index from the builder through the backend to extraction.
+Constraint rows live in COO buffers (flat row, column and coefficient
+arrays, plus each row's name, sense and right-hand side) that are
+appended a block of rows at a time and handed to the backend as arrays.
+Rows touching physically tiny coefficients (received powers in mW) can
+be normalized so the largest magnitude per row is 1, which keeps solver
+feasibility tolerances meaningful.
 """
 
 from __future__ import annotations
@@ -36,15 +38,6 @@ class Sense(str, Enum):
 
 _SENSES = (Sense.LE, Sense.EQ, Sense.GE)  # row sense codes 0, 1, 2
 SENSE_CODE = {s: np.int8(i) for i, s in enumerate(_SENSES)}
-
-
-@dataclass(slots=True)
-class Var:
-    idx: int
-    name: str
-    kind: VarKind
-    lb: float
-    ub: float
 
 
 @dataclass(frozen=True)
@@ -99,10 +92,12 @@ class ModelIR:
 
     def __init__(self, name: str = "model"):
         self.name = name
-        self.variables: list[Var] = []
+        self.var_names: list[str] = []
+        self.binary = np.zeros(0, dtype=bool)
+        self.lb = np.zeros(0)
+        self.ub = np.zeros(0)
         self.objective = Objective()
         self.row_names: list[str] = []
-        self._by_name: dict[str, int] = {}
         empty = np.zeros(0, dtype=np.int64)
         # (rows, cols, coefs, sense codes, rhs) per block of rows
         self._chunks: list[tuple[np.ndarray, ...]] = [
@@ -121,24 +116,25 @@ class ModelIR:
     ) -> range:
         """Declare one variable per name; ``kind``, ``lb`` and ``ub`` broadcast."""
         n = len(names)
-        start = len(self.variables)
+        start = self.num_vars
         kinds = [kind] * n if isinstance(kind, VarKind) else list(kind)
         lbs = np.full(n, lb, dtype=float) if np.isscalar(lb) else np.array(lb, dtype=float)
         ubs = np.full(n, ub, dtype=float) if np.isscalar(ub) else np.array(ub, dtype=float)
         binary = np.array([k is VarKind.BINARY for k in kinds], dtype=bool)
         lbs[binary] = np.maximum(lbs[binary], 0.0)
         ubs[binary] = np.minimum(ubs[binary], 1.0)
-        if len(set(names)) < n or not self._by_name.keys().isdisjoint(names):
-            seen = set(self._by_name)
+        seen = set(self.var_names)
+        if len(set(names)) < n or not seen.isdisjoint(names):
             dup = next(x for x in names if x in seen or seen.add(x))
             raise ValueError(f"variable {dup!r} already declared")
         if (lbs > ubs).any():
             i = int(np.argmax(lbs > ubs))
             raise ValueError(f"variable {names[i]!r}: lb {lbs[i]} above ub {ubs[i]}")
-        idx = range(start, start + n)
-        self.variables += map(Var, idx, names, kinds, lbs.tolist(), ubs.tolist())
-        self._by_name.update(zip(names, idx))
-        return idx
+        self.var_names += names
+        self.binary = np.concatenate([self.binary, binary])
+        self.lb = np.concatenate([self.lb, lbs])
+        self.ub = np.concatenate([self.ub, ubs])
+        return range(start, start + n)
 
     # -- constraints ------------------------------------------------------
 
@@ -166,11 +162,11 @@ class ModelIR:
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         coefs = _filled(coefs, len(rows))
-        bad = (cols < 0) | (cols >= len(self.variables))
+        bad = (cols < 0) | (cols >= self.num_vars)
         if bad.any():
             k = int(np.argmax(bad))
             raise ValueError(f"constraint {names[rows[k]]!r}: unknown variable index {cols[k]}")
-        rows, cols, coefs = _merge(rows, cols, coefs, len(self.variables))
+        rows, cols, coefs = _merge(rows, cols, coefs, self.num_vars)
         codes = np.full(n, SENSE_CODE[sense]) if isinstance(sense, Sense) else sense.astype(np.int8)
         rhs = _filled(rhs, n)
         if np.any(normalize) and len(rows):
@@ -191,11 +187,11 @@ class ModelIR:
         if sense not in ("min", "max"):
             raise ValueError(f"objective sense {sense!r}")
         cols = np.asarray(cols, dtype=np.int64)
-        if ((cols < 0) | (cols >= len(self.variables))).any():
+        if ((cols < 0) | (cols >= self.num_vars)).any():
             raise ValueError("objective: unknown variable index")
         _, cols, coefs = _merge(
             np.zeros(len(cols), dtype=np.int64), cols, np.asarray(coefs, dtype=float),
-            len(self.variables),
+            self.num_vars,
         )
         self.objective = Objective(sense, cols, coefs, constant)
 
@@ -203,7 +199,7 @@ class ModelIR:
 
     @property
     def num_vars(self) -> int:
-        return len(self.variables)
+        return len(self.var_names)
 
     @property
     def num_rows(self) -> int:
@@ -246,7 +242,7 @@ class ModelIR:
                 return "0"
             parts = []
             for coeff, idx in terms:
-                name = self.variables[idx].name
+                name = self.var_names[idx]
                 sign = "-" if coeff < 0 else "+"
                 parts.append(f"{sign} {abs(coeff):.12g} {name}")
             text = " ".join(parts)
@@ -260,11 +256,11 @@ class ModelIR:
         for i, con in enumerate(self.constraints):
             lines.append(f" c{i}_{con.name}: {expr(con.terms)} {op[con.sense]} {con.rhs:.12g}")
         lines.append("Bounds")
-        for v in self.variables:
-            lo = "-inf" if v.lb == -math.inf else f"{v.lb:.12g}"
-            hi = "+inf" if v.ub == math.inf else f"{v.ub:.12g}"
-            lines.append(f" {lo} <= {v.name} <= {hi}")
-        binaries = [v.name for v in self.variables if v.kind is VarKind.BINARY]
+        for name, lb, ub in zip(self.var_names, self.lb.tolist(), self.ub.tolist()):
+            lo = "-inf" if lb == -math.inf else f"{lb:.12g}"
+            hi = "+inf" if ub == math.inf else f"{ub:.12g}"
+            lines.append(f" {lo} <= {name} <= {hi}")
+        binaries = [self.var_names[i] for i in np.flatnonzero(self.binary).tolist()]
         if binaries:
             lines.append("Binaries")
             lines.append(" " + " ".join(binaries))

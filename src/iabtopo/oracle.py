@@ -353,23 +353,31 @@ class ValidationReport:
     recomputed_objective: float | None
 
 
+def granted_levels(table: CapacityTable, signal_mw: float, interference_mw: float) -> int:
+    """Ladder levels met with relative slack on each threshold comparison.
+
+    Level i holds when S >= th_i*I - slack*max(S, th_i*I); thresholds
+    increase, so the levels that hold are the lowest ones.
+    """
+    if signal_mw <= 0:
+        return 0
+    if interference_mw <= 0:
+        return len(table.entries)
+    count = 0
+    for th in table.thresholds_linear:
+        rhs = th * interference_mw
+        if signal_mw < rhs - _LEVEL_SLACK * max(signal_mw, rhs):
+            break
+        count += 1
+    return count
+
+
 def _granted_capacity(
     table: CapacityTable, signal_mw: float, interference_mw: float
 ) -> float:
-    """Ladder capacity with relative slack on the threshold comparison."""
-    if signal_mw <= 0:
-        return 0.0
-    if interference_mw <= 0:
-        return table.max_capacity_mbps
-    best = 0.0
-    for entry in table.entries:
-        lhs = signal_mw
-        rhs = entry.threshold_linear * interference_mw
-        if lhs >= rhs - _LEVEL_SLACK * max(lhs, rhs):
-            best = entry.capacity_mbps
-        else:
-            break
-    return best
+    """Capacity of the highest level ``granted_levels`` grants, or 0."""
+    n = granted_levels(table, signal_mw, interference_mw)
+    return table.capacities_mbps[n - 1] if n else 0.0
 
 
 def validate_solution(

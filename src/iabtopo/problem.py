@@ -8,7 +8,7 @@ the capacity ladder and the transmit-power mode.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, Union
 
@@ -83,26 +83,11 @@ class ProblemInstance:
                 raise ValueError(f"commodity {c.id}: dest {c.dest} is not a UE")
 
     def with_power_mode(self, mode: PowerMode) -> "ProblemInstance":
-        return ProblemInstance(
-            graph=self.graph,
-            commodities=self.commodities,
-            radio=self.radio,
-            power_model=self.power_model,
-            capacity_table=self.capacity_table,
-            power_mode=mode,
-        )
+        return replace(self, power_mode=mode)
 
     def with_demands(self, demand_mbps: float) -> "ProblemInstance":
-        return ProblemInstance(
-            graph=self.graph,
-            commodities=tuple(
-                Commodity(c.id, c.source, c.dest, demand_mbps) for c in self.commodities
-            ),
-            radio=self.radio,
-            power_model=self.power_model,
-            capacity_table=self.capacity_table,
-            power_mode=self.power_mode,
-        )
+        commodities = tuple(replace(c, demand_mbps=demand_mbps) for c in self.commodities)
+        return replace(self, commodities=commodities)
 
 
 # -- solutions ---------------------------------------------------------------

@@ -295,6 +295,26 @@ def test_sweep_rejects_bad_profile(workspace):
     assert not (out_dir / "results.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("k0, k_max", [(7, 3), (0, 3)])
+def test_bad_retention_counts_are_input_errors(workspace, command, k0, k_max):
+    tmp, cfg, profile = workspace
+    out_dir = tmp / "sweep"
+    if command == "solve":
+        graph_path = tmp / "g.json"
+        _run(["scenario-gen", "--config", str(cfg), "--profile", str(profile),
+              "--hour", "10", "--out", str(graph_path)])
+        args = ["solve", "--graph", str(graph_path), "--config", str(cfg),
+                "--problem", "throughput", "--method", "selective-reduction"]
+    else:
+        args = ["sweep", "--config", str(cfg), "--profile", str(profile), "--hours", "10",
+                "--methods", "local-search", "--seed", "3", "--out-dir", str(out_dir)]
+    result = _run(args + ["--k0", str(k0), "--k-max", str(k_max)])
+    assert result.exit_code == 2
+    assert "error:" in result.output and "k0" in result.output
+    assert not (out_dir / "results.csv").exists()
+
+
 def test_single_row_cdf_degenerate(tmp_path):
     results = tmp_path / "results.csv"
     with open(results, "w", newline="") as fh:

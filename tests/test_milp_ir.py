@@ -38,7 +38,7 @@ def test_trivial_model_optimal():
     raw = solve(ir)
     assert raw.status is SolveStatus.OPTIMAL
     assert raw.objective == pytest.approx(4.0)
-    assert raw.value(x) == pytest.approx(4.0)
+    assert raw.values[x] == pytest.approx(4.0)
 
 
 def test_contradictory_bounds_infeasible():
@@ -69,7 +69,7 @@ def test_duplicate_variable_names_rejected():
         ir.add_vars(["y", "x"])
     with pytest.raises(ValueError):
         ir.add_vars(["y", "y"])
-    assert [v.name for v in ir.variables] == ["x"]
+    assert ir.var_names == ["x"]
 
 
 def test_lp_text_dump():
@@ -169,21 +169,21 @@ def test_indicator_fixed_on_forces_expression_nonnegative():
     ir, x, _ = _indicator_model(1, "geq", 100.0)
     ir.set_objective("min", [x], [1.0])
     raw = solve(ir)
-    assert raw.value(x) == pytest.approx(0.0, abs=1e-7)
+    assert raw.values[x] == pytest.approx(0.0, abs=1e-7)
 
 
 def test_indicator_fixed_off_forces_upper_branch():
     ir, x, _ = _indicator_model(0, "leq", 100.0)
     ir.set_objective("max", [x], [1.0])
     raw = solve(ir)
-    assert raw.value(x) == pytest.approx(0.0, abs=1e-7)
+    assert raw.values[x] == pytest.approx(0.0, abs=1e-7)
 
 
 def test_indicator_off_relaxes_lower_branch():
     ir, x, _ = _indicator_model(0, "geq", 100.0)
     ir.set_objective("min", [x], [1.0])
     raw = solve(ir)
-    assert raw.value(x) == pytest.approx(-50.0, abs=1e-6)
+    assert raw.values[x] == pytest.approx(-50.0, abs=1e-6)
 
 
 def test_indicator_pair_matches_pointwise_logic():
@@ -232,10 +232,10 @@ def test_product_corners():
         ir.set_objective("max", [y], [1.0])
         raw = solve(ir)
         assert raw.status is SolveStatus.OPTIMAL
-        assert raw.value(y) == pytest.approx(b_val * c_val, abs=1e-9)
+        assert raw.values[y] == pytest.approx(b_val * c_val, abs=1e-9)
         ir.set_objective("min", [y], [1.0])
         raw = solve(ir)
-        assert raw.value(y) == pytest.approx(b_val * c_val, abs=1e-9)
+        assert raw.values[y] == pytest.approx(b_val * c_val, abs=1e-9)
 
 
 def test_time_limit_contract():

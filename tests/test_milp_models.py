@@ -134,8 +134,8 @@ def test_monotone_indicator_chain_and_coupling():
     raw = milp.solve(built.ir, SolverOptions(time_limit_s=60))
     sol = milp.extract_solution(built, raw)
     table = inst.capacity_table
-    for e in built.routing_wireless:
-        phis = built.phi_vars.get(e.key, ())
+    for j, e in enumerate(built.routing_wireless):
+        phis = _phi_cols(built, j)
         values = [round(float(raw.values[i])) for i in phis]
         assert all(values[i] >= values[i + 1] for i in range(len(values) - 1))
         budget = link_budget(e, sol.powers_mw, inst.graph, inst.radio)
@@ -192,6 +192,17 @@ def test_energy_rejects_continuous_powers():
     inst = _single_frontend_instance(coarse_table(), [80.0]).with_power_mode(ContinuousPower())
     with pytest.raises(UnsupportedMode):
         milp.build_energy_model(inst)
+
+
+def _at(built, key):
+    """Position of wireless edge ``key`` in ``built.routing_wireless``."""
+    return [e.key for e in built.routing_wireless].index(key)
+
+
+def _phi_cols(built, j):
+    """The phi columns of wireless edge ``j``."""
+    start = built.v0[j] + 3
+    return range(start, start + built.top[j] - built.floor[j])
 
 
 def _ladder_interval(built, e):
@@ -312,8 +323,8 @@ def test_ladder_interval_is_a_point_when_powers_fixed(powers):
         floor, top, big_ms = _ladder_interval(built, e)
         assert floor == top == met
         assert big_ms == []
-        assert built.phi_vars[e.key] == ()
-        assert built.phi_floor[e.key] == floor
+        assert len(_phi_cols(built, _at(built, e.key))) == 0
+        assert built.floor[_at(built, e.key)] == floor
 
 
 def _dead_ue_instance(power_mode=None):
@@ -327,13 +338,13 @@ def test_dead_ue_edges_leave_single_power_models():
     dead = (1, 11)
     built = milp.build_throughput_model(inst)
     assert dead not in {e.key for e in built.routing_wireless}
-    assert dead not in built.alpha and all(k != dead for _, k in built.flow)
+    assert not any(n.startswith("f[") and n.endswith(",1->11]") for n in built.ir.var_names)
     sol = _solve(built)
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
     assert oracle.enumerate_optimal_throughput(inst) == 0.0
 
     built = milp.build_energy_model(inst)
-    assert dead not in built.alpha
+    assert dead not in {e.key for e in built.routing_wireless}
     (dst_row,) = [c for c in built.ir.constraints if c.name == "dst[k1]"]
     assert dst_row.terms == () and dst_row.rhs == 1.0
     raw = milp.solve(built.ir, SolverOptions(time_limit_s=30))
@@ -351,9 +362,10 @@ def test_dead_edges_of_multi_power_sources_stay(mode):
     dead = (1, 11)
     assert _ladder_interval(built, inst.graph.edge(*dead))[1] == 0
     assert dead in {e.key for e in built.routing_wireless}
-    assert built.ir.variables[built.alpha[dead]].ub == 0.0
-    assert built.ir.variables[built.cap[dead]].ub == 0.0
-    assert built.phi_vars[dead] == ()
+    j = _at(built, dead)
+    assert built.ir.ub[built.v0[j]] == 0.0
+    assert built.ir.ub[built.v0[j] + 2] == 0.0
+    assert len(_phi_cols(built, j)) == 0
 
 
 def test_off_source_grants_no_capacity():
@@ -365,11 +377,12 @@ def test_off_source_grants_no_capacity():
             continue
         for on in (True, False):
             built = milp.build_throughput_model(inst)
-            assert built.phi_floor[e.key] > 0
+            j = _at(built, e.key)
+            assert built.floor[j] > 0
             if not on:
                 _, (lam,) = built.power_reps.levels.group(built.power_reps.col[11])
-                built.ir.variables[lam].ub = 0.0
-            built.ir.set_objective("max", [built.cap[e.key]], [1.0])
+                built.ir.ub[lam] = 0.0
+            built.ir.set_objective("max", [built.v0[j] + 2], [1.0])
             raw = milp.solve(built.ir, SolverOptions(time_limit_s=30))
             assert (raw.objective > 1.0) if on else (raw.objective <= 1e-9)
 
@@ -379,9 +392,11 @@ def test_fixed_energy_floor_at_on_power():
     built = milp.build_energy_model(inst, fixed_powers={1: 6300.0, 11: 6300.0})
     # A floor at zero signal would leave every edge its `top` indicators.
     tops = sum(_ladder_interval(built, e)[1] for e in inst.graph.wireless_edges)
-    assert sum(len(phis) for phis in built.phi_vars.values()) < tops == 30
+    assert int((built.top - built.floor).sum()) < tops == 30
     # Frontend 11 sleeps although its edges have floor > 0.
-    assert all(built.phi_floor[e.key] > 0 for e in inst.graph.wireless_edges if e.src == 11)
+    assert all(
+        built.floor[_at(built, e.key)] > 0 for e in inst.graph.wireless_edges if e.src == 11
+    )
     sol = _solve(built)
     assert sol.activations == {1: 1, 11: 0}
     assert sol.powers_mw[11] == 0.0
@@ -437,7 +452,7 @@ def test_multi_level_power_is_one_column(problem):
     inst = two_unit_instance(levels=default_power_levels(6300.0, 5))
     built = build(inst)
     reps = built.power_reps
-    names = [v.name for v in built.ir.variables]
+    names = built.ir.var_names
     rows = built.ir.constraints
     for fid, j in reps.col.items():
         pw = int(reps.var[j])
@@ -451,7 +466,7 @@ def test_multi_level_power_is_one_column(problem):
         )
     # Each SINR row reads one column per frontend, plus its phi (whose
     # coefficient is a big-M, dropped where it is 0).
-    phi = {i for v in built.phi_vars.values() for i in v}
+    phi = {i for j in range(len(built.routing_wireless)) for i in _phi_cols(built, j)}
     thr = [r for r in rows if r.name.startswith("thr[")]
     assert thr
     for r in thr:
@@ -462,13 +477,14 @@ def test_multi_level_power_is_one_column(problem):
 
     raw = milp.solve(built.ir, SolverOptions(time_limit_s=60))
     milp.extract_solution(built, raw)
+    powers = milp.frontend_powers(built, raw)
     for fid, j in reps.col.items():
-        p = milp.frontend_power(built, raw, fid)
+        p = powers[fid]
         assert abs(raw.values[reps.var[j]] * reps.hi[j] - p) <= 1e-6 * reps.hi[j]
 
 
 def test_single_level_grid_has_no_power_column():
     for build in (milp.build_throughput_model, milp.build_energy_model):
         built = build(two_unit_instance())
-        assert not any(v.name.startswith("pw[") for v in built.ir.variables)
+        assert not any(n.startswith("pw[") for n in built.ir.var_names)
         assert not any(r.name.startswith("pw_def[") for r in built.ir.constraints)

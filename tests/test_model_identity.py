@@ -147,7 +147,8 @@ def _build_args(inst, mode):
 
 def _exact_text(ir):
     rows = [(c.name, c.terms, c.sense.value, c.rhs) for c in ir.constraints]
-    cols = [(v.name, v.kind.value, v.lb, v.ub) for v in ir.variables]
+    kinds = ["binary" if b else "continuous" for b in ir.binary.tolist()]
+    cols = list(zip(ir.var_names, kinds, ir.lb.tolist(), ir.ub.tolist()))
     return repr((rows, cols, (ir.objective.sense, ir.objective.terms, ir.objective.constant)))
 
 
