@@ -2,24 +2,26 @@
 
 Local search keeps every solve small by fixing frontend powers and only
 moving one frontend per trial.  Every phase is the same sweep: pass over
-the frontends in id order, try one move per frontend, take it when an
-acceptance rule holds, and repeat passes until one leaves the objective
-unchanged.  The phases differ only in the move and the rule:
+the frontends in id order, try one move per frontend, and repeat passes
+until one moves the objective by at most the tolerance (1e-6).  The
+phases differ only in the move and in how far the cutoff sits from the
+best objective:
 
-- phase one toggles a frontend between 0 and full power, ties allowed;
-- a certify pass repeats the toggles under strict gain, so its last clean
-  pass proves no single on/off flip improves the phase-one powers;
-- phase two frees one frontend's power at a time, strict gain;
-- energy refinement frees one frontend on a power grid, strict decrease.
+- phase one toggles a frontend between 0 and full power, ties allowed:
+  the cutoff is the tolerance worse than the best;
+- a certify pass repeats the toggles with the cutoff the tolerance better
+  than the best, so its last clean pass proves no single on/off flip
+  improves the phase-one powers;
+- phase two frees one frontend's power at a time, cutoff the tolerance
+  better;
+- energy refinement frees one frontend on a power grid, cutoff the
+  tolerance better (lower).
 
-The strict sweeps only need to know whether a trial beats the best
-objective by the acceptance tolerance, so they solve each trial against an
-objective cutoff half that tolerance past the best: a trial that ties the
-best is pruned inside HiGHS, and no accepted trial sits near the cutoff.
-A ``CUTOFF`` result means only that nothing beats the cutoff; it is a
-rejection, never an optimum.  A trial that beats the cutoff is solved again
-without it on the same model, so the search sees the same objectives and
-powers as without a cutoff.  Phase one keeps full solves: it must see ties.
+One rule decides a move: each trial is solved once, against its cutoff,
+and the move is taken exactly when the trial beats it.  A ``CUTOFF``
+result means only that nothing beats the cutoff; it is a rejection, never
+an optimum.  Objectives are compared only through the cutoff, so last-bit
+differences between HiGHS answers move no decision.
 
 Selective reduction shrinks the routing edge set to each receiver's top-k
 ranked incoming links and re-solves the exact model, widening k until
@@ -120,31 +122,13 @@ class _Clock:
         return self.remaining() <= 0
 
 
-# Acceptance rules: (trial objective, best objective) -> take the move.
-def _tie_or_gain(z: float, best: float) -> bool:
-    return z >= best
-
-
-def _strict_gain(z: float, best: float) -> bool:
-    return z > best + _IMPROVE_TOL
-
-
-def _strict_decrease(z: float, best: float) -> bool:
-    return z < best - _IMPROVE_TOL
-
-
-# Cutoffs of the strict rules, half their tolerance past the best objective.
-def _above(state: SearchState) -> float:
-    return state.curr_best_obj + _IMPROVE_TOL / 2
-
-
-def _below(state: SearchState) -> float:
-    return state.curr_best_obj - _IMPROVE_TOL / 2
-
-
 # Objective (None without one) and every frontend's power of one solve.
 _Solved = tuple[float | None, dict[int, float]]
 _REJECTED: _Solved = (None, {})
+
+
+def _beats(sense: str, z: float | None, cutoff: float | None) -> bool:
+    return z is not None and (cutoff is None or milp.beats(sense, z, cutoff))
 
 
 def _memo_solve(
@@ -152,38 +136,38 @@ def _memo_solve(
 ) -> Callable[..., _Solved]:
     """``build`` and solve a trial model, once per (instance, fixed powers).
 
-    Only proven results (optimal or infeasible) are remembered, so a
-    time-limited incumbent is never reused.  No model outlives its solve.
-
-    With a ``cutoff``, a trial nothing beats is rejected and its key kept
-    with that cutoff, so a repeat under a cutoff no looser needs no build;
-    any other answer is solved again without the cutoff on the same model.
+    Every answer is held to the caller's ``cutoff``: a trial whose result
+    does not beat it is rejected.  Proven optima (and infeasibility) are
+    remembered and returned again while they beat the cutoff; a trial
+    nothing beats keeps its key with that cutoff, so a repeat under a
+    cutoff no looser needs no build.  A time-limited incumbent is never
+    remembered.  No model outlives its solve.
     """
-    seen: dict[tuple, _Solved] = {}
+    optima: dict[tuple, tuple[str, _Solved]] = {}  # key -> (sense, answer)
     rejected: dict[tuple, tuple[str, float]] = {}  # key -> (sense, cutoff)
 
     def solve(
         model: ProblemInstance, fixed: dict[int, float], cutoff: float | None = None
     ) -> _Solved:
         key = (id(model), tuple(sorted(fixed.items())))
-        if key in seen:
-            return seen[key]
+        if key in optima:
+            sense, answer = optima[key]
+            return answer if _beats(sense, answer[0], cutoff) else _REJECTED
         if cutoff is not None and key in rejected:
             sense, old = rejected[key]
             if not milp.beats(sense, old, cutoff):
                 return _REJECTED
         built = build(model, fixed_powers=fixed)
-        if cutoff is not None:
-            raw = milp.solve(built.ir, options.solver(clock.remaining(), cutoff))
-            if raw.status is SolveStatus.CUTOFF:
-                rejected[key] = (built.ir.objective.sense, cutoff)
-                return _REJECTED
-        raw = milp.solve(built.ir, options.solver(clock.remaining()))
+        sense = built.ir.objective.sense
+        raw = milp.solve(built.ir, options.solver(clock.remaining(), cutoff))
+        if raw.status is SolveStatus.CUTOFF:
+            rejected[key] = (sense, cutoff)
+            return _REJECTED
         z = raw.objective
-        powers = {} if z is None else milp.frontend_powers(built, raw)
+        answer = (z, {} if z is None else milp.frontend_powers(built, raw))
         if raw.status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
-            seen[key] = (z, powers)
-        return z, powers
+            optima[key] = (sense, answer)
+        return answer if _beats(sense, z, cutoff) else _REJECTED
 
     return solve
 
@@ -193,27 +177,29 @@ def _sweep(
     frontends: list[int],
     clock: _Clock,
     iteration: int,
-    trial: Callable[[int], _Solved],
-    accept: Callable[[float, float], bool],
+    trial: Callable[[int, float], _Solved],
+    offset: float,
 ) -> int:
-    """Pass over ``frontends`` until a pass leaves the objective unchanged.
+    """Pass over ``frontends`` until a pass moves the objective by at most 1e-6.
 
-    ``trial(u)`` solves the model of one move of frontend ``u``; an
-    accepted move takes ``u``'s power from that solution.  Returns the
-    iteration count, advanced by one per trial.
+    ``trial(u, cutoff)`` solves the model of one move of frontend ``u``
+    against ``cutoff``, the best objective plus ``offset``; a move whose
+    solve beats it is taken, with ``u``'s power from that solution.
+    Returns the iteration count, advanced by one per trial.
     """
-    prev = None
-    while state.curr_best_obj != prev and not clock.expired():
-        prev = state.curr_best_obj
+    while not clock.expired():
+        start = state.curr_best_obj
         for u in frontends:
             if clock.expired():
                 break
-            z, powers = trial(u)
+            z, powers = trial(u, state.curr_best_obj + offset)
             iteration += 1
-            if z is not None and accept(z, state.curr_best_obj):
+            if z is not None:
                 state.curr_best_sol[u] = powers[u]
                 state.curr_best_obj = z
                 state.record(iteration, clock.elapsed(), z)
+        if abs(state.curr_best_obj - start) <= _IMPROVE_TOL:
+            break
     return iteration
 
 
@@ -259,23 +245,19 @@ def _throughput_search(
     powers = {u: p_max for u in frontends}
     state = _start(solve(instance, powers)[0], powers, clock, "initial all-on solve")
 
-    def toggle(u: int, cutoff: float | None = None):
+    def toggle(u: int, cutoff: float) -> _Solved:
         trial = dict(state.curr_best_sol)
         trial[u] = p_max if trial[u] == 0 else 0.0
         return solve(instance, trial, cutoff)
 
-    # Phase one must see ties, so only the strict sweeps get a cutoff.
-    iteration = _sweep(state, frontends, clock, 0, toggle, _tie_or_gain)
-    iteration = _sweep(
-        state, frontends, clock, iteration,
-        lambda u: toggle(u, _above(state)), _strict_gain,
-    )
+    iteration = _sweep(state, frontends, clock, 0, toggle, -_IMPROVE_TOL)
+    iteration = _sweep(state, frontends, clock, iteration, toggle, _IMPROVE_TOL)
     state.phase1_powers = dict(state.curr_best_sol)
     # Phase 2 is continuous in [0, p_max] unless the instance itself
     # restricts powers to a grid.
     iteration = _sweep(
         state, frontends, clock, iteration,
-        lambda u: solve(refine, _one_free(state, u), _above(state)), _strict_gain,
+        lambda u, cutoff: solve(refine, _one_free(state, u), cutoff), _IMPROVE_TOL,
     )
     return state, iteration
 
@@ -323,7 +305,7 @@ def local_search_energy(
 
     iteration = _sweep(
         state, frontends, clock, 0,
-        lambda u: solve(gridded, _one_free(state, u), _below(state)), _strict_decrease,
+        lambda u, cutoff: solve(gridded, _one_free(state, u), cutoff), -_IMPROVE_TOL,
     )
 
     built = milp.build_energy_model(instance, fixed_powers=state.curr_best_sol)

@@ -107,11 +107,6 @@ class _Ragged(NamedTuple):
             np.array([i for _, i in flat], dtype=np.int64),
         )
 
-    def group(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients and indices of group ``k``."""
-        a, b = self.ptr[k], self.ptr[k + 1]
-        return self.coefs[a:b], self.cols[a:b]
-
     def expand(self, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(position in ``owners``, term index) of every term of every owner."""
         who, pos = _spread(self.ptr[owners + 1] - self.ptr[owners])

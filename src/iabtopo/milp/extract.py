@@ -146,4 +146,7 @@ def extract_solution(built: BuiltModel, raw: RawSolution) -> NetworkSolution:
     if not report.ok:
         summary = "; ".join(str(v) for v in report.violations[:8])
         raise ExtractionMismatch(f"solution failed re-validation: {summary}", report)
+    # Report the objective the solution's own values give; the validator has
+    # just checked HiGHS's value against it.
+    solution.objective = report.recomputed_objective
     return solution

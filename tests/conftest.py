@@ -13,6 +13,12 @@ def coarse_table(n_keep: int = 5) -> CapacityTable:
     return default_table().coarsened(step)
 
 
+def level_terms(reps, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid levels (mW) and their binaries' columns of power rep ``j``."""
+    a, b = reps.levels.ptr[j], reps.levels.ptr[j + 1]
+    return reps.levels.coefs[a:b], reps.levels.cols[a:b]
+
+
 def minimal_nodes_edges():
     """Donor baseband + one frontend + one UE."""
     nodes = [

@@ -21,7 +21,7 @@ from iabtopo.milp import SolverOptions
 from iabtopo.milp.builder import MIN_ON_POWER_FRACTION
 from iabtopo.problem import ContinuousPower, ProblemInstance, SolveStatus, default_power_levels
 
-from conftest import coarse_table, two_unit_instance
+from conftest import coarse_table, level_terms, two_unit_instance
 
 NOISE_MW = 1e-9
 
@@ -156,7 +156,7 @@ def _powers_by_loop(built, raw):
             p = max(float(raw.values[reps.cont[j]]), 0.0)
             out[fid] = 0.0 if p < p_eps else p
             continue
-        levels, binaries = reps.levels.group(j)
+        levels, binaries = level_terms(reps, j)
         if not len(binaries):
             out[fid] = float(reps.lo[j])
             continue

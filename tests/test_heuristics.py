@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -158,16 +160,9 @@ def test_energy_refinement_builds_each_trial_once(monkeypatch):
     assert final[1] == tuple(sorted(state.curr_best_sol.items()))
 
 
-def _search_outcome(search, instance):
-    try:
-        _sol, state = search(instance, FAST)
-    except IabError as exc:
-        return type(exc).__name__
-    log = [(e.iteration, repr(e.objective)) for e in state.log]
-    return log, state.phase1_powers, state.curr_best_sol
-
-
-def test_cutoff_leaves_every_search_answer_unchanged(monkeypatch):
+def test_every_cutoff_answer_matches_the_full_optimum(monkeypatch):
+    # Each trial under a cutoff is solved again without it: a rejection
+    # must be one the full optimum agrees with, and an answer must be it.
     grid = (0.0, 1575.0, 3150.0, 4725.0, 6300.0)
     instances = [two_unit_instance(), two_unit_instance(levels=grid)]
     for seed in range(6):
@@ -176,22 +171,107 @@ def test_cutoff_leaves_every_search_answer_unchanged(monkeypatch):
         instances.append(random_small_instance(
             np.random.default_rng(seed), max_units=4, max_ues=4, levels=grid
         ))
+    solve = milp.solve
+    trials = []
+
+    def checked(ir, options=None):
+        raw = solve(ir, options)
+        if options is not None and options.cutoff is not None:
+            full = solve(ir, dataclasses.replace(options, cutoff=None))
+            trials.append((ir.objective.sense, options.cutoff, raw, full))
+        return raw
+
+    monkeypatch.setattr(milp, "solve", checked)
+    energy_logs = []
+    for inst in instances:
+        for search in (local_search_throughput, local_search_energy):
+            try:
+                _sol, state = search(inst, FAST)
+            except IabError:
+                continue
+            if search is local_search_energy:
+                energy_logs.append(state.log)
+
+    assert trials
+    for sense, cutoff, raw, full in trials:
+        assert full.status in (milp.SolveStatus.OPTIMAL, milp.SolveStatus.INFEASIBLE)
+        if raw.status is milp.SolveStatus.CUTOFF:
+            assert full.objective is None or not milp.beats(sense, full.objective, cutoff)
+        else:
+            # Under a bound HiGHS may stop at a point that bends a row by
+            # about its feasibility tolerance: the energy search on the seed-1
+            # grid instance gets an answer 1e-6 W (4.5e-9 relative) below
+            # the full optimum.
+            assert raw.status is milp.SolveStatus.OPTIMAL
+            assert raw.objective == pytest.approx(full.objective, rel=1e-8)
+    # Energy refinement is all strict moves; its log holds the start, the
+    # accepted moves and the final solve.
+    assert sum(len(log) > 2 for log in energy_logs) >= 6
+
+
+def _search_outcome(search, instance):
+    _sol, state = search(instance, FAST)
+    return state.log[-1].iteration, state.curr_best_sol, state.curr_best_obj
+
+
+def test_last_bit_noise_moves_no_decision(monkeypatch):
+    # HiGHS answers of one model can differ in their last bits (with and
+    # without a cutoff, say); the searches must not read those bits.
+    # Both draws have phase-one toggles that tie to the last bit.
+    instances = [two_unit_instance()] + [
+        random_small_instance(np.random.default_rng(seed)) for seed in (0, 2)
+    ]
     searches = (local_search_throughput, local_search_energy)
-    with_cutoff = [_search_outcome(f, inst) for inst in instances for f in searches]
+    clean = [_search_outcome(f, inst) for inst in instances for f in searches]
+
+    solve = milp.solve
+    ulps = itertools.cycle((-3, 3))
+
+    def noisy(ir, options=None):
+        raw = solve(ir, options)
+        if raw.objective is not None:
+            raw.objective += next(ulps) * math.ulp(raw.objective)
+        return raw
+
+    monkeypatch.setattr(milp, "solve", noisy)
+    noised = [_search_outcome(f, inst) for inst in instances for f in searches]
+    for (n, powers, z), (n_noised, powers_noised, z_noised) in zip(clean, noised):
+        assert n_noised == n
+        assert powers_noised == powers
+        assert z_noised == pytest.approx(z, rel=1e-12)
+
+
+def test_time_limited_answer_is_held_to_the_cutoff(monkeypatch):
+    inst = two_unit_instance(demand=20.0)
+    fixed = {1: 6300.0, 11: 6300.0}
+    builds = []
+    build = milp.build_energy_model
+
+    def recording(instance, fixed_powers=None, routing_edges=None):
+        builds.append(fixed_powers)
+        return build(instance, fixed_powers, routing_edges)
 
     solve = milp.solve
 
-    def without_cutoff(ir, options=None):
-        options = dataclasses.replace(options or SolverOptions(), cutoff=None)
-        return solve(ir, options)
+    def time_limited(ir, options=None):
+        raw = solve(ir, dataclasses.replace(options, cutoff=None))
+        raw.status = milp.SolveStatus.TIME_LIMIT
+        return raw
 
-    monkeypatch.setattr(milp, "solve", without_cutoff)
-    without = [_search_outcome(f, inst) for inst in instances for f in searches]
-    assert with_cutoff == without
-    # Energy refinement is all strict moves; its log holds the start, the
-    # accepted moves and the final solve.
-    energy_logs = [o[0] for o in with_cutoff[1::2] if not isinstance(o, str)]
-    assert sum(len(log) > 2 for log in energy_logs) >= 6
+    monkeypatch.setattr(milp, "build_energy_model", recording)
+    monkeypatch.setattr(milp, "solve", time_limited)
+    memo = _memo_solve(milp.build_energy_model, FAST, _Clock(60.0))
+    z, powers = memo(inst, fixed)
+    assert z is not None and len(builds) == 1
+    # An incumbent that does not beat the cutoff is a rejection, and it is
+    # not remembered: a repeat builds and solves again.
+    assert memo(inst, fixed, z - 1.0) == (None, {})
+    assert len(builds) == 2
+    assert memo(inst, fixed, z - 1.0) == (None, {})
+    assert len(builds) == 3
+    # One that beats it is taken, still without being remembered.
+    assert memo(inst, fixed, z + 1.0) == (z, powers)
+    assert len(builds) == 4
 
 
 def test_rejection_under_cutoff_is_not_an_optimum(monkeypatch):
@@ -221,6 +301,8 @@ def test_rejection_under_cutoff_is_not_an_optimum(monkeypatch):
     solve = _memo_solve(milp.build_energy_model, FAST, _Clock(60.0))
     assert solve(inst, fixed, z_star + 1.0) == (z_star, powers)
     assert solve(inst, fixed) == (z_star, powers)
+    # It is returned only while it beats the caller's cutoff.
+    assert solve(inst, fixed, z_star) == (None, {})
     assert len(builds) == 3
 
 

@@ -27,7 +27,13 @@ from iabtopo.problem import (
     default_power_levels,
 )
 
-from conftest import coarse_table, random_small_instance, two_step_table, two_unit_instance
+from conftest import (
+    coarse_table,
+    level_terms,
+    random_small_instance,
+    two_step_table,
+    two_unit_instance,
+)
 
 
 def _single_frontend_instance(table, pathlosses, noise_mw=0.0, demand=5.0):
@@ -264,7 +270,7 @@ def test_big_m_dominates_random_power_assignments():
 
 def _allowed_power(reps, j, rng) -> float:
     """One power rep j can take: its constant, 0 or a level, or uniform."""
-    levels, _ = reps.levels.group(j)
+    levels, _ = level_terms(reps, j)
     if reps.cont[j] >= 0:
         return float(rng.uniform(0.0, reps.hi[j]))
     if not len(levels):
@@ -380,7 +386,7 @@ def test_off_source_grants_no_capacity():
             j = _at(built, e.key)
             assert built.floor[j] > 0
             if not on:
-                _, (lam,) = built.power_reps.levels.group(built.power_reps.col[11])
+                _, (lam,) = level_terms(built.power_reps, built.power_reps.col[11])
                 built.ir.ub[lam] = 0.0
             built.ir.set_objective("max", [built.v0[j] + 2], [1.0])
             raw = milp.solve(built.ir, SolverOptions(time_limit_s=30))
@@ -458,7 +464,7 @@ def test_multi_level_power_is_one_column(problem):
         pw = int(reps.var[j])
         assert names[pw] == f"pw[{fid}]" and reps.coef[j] == reps.hi[j] == 6300.0
         (row,) = [r for r in rows if r.name == f"pw_def[{fid}]"]
-        levels, binaries = reps.levels.group(j)
+        levels, binaries = level_terms(reps, j)
         assert row.sense is Sense.EQ and row.rhs == 0.0
         assert sorted(row.terms, key=lambda t: t[1]) == sorted(
             [(1.0, pw)] + [(-l / 6300.0, i) for l, i in zip(levels.tolist(), binaries.tolist())],
