@@ -339,7 +339,8 @@ def cmd_sweep(
 
     Tasks run in the row order of results.csv.  A task's row, solution
     JSON and search-state CSV are written once it and every task before it
-    have finished, so an interrupted sweep keeps every finished row.
+    have finished, so an interrupted sweep keeps every finished row.  Each
+    written row also prints one progress line to stderr.
     """
     tasks = list(itertools.product(
         _parse_hours(hours),
@@ -373,6 +374,10 @@ def cmd_sweep(
                 state.write_csv(out / f"{stem}_state.csv")
             writer.writerow(row)
             fh.flush()
+            click.echo(
+                f"hour {hour} {method} {problem}: {row['status']} in {row['runtime_s']} s",
+                err=True,
+            )
     click.echo(f"wrote {results_path} ({len(tasks)} rows)")
 
 

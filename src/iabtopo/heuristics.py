@@ -13,15 +13,16 @@ best objective:
   than the best, so its last clean pass proves no single on/off flip
   improves the phase-one powers;
 - phase two frees one frontend's power at a time, cutoff the tolerance
-  better;
+  better; a freed power counts only if, fixed, it beats the cutoff too;
 - energy refinement frees one frontend on a power grid, cutoff the
   tolerance better (lower).
 
 One rule decides a move: each trial is solved once, against its cutoff,
-and the move is taken exactly when the trial beats it.  A ``CUTOFF``
-result means only that nothing beats the cutoff; it is a rejection, never
-an optimum.  Objectives are compared only through the cutoff, so last-bit
-differences between HiGHS answers move no decision.
+and the move is taken exactly when the trial beats it (a phase-two trial
+that beats it adds one fixed-power solve).  A ``CUTOFF`` result means
+only that nothing beats the cutoff; it is a rejection, never an optimum.
+Objectives are compared only through the cutoff, so last-bit differences
+between HiGHS answers move no decision.
 
 Selective reduction shrinks the routing edge set to each receiver's top-k
 ranked incoming links and re-solves the exact model, widening k until
@@ -253,12 +254,19 @@ def _throughput_search(
     iteration = _sweep(state, frontends, clock, 0, toggle, -_IMPROVE_TOL)
     iteration = _sweep(state, frontends, clock, iteration, toggle, _IMPROVE_TOL)
     state.phase1_powers = dict(state.curr_best_sol)
+
     # Phase 2 is continuous in [0, p_max] unless the instance itself
-    # restricts powers to a grid.
-    iteration = _sweep(
-        state, frontends, clock, iteration,
-        lambda u, cutoff: solve(refine, _one_free(state, u), cutoff), _IMPROVE_TOL,
-    )
+    # restricts powers to a grid.  A one-free answer counts only if its
+    # power, fixed, beats the cutoff too: the final solve fixes every
+    # power, so the best objective is that model's value.
+    def free(u: int, cutoff: float) -> _Solved:
+        z, powers = solve(refine, _one_free(state, u), cutoff)
+        if z is None:
+            return _REJECTED
+        z, _ = solve(instance, {**state.curr_best_sol, u: powers[u]}, cutoff)
+        return _REJECTED if z is None else (z, powers)
+
+    iteration = _sweep(state, frontends, clock, iteration, free, _IMPROVE_TOL)
     return state, iteration
 
 

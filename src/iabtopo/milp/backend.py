@@ -48,9 +48,9 @@ def _native_stdout_to_stderr():
     """Send what native code prints to file descriptor 1 to descriptor 2.
 
     HiGHS prints some debug lines with C ``printf``, past ``disp=False``
-    and past ``sys.stdout`` (seen under an objective bound); they must not
-    mix into a caller's standard output.  The C buffer is flushed on both
-    sides of the switch, so each line lands where it was printed.
+    and past ``sys.stdout`` (feasibility jump can trigger one); they must
+    not mix into a caller's standard output.  The C buffer is flushed
+    on both sides of the switch, so each line lands where it was printed.
     """
     if _LIBC is None:
         yield
@@ -95,6 +95,11 @@ def _scipy_backend(ir: ModelIR, options: SolverOptions) -> RawSolution:
         # through verbatim.
         bound = options.cutoff - ir.objective.constant
         highs_options["objective_bound"] = bound if minimize else -bound
+        # Such a solve only asks whether anything beats the bound; HiGHS's
+        # feasibility-jump heuristic, run before the root LP, costs more
+        # than the rest of a small trial.  Other solves keep it: without it
+        # some exact models return a tied optimum extraction rejects.
+        highs_options["mip_heuristic_run_feasibility_jump"] = False
     try:
         with warnings.catch_warnings(), _native_stdout_to_stderr():
             warnings.filterwarnings(

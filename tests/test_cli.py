@@ -206,6 +206,26 @@ def _rows_without_runtime(out_dir):
         return [{k: v for k, v in r.items() if k != "runtime_s"} for r in csv.DictReader(fh)]
 
 
+def test_sweep_prints_one_progress_line_per_row(workspace):
+    # Progress goes to stderr, one line per written row; stdout keeps its
+    # one summary line.
+    tmp, cfg, profile = workspace
+    out_dir = tmp / "sweep"
+    result = _run(_sweep_args(
+        cfg, profile, out_dir, "--hours", "0,10", "--methods", "local-search",
+        "--problems", "throughput",
+    ))
+    assert result.exit_code == 0, result.output
+    with open(out_dir / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    assert result.stderr.splitlines() == [
+        f"hour {r['hour']} {r['method']} {r['problem']}: {r['status']} in {r['runtime_s']} s"
+        for r in rows
+    ]
+    assert result.stdout == f"wrote {out_dir / 'results.csv'} (2 rows)\n"
+
+
 def test_interrupted_sweep_keeps_finished_rows(workspace, monkeypatch):
     # KeyboardInterrupt is no Exception, so no error row absorbs it: the
     # second task ends the sweep, and the first task's output must stay.

@@ -26,7 +26,7 @@ from iabtopo.oracle import (
     enumerate_optimal_throughput,
     validate_solution,
 )
-from iabtopo.problem import DiscretePower, ProblemInstance
+from iabtopo.problem import ContinuousPower, DiscretePower, ProblemInstance
 
 from conftest import coarse_table, random_small_instance, two_unit_instance
 
@@ -106,6 +106,30 @@ def test_search_trajectories_pinned():
     )
     assert state.phase1_powers is None
     assert state.curr_best_sol == {1: 6300.0, 11: 0.0}
+
+
+def test_phase_two_move_must_reproduce_with_its_power_fixed(monkeypatch):
+    # The final solve fixes every power, so a one-free answer counts only if
+    # its power, fixed, beats the cutoff too.  Here the freed frontend
+    # reports its phase-one power, which gives no gain: no move is taken,
+    # and the search's best is what the final solve returns.
+    inst = random_small_instance(
+        np.random.default_rng(1), max_units=4, max_ues=4
+    ).with_power_mode(ContinuousPower())
+    _sol, clean = local_search_throughput(inst, FAST)
+    assert clean.curr_best_sol != clean.phase1_powers  # phase two moves here
+
+    powers = milp.frontend_powers
+
+    def unreproducible(built, raw):
+        reps = built.power_reps
+        freed = {u: clean.phase1_powers[u] for u, j in reps.col.items() if reps.cont[j] >= 0}
+        return {**powers(built, raw), **freed}
+
+    monkeypatch.setattr(milp, "frontend_powers", unreproducible)
+    sol, state = local_search_throughput(inst, FAST)
+    assert state.curr_best_sol == clean.phase1_powers
+    assert sol.objective == pytest.approx(state.log[-2].objective, rel=1e-9)
 
 
 def test_search_solves_each_trial_once(monkeypatch):

@@ -1,3 +1,4 @@
+import ctypes
 import itertools
 import warnings
 from pathlib import Path
@@ -319,8 +320,8 @@ def test_cutoff_the_optimum_does_not_beat(sense, optimum, margin, binary):
 
 
 def test_highs_debug_print_stays_off_stdout(capfd):
-    # On this demo hour-6 phase-two trial, HiGHS under an objective bound
-    # prints a debug line from C; it must reach stderr, not stdout.
+    # A demo hour-6 phase-two trial under an objective bound: whatever
+    # HiGHS prints from C must not reach stdout.
     demo = Path(__file__).resolve().parent.parent / "demo"
     config = scenario.config_from_json(demo / "scenario_config.json")
     profile = scenario.load_profile_csv(demo / "weekly_load_profile.csv")
@@ -342,4 +343,40 @@ def test_highs_debug_print_stays_off_stdout(capfd):
     assert raw.status is SolveStatus.CUTOFF
     captured = capfd.readouterr()
     assert captured.out == ""
-    assert "HighsMipSolverData" in captured.err
+
+
+def test_native_printf_goes_to_stderr(capfd):
+    # HiGHS prints some debug lines with C printf (seen in full-day
+    # sweeps); the guard around every solve moves them to stderr.
+    libc = ctypes.CDLL(None)
+    libc.printf.argtypes, libc.printf.restype = [ctypes.c_char_p], ctypes.c_int
+    libc.fflush.argtypes, libc.fflush.restype = [ctypes.c_void_p], ctypes.c_int
+    with backend._native_stdout_to_stderr():
+        libc.printf(b"printed from C\n")
+    libc.printf(b"after the guard\n")
+    libc.fflush(None)
+    captured = capfd.readouterr()
+    assert "printed from C" in captured.err
+    assert captured.out == "after the guard\n"
+
+
+def test_only_cutoff_solves_skip_feasibility_jump(monkeypatch):
+    # A cutoff solve asks only whether anything beats the bound, so HiGHS's
+    # feasibility-jump heuristic is off there; every other solve hands
+    # HiGHS the same four options as before.
+    seen = []
+    real = backend.milp
+
+    def capture(**kwargs):
+        seen.append(dict(kwargs["options"]))
+        return real(**kwargs)
+
+    monkeypatch.setattr(backend, "milp", capture)
+    ir = _cutoff_model("max")
+    assert solve(ir, SolverOptions(time_limit_s=5.0)).status is SolveStatus.OPTIMAL
+    assert solve(ir, SolverOptions(time_limit_s=5.0, cutoff=13.0)).status is SolveStatus.OPTIMAL
+    plain = {"disp": False, "presolve": False, "time_limit": 5.0, "mip_rel_gap": 0.0}
+    assert seen == [
+        plain,
+        {**plain, "objective_bound": -6.0, "mip_heuristic_run_feasibility_jump": False},
+    ]
