@@ -74,12 +74,13 @@ def _fail(message: str, code: int = 2):
 def _resolve_power_mode(name: str, problem: str, method: str) -> str:
     """The power mode a run uses when ``name`` is asked for.
 
-    The energy model cannot keep powers continuous: the exact model and
-    selective reduction fall back to the discrete grid, local search to
-    every frontend at full power (its refinement grids powers itself).
+    The energy model cannot keep powers continuous, so the exact model and
+    selective reduction fall back to the discrete grid.  Local search keeps
+    the mode asked for: every model it builds fixes each power or grids
+    the one it frees.
     """
-    if problem == "energy" and name == "continuous":
-        return "fixed-max" if method == "local-search" else "discrete"
+    if problem == "energy" and name == "continuous" and method != "local-search":
+        return "discrete"
     return name
 
 
@@ -248,11 +249,11 @@ def cmd_solve(
         instance = _build_instance(
             graph, config, demand_mbps, mode, options.power_levels, mcs_table
         )
+        if lp_out:
+            Path(lp_out).write_text(_exact_model(instance, problem).ir.lp_text())
     except IabError as exc:
         _fail(str(exc))
 
-    if lp_out:
-        Path(lp_out).write_text(_exact_model(instance, problem).ir.lp_text())
     start = time.monotonic()
     try:
         solution, state = _run_method(instance, method, problem, options, prune)

@@ -135,18 +135,6 @@ class MeasurementGraph:
     def out_edges(self, node_id: int) -> tuple[Edge, ...]:
         return self._out.get(node_id, ())
 
-    def n_in(self, node_id: int) -> tuple[int, ...]:
-        return tuple(e.src for e in self.in_edges(node_id))
-
-    def n_out(self, node_id: int) -> tuple[int, ...]:
-        return tuple(e.dst for e in self.out_edges(node_id))
-
-    def n_all(self, node_id: int) -> tuple[int, ...]:
-        return tuple(dict.fromkeys(self.n_in(node_id) + self.n_out(node_id)))
-
-    def degree(self, node_id: int) -> int:
-        return len(self.in_edges(node_id)) + len(self.out_edges(node_id))
-
     # -- node/edge groups ------------------------------------------------
 
     @property

@@ -90,51 +90,6 @@ def _power_grids(instance: ProblemInstance) -> tuple[list[int], list[list[float]
     raise UnsupportedMode("enumeration needs fixed or discrete powers")
 
 
-def _parent_chain_edges(
-    graph: MeasurementGraph,
-    ue_parent: Mapping[int, int],
-    unit_parent: Mapping[int, int | None],
-) -> set[EdgeKey] | None:
-    """Tree edges realizing the parent choices, or None if disconnected/cyclic."""
-    donor_unit = graph.donor.unit_id
-    baseband_of_unit = {n.unit_id: n for n in graph.basebands}
-    reach_memo: dict[int, bool] = {}
-
-    def unit_reaches_donor(unit_id: int, trail: set[int]) -> bool:
-        if unit_id == donor_unit:
-            return True
-        if unit_id in reach_memo:
-            return reach_memo[unit_id]
-        if unit_id in trail:
-            return False  # cycle among unit parents
-        pf = unit_parent.get(baseband_of_unit[unit_id].id)
-        ok = pf is not None and unit_reaches_donor(
-            graph.node(pf).unit_id, trail | {unit_id}
-        )
-        reach_memo[unit_id] = ok
-        return ok
-
-    edges: set[EdgeKey] = set()
-    for ue in sorted(ue_parent):
-        f = ue_parent[ue]
-        if not unit_reaches_donor(graph.node(f).unit_id, set()):
-            return None
-        edges.add((f, ue))
-        # Climb: wired baseband -> frontend, then backhaul into that baseband.
-        frontend = f
-        while True:
-            baseband = baseband_of_unit[graph.node(frontend).unit_id]
-            edges.add((baseband.id, frontend))
-            if baseband.kind is NodeKind.DONOR_DU:
-                break
-            pf = unit_parent[baseband.id]
-            if (pf, baseband.id) in edges:
-                break
-            edges.add((pf, baseband.id))
-            frontend = pf
-    return edges
-
-
 def _capacity_model(instance: ProblemInstance):
     """Function from powers to every wireless edge's capacity.
 
@@ -172,11 +127,12 @@ def _trees(instance: ProblemInstance, ue_ids: Sequence[int], shape):
 
     Powers range over the instance's grid.  Each UE takes one wireless
     parent and each MT-DU one wireless parent or none, both only over
-    links with positive capacity at those powers; choices that leave a UE
-    unservable or a unit cut off from the donor are skipped.  A tree does
-    not depend on the powers, so ``shape(tree)``, the per-tree data the
-    caller needs, runs once per distinct parent choice; trees it maps to
-    None are skipped.
+    links with positive capacity at those powers; powers that leave a UE
+    unservable are skipped.  ``shape(tree)`` gets the choice's edges: the
+    graph's wired edges plus every chosen wireless link.  A tree does not
+    depend on the powers, so ``shape``, the per-tree data the caller needs,
+    runs once per distinct parent choice; choices it maps to None (a UE
+    cut off from the donor, or a cycle among unit parents) are skipped.
     """
     g = instance.graph
     frontends, grids = _power_grids(instance)
@@ -200,6 +156,7 @@ def _trees(instance: ProblemInstance, ue_ids: Sequence[int], shape):
         raise TooLarge(f"{total} configurations exceed the {_CONFIG_GUARD} guard")
 
     capacities = _capacity_model(instance)
+    wired = [e.key for e in g.wired_edges]
     shapes: dict[tuple, object] = {}  # parent choice -> shape(tree) or None
     for combo in itertools.product(*grids):
         powers = dict(zip(frontends, combo))
@@ -218,10 +175,10 @@ def _trees(instance: ProblemInstance, ue_ids: Sequence[int], shape):
         ):
             if choice not in shapes:
                 ue_pick, m_pick = choice
-                tree = _parent_chain_edges(
-                    g, dict(zip(ue_ids, ue_pick)), dict(zip(mtdus, m_pick))
-                )
-                shapes[choice] = None if tree is None else shape(tree)
+                tree = set(wired)
+                tree.update(zip(ue_pick, ue_ids))
+                tree.update((f, m) for f, m in zip(m_pick, mtdus) if f is not None)
+                shapes[choice] = shape(tree)
             if shapes[choice] is not None:
                 yield powers, caps, shapes[choice]
 
@@ -281,17 +238,12 @@ def enumerate_optimal_energy(instance: ProblemInstance) -> float:
     ):
         airtimes: dict[EdgeKey, float] = {}
         node_load: dict[int, float] = {}
-        ok = True
         for key, d_e in load.items():
-            c = caps.get(key, 0.0)
-            if c <= 0:
-                ok = False
-                break
-            a = d_e / c
+            a = d_e / caps[key]
             airtimes[key] = a
             node_load[key[0]] = node_load.get(key[0], 0.0) + a
             node_load[key[1]] = node_load.get(key[1], 0.0) + a
-        if not ok or any(v > 1.0 + 1e-9 for v in node_load.values()):
+        if any(v > 1.0 + 1e-9 for v in node_load.values()):
             continue
         value = solution_power(powers, airtimes)
         if value < best:

