@@ -19,14 +19,17 @@ best objective:
 
 One rule decides a move: each trial is solved once, against its cutoff,
 and the move is taken exactly when the trial beats it (a phase-two trial
-that beats it adds one fixed-power solve).  A ``CUTOFF`` result means
-only that nothing beats the cutoff; it is a rejection, never an optimum.
+that beats it adds one fixed-power solve).  A trial is answered by its
+model's proven bound when that bound does not beat the cutoff, and by
+HiGHS otherwise.  A ``CUTOFF`` result means only that nothing beats the
+cutoff; it is a rejection, never an optimum.
 Objectives are compared only through the cutoff, so last-bit differences
 between HiGHS answers move no decision.
 
 Selective reduction shrinks the routing edge set to each receiver's top-k
 ranked incoming links and re-solves the exact model, widening k until
-feasible.  Interference always accumulates over the full graph, so a
+feasible (for throughput: until every UE has a donor path that carries a
+rate).  Interference always accumulates over the full graph, so a
 pruned-feasible solution stays feasible unpruned.
 """
 
@@ -361,6 +364,9 @@ def selective_reduction(
 ) -> tuple[NetworkSolution, int]:
     """Solve the exact model on a top-k pruned edge set, widening k on infeasibility.
 
+    A throughput model whose rate bound is 0 (Z = 0 feasible, but a UE
+    without a donor path that carries a rate) is widened unsolved.
+
     Returns the solution and the retention count that produced it.  The
     solution is extracted against the unpruned instance, so extraction's
     oracle check covers the full graph (the model's interference terms
@@ -378,6 +384,8 @@ def selective_reduction(
             built = milp.build_throughput_model(instance, routing_edges=retained)
         else:
             built = milp.build_energy_model(instance, routing_edges=retained)
+        if built.ir.objective.bound == 0.0:
+            continue  # some UE has no donor path that carries a rate
         raw = milp.solve(built.ir, options.solver(clock.remaining()))
         if raw.status is not SolveStatus.INFEASIBLE:
             return milp.extract_solution(built, raw), k

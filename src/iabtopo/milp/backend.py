@@ -146,13 +146,18 @@ def solve(ir: ModelIR, options: SolverOptions | None = None) -> RawSolution:
     Under ``options.cutoff`` a proven result that does not strictly beat
     the cutoff is ``CUTOFF``, without values: it means only that nothing
     beats the cutoff.  HiGHS reports that as "infeasible", or as "optimal"
-    at a worse point (it also ignores the bound on pure LPs).
+    at a worse point (it also ignores the bound on pure LPs).  A model
+    whose ``objective.bound`` does not beat the cutoff is ``CUTOFF`` at
+    once, without calling HiGHS.
     """
     options = options or SolverOptions()
-    raw = _scipy_backend(ir, options)
     cutoff = options.cutoff
+    sense, bound = ir.objective.sense, ir.objective.bound
+    if cutoff is not None and bound is not None and not beats(sense, bound, cutoff):
+        return RawSolution(SolveStatus.CUTOFF, None, None)
+    raw = _scipy_backend(ir, options)
     if cutoff is None or raw.status not in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
         return raw
-    if raw.objective is not None and beats(ir.objective.sense, raw.objective, cutoff):
+    if raw.objective is not None and beats(sense, raw.objective, cutoff):
         return raw
     return RawSolution(SolveStatus.CUTOFF, None, None)

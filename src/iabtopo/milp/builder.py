@@ -600,7 +600,39 @@ def _finish_throughput(built: BuiltModel, lad: _Ladders) -> None:
         [f"use_le_on[{e.src}->{e.dst}]" for e, m in zip(lad.edges, gated.tolist()) if m],
         Sense.LE, 0.0, *out.coo(),
     )
-    ir.set_objective("max", [z], [1.0])
+    ir.set_objective("max", [z], [1.0], bound=_rate_bound(built, lad, c_max))
+
+
+def _rate_bound(built: BuiltModel, lad: _Ladders, c_max: float) -> float:
+    """No UE's rate beats its widest donor path over the routing edges.
+
+    The tree rule leaves each node but the donor at most one incoming edge
+    with flow, so a served UE's parent chain reaches the donor and carries
+    at least the UE's rate on every edge, and a wireless edge carries at
+    most the capacity of its top level (Pollack's bottleneck path, Oper.
+    Res. 8, 1960).  Wired edges are unbounded; edges granting no level
+    carry nothing.
+    """
+    caps = np.asarray(built.instance.capacity_table.capacities_mbps)
+    live = lad.top > 0
+    edges = [e for e, k in zip(lad.edges, live.tolist()) if k] + list(built.routing_wired)
+    width = np.concatenate([caps[lad.top[live] - 1], np.full(len(built.routing_wired), np.inf)])
+    pos = {n.id: p for p, n in enumerate(built.instance.graph.nodes)}
+    tail = np.array([pos[e.src] for e in edges], dtype=np.int64)
+    head = np.array([pos[e.dst] for e in edges], dtype=np.int64)
+    bound = c_max
+    for source in {c.source for c in built.commodities}:
+        widest = np.zeros(len(pos))
+        widest[pos[source]] = np.inf
+        while True:  # each pass lengthens the paths considered by one edge
+            wider = widest.copy()
+            np.maximum.at(wider, head, np.minimum(widest[tail], width))
+            if (wider == widest).all():
+                break
+            widest = wider
+        dests = [pos[c.dest] for c in built.commodities if c.source == source]
+        bound = min(bound, float(widest[dests].min()))
+    return bound
 
 
 def _finish_energy(built: BuiltModel, lad: _Ladders) -> None:

@@ -2,9 +2,10 @@
 
 Extraction is deliberately paranoid: binaries must sit within tolerance
 of integers, ladder indicators must agree with a direct SINR recompute at
-the extracted powers, and the assembled solution must pass the oracle's
-full numeric validation.  Any failure raises ExtractionMismatch rather
-than silently accepting a model/tolerance bug.
+the extracted powers, the assembled solution must pass the oracle's
+full numeric validation, and its objective must not beat the model's
+proven bound.  Any failure raises ExtractionMismatch rather than
+silently accepting a model/tolerance bug.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .ir import ModelIR
 
 _BIN_TOL = 1e-6
 _FLOW_TOL = 1e-6
+_BOUND_TOL = 1e-6  # relative
 
 
 def _bits(ir: ModelIR, values: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -149,4 +151,9 @@ def extract_solution(built: BuiltModel, raw: RawSolution) -> NetworkSolution:
     # Report the objective the solution's own values give; the validator has
     # just checked HiGHS's value against it.
     solution.objective = report.recomputed_objective
+    bound = ir.objective.bound
+    if bound is not None and solution.objective > bound + _BOUND_TOL * max(abs(bound), 1.0):
+        raise ExtractionMismatch(
+            f"min rate {solution.objective!r} beats the model's proven bound {bound!r}"
+        )
     return solution

@@ -184,6 +184,13 @@ def test_criterion_4_milp_oracle_cross_validation(instance_suite):
     )
 
 
+def test_rate_bound_covers_the_brute_force_optimum(instance_suite):
+    # Builds only: the fixture's enumerated optima are the reference.
+    for rec in instance_suite:
+        bound = milp.build_throughput_model(rec["instance"]).ir.objective.bound
+        assert bound >= rec["z_oracle"] * (1.0 - 1e-9)
+
+
 def test_criterion_5_heuristic_soundness(instance_suite):
     failures = []
     energy_runs = 0

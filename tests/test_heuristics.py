@@ -20,7 +20,7 @@ from iabtopo.heuristics import (
     selective_reduction,
 )
 from iabtopo.channel import RadioParams
-from iabtopo.milp import SolverOptions, builder
+from iabtopo.milp import SolverOptions, backend, builder
 from iabtopo.oracle import (
     enumerate_optimal_energy,
     enumerate_optimal_throughput,
@@ -231,6 +231,48 @@ def test_every_cutoff_answer_matches_the_full_optimum(monkeypatch):
     # Energy refinement is all strict moves; its log holds the start, the
     # accepted moves and the final solve.
     assert sum(len(log) > 2 for log in energy_logs) >= 6
+
+
+def test_bound_answered_trials_match_the_full_optimum(monkeypatch):
+    # A cutoff trial answered by its model's rate bound, without HiGHS, is
+    # solved again without the cutoff: the full optimum must not beat it.
+    grid = (0.0, 1575.0, 3150.0, 4725.0, 6300.0)
+    instances = [two_unit_instance(), two_unit_instance(levels=grid)]
+    for seed in range(6):
+        instances.append(random_small_instance(np.random.default_rng(seed)))
+        instances.append(random_small_instance(
+            np.random.default_rng(seed), max_units=4, max_ues=4, levels=grid
+        ))
+    solve, highs = milp.solve, backend._scipy_backend
+    highs_calls = []
+    trials = []
+
+    def counting(ir, options):
+        highs_calls.append(ir)
+        return highs(ir, options)
+
+    def checked(ir, options=None):
+        before = len(highs_calls)
+        raw = solve(ir, options)
+        if options is not None and options.cutoff is not None and len(highs_calls) == before:
+            full = solve(ir, dataclasses.replace(options, cutoff=None))
+            trials.append((ir.objective.sense, options.cutoff, raw, full))
+        return raw
+
+    monkeypatch.setattr(backend, "_scipy_backend", counting)
+    monkeypatch.setattr(milp, "solve", checked)
+    for inst in instances:
+        for search in (local_search_throughput, local_search_energy):
+            try:
+                search(inst, FAST)
+            except IabError:
+                continue
+
+    assert trials
+    for sense, cutoff, raw, full in trials:
+        assert raw.status is milp.SolveStatus.CUTOFF
+        assert full.status in (milp.SolveStatus.OPTIMAL, milp.SolveStatus.INFEASIBLE)
+        assert full.objective is None or not milp.beats(sense, full.objective, cutoff)
 
 
 def _search_outcome(search, instance):
@@ -476,6 +518,21 @@ def test_selective_reduction_k_exhaustion():
     inst = _ladder_instance().with_demands(1e6)  # infeasible at any k
     with pytest.raises(NoFeasibleWithinKmax):
         selective_reduction(inst, PruneParams(1, 2), "energy", FAST)
+
+
+def test_selective_reduction_widens_k_while_a_ue_is_cut_off():
+    # At k = 1 the UE keeps only its edge from the unreachable unit: Z = 0
+    # is feasible there, but serves no one, so k widens without a solve.
+    inst = _ladder_instance()
+    pruned = prune_graph(inst.graph, 1, inst.radio)
+    built = milp.build_throughput_model(inst, routing_edges=[e.key for e in pruned.edges])
+    assert built.ir.objective.bound == 0.0
+    sol, k_used = selective_reduction(inst, PruneParams(1, 3), "throughput", FAST)
+    assert k_used == 2
+    assert sol.objective > 0.0
+    assert validate_solution(inst, sol).ok
+    with pytest.raises(NoFeasibleWithinKmax):
+        selective_reduction(inst, PruneParams(1, 1), "throughput", FAST)
 
 
 def test_pruned_feasibility_monotone_in_k():

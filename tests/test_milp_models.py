@@ -14,7 +14,7 @@ from iabtopo.channel import (
     signal_coefficient,
 )
 from iabtopo.energy import PowerModelParams
-from iabtopo.errors import EmptyCommodities, NoFeasible, UnsupportedMode
+from iabtopo.errors import EmptyCommodities, ExtractionMismatch, NoFeasible, UnsupportedMode
 from iabtopo.graph import Commodity, Edge, EdgeKind, Node, NodeKind, build_graph
 from iabtopo.milp import SolverOptions, builder
 from iabtopo.milp.ir import Sense
@@ -420,6 +420,42 @@ def test_extraction_flags_tampered_model():
     report = validate_solution(inst, sol)
     assert not report.ok
     assert any(v.rule in ("CapacityOverclaim", "ObjectiveMismatch") for v in report.violations)
+
+
+def test_rate_bound_holds_at_random_fixed_powers():
+    # Fixed powers leave each edge one ladder level, so the widest donor
+    # path often sits below the table's top capacity, or at 0.
+    rng = np.random.default_rng(31)
+    below_top = 0
+    for _ in range(15):
+        inst = random_small_instance(rng, max_units=4, max_ues=4)
+        p_max = inst.radio.p_max_mw
+        fixed = {
+            n.id: 0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, p_max))
+            for n in inst.graph.frontends
+        }
+        built = milp.build_throughput_model(inst, fixed_powers=fixed)
+        raw = milp.solve(built.ir, SolverOptions(time_limit_s=30))
+        assert raw.status is SolveStatus.OPTIMAL
+        bound = built.ir.objective.bound
+        assert bound >= raw.objective * (1.0 - 1e-9)
+        below_top += bound < inst.capacity_table.max_capacity_mbps
+    assert below_top >= 5
+
+
+def test_energy_models_carry_no_bound():
+    assert milp.build_energy_model(two_unit_instance(demand=20.0)).ir.objective.bound is None
+
+
+def test_extraction_holds_the_answer_to_the_rate_bound():
+    inst = _single_frontend_instance(coarse_table(), [80.0])
+    built = milp.build_throughput_model(inst)
+    raw = milp.solve(built.ir, SolverOptions(time_limit_s=30))
+    z = milp.extract_solution(built, raw).objective
+    assert built.ir.objective.bound == pytest.approx(z, rel=1e-9)
+    built.ir.objective.bound = z * (1.0 - 2e-6)
+    with pytest.raises(ExtractionMismatch, match="proven bound"):
+        milp.extract_solution(built, raw)
 
 
 MULTI_LEVEL_GRID = (0.0, 2100.0, 4200.0, 6300.0)
