@@ -384,7 +384,7 @@ def selective_reduction(
             built = milp.build_throughput_model(instance, routing_edges=retained)
         else:
             built = milp.build_energy_model(instance, routing_edges=retained)
-        if built.ir.objective.bound == 0.0:
+        if problem_kind == milp.THROUGHPUT and built.ir.objective.bound == 0.0:
             continue  # some UE has no donor path that carries a rate
         raw = milp.solve(built.ir, options.solver(clock.remaining()))
         if raw.status is not SolveStatus.INFEASIBLE:

@@ -37,6 +37,12 @@ even when routing is restricted to a pruned edge subset or an edge is
 dead; a solution of a restricted model is therefore feasible in the
 unrestricted one.
 
+Every model records a proven bound on its objective, which no feasible
+point beats: the widest donor path to each UE for throughput, and for
+energy one awake frontend plus each UE's demand at its cheapest in-edge's
+watts per Mbps.  Both come from the ladder arrays and add no column or
+row; a cutoff solve the bound rules out skips HiGHS.
+
 Models are built from arrays.  Each graph's channel gains are computed
 once per radio and shared by every model built on it; every edge's
 ladder interval and every family of rows is computed with numpy over
@@ -709,7 +715,37 @@ def _finish_energy(built: BuiltModel, lad: _Ladders) -> None:
         np.concatenate([w, np.array(obj_cols, dtype=np.int64)]),
         np.concatenate([pm.delta_p * reps.levels.coefs[at] / 1000.0, np.array(obj_coefs, dtype=float)]),
         constant,
+        bound=_power_bound(built, lad, constant),
     )
+
+
+def _power_bound(built: BuiltModel, lad: _Ladders, constant: float) -> float:
+    """No network power undercuts one awake frontend plus each UE's cheapest in-edge.
+
+    A positive demand reaches its UE over a wireless edge, so that edge's
+    source and its unit are awake.  The UE's one chosen in-edge e carries
+    its demand d, and at source power p it grants at most the levels met
+    at (g_sig*p, I_lo), so d <= C(met)*alpha(e) and e's amplifier term
+    delta_p*p*alpha(e) is at least delta_p*p*d/C(met).  Distinct UEs have
+    distinct in-edges, and every other term is at least 0.
+    """
+    if not built.commodities:
+        return constant
+    pm = built.instance.power_model
+    table = built.instance.capacity_table
+    caps = np.asarray(table.capacities_mbps)
+    who, at = built.power_reps.levels.expand(lad.src)  # each edge's source power levels
+    p_mw = built.power_reps.levels.coefs[at]
+    met = _levels_met(np.asarray(table.thresholds_linear), lad.g_sig[who] * p_mw, lad.i_lo[who])
+    cap = np.where(met > 0, caps[met - 1], 0.0)
+    w_per_mbps = np.full(len(lad.edges), np.inf)
+    with np.errstate(divide="ignore"):
+        np.minimum.at(w_per_mbps, who, np.where(cap > 0, pm.delta_p * (p_mw / 1000.0) / cap, np.inf))
+    heads = np.array([e.dst for e in lad.edges], dtype=np.int64)
+    bound = constant + pm.n_trx * (pm.p0_w - pm.p_sleep_w) + pm.p_active_unit_w
+    for c in built.commodities:
+        bound += c.demand_mbps * float(w_per_mbps[heads == c.dest].min(initial=np.inf))
+    return bound
 
 
 def _power_reps(

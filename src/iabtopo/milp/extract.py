@@ -25,7 +25,7 @@ from .ir import ModelIR
 
 _BIN_TOL = 1e-6
 _FLOW_TOL = 1e-6
-_BOUND_TOL = 1e-6  # relative
+_BOUND_TOL = 1e-6  # relative to the answer
 
 
 def _bits(ir: ModelIR, values: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -151,9 +151,12 @@ def extract_solution(built: BuiltModel, raw: RawSolution) -> NetworkSolution:
     # Report the objective the solution's own values give; the validator has
     # just checked HiGHS's value against it.
     solution.objective = report.recomputed_objective
-    bound = ir.objective.bound
-    if bound is not None and solution.objective > bound + _BOUND_TOL * max(abs(bound), 1.0):
-        raise ExtractionMismatch(
-            f"min rate {solution.objective!r} beats the model's proven bound {bound!r}"
-        )
+    bound, z = ir.objective.bound, solution.objective
+    if bound is not None:
+        excess = z - bound if ir.objective.sense == "max" else bound - z
+        if excess > _BOUND_TOL * max(abs(z), 1.0):
+            what = "network power" if built.problem == ENERGY else "min rate"
+            raise ExtractionMismatch(
+                f"{what} {z!r} beats the model's proven bound {bound!r}"
+            )
     return solution

@@ -191,6 +191,14 @@ def test_rate_bound_covers_the_brute_force_optimum(instance_suite):
         assert bound >= rec["z_oracle"] * (1.0 - 1e-9)
 
 
+def test_power_bound_covers_the_brute_force_optimum(instance_suite):
+    # Builds only; an instance without an energy optimum has nothing to cover.
+    for rec in instance_suite:
+        if rec["p_oracle"] is not None:
+            bound = milp.build_energy_model(rec["instance"]).ir.objective.bound
+            assert bound <= rec["p_oracle"] * (1.0 + 1e-9)
+
+
 def test_criterion_5_heuristic_soundness(instance_suite):
     failures = []
     energy_runs = 0

@@ -234,8 +234,9 @@ def test_every_cutoff_answer_matches_the_full_optimum(monkeypatch):
 
 
 def test_bound_answered_trials_match_the_full_optimum(monkeypatch):
-    # A cutoff trial answered by its model's rate bound, without HiGHS, is
-    # solved again without the cutoff: the full optimum must not beat it.
+    # A cutoff trial answered by its model's rate or power bound, without
+    # HiGHS, is solved again without the cutoff: the full optimum must not
+    # beat it.
     grid = (0.0, 1575.0, 3150.0, 4725.0, 6300.0)
     instances = [two_unit_instance(), two_unit_instance(levels=grid)]
     for seed in range(6):
@@ -269,6 +270,7 @@ def test_bound_answered_trials_match_the_full_optimum(monkeypatch):
                 continue
 
     assert trials
+    assert any(sense == "min" for sense, *_ in trials)  # energy refinement trials too
     for sense, cutoff, raw, full in trials:
         assert raw.status is milp.SolveStatus.CUTOFF
         assert full.status in (milp.SolveStatus.OPTIMAL, milp.SolveStatus.INFEASIBLE)

@@ -443,8 +443,29 @@ def test_rate_bound_holds_at_random_fixed_powers():
     assert below_top >= 5
 
 
-def test_energy_models_carry_no_bound():
-    assert milp.build_energy_model(two_unit_instance(demand=20.0)).ir.objective.bound is None
+def test_power_bound_holds_at_random_fixed_powers():
+    # All-fixed and one-free-grid energy models, as the energy search builds
+    # them; half the draws add the per-unit power.  The bound is tight
+    # when the optimum keeps one frontend awake and serves each UE over
+    # its cheapest in-edge.
+    grid = (0.0, 1575.0, 3150.0, 4725.0, 6300.0)
+    rng = np.random.default_rng(37)
+    tight = 0
+    for draw in range(16):
+        inst = random_small_instance(rng, max_units=4, max_ues=4, levels=grid)
+        if draw % 4 >= 2:
+            inst = dataclasses.replace(inst, power_model=PowerModelParams(p_active_unit_w=10.0))
+        fids = sorted(n.id for n in inst.graph.frontends)
+        fixed = {f: float(rng.choice(grid[1:])) for f in fids}
+        if draw % 2:
+            del fixed[fids[int(rng.integers(len(fids)))]]
+        built = milp.build_energy_model(inst, fixed_powers=fixed)
+        raw = milp.solve(built.ir, SolverOptions(time_limit_s=30))
+        assert raw.status is SolveStatus.OPTIMAL
+        bound = built.ir.objective.bound
+        assert bound <= raw.objective * (1.0 + 1e-8)
+        tight += bound >= raw.objective - 1e-6
+    assert tight >= 4
 
 
 def test_extraction_holds_the_answer_to_the_rate_bound():
@@ -455,6 +476,16 @@ def test_extraction_holds_the_answer_to_the_rate_bound():
     assert built.ir.objective.bound == pytest.approx(z, rel=1e-9)
     built.ir.objective.bound = z * (1.0 - 2e-6)
     with pytest.raises(ExtractionMismatch, match="proven bound"):
+        milp.extract_solution(built, raw)
+
+
+def test_extraction_holds_the_answer_to_the_power_bound():
+    built = milp.build_energy_model(two_unit_instance(demand=20.0))
+    raw = milp.solve(built.ir, SolverOptions(time_limit_s=30))
+    p = milp.extract_solution(built, raw).objective
+    assert built.ir.objective.bound <= p * (1.0 + 1e-9)
+    built.ir.objective.bound = p * (1.0 + 2e-6)
+    with pytest.raises(ExtractionMismatch, match="network power .* proven bound"):
         milp.extract_solution(built, raw)
 
 
