@@ -245,12 +245,14 @@ def cmd_solve(
     try:
         graph = load_graph(graph_path)
         config = config_from_json(config_path) if config_path else ScenarioConfig()
-        mode = _resolve_power_mode(power_mode, problem, method)
-        instance = _build_instance(
-            graph, config, demand_mbps, mode, options.power_levels, mcs_table
+        build = functools.partial(
+            _build_instance, graph, config, demand_mbps,
+            levels=options.power_levels, mcs_table=mcs_table,
         )
-        if lp_out:
-            Path(lp_out).write_text(_exact_model(instance, problem).ir.lp_text())
+        instance = build(_resolve_power_mode(power_mode, problem, method))
+        if lp_out:  # the model --method exact would solve with these flags
+            exact = build(_resolve_power_mode(power_mode, problem, "exact"))
+            Path(lp_out).write_text(_exact_model(exact, problem).ir.lp_text())
     except IabError as exc:
         _fail(str(exc))
 
@@ -275,15 +277,20 @@ def cmd_solve(
 
 
 def _parse_hours(text: str) -> list[int]:
-    hours: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if "-" in part:
-            lo, hi = part.split("-")
-            hours.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            hours.append(int(part))
-    return sorted(set(hours))
+    """Hours of ``text``, a comma list of hours and ascending ranges ``lo-hi``."""
+    hours: set[int] = set()
+    for part in filter(None, (p.strip() for p in text.split(","))):
+        lo, _, hi = part.partition("-")
+        try:
+            lo, hi = int(lo), int(hi or lo)
+        except ValueError:
+            _fail(f"--hours {text!r}: {part!r} is not an hour or a range lo-hi")
+        if lo > hi:
+            _fail(f"--hours {text!r}: range {part!r} runs backwards")
+        hours.update(range(lo, hi + 1))
+    if not hours:
+        _fail(f"--hours {text!r}: no hours given")
+    return sorted(hours)
 
 
 def _parse_names(text: str, allowed: tuple[str, ...], what: str) -> list[str]:

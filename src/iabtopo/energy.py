@@ -8,12 +8,12 @@ links); a silent frontend drops to sleep power.  All figures in watts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import InconsistentSolution, PowerOutOfRange, ZeroPower
 
 if TYPE_CHECKING:
-    from .graph import MeasurementGraph
+    from .graph import EdgeKey, MeasurementGraph
     from .problem import NetworkSolution
 
 
@@ -58,18 +58,31 @@ def total_power(
     params: PowerModelParams,
     graph: "MeasurementGraph | None" = None,
 ) -> EnergyReport:
-    """Aggregate network power from a solution's activations, powers and airtimes.
+    """Network power of a solution's activations, powers and airtimes."""
+    return network_power(
+        solution.powers_mw, solution.activations, solution.airtimes, params, graph
+    )
+
+
+def network_power(
+    powers_mw: Mapping[int, float],
+    activations: Mapping[int, int],
+    airtimes: Mapping["EdgeKey", float],
+    params: PowerModelParams,
+    graph: "MeasurementGraph | None" = None,
+) -> EnergyReport:
+    """Aggregate network power from activations, powers (mW) and airtimes.
 
     ``graph`` is only needed when the per-active-unit adder is nonzero.
     """
     airtime_by_src: dict[int, float] = {}
-    for (src, _dst), alpha in solution.airtimes.items():
+    for (src, _dst), alpha in airtimes.items():
         airtime_by_src[src] = airtime_by_src.get(src, 0.0) + alpha
 
     per_frontend: dict[int, float] = {}
     active = 0
-    for frontend_id, p_mw in sorted(solution.powers_mw.items()):
-        on = solution.activations.get(frontend_id, 0)
+    for frontend_id, p_mw in sorted(powers_mw.items()):
+        on = activations.get(frontend_id, 0)
         if not on:
             if p_mw > 0:
                 raise InconsistentSolution(
@@ -87,11 +100,7 @@ def total_power(
     if params.p_active_unit_w > 0:
         if graph is None:
             raise ValueError("per-unit power adder needs the graph for unit grouping")
-        active_units = {
-            graph.node(fid).unit_id
-            for fid, on in solution.activations.items()
-            if on
-        }
+        active_units = {graph.node(fid).unit_id for fid, on in activations.items() if on}
         total += params.p_active_unit_w * len(active_units)
     return EnergyReport(per_frontend_w=per_frontend, total_w=total, active_count=active)
 

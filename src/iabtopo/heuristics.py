@@ -290,9 +290,10 @@ def local_search_throughput(
 def local_search_energy(
     instance: ProblemInstance, options: SearchOptions | None = None
 ) -> tuple[NetworkSolution, SearchState]:
-    """Throughput search for a power seed, then energy refinement sweeps."""
+    """Throughput search for a power seed, then energy refinement, on one clock."""
     options = options or SearchOptions()
-    tput_state, _ = _throughput_search(instance, options, _Clock(options.global_budget_s))
+    clock = _Clock(options.global_budget_s)
+    tput_state, _ = _throughput_search(instance, options, clock)
     z = tput_state.curr_best_obj
     for comm in instance.commodities:
         if comm.demand_mbps > 0 and comm.demand_mbps >= z:
@@ -300,7 +301,6 @@ def local_search_energy(
                 f"demand {comm.demand_mbps} Mbps >= reachable max-min rate {z}"
             )
 
-    clock = _Clock(options.global_budget_s)
     frontends = sorted(n.id for n in instance.graph.frontends)
     if isinstance(instance.power_mode, DiscretePower):
         levels = instance.power_mode.levels_mw

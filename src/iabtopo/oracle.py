@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 from . import channel
 from .capacity import CapacityTable, capacity_from_sinr
 from .channel import link_budget
-from .energy import total_power
+from .energy import network_power, total_power
 from .errors import NoFeasible, TooLarge, UnsupportedMode, ZeroCapacityLink
 from .graph import EdgeKey, EdgeKind, MeasurementGraph, NodeKind, validate_tree
 from .problem import (
@@ -24,7 +24,6 @@ from .problem import (
     FixedPower,
     NetworkSolution,
     ProblemInstance,
-    SolveStatus,
 )
 
 _TOL = 1e-6
@@ -64,17 +63,24 @@ def _max_min(
     ues_down: Mapping[EdgeKey, int], capacities_mbps: Mapping[EdgeKey, float]
 ) -> float:
     """1 / the largest airtime per unit rate at any node (max c + 1 if none)."""
-    node_load: dict[int, float] = {}
+    per_rate: dict[EdgeKey, float] = {}
     for key, n_down in ues_down.items():
         c = capacities_mbps.get(key, 0.0)
         if c <= 0:
             raise ZeroCapacityLink(f"tree edge {key} carries {n_down} UEs at zero capacity")
-        a = n_down / c
-        node_load[key[0]] = node_load.get(key[0], 0.0) + a
-        node_load[key[1]] = node_load.get(key[1], 0.0) + a
-    if not node_load:
+        per_rate[key] = n_down / c
+    if not per_rate:
         return max(capacities_mbps.values(), default=0.0) + 1.0
-    return 1.0 / max(node_load.values())
+    return 1.0 / max(_node_airtime(per_rate).values())
+
+
+def _node_airtime(airtimes: Mapping[EdgeKey, float]) -> dict[int, float]:
+    """Each node's summed airtime: every link is charged to both endpoints."""
+    node_load: dict[int, float] = {}
+    for (src, dst), a in airtimes.items():
+        node_load[src] = node_load.get(src, 0.0) + a
+        node_load[dst] = node_load.get(dst, 0.0) + a
+    return node_load
 
 
 # -- exhaustive optima --------------------------------------------------------
@@ -206,27 +212,9 @@ def enumerate_optimal_energy(instance: ProblemInstance) -> float:
     g = instance.graph
     pm = instance.power_model
     commodities = [c for c in instance.commodities if c.demand_mbps > 0]
-    frontend_ids = sorted(n.id for n in g.frontends)
-
-    def solution_power(
-        powers: dict[int, float], airtimes: dict[EdgeKey, float]
-    ) -> float:
-        sol = NetworkSolution(
-            problem="energy",
-            status=SolveStatus.OPTIMAL,
-            objective=0.0,
-            chosen_edges=(),
-            flows={},
-            airtimes=airtimes,
-            powers_mw=dict(powers),
-            activations={f: 1 if powers.get(f, 0.0) > 0 else 0 for f in frontend_ids},
-            capacities_mbps={},
-            per_ue_mbps={},
-        )
-        return total_power(sol, pm, g).total_w
-
     if not commodities:
-        return solution_power({f: 0.0 for f in frontend_ids}, {})
+        asleep = {n.id: 0.0 for n in g.frontends}
+        return network_power(asleep, {}, {}, pm, g).total_w
 
     ue_ids = sorted({c.dest for c in commodities})
     demand = {c.dest: c.demand_mbps for c in commodities}
@@ -236,16 +224,11 @@ def enumerate_optimal_energy(instance: ProblemInstance) -> float:
     for powers, caps, load in _trees(
         instance, ue_ids, lambda tree: _routed_demand(tree, demand, donor, wireless)
     ):
-        airtimes: dict[EdgeKey, float] = {}
-        node_load: dict[int, float] = {}
-        for key, d_e in load.items():
-            a = d_e / caps[key]
-            airtimes[key] = a
-            node_load[key[0]] = node_load.get(key[0], 0.0) + a
-            node_load[key[1]] = node_load.get(key[1], 0.0) + a
-        if any(v > 1.0 + 1e-9 for v in node_load.values()):
+        airtimes = {key: d_e / caps[key] for key, d_e in load.items()}
+        if any(v > 1.0 + 1e-9 for v in _node_airtime(airtimes).values()):
             continue
-        value = solution_power(powers, airtimes)
+        activations = {f: int(p > 0) for f, p in powers.items()}
+        value = network_power(powers, activations, airtimes, pm, g).total_w
         if value < best:
             best = value
     if not math.isfinite(best):
@@ -344,13 +327,10 @@ def validate_solution(
     ]
 
     # Airtime: range and per-node budgets (both endpoints charged).
-    node_load: dict[int, float] = {}
     for key, a in solution.airtimes.items():
         if a < -_TOL or a > 1 + _TOL:
             violations.append(Violation("AirtimeRange", key, a))
-        node_load[key[0]] = node_load.get(key[0], 0.0) + a
-        node_load[key[1]] = node_load.get(key[1], 0.0) + a
-    for node_id, load in sorted(node_load.items()):
+    for node_id, load in sorted(_node_airtime(solution.airtimes).items()):
         if load > 1 + _TOL:
             violations.append(Violation("AirtimeBudget", (node_id,), load - 1.0))
 

@@ -82,7 +82,9 @@ def test_criterion_2_threshold_equivalence():
         i_vals = rng.uniform(1e-6, 10.0, size=10_000)
         # Straddle the threshold: ratios from -3 dB to +3 dB around it.
         ratios = th * 10 ** (rng.uniform(-0.3, 0.3, size=10_000) / 1.0)
-        for i_mw, ratio in zip(i_vals, ratios):
+        # Python floats, as the oracle passes: iterating numpy scalars
+        # would cost more than the checks themselves.
+        for i_mw, ratio in zip(i_vals.tolist(), ratios.tolist()):
             s_mw = ratio * i_mw
             _, cap = capacity_from_sinr(table, s_mw, i_mw)
             if (cap >= entry.capacity_mbps) != (s_mw >= th * i_mw):

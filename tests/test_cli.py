@@ -171,8 +171,9 @@ def test_levels_reach_the_energy_search(workspace, monkeypatch, command):
     assert seen == [3]
 
 
-def test_lp_out_without_an_exact_model_is_an_input_error(workspace):
-    # Energy has no exact model with continuous powers.
+def test_lp_out_dumps_the_exact_model_of_the_flags(workspace):
+    # The default local search keeps powers continuous, which energy's exact
+    # model cannot; --lp-out dumps the discrete model --method exact builds.
     tmp, cfg, profile = workspace
     graph_path = tmp / "g.json"
     _run(["scenario-gen", "--config", str(cfg), "--profile", str(profile),
@@ -181,11 +182,12 @@ def test_lp_out_without_an_exact_model_is_an_input_error(workspace):
     args = ["solve", "--graph", str(graph_path), "--config", str(cfg),
             "--problem", "energy", "--lp-out", str(lp_path)]
     result = _run(args)
-    assert result.exit_code == 2
-    assert "energy problem needs fixed or discrete powers" in result.output
-    assert not lp_path.exists()
-    assert _run(args + ["--power-mode", "discrete", "--method", "exact"]).exit_code == 0
-    assert lp_path.read_text()
+    assert result.exit_code == 0, result.output
+    text = lp_path.read_text()
+    assert "\nMinimize\n" in text
+    assert "lam[" in text.split("\nBinaries\n")[1]
+    assert _run(args + ["--method", "exact"]).exit_code == 0
+    assert lp_path.read_text() == text
 
 
 def test_sweep_determinism_modulo_runtime(workspace):
@@ -329,6 +331,20 @@ def test_sweep_rejects_bad_profile(workspace):
     )
     assert result.exit_code == 2
     assert "error:" in result.output
+    assert not (out_dir / "results.csv").exists()
+
+
+@pytest.mark.parametrize("hours", ["nine", "9-6", ""])
+def test_bad_hours_are_input_errors(workspace, hours):
+    tmp, cfg, profile = workspace
+    out_dir = tmp / "sweep"
+    result = _run(
+        ["sweep", "--config", str(cfg), "--profile", str(profile),
+         "--hours", hours, "--methods", "local-search", "--seed", "3",
+         "--out-dir", str(out_dir)]
+    )
+    assert result.exit_code == 2
+    assert "error: --hours" in result.output
     assert not (out_dir / "results.csv").exists()
 
 

@@ -4,6 +4,7 @@ from iabtopo.energy import (
     PowerModelParams,
     energy_efficiency,
     frontend_power,
+    network_power,
     total_power,
 )
 from iabtopo.errors import InconsistentSolution, PowerOutOfRange, ZeroPower
@@ -92,6 +93,19 @@ def test_per_unit_adder_counts_active_units():
     with_adder = total_power(sol, params, g)
     without = total_power(sol, PowerModelParams(), g)
     assert with_adder.total_w == pytest.approx(without.total_w + 10.0)
+
+
+def test_network_power_reads_plain_mappings():
+    # total_power is network_power on a solution's own powers, activations
+    # and airtimes.
+    g = two_unit_graph()
+    params = PowerModelParams(p_active_unit_w=10.0)
+    powers, activations = {1: 6300.0, 11: 0.0}, {1: 1, 11: 0}
+    airtimes = {(1, 20): 0.3, (1, 21): 0.2}
+    report = network_power(powers, activations, airtimes, params, g)
+    assert report == total_power(_solution(powers, activations, airtimes), params, g)
+    expected = frontend_power(params, 6.3, 0.5) + params.n_trx * params.p_sleep_w + 10.0
+    assert report.total_w == pytest.approx(expected, rel=1e-12)
 
 
 def test_energy_efficiency():

@@ -1,11 +1,12 @@
 import dataclasses
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
-from iabtopo import milp
+from iabtopo import heuristics, milp
 from iabtopo.errors import DemandExceedsMaxMin, IabError, NoFeasibleWithinKmax
 from iabtopo.graph import Commodity, Edge, EdgeKind, Node, NodeKind, build_graph
 from iabtopo.heuristics import (
@@ -390,6 +391,25 @@ def test_demand_at_max_min_rate_rejected():
     matched = inst.with_demands(z)  # d_k == Z must be refused (strict >)
     with pytest.raises(DemandExceedsMaxMin):
         local_search_energy(matched, FAST)
+
+
+def test_energy_search_runs_on_one_clock(monkeypatch):
+    # The throughput seed and the energy refinement share one clock, so the
+    # global budget bounds the whole run and the energy log counts from its
+    # start, seed phase included.
+    seed_search = heuristics._throughput_search
+    seed_s = []
+
+    def slow_seed(instance, options, clock):
+        start = time.monotonic()
+        result = seed_search(instance, options, clock)
+        time.sleep(0.2)
+        seed_s.append(time.monotonic() - start)
+        return result
+
+    monkeypatch.setattr(heuristics, "_throughput_search", slow_seed)
+    _sol, state = local_search_energy(two_unit_instance(demand=20.0), FAST)
+    assert state.log[0].timestamp_s >= seed_s[0]
 
 
 def test_zero_demand_energy_sleeps_all():

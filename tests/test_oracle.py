@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from iabtopo import channel, milp, oracle
 from iabtopo.capacity import capacity_from_sinr, default_table
 from iabtopo.channel import RadioParams, link_budget
+from iabtopo.energy import PowerModelParams
 from iabtopo.errors import NoFeasible, TooLarge, ZeroCapacityLink
 from iabtopo.graph import Commodity, Edge, EdgeKind, Node, NodeKind, build_graph
 from iabtopo.milp import SolverOptions
@@ -411,3 +414,32 @@ def test_enumeration_builds_each_tree_and_gain_once(monkeypatch, enumerate_optim
     assert len(trees) > 10
     assert set(trees.values()) == {1}
     assert gains == {e.key: 1 for e in inst.graph.wireless_edges}
+
+
+@pytest.mark.parametrize(
+    "instance, optimum",
+    [
+        (lambda: _pinned_instance("seed0"), 274.6684185446443),
+        (
+            lambda: dataclasses.replace(
+                two_unit_instance(), power_model=PowerModelParams(p_active_unit_w=10.0)
+            ),
+            200.53401794433796,
+        ),
+    ],
+    ids=["seed0", "two-unit-adder"],
+)
+def test_energy_enumeration_prices_without_building_solutions(
+    monkeypatch, instance, optimum
+):
+    # Each (powers, tree) pair is priced from its powers and airtimes alone.
+    def no_solution(*args, **kwargs):
+        raise AssertionError("enumeration built a NetworkSolution")
+
+    monkeypatch.setattr(oracle, "NetworkSolution", no_solution)
+    assert enumerate_optimal_energy(instance()) == optimum
+
+
+def test_node_airtime_charges_both_endpoints():
+    loads = oracle._node_airtime({(1, 20): 0.25, (1, 21): 0.5, (20, 21): 0.125})
+    assert loads == {1: 0.75, 20: 0.375, 21: 0.625}
