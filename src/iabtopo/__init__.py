@@ -2,7 +2,7 @@
 routing/airtime/power optimization for wireless access/backhaul trees."""
 
 from .capacity import CapacityTable, McsEntry, Ts38306Params, capacity_from_sinr, default_table, load_table, ts38306_rate
-from .channel import LinkBudget, RadioParams, link_interference, link_signal, o2i_loss, pathloss_umi
+from .channel import RadioParams, link_budgets, link_signal, o2i_loss, pathloss_umi
 from .energy import EnergyReport, PowerModelParams, energy_efficiency, frontend_power, total_power
 from .graph import (
     Commodity,

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 from .errors import OutOfModelRange
-from .graph import Edge, EdgeKind, MeasurementGraph, Node, NodeKind
+from .graph import Edge, EdgeKey, EdgeKind, MeasurementGraph, Node, NodeKind
 
 _C = 299792458.0  # m/s
 
@@ -46,13 +47,6 @@ class RadioParams:
             raise ValueError("rx main-lobe gain below side-lobe gain")
         if self.noise_mw < 0:
             raise ValueError("noise_mw must be >= 0")
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    signal_mw: float
-    interference_mw: float
-    sinr_db: float
 
 
 # -- pathloss ------------------------------------------------------------
@@ -190,38 +184,27 @@ def interference_coefficients(
     return coeffs
 
 
-def link_interference(
-    victim_edge: Edge,
-    powers_mw: dict[int, float],
-    graph: MeasurementGraph,
-    params: RadioParams,
-) -> float:
-    """Total interference power (mW) at the victim edge's receiver."""
-    total = params.noise_mw
-    for frontend_id, coeff in interference_coefficients(graph, victim_edge, params).items():
-        p = powers_mw.get(frontend_id, 0.0)
-        if p > 0:
-            total += coeff * p
-    return total
+def link_budgets(graph: MeasurementGraph, edges: Iterable[Edge], params: RadioParams):
+    """Function from transmit powers (mW by frontend id) to each edge's budget.
 
+    A budget is ``(signal_mw, interference_mw)``.  Every given edge's
+    coefficients are computed here once; a call only multiplies and sums
+    them: noise first, then interferers in id order, silent ones skipped.
+    """
+    gains = [
+        (e.key, signal_coefficient(graph, e, params), interference_coefficients(graph, e, params))
+        for e in edges
+    ]
 
-def sinr_db(signal_mw: float, interference_mw: float) -> float:
-    """10*log10(S/I); +inf at zero interference, -inf at zero signal."""
-    if signal_mw <= 0:
-        return -math.inf
-    if interference_mw <= 0:
-        return math.inf
-    return 10.0 * math.log10(signal_mw / interference_mw)
+    def budgets(powers_mw: Mapping[int, float]) -> dict[EdgeKey, tuple[float, float]]:
+        out: dict[EdgeKey, tuple[float, float]] = {}
+        for key, s_coeff, interferers in gains:
+            interference = params.noise_mw
+            for fid, coeff in interferers.items():
+                p = powers_mw.get(fid, 0.0)
+                if p > 0:
+                    interference += coeff * p
+            out[key] = (s_coeff * powers_mw.get(key[0], 0.0), interference)
+        return out
 
-
-def link_budget(
-    edge: Edge,
-    powers_mw: dict[int, float],
-    graph: MeasurementGraph,
-    params: RadioParams,
-) -> LinkBudget:
-    """Signal, interference and SINR of a wireless edge at given powers."""
-    p = powers_mw.get(edge.src, 0.0)
-    s = signal_coefficient(graph, edge, params) * p
-    i = link_interference(edge, powers_mw, graph, params)
-    return LinkBudget(signal_mw=s, interference_mw=i, sinr_db=sinr_db(s, i))
+    return budgets

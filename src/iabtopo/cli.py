@@ -126,11 +126,16 @@ def _search_flags(command):
         return command(options=options, prune=prune, **kwargs)
 
     for flag in (
-        click.option("--levels", type=int, default=9, show_default=True),
+        click.option("--levels", type=click.IntRange(min=2), default=9, show_default=True),
         click.option("--k-max", type=int, default=10, show_default=True),
         click.option("--k0", type=int, default=5, show_default=True),
         click.option("--global-budget", type=float, default=2400.0, show_default=True),
-        click.option("--time-limit", type=float, default=60.0, show_default=True),
+        click.option(
+            "--time-limit",
+            type=click.FloatRange(min=0.0, min_open=True),
+            default=60.0,
+            show_default=True,
+        ),
     ):
         run = flag(run)
     return run
@@ -328,7 +333,7 @@ def _sweep_one(
 @click.option("--seed", type=int, required=True)
 @click.option("--demand-mbps", type=float, default=5.0, show_default=True)
 @_search_flags
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out-dir", required=True, type=click.Path())
 def cmd_sweep(
     config_path,

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .. import oracle
-from ..channel import link_budget
+from ..channel import link_budgets
 from ..errors import BackendError, ExtractionMismatch
 from ..graph import EdgeKey
 from ..problem import NetworkSolution, SolveStatus
@@ -97,7 +97,9 @@ def extract_solution(built: BuiltModel, raw: RawSolution) -> NetworkSolution:
     # an indicator at 0 despite a met threshold (a within-tolerance
     # violation on an unused edge, which only wastes capacity); granting a
     # level the physics denies is the bug this check exists to catch.
-    table = built.instance.capacity_table
+    inst = built.instance
+    table = inst.capacity_table
+    budgets = link_budgets(inst.graph, built.routing_wireless, inst.radio)(powers)
     n_phi = built.top - built.floor
     e_of, j = _spread(n_phi)
     phi = _bits(ir, x, built.v0[e_of] + 3 + j).tolist()
@@ -109,8 +111,7 @@ def extract_solution(built: BuiltModel, raw: RawSolution) -> NetworkSolution:
             if bit and model_count < i:
                 raise ExtractionMismatch(f"phi chain broken on edge {e.key} at level {i}")
             model_count += bit
-        budget = link_budget(e, powers, built.instance.graph, built.instance.radio)
-        granted = oracle.granted_levels(table, budget.signal_mw, budget.interference_mw)
+        granted = oracle.granted_levels(table, *budgets[e.key])
         if model_count > granted:
             raise ExtractionMismatch(
                 f"edge {e.key}: model grants {model_count} ladder levels, "
@@ -144,7 +145,7 @@ def extract_solution(built: BuiltModel, raw: RawSolution) -> NetworkSolution:
         gap=raw.gap,
     )
 
-    report = oracle.validate_solution(built.instance, solution)
+    report = oracle.validate_solution(inst, solution)
     if not report.ok:
         summary = "; ".join(str(v) for v in report.violations[:8])
         raise ExtractionMismatch(f"solution failed re-validation: {summary}", report)

@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from . import channel
 from .capacity import CapacityTable, capacity_from_sinr
-from .channel import link_budget
+from .channel import link_budgets
 from .energy import network_power, total_power
 from .errors import NoFeasible, TooLarge, UnsupportedMode, ZeroCapacityLink
 from .graph import EdgeKey, EdgeKind, MeasurementGraph, NodeKind, validate_tree
@@ -96,38 +95,6 @@ def _power_grids(instance: ProblemInstance) -> tuple[list[int], list[list[float]
     raise UnsupportedMode("enumeration needs fixed or discrete powers")
 
 
-def _capacity_model(instance: ProblemInstance):
-    """Function from powers to every wireless edge's capacity.
-
-    Each edge's signal and interference coefficients come from ``channel``
-    once; a call only multiplies and sums them, in ``link_interference``'s
-    order, so each capacity equals the ``link_budget`` path's exactly.
-    """
-    g, radio, table = instance.graph, instance.radio, instance.capacity_table
-    gains = [
-        (
-            e.key,
-            channel.signal_coefficient(g, e, radio),
-            list(channel.interference_coefficients(g, e, radio).items()),
-        )
-        for e in g.wireless_edges
-    ]
-
-    def capacities(powers: Mapping[int, float]) -> dict[EdgeKey, float]:
-        caps: dict[EdgeKey, float] = {}
-        for key, s_coeff, interferers in gains:
-            interference = radio.noise_mw
-            for fid, coeff in interferers:
-                p = powers.get(fid, 0.0)
-                if p > 0:
-                    interference += coeff * p
-            signal = s_coeff * powers.get(key[0], 0.0)
-            caps[key] = capacity_from_sinr(table, signal, interference)[1]
-        return caps
-
-    return capacities
-
-
 def _trees(instance: ProblemInstance, ue_ids: Sequence[int], shape):
     """Yield (powers, capacities, shape) of every candidate tree.
 
@@ -161,12 +128,15 @@ def _trees(instance: ProblemInstance, ue_ids: Sequence[int], shape):
     if total > _CONFIG_GUARD:
         raise TooLarge(f"{total} configurations exceed the {_CONFIG_GUARD} guard")
 
-    capacities = _capacity_model(instance)
+    table = instance.capacity_table
+    budgets = link_budgets(g, g.wireless_edges, instance.radio)
     wired = [e.key for e in g.wired_edges]
     shapes: dict[tuple, object] = {}  # parent choice -> shape(tree) or None
     for combo in itertools.product(*grids):
         powers = dict(zip(frontends, combo))
-        caps = capacities(powers)
+        caps = {
+            key: capacity_from_sinr(table, s, i)[1] for key, (s, i) in budgets(powers).items()
+        }
         ue_options = [
             [f for f in ue_candidates[ue] if caps.get((f, ue), 0.0) > 0] for ue in ue_ids
         ]
@@ -335,18 +305,16 @@ def validate_solution(
             violations.append(Violation("AirtimeBudget", (node_id,), load - 1.0))
 
     # Capacity claims against recomputed signal/interference.
-    for key in sorted(solution.capacities_mbps):
-        c = solution.capacities_mbps[key]
-        if c <= _TOL:
-            continue
-        edge = g.edge(*key)
-        if edge is None or edge.kind is not EdgeKind.WIRELESS:
+    claimed = [(key, c) for key, c in sorted(solution.capacities_mbps.items()) if c > _TOL]
+    edges = [g.edge(*key) for key, _ in claimed]
+    budgets = link_budgets(
+        g, [e for e in edges if e is not None and e.kind is EdgeKind.WIRELESS], instance.radio
+    )(solution.powers_mw)
+    for key, c in claimed:
+        if key not in budgets:
             violations.append(Violation("CapacityOnNonWireless", key, c))
             continue
-        budget = link_budget(edge, solution.powers_mw, g, instance.radio)
-        granted = _granted_capacity(
-            instance.capacity_table, budget.signal_mw, budget.interference_mw
-        )
+        granted = _granted_capacity(instance.capacity_table, *budgets[key])
         limit = solution.airtimes.get(key, 0.0) * granted
         if c > limit + _TOL * max(1.0, granted):
             violations.append(Violation("CapacityOverclaim", key, c - limit))

@@ -6,18 +6,22 @@ import pytest
 from iabtopo.channel import (
     RadioParams,
     in_main_lobe,
-    link_interference,
+    interference_coefficients,
+    link_budgets,
     link_signal,
     los_probability,
     o2i_loss,
     pathloss_umi,
     signal_coefficient,
-    sinr_db,
 )
 from iabtopo.errors import OutOfModelRange
 from iabtopo.graph import Edge, EdgeKind, Node, NodeKind, build_graph
 
-from conftest import two_unit_graph
+from conftest import random_small_instance, two_unit_graph
+
+
+def _interference(edge, powers_mw, graph, params):
+    return link_budgets(graph, [edge], params)(powers_mw)[edge.key][1]
 
 
 def _d2d(d3d, h_bs, h_ut):
@@ -125,7 +129,7 @@ def test_link_signal_linear_in_power():
 def test_interference_zero_when_everyone_silent():
     g = two_unit_graph()
     edge = g.edge(1, 20)
-    assert link_interference(edge, {1: 6300.0, 11: 0.0}, g, RadioParams()) == 0.0
+    assert _interference(edge, {1: 6300.0, 11: 0.0}, g, RadioParams()) == 0.0
 
 
 def test_interferer_matching_serving_link_gives_equal_power():
@@ -146,8 +150,8 @@ def test_interferer_matching_serving_link_gives_equal_power():
     ]
     g = build_graph(nodes, edges)
     serving = g.edge(1, 4)
-    s = signal_coefficient(g, serving, radio) * 1000.0
-    i = link_interference(serving, {1: 1000.0, 3: 1000.0}, g, radio)
+    s, i = link_budgets(g, [serving], radio)({1: 1000.0, 3: 1000.0})[serving.key]
+    assert s == signal_coefficient(g, serving, radio) * 1000.0
     assert i == pytest.approx(s, rel=1e-12)
 
 
@@ -171,7 +175,7 @@ def test_interference_sums_three_terms():
     radio = RadioParams()
     victim = g3.edge(1, 20)
     powers = {1: 6300.0, 11: 2000.0, 31: 1000.0, 41: 500.0}
-    total = link_interference(victim, powers, g3, radio)
+    total = _interference(victim, powers, g3, radio)
     by_hand = 0.0
     for rid, pl in ((11, 96.0), (31, 92.0), (41, 101.0)):
         tx = g3.node(rid)
@@ -187,16 +191,36 @@ def test_interference_superposition():
     rng = np.random.default_rng(9)
     for _ in range(20):
         p = float(rng.uniform(0, 6300))
-        base = link_interference(victim, {11: p}, g, radio)
-        assert link_interference(victim, {11: 2 * p}, g, radio) == pytest.approx(
+        base = _interference(victim, {11: p}, g, radio)
+        assert _interference(victim, {11: 2 * p}, g, radio) == pytest.approx(
             2 * base, rel=1e-12, abs=1e-30
         )
 
 
-def test_sinr_db_edge_cases():
-    assert sinr_db(1.0, 0.0) == math.inf
-    assert sinr_db(0.0, 1.0) == -math.inf
-    assert sinr_db(10.0, 1.0) == pytest.approx(10.0)
+def test_link_budgets_equal_a_hand_loop_bit_for_bit():
+    # Noise first, then interferers in id order, silent ones skipped: the
+    # same float operations in the same order give the same bits.
+    rng = np.random.default_rng(77)
+    for k in range(10):
+        g = random_small_instance(rng).graph
+        radio = RadioParams()
+        if k % 2:  # half the instances add a noise floor
+            radio = RadioParams(noise_mw=float(10 ** rng.uniform(-7.0, -4.0)))
+        budgets = link_budgets(g, g.wireless_edges, radio)
+        frontends = [n.id for n in g.frontends]
+        for _ in range(5):
+            powers = {
+                f: float(rng.choice([0.0, rng.uniform(1.0, 6300.0)])) for f in frontends
+            }
+            got = budgets(powers)
+            assert set(got) == {e.key for e in g.wireless_edges}
+            for e in g.wireless_edges:
+                interference = radio.noise_mw
+                for fid, coeff in sorted(interference_coefficients(g, e, radio).items()):
+                    if powers[fid] > 0:
+                        interference += coeff * powers[fid]
+                signal = signal_coefficient(g, e, radio) * powers[e.src]
+                assert got[e.key] == (signal, interference)
 
 
 def test_main_lobe_selection():

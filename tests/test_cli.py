@@ -368,6 +368,34 @@ def test_bad_retention_counts_are_input_errors(workspace, command, k0, k_max):
     assert not (out_dir / "results.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("solve", "--time-limit", "0"),
+        ("solve", "--levels", "1"),
+        ("sweep", "--time-limit", "0"),
+        ("sweep", "--levels", "1"),
+        ("sweep", "--workers", "0"),
+    ],
+)
+def test_out_of_range_search_flags_are_input_errors(workspace, command, flag, value):
+    tmp, cfg, profile = workspace
+    out_dir = tmp / "sweep"
+    if command == "solve":
+        graph_path = tmp / "g.json"
+        _run(["scenario-gen", "--config", str(cfg), "--profile", str(profile),
+              "--hour", "10", "--out", str(graph_path)])
+        args = ["solve", "--graph", str(graph_path), "--config", str(cfg),
+                "--problem", "throughput", "--power-mode", "discrete"]
+    else:
+        args = ["sweep", "--config", str(cfg), "--profile", str(profile), "--hours", "21",
+                "--methods", "local-search", "--seed", "3", "--out-dir", str(out_dir)]
+    result = _run(args + [flag, value])
+    assert result.exit_code == 2
+    assert flag in result.output
+    assert not (out_dir / "results.csv").exists()
+
+
 def test_single_row_cdf_degenerate(tmp_path):
     results = tmp_path / "results.csv"
     with open(results, "w", newline="") as fh:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from iabtopo import milp
-from iabtopo.channel import RadioParams, link_budget
+from iabtopo.channel import RadioParams, link_budgets
 from iabtopo.errors import ExtractionMismatch
 from iabtopo.graph import Commodity, Edge, EdgeKind, Node, NodeKind, build_graph
 from iabtopo.milp import SolverOptions
@@ -123,12 +123,13 @@ def _at_top_threshold(inst, built, raw, shortfall):
     assert [round(raw.values[c]) for c in _phi_cols(built, n)] == [1] * n
     edge = inst.graph.edge(1, 10)
     p_max = inst.radio.p_max_mw
-    at_max = link_budget(edge, {1: p_max}, inst.graph, inst.radio)
-    target = table.thresholds_linear[-1] * at_max.interference_mw * (1.0 - shortfall)
-    power = p_max * target / at_max.signal_mw
+    budgets = link_budgets(inst.graph, [edge], inst.radio)
+    s_max, i_max = budgets({1: p_max})[edge.key]
+    target = table.thresholds_linear[-1] * i_max * (1.0 - shortfall)
+    power = p_max * target / s_max
     tampered = _tampered(raw, {_col(built, "ptx[1]"): power})
-    budget = link_budget(edge, {1: power}, inst.graph, inst.radio)
-    assert budget.signal_mw < table.thresholds_linear[-1] * budget.interference_mw
+    s, i = budgets({1: power})[edge.key]
+    assert s < table.thresholds_linear[-1] * i
     return tampered
 
 

@@ -10,7 +10,7 @@ from iabtopo.capacity import capacity_from_sinr, ladder_position
 from iabtopo.channel import (
     RadioParams,
     interference_coefficients,
-    link_budget,
+    link_budgets,
     signal_coefficient,
 )
 from iabtopo.energy import PowerModelParams
@@ -119,8 +119,8 @@ def test_throughput_extraction_checks_ladder_levels():
     sol = milp.extract_solution(built, raw)
     # Fixed powers: the model's constant level equals the direct lookup.
     edge = inst.graph.edge(1, 10)
-    budget = link_budget(edge, sol.powers_mw, inst.graph, inst.radio)
-    _, cap = capacity_from_sinr(inst.capacity_table, budget.signal_mw, budget.interference_mw)
+    budget = link_budgets(inst.graph, [edge], inst.radio)(sol.powers_mw)[edge.key]
+    _, cap = capacity_from_sinr(inst.capacity_table, *budget)
     assert sol.capacities_mbps[(1, 10)] <= cap + 1e-6
 
 
@@ -141,12 +141,12 @@ def test_monotone_indicator_chain_and_coupling():
     raw = milp.solve(built.ir, SolverOptions(time_limit_s=60))
     sol = milp.extract_solution(built, raw)
     table = inst.capacity_table
+    budgets = link_budgets(inst.graph, built.routing_wireless, inst.radio)(sol.powers_mw)
     for j, e in enumerate(built.routing_wireless):
         phis = _phi_cols(built, j)
         values = [round(float(raw.values[i])) for i in phis]
         assert all(values[i] >= values[i + 1] for i in range(len(values) - 1))
-        budget = link_budget(e, sol.powers_mw, inst.graph, inst.radio)
-        _, cap = capacity_from_sinr(table, budget.signal_mw, budget.interference_mw)
+        _, cap = capacity_from_sinr(table, *budgets[e.key])
         assert sol.capacities_mbps.get(e.key, 0.0) <= sol.airtimes.get(e.key, 0.0) * cap + 1e-6
 
 
@@ -320,9 +320,9 @@ def test_ladder_interval_is_a_point_when_powers_fixed(powers):
     inst = two_unit_instance()
     built = milp.build_throughput_model(inst, fixed_powers=powers)
     routed = {e.key for e in built.routing_wireless}
+    budgets = link_budgets(inst.graph, inst.graph.wireless_edges, inst.radio)(powers)
     for e in inst.graph.wireless_edges:
-        budget = link_budget(e, powers, inst.graph, inst.radio)
-        met = _levels_met(inst.capacity_table, budget.signal_mw, budget.interference_mw)
+        met = _levels_met(inst.capacity_table, *budgets[e.key])
         # Fixed powers: exactly the edges that meet no level leave routing.
         assert (e.key in routed) == (met > 0)
         if e.key not in routed:
