@@ -111,6 +111,10 @@ def _build_instance(graph, config, demand_mbps, power_mode_name, levels, mcs_tab
     )
 
 
+_POSITIVE = click.FloatRange(min=0.0, min_open=True)
+_NON_NEGATIVE = click.FloatRange(min=0.0)
+
+
 def _search_flags(command):
     """Declare the search flags; ``command`` gets ``options`` and ``prune`` instead."""
 
@@ -129,13 +133,8 @@ def _search_flags(command):
         click.option("--levels", type=click.IntRange(min=2), default=9, show_default=True),
         click.option("--k-max", type=int, default=10, show_default=True),
         click.option("--k0", type=int, default=5, show_default=True),
-        click.option("--global-budget", type=float, default=2400.0, show_default=True),
-        click.option(
-            "--time-limit",
-            type=click.FloatRange(min=0.0, min_open=True),
-            default=60.0,
-            show_default=True,
-        ),
+        click.option("--global-budget", type=_POSITIVE, default=2400.0, show_default=True),
+        click.option("--time-limit", type=_POSITIVE, default=60.0, show_default=True),
     ):
         run = flag(run)
     return run
@@ -147,8 +146,8 @@ def _exact_model(instance, problem):
     return milp.build_energy_model(instance)
 
 
-def _run_method(instance, method, problem, options, prune):
-    """Returns (solution, state-or-None)."""
+def _run_method(instance, method, problem, options, prune, built=None):
+    """Returns (solution, state-or-None); ``exact`` solves ``built`` when given."""
     if method == "local-search":
         if problem == "throughput":
             return heuristics.local_search_throughput(instance, options)
@@ -156,7 +155,7 @@ def _run_method(instance, method, problem, options, prune):
     if method == "selective-reduction":
         solution, _k = heuristics.selective_reduction(instance, prune, problem, options)
         return solution, None
-    built = _exact_model(instance, problem)
+    built = built or _exact_model(instance, problem)
     raw = milp.solve(built.ir, options.solver())
     return milp.extract_solution(built, raw), None
 
@@ -220,7 +219,7 @@ def cmd_scenario_gen(config_path, profile_path, hour, out_path):
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--problem", type=click.Choice(PROBLEMS), required=True)
 @click.option("--method", type=click.Choice(METHODS), default="local-search", show_default=True)
-@click.option("--demand-mbps", type=float, default=0.0, show_default=True)
+@click.option("--demand-mbps", type=_NON_NEGATIVE, default=0.0, show_default=True)
 @click.option(
     "--power-mode",
     type=click.Choice(["fixed-max", "continuous", "discrete"]),
@@ -255,15 +254,17 @@ def cmd_solve(
             levels=options.power_levels, mcs_table=mcs_table,
         )
         instance = build(_resolve_power_mode(power_mode, problem, method))
+        built = None
         if lp_out:  # the model --method exact would solve with these flags
             exact = build(_resolve_power_mode(power_mode, problem, "exact"))
-            Path(lp_out).write_text(_exact_model(exact, problem).ir.lp_text())
+            built = _exact_model(exact, problem)
+            Path(lp_out).write_text(built.ir.lp_text())
     except IabError as exc:
         _fail(str(exc))
 
     start = time.monotonic()
     try:
-        solution, state = _run_method(instance, method, problem, options, prune)
+        solution, state = _run_method(instance, method, problem, options, prune, built)
     except IabError as exc:
         _fail(str(exc), code=1)
     runtime = time.monotonic() - start
@@ -331,7 +332,7 @@ def _sweep_one(
 @click.option("--methods", default="local-search,selective-reduction", show_default=True)
 @click.option("--problems", default="throughput", show_default=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--demand-mbps", type=float, default=5.0, show_default=True)
+@click.option("--demand-mbps", type=_NON_NEGATIVE, default=5.0, show_default=True)
 @_search_flags
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out-dir", required=True, type=click.Path())
@@ -513,7 +514,7 @@ def cmd_report(results_path, states_dir, out_dir):
 @click.option("--solution", "solution_path", required=True, type=click.Path(exists=True))
 @click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--demand-mbps", type=float, default=0.0, show_default=True)
+@click.option("--demand-mbps", type=_NON_NEGATIVE, default=0.0, show_default=True)
 @click.option("--mcs-table", type=click.Path(exists=True), default=None)
 def cmd_validate(solution_path, graph_path, config_path, demand_mbps, mcs_table):
     """Re-validate a solution JSON against its graph; exit 0 iff clean."""

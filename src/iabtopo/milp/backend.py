@@ -1,4 +1,4 @@
-"""The solve step: HiGHS through scipy.optimize.milp."""
+"""The solve step: HiGHS through the binding scipy bundles."""
 
 from __future__ import annotations
 
@@ -6,12 +6,12 @@ import contextlib
 import ctypes
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize import Bounds, LinearConstraint, OptimizeResult
+from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs, kHighsInf
 
 from ..errors import BackendError
 from ..problem import SolveStatus
@@ -67,6 +67,74 @@ def _native_stdout_to_stderr():
         os.close(saved)
 
 
+_MS = HighsModelStatus
+# scipy.optimize.milp's status code for each HiGHS model status; any other is 4.
+_SCIPY_STATUS = {
+    _MS.kOptimal: 0,
+    _MS.kTimeLimit: 1,
+    _MS.kIterationLimit: 1,
+    _MS.kInfeasible: 2,
+    _MS.kModelError: 2,
+    _MS.kUnbounded: 3,
+}
+_LIMITS = (_MS.kTimeLimit, _MS.kIterationLimit, _MS.kSolutionLimit)
+
+
+def milp(c, *, integrality, bounds, constraints, options) -> OptimizeResult:
+    """Minimise ``c @ x`` on a fresh HiGHS instance.
+
+    Takes and returns what ``scipy.optimize.milp`` does for the arguments
+    the backend uses (at most one ``LinearConstraint``; the options
+    ``disp``, ``presolve`` and HiGHS option names) and answers as it does:
+    the same status codes, ``x`` only at an optimum or, for a MIP, at a
+    limit with an incumbent, and ``mip_*`` fields only for a MIP with
+    ``x``.  It reads no basis or duals.
+    """
+    n = len(c)
+    if constraints:
+        (con,) = constraints
+        a, row_lb, row_ub = con.A, con.lb, con.ub
+    else:
+        a, row_lb, row_ub = sparse.csc_matrix((0, n)), np.zeros(0), np.zeros(0)
+    integrality = np.asarray(integrality, dtype=np.int32)
+    highs = _Highs()
+    for key, value in options.items():
+        if key == "disp":
+            key = "log_to_console"
+        elif key == "presolve":
+            value = "on" if value else "off"
+        if highs.setOptionValue(key, value) != HighsStatus.kOk:
+            raise ValueError(f"HiGHS rejects option {key}={value!r}")
+    # Column-wise matrix (format 1), minimised (sense 1), no offset.
+    loaded = highs.passModel(
+        n, a.shape[0], a.nnz, 1, 1, 0.0, c, bounds.lb, bounds.ub, row_lb, row_ub,
+        a.indptr, a.indices, a.data, integrality,
+    ) != HighsStatus.kError
+    ran = loaded and highs.run() != HighsStatus.kError
+    # scipy reports a model HiGHS refuses to load as a model error.
+    model_status = highs.getModelStatus() if loaded else _MS.kModelError
+    res = OptimizeResult(
+        status=_SCIPY_STATUS.get(model_status, 4),
+        message=highs.modelStatusToString(model_status),
+        x=None, mip_gap=None, mip_node_count=None, mip_dual_bound=None,
+    )
+    if not ran:
+        return res
+    info = highs.getInfo()
+    is_mip = bool(integrality.any())
+    if model_status == _MS.kOptimal or (
+        is_mip and model_status in _LIMITS and info.objective_function_value != kHighsInf
+    ):
+        res.x = np.array(highs.getSolution().col_value)
+        if is_mip:
+            res.update(
+                mip_gap=info.mip_gap,
+                mip_node_count=info.mip_node_count,
+                mip_dual_bound=info.mip_dual_bound,
+            )
+    return res
+
+
 def _scipy_backend(ir: ModelIR, options: SolverOptions) -> RawSolution:
     n = ir.num_vars
     if n == 0:
@@ -91,8 +159,7 @@ def _scipy_backend(ir: ModelIR, options: SolverOptions) -> RawSolution:
         "mip_rel_gap": 0.0,
     }
     if options.cutoff is not None:
-        # HiGHS minimises c without the constant; scipy passes the option
-        # through verbatim.
+        # HiGHS minimises c without the constant.
         bound = options.cutoff - ir.objective.constant
         highs_options["objective_bound"] = bound if minimize else -bound
         # Such a solve only asks whether anything beats the bound; HiGHS's
@@ -101,10 +168,7 @@ def _scipy_backend(ir: ModelIR, options: SolverOptions) -> RawSolution:
         # some exact models return a tied optimum extraction rejects.
         highs_options["mip_heuristic_run_feasibility_jump"] = False
     try:
-        with warnings.catch_warnings(), _native_stdout_to_stderr():
-            warnings.filterwarnings(
-                "ignore", "Unrecognized options detected", RuntimeWarning
-            )
+        with _native_stdout_to_stderr():
             res = milp(
                 c=c,
                 constraints=constraints,
@@ -112,7 +176,7 @@ def _scipy_backend(ir: ModelIR, options: SolverOptions) -> RawSolution:
                 bounds=Bounds(ir.lb, ir.ub),
                 options=highs_options,
             )
-    except Exception as exc:  # scipy raises on malformed inputs only
+    except (TypeError, ValueError) as exc:  # malformed inputs or a rejected option
         raise BackendError(f"milp backend failed: {exc}") from exc
 
     gap = float(res.mip_gap) if getattr(res, "mip_gap", None) is not None else 0.0

@@ -4,7 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from iabtopo import heuristics
+from iabtopo import heuristics, milp
 from iabtopo.cli import RESULT_COLUMNS, evolution_stats, main
 from iabtopo.errors import NoFeasibleStart
 from iabtopo.scenario import ScenarioConfig, config_to_json
@@ -188,6 +188,33 @@ def test_lp_out_dumps_the_exact_model_of_the_flags(workspace):
     assert "lam[" in text.split("\nBinaries\n")[1]
     assert _run(args + ["--method", "exact"]).exit_code == 0
     assert lp_path.read_text() == text
+
+
+def test_exact_lp_out_builds_the_model_once(workspace, monkeypatch):
+    # --method exact solves the very model it dumped.
+    tmp, cfg, profile = workspace
+    graph_path = tmp / "g.json"
+    _run(["scenario-gen", "--config", str(cfg), "--profile", str(profile),
+          "--hour", "10", "--out", str(graph_path)])
+    built, solved = [], []
+    build, solve = milp.build_energy_model, milp.solve
+
+    def counting_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    def capturing_solve(ir, *args, **kwargs):
+        solved.append(ir)
+        return solve(ir, *args, **kwargs)
+
+    monkeypatch.setattr(milp, "build_energy_model", counting_build)
+    monkeypatch.setattr(milp, "solve", capturing_solve)
+    lp_path = tmp / "m.lp"
+    result = _run(["solve", "--graph", str(graph_path), "--config", str(cfg),
+                   "--problem", "energy", "--method", "exact", "--lp-out", str(lp_path)])
+    assert result.exit_code == 0, result.output
+    assert len(built) == 1
+    assert [ir.lp_text() for ir in solved] == [lp_path.read_text()]
 
 
 def test_sweep_determinism_modulo_runtime(workspace):
@@ -376,6 +403,10 @@ def test_bad_retention_counts_are_input_errors(workspace, command, k0, k_max):
         ("sweep", "--time-limit", "0"),
         ("sweep", "--levels", "1"),
         ("sweep", "--workers", "0"),
+        ("solve", "--global-budget", "0"),
+        ("sweep", "--global-budget", "-1"),
+        ("solve", "--demand-mbps", "-5"),
+        ("sweep", "--demand-mbps", "-5"),
     ],
 )
 def test_out_of_range_search_flags_are_input_errors(workspace, command, flag, value):
@@ -394,6 +425,27 @@ def test_out_of_range_search_flags_are_input_errors(workspace, command, flag, va
     assert result.exit_code == 2
     assert flag in result.output
     assert not (out_dir / "results.csv").exists()
+
+
+def test_validate_rejects_negative_demand(workspace):
+    tmp, cfg, profile = workspace
+    graph_path = tmp / "g.json"
+    _run(["scenario-gen", "--config", str(cfg), "--profile", str(profile),
+          "--hour", "10", "--out", str(graph_path)])
+    sol_path = tmp / "empty.json"
+    empty = dict.fromkeys(
+        ("flows", "airtimes", "powers_mw", "activations", "capacities_mbps", "per_ue_mbps"), {}
+    )
+    sol_path.write_text(json.dumps(
+        {"problem": "throughput", "status": "optimal", "objective": 0.0,
+         "chosen_edges": [], **empty}
+    ))
+    args = ["validate", "--solution", str(sol_path), "--graph", str(graph_path),
+            "--config", str(cfg)]
+    assert _run(args).exit_code in (0, 1)
+    result = _run(args + ["--demand-mbps", "-5"])
+    assert result.exit_code == 2
+    assert "--demand-mbps" in result.output
 
 
 def test_single_row_cdf_degenerate(tmp_path):

@@ -6,9 +6,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
+import scipy.optimize
+from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, OptimizeResult
 
-from iabtopo import scenario
+from iabtopo import milp, scenario
 from iabtopo.capacity import default_table
 from iabtopo.errors import BackendError
 from iabtopo.milp import (
@@ -24,6 +26,8 @@ from iabtopo.milp import backend
 from iabtopo.milp.ir import PRODUCT_ROWS, SENSE_CODE, indicator_row, product_rows
 from iabtopo.graph import Commodity
 from iabtopo.problem import ContinuousPower, ProblemInstance, SolveStatus
+
+from test_model_identity import MODEL_SHA256, _build_args, _instance
 
 
 def test_solver_options_validation():
@@ -268,6 +272,94 @@ def test_highs_optimal_verdict_kept_with_small_gap(monkeypatch):
     assert raw.status is SolveStatus.OPTIMAL
     assert raw.gap == 5.16e-9
     assert raw.objective == pytest.approx(132.873741)
+
+
+# -- the HiGHS call against scipy.optimize.milp ---------------------------------
+
+
+def _same_answer(kwargs, highs=backend.milp):
+    """Solve ``kwargs`` through ``backend.milp`` and scipy's ``milp``; both must agree.
+
+    ``highs`` is bound at import, so a test may patch ``backend.milp`` to call this.
+    """
+    ours = highs(**{**kwargs, "options": dict(kwargs["options"])})
+    # scipy's milp pops "disp" from the options it is given.
+    ref = scipy.optimize.milp(**{**kwargs, "options": dict(kwargs["options"])})
+    assert ours.status == ref.status
+    assert (ours.x is None) == (ref.x is None)
+    if ref.x is not None:
+        assert ours.x.dtype == ref.x.dtype and ours.x.tobytes() == ref.x.tobytes()
+    for field in ("mip_gap", "mip_node_count", "mip_dual_bound"):
+        assert ours[field] == ref[field], field
+    return ours
+
+
+@pytest.mark.parametrize("name, problem, mode", list(MODEL_SHA256))
+def test_highs_call_matches_scipy_milp(name, problem, mode, monkeypatch):
+    # Every pinned model, with the arguments the backend really hands over.
+    seen = []
+
+    def compare(**kwargs):
+        seen.append(kwargs)
+        return _same_answer(kwargs)
+
+    monkeypatch.setattr(backend, "milp", compare)
+    build = milp.build_throughput_model if problem == "throughput" else milp.build_energy_model
+    inst, fixed = _build_args(_instance(name), mode)
+    milp.solve(build(inst, fixed_powers=fixed).ir)
+    assert len(seen) == 1
+
+
+def _knapsack_kwargs(binary, time_limit, rows=True):
+    # Twelve items whose weights must sum to exactly 101.
+    n = 12
+    weights = np.random.default_rng(0).integers(5, 40, n).astype(float)
+    a = sparse.csc_matrix(weights[None, :])
+    return dict(
+        c=-np.ones(n),
+        integrality=np.full(n, float(binary)),
+        bounds=Bounds(np.zeros(n), np.ones(n)),
+        constraints=[LinearConstraint(a, 101.0, 101.0)] if rows else [],
+        options={"disp": False, "presolve": False, "time_limit": time_limit, "mip_rel_gap": 0.0},
+    )
+
+
+def test_no_incumbent_at_the_limit_gives_no_x():
+    # HiGHS stops at a zero time limit before it has any incumbent.
+    res = _same_answer(_knapsack_kwargs(binary=True, time_limit=0.0))
+    assert res.status == 1 and res.x is None and res.mip_node_count is None
+
+
+@pytest.mark.parametrize("rows", [True, False], ids=["rows", "no_rows"])
+def test_pure_lp_has_no_mip_fields(rows):
+    res = _same_answer(_knapsack_kwargs(binary=False, time_limit=10.0, rows=rows))
+    assert res.status == 0 and res.x is not None
+    assert res.mip_gap is None and res.mip_node_count is None and res.mip_dual_bound is None
+
+
+def test_lp_at_the_limit_gives_no_x():
+    # Unlike a MIP, an LP has x only at an optimum.
+    res = _same_answer(_knapsack_kwargs(binary=False, time_limit=0.0))
+    assert res.status == 1 and res.x is None
+
+
+def test_infeasible_mip_status():
+    kwargs = _knapsack_kwargs(binary=True, time_limit=10.0)
+    kwargs["bounds"] = Bounds(np.zeros(12), np.zeros(12))
+    res = _same_answer(kwargs)
+    assert res.status == 2 and res.x is None
+
+
+def test_rejected_option_is_a_backend_error(monkeypatch):
+    real = backend.milp
+
+    def bad_option(**kwargs):
+        return real(**{**kwargs, "options": {**kwargs["options"], "time_limit": "soon"}})
+
+    monkeypatch.setattr(backend, "milp", bad_option)
+    ir = _cutoff_model("max")
+    with pytest.raises(BackendError, match="time_limit"):
+        solve(ir)
 
 
 # -- objective cutoff ----------------------------------------------------------

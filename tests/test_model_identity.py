@@ -5,7 +5,7 @@ dump, both as the term-by-term builder wrote them, before models were
 built from arrays.  ``lp_text`` rounds to 12 significant digits; the
 exact dump holds every float at full precision, so a coefficient summed
 in another order changes it.  ``HIGHS_SHA256`` pins, for the same
-models, every argument the backend hands scipy's ``milp``.  A change
+models, every argument the backend hands ``backend.milp``.  A change
 that claims to leave the models as they are must keep every hash; a
 change that alters a model on purpose must argue it and re-pin that
 model.
@@ -164,7 +164,7 @@ def test_model_pinned(name, problem, mode):
 
 
 def _highs_digest(kwargs):
-    """sha256 of every argument the backend hands scipy's ``milp``."""
+    """sha256 of every argument the backend hands ``backend.milp``."""
     (con,) = kwargs["constraints"]
     arrays = (
         kwargs["c"], kwargs["integrality"], kwargs["bounds"].lb, kwargs["bounds"].ub,
