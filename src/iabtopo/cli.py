@@ -111,8 +111,22 @@ def _build_instance(graph, config, demand_mbps, power_mode_name, levels, mcs_tab
     )
 
 
-_POSITIVE = click.FloatRange(min=0.0, min_open=True)
-_NON_NEGATIVE = click.FloatRange(min=0.0)
+class _Real(click.FloatRange):
+    """A float range that refuses NaN, and with ``finite`` also the infinities."""
+
+    def __init__(self, finite: bool = False, **kwargs):
+        super().__init__(**kwargs)
+        self.finite = finite
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if math.isnan(rv) or (self.finite and math.isinf(rv)):
+            self.fail(f"{rv} is not a {'finite ' if self.finite else ''}number.", param, ctx)
+        return rv
+
+
+_POSITIVE = _Real(min=0.0, min_open=True)  # time budgets: inf means no limit
+_NON_NEGATIVE = _Real(finite=True, min=0.0)
 
 
 def _search_flags(command):

@@ -76,10 +76,6 @@ class EmptyCommodities(IabError):
     pass
 
 
-class DemandMissing(IabError):
-    pass
-
-
 class BackendError(IabError):
     pass
 

@@ -10,6 +10,7 @@ are capacity-free.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
@@ -103,8 +104,8 @@ class Commodity:
     demand_mbps: float = 0.0
 
     def __post_init__(self):
-        if self.demand_mbps < 0:
-            raise ValueError(f"commodity {self.id}: negative demand")
+        if not 0 <= self.demand_mbps < math.inf:
+            raise ValueError(f"commodity {self.id}: demand must be finite and >= 0")
 
 
 @dataclass(frozen=True)

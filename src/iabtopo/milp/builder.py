@@ -52,7 +52,6 @@ a scalar computation of one term at a time would use.
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
@@ -60,7 +59,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from ..channel import RadioParams, interference_coefficients, signal_coefficient
-from ..errors import DemandMissing, EmptyCommodities, UnsupportedMode
+from ..errors import EmptyCommodities, UnsupportedMode
 from ..graph import Commodity, Edge, EdgeKey, MeasurementGraph
 from ..problem import (
     ContinuousPower,
@@ -89,36 +88,6 @@ ENERGY = "energy"
 _LE, _GE = SENSE_CODE[Sense.LE], SENSE_CODE[Sense.GE]
 
 
-def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Owner and position of each item when owner k has ``counts[k]`` items."""
-    who = np.repeat(np.arange(len(counts)), counts)
-    return who, np.arange(len(who)) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
-class _Ragged(NamedTuple):
-    """Groups of (coefficient, index) terms as flat arrays; group k is ptr[k]:ptr[k+1]."""
-
-    ptr: np.ndarray
-    coefs: np.ndarray
-    cols: np.ndarray
-
-    @classmethod
-    def of(cls, groups) -> _Ragged:
-        flat = [t for grp in groups for t in grp]
-        ptr = np.zeros(len(groups) + 1, dtype=np.int64)
-        ptr[1:] = np.cumsum([len(grp) for grp in groups])
-        return cls(
-            ptr,
-            np.array([c for c, _ in flat], dtype=float),
-            np.array([i for _, i in flat], dtype=np.int64),
-        )
-
-    def expand(self, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(position in ``owners``, term index) of every term of every owner."""
-        who, pos = _spread(self.ptr[owners + 1] - self.ptr[owners])
-        return who, self.ptr[owners][who] + pos
-
-
 class _Reps(NamedTuple):
     """Each frontend's transmit power in the model; entry j is the j-th frontend id in order.
 
@@ -135,17 +104,18 @@ class _Reps(NamedTuple):
     var: np.ndarray  # the power's column, or -1 for a constant
     cont: np.ndarray  # continuous power variable, or -1
     act: np.ndarray  # activation binary (energy problem), or -1
-    levels: _Ragged  # (level mW, binary idx)
+    level_mw: np.ndarray  # frontends x grid levels above zero, padded with 0
+    level_col: np.ndarray  # each level's binary, padded with -1
 
     @property
     def has_on(self) -> np.ndarray:
         """Whether level binaries tell if the frontend is on."""
-        return np.diff(self.levels.ptr) > 0
+        return (self.level_col >= 0).any(axis=1)
 
     @property
     def single(self) -> np.ndarray:
         """At most one power above zero: a constant, or one switchable level."""
-        return (self.cont < 0) & (np.diff(self.levels.ptr) <= 1)
+        return (self.cont < 0) & ((self.level_col >= 0).sum(axis=1) <= 1)
 
     @property
     def on(self) -> np.ndarray:
@@ -203,11 +173,6 @@ def build_energy_model(
     power is rejected (the power-airtime objective product only stays
     linear for fixed or gridded powers).
     """
-    if isinstance(instance.power_mode, ContinuousPower) and fixed_powers is None:
-        raise UnsupportedMode("energy problem needs fixed or discrete powers")
-    for c in instance.commodities:
-        if math.isnan(c.demand_mbps):
-            raise DemandMissing(f"commodity {c.id} has no demand")
     active = tuple(c for c in instance.commodities if c.demand_mbps > 0)
     return _build(instance, ENERGY, active, fixed_powers, routing_edges)
 
@@ -476,8 +441,9 @@ def _emit_edges(ir: ModelIR, instance: ProblemInstance, reps: _Reps, lad: _Ladde
 
     # Indicator rows of every level: S - th*I as an affine expression
     # (constant reps have no term) against phi with big-Ms from the interval.
-    e_of, j = _spread(n_lvl)
-    lvl = floor[e_of] + j
+    ladder = np.arange(len(th))
+    e_of, lvl = np.nonzero((floor[:, None] <= ladder) & (ladder < top[:, None]))
+    j = lvl - floor[e_of]
     th_l = th[lvl]
     phi = v0[e_of] + 3 + j
     on = r0[e_of] + 1 + 3 * j - (j > 0)
@@ -487,14 +453,8 @@ def _emit_edges(ir: ModelIR, instance: ProblemInstance, reps: _Reps, lad: _Ladde
     sender = src[e_of][who]
     signal = (who, reps.var[sender], lad.g_sig[e_of][who] * reps.coef[sender])
     # Interference: g_k times the power term of interferer k, k in id order.
-    pair_e, pair_f = np.nonzero((lad.g_int != 0) & (reps.var >= 0))
-    per_edge = _Ragged(
-        np.concatenate([[0], np.cumsum(np.bincount(pair_e, minlength=len(floor)))]),
-        lad.g_int[pair_e, pair_f] * reps.coef[pair_f],
-        reps.var[pair_f],
-    )
-    who, at = per_edge.expand(e_of)
-    interference = (who, per_edge.cols[at], -th_l[who] * per_edge.coefs[at])
+    who, k = np.nonzero(((lad.g_int != 0) & (reps.var >= 0))[e_of])
+    interference = (who, reps.var[k], -th_l[who] * (lad.g_int[e_of[who], k] * reps.coef[k]))
     for rows, sense, big_m in ((on, "geq", m_on), (on + 1, "leq", m_off)):
         coeff, codes[rows], rhs[rows] = indicator_row(sense, big_m, expr_const)
         normalize[rows] = True
@@ -511,8 +471,8 @@ def _emit_edges(ir: ModelIR, instance: ProblemInstance, reps: _Reps, lad: _Ladde
     p_row = r0 + 1 + n_thr
     by_on = powered & reps.has_on[src]
     out.add(p_row[by_on], v0[by_on] + 3, 1.0)
-    who, at = reps.levels.expand(src[by_on])
-    out.add(p_row[by_on][who], reps.levels.cols[at], -1.0)
+    lam = reps.level_col[src[by_on]]
+    out.add(p_row[by_on][np.nonzero(lam >= 0)[0]], lam[lam >= 0], -1.0)
     by_cont = powered & ~reps.has_on[src]
     codes[p_row[by_cont]] = _GE
     out.add(p_row[by_cont], reps.cont[src[by_cont]], 1.0)
@@ -598,10 +558,10 @@ def _finish_throughput(built: BuiltModel, lad: _Ladders) -> None:
     # A source that can be off meets its edges' floor levels only while on,
     # so those edges carry traffic only then.
     gated = reps.has_on[lad.src] & (lad.floor > 0)
-    who, at = reps.levels.expand(lad.src[gated])
+    lam = reps.level_col[lad.src[gated]]
     out = _Terms()
     out.add(np.arange(int(gated.sum())), (v0 + 1)[gated], 1.0)
-    out.add(who, reps.levels.cols[at], -1.0)
+    out.add(np.nonzero(lam >= 0)[0], lam[lam >= 0], -1.0)
     ir.add_rows(
         [f"use_le_on[{e.src}->{e.dst}]" for e, m in zip(lad.edges, gated.tolist()) if m],
         Sense.LE, 0.0, *out.coo(),
@@ -657,7 +617,7 @@ def _finish_energy(built: BuiltModel, lad: _Ladders) -> None:
     r0 = np.cumsum(n_rows) - n_rows
     codes = np.full(int(n_rows.sum()), _GE)
     out = _Terms()
-    e_of, k = _spread(np.full(len(lad.edges), n_c))
+    e_of, k = np.repeat(np.arange(len(lad.edges)), n_c), np.tile(np.arange(n_c), len(lad.edges))
     out.add(r0[e_of] + k, v0[e_of] + 1, 1.0)
     out.add(r0[e_of] + k, flows[k, e_of], -1.0)
     act_row = r0[gated] + n_c
@@ -682,8 +642,8 @@ def _finish_energy(built: BuiltModel, lad: _Ladders) -> None:
 
     # Amplifier term: delta_p * P_tx * alpha, expanded per power level with
     # exact products w = lam * alpha.
-    who, at = reps.levels.expand(lad.src)
-    lam = reps.levels.cols[at]
+    who, at = np.nonzero(reps.level_col[lad.src] >= 0)
+    lam, p_mw = reps.level_col[lad.src[who], at], reps.level_mw[lad.src[who], at]
     names = [
         f"w[{lad.edges[i].src}->{lad.edges[i].dst},l{l}]"
         for i, l in zip(who.tolist(), lam.tolist())
@@ -713,7 +673,7 @@ def _finish_energy(built: BuiltModel, lad: _Ladders) -> None:
     ir.set_objective(
         "min",
         np.concatenate([w, np.array(obj_cols, dtype=np.int64)]),
-        np.concatenate([pm.delta_p * reps.levels.coefs[at] / 1000.0, np.array(obj_coefs, dtype=float)]),
+        np.concatenate([pm.delta_p * p_mw / 1000.0, np.array(obj_coefs, dtype=float)]),
         constant,
         bound=_power_bound(built, lad, constant),
     )
@@ -734,8 +694,9 @@ def _power_bound(built: BuiltModel, lad: _Ladders, constant: float) -> float:
     pm = built.instance.power_model
     table = built.instance.capacity_table
     caps = np.asarray(table.capacities_mbps)
-    who, at = built.power_reps.levels.expand(lad.src)  # each edge's source power levels
-    p_mw = built.power_reps.levels.coefs[at]
+    reps = built.power_reps
+    who, at = np.nonzero(reps.level_col[lad.src] >= 0)  # each edge's source power levels
+    p_mw = reps.level_mw[lad.src[who], at]
     met = _levels_met(np.asarray(table.thresholds_linear), lad.g_sig[who] * p_mw, lad.i_lo[who])
     cap = np.where(met > 0, caps[met - 1], 0.0)
     w_per_mbps = np.full(len(lad.edges), np.inf)
@@ -824,9 +785,18 @@ def _power_reps(
     # A grid's level binaries sum to its activation (energy) or to at most 1.
     one = (Sense.EQ, 0.0) if problem == ENERGY else (Sense.LE, 1.0)
     for block, (sense, rhs) in ((rows, one), (defs, (Sense.EQ, 0.0))):
-        flat = _Ragged.of([row for _, row in block])
-        owner, _ = _spread(np.diff(flat.ptr))
-        ir.add_rows([name for name, _ in block], sense, rhs, owner, flat.cols, flat.coefs)
+        flat = [t for _, row in block for t in row]
+        ir.add_rows(
+            [name for name, _ in block], sense, rhs,
+            np.repeat(np.arange(len(block)), [len(row) for _, row in block]),
+            np.array([i for _, i in flat], dtype=np.int64),
+            np.array([c for c, _ in flat], dtype=float),
+        )
+    level_mw = np.zeros((len(fids), max(map(len, levels), default=0)))
+    level_col = np.full(level_mw.shape, -1, dtype=np.int64)
+    for j, lam in enumerate(levels):
+        level_mw[j, :len(lam)] = [p for p, _ in lam]
+        level_col[j, :len(lam)] = [i for _, i in lam]
     return _Reps(
         {fid: j for j, fid in enumerate(fids)},
         np.array(lo, dtype=float),
@@ -835,5 +805,6 @@ def _power_reps(
         np.array([v for _, v in terms], dtype=np.int64),
         np.array(cont, dtype=np.int64),
         np.array(act, dtype=np.int64),
-        _Ragged.of(levels),
+        level_mw,
+        level_col,
     )

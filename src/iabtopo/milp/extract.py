@@ -20,7 +20,7 @@ from ..errors import BackendError, ExtractionMismatch
 from ..graph import EdgeKey
 from ..problem import NetworkSolution, SolveStatus
 from .backend import RawSolution
-from .builder import ENERGY, MIN_ON_POWER_FRACTION, BuiltModel, _spread
+from .builder import ENERGY, MIN_ON_POWER_FRACTION, BuiltModel
 from .ir import ModelIR
 
 _BIN_TOL = 1e-6
@@ -48,10 +48,10 @@ def frontend_powers(built: BuiltModel, raw: RawSolution) -> dict[int, float]:
     (they grant no ladder level) and are snapped to exactly zero.
     """
     reps = built.power_reps
-    levels = reps.levels
+    has = reps.level_col >= 0
     p = reps.lo.copy()  # a constant's power; 0 where level binaries or ptx give it
-    owner, _ = _spread(np.diff(levels.ptr))
-    np.add.at(p, owner, levels.coefs * _bits(built.ir, raw.values, levels.cols))
+    on = _bits(built.ir, raw.values, reps.level_col[has])
+    np.add.at(p, np.nonzero(has)[0], reps.level_mw[has] * on)
     cont = reps.cont >= 0
     pc = np.maximum(raw.values[reps.cont[cont]], 0.0)
     p[cont] = np.where(pc < MIN_ON_POWER_FRACTION * built.instance.radio.p_max_mw, 0.0, pc)
@@ -100,14 +100,17 @@ def extract_solution(built: BuiltModel, raw: RawSolution) -> NetworkSolution:
     inst = built.instance
     table = inst.capacity_table
     budgets = link_budgets(inst.graph, built.routing_wireless, inst.radio)(powers)
-    n_phi = built.top - built.floor
-    e_of, j = _spread(n_phi)
-    phi = _bits(ir, x, built.v0[e_of] + 3 + j).tolist()
-    ends = np.cumsum(n_phi).tolist()
-    for e, floor, a, b in zip(built.routing_wireless, built.floor.tolist(), [0] + ends, ends):
+    ladder = np.arange(len(table.thresholds_linear))
+    floor = built.floor[:, None]
+    levels = (floor <= ladder) & (ladder < built.top[:, None])
+    phi = np.zeros(levels.shape, dtype=bool)
+    phi[levels] = _bits(ir, x, (built.v0[:, None] + 3 + ladder - floor)[levels])
+    for e, f, t, bits in zip(
+        built.routing_wireless, built.floor.tolist(), built.top.tolist(), phi.tolist()
+    ):
         # The floor's levels hold only while the source transmits.
-        model_count = floor if powers[e.src] > 0 else 0
-        for i, bit in enumerate(phi[a:b], start=floor):
+        model_count = f if powers[e.src] > 0 else 0
+        for i, bit in enumerate(bits[f:t], start=f):
             if bit and model_count < i:
                 raise ExtractionMismatch(f"phi chain broken on edge {e.key} at level {i}")
             model_count += bit

@@ -89,6 +89,8 @@ class ScenarioConfig:
             raise ValueError("indoor ratio outside [0, 1]")
         if not 1 <= self.sectors_per_unit <= 3:
             raise ValueError("sectors_per_unit must be 1..3")
+        if not 0 <= self.demand_mbps < math.inf:
+            raise ValueError("demand_mbps must be finite and >= 0")
 
 
 def ue_density(profile: LoadProfile, hour: int, config: ScenarioConfig) -> float:

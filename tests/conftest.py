@@ -15,8 +15,8 @@ def coarse_table(n_keep: int = 5) -> CapacityTable:
 
 def level_terms(reps, j: int) -> tuple[np.ndarray, np.ndarray]:
     """Grid levels (mW) and their binaries' columns of power rep ``j``."""
-    a, b = reps.levels.ptr[j], reps.levels.ptr[j + 1]
-    return reps.levels.coefs[a:b], reps.levels.cols[a:b]
+    has = reps.level_col[j] >= 0
+    return reps.level_mw[j][has], reps.level_col[j][has]
 
 
 def minimal_nodes_edges():

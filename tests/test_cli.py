@@ -407,6 +407,12 @@ def test_bad_retention_counts_are_input_errors(workspace, command, k0, k_max):
         ("sweep", "--global-budget", "-1"),
         ("solve", "--demand-mbps", "-5"),
         ("sweep", "--demand-mbps", "-5"),
+        ("solve", "--demand-mbps", "nan"),
+        ("solve", "--demand-mbps", "inf"),
+        ("sweep", "--demand-mbps", "nan"),
+        ("sweep", "--demand-mbps", "inf"),
+        ("solve", "--time-limit", "nan"),
+        ("sweep", "--global-budget", "nan"),
     ],
 )
 def test_out_of_range_search_flags_are_input_errors(workspace, command, flag, value):
@@ -443,9 +449,10 @@ def test_validate_rejects_negative_demand(workspace):
     args = ["validate", "--solution", str(sol_path), "--graph", str(graph_path),
             "--config", str(cfg)]
     assert _run(args).exit_code in (0, 1)
-    result = _run(args + ["--demand-mbps", "-5"])
-    assert result.exit_code == 2
-    assert "--demand-mbps" in result.output
+    for value in ("-5", "nan", "inf"):
+        result = _run(args + ["--demand-mbps", value])
+        assert result.exit_code == 2
+        assert "--demand-mbps" in result.output
 
 
 def test_single_row_cdf_degenerate(tmp_path):

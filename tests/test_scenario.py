@@ -1,10 +1,12 @@
 import csv
+import json
+import math
 
 import numpy as np
 import pytest
 
 from iabtopo.errors import BadRange, DuplicateHour, EmptyScenario, MissingHour, ParseError
-from iabtopo.graph import NodeKind, save_graph
+from iabtopo.graph import Commodity, NodeKind, save_graph
 from iabtopo.scenario import (
     LoadProfile,
     ScenarioConfig,
@@ -217,4 +219,17 @@ def test_config_rejects_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     with pytest.raises(ParseError):
+        config_from_json(path)
+
+
+@pytest.mark.parametrize("demand", [-1.0, math.nan, math.inf])
+def test_demand_must_be_finite_and_non_negative(tmp_path, demand):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        Commodity(0, 0, 1, demand)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        ScenarioConfig(demand_mbps=demand)
+    path = tmp_path / "cfg.json"
+    config_to_json(ScenarioConfig(), path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), "demand_mbps": demand}))
+    with pytest.raises(ParseError, match="demand_mbps"):
         config_from_json(path)
