@@ -84,13 +84,19 @@ def _resolve_power_mode(name: str, problem: str, method: str) -> str:
     return name
 
 
-def _build_instance(graph, config, demand_mbps, power_mode_name, levels, mcs_table):
+def _load_config(path, demand_mbps) -> ScenarioConfig:
+    """``path``'s config (defaults without one); a given ``demand_mbps`` replaces its demand."""
+    config = config_from_json(path) if path else ScenarioConfig()
+    return config if demand_mbps is None else replace(config, demand_mbps=demand_mbps)
+
+
+def _build_instance(graph, config, power_mode_name, levels, mcs_table):
     table = load_table(mcs_table) if mcs_table else default_table(
         config.radio.bandwidth_mhz, config.radio.mimo_layers
     )
     donor = graph.donor.id
     commodities = tuple(
-        Commodity(i, donor, ue.id, demand_mbps) for i, ue in enumerate(graph.ues)
+        Commodity(i, donor, ue.id, config.demand_mbps) for i, ue in enumerate(graph.ues)
     )
     p_max = config.radio.p_max_mw
     if power_mode_name == "fixed-max":
@@ -126,7 +132,8 @@ class _Real(click.FloatRange):
 
 
 _POSITIVE = _Real(min=0.0, min_open=True)  # time budgets: inf means no limit
-_NON_NEGATIVE = _Real(finite=True, min=0.0)
+# Demand per UE: given, it replaces the config's demand_mbps; else the config decides.
+_demand_flag = click.option("--demand-mbps", type=_Real(finite=True, min=0.0), default=None)
 
 
 def _search_flags(command):
@@ -233,7 +240,7 @@ def cmd_scenario_gen(config_path, profile_path, hour, out_path):
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--problem", type=click.Choice(PROBLEMS), required=True)
 @click.option("--method", type=click.Choice(METHODS), default="local-search", show_default=True)
-@click.option("--demand-mbps", type=_NON_NEGATIVE, default=0.0, show_default=True)
+@_demand_flag
 @click.option(
     "--power-mode",
     type=click.Choice(["fixed-max", "continuous", "discrete"]),
@@ -262,9 +269,8 @@ def cmd_solve(
     """Solve one problem on one graph file."""
     try:
         graph = load_graph(graph_path)
-        config = config_from_json(config_path) if config_path else ScenarioConfig()
         build = functools.partial(
-            _build_instance, graph, config, demand_mbps,
+            _build_instance, graph, _load_config(config_path, demand_mbps),
             levels=options.power_levels, mcs_table=mcs_table,
         )
         instance = build(_resolve_power_mode(power_mode, problem, method))
@@ -321,16 +327,14 @@ def _parse_names(text: str, allowed: tuple[str, ...], what: str) -> list[str]:
     return names
 
 
-def _sweep_one(
-    config, profile, demand_mbps, options, prune, task
-) -> tuple[dict, dict | None, SearchState | None]:
+def _sweep_one(config, profile, options, prune, task) -> tuple[dict, dict | None, SearchState | None]:
     """One ``task`` (hour, method, problem); returns (row, solution payload, search state)."""
     hour, method, problem = task
     start = time.monotonic()
     try:
         graph, _ = generate(config, profile, hour)
         mode = _resolve_power_mode("continuous", problem, method)
-        instance = _build_instance(graph, config, demand_mbps, mode, options.power_levels, None)
+        instance = _build_instance(graph, config, mode, options.power_levels, None)
         solution, state = _run_method(instance, method, problem, options, prune)
     except Exception as exc:
         return _error_record(hour, method, problem, exc, time.monotonic() - start), None, None
@@ -346,7 +350,7 @@ def _sweep_one(
 @click.option("--methods", default="local-search,selective-reduction", show_default=True)
 @click.option("--problems", default="throughput", show_default=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--demand-mbps", type=_NON_NEGATIVE, default=5.0, show_default=True)
+@_demand_flag
 @_search_flags
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out-dir", required=True, type=click.Path())
@@ -376,14 +380,14 @@ def cmd_sweep(
         _parse_names(problems, PROBLEMS, "problem"),
     ))
     try:
-        config = replace(config_from_json(config_path), seed=seed)
+        config = replace(_load_config(config_path, demand_mbps), seed=seed)
         profile = load_profile_csv(profile_path)
     except IabError as exc:
         _fail(str(exc))
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    run = functools.partial(_sweep_one, config, profile, demand_mbps, options, prune)
+    run = functools.partial(_sweep_one, config, profile, options, prune)
     results_path = out / "results.csv"
     with (
         ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
@@ -528,7 +532,7 @@ def cmd_report(results_path, states_dir, out_dir):
 @click.option("--solution", "solution_path", required=True, type=click.Path(exists=True))
 @click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--demand-mbps", type=_NON_NEGATIVE, default=0.0, show_default=True)
+@_demand_flag
 @click.option("--mcs-table", type=click.Path(exists=True), default=None)
 def cmd_validate(solution_path, graph_path, config_path, demand_mbps, mcs_table):
     """Re-validate a solution JSON against its graph; exit 0 iff clean."""
@@ -546,9 +550,8 @@ def cmd_validate(solution_path, graph_path, config_path, demand_mbps, mcs_table)
         for fid in solution.powers_mw:
             if not graph.has_node(fid):
                 raise ParseError(f"solution references unknown frontend {fid}")
-        config = config_from_json(config_path) if config_path else ScenarioConfig()
         instance = _build_instance(
-            graph, config, demand_mbps, "fixed-max", 9, mcs_table
+            graph, _load_config(config_path, demand_mbps), "fixed-max", 9, mcs_table
         )
     except IabError as exc:
         _fail(str(exc))

@@ -17,12 +17,11 @@ best objective:
 - energy refinement frees one frontend on a power grid, cutoff the
   tolerance better (lower).
 
-One rule decides a move: each trial is solved once, against its cutoff,
-and the move is taken exactly when the trial beats it (a phase-two trial
-that beats it adds one fixed-power solve).  A trial is answered by its
-model's proven bound when that bound does not beat the cutoff, and by
-HiGHS otherwise.  A ``CUTOFF`` result means only that nothing beats the
-cutoff; it is a rejection, never an optimum.
+One rule decides a move: a trial is solved against its cutoff, and the
+move is taken exactly when the solve returns values (a phase-two trial
+that does adds one fixed-power solve).  ``milp.solve`` alone holds a
+result to the cutoff: one that does not strictly beat it, proven, ruled
+out by the model's bound or stopped by the time limit, has no values.
 Objectives are compared only through the cutoff, so last-bit differences
 between HiGHS answers move no decision.
 
@@ -36,6 +35,7 @@ pruned-feasible solution stays feasible unpruned.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -131,47 +131,39 @@ _Solved = tuple[float | None, dict[int, float]]
 _REJECTED: _Solved = (None, {})
 
 
-def _beats(sense: str, z: float | None, cutoff: float | None) -> bool:
-    return z is not None and (cutoff is None or milp.beats(sense, z, cutoff))
-
-
 def _memo_solve(
     build: Callable[..., milp.BuiltModel], options: SearchOptions, clock: _Clock
 ) -> Callable[..., _Solved]:
-    """``build`` and solve a trial model, once per (instance, fixed powers).
+    """``build`` and solve a trial model against the caller's ``cutoff``.
 
-    Every answer is held to the caller's ``cutoff``: a trial whose result
-    does not beat it is rejected.  Proven optima (and infeasibility) are
-    remembered and returned again while they beat the cutoff; a trial
-    nothing beats keeps its key with that cutoff, so a repeat under a
-    cutoff no looser needs no build.  A time-limited incumbent is never
-    remembered.  No model outlives its solve.
+    Each (instance, fixed powers) keeps one number from its last proven
+    solve, the value no point of the trial beats: its optimum, the cutoff
+    it did not beat, or the worst value if it is infeasible.  A call whose
+    cutoff that value does not beat is rejected unbuilt; every other call
+    builds and solves, and no model outlives its solve.
     """
-    optima: dict[tuple, tuple[str, _Solved]] = {}  # key -> (sense, answer)
-    rejected: dict[tuple, tuple[str, float]] = {}  # key -> (sense, cutoff)
+    unbeaten: dict[tuple, float] = {}
+    sense = None  # the models' sense, read at the first build; every hit follows one
 
     def solve(
         model: ProblemInstance, fixed: dict[int, float], cutoff: float | None = None
     ) -> _Solved:
+        nonlocal sense
         key = (id(model), tuple(sorted(fixed.items())))
-        if key in optima:
-            sense, answer = optima[key]
-            return answer if _beats(sense, answer[0], cutoff) else _REJECTED
-        if cutoff is not None and key in rejected:
-            sense, old = rejected[key]
-            if not milp.beats(sense, old, cutoff):
-                return _REJECTED
+        if cutoff is not None and key in unbeaten and not milp.beats(sense, unbeaten[key], cutoff):
+            return _REJECTED
         built = build(model, fixed_powers=fixed)
         sense = built.ir.objective.sense
         raw = milp.solve(built.ir, options.solver(clock.remaining(), cutoff))
-        if raw.status is SolveStatus.CUTOFF:
-            rejected[key] = (sense, cutoff)
+        if raw.status is SolveStatus.OPTIMAL:
+            unbeaten[key] = raw.objective
+        elif raw.status is SolveStatus.CUTOFF:
+            unbeaten[key] = cutoff
+        elif raw.status is SolveStatus.INFEASIBLE:
+            unbeaten[key] = -math.inf if sense == "max" else math.inf
+        if raw.values is None:
             return _REJECTED
-        z = raw.objective
-        answer = (z, {} if z is None else milp.frontend_powers(built, raw))
-        if raw.status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
-            optima[key] = (sense, answer)
-        return answer if _beats(sense, z, cutoff) else _REJECTED
+        return raw.objective, milp.frontend_powers(built, raw)
 
     return solve
 
@@ -222,13 +214,15 @@ def _start(
 
 
 def _finish(
-    state: SearchState,
-    clock: _Clock,
-    iteration: int,
-    built: milp.BuiltModel,
-    raw: milp.RawSolution,
+    build: Callable[..., milp.BuiltModel], instance: ProblemInstance,
+    options: SearchOptions, clock: _Clock, state: SearchState, iteration: int,
 ) -> tuple[NetworkSolution, SearchState]:
-    solution = milp.extract_solution(built, raw)
+    """The solution of a full-budget fixed-power solve of the best powers.
+
+    It is solved even when the sweep budget ran dry.
+    """
+    built = build(instance, fixed_powers=state.curr_best_sol)
+    solution = milp.extract_solution(built, milp.solve(built.ir, options.solver()))
     state.curr_best_obj = solution.objective
     state.record(iteration + 1, clock.elapsed(), solution.objective)
     return solution, state
@@ -280,11 +274,7 @@ def local_search_throughput(
     options = options or SearchOptions()
     clock = _Clock(options.global_budget_s)
     state, iteration = _throughput_search(instance, options, clock)
-    # The returned solution always comes from a full-budget fixed-power
-    # solve, even when the sweep budget ran dry.
-    built = milp.build_throughput_model(instance, fixed_powers=state.curr_best_sol)
-    raw = milp.solve(built.ir, options.solver())
-    return _finish(state, clock, iteration, built, raw)
+    return _finish(milp.build_throughput_model, instance, options, clock, state, iteration)
 
 
 def local_search_energy(
@@ -318,10 +308,7 @@ def local_search_energy(
         state, frontends, clock, 0,
         lambda u, cutoff: solve(gridded, _one_free(state, u), cutoff), -_IMPROVE_TOL,
     )
-
-    built = milp.build_energy_model(instance, fixed_powers=state.curr_best_sol)
-    raw = milp.solve(built.ir, options.solver())
-    return _finish(state, clock, iteration, built, raw)
+    return _finish(milp.build_energy_model, instance, options, clock, state, iteration)
 
 
 # -- selective reduction -------------------------------------------------------

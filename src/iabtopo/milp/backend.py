@@ -207,12 +207,13 @@ def beats(sense: str, objective: float, cutoff: float) -> bool:
 def solve(ir: ModelIR, options: SolverOptions | None = None) -> RawSolution:
     """Run the model through HiGHS.
 
-    Under ``options.cutoff`` a proven result that does not strictly beat
-    the cutoff is ``CUTOFF``, without values: it means only that nothing
-    beats the cutoff.  HiGHS reports that as "infeasible", or as "optimal"
-    at a worse point (it also ignores the bound on pure LPs).  A model
-    whose ``objective.bound`` does not beat the cutoff is ``CUTOFF`` at
-    once, without calling HiGHS.
+    This is the one place a result is held to ``options.cutoff``: a
+    result that does not strictly beat it comes back without values.  It
+    is ``CUTOFF`` when proven, meaning only that nothing beats the cutoff
+    (HiGHS reports that as "infeasible", or as "optimal" at a worse point;
+    it also ignores the bound on pure LPs), and ``TIME_LIMIT`` when the
+    time limit stopped it.  A model whose ``objective.bound`` does not
+    beat the cutoff is ``CUTOFF`` at once, without calling HiGHS.
     """
     options = options or SolverOptions()
     cutoff = options.cutoff
@@ -220,8 +221,8 @@ def solve(ir: ModelIR, options: SolverOptions | None = None) -> RawSolution:
     if cutoff is not None and bound is not None and not beats(sense, bound, cutoff):
         return RawSolution(SolveStatus.CUTOFF, None, None)
     raw = _scipy_backend(ir, options)
-    if cutoff is None or raw.status not in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
+    if cutoff is None or (raw.objective is not None and beats(sense, raw.objective, cutoff)):
         return raw
-    if raw.objective is not None and beats(sense, raw.objective, cutoff):
-        return raw
+    if raw.status is SolveStatus.TIME_LIMIT:
+        return RawSolution(SolveStatus.TIME_LIMIT, None, None)
     return RawSolution(SolveStatus.CUTOFF, None, None)

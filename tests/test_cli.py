@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
@@ -7,7 +8,7 @@ from click.testing import CliRunner
 from iabtopo import heuristics, milp
 from iabtopo.cli import RESULT_COLUMNS, evolution_stats, main
 from iabtopo.errors import NoFeasibleStart
-from iabtopo.scenario import ScenarioConfig, config_to_json
+from iabtopo.scenario import ScenarioConfig, config_from_json, config_to_json
 
 
 @pytest.fixture
@@ -453,6 +454,53 @@ def test_validate_rejects_negative_demand(workspace):
         result = _run(args + ["--demand-mbps", value])
         assert result.exit_code == 2
         assert "--demand-mbps" in result.output
+
+
+def _demand_workspace(workspace):
+    """The hour-10 graph, and the workspace config with 2 Mbps per UE."""
+    tmp, cfg, profile = workspace
+    graph_path = tmp / "g.json"
+    _run(["scenario-gen", "--config", str(cfg), "--profile", str(profile),
+          "--hour", "10", "--out", str(graph_path)])
+    demand_cfg = tmp / "cfg_demand.json"
+    config_to_json(replace(config_from_json(cfg), demand_mbps=2.0), demand_cfg)
+    return graph_path, demand_cfg
+
+
+def test_solve_reads_the_configs_demand(workspace):
+    # Without --demand-mbps the config's demand_mbps decides; given, the
+    # flag replaces it.
+    _tmp, cfg, _profile = workspace
+    graph_path, demand_cfg = _demand_workspace(workspace)
+
+    def energy(config, *flags):
+        result = _run(["solve", "--graph", str(graph_path), "--config", str(config),
+                       "--problem", "energy", "--method", "exact", *flags])
+        assert result.exit_code == 0, result.output
+        return result.output.split(" runtime=")[0]
+
+    with_demand, without = energy(demand_cfg), energy(cfg)
+    assert with_demand != without
+    assert energy(cfg, "--demand-mbps", "2") == with_demand
+    assert energy(demand_cfg, "--demand-mbps", "0") == without
+
+
+def test_validate_reads_the_configs_demand(workspace):
+    tmp, cfg, _profile = workspace
+    graph_path, demand_cfg = _demand_workspace(workspace)
+    sol_path = tmp / "asleep.json"
+    result = _run(["solve", "--graph", str(graph_path), "--config", str(cfg),
+                   "--problem", "energy", "--method", "exact",
+                   "--out-solution", str(sol_path)])
+    assert result.exit_code == 0 and "activated=0 " in result.output, result.output
+    args = ["validate", "--solution", str(sol_path), "--graph", str(graph_path)]
+    assert _run(args + ["--config", str(cfg)]).exit_code == 0
+    # The all-asleep answer to the zero-demand problem routes none of the
+    # config's demand ...
+    result = _run(args + ["--config", str(demand_cfg)])
+    assert result.exit_code == 1 and "UnroutedDemand" in result.output
+    # ... unless the flag sets the demand back to zero.
+    assert _run(args + ["--config", str(demand_cfg), "--demand-mbps", "0"]).exit_code == 0
 
 
 def test_single_row_cdf_degenerate(tmp_path):

@@ -311,8 +311,13 @@ def test_last_bit_noise_moves_no_decision(monkeypatch):
 
 
 def test_time_limited_answer_is_held_to_the_cutoff(monkeypatch):
-    inst = two_unit_instance(demand=20.0)
-    fixed = {1: 6300.0, 11: 6300.0}
+    # A one-free refinement trial: its power bound (190.07 W) sits below
+    # its optimum (190.53 W), so cutoffs 0.1 W either side of the optimum
+    # reach HiGHS.
+    inst = two_unit_instance(demand=20.0).with_power_mode(
+        DiscretePower(milp.default_power_levels(6300.0, 9))
+    )
+    fixed = {1: 6300.0}
     builds = []
     build = milp.build_energy_model
 
@@ -320,26 +325,26 @@ def test_time_limited_answer_is_held_to_the_cutoff(monkeypatch):
         builds.append(fixed_powers)
         return build(instance, fixed_powers, routing_edges)
 
-    solve = milp.solve
+    highs = backend._scipy_backend
 
-    def time_limited(ir, options=None):
-        raw = solve(ir, dataclasses.replace(options, cutoff=None))
+    def time_limited(ir, options):
+        raw = highs(ir, dataclasses.replace(options, cutoff=None))
         raw.status = milp.SolveStatus.TIME_LIMIT
         return raw
 
     monkeypatch.setattr(milp, "build_energy_model", recording)
-    monkeypatch.setattr(milp, "solve", time_limited)
+    monkeypatch.setattr(backend, "_scipy_backend", time_limited)
     memo = _memo_solve(milp.build_energy_model, FAST, _Clock(60.0))
     z, powers = memo(inst, fixed)
     assert z is not None and len(builds) == 1
     # An incumbent that does not beat the cutoff is a rejection, and it is
     # not remembered: a repeat builds and solves again.
-    assert memo(inst, fixed, z - 1.0) == (None, {})
+    assert memo(inst, fixed, z - 0.1) == (None, {})
     assert len(builds) == 2
-    assert memo(inst, fixed, z - 1.0) == (None, {})
+    assert memo(inst, fixed, z - 0.1) == (None, {})
     assert len(builds) == 3
     # One that beats it is taken, still without being remembered.
-    assert memo(inst, fixed, z + 1.0) == (z, powers)
+    assert memo(inst, fixed, z + 0.1) == (z, powers)
     assert len(builds) == 4
 
 
@@ -366,13 +371,15 @@ def test_rejection_under_cutoff_is_not_an_optimum(monkeypatch):
     # ... but without a cutoff the trial is solved to its true optimum.
     assert solve(inst, fixed) == (z_star, powers)
     assert len(builds) == 2
-    # A cutoff the optimum beats gives the optimum, which is then remembered.
+    # A cutoff the optimum beats gives the optimum, which is then remembered
+    # as the value nothing beats; a repeat without a cutoff solves again.
     solve = _memo_solve(milp.build_energy_model, FAST, _Clock(60.0))
     assert solve(inst, fixed, z_star + 1.0) == (z_star, powers)
     assert solve(inst, fixed) == (z_star, powers)
-    # It is returned only while it beats the caller's cutoff.
+    assert len(builds) == 4
+    # A cutoff the optimum does not beat is rejected unbuilt.
     assert solve(inst, fixed, z_star) == (None, {})
-    assert len(builds) == 3
+    assert len(builds) == 4
 
 
 def test_search_writes_nothing_to_stdout(capfd):

@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import itertools
 import warnings
 from pathlib import Path
@@ -504,3 +505,28 @@ def test_cutoff_the_bound_rules_out_skips_highs(sense, optimum, monkeypatch):
     assert solve(ir, SolverOptions(cutoff=looser)).objective == pytest.approx(optimum)
     assert solve(ir).objective == pytest.approx(optimum)
     assert cutoffs == [looser, None]
+
+
+@pytest.mark.parametrize("sense, optimum", _OPTIMA)
+def test_time_limited_incumbent_is_held_to_the_cutoff(sense, optimum, monkeypatch):
+    # An incumbent the time limit stopped at is held to the cutoff like a
+    # proven answer: one that does not beat it comes back without values,
+    # still TIME_LIMIT, and one that beats it keeps them.
+    ir = _cutoff_model(sense)
+    highs = backend._scipy_backend
+
+    def time_limited(ir, options):
+        raw = highs(ir, dataclasses.replace(options, cutoff=None))
+        raw.status = SolveStatus.TIME_LIMIT
+        return raw
+
+    monkeypatch.setattr(backend, "_scipy_backend", time_limited)
+    for margin in (0.0, 1.0):
+        cutoff = optimum - margin if sense == "min" else optimum + margin
+        raw = solve(ir, SolverOptions(cutoff=cutoff))
+        assert raw.status is SolveStatus.TIME_LIMIT
+        assert raw.values is None and raw.objective is None
+    looser = optimum + (0.5 if sense == "min" else -0.5)
+    raw = solve(ir, SolverOptions(cutoff=looser))
+    assert raw.status is SolveStatus.TIME_LIMIT
+    assert raw.objective == pytest.approx(optimum) and raw.values is not None
