@@ -19,11 +19,12 @@ best objective:
 
 One rule decides a move: a trial is solved against its cutoff, and the
 move is taken exactly when the solve returns values (a phase-two trial
-that does adds one fixed-power solve).  ``milp.solve`` alone holds a
-result to the cutoff: one that does not strictly beat it, proven, ruled
-out by the model's bound or stopped by the time limit, has no values.
-Objectives are compared only through the cutoff, so last-bit differences
-between HiGHS answers move no decision.
+that does adds one fixed-power solve).  A trial whose proven bound
+(``milp.model_bound``, asked before the build) does not beat the cutoff
+is rejected unbuilt; otherwise ``milp.solve`` alone holds the result to
+the cutoff: one that does not strictly beat it, proven or stopped by the
+time limit, has no values.  Objectives are compared only through the
+cutoff, so last-bit differences between HiGHS answers move no decision.
 
 Selective reduction shrinks the routing edge set to each receiver's top-k
 ranked incoming links and re-solves the exact model, widening k until
@@ -131,32 +132,39 @@ _Solved = tuple[float | None, dict[int, float]]
 _REJECTED: _Solved = (None, {})
 
 
-def _memo_solve(
-    build: Callable[..., milp.BuiltModel], options: SearchOptions, clock: _Clock
-) -> Callable[..., _Solved]:
-    """``build`` and solve a trial model against the caller's ``cutoff``.
+def _builder(problem: str) -> Callable[..., milp.BuiltModel]:
+    return milp.build_throughput_model if problem == milp.THROUGHPUT else milp.build_energy_model
 
-    Each (instance, fixed powers) keeps one number from its last proven
-    solve, the value no point of the trial beats: its optimum, the cutoff
-    it did not beat, or the worst value if it is infeasible.  A call whose
-    cutoff that value does not beat is rejected unbuilt; every other call
-    builds and solves, and no model outlives its solve.
+
+def _memo_solve(problem: str, options: SearchOptions, clock: _Clock) -> Callable[..., _Solved]:
+    """Build and solve a ``problem`` trial model against the caller's ``cutoff``.
+
+    Each (instance, fixed powers) keeps one number, the value no point of
+    the trial beats.  It starts at the model's proven bound, asked of
+    ``milp.model_bound`` before any build, and only tightens with proven
+    solves: to the optimum, to the cutoff it did not beat, or to the worst
+    value if the trial is infeasible.  A call whose cutoff that value does
+    not beat is rejected unbuilt; every other call builds and solves, and
+    no model outlives its solve.
     """
     unbeaten: dict[tuple, float] = {}
-    sense = None  # the models' sense, read at the first build; every hit follows one
+    sense, worse = ("max", min) if problem == milp.THROUGHPUT else ("min", max)
 
     def solve(
         model: ProblemInstance, fixed: dict[int, float], cutoff: float | None = None
     ) -> _Solved:
-        nonlocal sense
         key = (id(model), tuple(sorted(fixed.items())))
-        if cutoff is not None and key in unbeaten and not milp.beats(sense, unbeaten[key], cutoff):
+        if key not in unbeaten:
+            unbeaten[key] = milp.model_bound(model, problem, fixed)
+        if cutoff is not None and not milp.beats(sense, unbeaten[key], cutoff):
             return _REJECTED
-        built = build(model, fixed_powers=fixed)
-        sense = built.ir.objective.sense
+        built = _builder(problem)(model, fixed_powers=fixed)
         raw = milp.solve(built.ir, options.solver(clock.remaining(), cutoff))
+        # A call that reaches here has a value that beats its cutoff, so a
+        # cutoff it did not beat is tighter; an optimum may sit a solver
+        # tolerance past the bound.
         if raw.status is SolveStatus.OPTIMAL:
-            unbeaten[key] = raw.objective
+            unbeaten[key] = worse(unbeaten[key], raw.objective)
         elif raw.status is SolveStatus.CUTOFF:
             unbeaten[key] = cutoff
         elif raw.status is SolveStatus.INFEASIBLE:
@@ -214,14 +222,14 @@ def _start(
 
 
 def _finish(
-    build: Callable[..., milp.BuiltModel], instance: ProblemInstance,
+    problem: str, instance: ProblemInstance,
     options: SearchOptions, clock: _Clock, state: SearchState, iteration: int,
 ) -> tuple[NetworkSolution, SearchState]:
     """The solution of a full-budget fixed-power solve of the best powers.
 
     It is solved even when the sweep budget ran dry.
     """
-    built = build(instance, fixed_powers=state.curr_best_sol)
+    built = _builder(problem)(instance, fixed_powers=state.curr_best_sol)
     solution = milp.extract_solution(built, milp.solve(built.ir, options.solver()))
     state.curr_best_obj = solution.objective
     state.record(iteration + 1, clock.elapsed(), solution.objective)
@@ -239,7 +247,7 @@ def _throughput_search(
     p_max = max(instance.power_mode.levels_mw) if discrete else instance.radio.p_max_mw
     refine = instance if discrete else instance.with_power_mode(ContinuousPower())
 
-    solve = _memo_solve(milp.build_throughput_model, options, clock)
+    solve = _memo_solve(milp.THROUGHPUT, options, clock)
     powers = {u: p_max for u in frontends}
     state = _start(solve(instance, powers)[0], powers, clock, "initial all-on solve")
 
@@ -274,7 +282,7 @@ def local_search_throughput(
     options = options or SearchOptions()
     clock = _Clock(options.global_budget_s)
     state, iteration = _throughput_search(instance, options, clock)
-    return _finish(milp.build_throughput_model, instance, options, clock, state, iteration)
+    return _finish(milp.THROUGHPUT, instance, options, clock, state, iteration)
 
 
 def local_search_energy(
@@ -298,7 +306,7 @@ def local_search_energy(
         levels = default_power_levels(instance.radio.p_max_mw, options.power_levels)
     gridded = instance.with_power_mode(DiscretePower(levels))
 
-    solve = _memo_solve(milp.build_energy_model, options, clock)
+    solve = _memo_solve(milp.ENERGY, options, clock)
     powers = tput_state.curr_best_sol
     state = _start(
         solve(instance, powers)[0], powers, clock, "energy solve at throughput powers"
@@ -308,7 +316,7 @@ def local_search_energy(
         state, frontends, clock, 0,
         lambda u, cutoff: solve(gridded, _one_free(state, u), cutoff), -_IMPROVE_TOL,
     )
-    return _finish(milp.build_energy_model, instance, options, clock, state, iteration)
+    return _finish(milp.ENERGY, instance, options, clock, state, iteration)
 
 
 # -- selective reduction -------------------------------------------------------

@@ -16,6 +16,7 @@ from .builder import (
     BuiltModel,
     build_energy_model,
     build_throughput_model,
+    model_bound,
 )
 from .extract import extract_solution, frontend_powers
 from .ir import ModelIR, Sense, VarKind
@@ -41,5 +42,6 @@ __all__ = [
     "default_power_levels",
     "extract_solution",
     "frontend_powers",
+    "model_bound",
     "solve",
 ]

@@ -212,16 +212,14 @@ def solve(ir: ModelIR, options: SolverOptions | None = None) -> RawSolution:
     is ``CUTOFF`` when proven, meaning only that nothing beats the cutoff
     (HiGHS reports that as "infeasible", or as "optimal" at a worse point;
     it also ignores the bound on pure LPs), and ``TIME_LIMIT`` when the
-    time limit stopped it.  A model whose ``objective.bound`` does not
-    beat the cutoff is ``CUTOFF`` at once, without calling HiGHS.
+    time limit stopped it.
     """
     options = options or SolverOptions()
     cutoff = options.cutoff
-    sense, bound = ir.objective.sense, ir.objective.bound
-    if cutoff is not None and bound is not None and not beats(sense, bound, cutoff):
-        return RawSolution(SolveStatus.CUTOFF, None, None)
     raw = _scipy_backend(ir, options)
-    if cutoff is None or (raw.objective is not None and beats(sense, raw.objective, cutoff)):
+    if cutoff is None or (
+        raw.objective is not None and beats(ir.objective.sense, raw.objective, cutoff)
+    ):
         return raw
     if raw.status is SolveStatus.TIME_LIMIT:
         return RawSolution(SolveStatus.TIME_LIMIT, None, None)

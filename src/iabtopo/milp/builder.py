@@ -38,10 +38,13 @@ dead; a solution of a restricted model is therefore feasible in the
 unrestricted one.
 
 Every model records a proven bound on its objective, which no feasible
-point beats: the widest donor path to each UE for throughput, and for
-energy one awake frontend plus each UE's demand at its cheapest in-edge's
-watts per Mbps.  Both come from the ladder arrays and add no column or
-row; a cutoff solve the bound rules out skips HiGHS.
+point beats.  For throughput it is the widest donor path to each UE, and
+for any two UEs the airtime their in-edges share when both leave one
+node; for energy, one awake frontend plus each UE's demand at its
+cheapest in-edge's watts per Mbps.  Both come from the ladder arrays and
+add no column or row.  ``model_bound`` gives the same bound from the
+head of the build alone (power reps and ladders), so a search can rule
+out a trial before building its model.
 
 Models are built from arrays.  Each graph's channel gains are computed
 once per radio and shared by every model built on it; every edge's
@@ -157,9 +160,7 @@ def build_throughput_model(
     power mode; ``routing_edges`` restricts which edges may carry traffic
     (interference still accumulates over the full graph).
     """
-    if not instance.commodities:
-        raise EmptyCommodities("throughput problem needs at least one commodity")
-    return _build(instance, THROUGHPUT, instance.commodities, fixed_powers, routing_edges)
+    return _build(instance, THROUGHPUT, fixed_powers, routing_edges)
 
 
 def build_energy_model(
@@ -173,8 +174,34 @@ def build_energy_model(
     power is rejected (the power-airtime objective product only stays
     linear for fixed or gridded powers).
     """
-    active = tuple(c for c in instance.commodities if c.demand_mbps > 0)
-    return _build(instance, ENERGY, active, fixed_powers, routing_edges)
+    return _build(instance, ENERGY, fixed_powers, routing_edges)
+
+
+def model_bound(
+    instance: ProblemInstance,
+    problem: str,
+    fixed_powers: Mapping[int, float] | None = None,
+    routing_edges: Iterable[EdgeKey] | None = None,
+) -> float:
+    """The proven bound of ``problem``'s model, ``ir.objective.bound``, without building it.
+
+    It runs the head of the build, power reps and ladders, and the same
+    bound function, so it equals the built model's bound bit for bit.
+    """
+    commodities = _commodities(instance, problem)
+    reps, lad, wired = _head(ModelIR(), instance, problem, fixed_powers, routing_edges)
+    if problem == ENERGY:
+        return _power_bound(instance, commodities, reps, lad, _asleep_w(reps, instance))
+    return _rate_bound(instance, commodities, lad, wired)
+
+
+def _commodities(instance: ProblemInstance, problem: str) -> tuple[Commodity, ...]:
+    """Throughput serves every commodity; energy only those with demand."""
+    if problem == ENERGY:
+        return tuple(c for c in instance.commodities if c.demand_mbps > 0)
+    if not instance.commodities:
+        raise EmptyCommodities("throughput problem needs at least one commodity")
+    return instance.commodities
 
 
 # -- channel gains, once per graph -------------------------------------------
@@ -305,26 +332,36 @@ class _Terms:
         return tuple(np.concatenate(p) for p in zip(*self.parts))
 
 
-def _build(
+def _head(
+    ir: ModelIR,
     instance: ProblemInstance,
     problem: str,
-    commodities: tuple[Commodity, ...],
     fixed_powers: Mapping[int, float] | None,
     routing_edges: Iterable[EdgeKey] | None,
-) -> BuiltModel:
+) -> tuple[_Reps, _Ladders, tuple[Edge, ...]]:
+    """Power reps declared into ``ir``, routing wireless edges' ladders, routing wired edges."""
     g = instance.graph
-    ir = ModelIR(name=f"{problem}__{len(g.nodes)}n_{len(g.edges)}e")
-
     allowed = None if routing_edges is None else set(routing_edges)
     wired = tuple(e for e in g.wired_edges if allowed is None or e.key in allowed)
-
     reps = _power_reps(ir, instance, problem, fixed_powers)
     lad = _ladders(
         instance, reps, [e for e in g.wireless_edges if allowed is None or e.key in allowed]
     )
     # Dead edges of single-power sources leave routing; they still
     # interfere, since the gains cover the full graph.
-    lad = lad.take((lad.top > 0) | ~reps.single[lad.src])
+    return reps, lad.take((lad.top > 0) | ~reps.single[lad.src]), wired
+
+
+def _build(
+    instance: ProblemInstance,
+    problem: str,
+    fixed_powers: Mapping[int, float] | None,
+    routing_edges: Iterable[EdgeKey] | None,
+) -> BuiltModel:
+    commodities = _commodities(instance, problem)
+    g = instance.graph
+    ir = ModelIR(name=f"{problem}__{len(g.nodes)}n_{len(g.edges)}e")
+    reps, lad, wired = _head(ir, instance, problem, fixed_powers, routing_edges)
     wireless = lad.edges
     v0 = _emit_edges(ir, instance, reps, lad)
     alpha, use, cap = v0, v0 + 1, v0 + 2
@@ -566,28 +603,45 @@ def _finish_throughput(built: BuiltModel, lad: _Ladders) -> None:
         [f"use_le_on[{e.src}->{e.dst}]" for e, m in zip(lad.edges, gated.tolist()) if m],
         Sense.LE, 0.0, *out.coo(),
     )
-    ir.set_objective("max", [z], [1.0], bound=_rate_bound(built, lad, c_max))
+    ir.set_objective(
+        "max", [z], [1.0],
+        bound=_rate_bound(built.instance, commodities, lad, built.routing_wired),
+    )
 
 
-def _rate_bound(built: BuiltModel, lad: _Ladders, c_max: float) -> float:
-    """No UE's rate beats its widest donor path over the routing edges.
+def _rate_bound(
+    instance: ProblemInstance,
+    commodities: tuple[Commodity, ...],
+    lad: _Ladders,
+    wired: tuple[Edge, ...],
+) -> float:
+    """No UE's rate beats its widest donor path, nor any two UEs' shared airtime.
 
     The tree rule leaves each node but the donor at most one incoming edge
     with flow, so a served UE's parent chain reaches the donor and carries
-    at least the UE's rate on every edge, and a wireless edge carries at
-    most the capacity of its top level (Pollack's bottleneck path, Oper.
-    Res. 8, 1960).  Wired edges are unbounded; edges granting no level
-    carry nothing.
+    at least the UE's rate Z on every edge, and a wireless edge carries at
+    most C(e), the capacity of its top level (Pollack's bottleneck path,
+    Oper. Res. 8, 1960).  Wired edges are unbounded; edges granting no
+    level carry nothing.  So Z is at most w(e) = min(C(e), widest(src e))
+    for the in-edge e the UE is served over.
+
+    Each UE's in-edge e also carries Z at airtime at least Z / C(e), and
+    in-edges that leave one node share that node's airtime, which is at
+    most 1 (the node-conflict argument of Jain, Padhye, Padmanabhan &
+    Qiu, MobiCom 2003).  So for any two UEs, Z is at most the largest,
+    over their in-edge pairs (e, f), of min(w(e), w(f)), and of
+    1 / (1/C(e) + 1/C(f)) when e and f are wireless edges of one source.
     """
-    caps = np.asarray(built.instance.capacity_table.capacities_mbps)
+    caps = np.asarray(instance.capacity_table.capacities_mbps)
     live = lad.top > 0
-    edges = [e for e, k in zip(lad.edges, live.tolist()) if k] + list(built.routing_wired)
-    width = np.concatenate([caps[lad.top[live] - 1], np.full(len(built.routing_wired), np.inf)])
-    pos = {n.id: p for p, n in enumerate(built.instance.graph.nodes)}
+    edges = [e for e, k in zip(lad.edges, live.tolist()) if k] + list(wired)
+    width = np.concatenate([caps[lad.top[live] - 1], np.full(len(wired), np.inf)])
+    pos = {n.id: p for p, n in enumerate(instance.graph.nodes)}
     tail = np.array([pos[e.src] for e in edges], dtype=np.int64)
     head = np.array([pos[e.dst] for e in edges], dtype=np.int64)
-    bound = c_max
-    for source in {c.source for c in built.commodities}:
+    bound = instance.capacity_table.max_capacity_mbps
+    ends = []  # per commodity: its in-edges' w(e), airtime per Mbps and source
+    for source in {c.source for c in commodities}:
         widest = np.zeros(len(pos))
         widest[pos[source]] = np.inf
         while True:  # each pass lengthens the paths considered by one edge
@@ -596,8 +650,25 @@ def _rate_bound(built: BuiltModel, lad: _Ladders, c_max: float) -> float:
             if (wider == widest).all():
                 break
             widest = wider
-        dests = [pos[c.dest] for c in built.commodities if c.source == source]
+        dests = [pos[c.dest] for c in commodities if c.source == source]
         bound = min(bound, float(widest[dests].min()))
+        for d in dests:
+            into = head == d
+            with np.errstate(divide="ignore"):  # a level of capacity 0 takes all airtime
+                per_mbps = 1.0 / width[into]  # 0 on wired edges
+            ends.append((np.minimum(width[into], widest[tail[into]]), per_mbps, tail[into]))
+    return min(bound, _shared_airtime_bound(ends))
+
+
+def _shared_airtime_bound(ends) -> float:
+    """The pair term of ``_rate_bound``: the smallest over UE pairs, inf for one UE."""
+    bound = np.inf
+    for k, (w_k, t_k, src_k) in enumerate(ends):
+        for w_l, t_l, src_l in ends[k + 1:]:
+            z = np.minimum(w_k[:, None], w_l[None, :])
+            shared = (src_k[:, None] == src_l[None, :]) & (t_k[:, None] > 0) & (t_l[None, :] > 0)
+            z[shared] = np.minimum(z[shared], 1.0 / (t_k[:, None] + t_l[None, :])[shared])
+            bound = min(bound, float(z.max(initial=0.0)))
     return bound
 
 
@@ -631,14 +702,9 @@ def _finish_energy(built: BuiltModel, lad: _Ladders) -> None:
             names.append(f"use_le_act[{e.src}->{e.dst}]")
     ir.add_rows(names, codes, 0.0, *out.coo())
 
-    obj_cols: list[int] = []
-    obj_coefs: list[float] = []
-    constant = 0.0
-    for a in reps.act.tolist():
-        constant += pm.n_trx * pm.p_sleep_w
-        if a >= 0:
-            obj_cols.append(a)
-            obj_coefs.append(pm.n_trx * (pm.p0_w - pm.p_sleep_w))
+    obj_cols = [a for a in reps.act.tolist() if a >= 0]
+    obj_coefs = [pm.n_trx * (pm.p0_w - pm.p_sleep_w)] * len(obj_cols)
+    constant = _asleep_w(reps, instance)
 
     # Amplifier term: delta_p * P_tx * alpha, expanded per power level with
     # exact products w = lam * alpha.
@@ -675,11 +741,26 @@ def _finish_energy(built: BuiltModel, lad: _Ladders) -> None:
         np.concatenate([w, np.array(obj_cols, dtype=np.int64)]),
         np.concatenate([pm.delta_p * p_mw / 1000.0, np.array(obj_coefs, dtype=float)]),
         constant,
-        bound=_power_bound(built, lad, constant),
+        bound=_power_bound(instance, built.commodities, reps, lad, constant),
     )
 
 
-def _power_bound(built: BuiltModel, lad: _Ladders, constant: float) -> float:
+def _asleep_w(reps: _Reps, instance: ProblemInstance) -> float:
+    """The objective constant: every frontend asleep."""
+    pm = instance.power_model
+    constant = 0.0
+    for _ in reps.act.tolist():
+        constant += pm.n_trx * pm.p_sleep_w
+    return constant
+
+
+def _power_bound(
+    instance: ProblemInstance,
+    commodities: tuple[Commodity, ...],
+    reps: _Reps,
+    lad: _Ladders,
+    constant: float,
+) -> float:
     """No network power undercuts one awake frontend plus each UE's cheapest in-edge.
 
     A positive demand reaches its UE over a wireless edge, so that edge's
@@ -689,12 +770,11 @@ def _power_bound(built: BuiltModel, lad: _Ladders, constant: float) -> float:
     delta_p*p*alpha(e) is at least delta_p*p*d/C(met).  Distinct UEs have
     distinct in-edges, and every other term is at least 0.
     """
-    if not built.commodities:
+    if not commodities:
         return constant
-    pm = built.instance.power_model
-    table = built.instance.capacity_table
+    pm = instance.power_model
+    table = instance.capacity_table
     caps = np.asarray(table.capacities_mbps)
-    reps = built.power_reps
     who, at = np.nonzero(reps.level_col[lad.src] >= 0)  # each edge's source power levels
     p_mw = reps.level_mw[lad.src[who], at]
     met = _levels_met(np.asarray(table.thresholds_linear), lad.g_sig[who] * p_mw, lad.i_lo[who])
@@ -704,7 +784,7 @@ def _power_bound(built: BuiltModel, lad: _Ladders, constant: float) -> float:
         np.minimum.at(w_per_mbps, who, np.where(cap > 0, pm.delta_p * (p_mw / 1000.0) / cap, np.inf))
     heads = np.array([e.dst for e in lad.edges], dtype=np.int64)
     bound = constant + pm.n_trx * (pm.p0_w - pm.p_sleep_w) + pm.p_active_unit_w
-    for c in built.commodities:
+    for c in commodities:
         bound += c.demand_mbps * float(w_per_mbps[heads == c.dest].min(initial=np.inf))
     return bound
 

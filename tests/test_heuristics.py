@@ -32,6 +32,7 @@ from iabtopo.problem import ContinuousPower, DiscretePower, ProblemInstance
 from conftest import coarse_table, random_small_instance, two_unit_instance
 
 FAST = SearchOptions(solve_time_limit_s=20.0, global_budget_s=120.0)
+_GRID = (0.0, 1575.0, 3150.0, 4725.0, 6300.0)
 
 
 def test_single_frontend_converges_to_capacity():
@@ -177,7 +178,10 @@ def test_energy_refinement_builds_each_trial_once(monkeypatch):
         return build(instance, fixed_powers, routing_edges)
 
     monkeypatch.setattr(milp, "build_energy_model", recording)
-    _sol, state = local_search_energy(two_unit_instance(demand=20.0), FAST)
+    # On the two-unit instance the power bound rules out every refinement
+    # trial, so none is built; this draw builds seven.
+    inst = random_small_instance(np.random.default_rng(0), max_units=4, max_ues=4, levels=_GRID)
+    _sol, state = local_search_energy(inst, FAST)
     # Start solve, refinement trials, then the final solve of the accepted
     # powers; an accepted trial is re-solved on its model, not rebuilt.
     trials, final = builds[1:-1], builds[-1]
@@ -185,17 +189,29 @@ def test_energy_refinement_builds_each_trial_once(monkeypatch):
     assert final[1] == tuple(sorted(state.curr_best_sol.items()))
 
 
-def test_every_cutoff_answer_matches_the_full_optimum(monkeypatch):
-    # Each trial under a cutoff is solved again without it: a rejection
-    # must be one the full optimum agrees with, and an answer must be it.
-    grid = (0.0, 1575.0, 3150.0, 4725.0, 6300.0)
-    instances = [two_unit_instance(), two_unit_instance(levels=grid)]
+def _cutoff_instances():
+    instances = [two_unit_instance(), two_unit_instance(levels=_GRID)]
     for seed in range(6):
         instances.append(random_small_instance(np.random.default_rng(seed)))
         # Larger instances on a 5-level grid accept strict moves.
         instances.append(random_small_instance(
-            np.random.default_rng(seed), max_units=4, max_ues=4, levels=grid
+            np.random.default_rng(seed), max_units=4, max_ues=4, levels=_GRID
         ))
+    return instances
+
+
+def _run_searches(instances):
+    for inst in instances:
+        for search in (local_search_throughput, local_search_energy):
+            try:
+                search(inst, FAST)
+            except IabError:
+                continue
+
+
+def test_every_cutoff_answer_matches_the_full_optimum(monkeypatch):
+    # Each trial under a cutoff is solved again without it: a rejection
+    # must be one the full optimum agrees with, and an answer must be it.
     solve = milp.solve
     trials = []
 
@@ -208,7 +224,7 @@ def test_every_cutoff_answer_matches_the_full_optimum(monkeypatch):
 
     monkeypatch.setattr(milp, "solve", checked)
     energy_logs = []
-    for inst in instances:
+    for inst in _cutoff_instances():
         for search in (local_search_throughput, local_search_energy):
             try:
                 _sol, state = search(inst, FAST)
@@ -235,47 +251,142 @@ def test_every_cutoff_answer_matches_the_full_optimum(monkeypatch):
 
 
 def test_bound_answered_trials_match_the_full_optimum(monkeypatch):
-    # A cutoff trial answered by its model's rate or power bound, without
-    # HiGHS, is solved again without the cutoff: the full optimum must not
-    # beat it.
-    grid = (0.0, 1575.0, 3150.0, 4725.0, 6300.0)
-    instances = [two_unit_instance(), two_unit_instance(levels=grid)]
-    for seed in range(6):
-        instances.append(random_small_instance(np.random.default_rng(seed)))
-        instances.append(random_small_instance(
-            np.random.default_rng(seed), max_units=4, max_ues=4, levels=grid
-        ))
-    solve, highs = milp.solve, backend._scipy_backend
-    highs_calls = []
-    trials = []
+    # A cutoff trial the search rejects from its model's rate or power
+    # bound alone, never built, is built and solved without the cutoff:
+    # the full optimum must not beat it.
+    memo = heuristics._memo_solve
+    solves = []
+    screened = []
+
+    def watched(problem, options, clock):
+        solve = memo(problem, options, clock)
+        built = set()
+
+        def trial(model, fixed, cutoff=None):
+            key = (id(model), tuple(sorted(fixed.items())))
+            before = len(solves)
+            out = solve(model, fixed, cutoff)
+            if len(solves) > before:
+                built.add(key)
+            elif key not in built:
+                screened.append((problem, model, dict(fixed), cutoff))
+            return out
+
+        return trial
+
+    solve = milp.solve
+
+    def counting(ir, options=None):
+        solves.append(ir)
+        return solve(ir, options)
+
+    monkeypatch.setattr(heuristics, "_memo_solve", watched)
+    monkeypatch.setattr(milp, "solve", counting)
+    _run_searches(_cutoff_instances())
+    monkeypatch.undo()
+
+    assert screened
+    assert {problem for problem, *_ in screened} == {milp.THROUGHPUT, milp.ENERGY}
+    by_pairs = 0
+    full = {}  # one full solve per trial
+    for problem, model, fixed, cutoff in screened:
+        assert cutoff is not None
+        key = (problem, id(model), tuple(sorted(fixed.items())))
+        if key not in full:
+            built = heuristics._builder(problem)(model, fixed_powers=fixed)
+            full[key] = (built.ir, milp.solve(built.ir, SolverOptions(time_limit_s=20.0)))
+        ir, raw = full[key]
+        sense = ir.objective.sense
+        assert not milp.beats(sense, ir.objective.bound, cutoff)
+        assert raw.status in (milp.SolveStatus.OPTIMAL, milp.SolveStatus.INFEASIBLE)
+        assert raw.objective is None or not milp.beats(sense, raw.objective, cutoff)
+        if problem == milp.THROUGHPUT:
+            with monkeypatch.context() as m:
+                m.setattr(builder, "_shared_airtime_bound", lambda ends: math.inf)
+                widest = milp.model_bound(model, problem, fixed)
+            by_pairs += milp.beats(sense, widest, cutoff)
+    # Some trials only the shared-airtime term rules out.
+    assert by_pairs >= 1
+
+
+def test_no_trial_the_bound_rules_out_is_built(monkeypatch):
+    # The bound is asked before the build, so every model a search solves
+    # under a cutoff has a bound that beats that cutoff, and the trials the
+    # bound rules out, in both searches, cost no model.
+    solve = milp.solve
+    checked = []
+    asked = {milp.THROUGHPUT: set(), milp.ENERGY: set()}
+    built = {milp.THROUGHPUT: set(), milp.ENERGY: set()}
+
+    def checking(ir, options=None):
+        if options is not None and options.cutoff is not None:
+            checked.append(milp.beats(ir.objective.sense, ir.objective.bound, options.cutoff))
+        return solve(ir, options)
+
+    bound = milp.model_bound
+
+    def asking(instance, problem, fixed_powers=None, routing_edges=None):
+        asked[problem].add((id(instance), tuple(sorted(fixed_powers.items()))))
+        return bound(instance, problem, fixed_powers, routing_edges)
+
+    def recording(problem, build):
+        def wrapped(instance, fixed_powers=None, routing_edges=None):
+            built[problem].add((id(instance), tuple(sorted(fixed_powers.items()))))
+            return build(instance, fixed_powers, routing_edges)
+
+        return wrapped
+
+    monkeypatch.setattr(milp, "solve", checking)
+    monkeypatch.setattr(milp, "model_bound", asking)
+    for problem, name in (
+        (milp.THROUGHPUT, "build_throughput_model"), (milp.ENERGY, "build_energy_model")
+    ):
+        monkeypatch.setattr(milp, name, recording(problem, getattr(milp, name)))
+    _run_searches(_cutoff_instances())
+
+    assert checked and all(checked)
+    for problem in (milp.THROUGHPUT, milp.ENERGY):
+        assert asked[problem] - built[problem], problem
+
+
+@pytest.mark.parametrize("problem", [milp.THROUGHPUT, milp.ENERGY])
+def test_cutoff_the_bound_rules_out_skips_the_build(problem, monkeypatch):
+    # A trial whose proven bound does not beat the cutoff is rejected
+    # before it is built; a cutoff its optimum beats, and no cutoff, still
+    # build it and reach HiGHS.
+    inst = two_unit_instance(demand=20.0)
+    fixed = {1: 6300.0, 11: 6300.0}
+    name = "build_throughput_model" if problem == milp.THROUGHPUT else "build_energy_model"
+    build = getattr(milp, name)
+    built = build(inst, fixed_powers=fixed)
+    sense, bound = built.ir.objective.sense, built.ir.objective.bound
+    optimum = milp.solve(built.ir).objective
+    step = -1.0 if sense == "min" else 1.0
+    assert not milp.beats(sense, optimum, bound)
+
+    builds, cutoffs = [], []
+    highs = backend._scipy_backend
+
+    def recording(instance, fixed_powers=None, routing_edges=None):
+        builds.append(fixed_powers)
+        return build(instance, fixed_powers, routing_edges)
 
     def counting(ir, options):
-        highs_calls.append(ir)
+        cutoffs.append(options.cutoff)
         return highs(ir, options)
 
-    def checked(ir, options=None):
-        before = len(highs_calls)
-        raw = solve(ir, options)
-        if options is not None and options.cutoff is not None and len(highs_calls) == before:
-            full = solve(ir, dataclasses.replace(options, cutoff=None))
-            trials.append((ir.objective.sense, options.cutoff, raw, full))
-        return raw
-
+    monkeypatch.setattr(milp, name, recording)
     monkeypatch.setattr(backend, "_scipy_backend", counting)
-    monkeypatch.setattr(milp, "solve", checked)
-    for inst in instances:
-        for search in (local_search_throughput, local_search_energy):
-            try:
-                search(inst, FAST)
-            except IabError:
-                continue
+    for margin in (0.0, 1.0):
+        solve = _memo_solve(problem, FAST, _Clock(60.0))
+        assert solve(inst, fixed, bound + step * margin) == (None, {})
+    assert builds == [] and cutoffs == []
 
-    assert trials
-    assert any(sense == "min" for sense, *_ in trials)  # energy refinement trials too
-    for sense, cutoff, raw, full in trials:
-        assert raw.status is milp.SolveStatus.CUTOFF
-        assert full.status in (milp.SolveStatus.OPTIMAL, milp.SolveStatus.INFEASIBLE)
-        assert full.objective is None or not milp.beats(sense, full.objective, cutoff)
+    looser = optimum - step * 0.5
+    solve = _memo_solve(problem, FAST, _Clock(60.0))
+    assert solve(inst, fixed, looser)[0] == pytest.approx(optimum)
+    assert solve(inst, fixed)[0] == pytest.approx(optimum)
+    assert cutoffs == [looser, None] and len(builds) == 2
 
 
 def _search_outcome(search, instance):
@@ -334,7 +445,7 @@ def test_time_limited_answer_is_held_to_the_cutoff(monkeypatch):
 
     monkeypatch.setattr(milp, "build_energy_model", recording)
     monkeypatch.setattr(backend, "_scipy_backend", time_limited)
-    memo = _memo_solve(milp.build_energy_model, FAST, _Clock(60.0))
+    memo = _memo_solve(milp.ENERGY, FAST, _Clock(60.0))
     z, powers = memo(inst, fixed)
     assert z is not None and len(builds) == 1
     # An incumbent that does not beat the cutoff is a rejection, and it is
@@ -349,8 +460,13 @@ def test_time_limited_answer_is_held_to_the_cutoff(monkeypatch):
 
 
 def test_rejection_under_cutoff_is_not_an_optimum(monkeypatch):
-    inst = two_unit_instance(demand=20.0)
-    fixed = {1: 6300.0, 11: 6300.0}
+    # The one-free trial of the test above: cutoffs between its power bound
+    # (190.07 W) and its optimum (190.53 W) are rejected by HiGHS, not by
+    # the bound, and the rejection is remembered.
+    inst = two_unit_instance(demand=20.0).with_power_mode(
+        DiscretePower(milp.default_power_levels(6300.0, 9))
+    )
+    fixed = {1: 6300.0}
     builds = []
     build = milp.build_energy_model
 
@@ -359,21 +475,21 @@ def test_rejection_under_cutoff_is_not_an_optimum(monkeypatch):
         return build(instance, fixed_powers, routing_edges)
 
     monkeypatch.setattr(milp, "build_energy_model", recording)
-    z_star, powers = _memo_solve(milp.build_energy_model, FAST, _Clock(60.0))(inst, fixed)
+    z_star, powers = _memo_solve(milp.ENERGY, FAST, _Clock(60.0))(inst, fixed)
     assert z_star is not None
 
-    solve = _memo_solve(milp.build_energy_model, FAST, _Clock(60.0))
+    solve = _memo_solve(milp.ENERGY, FAST, _Clock(60.0))
     builds.clear()
-    assert solve(inst, fixed, z_star - 1.0) == (None, {})
+    assert solve(inst, fixed, z_star - 0.1) == (None, {})
     # A repeat under a cutoff no looser is rejected without a build ...
-    assert solve(inst, fixed, z_star - 2.0) == (None, {})
+    assert solve(inst, fixed, z_star - 0.2) == (None, {})
     assert len(builds) == 1
     # ... but without a cutoff the trial is solved to its true optimum.
     assert solve(inst, fixed) == (z_star, powers)
     assert len(builds) == 2
     # A cutoff the optimum beats gives the optimum, which is then remembered
     # as the value nothing beats; a repeat without a cutoff solves again.
-    solve = _memo_solve(milp.build_energy_model, FAST, _Clock(60.0))
+    solve = _memo_solve(milp.ENERGY, FAST, _Clock(60.0))
     assert solve(inst, fixed, z_star + 1.0) == (z_star, powers)
     assert solve(inst, fixed) == (z_star, powers)
     assert len(builds) == 4

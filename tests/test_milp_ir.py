@@ -476,38 +476,6 @@ def test_only_cutoff_solves_skip_feasibility_jump(monkeypatch):
 
 
 @pytest.mark.parametrize("sense, optimum", _OPTIMA)
-def test_cutoff_the_bound_rules_out_skips_highs(sense, optimum, monkeypatch):
-    # A proven bound that does not beat the cutoff answers CUTOFF alone;
-    # any other cutoff, and no cutoff, still reach HiGHS.
-    ir = _cutoff_model(sense)
-    obj = ir.objective
-    ir.set_objective(sense, obj.cols, obj.coefs, obj.constant, bound=optimum)
-    highs = backend._scipy_backend
-
-    def no_highs(ir, options):
-        raise AssertionError("HiGHS called")
-
-    monkeypatch.setattr(backend, "_scipy_backend", no_highs)
-    for margin in (0.0, 1.0):
-        cutoff = optimum - margin if sense == "min" else optimum + margin
-        raw = solve(ir, SolverOptions(cutoff=cutoff))
-        assert raw.status is SolveStatus.CUTOFF
-        assert raw.values is None and raw.objective is None
-
-    cutoffs = []
-
-    def counting(ir, options):
-        cutoffs.append(options.cutoff)
-        return highs(ir, options)
-
-    monkeypatch.setattr(backend, "_scipy_backend", counting)
-    looser = optimum + (0.5 if sense == "min" else -0.5)
-    assert solve(ir, SolverOptions(cutoff=looser)).objective == pytest.approx(optimum)
-    assert solve(ir).objective == pytest.approx(optimum)
-    assert cutoffs == [looser, None]
-
-
-@pytest.mark.parametrize("sense, optimum", _OPTIMA)
 def test_time_limited_incumbent_is_held_to_the_cutoff(sense, optimum, monkeypatch):
     # An incumbent the time limit stopped at is held to the cutoff like a
     # proven answer: one that does not beat it comes back without values,

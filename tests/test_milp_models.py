@@ -468,6 +468,55 @@ def test_power_bound_holds_at_random_fixed_powers():
     assert tight >= 4
 
 
+def test_rate_bound_charges_shared_airtime(monkeypatch):
+    # Both UEs hear frontend 1 well and frontend 2 barely (noise-limited),
+    # so the optimum serves both from 1 and splits its airtime: Z =
+    # 1/(1/C + 1/C).  The widest path alone reads C.
+    nodes = [
+        Node(0, NodeKind.DONOR_DU, (0.0, 0.0, 10.0), unit_id=0),
+        Node(1, NodeKind.FRONTEND, (0.0, 0.0, 10.0), unit_id=0),
+        Node(2, NodeKind.FRONTEND, (0.0, 0.0, 10.0), unit_id=0),
+        Node(10, NodeKind.UE, (50.0, 0.0, 1.5)),
+        Node(11, NodeKind.UE, (50.0, 5.0, 1.5)),
+    ]
+    edges = [Edge(0, 1, EdgeKind.WIRED), Edge(0, 2, EdgeKind.WIRED)]
+    for src, pathloss in ((1, 80.0), (2, 140.0)):
+        edges += [
+            Edge(src, ue, EdgeKind.WIRELESS, pathloss_db=pathloss, los=True) for ue in (10, 11)
+        ]
+    inst = ProblemInstance(
+        graph=build_graph(nodes, edges),
+        commodities=(Commodity(0, 0, 10, 5.0), Commodity(1, 0, 11, 5.0)),
+        radio=RadioParams(noise_mw=1e-9),
+        capacity_table=coarse_table(),
+        power_mode=DiscretePower((0.0, 6300.0)),
+    )
+    bound = milp.build_throughput_model(inst).ir.objective.bound
+    assert bound == oracle.enumerate_optimal_throughput(inst)
+    monkeypatch.setattr(builder, "_shared_airtime_bound", lambda ends: math.inf)
+    widest = milp.build_throughput_model(inst).ir.objective.bound
+    assert widest == inst.capacity_table.max_capacity_mbps > bound
+
+
+def test_model_bound_is_the_built_models_bound():
+    # The bound asked before a build is the one the built model records,
+    # to the last bit: all-fixed and one-free trials of both problems.
+    grid = DiscretePower(default_power_levels(6300.0, 5))
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        inst = random_small_instance(rng, max_units=4, max_ues=4)
+        fids = sorted(n.id for n in inst.graph.frontends)
+        fixed = {f: float(rng.choice(grid.levels_mw)) for f in fids}
+        one_free = {f: p for f, p in fixed.items() if f != fids[0]}
+        for model, powers in ((inst, fixed), (inst.with_power_mode(grid), one_free)):
+            for problem, build in (
+                (milp.THROUGHPUT, milp.build_throughput_model),
+                (milp.ENERGY, milp.build_energy_model),
+            ):
+                built = build(model, fixed_powers=powers)
+                assert milp.model_bound(model, problem, powers) == built.ir.objective.bound
+
+
 def test_extraction_holds_the_answer_to_the_rate_bound():
     inst = _single_frontend_instance(coarse_table(), [80.0])
     built = milp.build_throughput_model(inst)
