@@ -161,12 +161,6 @@ def _search_flags(command):
     return run
 
 
-def _exact_model(instance, problem):
-    if problem == "throughput":
-        return milp.build_throughput_model(instance)
-    return milp.build_energy_model(instance)
-
-
 def _run_method(instance, method, problem, options, prune, built=None):
     """Returns (solution, state-or-None); ``exact`` solves ``built`` when given."""
     if method == "local-search":
@@ -176,7 +170,7 @@ def _run_method(instance, method, problem, options, prune, built=None):
     if method == "selective-reduction":
         solution, _k = heuristics.selective_reduction(instance, prune, problem, options)
         return solution, None
-    built = built or _exact_model(instance, problem)
+    built = built or milp.build(instance, problem)
     raw = milp.solve(built.ir, options.solver())
     return milp.extract_solution(built, raw), None
 
@@ -225,7 +219,7 @@ def cmd_scenario_gen(config_path, profile_path, hour, out_path):
     try:
         config = config_from_json(config_path)
         profile = load_profile_csv(profile_path)
-        graph, _commodities = generate(config, profile, hour)
+        graph, _ = generate(config, profile, hour)
     except IabError as exc:
         _fail(str(exc))
     save_graph(graph, out_path)
@@ -277,7 +271,7 @@ def cmd_solve(
         built = None
         if lp_out:  # the model --method exact would solve with these flags
             exact = build(_resolve_power_mode(power_mode, problem, "exact"))
-            built = _exact_model(exact, problem)
+            built = milp.build(exact, problem)
             Path(lp_out).write_text(built.ir.lp_text())
     except IabError as exc:
         _fail(str(exc))

@@ -132,10 +132,6 @@ _Solved = tuple[float | None, dict[int, float]]
 _REJECTED: _Solved = (None, {})
 
 
-def _builder(problem: str) -> Callable[..., milp.BuiltModel]:
-    return milp.build_throughput_model if problem == milp.THROUGHPUT else milp.build_energy_model
-
-
 def _memo_solve(problem: str, options: SearchOptions, clock: _Clock) -> Callable[..., _Solved]:
     """Build and solve a ``problem`` trial model against the caller's ``cutoff``.
 
@@ -158,7 +154,7 @@ def _memo_solve(problem: str, options: SearchOptions, clock: _Clock) -> Callable
             unbeaten[key] = milp.model_bound(model, problem, fixed)
         if cutoff is not None and not milp.beats(sense, unbeaten[key], cutoff):
             return _REJECTED
-        built = _builder(problem)(model, fixed_powers=fixed)
+        built = milp.build(model, problem, fixed)
         raw = milp.solve(built.ir, options.solver(clock.remaining(), cutoff))
         # A call that reaches here has a value that beats its cutoff, so a
         # cutoff it did not beat is tighter; an optimum may sit a solver
@@ -229,7 +225,7 @@ def _finish(
 
     It is solved even when the sweep budget ran dry.
     """
-    built = _builder(problem)(instance, fixed_powers=state.curr_best_sol)
+    built = milp.build(instance, problem, state.curr_best_sol)
     solution = milp.extract_solution(built, milp.solve(built.ir, options.solver()))
     state.curr_best_obj = solution.objective
     state.record(iteration + 1, clock.elapsed(), solution.objective)
@@ -359,8 +355,8 @@ def selective_reduction(
 ) -> tuple[NetworkSolution, int]:
     """Solve the exact model on a top-k pruned edge set, widening k on infeasibility.
 
-    A throughput model whose rate bound is 0 (Z = 0 feasible, but a UE
-    without a donor path that carries a rate) is widened unsolved.
+    A k whose throughput rate bound is 0 (Z = 0 feasible, but a UE
+    without a donor path that carries a rate) is widened without a build.
 
     Returns the solution and the retention count that produced it.  The
     solution is extracted against the unpruned instance, so extraction's
@@ -375,12 +371,12 @@ def selective_reduction(
     for k in range(prune_params.k0, prune_params.k_max + 1):
         pruned = prune_graph(instance.graph, k, instance.radio)
         retained = [e.key for e in pruned.edges]
-        if problem_kind == milp.THROUGHPUT:
-            built = milp.build_throughput_model(instance, routing_edges=retained)
-        else:
-            built = milp.build_energy_model(instance, routing_edges=retained)
-        if problem_kind == milp.THROUGHPUT and built.ir.objective.bound == 0.0:
+        if (
+            problem_kind == milp.THROUGHPUT
+            and milp.model_bound(instance, problem_kind, routing_edges=retained) == 0.0
+        ):
             continue  # some UE has no donor path that carries a rate
+        built = milp.build(instance, problem_kind, routing_edges=retained)
         raw = milp.solve(built.ir, options.solver(clock.remaining()))
         if raw.status is not SolveStatus.INFEASIBLE:
             return milp.extract_solution(built, raw), k

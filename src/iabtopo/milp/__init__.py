@@ -21,6 +21,13 @@ from .builder import (
 from .extract import extract_solution, frontend_powers
 from .ir import ModelIR, Sense, VarKind
 
+
+def build(instance, problem, fixed_powers=None, routing_edges=None) -> BuiltModel:
+    """``problem``'s model, from this package's builder attribute, so its wrappers see it."""
+    builder = build_throughput_model if problem == THROUGHPUT else build_energy_model
+    return builder(instance, fixed_powers=fixed_powers, routing_edges=routing_edges)
+
+
 __all__ = [
     "BuiltModel",
     "ContinuousPower",
@@ -37,6 +44,7 @@ __all__ = [
     "THROUGHPUT",
     "VarKind",
     "beats",
+    "build",
     "build_energy_model",
     "build_throughput_model",
     "default_power_levels",

@@ -37,14 +37,15 @@ even when routing is restricted to a pruned edge subset or an edge is
 dead; a solution of a restricted model is therefore feasible in the
 unrestricted one.
 
-Every model records a proven bound on its objective, which no feasible
-point beats.  For throughput it is the widest donor path to each UE, and
-for any two UEs the airtime their in-edges share when both leave one
-node; for energy, one awake frontend plus each UE's demand at its
-cheapest in-edge's watts per Mbps.  Both come from the ladder arrays and
-add no column or row.  ``model_bound`` gives the same bound from the
-head of the build alone (power reps and ladders), so a search can rule
-out a trial before building its model.
+Every model carries a proven bound on its objective, ``BuiltModel.bound``,
+which no feasible point beats.  For throughput it is the widest donor
+path to each UE, and for any two UEs the airtime their in-edges share
+when both leave one node; for energy, one awake frontend plus each UE's
+demand at its cheapest in-edge's watts per Mbps.  Both come from the
+ladder arrays and add no column or row.  The head of the build, a pure
+function of the trial (commodities, power reps, ladders, wired edges and
+bound), computes it before any model exists, so ``model_bound`` lets a
+search rule out a trial without building its model.
 
 Models are built from arrays.  Each graph's channel gains are computed
 once per radio and shared by every model built on it; every edge's
@@ -147,6 +148,7 @@ class BuiltModel:
     floor: np.ndarray  # ladder levels every power choice meets while on
     top: np.ndarray  # first ladder level no power choice meets
     flows: np.ndarray
+    bound: float  # proven bound on the objective: no feasible point beats it
 
 
 def build_throughput_model(
@@ -183,25 +185,12 @@ def model_bound(
     fixed_powers: Mapping[int, float] | None = None,
     routing_edges: Iterable[EdgeKey] | None = None,
 ) -> float:
-    """The proven bound of ``problem``'s model, ``ir.objective.bound``, without building it.
+    """The proven bound of ``problem``'s model, ``built.bound``, without building it.
 
-    It runs the head of the build, power reps and ladders, and the same
-    bound function, so it equals the built model's bound bit for bit.
+    It is the bound of the build's own head, so it equals the built
+    model's bound bit for bit, and it declares no model.
     """
-    commodities = _commodities(instance, problem)
-    reps, lad, wired = _head(ModelIR(), instance, problem, fixed_powers, routing_edges)
-    if problem == ENERGY:
-        return _power_bound(instance, commodities, reps, lad, _asleep_w(reps, instance))
-    return _rate_bound(instance, commodities, lad, wired)
-
-
-def _commodities(instance: ProblemInstance, problem: str) -> tuple[Commodity, ...]:
-    """Throughput serves every commodity; energy only those with demand."""
-    if problem == ENERGY:
-        return tuple(c for c in instance.commodities if c.demand_mbps > 0)
-    if not instance.commodities:
-        raise EmptyCommodities("throughput problem needs at least one commodity")
-    return instance.commodities
+    return _head(instance, problem, fixed_powers, routing_edges)[-1]
 
 
 # -- channel gains, once per graph -------------------------------------------
@@ -333,23 +322,35 @@ class _Terms:
 
 
 def _head(
-    ir: ModelIR,
     instance: ProblemInstance,
     problem: str,
     fixed_powers: Mapping[int, float] | None,
     routing_edges: Iterable[EdgeKey] | None,
-) -> tuple[_Reps, _Ladders, tuple[Edge, ...]]:
-    """Power reps declared into ``ir``, routing wireless edges' ladders, routing wired edges."""
+):
+    """A trial's commodities, power reps and block, routing edges' ladders, wired edges, bound.
+
+    Throughput serves every commodity, energy only those with demand.
+    """
+    commodities = instance.commodities
+    if problem == ENERGY:
+        commodities = tuple(c for c in commodities if c.demand_mbps > 0)
+    elif not commodities:
+        raise EmptyCommodities("throughput problem needs at least one commodity")
     g = instance.graph
     allowed = None if routing_edges is None else set(routing_edges)
     wired = tuple(e for e in g.wired_edges if allowed is None or e.key in allowed)
-    reps = _power_reps(ir, instance, problem, fixed_powers)
+    reps, emit = _power_reps(instance, problem, fixed_powers)
     lad = _ladders(
         instance, reps, [e for e in g.wireless_edges if allowed is None or e.key in allowed]
     )
     # Dead edges of single-power sources leave routing; they still
     # interfere, since the gains cover the full graph.
-    return reps, lad.take((lad.top > 0) | ~reps.single[lad.src]), wired
+    lad = lad.take((lad.top > 0) | ~reps.single[lad.src])
+    if problem == ENERGY:
+        bound = _power_bound(instance, commodities, reps, lad, _asleep_w(reps, instance))
+    else:
+        bound = _rate_bound(instance, commodities, lad, wired)
+    return commodities, reps, emit, lad, wired, bound
 
 
 def _build(
@@ -358,10 +359,12 @@ def _build(
     fixed_powers: Mapping[int, float] | None,
     routing_edges: Iterable[EdgeKey] | None,
 ) -> BuiltModel:
-    commodities = _commodities(instance, problem)
+    commodities, reps, emit, lad, wired, bound = _head(
+        instance, problem, fixed_powers, routing_edges
+    )
     g = instance.graph
     ir = ModelIR(name=f"{problem}__{len(g.nodes)}n_{len(g.edges)}e")
-    reps, lad, wired = _head(ir, instance, problem, fixed_powers, routing_edges)
+    emit(ir)
     wireless = lad.edges
     v0 = _emit_edges(ir, instance, reps, lad)
     alpha, use, cap = v0, v0 + 1, v0 + 2
@@ -406,7 +409,8 @@ def _build(
     )
 
     built = BuiltModel(
-        problem, ir, instance, commodities, wireless, wired, reps, v0, lad.floor, lad.top, flows
+        problem, ir, instance, commodities, wireless, wired, reps, v0, lad.floor, lad.top, flows,
+        bound,
     )
     if problem == ENERGY:
         _finish_energy(built, lad)
@@ -603,10 +607,7 @@ def _finish_throughput(built: BuiltModel, lad: _Ladders) -> None:
         [f"use_le_on[{e.src}->{e.dst}]" for e, m in zip(lad.edges, gated.tolist()) if m],
         Sense.LE, 0.0, *out.coo(),
     )
-    ir.set_objective(
-        "max", [z], [1.0],
-        bound=_rate_bound(built.instance, commodities, lad, built.routing_wired),
-    )
+    ir.set_objective("max", [z], [1.0])
 
 
 def _rate_bound(
@@ -704,7 +705,6 @@ def _finish_energy(built: BuiltModel, lad: _Ladders) -> None:
 
     obj_cols = [a for a in reps.act.tolist() if a >= 0]
     obj_coefs = [pm.n_trx * (pm.p0_w - pm.p_sleep_w)] * len(obj_cols)
-    constant = _asleep_w(reps, instance)
 
     # Amplifier term: delta_p * P_tx * alpha, expanded per power level with
     # exact products w = lam * alpha.
@@ -740,8 +740,7 @@ def _finish_energy(built: BuiltModel, lad: _Ladders) -> None:
         "min",
         np.concatenate([w, np.array(obj_cols, dtype=np.int64)]),
         np.concatenate([pm.delta_p * p_mw / 1000.0, np.array(obj_coefs, dtype=float)]),
-        constant,
-        bound=_power_bound(instance, built.commodities, reps, lad, constant),
+        _asleep_w(reps, instance),
     )
 
 
@@ -790,12 +789,14 @@ def _power_bound(
 
 
 def _power_reps(
-    ir: ModelIR,
     instance: ProblemInstance,
     problem: str,
     fixed_powers: Mapping[int, float] | None,
-) -> _Reps:
-    """Declare every frontend's power variables and rows; returns the reps."""
+):
+    """Every frontend's power reps, and ``emit(ir)`` that declares their columns and rows.
+
+    The columns are numbered from 0: the block goes first into a fresh model.
+    """
     mode = instance.power_mode
     fixed_powers = dict(fixed_powers or {})
     p_max = instance.radio.p_max_mw
@@ -807,7 +808,7 @@ def _power_reps(
         names.append(name)
         kinds.append(kind)
         ubs.append(ub)
-        return ir.num_vars + len(names) - 1
+        return len(names) - 1
 
     for fid in fids:
         if fid in fixed_powers:
@@ -861,17 +862,18 @@ def _power_reps(
         terms.append(term or (lam[0] if lam else (0.0, -1)))
         levels.append(lam)
 
-    ir.add_vars(names, kinds, 0.0, ubs)
-    # A grid's level binaries sum to its activation (energy) or to at most 1.
-    one = (Sense.EQ, 0.0) if problem == ENERGY else (Sense.LE, 1.0)
-    for block, (sense, rhs) in ((rows, one), (defs, (Sense.EQ, 0.0))):
-        flat = [t for _, row in block for t in row]
-        ir.add_rows(
-            [name for name, _ in block], sense, rhs,
-            np.repeat(np.arange(len(block)), [len(row) for _, row in block]),
-            np.array([i for _, i in flat], dtype=np.int64),
-            np.array([c for c, _ in flat], dtype=float),
-        )
+    def emit(ir) -> None:
+        ir.add_vars(names, kinds, 0.0, ubs)
+        # A grid's level binaries sum to its activation (energy) or to at most 1.
+        one = (Sense.EQ, 0.0) if problem == ENERGY else (Sense.LE, 1.0)
+        for block, (sense, rhs) in ((rows, one), (defs, (Sense.EQ, 0.0))):
+            flat = [t for _, row in block for t in row]
+            ir.add_rows(
+                [name for name, _ in block], sense, rhs,
+                np.repeat(np.arange(len(block)), [len(row) for _, row in block]),
+                np.array([i for _, i in flat], dtype=np.int64),
+                np.array([c for c, _ in flat], dtype=float),
+            )
     level_mw = np.zeros((len(fids), max(map(len, levels), default=0)))
     level_col = np.full(level_mw.shape, -1, dtype=np.int64)
     for j, lam in enumerate(levels):
@@ -887,4 +889,4 @@ def _power_reps(
         np.array(act, dtype=np.int64),
         level_mw,
         level_col,
-    )
+    ), emit

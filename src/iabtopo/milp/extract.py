@@ -155,12 +155,9 @@ def extract_solution(built: BuiltModel, raw: RawSolution) -> NetworkSolution:
     # Report the objective the solution's own values give; the validator has
     # just checked HiGHS's value against it.
     solution.objective = report.recomputed_objective
-    bound, z = ir.objective.bound, solution.objective
-    if bound is not None:
-        excess = z - bound if ir.objective.sense == "max" else bound - z
-        if excess > _BOUND_TOL * max(abs(z), 1.0):
-            what = "network power" if built.problem == ENERGY else "min rate"
-            raise ExtractionMismatch(
-                f"{what} {z!r} beats the model's proven bound {bound!r}"
-            )
+    bound, z = built.bound, solution.objective
+    excess = z - bound if ir.objective.sense == "max" else bound - z
+    if excess > _BOUND_TOL * max(abs(z), 1.0):
+        what = "network power" if built.problem == ENERGY else "min rate"
+        raise ExtractionMismatch(f"{what} {z!r} beats the model's proven bound {bound!r}")
     return solution

@@ -54,7 +54,6 @@ class Objective:
     cols: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     coefs: np.ndarray = field(default_factory=lambda: np.zeros(0))
     constant: float = 0.0
-    bound: float | None = None  # proven bound on the objective: no solution beats it
 
     @property
     def terms(self) -> tuple[Term, ...]:
@@ -183,11 +182,8 @@ class ModelIR:
         self._joined = None
         return first
 
-    def set_objective(self, sense: str, cols, coefs, constant: float = 0.0, bound=None) -> None:
-        """Objective ``sum(coefs[k] * x[cols[k]]) + constant``; duplicate columns are summed.
-
-        ``bound`` is metadata, not a column or row bound: no feasible point beats it.
-        """
+    def set_objective(self, sense: str, cols, coefs, constant: float = 0.0) -> None:
+        """Objective ``sum(coefs[k] * x[cols[k]]) + constant``; duplicate columns are summed."""
         if sense not in ("min", "max"):
             raise ValueError(f"objective sense {sense!r}")
         cols = np.asarray(cols, dtype=np.int64)
@@ -197,7 +193,7 @@ class ModelIR:
             np.zeros(len(cols), dtype=np.int64), cols, np.asarray(coefs, dtype=float),
             self.num_vars,
         )
-        self.objective = Objective(sense, cols, coefs, constant, bound)
+        self.objective = Objective(sense, cols, coefs, constant)
 
     # -- introspection ------------------------------------------------------
 

@@ -187,17 +187,17 @@ def test_criterion_4_milp_oracle_cross_validation(instance_suite):
 
 
 def test_rate_bound_covers_the_brute_force_optimum(instance_suite):
-    # Builds only: the fixture's enumerated optima are the reference.
+    # Bounds only: the fixture's enumerated optima are the reference.
     for rec in instance_suite:
-        bound = milp.build_throughput_model(rec["instance"]).ir.objective.bound
+        bound = milp.model_bound(rec["instance"], milp.THROUGHPUT)
         assert bound >= rec["z_oracle"] * (1.0 - 1e-9)
 
 
 def test_power_bound_covers_the_brute_force_optimum(instance_suite):
-    # Builds only; an instance without an energy optimum has nothing to cover.
+    # Bounds only; an instance without an energy optimum has nothing to cover.
     for rec in instance_suite:
         if rec["p_oracle"] is not None:
-            bound = milp.build_energy_model(rec["instance"]).ir.objective.bound
+            bound = milp.model_bound(rec["instance"], milp.ENERGY)
             assert bound <= rec["p_oracle"] * (1.0 + 1e-9)
 
 

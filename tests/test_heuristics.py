@@ -293,11 +293,11 @@ def test_bound_answered_trials_match_the_full_optimum(monkeypatch):
         assert cutoff is not None
         key = (problem, id(model), tuple(sorted(fixed.items())))
         if key not in full:
-            built = heuristics._builder(problem)(model, fixed_powers=fixed)
-            full[key] = (built.ir, milp.solve(built.ir, SolverOptions(time_limit_s=20.0)))
-        ir, raw = full[key]
-        sense = ir.objective.sense
-        assert not milp.beats(sense, ir.objective.bound, cutoff)
+            built = milp.build(model, problem, fixed)
+            full[key] = (built, milp.solve(built.ir, SolverOptions(time_limit_s=20.0)))
+        built, raw = full[key]
+        sense = built.ir.objective.sense
+        assert not milp.beats(sense, built.bound, cutoff)
         assert raw.status in (milp.SolveStatus.OPTIMAL, milp.SolveStatus.INFEASIBLE)
         assert raw.objective is None or not milp.beats(sense, raw.objective, cutoff)
         if problem == milp.THROUGHPUT:
@@ -312,15 +312,20 @@ def test_bound_answered_trials_match_the_full_optimum(monkeypatch):
 def test_no_trial_the_bound_rules_out_is_built(monkeypatch):
     # The bound is asked before the build, so every model a search solves
     # under a cutoff has a bound that beats that cutoff, and the trials the
-    # bound rules out, in both searches, cost no model.
+    # bound rules out, in both searches, cost no model.  A solve reads the
+    # bound of the model built just before it, which must be its model.
     solve = milp.solve
     checked = []
     asked = {milp.THROUGHPUT: set(), milp.ENERGY: set()}
     built = {milp.THROUGHPUT: set(), milp.ENERGY: set()}
+    last = []
 
     def checking(ir, options=None):
         if options is not None and options.cutoff is not None:
-            checked.append(milp.beats(ir.objective.sense, ir.objective.bound, options.cutoff))
+            (model,) = last
+            checked.append(
+                model.ir is ir and milp.beats(ir.objective.sense, model.bound, options.cutoff)
+            )
         return solve(ir, options)
 
     bound = milp.model_bound
@@ -332,7 +337,8 @@ def test_no_trial_the_bound_rules_out_is_built(monkeypatch):
     def recording(problem, build):
         def wrapped(instance, fixed_powers=None, routing_edges=None):
             built[problem].add((id(instance), tuple(sorted(fixed_powers.items()))))
-            return build(instance, fixed_powers, routing_edges)
+            last[:] = [build(instance, fixed_powers, routing_edges)]
+            return last[0]
 
         return wrapped
 
@@ -359,7 +365,7 @@ def test_cutoff_the_bound_rules_out_skips_the_build(problem, monkeypatch):
     name = "build_throughput_model" if problem == milp.THROUGHPUT else "build_energy_model"
     build = getattr(milp, name)
     built = build(inst, fixed_powers=fixed)
-    sense, bound = built.ir.objective.sense, built.ir.objective.bound
+    sense, bound = built.ir.objective.sense, built.bound
     optimum = milp.solve(built.ir).objective
     step = -1.0 if sense == "min" else 1.0
     assert not milp.beats(sense, optimum, bound)
@@ -665,19 +671,28 @@ def test_selective_reduction_k_exhaustion():
         selective_reduction(inst, PruneParams(1, 2), "energy", FAST)
 
 
-def test_selective_reduction_widens_k_while_a_ue_is_cut_off():
+def test_selective_reduction_widens_k_while_a_ue_is_cut_off(monkeypatch):
     # At k = 1 the UE keeps only its edge from the unreachable unit: Z = 0
-    # is feasible there, but serves no one, so k widens without a solve.
+    # is feasible there, but serves no one, so k widens without a build.
     inst = _ladder_instance()
     pruned = prune_graph(inst.graph, 1, inst.radio)
-    built = milp.build_throughput_model(inst, routing_edges=[e.key for e in pruned.edges])
-    assert built.ir.objective.bound == 0.0
+    retained = [e.key for e in pruned.edges]
+    assert milp.model_bound(inst, milp.THROUGHPUT, routing_edges=retained) == 0.0
+    build, builds = milp.build_throughput_model, []
+
+    def counting(instance, fixed_powers=None, routing_edges=None):
+        builds.append(sorted(routing_edges))
+        return build(instance, fixed_powers, routing_edges)
+
+    monkeypatch.setattr(milp, "build_throughput_model", counting)
     sol, k_used = selective_reduction(inst, PruneParams(1, 3), "throughput", FAST)
     assert k_used == 2
     assert sol.objective > 0.0
     assert validate_solution(inst, sol).ok
+    assert len(builds) == 1 and builds[0] != sorted(retained)
     with pytest.raises(NoFeasibleWithinKmax):
         selective_reduction(inst, PruneParams(1, 1), "throughput", FAST)
+    assert len(builds) == 1
 
 
 def test_pruned_feasibility_monotone_in_k():

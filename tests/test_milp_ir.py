@@ -305,9 +305,8 @@ def test_highs_call_matches_scipy_milp(name, problem, mode, monkeypatch):
         return _same_answer(kwargs)
 
     monkeypatch.setattr(backend, "milp", compare)
-    build = milp.build_throughput_model if problem == "throughput" else milp.build_energy_model
     inst, fixed = _build_args(_instance(name), mode)
-    milp.solve(build(inst, fixed_powers=fixed).ir)
+    milp.solve(milp.build(inst, problem, fixed).ir)
     assert len(seen) == 1
 
 

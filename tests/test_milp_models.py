@@ -437,7 +437,7 @@ def test_rate_bound_holds_at_random_fixed_powers():
         built = milp.build_throughput_model(inst, fixed_powers=fixed)
         raw = milp.solve(built.ir, SolverOptions(time_limit_s=30))
         assert raw.status is SolveStatus.OPTIMAL
-        bound = built.ir.objective.bound
+        bound = built.bound
         assert bound >= raw.objective * (1.0 - 1e-9)
         below_top += bound < inst.capacity_table.max_capacity_mbps
     assert below_top >= 5
@@ -462,7 +462,7 @@ def test_power_bound_holds_at_random_fixed_powers():
         built = milp.build_energy_model(inst, fixed_powers=fixed)
         raw = milp.solve(built.ir, SolverOptions(time_limit_s=30))
         assert raw.status is SolveStatus.OPTIMAL
-        bound = built.ir.objective.bound
+        bound = built.bound
         assert bound <= raw.objective * (1.0 + 1e-8)
         tight += bound >= raw.objective - 1e-6
     assert tight >= 4
@@ -491,10 +491,10 @@ def test_rate_bound_charges_shared_airtime(monkeypatch):
         capacity_table=coarse_table(),
         power_mode=DiscretePower((0.0, 6300.0)),
     )
-    bound = milp.build_throughput_model(inst).ir.objective.bound
+    bound = milp.build_throughput_model(inst).bound
     assert bound == oracle.enumerate_optimal_throughput(inst)
     monkeypatch.setattr(builder, "_shared_airtime_bound", lambda ends: math.inf)
-    widest = milp.build_throughput_model(inst).ir.objective.bound
+    widest = milp.build_throughput_model(inst).bound
     assert widest == inst.capacity_table.max_capacity_mbps > bound
 
 
@@ -509,12 +509,28 @@ def test_model_bound_is_the_built_models_bound():
         fixed = {f: float(rng.choice(grid.levels_mw)) for f in fids}
         one_free = {f: p for f, p in fixed.items() if f != fids[0]}
         for model, powers in ((inst, fixed), (inst.with_power_mode(grid), one_free)):
-            for problem, build in (
-                (milp.THROUGHPUT, milp.build_throughput_model),
-                (milp.ENERGY, milp.build_energy_model),
-            ):
-                built = build(model, fixed_powers=powers)
-                assert milp.model_bound(model, problem, powers) == built.ir.objective.bound
+            for problem in (milp.THROUGHPUT, milp.ENERGY):
+                built = milp.build(model, problem, powers)
+                assert milp.model_bound(model, problem, powers) == built.bound
+
+
+def test_model_bound_declares_no_model(monkeypatch):
+    # The bound comes from the head of the build alone: with no model
+    # declarable at all, it still equals the built model's bound.
+    grid = DiscretePower(default_power_levels(6300.0, 5))
+    inst = two_unit_instance(demand=20.0).with_power_mode(grid)
+    trials = [
+        (problem, powers)
+        for problem in (milp.THROUGHPUT, milp.ENERGY)
+        for powers in ({1: 6300.0, 11: 3150.0}, {11: 3150.0})
+    ]
+    bounds = [milp.build(inst, problem, powers).bound for problem, powers in trials]
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was declared")
+
+    monkeypatch.setattr(builder, "ModelIR", no_model)
+    assert [milp.model_bound(inst, problem, powers) for problem, powers in trials] == bounds
 
 
 def test_extraction_holds_the_answer_to_the_rate_bound():
@@ -522,8 +538,8 @@ def test_extraction_holds_the_answer_to_the_rate_bound():
     built = milp.build_throughput_model(inst)
     raw = milp.solve(built.ir, SolverOptions(time_limit_s=30))
     z = milp.extract_solution(built, raw).objective
-    assert built.ir.objective.bound == pytest.approx(z, rel=1e-9)
-    built.ir.objective.bound = z * (1.0 - 2e-6)
+    assert built.bound == pytest.approx(z, rel=1e-9)
+    built.bound = z * (1.0 - 2e-6)
     with pytest.raises(ExtractionMismatch, match="proven bound"):
         milp.extract_solution(built, raw)
 
@@ -532,8 +548,8 @@ def test_extraction_holds_the_answer_to_the_power_bound():
     built = milp.build_energy_model(two_unit_instance(demand=20.0))
     raw = milp.solve(built.ir, SolverOptions(time_limit_s=30))
     p = milp.extract_solution(built, raw).objective
-    assert built.ir.objective.bound <= p * (1.0 + 1e-9)
-    built.ir.objective.bound = p * (1.0 + 2e-6)
+    assert built.bound <= p * (1.0 + 1e-9)
+    built.bound = p * (1.0 + 2e-6)
     with pytest.raises(ExtractionMismatch, match="network power .* proven bound"):
         milp.extract_solution(built, raw)
 
@@ -611,9 +627,8 @@ def test_unit_power_adder_matches_brute_force():
 
 @pytest.mark.parametrize("problem", ["throughput", "energy"])
 def test_multi_level_power_is_one_column(problem):
-    build = milp.build_throughput_model if problem == "throughput" else milp.build_energy_model
     inst = two_unit_instance(levels=default_power_levels(6300.0, 5))
-    built = build(inst)
+    built = milp.build(inst, problem)
     reps = built.power_reps
     names = built.ir.var_names
     rows = built.ir.constraints

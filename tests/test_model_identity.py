@@ -154,9 +154,8 @@ def _exact_text(ir):
 
 @pytest.mark.parametrize("name, problem, mode", list(MODEL_SHA256))
 def test_model_pinned(name, problem, mode):
-    build = milp.build_throughput_model if problem == "throughput" else milp.build_energy_model
     inst, fixed = _build_args(_instance(name), mode)
-    ir = build(inst, fixed_powers=fixed).ir
+    ir = milp.build(inst, problem, fixed).ir
     digests = tuple(
         hashlib.sha256(text.encode()).hexdigest() for text in (ir.lp_text(), _exact_text(ir))
     )
@@ -241,8 +240,7 @@ def test_highs_arguments_pinned(name, problem, mode, monkeypatch):
         return OptimizeResult(status=2, message="infeasible", x=None)
 
     monkeypatch.setattr(backend, "milp", fake_milp)
-    build = milp.build_throughput_model if problem == "throughput" else milp.build_energy_model
     inst, fixed = _build_args(_instance(name), mode)
-    milp.solve(build(inst, fixed_powers=fixed).ir)
+    milp.solve(milp.build(inst, problem, fixed).ir)
     (kwargs,) = seen
     assert _highs_digest(kwargs) == HIGHS_SHA256[(name, problem, mode)]
