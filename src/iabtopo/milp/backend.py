@@ -11,7 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, OptimizeResult
-from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs, kHighsInf
+from scipy.optimize._highspy._core import (
+    HighsModelStatus,
+    HighsStatus,
+    _Highs,
+    kHighsInf,
+    kSolutionStatusFeasible,
+)
 
 from ..errors import BackendError
 from ..problem import SolveStatus
@@ -80,7 +86,7 @@ _SCIPY_STATUS = {
 _LIMITS = (_MS.kTimeLimit, _MS.kIterationLimit, _MS.kSolutionLimit)
 
 
-def milp(c, *, integrality, bounds, constraints, options) -> OptimizeResult:
+def milp(c, *, integrality, bounds, constraints, options, seed=()) -> OptimizeResult:
     """Minimise ``c @ x`` on a fresh HiGHS instance.
 
     Takes and returns what ``scipy.optimize.milp`` does for the arguments
@@ -89,6 +95,12 @@ def milp(c, *, integrality, bounds, constraints, options) -> OptimizeResult:
     the same status codes, ``x`` only at an optimum or, for a MIP, at a
     limit with an incumbent, and ``mip_*`` fields only for a MIP with
     ``x``.  It reads no basis or duals.
+
+    ``seed`` (column indices; scipy has no such argument) adds a first
+    run on the same instance with those columns pinned at their upper
+    bounds.  Its point, when it finds one, starts the full run
+    (``setSolution``), and its seconds come out of ``time_limit``, so the
+    full run gets what is left.  The answer is the full run's.
     """
     n = len(c)
     if constraints:
@@ -110,6 +122,8 @@ def milp(c, *, integrality, bounds, constraints, options) -> OptimizeResult:
         n, a.shape[0], a.nnz, 1, 1, 0.0, c, bounds.lb, bounds.ub, row_lb, row_ub,
         a.indptr, a.indices, a.data, integrality,
     ) != HighsStatus.kError
+    if loaded and len(seed):
+        _start_from_seed(highs, np.asarray(seed, dtype=np.int32), bounds)
     ran = loaded and highs.run() != HighsStatus.kError
     # scipy reports a model HiGHS refuses to load as a model error.
     model_status = highs.getModelStatus() if loaded else _MS.kModelError
@@ -135,6 +149,22 @@ def milp(c, *, integrality, bounds, constraints, options) -> OptimizeResult:
     return res
 
 
+def _start_from_seed(highs, seed: np.ndarray, bounds) -> None:
+    """Run with the ``seed`` columns at their upper bounds; its point starts the next run.
+
+    The next run gets the time limit less this run's seconds.
+    """
+    n = len(seed)
+    highs.changeColsBounds(n, seed, bounds.ub[seed], bounds.ub[seed])
+    ran = highs.run() != HighsStatus.kError
+    start = highs.getSolution()
+    highs.changeColsBounds(n, seed, bounds.lb[seed], bounds.ub[seed])
+    _, limit = highs.getOptionValue("time_limit")
+    highs.setOptionValue("time_limit", max(limit - highs.getRunTime(), 0.0))
+    if ran and highs.getInfo().primal_solution_status == kSolutionStatusFeasible:
+        highs.setSolution(start)
+
+
 def _scipy_backend(ir: ModelIR, options: SolverOptions) -> RawSolution:
     n = ir.num_vars
     if n == 0:
@@ -158,6 +188,7 @@ def _scipy_backend(ir: ModelIR, options: SolverOptions) -> RawSolution:
         "time_limit": options.time_limit_s,
         "mip_rel_gap": 0.0,
     }
+    seed = ir.seed
     if options.cutoff is not None:
         # HiGHS minimises c without the constant.
         bound = options.cutoff - ir.objective.constant
@@ -165,8 +196,10 @@ def _scipy_backend(ir: ModelIR, options: SolverOptions) -> RawSolution:
         # Such a solve only asks whether anything beats the bound; HiGHS's
         # feasibility-jump heuristic, run before the root LP, costs more
         # than the rest of a small trial.  Other solves keep it: without it
-        # some exact models return a tied optimum extraction rejects.
+        # some exact models return a tied optimum extraction rejects.  Nor
+        # does it start from a seed: a start point proves nothing.
         highs_options["mip_heuristic_run_feasibility_jump"] = False
+        seed = ()
     try:
         with _native_stdout_to_stderr():
             res = milp(
@@ -175,6 +208,7 @@ def _scipy_backend(ir: ModelIR, options: SolverOptions) -> RawSolution:
                 integrality=ir.binary.astype(float),
                 bounds=Bounds(ir.lb, ir.ub),
                 options=highs_options,
+                seed=seed,
             )
     except (TypeError, ValueError) as exc:  # malformed inputs or a rejected option
         raise BackendError(f"milp backend failed: {exc}") from exc

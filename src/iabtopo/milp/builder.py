@@ -47,6 +47,15 @@ function of the trial (commodities, power reps, ladders, wired edges and
 bound), computes it before any model exists, so ``model_bound`` lets a
 search rule out a trial without building its model.
 
+A throughput model in which every frontend's power is free (the exact
+model) carries a seed, ``ir.seed``: each frontend's power column at its
+upper bound (``ptx`` at p_max, or the binary of its grid's top level).
+HiGHS first solves the model with those columns pinned, which is the
+all-max-power flow problem, and starts the full solve from that point.
+Models with a fixed power carry none, and nor do energy models: on the
+benchmark's exact energy solves an all-max start saved nothing clear
+and slowed the demo's hour 6.
+
 Models are built from arrays.  Each graph's channel gains are computed
 once per radio and shared by every model built on it; every edge's
 ladder interval and every family of rows is computed with numpy over
@@ -608,6 +617,10 @@ def _finish_throughput(built: BuiltModel, lad: _Ladders) -> None:
         Sense.LE, 0.0, *out.coo(),
     )
     ir.set_objective("max", [z], [1.0])
+    if (reps.var >= 0).all():
+        # Every power is free: seed at every frontend's top power, its
+        # ptx column or its grid's top level, the last level declared.
+        ir.seed = np.maximum(reps.cont, reps.level_col.max(axis=1, initial=-1))
 
 
 def _rate_bound(

@@ -97,6 +97,9 @@ class ModelIR:
         self.lb = np.zeros(0)
         self.ub = np.zeros(0)
         self.objective = Objective()
+        # Columns a first HiGHS run pins at their upper bounds; its point
+        # starts the full solve (empty: no such run).
+        self.seed = np.zeros(0, dtype=np.int64)
         self.row_names: list[str] = []
         empty = np.zeros(0, dtype=np.int64)
         # (rows, cols, coefs, sense codes, rhs) per block of rows

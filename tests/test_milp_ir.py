@@ -1,6 +1,7 @@
 import ctypes
 import dataclasses
 import itertools
+import time
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -259,6 +260,35 @@ def test_time_limit_contract():
     assert raw.status in (SolveStatus.OPTIMAL, SolveStatus.TIME_LIMIT)
 
 
+def test_seeded_solve_ends_within_its_time_limit(monkeypatch):
+    # Subset sum with an odd target over even weights: no point exists,
+    # and neither the pinned run nor the full run proves that within the
+    # limit.  The pinned run's seconds come out of the limit, so the solve
+    # ends at the limit, not at twice it.
+    n = 30
+    weights = 2.0 * np.random.default_rng(0).integers(100_000, 1_000_000, n)
+    ir = ModelIR("subset_sum")
+    xs = ir.add_vars([f"x{i}" for i in range(n)], VarKind.BINARY)
+    ir.add_rows(["sum"], Sense.EQ, weights.sum() // 2 + 1, np.zeros(n, dtype=int), xs, weights)
+    ir.set_objective("max", xs, np.ones(n))
+    ir.seed = np.array([0])
+    pinned = []
+    start_from_seed = backend._start_from_seed
+
+    def spy(highs, seed, *args):
+        pinned.append(seed.tolist())
+        start_from_seed(highs, seed, *args)
+
+    monkeypatch.setattr(backend, "_start_from_seed", spy)
+    limit = 0.5
+    start = time.perf_counter()
+    raw = solve(ir, SolverOptions(time_limit_s=limit))
+    elapsed = time.perf_counter() - start
+    assert pinned == [[0]]
+    assert raw.status is SolveStatus.TIME_LIMIT and raw.values is None
+    assert elapsed < 1.5 * limit
+
+
 def test_highs_optimal_verdict_kept_with_small_gap(monkeypatch):
     # HiGHS may stop "optimal" on a gap of a few 1e-9 (its own tolerances
     # on the objective); the backend keeps that verdict and the gap.
@@ -297,10 +327,11 @@ def _same_answer(kwargs, highs=backend.milp):
 
 @pytest.mark.parametrize("name, problem, mode", list(MODEL_SHA256))
 def test_highs_call_matches_scipy_milp(name, problem, mode, monkeypatch):
-    # Every pinned model, with the arguments the backend really hands over.
+    # Every pinned model, with the arguments the backend really hands over,
+    # less the seed: scipy takes no start.
     seen = []
 
-    def compare(**kwargs):
+    def compare(seed, **kwargs):
         seen.append(kwargs)
         return _same_answer(kwargs)
 

@@ -666,3 +666,72 @@ def test_single_level_grid_has_no_power_column():
         built = build(two_unit_instance())
         assert not any(n.startswith("pw[") for n in built.ir.var_names)
         assert not any(r.name.startswith("pw_def[") for r in built.ir.constraints)
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [
+        ContinuousPower(),
+        DiscretePower((0.0, 6300.0)),
+        DiscretePower(default_power_levels(6300.0, 5)),
+    ],
+    ids=["continuous", "single_level", "grid"],
+)
+def test_exact_throughput_seed_is_every_top_power(mode):
+    # The exact throughput model's seed is one column per frontend, at its
+    # top power: ptx at p_max, a single level's binary, or the binary of a
+    # grid's top level.  Energy, all-fixed and one-free models get none.
+    inst = two_unit_instance().with_power_mode(mode)
+    built = milp.build(inst, milp.THROUGHPUT)
+    fids = sorted(built.power_reps.col)
+    seed = built.ir.seed
+    names = [built.ir.var_names[i] for i in seed.tolist()]
+    if isinstance(mode, ContinuousPower):
+        assert names == [f"ptx[{f}]" for f in fids]
+        assert (built.ir.ub[seed] == inst.radio.p_max_mw).all()
+    else:
+        top = len(mode.levels_mw) - 2
+        assert names == [f"lam[{f},{top}]" for f in fids]
+        assert built.ir.binary[seed].all() and (built.ir.ub[seed] == 1.0).all()
+
+    all_max = {f: 6300.0 for f in fids}
+    one_free = {f: 6300.0 for f in fids[1:]}
+    trials = [
+        (milp.THROUGHPUT, inst, all_max),
+        (milp.THROUGHPUT, inst, one_free),
+        (milp.THROUGHPUT, inst.with_power_mode(FixedPower(all_max)), None),
+    ]
+    if not isinstance(mode, ContinuousPower):
+        trials += [(milp.ENERGY, inst, powers) for powers in (None, all_max, one_free)]
+    for problem, model, powers in trials:
+        assert milp.build(model, problem, powers).ir.seed.size == 0
+
+
+def _seeded_instances():
+    """The pinned exact throughput models, then random draws alone and on a 5-level grid."""
+    rng = np.random.default_rng(25)
+    draws = [random_small_instance(rng, max_units=4, max_ues=4) for _ in range(8)]
+    grid = DiscretePower(default_power_levels(6300.0, 5))
+    return [
+        two_unit_instance(),
+        *(random_small_instance(np.random.default_rng(s)) for s in range(3)),
+        *draws,
+        *(d.with_power_mode(grid) for d in draws[:4]),
+    ]
+
+
+def test_seeded_and_unseeded_solves_reach_one_optimum():
+    # The start changes where HiGHS begins, not what it proves: with and
+    # without the seed the exact model reaches one optimum (within
+    # criterion 4's 1e-6 relative), and the seeded answer extracts and
+    # validates.
+    for inst in _seeded_instances():
+        built = milp.build(inst, milp.THROUGHPUT)
+        assert built.ir.seed.size
+        seeded = milp.solve(built.ir, SolverOptions(time_limit_s=60))
+        solution = milp.extract_solution(built, seeded)
+        assert validate_solution(inst, solution).ok
+        built.ir.seed = built.ir.seed[:0]
+        plain = milp.solve(built.ir, SolverOptions(time_limit_s=60))
+        assert seeded.status is plain.status is SolveStatus.OPTIMAL
+        assert seeded.objective == pytest.approx(plain.objective, rel=1e-6)

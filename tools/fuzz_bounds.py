@@ -1,4 +1,4 @@
-"""Differential fuzz of the models' proven objective bounds.
+"""Differential fuzz of the models' proven objective bounds and the exact model's seed.
 
 Run from the repository root:
 
@@ -17,12 +17,15 @@ power:
 - on the all-max fixed-power model and on one random fixed-power model,
   against HiGHS's optimum.
 
-A check fails when the optimum beats the bound by more than extraction's
-tolerance, 1e-6 relative with a floor of 1.  The script prints one line
-per failure and a summary line of counts, and exits 1 if any check
-failed.  The 20 seeds above (120 instances) take about 40 s on a 2-vCPU
-VM; the script is not part of the tier-1 tests, but CI runs it on seeds
-100-102.
+It also solves the full throughput model twice, from its all-max-power
+seed and without it, and checks that both reach one optimum.
+
+A check fails when the optimum beats the bound, or when the two full
+throughput optima differ, by more than extraction's tolerance, 1e-6
+relative with a floor of 1.  The script prints one line per failure and
+a summary line of counts, and exits 1 if any check failed.  The 20 seeds
+above (120 instances) take about 250 s on a 2-vCPU VM; the script is
+not part of the tier-1 tests, but CI runs it on seeds 100-102.
 """
 
 from __future__ import annotations
@@ -77,6 +80,21 @@ def beats_bound(sense: str, optimum: float, bound: float) -> bool:
     return excess > TOL * max(abs(optimum), 1.0)
 
 
+def check_seed(inst: ProblemInstance, counts: Counter, what: str) -> None:
+    """The full throughput model reaches one optimum from its seed and without it."""
+    built = milp.build(inst, milp.THROUGHPUT)
+    seeded = milp.solve(built.ir, SolverOptions(time_limit_s=60.0))
+    built.ir.seed = built.ir.seed[:0]
+    plain = milp.solve(built.ir, SolverOptions(time_limit_s=60.0))
+    if seeded.status is not SolveStatus.OPTIMAL or plain.status is not SolveStatus.OPTIMAL:
+        counts[f"seed HiGHS {seeded.status.value}/{plain.status.value}"] += 1
+        return
+    counts["seed checks"] += 1
+    if abs(seeded.objective - plain.objective) > TOL * max(abs(plain.objective), 1.0):
+        counts["violations"] += 1
+        print(f"{what} throughput full: seeded {seeded.objective!r}, unseeded {plain.objective!r}")
+
+
 def check(inst: ProblemInstance, rng: np.random.Generator, counts: Counter, what: str) -> None:
     p_max = inst.radio.p_max_mw
     fids = sorted(n.id for n in inst.graph.frontends)
@@ -121,7 +139,9 @@ def main(argv=None) -> int:
         rng = np.random.default_rng(seed)
         for hour in HOURS:
             counts["instances"] += 1
-            check(instance(seed, hour), rng, counts, f"seed {seed} hour {hour}")
+            inst, what = instance(seed, hour), f"seed {seed} hour {hour}"
+            check(inst, rng, counts, what)
+            check_seed(inst, counts, what)
     print(", ".join(f"{k}: {v}" for k, v in sorted(counts.items())))
     return 1 if counts["violations"] else 0
 
