@@ -15,6 +15,7 @@ from scipy.optimize._highspy._core import (
     HighsModelStatus,
     HighsStatus,
     _Highs,
+    cb,
     kHighsInf,
     kSolutionStatusFeasible,
 )
@@ -86,7 +87,12 @@ _SCIPY_STATUS = {
 _LIMITS = (_MS.kTimeLimit, _MS.kIterationLimit, _MS.kSolutionLimit)
 
 
-def milp(c, *, integrality, bounds, constraints, options, seed=()) -> OptimizeResult:
+def _reaches(objective: float, stop: float) -> bool:
+    """Whether an incumbent's ``objective`` meets the proven bound ``stop`` (both minimised)."""
+    return objective - stop <= 1e-9 * max(1.0, abs(stop))
+
+
+def milp(c, *, integrality, bounds, constraints, options, seed=(), stop=None) -> OptimizeResult:
     """Minimise ``c @ x`` on a fresh HiGHS instance.
 
     Takes and returns what ``scipy.optimize.milp`` does for the arguments
@@ -101,6 +107,14 @@ def milp(c, *, integrality, bounds, constraints, options, seed=()) -> OptimizeRe
     bounds.  Its point, when it finds one, starts the full run
     (``setSolution``), and its seconds come out of ``time_limit``, so the
     full run gets what is left.  The answer is the full run's.
+
+    ``stop`` (scipy has none either) is a proven bound on ``c @ x``.  A
+    ``kCallbackMipInterrupt`` callback ends the run once the incumbent's
+    objective is within 1e-9 relative of it (Land & Doig, Econometrica
+    28, 1960); that run comes back optimal, with the gap and dual bound
+    taken against ``stop``.  It reads the incumbent's objective, not
+    ``mip_primal_bound``, which equals an ``objective_bound`` before any
+    incumbent exists.  Any other interrupt stays status 4.
     """
     n = len(c)
     if constraints:
@@ -122,11 +136,23 @@ def milp(c, *, integrality, bounds, constraints, options, seed=()) -> OptimizeRe
         n, a.shape[0], a.nnz, 1, 1, 0.0, c, bounds.lb, bounds.ub, row_lb, row_ub,
         a.indptr, a.indices, a.data, integrality,
     ) != HighsStatus.kError
+    if loaded and stop is not None:
+
+        def interrupt(kind, message, out, data_in, user_data):
+            data_in.user_interrupt = _reaches(out.objective_function_value, stop)
+
+        highs.setCallback(interrupt, None)
+        highs.startCallback(cb.HighsCallbackType.kCallbackMipInterrupt)
     if loaded and len(seed):
         _start_from_seed(highs, np.asarray(seed, dtype=np.int32), bounds)
     ran = loaded and highs.run() != HighsStatus.kError
     # scipy reports a model HiGHS refuses to load as a model error.
     model_status = highs.getModelStatus() if loaded else _MS.kModelError
+    info = highs.getInfo()
+    # Only the callback interrupts, and only at an incumbent that meets the stop.
+    stopped = model_status == _MS.kInterrupt and _reaches(info.objective_function_value, stop)
+    if stopped:
+        model_status = _MS.kOptimal
     res = OptimizeResult(
         status=_SCIPY_STATUS.get(model_status, 4),
         message=highs.modelStatusToString(model_status),
@@ -134,7 +160,6 @@ def milp(c, *, integrality, bounds, constraints, options, seed=()) -> OptimizeRe
     )
     if not ran:
         return res
-    info = highs.getInfo()
     is_mip = bool(integrality.any())
     if model_status == _MS.kOptimal or (
         is_mip and model_status in _LIMITS and info.objective_function_value != kHighsInf
@@ -146,6 +171,9 @@ def milp(c, *, integrality, bounds, constraints, options, seed=()) -> OptimizeRe
                 mip_node_count=info.mip_node_count,
                 mip_dual_bound=info.mip_dual_bound,
             )
+        if stopped:
+            z = info.objective_function_value
+            res.update(mip_gap=abs(z - stop) / max(1.0, abs(z)), mip_dual_bound=stop)
     return res
 
 
@@ -188,11 +216,16 @@ def _scipy_backend(ir: ModelIR, options: SolverOptions) -> RawSolution:
         "time_limit": options.time_limit_s,
         "mip_rel_gap": 0.0,
     }
+
+    def highs_sense(value):
+        """``value`` (model sense, constant included) as HiGHS minimises c: no constant."""
+        value -= ir.objective.constant
+        return value if minimize else -value
+
     seed = ir.seed
+    stop = None if ir.bound is None else highs_sense(ir.bound)
     if options.cutoff is not None:
-        # HiGHS minimises c without the constant.
-        bound = options.cutoff - ir.objective.constant
-        highs_options["objective_bound"] = bound if minimize else -bound
+        highs_options["objective_bound"] = highs_sense(options.cutoff)
         # Such a solve only asks whether anything beats the bound; HiGHS's
         # feasibility-jump heuristic, run before the root LP, costs more
         # than the rest of a small trial.  Other solves keep it: without it
@@ -209,6 +242,7 @@ def _scipy_backend(ir: ModelIR, options: SolverOptions) -> RawSolution:
                 bounds=Bounds(ir.lb, ir.ub),
                 options=highs_options,
                 seed=seed,
+                stop=stop,
             )
     except (TypeError, ValueError) as exc:  # malformed inputs or a rejected option
         raise BackendError(f"milp backend failed: {exc}") from exc

@@ -45,7 +45,9 @@ demand at its cheapest in-edge's watts per Mbps.  Both come from the
 ladder arrays and add no column or row.  The head of the build, a pure
 function of the trial (commodities, power reps, ladders, wired edges and
 bound), computes it before any model exists, so ``model_bound`` lets a
-search rule out a trial without building its model.
+search rule out a trial without building its model.  The build puts the
+bound on the model IR, ``ir.bound``, which ``BuiltModel.bound`` reads:
+HiGHS is handed it and stops once its incumbent meets it.
 
 A throughput model in which every frontend's power is free (the exact
 model) carries a seed, ``ir.seed``: each frontend's power column at its
@@ -157,7 +159,11 @@ class BuiltModel:
     floor: np.ndarray  # ladder levels every power choice meets while on
     top: np.ndarray  # first ladder level no power choice meets
     flows: np.ndarray
-    bound: float  # proven bound on the objective: no feasible point beats it
+
+    @property
+    def bound(self) -> float:
+        """Proven bound on the objective, which the model IR holds: no feasible point beats it."""
+        return self.ir.bound
 
 
 def build_throughput_model(
@@ -373,6 +379,7 @@ def _build(
     )
     g = instance.graph
     ir = ModelIR(name=f"{problem}__{len(g.nodes)}n_{len(g.edges)}e")
+    ir.bound = bound
     emit(ir)
     wireless = lad.edges
     v0 = _emit_edges(ir, instance, reps, lad)
@@ -418,8 +425,7 @@ def _build(
     )
 
     built = BuiltModel(
-        problem, ir, instance, commodities, wireless, wired, reps, v0, lad.floor, lad.top, flows,
-        bound,
+        problem, ir, instance, commodities, wireless, wired, reps, v0, lad.floor, lad.top, flows
     )
     if problem == ENERGY:
         _finish_energy(built, lad)

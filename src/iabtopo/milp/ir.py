@@ -100,6 +100,10 @@ class ModelIR:
         # Columns a first HiGHS run pins at their upper bounds; its point
         # starts the full solve (empty: no such run).
         self.seed = np.zeros(0, dtype=np.int64)
+        # Proven bound on the objective (model sense, constant included): no
+        # feasible point beats it, and HiGHS stops once its incumbent meets
+        # it (None: no bound).
+        self.bound: float | None = None
         self.row_names: list[str] = []
         empty = np.zeros(0, dtype=np.int64)
         # (rows, cols, coefs, sense codes, rhs) per block of rows

@@ -11,6 +11,7 @@ import pytest
 import scipy.optimize
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, OptimizeResult
+from scipy.optimize._highspy._core import _Highs
 
 from iabtopo import milp, scenario
 from iabtopo.capacity import default_table
@@ -27,8 +28,10 @@ from iabtopo.milp import (
 from iabtopo.milp import backend
 from iabtopo.milp.ir import PRODUCT_ROWS, SENSE_CODE, indicator_row, product_rows
 from iabtopo.graph import Commodity
+from iabtopo.oracle import validate_solution
 from iabtopo.problem import ContinuousPower, ProblemInstance, SolveStatus
 
+from conftest import random_small_instance
 from test_model_identity import MODEL_SHA256, _build_args, _instance
 
 
@@ -328,10 +331,10 @@ def _same_answer(kwargs, highs=backend.milp):
 @pytest.mark.parametrize("name, problem, mode", list(MODEL_SHA256))
 def test_highs_call_matches_scipy_milp(name, problem, mode, monkeypatch):
     # Every pinned model, with the arguments the backend really hands over,
-    # less the seed: scipy takes no start.
+    # less the seed and the stop: scipy takes no start and no proven bound.
     seen = []
 
-    def compare(seed, **kwargs):
+    def compare(seed, stop, **kwargs):
         seen.append(kwargs)
         return _same_answer(kwargs)
 
@@ -528,3 +531,113 @@ def test_time_limited_incumbent_is_held_to_the_cutoff(sense, optimum, monkeypatc
     raw = solve(ir, SolverOptions(cutoff=looser))
     assert raw.status is SolveStatus.TIME_LIMIT
     assert raw.objective == pytest.approx(optimum) and raw.values is not None
+
+
+# -- the stop at the proven bound ----------------------------------------------
+
+
+def _spy_highs(monkeypatch, interrupt_first=False):
+    """Wrap ``backend._Highs``; returns the list of runs, each the callback's interrupt flags.
+
+    With ``interrupt_first`` the wrapper also sets ``user_interrupt`` at
+    the first callback, before HiGHS holds any point.
+    """
+    runs = []
+
+    class Spy(_Highs):
+        def setCallback(self, fn, user_data):
+            def wrapped(kind, message, out, data_in, data):
+                fn(kind, message, out, data_in, data)
+                if interrupt_first and not runs[-1]:
+                    data_in.user_interrupt = True
+                runs[-1].append(bool(data_in.user_interrupt))
+
+            return super().setCallback(wrapped, user_data)
+
+        def run(self):
+            runs.append([])
+            return super().run()
+
+    monkeypatch.setattr(backend, "_Highs", Spy)
+    return runs
+
+
+def _pinned(name, problem, mode):
+    inst, fixed = _build_args(_instance(name), mode)
+    return milp.build(inst, problem, fixed)
+
+
+def test_stop_ends_the_run_at_the_bound(monkeypatch):
+    # The two-unit one-free energy model's optimum is its proven bound, and
+    # HiGHS finds that point before it can prove it: the callback ends the
+    # run, which comes back optimal with the gap taken against the bound.
+    runs = _spy_highs(monkeypatch)
+    built = _pinned("two_unit", milp.ENERGY, "one_free")
+    raw = solve(built.ir)
+    assert [any(flags) for flags in runs] == [True]
+    assert raw.status is SolveStatus.OPTIMAL
+    assert raw.objective == pytest.approx(built.bound, rel=1e-9)
+    assert raw.gap <= 1e-9
+    assert validate_solution(built.instance, extract_solution(built, raw)).ok
+
+
+def test_an_interrupt_the_stop_did_not_cause_is_a_backend_error(monkeypatch):
+    runs = _spy_highs(monkeypatch, interrupt_first=True)
+    with pytest.raises(BackendError, match="status 4"):
+        solve(_pinned("two_unit", milp.ENERGY, "one_free").ir)
+    assert runs == [[True]]
+
+
+def test_cutoff_inside_the_stop_window_keeps_the_optimum(monkeypatch):
+    # The optimum is the proven bound (1226.925063 Mbps) and the cutoff sits
+    # 1e-6 below it, inside the stop's 1e-9 relative window.  Before HiGHS
+    # holds any point its primal bound reads the cutoff, so a stop read
+    # from it would end the run with no point and call the trial beaten.
+    seen = []
+    real = backend.milp
+
+    def capture(**kwargs):
+        seen.append(kwargs)
+        return real(**kwargs)
+
+    monkeypatch.setattr(backend, "milp", capture)
+    built = _pinned("random2", milp.THROUGHPUT, "fixed")
+    z = built.bound
+    raw = solve(built.ir, SolverOptions(cutoff=z - 1e-6))
+    (kwargs,) = seen
+    stop = kwargs["stop"]
+    assert stop == -z and kwargs["options"]["objective_bound"] - stop <= 1e-9 * abs(stop)
+    assert raw.status is SolveStatus.OPTIMAL
+    assert raw.objective == pytest.approx(z, rel=1e-9)
+    assert validate_solution(built.instance, extract_solution(built, raw)).ok
+
+
+def test_stopped_and_unstopped_solves_reach_one_optimum(monkeypatch):
+    # The stop changes when HiGHS ends, not what it returns: on every
+    # pinned model and on random draws of both problems, the solve with
+    # the proven bound reaches the optimum of the solve without it, within
+    # 1e-9 relative, and its answer extracts and validates.  The stop ends
+    # four of these runs (two pinned one-free energy models, two draws).
+    runs = _spy_highs(monkeypatch)
+    rng = np.random.default_rng(25)
+    trials = [_pinned(*key) for key in MODEL_SHA256] + [
+        milp.build(inst, problem)
+        for inst in (random_small_instance(rng, max_units=4, max_ues=4) for _ in range(8))
+        for problem in (milp.THROUGHPUT, milp.ENERGY)
+    ]
+    stopped = 0
+    for built in trials:
+        bound, built.ir.bound = built.ir.bound, None
+        plain = solve(built.ir, SolverOptions(time_limit_s=60))
+        built.ir.bound = bound
+        del runs[:]
+        raw = solve(built.ir, SolverOptions(time_limit_s=60))
+        stopped += any(flag for flags in runs for flag in flags)
+        assert raw.status is plain.status
+        if plain.values is None:
+            assert raw.values is None
+            continue
+        assert plain.status is SolveStatus.OPTIMAL
+        assert raw.objective == pytest.approx(plain.objective, rel=1e-9)
+        assert validate_solution(built.instance, extract_solution(built, raw)).ok
+    assert stopped >= 4

@@ -539,7 +539,7 @@ def test_extraction_holds_the_answer_to_the_rate_bound():
     raw = milp.solve(built.ir, SolverOptions(time_limit_s=30))
     z = milp.extract_solution(built, raw).objective
     assert built.bound == pytest.approx(z, rel=1e-9)
-    built.bound = z * (1.0 - 2e-6)
+    built.ir.bound = z * (1.0 - 2e-6)
     with pytest.raises(ExtractionMismatch, match="proven bound"):
         milp.extract_solution(built, raw)
 
@@ -549,7 +549,7 @@ def test_extraction_holds_the_answer_to_the_power_bound():
     raw = milp.solve(built.ir, SolverOptions(time_limit_s=30))
     p = milp.extract_solution(built, raw).objective
     assert built.bound <= p * (1.0 + 1e-9)
-    built.bound = p * (1.0 + 2e-6)
+    built.ir.bound = p * (1.0 + 2e-6)
     with pytest.raises(ExtractionMismatch, match="network power .* proven bound"):
         milp.extract_solution(built, raw)
 

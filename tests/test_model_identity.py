@@ -177,62 +177,65 @@ def _highs_digest(kwargs):
         h.update(f"{a.dtype.str}{a.shape}".encode())
         h.update(a.tobytes())
     h.update(repr(kwargs["options"]).encode())
+    h.update(repr(kwargs["stop"]).encode())
     return h.hexdigest()
 
 
 # _highs_digest of each model of MODEL_SHA256, solved with default options.
 # The four exact throughput entries were re-pinned when those models got
 # their all-max-power seed: their arrays and options are unchanged, and
-# the digest now also hashes the seed's columns.
+# the digest now also hashes the seed's columns.  Every entry was re-pinned
+# when models handed HiGHS their proven bound as a stop target: each
+# digest without the stop's bytes equals the entry before.
 HIGHS_SHA256 = {
     ("two_unit", "throughput", "fixed"):
-        "5b87c66d866d1a5dcef106d23dba4810880be5d51255b8b851dd8a53430fc290",
+        "5d0a00c0388ec5ff0d82f3b50ba46da96985b8e5837a567bc3f48a2506890e7f",
     ("two_unit", "throughput", "one_free"):
-        "ed3fd8b4a044dea9a7fc3b64c1e82f65fdfd994beee00f20d4b89852301273a2",
+        "de050ca85f118d257f16f5b2bdf755be8d622b7a490786b308685ef26020d64f",
     ("two_unit", "throughput", "exact"):
-        "014e694304e8fb3dd6b6cf59d037e062b67b6959e2f0b1dc60a22461565dad29",
+        "a3345a686ee9f6942beb55c4cf968ed7664c650d056bca29d35221c99c658a8e",
     ("two_unit", "energy", "fixed"):
-        "1c7a2872edf3f5f8f04e3a416f3f01d668fc0d44309b64a5ef3e7d0708eb1beb",
+        "ff65629e13f28626e3509d835baea4a8cb397dbd1c381c48bb8dff01ad793717",
     ("two_unit", "energy", "one_free"):
-        "f528f61e1bd3b602165050c489f6d11d7f662afedb6b87b9802f261d3d38ac4b",
+        "9f4fe909255839dceaf5a7b0513d01a3ea3f17f916156032c359a12ffbbeb5d1",
     ("two_unit", "energy", "exact"):
-        "1a053c4c53e046594ab89d76899b89024a80955436c276e7c3a85343c18bce21",
+        "c1c8b6622070f4cf7d0c0b25ec4dd34299e9553ded4c615ced79aa7f7a7eae54",
     ("random0", "throughput", "fixed"):
-        "adaee1dfe591f0ac82908cf99b7acb5a82ba2bc06914d1b42ee324779eb278f4",
+        "b7c5b5875f541a6f019b9da896d572f590360881fe4641e72ef5958b24f61ec3",
     ("random0", "throughput", "one_free"):
-        "50b186cbd8e46a8f630ac3029f7a6f740ce7688278e8e0c48a2e27ae33a6cd93",
+        "d70ce68313a25b7e8161f912172856d2ebb787af97e7deaa083f41000c4f11ee",
     ("random0", "throughput", "exact"):
-        "590dc152c27130157727030b54b4c6937eaf11b8f8b66e51610679060eb275a8",
+        "5f22bf2b1d88edb802632c87178034b3403da0bb47aee408d5ff5f3727fad310",
     ("random0", "energy", "fixed"):
-        "9647bfc9030ae2336bac19bd37bf7679928a7d0e5595cd3249ef39e06d25ebfc",
+        "14d3e8afe2c1e25cb8f940dbe4eac8a6091c53dabfc9f2a3246d684c47198856",
     ("random0", "energy", "one_free"):
-        "1e3c702c6f8ab970cd736385338a9d23d1857b68749f0dfd1bab6d51732847f9",
+        "431a2e373eda12d825187e43d8cd2d170998fd05e17abb3d3dbbd8e7959ff5e0",
     ("random0", "energy", "exact"):
-        "b577725cd3b9eb6030929bf9eea978cb4055664147061574828f223cf3f16f21",
+        "35cdef2e3327c2ebdf6308170e8276f5318238c8ebeba4a89a3667e71ccae005",
     ("random1", "throughput", "fixed"):
-        "c2a3708684bfac0432b3d0ef0dbffe5fb0ff6b8e538aff8e4e876dd37d275a3f",
+        "28607bc824326951cecb9a1e2948e51be0964243382ef5e72cdba180a399809f",
     ("random1", "throughput", "one_free"):
-        "83dd1041553cba8a34b16c0398c9f69905129b6b57d3a3629573cab118b0e927",
+        "e9c345130b6b4dd746319cb431e15cda1a881ad797ecdf0e395fbf5bebcc91ec",
     ("random1", "throughput", "exact"):
-        "1aac0ca6c497eed44d282bb72fead436757d7ea8572daabf7103e7f67b5764d0",
+        "a47ae38051e4d076b7cecdd4b8002039d0b7fdc5ed475d10ac01301cfd5d1f22",
     ("random1", "energy", "fixed"):
-        "c51f8a551a5835e158e336dde39cc7c1c9197a6af72dd26d36bdec45a1bc355d",
+        "da6fec4bea2ee077e645292f1fff81327cdfb842bdec96424da2d4be3e8b2d77",
     ("random1", "energy", "one_free"):
-        "5483051228378288247875bb79aeab5ca890f3befc3e6c628e93db54ba615aad",
+        "20c0f1fd5a647822cafcbe77329a12de783dbb95218d95394659efce459f982e",
     ("random1", "energy", "exact"):
-        "4a2adda68453fcd8dd05c7950a50217dcbfbd03ce1038be441a4463bdedb05f0",
+        "10d6551e14e55a3ffb8b71c80a9e6e8fa4d37e4fedc8b6a5727c910aeaad1983",
     ("random2", "throughput", "fixed"):
-        "ff2ee51c2939ad0d8c91a9b5ed877532c1670201ae0a4855c94647ddd8442a91",
+        "92d0bd154da92f13502371a94562bbdc76321ff7888c740891a46bd6b9a364f5",
     ("random2", "throughput", "one_free"):
-        "93bc5a7a41663adfc4c5b635ae2b0de1e1d4900b489f67e0c9a5b94ae3b8dc74",
+        "82e0fd059b1bf9c22081ad371c91d8df4dd77c30b75d99dbc3b7cfac69468eb1",
     ("random2", "throughput", "exact"):
-        "0178f5e4150fa7ca9f112c6a1ce1aaf09e43a0b73172a8ece3dc05c74450ac48",
+        "6bb6eebaea8367e433d993850db6019309e1ff41ca640236f10924eb1f3712c7",
     ("random2", "energy", "fixed"):
-        "8f627c9a0dca2ec3ffeec2be9eaf5545037340928508331bc236e86e6c337349",
+        "4abf2cabb0ab706f735d0794dc61061e5ae3bdb552e17cabd90c8c33b1345e49",
     ("random2", "energy", "one_free"):
-        "3fa406b07e2f2bca2725cc77d65e3ebbd69483df0d5e305271998012b66f3210",
+        "b1e834e87aab8885d8abe9a2ba3da263316f5865a3ba348087ec8e3726ec209e",
     ("random2", "energy", "exact"):
-        "313eda2349cf4b471c9d345187d09db1a6436ec06b7c386928ba91126cb7a1c7",
+        "f8c7ac7de78648fd094bf099b18ffe6844dd18aac24c327e0b61d34647391fb7",
 }
 
 
