@@ -272,7 +272,7 @@ def cmd_solve(
         if lp_out:  # the model --method exact would solve with these flags
             exact = build(_resolve_power_mode(power_mode, problem, "exact"))
             built = milp.build(exact, problem)
-            Path(lp_out).write_text(built.ir.lp_text())
+            milp.write_model(built.ir, lp_out)
     except IabError as exc:
         _fail(str(exc))
 

@@ -9,7 +9,7 @@ from ..problem import (
     SolveStatus,
     default_power_levels,
 )
-from .backend import RawSolution, SolverOptions, beats, solve
+from .backend import RawSolution, SolverOptions, beats, solve, write_model
 from .builder import (
     ENERGY,
     THROUGHPUT,
@@ -52,4 +52,5 @@ __all__ = [
     "frontend_powers",
     "model_bound",
     "solve",
+    "write_model",
 ]

@@ -42,6 +42,7 @@ class RawSolution:
     values: np.ndarray | None
     objective: float | None
     gap: float = 0.0
+    dropped: int = 0  # coefficients HiGHS dropped at load (below its small_matrix_value)
 
 
 try:
@@ -92,6 +93,25 @@ def _reaches(objective: float, stop: float) -> bool:
     return objective - stop <= 1e-9 * max(1.0, abs(stop))
 
 
+def _load(highs, c, integrality, bounds, constraints) -> int | None:
+    """Hand ``highs`` the model column-wise, minimised, with no offset.
+
+    Returns how many matrix coefficients HiGHS dropped (those below its
+    ``small_matrix_value``), or None when it refuses the model.
+    """
+    n = len(c)
+    if constraints:
+        (con,) = constraints
+        a, row_lb, row_ub = con.A, con.lb, con.ub
+    else:
+        a, row_lb, row_ub = sparse.csc_matrix((0, n)), np.zeros(0), np.zeros(0)
+    status = highs.passModel(
+        n, a.shape[0], a.nnz, 1, 1, 0.0, c, bounds.lb, bounds.ub, row_lb, row_ub,
+        a.indptr, a.indices, a.data, np.asarray(integrality, dtype=np.int32),
+    )
+    return None if status == HighsStatus.kError else a.nnz - highs.getNumNz()
+
+
 def milp(c, *, integrality, bounds, constraints, options, seed=(), stop=None) -> OptimizeResult:
     """Minimise ``c @ x`` on a fresh HiGHS instance.
 
@@ -100,7 +120,7 @@ def milp(c, *, integrality, bounds, constraints, options, seed=(), stop=None) ->
     ``disp``, ``presolve`` and HiGHS option names) and answers as it does:
     the same status codes, ``x`` only at an optimum or, for a MIP, at a
     limit with an incumbent, and ``mip_*`` fields only for a MIP with
-    ``x``.  It reads no basis or duals.
+    ``x``.  It reads no basis or duals.  ``dropped`` is ``_load``'s count.
 
     ``seed`` (column indices; scipy has no such argument) adds a first
     run on the same instance with those columns pinned at their upper
@@ -116,13 +136,6 @@ def milp(c, *, integrality, bounds, constraints, options, seed=(), stop=None) ->
     ``mip_primal_bound``, which equals an ``objective_bound`` before any
     incumbent exists.  Any other interrupt stays status 4.
     """
-    n = len(c)
-    if constraints:
-        (con,) = constraints
-        a, row_lb, row_ub = con.A, con.lb, con.ub
-    else:
-        a, row_lb, row_ub = sparse.csc_matrix((0, n)), np.zeros(0), np.zeros(0)
-    integrality = np.asarray(integrality, dtype=np.int32)
     highs = _Highs()
     for key, value in options.items():
         if key == "disp":
@@ -131,11 +144,8 @@ def milp(c, *, integrality, bounds, constraints, options, seed=(), stop=None) ->
             value = "on" if value else "off"
         if highs.setOptionValue(key, value) != HighsStatus.kOk:
             raise ValueError(f"HiGHS rejects option {key}={value!r}")
-    # Column-wise matrix (format 1), minimised (sense 1), no offset.
-    loaded = highs.passModel(
-        n, a.shape[0], a.nnz, 1, 1, 0.0, c, bounds.lb, bounds.ub, row_lb, row_ub,
-        a.indptr, a.indices, a.data, integrality,
-    ) != HighsStatus.kError
+    dropped = _load(highs, c, integrality, bounds, constraints)
+    loaded = dropped is not None
     if loaded and stop is not None:
 
         def interrupt(kind, message, out, data_in, user_data):
@@ -156,11 +166,11 @@ def milp(c, *, integrality, bounds, constraints, options, seed=(), stop=None) ->
     res = OptimizeResult(
         status=_SCIPY_STATUS.get(model_status, 4),
         message=highs.modelStatusToString(model_status),
-        x=None, mip_gap=None, mip_node_count=None, mip_dual_bound=None,
+        x=None, mip_gap=None, mip_node_count=None, mip_dual_bound=None, dropped=dropped,
     )
     if not ran:
         return res
-    is_mip = bool(integrality.any())
+    is_mip = bool(np.any(integrality))
     if model_status == _MS.kOptimal or (
         is_mip and model_status in _LIMITS and info.objective_function_value != kHighsInf
     ):
@@ -193,21 +203,55 @@ def _start_from_seed(highs, seed: np.ndarray, bounds) -> None:
         highs.setSolution(start)
 
 
-def _scipy_backend(ir: ModelIR, options: SolverOptions) -> RawSolution:
-    n = ir.num_vars
-    if n == 0:
-        return RawSolution(SolveStatus.OPTIMAL, np.zeros(0), ir.objective.constant)
-
-    minimize = ir.objective.sense == "min"
-    c = np.zeros(n)
-    c[ir.objective.cols] = ir.objective.coefs if minimize else -ir.objective.coefs
-
+def _arrays(ir: ModelIR) -> dict:
+    """``ir`` as ``backend.milp`` takes it: minimise ``c @ x`` (negated for a max, no constant)."""
+    obj = ir.objective
+    c = np.zeros(ir.num_vars)
+    c[obj.cols] = obj.coefs if obj.sense == "min" else -obj.coefs
     constraints = []
     if ir.num_rows:
         rows, cols, coefs = ir.coo()
-        a = sparse.csc_matrix((coefs, (rows, cols)), shape=(ir.num_rows, n))
+        a = sparse.csc_matrix((coefs, (rows, cols)), shape=(ir.num_rows, ir.num_vars))
         constraints.append(LinearConstraint(a, *ir.row_bounds()))
+    return dict(
+        c=c, constraints=constraints, integrality=ir.binary.astype(float),
+        bounds=Bounds(ir.lb, ir.ub),
+    )
 
+
+def write_model(ir: ModelIR, path) -> None:
+    """Write the model HiGHS holds for ``ir`` to ``path``, in the format of its suffix.
+
+    It is loaded as for a solve, so the file holds what HiGHS minimises
+    (``_arrays``) less the coefficients it drops at load, with the IR's
+    column and row names.  HiGHS's LP reader takes the ``->`` in names
+    such as ``w[1->20,l0]`` for indicator syntax, so only an ``.mps`` file
+    reads back.  Any other suffix, or a path that cannot be opened, is a
+    ``BackendError``.
+    """
+    if os.path.splitext(path)[1] not in (".lp", ".mps"):
+        raise BackendError(f"{path}: the suffix must be .lp or .mps")
+    try:  # HiGHS's LP writer crashes on a path it cannot open
+        open(path, "w").close()
+    except OSError as exc:
+        raise BackendError(f"{path}: {exc.strerror}") from exc
+    highs = _Highs()
+    highs.setOptionValue("log_to_console", False)
+    loaded = _load(highs, **_arrays(ir)) is not None
+    for j, name in enumerate(ir.var_names):
+        highs.passColName(j, name)
+    for i, name in enumerate(ir.row_names):
+        highs.passRowName(i, name)
+    if not loaded or highs.writeModel(str(path)) == HighsStatus.kError:
+        raise BackendError(f"{path}: HiGHS could not write the model")
+
+
+def _scipy_backend(ir: ModelIR, options: SolverOptions) -> RawSolution:
+    if ir.num_vars == 0:
+        return RawSolution(SolveStatus.OPTIMAL, np.zeros(0), ir.objective.constant)
+
+    minimize = ir.objective.sense == "min"
+    arrays = _arrays(ir)
     highs_options = {
         "disp": False,
         # The bundled HiGHS presolve returns wrong optima on some of these
@@ -235,19 +279,12 @@ def _scipy_backend(ir: ModelIR, options: SolverOptions) -> RawSolution:
         seed = ()
     try:
         with _native_stdout_to_stderr():
-            res = milp(
-                c=c,
-                constraints=constraints,
-                integrality=ir.binary.astype(float),
-                bounds=Bounds(ir.lb, ir.ub),
-                options=highs_options,
-                seed=seed,
-                stop=stop,
-            )
+            res = milp(**arrays, options=highs_options, seed=seed, stop=stop)
     except (TypeError, ValueError) as exc:  # malformed inputs or a rejected option
         raise BackendError(f"milp backend failed: {exc}") from exc
 
     gap = float(res.mip_gap) if getattr(res, "mip_gap", None) is not None else 0.0
+    dropped = res.get("dropped") or 0
     if res.status == 0:
         # HiGHS's own verdict: optimal within its gap tolerances, which may
         # leave a gap above mip_rel_gap; the gap travels with the solution.
@@ -255,16 +292,16 @@ def _scipy_backend(ir: ModelIR, options: SolverOptions) -> RawSolution:
     elif res.status == 1:
         status = SolveStatus.TIME_LIMIT
     elif res.status == 2:
-        return RawSolution(SolveStatus.INFEASIBLE, None, None)
+        return RawSolution(SolveStatus.INFEASIBLE, None, None, dropped=dropped)
     else:
         raise BackendError(f"backend status {res.status}: {res.message}")
 
     values = None if res.x is None else np.asarray(res.x, dtype=float)
     objective = None
     if values is not None:
-        raw = float(c @ values)
+        raw = float(arrays["c"] @ values)
         objective = (raw if minimize else -raw) + ir.objective.constant
-    return RawSolution(status, values, objective, gap)
+    return RawSolution(status, values, objective, gap, dropped)
 
 
 def beats(sense: str, objective: float, cutoff: float) -> bool:
@@ -289,6 +326,5 @@ def solve(ir: ModelIR, options: SolverOptions | None = None) -> RawSolution:
         raw.objective is not None and beats(ir.objective.sense, raw.objective, cutoff)
     ):
         return raw
-    if raw.status is SolveStatus.TIME_LIMIT:
-        return RawSolution(SolveStatus.TIME_LIMIT, None, None)
-    return RawSolution(SolveStatus.CUTOFF, None, None)
+    status = SolveStatus.TIME_LIMIT if raw.status is SolveStatus.TIME_LIMIT else SolveStatus.CUTOFF
+    return RawSolution(status, None, None, dropped=raw.dropped)

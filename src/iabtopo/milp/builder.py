@@ -378,7 +378,7 @@ def _build(
         instance, problem, fixed_powers, routing_edges
     )
     g = instance.graph
-    ir = ModelIR(name=f"{problem}__{len(g.nodes)}n_{len(g.edges)}e")
+    ir = ModelIR()
     ir.bound = bound
     emit(ir)
     wireless = lad.edges

@@ -22,8 +22,6 @@ from typing import Sequence
 
 import numpy as np
 
-Term = tuple[float, int]  # (coefficient, variable index)
-
 
 class VarKind(str, Enum):
     CONTINUOUS = "continuous"
@@ -36,16 +34,7 @@ class Sense(str, Enum):
     GE = ">="
 
 
-_SENSES = (Sense.LE, Sense.EQ, Sense.GE)  # row sense codes 0, 1, 2
-SENSE_CODE = {s: np.int8(i) for i, s in enumerate(_SENSES)}
-
-
-@dataclass(frozen=True)
-class LinConstraint:
-    name: str
-    terms: tuple[Term, ...]
-    sense: Sense
-    rhs: float
+SENSE_CODE = {s: np.int8(i) for i, s in enumerate((Sense.LE, Sense.EQ, Sense.GE))}  # 0, 1, 2
 
 
 @dataclass
@@ -54,10 +43,6 @@ class Objective:
     cols: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     coefs: np.ndarray = field(default_factory=lambda: np.zeros(0))
     constant: float = 0.0
-
-    @property
-    def terms(self) -> tuple[Term, ...]:
-        return tuple(zip(self.coefs.tolist(), self.cols.tolist()))
 
 
 def _filled(values, n: int) -> np.ndarray:
@@ -88,10 +73,9 @@ def _merge(rows, cols, coefs, n_cols):
 
 
 class ModelIR:
-    """Variable/constraint/objective registry with a name index."""
+    """Variable/constraint/objective registry."""
 
-    def __init__(self, name: str = "model"):
-        self.name = name
+    def __init__(self):
         self.var_names: list[str] = []
         self.binary = np.zeros(0, dtype=bool)
         self.lb = np.zeros(0)
@@ -227,52 +211,6 @@ class ModelIR:
         lo = np.where(codes == SENSE_CODE[Sense.LE], -np.inf, rhs)
         hi = np.where(codes == SENSE_CODE[Sense.GE], np.inf, rhs)
         return lo, hi
-
-    @property
-    def constraints(self) -> tuple[LinConstraint, ...]:
-        """Read-only view of the rows."""
-        rows, cols, coefs, codes, rhs = self._join()
-        bounds = np.searchsorted(rows, np.arange(self.num_rows + 1)).tolist()
-        cols, coefs = cols.tolist(), coefs.tolist()
-        return tuple(
-            LinConstraint(name, tuple(zip(coefs[a:b], cols[a:b])), _SENSES[code], r)
-            for name, a, b, code, r in zip(
-                self.row_names, bounds, bounds[1:], codes.tolist(), rhs.tolist()
-            )
-        )
-
-    def lp_text(self) -> str:
-        """Dump in LP-format text for external debugging."""
-
-        def expr(terms: Sequence[Term]) -> str:
-            if not terms:
-                return "0"
-            parts = []
-            for coeff, idx in terms:
-                name = self.var_names[idx]
-                sign = "-" if coeff < 0 else "+"
-                parts.append(f"{sign} {abs(coeff):.12g} {name}")
-            text = " ".join(parts)
-            return text[2:] if text.startswith("+ ") else text
-
-        lines = [f"\\ {self.name}"]
-        lines.append("Maximize" if self.objective.sense == "max" else "Minimize")
-        lines.append(f" obj: {expr(self.objective.terms)}")
-        lines.append("Subject To")
-        op = {Sense.LE: "<=", Sense.EQ: "=", Sense.GE: ">="}
-        for i, con in enumerate(self.constraints):
-            lines.append(f" c{i}_{con.name}: {expr(con.terms)} {op[con.sense]} {con.rhs:.12g}")
-        lines.append("Bounds")
-        for name, lb, ub in zip(self.var_names, self.lb.tolist(), self.ub.tolist()):
-            lo = "-inf" if lb == -math.inf else f"{lb:.12g}"
-            hi = "+inf" if ub == math.inf else f"{ub:.12g}"
-            lines.append(f" {lo} <= {name} <= {hi}")
-        binaries = [self.var_names[i] for i in np.flatnonzero(self.binary).tolist()]
-        if binaries:
-            lines.append("Binaries")
-            lines.append(" " + " ".join(binaries))
-        lines.append("End")
-        return "\n".join(lines) + "\n"
 
 
 # -- big-M rows ----------------------------------------------------------------

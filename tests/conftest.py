@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,26 @@ def level_terms(reps, j: int) -> tuple[np.ndarray, np.ndarray]:
     """Grid levels (mW) and their binaries' columns of power rep ``j``."""
     has = reps.level_col[j] >= 0
     return reps.level_mw[j][has], reps.level_col[j][has]
+
+
+class Row(NamedTuple):
+    name: str
+    terms: tuple[tuple[float, int], ...]  # (coefficient, column), in column order
+    lo: float
+    hi: float
+
+
+def model_rows(ir) -> list[Row]:
+    """Every row of a model IR, read from its ``coo()`` and ``row_bounds()`` arrays."""
+    rows, cols, coefs = ir.coo()
+    ends = np.searchsorted(rows, np.arange(ir.num_rows + 1)).tolist()
+    cols, coefs = cols.tolist(), coefs.tolist()
+    return [
+        Row(name, tuple(zip(coefs[a:b], cols[a:b])), lo, hi)
+        for name, a, b, lo, hi in zip(
+            ir.row_names, ends, ends[1:], *(bound.tolist() for bound in ir.row_bounds())
+        )
+    ]
 
 
 def minimal_nodes_edges():

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
+from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
 from iabtopo import heuristics, milp
 from iabtopo.cli import RESULT_COLUMNS, evolution_stats, main
@@ -185,14 +186,16 @@ def test_lp_out_dumps_the_exact_model_of_the_flags(workspace):
     result = _run(args)
     assert result.exit_code == 0, result.output
     text = lp_path.read_text()
-    assert "\nMinimize\n" in text
-    assert "lam[" in text.split("\nBinaries\n")[1]
+    assert text.startswith("\\ File written by HiGHS .lp file handler\nmin\n")
+    assert "lam[" in text.split("\nbin\n")[1].split("\ngen\n")[0]
     assert _run(args + ["--method", "exact"]).exit_code == 0
     assert lp_path.read_text() == text
 
 
 def test_exact_lp_out_builds_the_model_once(workspace, monkeypatch):
-    # --method exact solves the very model it dumped.
+    # --method exact solves the very model it dumped, and the .mps dump
+    # reads back into HiGHS and solves to the same optimum, in HiGHS's
+    # sense: minimised, without the objective's constant.
     tmp, cfg, profile = workspace
     graph_path = tmp / "g.json"
     _run(["scenario-gen", "--config", str(cfg), "--profile", str(profile),
@@ -205,17 +208,58 @@ def test_exact_lp_out_builds_the_model_once(workspace, monkeypatch):
         return built[-1]
 
     def capturing_solve(ir, *args, **kwargs):
-        solved.append(ir)
-        return solve(ir, *args, **kwargs)
+        solved.append((ir, solve(ir, *args, **kwargs)))
+        return solved[-1][1]
 
     monkeypatch.setattr(milp, "build_energy_model", counting_build)
     monkeypatch.setattr(milp, "solve", capturing_solve)
-    lp_path = tmp / "m.lp"
+    mps_path = tmp / "m.mps"
     result = _run(["solve", "--graph", str(graph_path), "--config", str(cfg),
-                   "--problem", "energy", "--method", "exact", "--lp-out", str(lp_path)])
+                   "--problem", "energy", "--method", "exact", "--lp-out", str(mps_path)])
     assert result.exit_code == 0, result.output
     assert len(built) == 1
-    assert [ir.lp_text() for ir in solved] == [lp_path.read_text()]
+    ((ir, raw),) = solved
+    assert ir is built[0].ir
+    z = raw.objective - ir.objective.constant
+    z = -z if ir.objective.sense == "max" else z
+    highs = _Highs()
+    highs.setOptionValue("log_to_console", False)
+    highs.setOptionValue("presolve", "off")
+    highs.setOptionValue("mip_rel_gap", 0.0)
+    assert highs.readModel(str(mps_path)) == HighsStatus.kOk
+    assert highs.getNumCol() == ir.num_vars and highs.getNumRow() == ir.num_rows
+    highs.run()
+    assert highs.getModelStatus() == HighsModelStatus.kOptimal
+    assert highs.getInfo().objective_function_value == pytest.approx(z, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["m.lp", "m.mps"])
+def test_lp_out_into_a_missing_directory_is_an_input_error(workspace, name):
+    tmp, cfg, profile = workspace
+    graph_path = tmp / "g.json"
+    _run(["scenario-gen", "--config", str(cfg), "--profile", str(profile),
+          "--hour", "10", "--out", str(graph_path)])
+    out = tmp / "missing" / name
+    result = _run(["solve", "--graph", str(graph_path), "--config", str(cfg),
+                   "--problem", "energy", "--lp-out", str(out)])
+    assert result.exit_code == 2
+    assert f"error: {out}: No such file or directory" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("name", ["m.txt", "m.lp.gz", "m"])
+def test_lp_out_needs_an_lp_or_mps_suffix(workspace, monkeypatch, name):
+    tmp, cfg, profile = workspace
+    graph_path = tmp / "g.json"
+    _run(["scenario-gen", "--config", str(cfg), "--profile", str(profile),
+          "--hour", "10", "--out", str(graph_path)])
+    solves = []
+    monkeypatch.setattr(milp, "solve", lambda *args, **kwargs: solves.append(args))
+    result = _run(["solve", "--graph", str(graph_path), "--config", str(cfg),
+                   "--problem", "energy", "--method", "exact", "--lp-out", str(tmp / name)])
+    assert result.exit_code == 2
+    assert "the suffix must be .lp or .mps" in result.output
+    assert solves == [] and not (tmp / name).exists()
 
 
 def test_sweep_determinism_modulo_runtime(workspace):

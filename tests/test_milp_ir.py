@@ -31,7 +31,7 @@ from iabtopo.graph import Commodity
 from iabtopo.oracle import validate_solution
 from iabtopo.problem import ContinuousPower, ProblemInstance, SolveStatus
 
-from conftest import random_small_instance
+from conftest import model_rows, random_small_instance
 from test_model_identity import MODEL_SHA256, _build_args, _instance
 
 
@@ -41,7 +41,7 @@ def test_solver_options_validation():
 
 
 def test_trivial_model_optimal():
-    ir = ModelIR("trivial")
+    ir = ModelIR()
     (x,) = ir.add_vars(["x"], VarKind.CONTINUOUS, 0, 10)
     ir.add_rows(["cap"], Sense.LE, 4.0, [0], [x], [1.0])
     ir.set_objective("max", [x], [1.0])
@@ -52,7 +52,7 @@ def test_trivial_model_optimal():
 
 
 def test_contradictory_bounds_infeasible():
-    ir = ModelIR("infeasible")
+    ir = ModelIR()
     (z,) = ir.add_vars(["z"], VarKind.CONTINUOUS, 0, 100)
     ir.add_rows(["lo"], Sense.GE, 10.0, [0], [z], 1.0)
     ir.add_rows(["hi"], Sense.LE, 5.0, [0], [z], 1.0)
@@ -63,7 +63,7 @@ def test_contradictory_bounds_infeasible():
 
 
 def test_minimize_with_constant_offset():
-    ir = ModelIR("offset")
+    ir = ModelIR()
     (x,) = ir.add_vars(["x"], VarKind.CONTINUOUS, 2, 10)
     ir.set_objective("min", [x], [3.0], constant=7.0)
     raw = solve(ir)
@@ -82,15 +82,38 @@ def test_duplicate_variable_names_rejected():
     assert ir.var_names == ["x"]
 
 
-def test_lp_text_dump():
-    ir = ModelIR("dump")
+def _mps_columns(path):
+    """(column, row) -> coefficient of an MPS file's COLUMNS section."""
+    lines = path.read_text().splitlines()
+    section = lines[lines.index("COLUMNS") + 1 : lines.index("RHS")]
+    return {
+        (col, row): float(value)
+        for col, row, value in (line.split() for line in section)
+        if row != "'MARKER'"
+    }
+
+
+def test_dump_holds_the_model_highs_loads(tmp_path):
+    # HiGHS drops a 5e-10 coefficient (below its small_matrix_value) at
+    # load.  The solve counts it, and the dump holds what HiGHS minimises:
+    # the max negated, no constant, and no b in row "tiny".
+    ir = ModelIR()
     x, b = ir.add_vars(["x", "b"], [VarKind.CONTINUOUS, VarKind.BINARY], 0, [5, 1])
-    ir.add_rows(["row"], Sense.LE, 3.0, [0, 0], [x, b], [1.0, -2.0])
-    ir.set_objective("max", [x], [1.0])
-    text = ir.lp_text()
-    assert "Maximize" in text
-    assert "x - 2 b <= 3" in text
-    assert "Binaries" in text
+    ir.add_rows(["row", "tiny"], np.array([0, 2], dtype=np.int8), [3.0, 1.0],
+                [0, 0, 1, 1], [x, b, x, b], [1.0, -2.0, 1.0, 5e-10])
+    ir.set_objective("max", [x], [1.0], constant=7.0)
+    raw = solve(ir)
+    assert raw.status is SolveStatus.OPTIMAL and raw.objective == pytest.approx(12.0)
+    assert raw.dropped == 1
+    milp.write_model(ir, tmp_path / "m.lp")
+    text = (tmp_path / "m.lp").read_text()
+    assert "\nmin\n obj: -1 x \n" in text
+    assert " row: +1 x -2 b <= +3\n tiny: +1 x >= +1\n" in text
+    assert "\nbin\n b\n" in text
+    milp.write_model(ir, tmp_path / "m.mps")
+    assert _mps_columns(tmp_path / "m.mps") == {
+        ("x", "Obj"): -1.0, ("x", "row"): 1.0, ("x", "tiny"): 1.0, ("b", "row"): -2.0
+    }
 
 
 # Rows as (name, terms, sense, rhs, normalize): y's three terms sum in
@@ -105,14 +128,14 @@ _ROWS = [
 ]
 
 
-def _rows_model(name):
-    ir = ModelIR(name)
+def _rows_model():
+    ir = ModelIR()
     ir.add_vars(["x", "y", "z"], VarKind.CONTINUOUS, -5.0, 5.0)
     return ir
 
 
 def test_block_rows_match_one_row_constraints():
-    block = _rows_model("rows")
+    block = _rows_model()
     block.add_rows(
         [r[0] for r in _ROWS],
         np.array([SENSE_CODE[r[2]] for r in _ROWS]),
@@ -130,31 +153,26 @@ def test_block_rows_match_one_row_constraints():
     assert coefs.tolist() == [0.2, (0.1 + 0.2) + 0.3, -3e-9 / scale, 1.0, 1.0, -1.0]
     assert block.row_names == [r[0] for r in _ROWS]
 
-    rows = {con.name: con for con in block.constraints}
+    rows = {row.name: row for row in model_rows(block)}
     assert rows["dup"].terms == ((0.2, 0), ((0.1 + 0.2) + 0.3, 1))
-    assert rows["zeros"].terms == () and rows["zeros"].rhs == 0.25
+    assert rows["zeros"].terms == ()
     assert rows["scaled"].terms == ((-3e-9 / scale, 0), (1.0, 2))
-    assert rows["scaled"].rhs == 6e-9 / scale
-    assert rows["empty"].terms == () and rows["empty"].rhs == 3.0
-    assert rows["unit"].terms == ((1.0, 0), (-1.0, 2)) and rows["unit"].rhs == -2.0
+    assert rows["empty"].terms == ()
+    assert rows["unit"].terms == ((1.0, 0), (-1.0, 2))
     lo, hi = block.row_bounds()
     assert lo.dtype == hi.dtype == np.float64
     assert list(lo) == [-np.inf, 0.25, 6e-9 / scale, -np.inf, -2.0]
     assert list(hi) == [1.5, np.inf, 6e-9 / scale, 3.0, np.inf]
-    text = block.lp_text()
-    assert " c0_dup: 0.2 x + 0.6 y <= 1.5\n" in text
-    assert " c1_zeros: 0 >= 0.25\n" in text
-    assert " c4_unit: 1 x - 1 z >= -2\n" in text
 
 
 @pytest.mark.parametrize("idx", [3, -1])
 def test_unknown_variable_index_rejected(idx):
-    ir = _rows_model("bad")
+    ir = _rows_model()
     with pytest.raises(ValueError, match="unknown variable index"):
         ir.add_rows(["bad"], Sense.LE, 0.0, [0, 0], [0, idx], [1.0, 0.0])
     with pytest.raises(ValueError, match="'bad2': unknown variable index"):
         ir.add_rows(["ok", "bad2"], Sense.LE, 0.0, [0, 1], [1, idx], [1.0, 1.0])
-    assert ir.num_rows == 0 and ir.constraints == ()
+    assert ir.num_rows == 0 and model_rows(ir) == []
 
 
 # -- indicator rows -------------------------------------------------------------
@@ -208,13 +226,10 @@ def test_indicator_pair_matches_pointwise_logic():
 
         def rows_hold(x_val, phi_val):
             values = {x: x_val, phi: phi_val}
-            for con in ir.constraints:
-                lhs = sum(c * values[i] for c, i in con.terms)
-                if con.sense is Sense.GE and lhs < con.rhs - 1e-9:
-                    return False
-                if con.sense is Sense.LE and lhs > con.rhs + 1e-9:
-                    return False
-            return True
+            return all(
+                row.lo - 1e-9 <= sum(c * values[i] for c, i in row.terms) <= row.hi + 1e-9
+                for row in model_rows(ir)
+            )
 
         for x_val in np.linspace(-50, 50, 41):
             for phi_val in (0, 1):
@@ -253,7 +268,7 @@ def test_time_limit_contract():
     # optimality instantly or reports the limit; the status contract is
     # what matters.
     rng = np.random.default_rng(0)
-    ir = ModelIR("knapsack")
+    ir = ModelIR()
     xs = ir.add_vars([f"x{i}" for i in range(60)], VarKind.BINARY)
     w = rng.uniform(1, 10, size=60)
     v = rng.uniform(1, 10, size=60)
@@ -270,7 +285,7 @@ def test_seeded_solve_ends_within_its_time_limit(monkeypatch):
     # ends at the limit, not at twice it.
     n = 30
     weights = 2.0 * np.random.default_rng(0).integers(100_000, 1_000_000, n)
-    ir = ModelIR("subset_sum")
+    ir = ModelIR()
     xs = ir.add_vars([f"x{i}" for i in range(n)], VarKind.BINARY)
     ir.add_rows(["sum"], Sense.EQ, weights.sum() // 2 + 1, np.zeros(n, dtype=int), xs, weights)
     ir.set_objective("max", xs, np.ones(n))
@@ -295,7 +310,7 @@ def test_seeded_solve_ends_within_its_time_limit(monkeypatch):
 def test_highs_optimal_verdict_kept_with_small_gap(monkeypatch):
     # HiGHS may stop "optimal" on a gap of a few 1e-9 (its own tolerances
     # on the objective); the backend keeps that verdict and the gap.
-    ir = ModelIR("gap")
+    ir = ModelIR()
     (x,) = ir.add_vars(["x"], VarKind.BINARY)
     ir.set_objective("max", [x], [132.873741])
     result = OptimizeResult(
@@ -402,7 +417,7 @@ def test_rejected_option_is_a_backend_error(monkeypatch):
 def _cutoff_model(sense, binary=True):
     # Pick two of a, b, c at costs 3, 2, 4 (LP relaxation without binaries),
     # plus a constant of 7: min 12, max 14.
-    ir = ModelIR(f"cutoff-{sense}")
+    ir = ModelIR()
     kind = VarKind.BINARY if binary else VarKind.CONTINUOUS
     xs = ir.add_vars(list("abc"), kind, 0, 1)
     ir.add_rows(["two"], Sense.EQ, 2.0, [0, 0, 0], xs, 1.0)

@@ -17,7 +17,6 @@ from iabtopo.energy import PowerModelParams
 from iabtopo.errors import EmptyCommodities, ExtractionMismatch, NoFeasible, UnsupportedMode
 from iabtopo.graph import Commodity, Edge, EdgeKind, Node, NodeKind, build_graph
 from iabtopo.milp import SolverOptions, builder
-from iabtopo.milp.ir import Sense
 from iabtopo.oracle import validate_solution
 from iabtopo.problem import (
     ContinuousPower,
@@ -31,6 +30,7 @@ from iabtopo.problem import (
 from conftest import (
     coarse_table,
     level_terms,
+    model_rows,
     random_small_instance,
     two_step_table,
     two_unit_instance,
@@ -225,7 +225,7 @@ def _ladder_interval(built, e):
 
 def test_channel_gains_follow_the_graph():
     inst = two_unit_instance()
-    text = milp.build_throughput_model(inst).ir.lp_text()
+    coo = milp.build_throughput_model(inst).ir.coo()
     # Same layout, frontend 11 heard 3 dB fainter at UE 20: a new graph,
     # which must get its own gains.
     g = inst.graph
@@ -234,7 +234,8 @@ def test_channel_gains_follow_the_graph():
         for e in g.edges
     ]
     other = dataclasses.replace(inst, graph=build_graph(g.nodes, edges))
-    assert milp.build_throughput_model(other).ir.lp_text() != text
+    other_coo = milp.build_throughput_model(other).ir.coo()
+    assert not all(np.array_equal(a, b) for a, b in zip(other_coo, coo))
     gains = builder._gains(other.graph, other.radio)
     for e in other.graph.wireless_edges:
         row = gains.row[e.key]
@@ -352,8 +353,8 @@ def test_dead_ue_edges_leave_single_power_models():
 
     built = milp.build_energy_model(inst)
     assert dead not in {e.key for e in built.routing_wireless}
-    (dst_row,) = [c for c in built.ir.constraints if c.name == "dst[k1]"]
-    assert dst_row.terms == () and dst_row.rhs == 1.0
+    (dst_row,) = [r for r in model_rows(built.ir) if r.name == "dst[k1]"]
+    assert dst_row.terms == () and dst_row.lo == dst_row.hi == 1.0
     raw = milp.solve(built.ir, SolverOptions(time_limit_s=30))
     assert raw.status is SolveStatus.INFEASIBLE
     with pytest.raises(NoFeasible):
@@ -631,13 +632,13 @@ def test_multi_level_power_is_one_column(problem):
     built = milp.build(inst, problem)
     reps = built.power_reps
     names = built.ir.var_names
-    rows = built.ir.constraints
+    rows = model_rows(built.ir)
     for fid, j in reps.col.items():
         pw = int(reps.var[j])
         assert names[pw] == f"pw[{fid}]" and reps.coef[j] == reps.hi[j] == 6300.0
         (row,) = [r for r in rows if r.name == f"pw_def[{fid}]"]
         levels, binaries = level_terms(reps, j)
-        assert row.sense is Sense.EQ and row.rhs == 0.0
+        assert row.lo == row.hi == 0.0
         assert sorted(row.terms, key=lambda t: t[1]) == sorted(
             [(1.0, pw)] + [(-l / 6300.0, i) for l, i in zip(levels.tolist(), binaries.tolist())],
             key=lambda t: t[1],
@@ -665,7 +666,7 @@ def test_single_level_grid_has_no_power_column():
     for build in (milp.build_throughput_model, milp.build_energy_model):
         built = build(two_unit_instance())
         assert not any(n.startswith("pw[") for n in built.ir.var_names)
-        assert not any(r.name.startswith("pw_def[") for r in built.ir.constraints)
+        assert not any(n.startswith("pw_def[") for n in built.ir.row_names)
 
 
 @pytest.mark.parametrize(

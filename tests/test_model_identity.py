@@ -1,10 +1,8 @@
-"""Pinned text of a fixed set of small models.
+"""Pinned arrays of a fixed set of small models.
 
-Each model is pinned by the sha256 of ``ir.lp_text()`` and of an exact
-dump, both as the term-by-term builder wrote them, before models were
-built from arrays.  ``lp_text`` rounds to 12 significant digits; the
-exact dump holds every float at full precision, so a coefficient summed
-in another order changes it.  ``HIGHS_SHA256`` pins, for the same
+``MODEL_SHA256`` pins each model by the sha256 of the model IR's arrays
+at full precision (dtype, shape and bytes of each), so a coefficient
+summed in another order changes it.  ``HIGHS_SHA256`` pins, for the same
 models, every argument the backend hands ``backend.milp``.  A change
 that claims to leave the models as they are must keep every hash; a
 change that alters a model on purpose must argue it and re-pin that
@@ -23,105 +21,58 @@ from iabtopo.problem import DiscretePower, default_power_levels
 
 from conftest import random_small_instance, two_unit_instance
 
-# (sha256 of ir.lp_text(), sha256 of _exact_text(ir)).  The one_free models
-# were re-pinned when a grid of several levels got one power column.
+# _model_digest of each model.  These replaced a pair of text digests (the
+# IR's LP dump and an exact repr of its rows) once that dump was removed;
+# they were computed on the commit whose text digests they replaced.
 MODEL_SHA256 = {
-    ("two_unit", "throughput", "fixed"): (
-        "dcaef805dda2e4ea7236b11f2cfae79015965369db2f79ed0ef9d7e6852128c8",
-        "1428ef7ca65533daaeb410fcb6a36d8a2e66be046c624a9d7d74c664ad96952f",
-    ),
-    ("two_unit", "throughput", "one_free"): (
-        "d66dbbcc5aa303327d341e8bf82cd1572c13203edb77c8c2d46547a42382a951",
-        "3326c29c29500943f8d008c54f0452ba26ef5ebf0a69a0e55f2991262217b2a1",
-    ),
-    ("two_unit", "throughput", "exact"): (
-        "082cb83c25d2f615537571253e2a04e585d02f644227e18dba263bf0ae533552",
-        "32f129cf5b199f4de9fd77eea1a9b984afcd2deff98afc8f3273214624acde7d",
-    ),
-    ("two_unit", "energy", "fixed"): (
-        "44f3b8acfdcbe383fa1e466c73df0393e57fc6e47b747d62ebdb8f742b4873ef",
-        "3772f9c17f59d4f0622789c8baec80b127a77f695adbe964d96a8701ab3defed",
-    ),
-    ("two_unit", "energy", "one_free"): (
-        "4d73682b9c210f4a5a84c4d4b86f6f797cbe96b6cf99347b7645ab23600dbd36",
-        "12fade539e6d8abc15f16b1ef7285b77509ebde0496bb4cc8dcc1cdcb6bcafa9",
-    ),
-    ("two_unit", "energy", "exact"): (
-        "5bf3d3a8e51f99b6280188db66628e01d9fcd98dc8899bbb429a7c522966501e",
-        "4d62d46b3163c0867873ca0a8e8a3ab6a39c9503de673afaa535840bf1e6acc4",
-    ),
-    ("random0", "throughput", "fixed"): (
-        "578ce75fee052507a07f66a4413684b880eed38c8393410af266b8e0335f2d9b",
-        "50268c4afc8e3bbd2ff2857c59aafa952586af45c4c4be5098fd1cd2e9dff164",
-    ),
-    ("random0", "throughput", "one_free"): (
-        "fd8910212c18e912016c94359034a93082667fb639368e177dd5409da6fa3c80",
-        "cdd8412fe2db2bb62e2abf139a16ef0c4d5f15c604e8537994620e300d4e3e28",
-    ),
-    ("random0", "throughput", "exact"): (
-        "7714ce025a7dbd4c02071611a013563d5d0e33842a0d5e90269d1cd8cfd452c6",
-        "5f46039394b1d1ab7615ade9445959f6bef566db711a2f0f3f90dfab715d5a22",
-    ),
-    ("random0", "energy", "fixed"): (
-        "5d0a7a9161f9392e4745b0d2c54102d7c7ac3c346e30a00507854084d4b0e4fa",
-        "0df465f4f5266589f0a5c88183bea0210313662bca2e736d0635e540ae9984ad",
-    ),
-    ("random0", "energy", "one_free"): (
-        "58a17cb47638a3ea3b926fa0affedfecd87e1519475fdb3601f115ba2a56aba9",
-        "a9f017cbf75c5cc1338aba6fb5c0174c5bd2d1c2cf180eb6ff352cebf9867b67",
-    ),
-    ("random0", "energy", "exact"): (
-        "be3bc897a4dca04eb4ab9b9a0b103a1a995013afcf441fa882c50f6f699eb9d2",
-        "196faa904a8f9a625a87cf6a45fb6fb27f5a67602baba40d43816562bc3cebf3",
-    ),
-    ("random1", "throughput", "fixed"): (
-        "bc0fede05a011f3452beb90af2671e9098cbb55a916dc65213f9737ce8cf6b12",
-        "5f1a6f4e250a21295a41ea381f7353c8e014f3053710c4f0e59462d017159f4d",
-    ),
-    ("random1", "throughput", "one_free"): (
-        "2de1a48ac14df7b6c753ffe285571e25279376c453f8b399b997429bf84e0974",
-        "37d54cd97b4e0cda66888c1e27f043096dcb098e4903b18ff9c456ad46fa2b32",
-    ),
-    ("random1", "throughput", "exact"): (
-        "a3bdb2783b91ae1d4805f5620731fc04794bbe9622a84d5fc717ffe675d23103",
-        "4ee3914cadbaf5be6a7ebf6bfeb0450bf512af41a5bdc29a5322e0ce7b60abcd",
-    ),
-    ("random1", "energy", "fixed"): (
-        "fddad55df954b90aa0a0b8c254f1a02ccde33b19b4793a6642faaf8167830d76",
-        "ee09c3eb70f660c1e19dbd18e1ddd82f75af5310e3661a0c4ae5f12df1725f30",
-    ),
-    ("random1", "energy", "one_free"): (
-        "734ba1062c0d57031a17fb86d6a5edcefcaca7722eadcd91afef51a01babfd38",
-        "3fcb0fb682be63b8d32c8c4f08d3790a4c1b5e99597732337838bbe7a6864be8",
-    ),
-    ("random1", "energy", "exact"): (
-        "1fa513ac054fc9f07b5e35645d4372782eb0edd55291542f6f51aed40e3717b4",
-        "3ddc1a50dd8f43ad2f8d81dc8337ced7cddd20d70b79d0d5ee4a8360efcfc01d",
-    ),
-    ("random2", "throughput", "fixed"): (
-        "918f3511460821c7566e9faa9a836a3b59ee319d8d18baabec6a443625b5258a",
-        "dd82af81ddf7baca44396b4fc0ef50c48fae116a60886969bc60c899dd370321",
-    ),
-    ("random2", "throughput", "one_free"): (
-        "f7cb3b8b2b37a6c62bc874399fe0df7e1df78d2315f4f4f7f51eec25318433c2",
-        "f113a1444b92e0790853e10eddd145acdd11bbcf762877679926c5dfa898fc2b",
-    ),
-    ("random2", "throughput", "exact"): (
-        "03e83ca168f6e1490060b202444ce2cd57952f460d80f10c257a11c79269a66e",
-        "4c81ab11b9614d5a98e839a4a49f2ef52819f039d20d65e76a389cb38bfeaf20",
-    ),
-    ("random2", "energy", "fixed"): (
-        "e831e34a923e6d970588c2e27f300bf98689853aad92b046099be219c4a4c3f6",
-        "ca7624429a6d888b80f0f5f42ae2ff7493fa5f0a7cc0b0026740bbfcdac16262",
-    ),
-    ("random2", "energy", "one_free"): (
-        "7d4829fdfd4e4bda7c1dcbe5a7f25a1929833a42738d8793d2cead7381cae6a4",
-        "e0f786340ed47a50e75e9c66d1798aa53318f313335e71066a4c36a3d1bafb61",
-    ),
-    ("random2", "energy", "exact"): (
-        "6b2bfd08f9abfef2f25e92e280dd24a8ea84629007af8c7dcbccbe4b5e1a997c",
-        "df4ab2bd29a6a7dc37348db13e0bd224b41a03ad1a1a979ed96ed81520333dd2",
-    ),
+    ("two_unit", "throughput", "fixed"):
+        "ffd10368a19e5b322ddea59a8cfbf2fd9fbe9888f3c4d34951a0eee9cbe740fe",
+    ("two_unit", "throughput", "one_free"):
+        "07d13c7a771b03d3d0829c144ec45728bc2d3d66342f6d7cd59f5bd1855e5c1b",
+    ("two_unit", "throughput", "exact"):
+        "32b0cd0cce6a2f9a7f999fb532bd68903e32b7dc2a35e15bace4042d94bca8ed",
+    ("two_unit", "energy", "fixed"):
+        "b6fe0d6ff9352ac61d94e088bc0284b1d42e096fba072c7c254ee88a03cf150d",
+    ("two_unit", "energy", "one_free"):
+        "a0d93c2c89bd446f589952d4b9d528aa7cceb43cc3b99d576b7eb02172968a96",
+    ("two_unit", "energy", "exact"):
+        "f3583f400a3c642c50ef171663e433df9fdcf6aba083c45ffe7602df99ef5a9a",
+    ("random0", "throughput", "fixed"):
+        "6d74d0d19e2bad89fc0aa1402b29d427d79d031767ae79b2efbe6489601a187a",
+    ("random0", "throughput", "one_free"):
+        "b3688725d2a508c29b774ce5c8181c3e86eda3e5bba14c54c79ae69ef4600341",
+    ("random0", "throughput", "exact"):
+        "55f4697e7f89375328af5b57497210b553a66b2ae6427d0e96b851caa45d2d43",
+    ("random0", "energy", "fixed"):
+        "007cd5c64ac8861c52e2b24532edf3b8e72e5928f9596d97476b1fea209dba22",
+    ("random0", "energy", "one_free"):
+        "931c05009637e4f3e569be60334c58b6b13b5de3eaecc73c369b0f6e9ff4aacd",
+    ("random0", "energy", "exact"):
+        "11c3b1b80150e640f15d0c6db6bdc62dce68ad780e21d323263808e1550af6a3",
+    ("random1", "throughput", "fixed"):
+        "5e9e77475256aa9d6309c881c1dd320930b4c9bcd73c0f6aca0d8f80f12c3d45",
+    ("random1", "throughput", "one_free"):
+        "fd373fd06fb488847f71e4a5e421f0b7633a5f86d4b9eb4df93121c396bc1b4d",
+    ("random1", "throughput", "exact"):
+        "e7aad0d33fbefb675d6212293b3f82a21a9131653bba56097c4e3111413067d3",
+    ("random1", "energy", "fixed"):
+        "1cf2677dc3b9338426d017957d4dedd0858b117fc1fa01fc302a2348a33bc9a6",
+    ("random1", "energy", "one_free"):
+        "933bf29676388327e840da32e5a4856aad861c9f080ff14a2af53ae6c6e46f5f",
+    ("random1", "energy", "exact"):
+        "4ff6d7b41308f864098599430ecd42ff6bae5467efc9cf3d54024c87deb279e9",
+    ("random2", "throughput", "fixed"):
+        "682c133d03667eef0594b84939f91515fae2383528088118dcfcb8e34f3582f5",
+    ("random2", "throughput", "one_free"):
+        "98bf41434e95984009bc60141fad75220ccd11ba5ccc4871f12fabb80d84d469",
+    ("random2", "throughput", "exact"):
+        "3e841940e3ce655783f6b69e27dfe46ca565485e72b0d3d53ad84bfc941edca3",
+    ("random2", "energy", "fixed"):
+        "19e15e6b5b21e9da1528b487915ba6c4e777fd60f7e93041460b0f064f4b6742",
+    ("random2", "energy", "one_free"):
+        "b2e205c30f70a31ef39c86358ba841c589d6cdd9f3340965e58500f6cdf14967",
+    ("random2", "energy", "exact"):
+        "e93e775b4b39dd8ea56d8969413108bacbb2fd0435a9f26de1b4f23d57dd38e0",
 }
 
 # Fixed powers cycle through these, in frontend id order.
@@ -145,21 +96,31 @@ def _build_args(inst, mode):
     return inst, None
 
 
-def _exact_text(ir):
-    rows = [(c.name, c.terms, c.sense.value, c.rhs) for c in ir.constraints]
-    kinds = ["binary" if b else "continuous" for b in ir.binary.tolist()]
-    cols = list(zip(ir.var_names, kinds, ir.lb.tolist(), ir.ub.tolist()))
-    return repr((rows, cols, (ir.objective.sense, ir.objective.terms, ir.objective.constant)))
+def _hash(arrays):
+    """sha256 object fed the dtype, shape and bytes of each of ``arrays``."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h
+
+
+def _model_digest(ir):
+    """sha256 of a model IR's names, columns, rows and objective."""
+    codes, rhs = ir._join()[3:]  # each row's sense code and right-hand side
+    obj = ir.objective
+    return _hash((
+        ir.var_names, ir.binary, ir.lb, ir.ub, ir.row_names, *ir.coo(), codes, rhs,
+        obj.sense, obj.cols, obj.coefs, obj.constant,
+    )).hexdigest()
 
 
 @pytest.mark.parametrize("name, problem, mode", list(MODEL_SHA256))
 def test_model_pinned(name, problem, mode):
     inst, fixed = _build_args(_instance(name), mode)
     ir = milp.build(inst, problem, fixed).ir
-    digests = tuple(
-        hashlib.sha256(text.encode()).hexdigest() for text in (ir.lp_text(), _exact_text(ir))
-    )
-    assert digests == MODEL_SHA256[(name, problem, mode)]
+    assert _model_digest(ir) == MODEL_SHA256[(name, problem, mode)]
 
 
 def _highs_digest(kwargs):
@@ -171,11 +132,7 @@ def _highs_digest(kwargs):
     )
     if len(kwargs["seed"]):
         arrays += (kwargs["seed"],)
-    h = hashlib.sha256()
-    for a in arrays:
-        a = np.asarray(a)
-        h.update(f"{a.dtype.str}{a.shape}".encode())
-        h.update(a.tobytes())
+    h = _hash(arrays)
     h.update(repr(kwargs["options"]).encode())
     h.update(repr(kwargs["stop"]).encode())
     return h.hexdigest()

@@ -22,14 +22,16 @@ unsound bound gives a wrong answer, not just a skipped trial.  The script
 solves each full model of both problems with that stop and without it,
 and checks that both reach one optimum.  It also solves the full
 throughput model without its all-max-power seed, and checks that this
-reaches the optimum of the seeded solve.
+reaches the optimum of the seeded solve.  Each stopped answer must pass
+extraction, and the coefficients HiGHS dropped at load are summed.
 
 A check fails when the optimum beats the bound, or when two optima of one
 model differ, by more than extraction's tolerance, 1e-6 relative with a
-floor of 1.  The script prints one line per failure and
-a summary line of counts, and exits 1 if any check failed.  The 20 seeds
-above (120 instances) take about 330 s on a 2-vCPU VM; the script is
-not part of the tier-1 tests, but CI runs it on seeds 100-102.
+floor of 1, or when a stopped answer fails extraction.  The script prints
+one line per failure and a summary line of counts, and exits 1 if any
+check failed.  The 20 seeds above (120 instances) take about 300 s on a
+2-vCPU VM; the script is not part of the tier-1 tests, but CI runs it on
+seeds 100-102.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from iabtopo import milp, oracle, scenario  # noqa: E402
 from iabtopo.capacity import default_table  # noqa: E402
-from iabtopo.errors import NoFeasible  # noqa: E402
+from iabtopo.errors import ExtractionMismatch, NoFeasible  # noqa: E402
 from iabtopo.milp import SolverOptions  # noqa: E402
 from iabtopo.problem import DiscretePower, ProblemInstance, SolveStatus  # noqa: E402
 
@@ -99,11 +101,21 @@ def check_stop(inst: ProblemInstance, counts: Counter, what: str) -> None:
     """Each full model reaches one optimum with HiGHS stopped at its bound and without.
 
     The stopped throughput answer, which starts from the model's seed, is
-    also held against the answer without the seed.
+    also held against the answer without the seed.  Each stopped answer
+    must pass extraction, and the coefficients HiGHS dropped at load are
+    summed.
     """
     for problem, _ in PROBLEMS:
         built = milp.build(inst, problem)
         stopped = milp.solve(built.ir, SolverOptions(time_limit_s=60.0))
+        counts["dropped coefficients"] += stopped.dropped
+        if stopped.values is not None:
+            try:
+                milp.extract_solution(built, stopped)
+            except ExtractionMismatch as exc:
+                counts["extraction failures"] += 1
+                counts["violations"] += 1
+                print(f"{what} {problem} full: extraction fails: {exc}")
         bound, built.ir.bound = built.ir.bound, None
         plain = milp.solve(built.ir, SolverOptions(time_limit_s=60.0))
         where = f"{what} {problem} full"
@@ -152,7 +164,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=_seed_range, default=_seed_range("100-119"),
                         help="scenario seeds, FIRST-LAST (default 100-119)")
     args = parser.parse_args(argv)
-    counts = Counter(violations=0)
+    counts = Counter({"violations": 0, "extraction failures": 0, "dropped coefficients": 0})
     for seed in args.seeds:
         rng = np.random.default_rng(seed)
         for hour in HOURS:
