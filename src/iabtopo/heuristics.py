@@ -30,7 +30,9 @@ Selective reduction shrinks the routing edge set to each receiver's top-k
 ranked incoming links and re-solves the exact model, widening k until
 feasible (for throughput: until every UE has a donor path that carries a
 rate).  Interference always accumulates over the full graph, so a
-pruned-feasible solution stays feasible unpruned.
+pruned-feasible solution stays feasible unpruned.  For throughput it
+first runs the throughput search once on the unpruned instance, and
+every k's exact model starts from the search's powers.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .milp import SolverOptions
 from .problem import (
     ContinuousPower,
     DiscretePower,
+    FixedPower,
     NetworkSolution,
     ProblemInstance,
     SolveStatus,
@@ -358,6 +361,11 @@ def selective_reduction(
     A k whose throughput rate bound is 0 (Z = 0 feasible, but a UE
     without a donor path that carries a rate) is widened without a build.
 
+    For throughput with free powers, the throughput search runs first on
+    the unpruned instance, on the same clock, and each exact model starts
+    from its powers (``milp.build(..., start=)``); without a feasible
+    start point the exact models keep their all-max seed.
+
     Returns the solution and the retention count that produced it.  The
     solution is extracted against the unpruned instance, so extraction's
     oracle check covers the full graph (the model's interference terms
@@ -367,6 +375,12 @@ def selective_reduction(
         raise ValueError(f"unknown problem kind {problem_kind!r}")
     options = options or SearchOptions()
     clock = _Clock(options.global_budget_s)
+    start = None
+    if problem_kind == milp.THROUGHPUT and not isinstance(instance.power_mode, FixedPower):
+        try:
+            start = _throughput_search(instance, options, clock)[0].curr_best_sol
+        except NoFeasibleStart:
+            pass
 
     for k in range(prune_params.k0, prune_params.k_max + 1):
         pruned = prune_graph(instance.graph, k, instance.radio)
@@ -376,7 +390,7 @@ def selective_reduction(
             and milp.model_bound(instance, problem_kind, routing_edges=retained) == 0.0
         ):
             continue  # some UE has no donor path that carries a rate
-        built = milp.build(instance, problem_kind, routing_edges=retained)
+        built = milp.build(instance, problem_kind, routing_edges=retained, start=start)
         raw = milp.solve(built.ir, options.solver(clock.remaining()))
         if raw.status is not SolveStatus.INFEASIBLE:
             return milp.extract_solution(built, raw), k

@@ -22,10 +22,14 @@ from .extract import extract_solution, frontend_powers
 from .ir import ModelIR, Sense, VarKind
 
 
-def build(instance, problem, fixed_powers=None, routing_edges=None) -> BuiltModel:
-    """``problem``'s model, from this package's builder attribute, so its wrappers see it."""
+def build(instance, problem, fixed_powers=None, routing_edges=None, start=None) -> BuiltModel:
+    """``problem``'s model, from this package's builder attribute, so its wrappers see it.
+
+    ``start`` (mW by frontend id, throughput only) is handed on only when given.
+    """
     builder = build_throughput_model if problem == THROUGHPUT else build_energy_model
-    return builder(instance, fixed_powers=fixed_powers, routing_edges=routing_edges)
+    given = {} if start is None else {"start": start}
+    return builder(instance, fixed_powers=fixed_powers, routing_edges=routing_edges, **given)
 
 
 __all__ = [

@@ -122,11 +122,12 @@ def milp(c, *, integrality, bounds, constraints, options, seed=(), stop=None) ->
     limit with an incumbent, and ``mip_*`` fields only for a MIP with
     ``x``.  It reads no basis or duals.  ``dropped`` is ``_load``'s count.
 
-    ``seed`` (column indices; scipy has no such argument) adds a first
-    run on the same instance with those columns pinned at their upper
-    bounds.  Its point, when it finds one, starts the full run
-    (``setSolution``), and its seconds come out of ``time_limit``, so the
-    full run gets what is left.  The answer is the full run's.
+    ``seed`` (column indices and their values; scipy has no such
+    argument) adds a first run on the same instance with each of those
+    columns pinned at its value.  Its point, when it finds one, starts
+    the full run (``setSolution``), and its seconds come out of
+    ``time_limit``, so the full run gets what is left.  The answer is the
+    full run's.
 
     ``stop`` (scipy has none either) is a proven bound on ``c @ x``.  A
     ``kCallbackMipInterrupt`` callback ends the run once the incumbent's
@@ -154,7 +155,8 @@ def milp(c, *, integrality, bounds, constraints, options, seed=(), stop=None) ->
         highs.setCallback(interrupt, None)
         highs.startCallback(cb.HighsCallbackType.kCallbackMipInterrupt)
     if loaded and len(seed):
-        _start_from_seed(highs, np.asarray(seed, dtype=np.int32), bounds)
+        cols, values = seed
+        _start_from_seed(highs, np.asarray(cols, dtype=np.int32), values, bounds)
     ran = loaded and highs.run() != HighsStatus.kError
     # scipy reports a model HiGHS refuses to load as a model error.
     model_status = highs.getModelStatus() if loaded else _MS.kModelError
@@ -187,16 +189,16 @@ def milp(c, *, integrality, bounds, constraints, options, seed=(), stop=None) ->
     return res
 
 
-def _start_from_seed(highs, seed: np.ndarray, bounds) -> None:
-    """Run with the ``seed`` columns at their upper bounds; its point starts the next run.
+def _start_from_seed(highs, cols: np.ndarray, values: np.ndarray, bounds) -> None:
+    """Run with each of ``cols`` pinned at its value; the run's point starts the next run.
 
     The next run gets the time limit less this run's seconds.
     """
-    n = len(seed)
-    highs.changeColsBounds(n, seed, bounds.ub[seed], bounds.ub[seed])
+    n = len(cols)
+    highs.changeColsBounds(n, cols, values, values)
     ran = highs.run() != HighsStatus.kError
     start = highs.getSolution()
-    highs.changeColsBounds(n, seed, bounds.lb[seed], bounds.ub[seed])
+    highs.changeColsBounds(n, cols, bounds.lb[cols], bounds.ub[cols])
     _, limit = highs.getOptionValue("time_limit")
     highs.setOptionValue("time_limit", max(limit - highs.getRunTime(), 0.0))
     if ran and highs.getInfo().primal_solution_status == kSolutionStatusFeasible:

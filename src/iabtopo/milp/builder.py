@@ -50,13 +50,17 @@ bound on the model IR, ``ir.bound``, which ``BuiltModel.bound`` reads:
 HiGHS is handed it and stops once its incumbent meets it.
 
 A throughput model in which every frontend's power is free (the exact
-model) carries a seed, ``ir.seed``: each frontend's power column at its
-upper bound (``ptx`` at p_max, or the binary of its grid's top level).
-HiGHS first solves the model with those columns pinned, which is the
-all-max-power flow problem, and starts the full solve from that point.
-Models with a fixed power carry none, and nor do energy models: on the
-benchmark's exact energy solves an all-max start saved nothing clear
-and slowed the demo's hour 6.
+model) carries a seed, ``ir.seed``: columns and the values that pin each
+frontend's power.  By default that is every frontend at its top power
+(``ptx`` at p_max, or the binary of its grid's top level at 1).  Given
+``start`` powers, ``ptx`` is pinned at the power, and on a grid the
+binary of the power's level at 1, or every level binary of a frontend
+started at 0 at 0; selective reduction starts from the throughput
+search's powers this way.  HiGHS first solves the model with those
+columns pinned, which is the fixed-power flow problem at that point, and
+starts the full solve from its answer.  Models with a fixed power carry
+none, and nor do energy models: on the benchmark's exact energy solves
+an all-max start saved nothing clear and slowed the demo's hour 6.
 
 Models are built from arrays.  Each graph's channel gains are computed
 once per radio and shared by every model built on it; every edge's
@@ -170,14 +174,17 @@ def build_throughput_model(
     instance: ProblemInstance,
     fixed_powers: Mapping[int, float] | None = None,
     routing_edges: Iterable[EdgeKey] | None = None,
+    start: Mapping[int, float] | None = None,
 ) -> BuiltModel:
     """Maximize the smallest per-UE rate over tree, airtime and power choices.
 
     ``fixed_powers`` pins individual frontends regardless of the instance's
     power mode; ``routing_edges`` restricts which edges may carry traffic
-    (interference still accumulates over the full graph).
+    (interference still accumulates over the full graph).  ``start`` (mW
+    by frontend id) is the seed's point when every power is free, in place
+    of every top power.
     """
-    return _build(instance, THROUGHPUT, fixed_powers, routing_edges)
+    return _build(instance, THROUGHPUT, fixed_powers, routing_edges, start)
 
 
 def build_energy_model(
@@ -373,6 +380,7 @@ def _build(
     problem: str,
     fixed_powers: Mapping[int, float] | None,
     routing_edges: Iterable[EdgeKey] | None,
+    start: Mapping[int, float] | None = None,
 ) -> BuiltModel:
     commodities, reps, emit, lad, wired, bound = _head(
         instance, problem, fixed_powers, routing_edges
@@ -430,7 +438,7 @@ def _build(
     if problem == ENERGY:
         _finish_energy(built, lad)
     else:
-        _finish_throughput(built, lad)
+        _finish_throughput(built, lad, start)
     return built
 
 
@@ -598,7 +606,9 @@ def _emit_conservation(ir, g, problem, commodities, routing, flows) -> None:
     ir.add_rows(names, Sense.EQ, rhs, *out.coo())
 
 
-def _finish_throughput(built: BuiltModel, lad: _Ladders) -> None:
+def _finish_throughput(
+    built: BuiltModel, lad: _Ladders, start: Mapping[int, float] | None
+) -> None:
     ir, reps, v0, flows = built.ir, built.power_reps, built.v0, built.flows
     commodities = built.commodities
     c_max = built.instance.capacity_table.max_capacity_mbps
@@ -624,9 +634,32 @@ def _finish_throughput(built: BuiltModel, lad: _Ladders) -> None:
     )
     ir.set_objective("max", [z], [1.0])
     if (reps.var >= 0).all():
-        # Every power is free: seed at every frontend's top power, its
-        # ptx column or its grid's top level, the last level declared.
-        ir.seed = np.maximum(reps.cont, reps.level_col.max(axis=1, initial=-1))
+        ir.seed = _seed(reps, start)
+
+
+def _seed(reps: _Reps, start: Mapping[int, float] | None):
+    """(columns, values) that pin every free power at ``start``, or at its top.
+
+    ``ptx`` is pinned at the power itself; on a grid, the binary of the
+    power's level is pinned at 1, or every level binary at 0 for power 0.
+    """
+    cols, values = [], []
+    for fid, j in reps.col.items():
+        p = reps.hi[j] if start is None else start[fid]
+        lam = reps.level_col[j][reps.level_col[j] >= 0]
+        if reps.cont[j] >= 0:
+            cols.append(reps.cont[j])
+            values.append(p)
+        elif p > 0:
+            at = np.flatnonzero(reps.level_mw[j, :len(lam)] == p)
+            if at.size != 1:
+                raise ValueError(f"frontend {fid}: start power {p} mW is not a grid level")
+            cols.append(lam[at[0]])
+            values.append(1.0)
+        else:
+            cols.extend(lam)
+            values.extend([0.0] * len(lam))
+    return np.array(cols, dtype=np.int64), np.array(values, dtype=float)
 
 
 def _rate_bound(

@@ -81,9 +81,9 @@ class ModelIR:
         self.lb = np.zeros(0)
         self.ub = np.zeros(0)
         self.objective = Objective()
-        # Columns a first HiGHS run pins at their upper bounds; its point
-        # starts the full solve (empty: no such run).
-        self.seed = np.zeros(0, dtype=np.int64)
+        # (columns, values) a first HiGHS run pins; its point starts the
+        # full solve (empty: no such run).
+        self.seed: tuple = ()
         # Proven bound on the objective (model sense, constant included): no
         # feasible point beats it, and HiGHS stops once its incumbent meets
         # it (None: no bound).

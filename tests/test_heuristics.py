@@ -680,9 +680,11 @@ def test_selective_reduction_widens_k_while_a_ue_is_cut_off(monkeypatch):
     assert milp.model_bound(inst, milp.THROUGHPUT, routing_edges=retained) == 0.0
     build, builds = milp.build_throughput_model, []
 
-    def counting(instance, fixed_powers=None, routing_edges=None):
-        builds.append(sorted(routing_edges))
-        return build(instance, fixed_powers, routing_edges)
+    def counting(instance, fixed_powers=None, routing_edges=None, **kwargs):
+        # Only exact builds restrict routing; the search's trials do not.
+        if routing_edges is not None:
+            builds.append(sorted(routing_edges))
+        return build(instance, fixed_powers, routing_edges, **kwargs)
 
     monkeypatch.setattr(milp, "build_throughput_model", counting)
     sol, k_used = selective_reduction(inst, PruneParams(1, 3), "throughput", FAST)
@@ -693,6 +695,49 @@ def test_selective_reduction_widens_k_while_a_ue_is_cut_off(monkeypatch):
     with pytest.raises(NoFeasibleWithinKmax):
         selective_reduction(inst, PruneParams(1, 1), "throughput", FAST)
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize(
+    "mode", [ContinuousPower(), DiscretePower(_GRID)], ids=["continuous", "grid"]
+)
+def test_selective_reduction_starts_from_the_search_powers(mode, monkeypatch):
+    # Throughput selective reduction runs the search once and hands each
+    # exact solve a seed at the search's final powers: ptx at the power,
+    # or on a grid the binary of the power's level at 1 and every level
+    # binary of a frontend the search switched off at 0.
+    inst = two_unit_instance().with_power_mode(mode)
+    search, searched = heuristics._throughput_search, []
+    highs, seeds = backend.milp, []
+
+    def recording_search(*args):
+        state, iteration = search(*args)
+        searched.append(dict(state.curr_best_sol))
+        return state, iteration
+
+    def recording_milp(**kwargs):
+        if len(kwargs["seed"]):
+            seeds.append(kwargs["seed"])
+        return highs(**kwargs)
+
+    monkeypatch.setattr(heuristics, "_throughput_search", recording_search)
+    monkeypatch.setattr(backend, "milp", recording_milp)
+    sol, _k = selective_reduction(inst, PruneParams(1, 3), "throughput", FAST)
+    assert validate_solution(inst, sol).ok
+
+    (powers,) = searched
+    assert sorted(powers.values()) == [0.0, 6300.0]
+    if isinstance(mode, ContinuousPower):
+        want = {f"ptx[{f}]": p for f, p in powers.items()}
+    else:
+        want = {}
+        for f, p in powers.items():
+            levels = range(len(_GRID) - 1) if p == 0 else [_GRID.index(p) - 1]
+            want.update({f"lam[{f},{i}]": float(p > 0) for i in levels})
+    # The power block comes first in every model, so any build names it.
+    names = milp.build(inst, milp.THROUGHPUT).ir.var_names
+    assert seeds
+    for cols, values in seeds:
+        assert dict(zip((names[c] for c in cols.tolist()), values.tolist())) == want
 
 
 def test_pruned_feasibility_monotone_in_k():

@@ -289,13 +289,13 @@ def test_seeded_solve_ends_within_its_time_limit(monkeypatch):
     xs = ir.add_vars([f"x{i}" for i in range(n)], VarKind.BINARY)
     ir.add_rows(["sum"], Sense.EQ, weights.sum() // 2 + 1, np.zeros(n, dtype=int), xs, weights)
     ir.set_objective("max", xs, np.ones(n))
-    ir.seed = np.array([0])
+    ir.seed = (np.array([0]), np.array([1.0]))
     pinned = []
     start_from_seed = backend._start_from_seed
 
-    def spy(highs, seed, *args):
-        pinned.append(seed.tolist())
-        start_from_seed(highs, seed, *args)
+    def spy(highs, cols, *args):
+        pinned.append(cols.tolist())
+        start_from_seed(highs, cols, *args)
 
     monkeypatch.setattr(backend, "_start_from_seed", spy)
     limit = 0.5

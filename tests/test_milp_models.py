@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from iabtopo import milp, oracle
+from iabtopo import heuristics, milp, oracle
 from iabtopo.capacity import capacity_from_sinr, ladder_position
 from iabtopo.channel import (
     RadioParams,
@@ -16,6 +16,7 @@ from iabtopo.channel import (
 from iabtopo.energy import PowerModelParams
 from iabtopo.errors import EmptyCommodities, ExtractionMismatch, NoFeasible, UnsupportedMode
 from iabtopo.graph import Commodity, Edge, EdgeKind, Node, NodeKind, build_graph
+from iabtopo.heuristics import SearchOptions
 from iabtopo.milp import SolverOptions, builder
 from iabtopo.oracle import validate_solution
 from iabtopo.problem import (
@@ -685,8 +686,9 @@ def test_exact_throughput_seed_is_every_top_power(mode):
     inst = two_unit_instance().with_power_mode(mode)
     built = milp.build(inst, milp.THROUGHPUT)
     fids = sorted(built.power_reps.col)
-    seed = built.ir.seed
+    seed, values = built.ir.seed
     names = [built.ir.var_names[i] for i in seed.tolist()]
+    assert (values == built.ir.ub[seed]).all()
     if isinstance(mode, ContinuousPower):
         assert names == [f"ptx[{f}]" for f in fids]
         assert (built.ir.ub[seed] == inst.radio.p_max_mw).all()
@@ -694,6 +696,24 @@ def test_exact_throughput_seed_is_every_top_power(mode):
         top = len(mode.levels_mw) - 2
         assert names == [f"lam[{f},{top}]" for f in fids]
         assert built.ir.binary[seed].all() and (built.ir.ub[seed] == 1.0).all()
+
+    # Started at given powers, the seed pins ptx at each power; on a grid
+    # it pins the binary of each power's level at 1, or every level binary
+    # of a frontend started at 0 at 0.  A power off the grid is refused.
+    low = mode.levels_mw[1] if isinstance(mode, DiscretePower) else 1234.5
+    start = {fids[0]: 0.0, fids[1]: low}
+    seed, values = milp.build(inst, milp.THROUGHPUT, start=start).ir.seed
+    pinned = dict(zip((built.ir.var_names[i] for i in seed.tolist()), values.tolist()))
+    if isinstance(mode, ContinuousPower):
+        assert pinned == {f"ptx[{fids[0]}]": 0.0, f"ptx[{fids[1]}]": low}
+    else:
+        levels = len(mode.levels_mw) - 1
+        assert pinned == {
+            **{f"lam[{fids[0]},{i}]": 0.0 for i in range(levels)},
+            f"lam[{fids[1]},{mode.levels_mw.index(low) - 1}]": 1.0,
+        }
+        with pytest.raises(ValueError, match="not a grid level"):
+            milp.build(inst, milp.THROUGHPUT, start={**start, fids[1]: 1000.0})
 
     all_max = {f: 6300.0 for f in fids}
     one_free = {f: 6300.0 for f in fids[1:]}
@@ -705,7 +725,7 @@ def test_exact_throughput_seed_is_every_top_power(mode):
     if not isinstance(mode, ContinuousPower):
         trials += [(milp.ENERGY, inst, powers) for powers in (None, all_max, one_free)]
     for problem, model, powers in trials:
-        assert milp.build(model, problem, powers).ir.seed.size == 0
+        assert milp.build(model, problem, powers).ir.seed == ()
 
 
 def _seeded_instances():
@@ -728,11 +748,29 @@ def test_seeded_and_unseeded_solves_reach_one_optimum():
     # validates.
     for inst in _seeded_instances():
         built = milp.build(inst, milp.THROUGHPUT)
-        assert built.ir.seed.size
+        assert built.ir.seed
         seeded = milp.solve(built.ir, SolverOptions(time_limit_s=60))
         solution = milp.extract_solution(built, seeded)
         assert validate_solution(inst, solution).ok
-        built.ir.seed = built.ir.seed[:0]
+        built.ir.seed = ()
         plain = milp.solve(built.ir, SolverOptions(time_limit_s=60))
         assert seeded.status is plain.status is SolveStatus.OPTIMAL
         assert seeded.objective == pytest.approx(plain.objective, rel=1e-6)
+
+
+def test_search_started_solves_reach_the_seeded_optimum():
+    # Started at the throughput search's powers, as selective reduction
+    # starts it, the exact model reaches the all-max-seeded optimum, and
+    # its answer extracts and validates.
+    options = SearchOptions(solve_time_limit_s=20.0, global_budget_s=120.0)
+    for inst in _seeded_instances():
+        state, _ = heuristics._throughput_search(inst, options, heuristics._Clock(120.0))
+        started = milp.build(inst, milp.THROUGHPUT, start=state.curr_best_sol)
+        default = milp.build(inst, milp.THROUGHPUT)
+        assert started.ir.seed
+        raw = milp.solve(started.ir, SolverOptions(time_limit_s=60))
+        solution = milp.extract_solution(started, raw)
+        assert validate_solution(inst, solution).ok
+        seeded = milp.solve(default.ir, SolverOptions(time_limit_s=60))
+        assert raw.status is seeded.status is SolveStatus.OPTIMAL
+        assert raw.objective == pytest.approx(seeded.objective, rel=1e-6)

@@ -131,7 +131,7 @@ def _highs_digest(kwargs):
         con.A.indptr, con.A.indices, con.A.data, con.lb, con.ub,
     )
     if len(kwargs["seed"]):
-        arrays += (kwargs["seed"],)
+        arrays += tuple(kwargs["seed"])  # its columns, then their values
     h = _hash(arrays)
     h.update(repr(kwargs["options"]).encode())
     h.update(repr(kwargs["stop"]).encode())
@@ -143,14 +143,16 @@ def _highs_digest(kwargs):
 # their all-max-power seed: their arrays and options are unchanged, and
 # the digest now also hashes the seed's columns.  Every entry was re-pinned
 # when models handed HiGHS their proven bound as a stop target: each
-# digest without the stop's bytes equals the entry before.
+# digest without the stop's bytes equals the entry before.  The four exact
+# throughput entries were re-pinned again when the seed became columns
+# and values: each digest without the seed's bytes is unchanged.
 HIGHS_SHA256 = {
     ("two_unit", "throughput", "fixed"):
         "5d0a00c0388ec5ff0d82f3b50ba46da96985b8e5837a567bc3f48a2506890e7f",
     ("two_unit", "throughput", "one_free"):
         "de050ca85f118d257f16f5b2bdf755be8d622b7a490786b308685ef26020d64f",
     ("two_unit", "throughput", "exact"):
-        "a3345a686ee9f6942beb55c4cf968ed7664c650d056bca29d35221c99c658a8e",
+        "1b666bf0796860b1766fafb240e1221c800d3bc57efb799eeb84fcc25114bfde",
     ("two_unit", "energy", "fixed"):
         "ff65629e13f28626e3509d835baea4a8cb397dbd1c381c48bb8dff01ad793717",
     ("two_unit", "energy", "one_free"):
@@ -162,7 +164,7 @@ HIGHS_SHA256 = {
     ("random0", "throughput", "one_free"):
         "d70ce68313a25b7e8161f912172856d2ebb787af97e7deaa083f41000c4f11ee",
     ("random0", "throughput", "exact"):
-        "5f22bf2b1d88edb802632c87178034b3403da0bb47aee408d5ff5f3727fad310",
+        "0c16b0a5f51ec032d5595f359b662adf30cac9c6763c21b028c86016b51d48e1",
     ("random0", "energy", "fixed"):
         "14d3e8afe2c1e25cb8f940dbe4eac8a6091c53dabfc9f2a3246d684c47198856",
     ("random0", "energy", "one_free"):
@@ -174,7 +176,7 @@ HIGHS_SHA256 = {
     ("random1", "throughput", "one_free"):
         "e9c345130b6b4dd746319cb431e15cda1a881ad797ecdf0e395fbf5bebcc91ec",
     ("random1", "throughput", "exact"):
-        "a47ae38051e4d076b7cecdd4b8002039d0b7fdc5ed475d10ac01301cfd5d1f22",
+        "0c783b6ff76c3f7440b9facf07ba85b7deb11d392a825e12fbea3be3d9376d68",
     ("random1", "energy", "fixed"):
         "da6fec4bea2ee077e645292f1fff81327cdfb842bdec96424da2d4be3e8b2d77",
     ("random1", "energy", "one_free"):
@@ -186,7 +188,7 @@ HIGHS_SHA256 = {
     ("random2", "throughput", "one_free"):
         "82e0fd059b1bf9c22081ad371c91d8df4dd77c30b75d99dbc3b7cfac69468eb1",
     ("random2", "throughput", "exact"):
-        "6bb6eebaea8367e433d993850db6019309e1ff41ca640236f10924eb1f3712c7",
+        "443e588e08e683cc6220b44efc3236f768e73d1abf0e5a8306edcdc79ccaa568",
     ("random2", "energy", "fixed"):
         "4abf2cabb0ab706f735d0794dc61061e5ae3bdb552e17cabd90c8c33b1345e49",
     ("random2", "energy", "one_free"):

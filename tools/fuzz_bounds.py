@@ -22,14 +22,17 @@ unsound bound gives a wrong answer, not just a skipped trial.  The script
 solves each full model of both problems with that stop and without it,
 and checks that both reach one optimum.  It also solves the full
 throughput model without its all-max-power seed, and checks that this
-reaches the optimum of the seeded solve.  Each stopped answer must pass
-extraction, and the coefficients HiGHS dropped at load are summed.
+reaches the optimum of the seeded solve; and started at the random
+fixed powers above, as selective reduction starts it at the search's
+powers, and checks that this reaches the unseeded optimum.  Each stopped
+and each started answer must pass extraction, and the coefficients HiGHS
+dropped at load are summed.
 
 A check fails when the optimum beats the bound, or when two optima of one
 model differ, by more than extraction's tolerance, 1e-6 relative with a
-floor of 1, or when a stopped answer fails extraction.  The script prints
+floor of 1, or when a stopped or started answer fails extraction.  The script prints
 one line per failure and a summary line of counts, and exits 1 if any
-check failed.  The 20 seeds above (120 instances) take about 300 s on a
+check failed.  The 20 seeds above (120 instances) take about 430 s on a
 2-vCPU VM; the script is not part of the tier-1 tests, but CI runs it on
 seeds 100-102.
 """
@@ -97,36 +100,52 @@ def _same_optimum(kind, counts, what, first, second, names) -> None:
         print(f"{what}: {names[0]} {first.objective!r}, {names[1]} {second.objective!r}")
 
 
-def check_stop(inst: ProblemInstance, counts: Counter, what: str) -> None:
+def _extracts(built, raw, counts: Counter, what: str) -> None:
+    """Count a violation if ``raw`` has values that fail extraction."""
+    if raw.values is None:
+        return
+    try:
+        milp.extract_solution(built, raw)
+    except ExtractionMismatch as exc:
+        counts["extraction failures"] += 1
+        counts["violations"] += 1
+        print(f"{what}: extraction fails: {exc}")
+
+
+def check_stop(
+    inst: ProblemInstance, start: dict[int, float], counts: Counter, what: str
+) -> None:
     """Each full model reaches one optimum with HiGHS stopped at its bound and without.
 
     The stopped throughput answer, which starts from the model's seed, is
-    also held against the answer without the seed.  Each stopped answer
-    must pass extraction, and the coefficients HiGHS dropped at load are
-    summed.
+    also held against the answer without the seed, and so is the answer
+    of the model started at ``start``.  Each stopped and each started
+    answer must pass extraction, and the coefficients HiGHS dropped at load
+    are summed.
     """
     for problem, _ in PROBLEMS:
         built = milp.build(inst, problem)
+        where = f"{what} {problem} full"
         stopped = milp.solve(built.ir, SolverOptions(time_limit_s=60.0))
         counts["dropped coefficients"] += stopped.dropped
-        if stopped.values is not None:
-            try:
-                milp.extract_solution(built, stopped)
-            except ExtractionMismatch as exc:
-                counts["extraction failures"] += 1
-                counts["violations"] += 1
-                print(f"{what} {problem} full: extraction fails: {exc}")
+        _extracts(built, stopped, counts, where)
         bound, built.ir.bound = built.ir.bound, None
         plain = milp.solve(built.ir, SolverOptions(time_limit_s=60.0))
-        where = f"{what} {problem} full"
         _same_optimum("stop", counts, where, stopped, plain, ("stopped", "unstopped"))
-        if built.ir.seed.size:
-            built.ir.bound, built.ir.seed = bound, built.ir.seed[:0]
+        if built.ir.seed:
+            built.ir.bound, built.ir.seed = bound, ()
             plain = milp.solve(built.ir, SolverOptions(time_limit_s=60.0))
             _same_optimum("seed", counts, where, stopped, plain, ("seeded", "unseeded"))
+            started = milp.build(inst, problem, start=start)
+            raw = milp.solve(started.ir, SolverOptions(time_limit_s=60.0))
+            _extracts(started, raw, counts, f"{where} started")
+            _same_optimum("start", counts, where, raw, plain, ("started", "unseeded"))
 
 
-def check(inst: ProblemInstance, rng: np.random.Generator, counts: Counter, what: str) -> None:
+def check(
+    inst: ProblemInstance, rng: np.random.Generator, counts: Counter, what: str
+) -> dict[int, float]:
+    """Check both bounds; returns the random fixed powers it drew."""
     p_max = inst.radio.p_max_mw
     fids = sorted(n.id for n in inst.graph.frontends)
     trials = (
@@ -157,6 +176,7 @@ def check(inst: ProblemInstance, rng: np.random.Generator, counts: Counter, what
             if beats_bound(sense, raw.objective, bound):
                 counts["violations"] += 1
                 print(f"{what} {problem} {name}: HiGHS {raw.objective!r} beats bound {bound!r}")
+    return trials[1][1]
 
 
 def main(argv=None) -> int:
@@ -170,8 +190,7 @@ def main(argv=None) -> int:
         for hour in HOURS:
             counts["instances"] += 1
             inst, what = instance(seed, hour), f"seed {seed} hour {hour}"
-            check(inst, rng, counts, what)
-            check_stop(inst, counts, what)
+            check_stop(inst, check(inst, rng, counts, what), counts, what)
     print(", ".join(f"{k}: {v}" for k, v in sorted(counts.items())))
     return 1 if counts["violations"] else 0
 
