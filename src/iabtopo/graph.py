@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -138,27 +139,29 @@ class MeasurementGraph:
 
     # -- node/edge groups ------------------------------------------------
 
-    @property
+    # Computed once per graph (cached_property writes to the frozen
+    # instance's __dict__); every trial head reads them.
+    @cached_property
     def donor(self) -> Node:
         return next(n for n in self.nodes if n.kind is NodeKind.DONOR_DU)
 
-    @property
+    @cached_property
     def ues(self) -> tuple[Node, ...]:
         return tuple(n for n in self.nodes if n.kind is NodeKind.UE)
 
-    @property
+    @cached_property
     def frontends(self) -> tuple[Node, ...]:
         return tuple(n for n in self.nodes if n.kind is NodeKind.FRONTEND)
 
-    @property
+    @cached_property
     def basebands(self) -> tuple[Node, ...]:
         return tuple(n for n in self.nodes if n.kind in _BASEBAND_KINDS)
 
-    @property
+    @cached_property
     def wireless_edges(self) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.kind is EdgeKind.WIRELESS)
 
-    @property
+    @cached_property
     def wired_edges(self) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.kind is EdgeKind.WIRED)
 

@@ -39,8 +39,10 @@ unrestricted one.
 
 Every model carries a proven bound on its objective, ``BuiltModel.bound``,
 which no feasible point beats.  For throughput it is the widest donor
-path to each UE, and for any two UEs the airtime their in-edges share
-when both leave one node; for energy, one awake frontend plus each UE's
+path to each UE, for any two UEs the airtime their in-edges share when
+both leave one node, and the first hop's airtime apportioned over the
+UEs that must leave through it (three UEs behind two donor sectors get
+at most half a sector each); for energy, one awake frontend plus each UE's
 demand at its cheapest in-edge's watts per Mbps.  Both come from the
 ladder arrays and add no column or row.  The head of the build, a pure
 function of the trial (commodities, power reps, ladders, wired edges and
@@ -668,7 +670,7 @@ def _rate_bound(
     lad: _Ladders,
     wired: tuple[Edge, ...],
 ) -> float:
-    """No UE's rate beats its widest donor path, nor any two UEs' shared airtime.
+    """No UE's rate beats its widest donor path, two UEs' shared airtime, or its first hop.
 
     The tree rule leaves each node but the donor at most one incoming edge
     with flow, so a served UE's parent chain reaches the donor and carries
@@ -684,9 +686,24 @@ def _rate_bound(
     Qiu, MobiCom 2003).  So for any two UEs, Z is at most the largest,
     over their in-edge pairs (e, f), of min(w(e), w(f)), and of
     1 / (1/C(e) + 1/C(f)) when e and f are wireless edges of one source.
+
+    The first hop shares airtime the same way.  The nodes a commodity
+    source reaches over wired edges alone are those its widest path
+    reaches unbounded; the ones with live wireless out-edges are its
+    first-hop sources (for the donor, its sectors).  The parent chain of
+    each of its K served UEs outside that reach leaves it over one
+    wireless edge, out of one first-hop source f, and that edge carries
+    at least Z for the UE.  f's out-edges carry at most C(e) * alpha(e)
+    each within f's airtime of at most 1, so at most C_f in total, the
+    largest C(e) among them.  So the n_f UEs whose chains leave over f
+    need n_f * Z <= C_f, and sum_f floor(C_f / Z) >= K: Z is at most the
+    K-th largest of the quotients C_f / j, j = 1..K, the Jefferson
+    (D'Hondt) apportionment of K seats (Balinski & Young, Fair
+    Representation, 1982).  Other sources' UEs only add load.
     """
     caps = np.asarray(instance.capacity_table.capacities_mbps)
     live = lad.top > 0
+    n_live = int(live.sum())
     edges = [e for e, k in zip(lad.edges, live.tolist()) if k] + list(wired)
     width = np.concatenate([caps[lad.top[live] - 1], np.full(len(wired), np.inf)])
     pos = {n.id: p for p, n in enumerate(instance.graph.nodes)}
@@ -705,12 +722,24 @@ def _rate_bound(
             widest = wider
         dests = [pos[c.dest] for c in commodities if c.source == source]
         bound = min(bound, float(widest[dests].min()))
+        hop = np.isinf(widest[tail[:n_live]])  # live wireless edges out of the wired reach
+        hop_caps = np.zeros(len(pos))
+        np.maximum.at(hop_caps, tail[:n_live][hop], width[:n_live][hop])
+        bound = min(bound, _first_hop_bound(hop_caps, int(np.isfinite(widest[dests]).sum())))
         for d in dests:
             into = head == d
             with np.errstate(divide="ignore"):  # a level of capacity 0 takes all airtime
                 per_mbps = 1.0 / width[into]  # 0 on wired edges
             ends.append((np.minimum(width[into], widest[tail[into]]), per_mbps, tail[into]))
     return min(bound, _shared_airtime_bound(ends))
+
+
+def _first_hop_bound(hop_caps: np.ndarray, k: int) -> float:
+    """The first-hop term of ``_rate_bound``: the k-th largest C_f / j, j = 1..k; inf for k = 0."""
+    if k == 0:
+        return np.inf
+    quotients = np.sort((hop_caps[hop_caps > 0][:, None] / np.arange(1, k + 1)).ravel())
+    return float(quotients[-k]) if len(quotients) >= k else 0.0
 
 
 def _shared_airtime_bound(ends) -> float:

@@ -6,7 +6,9 @@ so the exact solvers, enumeration oracles and heuristics all see the same
 problems.
 """
 
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from iabtopo.channel import RadioParams
 from iabtopo.cli import evolution_stats
 from iabtopo.errors import DemandExceedsMaxMin, NoFeasible
 from iabtopo.heuristics import PruneParams, SearchOptions, prune_graph
-from iabtopo.milp import SolverOptions
+from iabtopo.milp import SolverOptions, builder
 from iabtopo.oracle import (
     enumerate_optimal_energy,
     enumerate_optimal_throughput,
@@ -191,6 +193,40 @@ def test_rate_bound_covers_the_brute_force_optimum(instance_suite):
     for rec in instance_suite:
         bound = milp.model_bound(rec["instance"], milp.THROUGHPUT)
         assert bound >= rec["z_oracle"] * (1.0 - 1e-9)
+
+
+def _fuzz_instances():
+    """``tools/fuzz_bounds.py``'s instances, seeds 100-119: 3 UEs, 2 sectors per unit."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "fuzz_bounds.py"
+    spec = importlib.util.spec_from_file_location("fuzz_bounds", path)
+    fuzz = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fuzz)
+    return [fuzz.instance(seed, hour) for seed in range(100, 120) for hour in fuzz.HOURS]
+
+
+def test_first_hop_term_covers_the_brute_force_optimum(instance_suite, monkeypatch):
+    # The rate bound's first-hop term on its own, on criterion 4's instances
+    # and on the bound fuzz's, never beats the enumerated optimum.  It is
+    # the optimum, below C, on 102 of the 170: on each of the 70 fuzz
+    # instances whose optimum is C/2 (3 UEs, 2 donor sectors), and on 32
+    # of criterion 4's.
+    terms = []
+    real = builder._first_hop_bound
+
+    def first_hop(hop_caps, k):
+        terms.append(real(hop_caps, k))
+        return terms[-1]
+
+    monkeypatch.setattr(builder, "_first_hop_bound", first_hop)
+    cases = [(rec["instance"], rec["z_oracle"]) for rec in instance_suite]
+    cases += [(inst, enumerate_optimal_throughput(inst)) for inst in _fuzz_instances()]
+    tight = 0
+    for inst, optimum in cases:
+        del terms[:]
+        milp.model_bound(inst, milp.THROUGHPUT)
+        assert terms and min(terms) >= optimum * (1.0 - 1e-9)
+        tight += min(terms) == optimum < inst.capacity_table.max_capacity_mbps
+    assert tight >= 70
 
 
 def test_power_bound_covers_the_brute_force_optimum(instance_suite):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from iabtopo import heuristics, milp, oracle
-from iabtopo.capacity import capacity_from_sinr, ladder_position
+from iabtopo.capacity import capacity_from_sinr, default_table, ladder_position
 from iabtopo.channel import (
     RadioParams,
     interference_coefficients,
@@ -17,7 +17,7 @@ from iabtopo.energy import PowerModelParams
 from iabtopo.errors import EmptyCommodities, ExtractionMismatch, NoFeasible, UnsupportedMode
 from iabtopo.graph import Commodity, Edge, EdgeKind, Node, NodeKind, build_graph
 from iabtopo.heuristics import SearchOptions
-from iabtopo.milp import SolverOptions, builder
+from iabtopo.milp import SolverOptions, backend, builder
 from iabtopo.oracle import validate_solution
 from iabtopo.problem import (
     ContinuousPower,
@@ -473,7 +473,8 @@ def test_power_bound_holds_at_random_fixed_powers():
 def test_rate_bound_charges_shared_airtime(monkeypatch):
     # Both UEs hear frontend 1 well and frontend 2 barely (noise-limited),
     # so the optimum serves both from 1 and splits its airtime: Z =
-    # 1/(1/C + 1/C).  The widest path alone reads C.
+    # 1/(1/C + 1/C).  The widest path alone reads C; the first-hop term,
+    # which gives frontend 1 both UEs, reads C/2 too, so it is off as well.
     nodes = [
         Node(0, NodeKind.DONOR_DU, (0.0, 0.0, 10.0), unit_id=0),
         Node(1, NodeKind.FRONTEND, (0.0, 0.0, 10.0), unit_id=0),
@@ -496,8 +497,59 @@ def test_rate_bound_charges_shared_airtime(monkeypatch):
     bound = milp.build_throughput_model(inst).bound
     assert bound == oracle.enumerate_optimal_throughput(inst)
     monkeypatch.setattr(builder, "_shared_airtime_bound", lambda ends: math.inf)
+    monkeypatch.setattr(builder, "_first_hop_bound", lambda hop_caps, k: math.inf)
     widest = milp.build_throughput_model(inst).bound
     assert widest == inst.capacity_table.max_capacity_mbps > bound
+
+
+def test_first_hop_term_stops_the_solve_at_the_optimum(monkeypatch):
+    # Three UEs hear both donor sectors, each best from its own side, so
+    # every UE has a path at C and any two can be served from distinct
+    # sectors.  But two sectors carry three UEs: one carries two, at C/2
+    # each, and only the first-hop term reads that.
+    nodes = [
+        Node(0, NodeKind.DONOR_DU, (0.0, 0.0, 10.0), unit_id=0),
+        Node(1, NodeKind.FRONTEND, (0.0, 0.0, 10.0), unit_id=0),
+        Node(2, NodeKind.FRONTEND, (0.0, 0.0, 10.0), unit_id=0),
+        Node(10, NodeKind.UE, (50.0, 0.0, 1.5)),
+        Node(11, NodeKind.UE, (50.0, 5.0, 1.5)),
+        Node(12, NodeKind.UE, (-50.0, 0.0, 1.5)),
+    ]
+    edges = [Edge(0, 1, EdgeKind.WIRED), Edge(0, 2, EdgeKind.WIRED)]
+    for ue, near, far in ((10, 1, 2), (11, 1, 2), (12, 2, 1)):
+        edges += [
+            Edge(near, ue, EdgeKind.WIRELESS, pathloss_db=80.0, los=True),
+            Edge(far, ue, EdgeKind.WIRELESS, pathloss_db=100.0, los=True),
+        ]
+    inst = ProblemInstance(
+        graph=build_graph(nodes, edges),
+        commodities=tuple(Commodity(k, 0, ue, 5.0) for k, ue in enumerate((10, 11, 12))),
+        radio=RadioParams(noise_mw=1e-9),
+        capacity_table=default_table(),
+        power_mode=DiscretePower((0.0, 6300.0)),
+    )
+    c_max = inst.capacity_table.max_capacity_mbps
+    built = milp.build_throughput_model(inst)
+    assert built.bound == c_max / 2 == oracle.enumerate_optimal_throughput(inst)
+
+    # HiGHS stops at the bound and returns the point it proves without it.
+    reached = []
+    real = backend._reaches
+
+    def reaches(objective, stop):
+        reached.append(real(objective, stop))
+        return reached[-1]
+
+    monkeypatch.setattr(backend, "_reaches", reaches)
+    stopped = milp.solve(built.ir, SolverOptions(time_limit_s=60))
+    assert any(reached)
+    built.ir.bound = None
+    plain = milp.solve(built.ir, SolverOptions(time_limit_s=60))
+    assert stopped.status is plain.status is SolveStatus.OPTIMAL
+    assert np.array_equal(stopped.values, plain.values)
+
+    monkeypatch.setattr(builder, "_first_hop_bound", lambda hop_caps, k: math.inf)
+    assert milp.model_bound(inst, milp.THROUGHPUT) == c_max
 
 
 def test_model_bound_is_the_built_models_bound():

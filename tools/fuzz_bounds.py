@@ -28,6 +28,10 @@ powers, and checks that this reaches the unseeded optimum.  Each stopped
 and each started answer must pass extraction, and the coefficients HiGHS
 dropped at load are summed.
 
+The summary also counts the throughput bounds checked (full, all-max and
+random models) and those the rate bound's first-hop term sets, that is,
+those that would be higher without that term.
+
 A check fails when the optimum beats the bound, or when two optima of one
 model differ, by more than extraction's tolerance, 1e-6 relative with a
 floor of 1, or when a stopped or started answer fails extraction.  The script prints
@@ -40,9 +44,11 @@ seeds 100-102.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -51,7 +57,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from iabtopo import milp, oracle, scenario  # noqa: E402
 from iabtopo.capacity import default_table  # noqa: E402
 from iabtopo.errors import ExtractionMismatch, NoFeasible  # noqa: E402
-from iabtopo.milp import SolverOptions  # noqa: E402
+from iabtopo.milp import SolverOptions, builder  # noqa: E402
 from iabtopo.problem import DiscretePower, ProblemInstance, SolveStatus  # noqa: E402
 
 HOURS = range(6)
@@ -112,6 +118,15 @@ def _extracts(built, raw, counts: Counter, what: str) -> None:
         print(f"{what}: extraction fails: {exc}")
 
 
+def _count_first_hop(inst: ProblemInstance, fixed, bound: float, counts: Counter) -> None:
+    """Count a throughput bound, and whether the first-hop term sets it."""
+    counts["throughput bounds"] += 1
+    with mock.patch.object(builder, "_first_hop_bound", lambda hop_caps, k: math.inf):
+        counts["throughput bounds the first hop sets"] += (
+            milp.model_bound(inst, milp.THROUGHPUT, fixed) > bound
+        )
+
+
 def check_stop(
     inst: ProblemInstance, start: dict[int, float], counts: Counter, what: str
 ) -> None:
@@ -155,6 +170,8 @@ def check(
     for problem, enumerate_optimum in PROBLEMS:
         sense = "max" if problem == milp.THROUGHPUT else "min"
         bound = milp.model_bound(inst, problem)
+        if problem == milp.THROUGHPUT:
+            _count_first_hop(inst, None, bound, counts)
         try:
             optimum = enumerate_optimum(inst)
         except NoFeasible:
@@ -168,6 +185,8 @@ def check(
             built = milp.build(inst, problem, fixed)
             # HiGHS's own optimum: the bound under test must not stop it.
             bound, built.ir.bound = built.bound, None
+            if problem == milp.THROUGHPUT:
+                _count_first_hop(inst, fixed, bound, counts)
             raw = milp.solve(built.ir, SolverOptions(time_limit_s=60.0))
             if raw.status is not SolveStatus.OPTIMAL:
                 counts[f"{problem} HiGHS {raw.status.value}"] += 1
@@ -184,7 +203,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=_seed_range, default=_seed_range("100-119"),
                         help="scenario seeds, FIRST-LAST (default 100-119)")
     args = parser.parse_args(argv)
-    counts = Counter({"violations": 0, "extraction failures": 0, "dropped coefficients": 0})
+    counts = Counter({
+        "violations": 0, "extraction failures": 0, "dropped coefficients": 0,
+        "throughput bounds the first hop sets": 0,
+    })
     for seed in args.seeds:
         rng = np.random.default_rng(seed)
         for hour in HOURS:
