@@ -15,9 +15,7 @@ from scipy.optimize._highspy._core import (
     HighsModelStatus,
     HighsStatus,
     _Highs,
-    cb,
     kHighsInf,
-    kSolutionStatusFeasible,
 )
 
 from ..errors import BackendError
@@ -77,8 +75,10 @@ def _native_stdout_to_stderr():
 
 _MS = HighsModelStatus
 # scipy.optimize.milp's status code for each HiGHS model status; any other is 4.
+# scipy sets no objective target, so it never sees kObjectiveTarget.
 _SCIPY_STATUS = {
     _MS.kOptimal: 0,
+    _MS.kObjectiveTarget: 0,
     _MS.kTimeLimit: 1,
     _MS.kIterationLimit: 1,
     _MS.kInfeasible: 2,
@@ -86,11 +86,6 @@ _SCIPY_STATUS = {
     _MS.kUnbounded: 3,
 }
 _LIMITS = (_MS.kTimeLimit, _MS.kIterationLimit, _MS.kSolutionLimit)
-
-
-def _reaches(objective: float, stop: float) -> bool:
-    """Whether an incumbent's ``objective`` meets the proven bound ``stop`` (both minimised)."""
-    return objective - stop <= 1e-9 * max(1.0, abs(stop))
 
 
 def _load(highs, c, integrality, bounds, constraints) -> int | None:
@@ -112,7 +107,7 @@ def _load(highs, c, integrality, bounds, constraints) -> int | None:
     return None if status == HighsStatus.kError else a.nnz - highs.getNumNz()
 
 
-def milp(c, *, integrality, bounds, constraints, options, seed=(), stop=None) -> OptimizeResult:
+def milp(c, *, integrality, bounds, constraints, options, seed=()) -> OptimizeResult:
     """Minimise ``c @ x`` on a fresh HiGHS instance.
 
     Takes and returns what ``scipy.optimize.milp`` does for the arguments
@@ -124,18 +119,17 @@ def milp(c, *, integrality, bounds, constraints, options, seed=(), stop=None) ->
 
     ``seed`` (column indices and their values; scipy has no such
     argument) adds a first run on the same instance with each of those
-    columns pinned at its value.  Its point, when it finds one, starts
-    the full run (``setSolution``), and its seconds come out of
+    columns pinned at its value (``_start_from_seed``).  Its point, when
+    it finds one, starts the full run, and its seconds come out of
     ``time_limit``, so the full run gets what is left.  The answer is the
     full run's.
 
-    ``stop`` (scipy has none either) is a proven bound on ``c @ x``.  A
-    ``kCallbackMipInterrupt`` callback ends the run once the incumbent's
-    objective is within 1e-9 relative of it (Land & Doig, Econometrica
-    28, 1960); that run comes back optimal, with the gap and dual bound
-    taken against ``stop``.  It reads the incumbent's objective, not
-    ``mip_primal_bound``, which equals an ``objective_bound`` before any
-    incumbent exists.  Any other interrupt stays status 4.
+    HiGHS ends a MIP run once its incumbent's objective is at or below the
+    option ``objective_target`` (Land & Doig, Econometrica 28, 1960); it
+    checks the incumbent, not ``mip_primal_bound``, which equals an
+    ``objective_bound`` before any incumbent exists.  That run comes back
+    optimal, with the target as its dual bound and a gap of 0 to it.  Any
+    other status keeps its code, so an interrupt stays status 4.
     """
     highs = _Highs()
     for key, value in options.items():
@@ -147,24 +141,12 @@ def milp(c, *, integrality, bounds, constraints, options, seed=(), stop=None) ->
             raise ValueError(f"HiGHS rejects option {key}={value!r}")
     dropped = _load(highs, c, integrality, bounds, constraints)
     loaded = dropped is not None
-    if loaded and stop is not None:
-
-        def interrupt(kind, message, out, data_in, user_data):
-            data_in.user_interrupt = _reaches(out.objective_function_value, stop)
-
-        highs.setCallback(interrupt, None)
-        highs.startCallback(cb.HighsCallbackType.kCallbackMipInterrupt)
     if loaded and len(seed):
         cols, values = seed
         _start_from_seed(highs, np.asarray(cols, dtype=np.int32), values, bounds)
     ran = loaded and highs.run() != HighsStatus.kError
     # scipy reports a model HiGHS refuses to load as a model error.
     model_status = highs.getModelStatus() if loaded else _MS.kModelError
-    info = highs.getInfo()
-    # Only the callback interrupts, and only at an incumbent that meets the stop.
-    stopped = model_status == _MS.kInterrupt and _reaches(info.objective_function_value, stop)
-    if stopped:
-        model_status = _MS.kOptimal
     res = OptimizeResult(
         status=_SCIPY_STATUS.get(model_status, 4),
         message=highs.modelStatusToString(model_status),
@@ -172,8 +154,9 @@ def milp(c, *, integrality, bounds, constraints, options, seed=(), stop=None) ->
     )
     if not ran:
         return res
+    info = highs.getInfo()
     is_mip = bool(np.any(integrality))
-    if model_status == _MS.kOptimal or (
+    if res.status == 0 or (
         is_mip and model_status in _LIMITS and info.objective_function_value != kHighsInf
     ):
         res.x = np.array(highs.getSolution().col_value)
@@ -183,26 +166,24 @@ def milp(c, *, integrality, bounds, constraints, options, seed=(), stop=None) ->
                 mip_node_count=info.mip_node_count,
                 mip_dual_bound=info.mip_dual_bound,
             )
-        if stopped:
-            z = info.objective_function_value
-            res.update(mip_gap=abs(z - stop) / max(1.0, abs(z)), mip_dual_bound=stop)
+            if model_status == _MS.kObjectiveTarget:
+                res.update(mip_gap=0.0, mip_dual_bound=options["objective_target"])
     return res
 
 
 def _start_from_seed(highs, cols: np.ndarray, values: np.ndarray, bounds) -> None:
-    """Run with each of ``cols`` pinned at its value; the run's point starts the next run.
+    """Run with each of ``cols`` pinned at its value, then lift the pins.
 
-    The next run gets the time limit less this run's seconds.
+    HiGHS keeps the run's point, when it finds one, as its solution while
+    the bounds change, and starts the next run from it.  The next run gets
+    the time limit less this run's seconds.
     """
     n = len(cols)
     highs.changeColsBounds(n, cols, values, values)
-    ran = highs.run() != HighsStatus.kError
-    start = highs.getSolution()
+    highs.run()
     highs.changeColsBounds(n, cols, bounds.lb[cols], bounds.ub[cols])
     _, limit = highs.getOptionValue("time_limit")
     highs.setOptionValue("time_limit", max(limit - highs.getRunTime(), 0.0))
-    if ran and highs.getInfo().primal_solution_status == kSolutionStatusFeasible:
-        highs.setSolution(start)
 
 
 def _arrays(ir: ModelIR) -> dict:
@@ -269,7 +250,11 @@ def _scipy_backend(ir: ModelIR, options: SolverOptions) -> RawSolution:
         return value if minimize else -value
 
     seed = ir.seed
-    stop = None if ir.bound is None else highs_sense(ir.bound)
+    if ir.bound is not None:
+        # HiGHS ends the run once its incumbent meets the proven bound,
+        # within 1e-9 relative.
+        stop = highs_sense(ir.bound)
+        highs_options["objective_target"] = stop + 1e-9 * max(1.0, abs(stop))
     if options.cutoff is not None:
         highs_options["objective_bound"] = highs_sense(options.cutoff)
         # Such a solve only asks whether anything beats the bound; HiGHS's
@@ -281,7 +266,7 @@ def _scipy_backend(ir: ModelIR, options: SolverOptions) -> RawSolution:
         seed = ()
     try:
         with _native_stdout_to_stderr():
-            res = milp(**arrays, options=highs_options, seed=seed, stop=stop)
+            res = milp(**arrays, options=highs_options, seed=seed)
     except (TypeError, ValueError) as exc:  # malformed inputs or a rejected option
         raise BackendError(f"milp backend failed: {exc}") from exc
 

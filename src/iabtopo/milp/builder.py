@@ -687,19 +687,18 @@ def _rate_bound(
     over their in-edge pairs (e, f), of min(w(e), w(f)), and of
     1 / (1/C(e) + 1/C(f)) when e and f are wireless edges of one source.
 
-    The first hop shares airtime the same way.  The nodes a commodity
-    source reaches over wired edges alone are those its widest path
-    reaches unbounded; the ones with live wireless out-edges are its
-    first-hop sources (for the donor, its sectors).  The parent chain of
-    each of its K served UEs outside that reach leaves it over one
-    wireless edge, out of one first-hop source f, and that edge carries
-    at least Z for the UE.  f's out-edges carry at most C(e) * alpha(e)
-    each within f's airtime of at most 1, so at most C_f in total, the
-    largest C(e) among them.  So the n_f UEs whose chains leave over f
-    need n_f * Z <= C_f, and sum_f floor(C_f / Z) >= K: Z is at most the
-    K-th largest of the quotients C_f / j, j = 1..K, the Jefferson
-    (D'Hondt) apportionment of K seats (Balinski & Young, Fair
-    Representation, 1982).  Other sources' UEs only add load.
+    The first hop shares airtime the same way.  The nodes the donor
+    reaches over wired edges alone are those its widest path reaches
+    unbounded; the ones with live wireless out-edges are its first-hop
+    sources (its sectors).  No UE is among them, so the parent chain of
+    each of the K UEs leaves that reach over one wireless edge, out of
+    one first-hop source f, and that edge carries at least Z for the UE.
+    f's out-edges carry at most C(e) * alpha(e) each within f's airtime
+    of at most 1, so at most C_f in total, the largest C(e) among them.
+    So the n_f UEs whose chains leave over f need n_f * Z <= C_f, and
+    sum_f floor(C_f / Z) >= K: Z is at most the K-th largest of the
+    quotients C_f / j, j = 1..K, the Jefferson (D'Hondt) apportionment
+    of K seats (Balinski & Young, Fair Representation, 1982).
     """
     caps = np.asarray(instance.capacity_table.capacities_mbps)
     live = lad.top > 0
@@ -709,35 +708,32 @@ def _rate_bound(
     pos = {n.id: p for p, n in enumerate(instance.graph.nodes)}
     tail = np.array([pos[e.src] for e in edges], dtype=np.int64)
     head = np.array([pos[e.dst] for e in edges], dtype=np.int64)
-    bound = instance.capacity_table.max_capacity_mbps
+    # Every commodity leaves the donor (ProblemInstance).
+    widest = np.zeros(len(pos))
+    widest[pos[instance.graph.donor.id]] = np.inf
+    while True:  # each pass lengthens the paths considered by one edge
+        wider = widest.copy()
+        np.maximum.at(wider, head, np.minimum(widest[tail], width))
+        if (wider == widest).all():
+            break
+        widest = wider
+    dests = [pos[c.dest] for c in commodities]
+    bound = min(instance.capacity_table.max_capacity_mbps, float(widest[dests].min()))
+    hop = np.isinf(widest[tail[:n_live]])  # live wireless edges out of the wired reach
+    hop_caps = np.zeros(len(pos))
+    np.maximum.at(hop_caps, tail[:n_live][hop], width[:n_live][hop])
+    bound = min(bound, _first_hop_bound(hop_caps, len(dests)))
     ends = []  # per commodity: its in-edges' w(e), airtime per Mbps and source
-    for source in {c.source for c in commodities}:
-        widest = np.zeros(len(pos))
-        widest[pos[source]] = np.inf
-        while True:  # each pass lengthens the paths considered by one edge
-            wider = widest.copy()
-            np.maximum.at(wider, head, np.minimum(widest[tail], width))
-            if (wider == widest).all():
-                break
-            widest = wider
-        dests = [pos[c.dest] for c in commodities if c.source == source]
-        bound = min(bound, float(widest[dests].min()))
-        hop = np.isinf(widest[tail[:n_live]])  # live wireless edges out of the wired reach
-        hop_caps = np.zeros(len(pos))
-        np.maximum.at(hop_caps, tail[:n_live][hop], width[:n_live][hop])
-        bound = min(bound, _first_hop_bound(hop_caps, int(np.isfinite(widest[dests]).sum())))
-        for d in dests:
-            into = head == d
-            with np.errstate(divide="ignore"):  # a level of capacity 0 takes all airtime
-                per_mbps = 1.0 / width[into]  # 0 on wired edges
-            ends.append((np.minimum(width[into], widest[tail[into]]), per_mbps, tail[into]))
+    for d in dests:
+        into = head == d
+        with np.errstate(divide="ignore"):  # a level of capacity 0 takes all airtime
+            per_mbps = 1.0 / width[into]  # 0 on wired edges
+        ends.append((np.minimum(width[into], widest[tail[into]]), per_mbps, tail[into]))
     return min(bound, _shared_airtime_bound(ends))
 
 
 def _first_hop_bound(hop_caps: np.ndarray, k: int) -> float:
-    """The first-hop term of ``_rate_bound``: the k-th largest C_f / j, j = 1..k; inf for k = 0."""
-    if k == 0:
-        return np.inf
+    """The first-hop term of ``_rate_bound``: the k-th largest C_f / j, j = 1..k, k >= 1."""
     quotients = np.sort((hop_caps[hop_caps > 0][:, None] / np.arange(1, k + 1)).ravel())
     return float(quotients[-k]) if len(quotients) >= k else 0.0
 

@@ -5,7 +5,9 @@ Each test solves a small model, tampers with ``raw.values`` and expects
 chain, or an unbroken chain that grants one ladder level more than a
 direct SINR recompute at the extracted powers does.  A level whose
 threshold the recompute misses only within the 1e-4 relative slack is
-accepted.
+accepted.  A capacity below the link's flow passes those checks and
+fails the oracle's re-validation, whose report the error carries.  A
+time-limited answer with values extracts as feasible.
 """
 
 import dataclasses
@@ -181,3 +183,23 @@ def test_frontend_powers_match_the_loop(model):
     assert list(powers) == list(built.power_reps.col)
     assert powers == _powers_by_loop(built, raw)
     assert all(type(p) is float for p in powers.values())
+
+
+def test_time_limited_answer_extracts_as_feasible():
+    # An incumbent the time limit stopped at has values but no proof.
+    built, raw = _energy_model()
+    sol = milp.extract_solution(built, dataclasses.replace(raw, status=SolveStatus.TIME_LIMIT))
+    assert sol.status is SolveStatus.FEASIBLE
+    assert sol.objective == milp.extract_solution(built, raw).objective
+
+
+def test_answer_that_fails_revalidation_carries_the_report():
+    # Half the capacity HiGHS claims for the link passes every check before
+    # the oracle's, which finds the flow above it.
+    inst, built, raw = _continuous_link()
+    cap = _col(built, "cap[1->10]")
+    with pytest.raises(ExtractionMismatch, match="re-validation: LinkOverload@1,10") as exc:
+        milp.extract_solution(built, _tampered(raw, {cap: raw.values[cap] / 2}))
+    report = exc.value.report
+    assert not report.ok
+    assert [(v.rule, v.location) for v in report.violations] == [("LinkOverload", (1, 10))]

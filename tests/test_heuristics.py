@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from iabtopo import heuristics, milp
-from iabtopo.errors import DemandExceedsMaxMin, IabError, NoFeasibleWithinKmax
+from iabtopo.errors import DemandExceedsMaxMin, IabError, NoFeasibleStart, NoFeasibleWithinKmax
 from iabtopo.graph import Commodity, Edge, EdgeKind, Node, NodeKind, build_graph
 from iabtopo.heuristics import (
     PruneParams,
@@ -738,6 +738,31 @@ def test_selective_reduction_starts_from_the_search_powers(mode, monkeypatch):
     assert seeds
     for cols, values in seeds:
         assert dict(zip((names[c] for c in cols.tolist()), values.tolist())) == want
+
+
+def test_selective_reduction_without_a_search_start_keeps_the_all_max_seed(monkeypatch):
+    # A search that finds no start point leaves every exact model its own
+    # seed, every frontend at its top power.
+    inst = two_unit_instance().with_power_mode(DiscretePower(_GRID))
+    highs, seeds = backend.milp, []
+
+    def no_start(*args):
+        raise NoFeasibleStart("initial all-on solve found no solution")
+
+    def recording_milp(**kwargs):
+        seeds.append(kwargs["seed"])
+        return highs(**kwargs)
+
+    monkeypatch.setattr(heuristics, "_throughput_search", no_start)
+    monkeypatch.setattr(backend, "milp", recording_milp)
+    sol, _k = selective_reduction(inst, PruneParams(1, 3), "throughput", FAST)
+    assert validate_solution(inst, sol).ok
+    # The power block comes first in every model, so any build names it.
+    cols, values = milp.build(inst, milp.THROUGHPUT).ir.seed
+    assert sorted(values.tolist()) == [1.0, 1.0]
+    assert seeds
+    for seed in seeds:
+        assert seed[0].tolist() == cols.tolist() and seed[1].tolist() == values.tolist()
 
 
 def test_pruned_feasibility_monotone_in_k():

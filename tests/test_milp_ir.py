@@ -11,7 +11,7 @@ import pytest
 import scipy.optimize
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, OptimizeResult
-from scipy.optimize._highspy._core import _Highs
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs, cb
 
 from iabtopo import milp, scenario
 from iabtopo.capacity import default_table
@@ -346,12 +346,14 @@ def _same_answer(kwargs, highs=backend.milp):
 @pytest.mark.parametrize("name, problem, mode", list(MODEL_SHA256))
 def test_highs_call_matches_scipy_milp(name, problem, mode, monkeypatch):
     # Every pinned model, with the arguments the backend really hands over,
-    # less the seed and the stop: scipy takes no start and no proven bound.
+    # less the seed and the objective target: scipy takes no start, and
+    # warns on an option it does not know.
     seen = []
 
-    def compare(seed, stop, **kwargs):
+    def compare(seed, options, **kwargs):
+        options = {k: v for k, v in options.items() if k != "objective_target"}
         seen.append(kwargs)
-        return _same_answer(kwargs)
+        return _same_answer({**kwargs, "options": options})
 
     monkeypatch.setattr(backend, "milp", compare)
     inst, fixed = _build_args(_instance(name), mode)
@@ -552,26 +554,26 @@ def test_time_limited_incumbent_is_held_to_the_cutoff(sense, optimum, monkeypatc
 
 
 def _spy_highs(monkeypatch, interrupt_first=False):
-    """Wrap ``backend._Highs``; returns the list of runs, each the callback's interrupt flags.
+    """Wrap ``backend._Highs``; returns the model status of each run, in order.
 
-    With ``interrupt_first`` the wrapper also sets ``user_interrupt`` at
-    the first callback, before HiGHS holds any point.
+    With ``interrupt_first`` the wrapper installs a ``kCallbackMipInterrupt``
+    callback that sets ``user_interrupt`` at its first call, before HiGHS
+    holds any point.
     """
     runs = []
 
     class Spy(_Highs):
-        def setCallback(self, fn, user_data):
-            def wrapped(kind, message, out, data_in, data):
-                fn(kind, message, out, data_in, data)
-                if interrupt_first and not runs[-1]:
-                    data_in.user_interrupt = True
-                runs[-1].append(bool(data_in.user_interrupt))
-
-            return super().setCallback(wrapped, user_data)
-
         def run(self):
-            runs.append([])
-            return super().run()
+            if interrupt_first:
+
+                def interrupt(kind, message, out, data_in, user_data):
+                    data_in.user_interrupt = True
+
+                self.setCallback(interrupt, None)
+                self.startCallback(cb.HighsCallbackType.kCallbackMipInterrupt)
+            status = super().run()
+            runs.append(self.getModelStatus())
+            return status
 
     monkeypatch.setattr(backend, "_Highs", Spy)
     return runs
@@ -584,12 +586,13 @@ def _pinned(name, problem, mode):
 
 def test_stop_ends_the_run_at_the_bound(monkeypatch):
     # The two-unit one-free energy model's optimum is its proven bound, and
-    # HiGHS finds that point before it can prove it: the callback ends the
-    # run, which comes back optimal with the gap taken against the bound.
+    # HiGHS finds that point before it can prove it: the objective target
+    # ends the run, which comes back optimal with the gap taken against
+    # the target.
     runs = _spy_highs(monkeypatch)
     built = _pinned("two_unit", milp.ENERGY, "one_free")
     raw = solve(built.ir)
-    assert [any(flags) for flags in runs] == [True]
+    assert runs == [HighsModelStatus.kObjectiveTarget]
     assert raw.status is SolveStatus.OPTIMAL
     assert raw.objective == pytest.approx(built.bound, rel=1e-9)
     assert raw.gap <= 1e-9
@@ -600,14 +603,15 @@ def test_an_interrupt_the_stop_did_not_cause_is_a_backend_error(monkeypatch):
     runs = _spy_highs(monkeypatch, interrupt_first=True)
     with pytest.raises(BackendError, match="status 4"):
         solve(_pinned("two_unit", milp.ENERGY, "one_free").ir)
-    assert runs == [[True]]
+    assert runs == [HighsModelStatus.kInterrupt]
 
 
 def test_cutoff_inside_the_stop_window_keeps_the_optimum(monkeypatch):
     # The optimum is the proven bound (1226.925063 Mbps) and the cutoff sits
-    # 1e-6 below it, inside the stop's 1e-9 relative window.  Before HiGHS
-    # holds any point its primal bound reads the cutoff, so a stop read
-    # from it would end the run with no point and call the trial beaten.
+    # 1e-6 below it, inside the target's 1e-9 relative window.  Before
+    # HiGHS holds any point its primal bound reads the cutoff, so a stop
+    # read from it would end the run with no point and call the trial
+    # beaten; HiGHS holds the target to its incumbent.
     seen = []
     real = backend.milp
 
@@ -620,8 +624,9 @@ def test_cutoff_inside_the_stop_window_keeps_the_optimum(monkeypatch):
     z = built.bound
     raw = solve(built.ir, SolverOptions(cutoff=z - 1e-6))
     (kwargs,) = seen
-    stop = kwargs["stop"]
-    assert stop == -z and kwargs["options"]["objective_bound"] - stop <= 1e-9 * abs(stop)
+    options = kwargs["options"]
+    assert options["objective_target"] == -z + 1e-9 * z
+    assert -z < options["objective_bound"] < options["objective_target"]
     assert raw.status is SolveStatus.OPTIMAL
     assert raw.objective == pytest.approx(z, rel=1e-9)
     assert validate_solution(built.instance, extract_solution(built, raw)).ok
@@ -634,6 +639,7 @@ def test_stopped_and_unstopped_solves_reach_one_optimum(monkeypatch):
     # 1e-9 relative, and its answer extracts and validates.  The stop ends
     # ten of these runs; four did before the rate bound's first-hop term.
     runs = _spy_highs(monkeypatch)
+    target = HighsModelStatus.kObjectiveTarget
     rng = np.random.default_rng(25)
     trials = [_pinned(*key) for key in MODEL_SHA256] + [
         milp.build(inst, problem)
@@ -647,7 +653,7 @@ def test_stopped_and_unstopped_solves_reach_one_optimum(monkeypatch):
         built.ir.bound = bound
         del runs[:]
         raw = solve(built.ir, SolverOptions(time_limit_s=60))
-        stopped += any(flag for flags in runs for flag in flags)
+        stopped += target in runs
         assert raw.status is plain.status
         if plain.values is None:
             assert raw.values is None
@@ -656,3 +662,48 @@ def test_stopped_and_unstopped_solves_reach_one_optimum(monkeypatch):
         assert raw.objective == pytest.approx(plain.objective, rel=1e-9)
         assert validate_solution(built.instance, extract_solution(built, raw)).ok
     assert stopped >= 10
+
+
+def test_the_seed_runs_point_starts_the_full_run(monkeypatch):
+    # Subset sum over 16 weights: only the subset the row's total was drawn
+    # from meets it (by enumeration), so its value is the model's bound.
+    # HiGHS keeps the pinned run's point as its solution when the pins are
+    # lifted, so the full run holds it from the start and ends at the
+    # target with no node; without the seed it takes over a thousand.
+    n = 16
+    rng = np.random.default_rng(0)
+    weights = rng.integers(100_000, 1_000_000, n).astype(float)
+    values = rng.integers(1, 100, n).astype(float)
+    pick = rng.random(n) < 0.5
+    subsets = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    assert (subsets @ weights == weights[pick].sum()).sum() == 1
+    ir = ModelIR()
+    xs = ir.add_vars([f"x{i}" for i in range(n)], VarKind.BINARY)
+    ir.add_rows(["sum"], Sense.EQ, weights[pick].sum(), np.zeros(n, dtype=int), xs, weights)
+    ir.set_objective("max", xs, values)
+    ir.bound = float(values[pick].sum())
+    ir.seed = (np.arange(n), pick.astype(float))
+
+    kept, nodes = [], []
+    start_from_seed, real = backend._start_from_seed, backend.milp
+
+    def spy(highs, *args):
+        start_from_seed(highs, *args)
+        kept.append(highs.getSolution().value_valid)
+
+    def count_nodes(**kwargs):
+        res = real(**kwargs)
+        nodes.append(res.mip_node_count)
+        return res
+
+    monkeypatch.setattr(backend, "_start_from_seed", spy)
+    monkeypatch.setattr(backend, "milp", count_nodes)
+    runs = _spy_highs(monkeypatch)
+    raw = solve(ir, SolverOptions(time_limit_s=10))
+    assert kept == [True]
+    assert runs == [HighsModelStatus.kOptimal, HighsModelStatus.kObjectiveTarget]
+    assert nodes == [0]
+    assert raw.status is SolveStatus.OPTIMAL and raw.objective == pytest.approx(ir.bound)
+    ir.seed = ()
+    solve(ir, SolverOptions(time_limit_s=10))
+    assert nodes[1] > 1000

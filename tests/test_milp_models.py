@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize._highspy._core import HighsModelStatus
 
 from iabtopo import heuristics, milp, oracle
 from iabtopo.capacity import capacity_from_sinr, default_table, ladder_position
@@ -17,7 +18,7 @@ from iabtopo.energy import PowerModelParams
 from iabtopo.errors import EmptyCommodities, ExtractionMismatch, NoFeasible, UnsupportedMode
 from iabtopo.graph import Commodity, Edge, EdgeKind, Node, NodeKind, build_graph
 from iabtopo.heuristics import SearchOptions
-from iabtopo.milp import SolverOptions, backend, builder
+from iabtopo.milp import SolverOptions, builder
 from iabtopo.oracle import validate_solution
 from iabtopo.problem import (
     ContinuousPower,
@@ -36,6 +37,7 @@ from conftest import (
     two_step_table,
     two_unit_instance,
 )
+from test_milp_ir import _spy_highs
 
 
 def _single_frontend_instance(table, pathlosses, noise_mw=0.0, demand=5.0):
@@ -533,16 +535,9 @@ def test_first_hop_term_stops_the_solve_at_the_optimum(monkeypatch):
     assert built.bound == c_max / 2 == oracle.enumerate_optimal_throughput(inst)
 
     # HiGHS stops at the bound and returns the point it proves without it.
-    reached = []
-    real = backend._reaches
-
-    def reaches(objective, stop):
-        reached.append(real(objective, stop))
-        return reached[-1]
-
-    monkeypatch.setattr(backend, "_reaches", reaches)
+    runs = _spy_highs(monkeypatch)
     stopped = milp.solve(built.ir, SolverOptions(time_limit_s=60))
-    assert any(reached)
+    assert HighsModelStatus.kObjectiveTarget in runs
     built.ir.bound = None
     plain = milp.solve(built.ir, SolverOptions(time_limit_s=60))
     assert stopped.status is plain.status is SolveStatus.OPTIMAL

@@ -134,7 +134,6 @@ def _highs_digest(kwargs):
         arrays += tuple(kwargs["seed"])  # its columns, then their values
     h = _hash(arrays)
     h.update(repr(kwargs["options"]).encode())
-    h.update(repr(kwargs["stop"]).encode())
     return h.hexdigest()
 
 
@@ -149,56 +148,60 @@ def _highs_digest(kwargs):
 # throughput entries (two_unit one_free and exact, random0 exact, random1
 # one_free and exact) were re-pinned when the rate bound gained its
 # first-hop term, which lowers their stop to 613.4625315: each digest
-# without the stop's bytes is unchanged.
+# without the stop's bytes is unchanged.  Every entry was re-pinned when
+# the stop became HiGHS's ``objective_target`` option: each digest
+# without the options' and the stop's bytes is unchanged, the options
+# are the entry's options before plus that target, and the target is the
+# stop before plus 1e-9 relative (with a floor of 1).
 HIGHS_SHA256 = {
     ("two_unit", "throughput", "fixed"):
-        "5d0a00c0388ec5ff0d82f3b50ba46da96985b8e5837a567bc3f48a2506890e7f",
+        "203177b13bcf5c642451a72acbf039c8097c62da23e48a145469c813682aa47e",
     ("two_unit", "throughput", "one_free"):
-        "9c72c3c64e4e8443aad3da943e86f0ae3b9ee39656b365b806f5472c3000d9c7",
+        "119910dd5981735631cc909929832fb09111b0090d6896e307e26340fc7db38b",
     ("two_unit", "throughput", "exact"):
-        "7958a9950b512028b3beb8e16353a4bb8e5395d3f4be712b680ca175b034528b",
+        "c2ca561cc8d7947fdb946d34930b16167dd87b2f66ca8077585c5df8e7a0635f",
     ("two_unit", "energy", "fixed"):
-        "ff65629e13f28626e3509d835baea4a8cb397dbd1c381c48bb8dff01ad793717",
+        "93d6ac8f68ce33c976d8bfd8ee4e4120f8168b155baf04ce98dd8a3a36004456",
     ("two_unit", "energy", "one_free"):
-        "9f4fe909255839dceaf5a7b0513d01a3ea3f17f916156032c359a12ffbbeb5d1",
+        "9d2005483d0a4b228d9e6076ff2e6090748b06a19d4ab8d85d8d1d22666b874c",
     ("two_unit", "energy", "exact"):
-        "c1c8b6622070f4cf7d0c0b25ec4dd34299e9553ded4c615ced79aa7f7a7eae54",
+        "576055c07d2f3f1448b692216774b8aa19c5b213bb18d6c9a809073abfaa35fe",
     ("random0", "throughput", "fixed"):
-        "b7c5b5875f541a6f019b9da896d572f590360881fe4641e72ef5958b24f61ec3",
+        "694037db9b757c1440aad4b9ad1aab2de9ff26bb9f5985e2d1db4390e6b7e19f",
     ("random0", "throughput", "one_free"):
-        "d70ce68313a25b7e8161f912172856d2ebb787af97e7deaa083f41000c4f11ee",
+        "4e7f361640ad6aa85ab2639022a70168a82106da4cc745ba6f5c099d61679226",
     ("random0", "throughput", "exact"):
-        "4b0c8196e0355e32395c73fd557e19c5dee87826344bdb6c301684c84aba1cc0",
+        "277afa4e0c745dfd1b53fc22f4226cfa1d7f66aada94b618f749b3d89da8436d",
     ("random0", "energy", "fixed"):
-        "14d3e8afe2c1e25cb8f940dbe4eac8a6091c53dabfc9f2a3246d684c47198856",
+        "ed251a586c643733f8702613ae3779c94239f9ca7e819589d0194ea3d153d687",
     ("random0", "energy", "one_free"):
-        "431a2e373eda12d825187e43d8cd2d170998fd05e17abb3d3dbbd8e7959ff5e0",
+        "8d7a4f6e3da141834f004d83defaa53958d95706da6a015001f65f18d6f8779e",
     ("random0", "energy", "exact"):
-        "35cdef2e3327c2ebdf6308170e8276f5318238c8ebeba4a89a3667e71ccae005",
+        "60967d7fa8de3ce0714e25e07c3f2c1aa8f5e86ca3a4f70312fd2ae134aa968d",
     ("random1", "throughput", "fixed"):
-        "28607bc824326951cecb9a1e2948e51be0964243382ef5e72cdba180a399809f",
+        "148eb11840f533f1e2c0f0b100591cec3f712088c969ea32afec012cae872bc4",
     ("random1", "throughput", "one_free"):
-        "1122896db9a68c3a918f07649c56c3e587d8d86bbaa0ecbab6599eea77bbb335",
+        "6672856f168efa6d4ac8dddd025396eb867b933cc4d20e49915b1fe7010c437f",
     ("random1", "throughput", "exact"):
-        "f3ceda877f64287fc6f00e9e2c7ccb0e7d6083cb8af3470ee98a4ddafe212bc8",
+        "49ea36b7b4d5997382152f4e818c9fa48eb139ec2cbd22ed557f6891ae487fb1",
     ("random1", "energy", "fixed"):
-        "da6fec4bea2ee077e645292f1fff81327cdfb842bdec96424da2d4be3e8b2d77",
+        "1e1ee0361fa937ad3777b4e4d775914e79b935df5ba8c49fa176107be30a7f1e",
     ("random1", "energy", "one_free"):
-        "20c0f1fd5a647822cafcbe77329a12de783dbb95218d95394659efce459f982e",
+        "309f7c790ee5854b909f51533dd46f7c8401b1f5c54a06f0a5948c19e1dfd1f2",
     ("random1", "energy", "exact"):
-        "10d6551e14e55a3ffb8b71c80a9e6e8fa4d37e4fedc8b6a5727c910aeaad1983",
+        "50058df79f4eae9a0af3543fbf216bd42d66c7906eed8c5dc48e1eecdfa94e5f",
     ("random2", "throughput", "fixed"):
-        "92d0bd154da92f13502371a94562bbdc76321ff7888c740891a46bd6b9a364f5",
+        "ef1232a0ffee87aa78873b81221e42b0db04f71a57c5a543babdeafdade97f3e",
     ("random2", "throughput", "one_free"):
-        "82e0fd059b1bf9c22081ad371c91d8df4dd77c30b75d99dbc3b7cfac69468eb1",
+        "ed5b2b1c9a48c5ace792b1813ebc8b3e4423404df30ca20cbae7aa951285f691",
     ("random2", "throughput", "exact"):
-        "443e588e08e683cc6220b44efc3236f768e73d1abf0e5a8306edcdc79ccaa568",
+        "fd648f865fef56c877015de0ebeabf43df2fb1a83d09ce51d6cb3d7628c089f2",
     ("random2", "energy", "fixed"):
-        "4abf2cabb0ab706f735d0794dc61061e5ae3bdb552e17cabd90c8c33b1345e49",
+        "435c9e4de4a73a33bea24a772cb6ccdb4ccdd8a929d9fd47c285844c48e28ef1",
     ("random2", "energy", "one_free"):
-        "b1e834e87aab8885d8abe9a2ba3da263316f5865a3ba348087ec8e3726ec209e",
+        "0dc91076f142654634f34c965428524e063cc728a7e55b9c75b60af434dd11c4",
     ("random2", "energy", "exact"):
-        "f8c7ac7de78648fd094bf099b18ffe6844dd18aac24c327e0b61d34647391fb7",
+        "add64324f3ae390e1c8b69edc1c2b3d71bc3623e08bd7e9b37bdd2484d6bdfe7",
 }
 
 
