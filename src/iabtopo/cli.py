@@ -12,7 +12,6 @@ import contextlib
 import csv
 import functools
 import itertools
-import json
 import math
 import sys
 import time
@@ -32,11 +31,11 @@ from .problem import (
     ContinuousPower,
     DiscretePower,
     FixedPower,
+    NetworkSolution,
     ProblemInstance,
     default_power_levels,
     load_solution,
     save_solution,
-    solution_payload,
 )
 from .scenario import ScenarioConfig, config_from_json, generate, load_profile_csv
 
@@ -171,8 +170,7 @@ def _run_method(instance, method, problem, options, prune, built=None):
         solution, _k = heuristics.selective_reduction(instance, prune, problem, options)
         return solution, None
     built = built or milp.build(instance, problem)
-    raw = milp.solve(built.ir, options.solver())
-    return milp.extract_solution(built, raw), None
+    return milp.solve_extracted(built, options.solver()), None
 
 
 def _record(hour, method, problem, solution, graph, power_model, runtime_s) -> dict:
@@ -321,8 +319,10 @@ def _parse_names(text: str, allowed: tuple[str, ...], what: str) -> list[str]:
     return names
 
 
-def _sweep_one(config, profile, options, prune, task) -> tuple[dict, dict | None, SearchState | None]:
-    """One ``task`` (hour, method, problem); returns (row, solution payload, search state)."""
+def _sweep_one(
+    config, profile, options, prune, task
+) -> tuple[dict, NetworkSolution | None, SearchState | None]:
+    """One ``task`` (hour, method, problem); returns (row, solution, search state)."""
     hour, method, problem = task
     start = time.monotonic()
     try:
@@ -334,7 +334,7 @@ def _sweep_one(config, profile, options, prune, task) -> tuple[dict, dict | None
         return _error_record(hour, method, problem, exc, time.monotonic() - start), None, None
     runtime = time.monotonic() - start
     row = _record(hour, method, problem, solution, graph, config.power_model, runtime)
-    return row, solution_payload(solution), state
+    return row, solution, state
 
 
 @main.command("sweep")
@@ -390,12 +390,10 @@ def cmd_sweep(
         writer.writeheader()
         fh.flush()
         outputs = pool.map(run, tasks) if pool else map(run, tasks)
-        for (hour, method, problem), (row, payload, state) in zip(tasks, outputs):
+        for (hour, method, problem), (row, solution, state) in zip(tasks, outputs):
             stem = f"hour{hour:03d}_{method}_{problem}"
-            if payload is not None:
-                with open(out / f"{stem}_solution.json", "w") as sol:
-                    json.dump(payload, sol, indent=2)
-                    sol.write("\n")
+            if solution is not None:
+                save_solution(solution, out / f"{stem}_solution.json")
             if state is not None:
                 state.write_csv(out / f"{stem}_state.csv")
             writer.writerow(row)

@@ -80,6 +80,10 @@ class BackendError(IabError):
     pass
 
 
+class ModelInfeasible(BackendError):
+    """HiGHS proved the model has no feasible point."""
+
+
 class ExtractionMismatch(IabError):
     """Raised when a solver solution fails independent re-validation.
 

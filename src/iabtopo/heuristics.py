@@ -25,12 +25,16 @@ is rejected unbuilt; otherwise ``milp.solve`` alone holds the result to
 the cutoff: one that does not strictly beat it, proven or stopped by the
 time limit, has no values.  Objectives are compared only through the
 cutoff, so last-bit differences between HiGHS answers move no decision.
+Trials are never extracted; the final solve of the best powers and every
+selective-reduction solve go through ``milp.solve_extracted``, which
+returns only a re-validated answer.
 
 Selective reduction shrinks the routing edge set to each receiver's top-k
-ranked incoming links and re-solves the exact model, widening k until
-feasible (for throughput: until every UE has a donor path that carries a
-rate).  Interference always accumulates over the full graph, so a
-pruned-feasible solution stays feasible unpruned.  For throughput it
+ranked incoming links and re-solves the exact model, widening k while
+HiGHS proves it infeasible (extraction raises ``ModelInfeasible``) or, for
+throughput, while some UE has no donor path that carries a rate.
+Interference always accumulates over the full graph, so a pruned-feasible
+solution stays feasible unpruned.  For throughput it
 first runs the throughput search once on the unpruned instance, and
 every k's exact model starts from the search's powers.
 """
@@ -45,7 +49,7 @@ from typing import Callable
 
 from . import milp
 from .channel import RadioParams, serving_gains_dbi
-from .errors import DemandExceedsMaxMin, NoFeasibleStart, NoFeasibleWithinKmax
+from .errors import DemandExceedsMaxMin, ModelInfeasible, NoFeasibleStart, NoFeasibleWithinKmax
 from .graph import Edge, MeasurementGraph, build_graph
 from .milp import SolverOptions
 from .problem import (
@@ -229,7 +233,7 @@ def _finish(
     It is solved even when the sweep budget ran dry.
     """
     built = milp.build(instance, problem, state.curr_best_sol)
-    solution = milp.extract_solution(built, milp.solve(built.ir, options.solver()))
+    solution = milp.solve_extracted(built, options.solver())
     state.curr_best_obj = solution.objective
     state.record(iteration + 1, clock.elapsed(), solution.objective)
     return solution, state
@@ -391,9 +395,10 @@ def selective_reduction(
         ):
             continue  # some UE has no donor path that carries a rate
         built = milp.build(instance, problem_kind, routing_edges=retained, start=start)
-        raw = milp.solve(built.ir, options.solver(clock.remaining()))
-        if raw.status is not SolveStatus.INFEASIBLE:
-            return milp.extract_solution(built, raw), k
+        try:
+            return milp.solve_extracted(built, options.solver(clock.remaining())), k
+        except ModelInfeasible:
+            continue
     raise NoFeasibleWithinKmax(
         f"infeasible for every retention count in [{prune_params.k0}, {prune_params.k_max}]"
     )

@@ -1,4 +1,8 @@
-"""Mixed-integer models for the throughput and energy problems."""
+"""Mixed-integer models for the throughput and energy problems.
+
+``build`` and ``solve_extracted``, the one solve-and-extract path, look what
+they call up on this package, so wrappers set on its attributes see each call.
+"""
 
 from ..problem import (
     ContinuousPower,
@@ -32,6 +36,11 @@ def build(instance, problem, fixed_powers=None, routing_edges=None, start=None) 
     return builder(instance, fixed_powers=fixed_powers, routing_edges=routing_edges, **given)
 
 
+def solve_extracted(built: BuiltModel, options: SolverOptions | None = None) -> NetworkSolution:
+    """``built`` solved, extracted and re-validated; see ``extract_solution`` for errors."""
+    return extract_solution(built, solve(built.ir, options))
+
+
 __all__ = [
     "BuiltModel",
     "ContinuousPower",
@@ -56,5 +65,6 @@ __all__ = [
     "frontend_powers",
     "model_bound",
     "solve",
+    "solve_extracted",
     "write_model",
 ]

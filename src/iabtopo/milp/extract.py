@@ -5,7 +5,9 @@ of integers, ladder indicators must agree with a direct SINR recompute at
 the extracted powers, the assembled solution must pass the oracle's
 full numeric validation, and its objective must not beat the model's
 proven bound.  Any failure raises ExtractionMismatch rather than
-silently accepting a model/tolerance bug.
+silently accepting a model/tolerance bug.  A result without values
+raises ModelInfeasible when HiGHS proved the model infeasible, and
+BackendError otherwise.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .. import oracle
 from ..channel import link_budgets
-from ..errors import BackendError, ExtractionMismatch
+from ..errors import BackendError, ExtractionMismatch, ModelInfeasible
 from ..graph import EdgeKey
 from ..problem import NetworkSolution, SolveStatus
 from .backend import RawSolution
@@ -59,6 +61,8 @@ def frontend_powers(built: BuiltModel, raw: RawSolution) -> dict[int, float]:
 
 
 def extract_solution(built: BuiltModel, raw: RawSolution) -> NetworkSolution:
+    if raw.status is SolveStatus.INFEASIBLE:
+        raise ModelInfeasible("HiGHS proved the model infeasible")
     if raw.values is None:
         raise BackendError(f"cannot extract from status {raw.status.value} without values")
     x, ir = raw.values, built.ir

@@ -391,6 +391,30 @@ def test_solve_matches_its_sweep_row(workspace):
         ) in result.output
 
 
+def test_infeasible_exact_model_is_a_model_infeasible_row(workspace):
+    # No frontend carries 1 Tbps, and HiGHS proves it: the row names the
+    # error, no solution file is written, and solve fails with exit code 1.
+    tmp, cfg, profile = workspace
+    out_dir = tmp / "sweep"
+    result = _run(["sweep", "--config", str(cfg), "--profile", str(profile), "--seed", "3",
+                   "--demand-mbps", "1e6", "--hours", "10", "--methods", "exact",
+                   "--problems", "energy", "--out-dir", str(out_dir)])
+    assert result.exit_code == 0, result.output
+    (row,) = _rows_without_runtime(out_dir)
+    assert row["status"] == "error:ModelInfeasible"
+    assert not list(out_dir.glob("*_solution.json"))
+
+    graph_path, sol_path = tmp / "g.json", tmp / "sol.json"
+    _run(["scenario-gen", "--config", str(cfg), "--profile", str(profile),
+          "--hour", "10", "--out", str(graph_path)])
+    result = _run(["solve", "--graph", str(graph_path), "--config", str(cfg),
+                   "--problem", "energy", "--method", "exact", "--demand-mbps", "1e6",
+                   "--out-solution", str(sol_path)])
+    assert result.exit_code == 1
+    assert "error: HiGHS proved the model infeasible" in result.output
+    assert not sol_path.exists()
+
+
 def test_sweep_rejects_bad_profile(workspace):
     tmp, cfg, _profile = workspace
     bad = tmp / "bad_profile.csv"

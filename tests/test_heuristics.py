@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from iabtopo import heuristics, milp
-from iabtopo.errors import DemandExceedsMaxMin, IabError, NoFeasibleStart, NoFeasibleWithinKmax
+from iabtopo.errors import (
+    BackendError,
+    DemandExceedsMaxMin,
+    IabError,
+    ModelInfeasible,
+    NoFeasibleStart,
+    NoFeasibleWithinKmax,
+)
 from iabtopo.graph import Commodity, Edge, EdgeKind, Node, NodeKind, build_graph
 from iabtopo.heuristics import (
     PruneParams,
@@ -669,6 +676,15 @@ def test_selective_reduction_k_exhaustion():
     inst = _ladder_instance().with_demands(1e6)  # infeasible at any k
     with pytest.raises(NoFeasibleWithinKmax):
         selective_reduction(inst, PruneParams(1, 2), "energy", FAST)
+
+
+def test_an_infeasible_model_raises_model_infeasible():
+    # Selective reduction widens k on exactly this error; it is a
+    # BackendError, so callers that catch that still see it.
+    built = milp.build(_ladder_instance().with_demands(1e6), milp.ENERGY)
+    with pytest.raises(ModelInfeasible) as caught:
+        milp.solve_extracted(built, SolverOptions(time_limit_s=20))
+    assert isinstance(caught.value, BackendError)
 
 
 def test_selective_reduction_widens_k_while_a_ue_is_cut_off(monkeypatch):

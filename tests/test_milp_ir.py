@@ -458,8 +458,9 @@ def test_cutoff_the_optimum_does_not_beat(sense, optimum, margin, binary):
         raw = solve(ir, SolverOptions(cutoff=cutoff))
     assert raw.status is SolveStatus.CUTOFF
     assert raw.values is None and raw.objective is None
-    with pytest.raises(BackendError):
+    with pytest.raises(BackendError) as caught:
         extract_solution(SimpleNamespace(ir=ir), raw)
+    assert type(caught.value) is BackendError  # not ModelInfeasible
 
 
 def test_highs_debug_print_stays_off_stdout(capfd):

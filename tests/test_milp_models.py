@@ -64,15 +64,32 @@ def _single_frontend_instance(table, pathlosses, noise_mw=0.0, demand=5.0):
     )
 
 
-def _solve(built, time_limit=60.0):
-    raw = milp.solve(built.ir, SolverOptions(time_limit_s=time_limit))
-    return milp.extract_solution(built, raw)
+def test_solve_extracted_calls_the_package_solve_and_extraction_once(monkeypatch):
+    # Both are looked up on the package, so wrappers set there see each call.
+    built = milp.build_throughput_model(_single_frontend_instance(coarse_table(), [80.0]))
+    options = SolverOptions(time_limit_s=30)
+    solve, extract, solves, extracts = milp.solve, milp.extract_solution, [], []
+
+    def counting_solve(ir, opts=None):
+        solves.append((ir, opts))
+        return solve(ir, opts)
+
+    def counting_extract(b, raw):
+        extracts.append(b)
+        return extract(b, raw)
+
+    monkeypatch.setattr(milp, "solve", counting_solve)
+    monkeypatch.setattr(milp, "extract_solution", counting_extract)
+    sol = milp.solve_extracted(built, options)
+    assert len(solves) == 1 and solves[0][0] is built.ir and solves[0][1] is options
+    assert len(extracts) == 1 and extracts[0] is built
+    assert sol.objective == pytest.approx(coarse_table().max_capacity_mbps, rel=1e-9)
 
 
 def test_single_link_full_airtime():
     table = coarse_table()
     inst = _single_frontend_instance(table, [80.0])
-    sol = _solve(milp.build_throughput_model(inst))
+    sol = milp.solve_extracted(milp.build_throughput_model(inst))
     # One UE, no interference: top-step capacity at alpha = 1.
     assert sol.objective == pytest.approx(table.max_capacity_mbps, rel=1e-9)
     assert sol.airtimes[(1, 10)] == pytest.approx(1.0, abs=1e-6)
@@ -89,7 +106,7 @@ def test_two_ue_harmonic_split():
     pl_a = g_fixed - (5.0 + 10 * math.log10(noise / radio.p_max_mw))
     pl_b = g_fixed - (15.0 + 10 * math.log10(noise / radio.p_max_mw))
     inst = _single_frontend_instance(table, [pl_a, pl_b], noise_mw=noise)
-    sol = _solve(milp.build_throughput_model(inst))
+    sol = milp.solve_extracted(milp.build_throughput_model(inst))
     assert sol.objective == pytest.approx(75.0, rel=1e-9)
     assert sol.airtimes[(1, 10)] == pytest.approx(0.75, abs=1e-6)
     assert sol.airtimes[(1, 11)] == pytest.approx(0.25, abs=1e-6)
@@ -98,7 +115,7 @@ def test_two_ue_harmonic_split():
 def test_two_equal_ues_split_evenly():
     table = coarse_table()
     inst = _single_frontend_instance(table, [80.0, 80.0])
-    sol = _solve(milp.build_throughput_model(inst))
+    sol = milp.solve_extracted(milp.build_throughput_model(inst))
     assert sol.objective == pytest.approx(table.max_capacity_mbps / 2, rel=1e-9)
 
 
@@ -117,9 +134,7 @@ def test_empty_commodities_rejected():
 
 def test_throughput_extraction_checks_ladder_levels():
     inst = _single_frontend_instance(coarse_table(), [80.0])
-    built = milp.build_throughput_model(inst)
-    raw = milp.solve(built.ir, SolverOptions(time_limit_s=30))
-    sol = milp.extract_solution(built, raw)
+    sol = milp.solve_extracted(milp.build_throughput_model(inst), SolverOptions(time_limit_s=30))
     # Fixed powers: the model's constant level equals the direct lookup.
     edge = inst.graph.edge(1, 10)
     budget = link_budgets(inst.graph, [edge], inst.radio)(sol.powers_mw)[edge.key]
@@ -130,7 +145,7 @@ def test_throughput_extraction_checks_ladder_levels():
 def test_airtime_sums_within_budget_after_extraction():
     inst = two_unit_instance()
     built = milp.build_throughput_model(inst)
-    sol = _solve(built)
+    sol = milp.solve_extracted(built)
     by_node = {}
     for (src, dst), a in sol.airtimes.items():
         by_node[src] = by_node.get(src, 0.0) + a
@@ -156,7 +171,7 @@ def test_monotone_indicator_chain_and_coupling():
 def test_capacity_coupling_equality_achievable():
     table = coarse_table()
     inst = _single_frontend_instance(table, [80.0])
-    sol = _solve(milp.build_throughput_model(inst))
+    sol = milp.solve_extracted(milp.build_throughput_model(inst))
     assert sol.capacities_mbps[(1, 10)] == pytest.approx(table.max_capacity_mbps, rel=1e-9)
 
 
@@ -166,7 +181,7 @@ def test_capacity_coupling_equality_achievable():
 def test_zero_demands_sleep_everything():
     inst = _single_frontend_instance(coarse_table(), [80.0], demand=0.0)
     built = milp.build_energy_model(inst)
-    sol = _solve(built)
+    sol = milp.solve_extracted(built)
     pm = inst.power_model
     assert sol.objective == pytest.approx(pm.n_trx * pm.p_sleep_w, rel=1e-12)
     assert sol.activations == {1: 0}
@@ -180,7 +195,7 @@ def test_single_demand_activates_one_chain():
         DiscretePower(levels)
     )
     built = milp.build_energy_model(inst)
-    sol = _solve(built)
+    sol = milp.solve_extracted(built)
     assert sol.activations == {1: 1}
     assert sol.per_ue_mbps == {10: 5.0}
     from iabtopo.energy import total_power
@@ -350,7 +365,7 @@ def test_dead_ue_edges_leave_single_power_models():
     built = milp.build_throughput_model(inst)
     assert dead not in {e.key for e in built.routing_wireless}
     assert not any(n.startswith("f[") and n.endswith(",1->11]") for n in built.ir.var_names)
-    sol = _solve(built)
+    sol = milp.solve_extracted(built)
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
     assert oracle.enumerate_optimal_throughput(inst) == 0.0
 
@@ -408,7 +423,7 @@ def test_fixed_energy_floor_at_on_power():
     assert all(
         built.floor[_at(built, e.key)] > 0 for e in inst.graph.wireless_edges if e.src == 11
     )
-    sol = _solve(built)
+    sol = milp.solve_extracted(built)
     assert sol.activations == {1: 1, 11: 0}
     assert sol.powers_mw[11] == 0.0
 
@@ -417,9 +432,7 @@ def test_extraction_flags_tampered_model():
     # Force an inconsistent "solution" through extraction: claim a ladder
     # level the physics denies.
     inst = _single_frontend_instance(coarse_table(), [80.0])
-    built = milp.build_throughput_model(inst)
-    raw = milp.solve(built.ir, SolverOptions(time_limit_s=30))
-    sol = milp.extract_solution(built, raw)
+    sol = milp.solve_extracted(milp.build_throughput_model(inst), SolverOptions(time_limit_s=30))
     sol.capacities_mbps[(1, 10)] = inst.capacity_table.max_capacity_mbps * 2
     report = validate_solution(inst, sol)
     assert not report.ok

@@ -258,16 +258,13 @@ def test_validation_flags_capacity_overclaim(minimal_graph):
 
 def test_milp_solutions_validate_clean():
     inst = two_unit_instance()
-    built = milp.build_throughput_model(inst)
-    raw = milp.solve(built.ir, SolverOptions(time_limit_s=60))
-    sol = milp.extract_solution(built, raw)  # would raise on a dirty solution
+    sol = milp.solve_extracted(milp.build_throughput_model(inst))  # raises on a dirty solution
     assert validate_solution(inst, sol).ok
 
 
 def test_validation_computes_gains_only_for_claimed_wireless_edges(monkeypatch):
     inst = two_unit_instance()
-    built = milp.build_throughput_model(inst)
-    sol = milp.extract_solution(built, milp.solve(built.ir, SolverOptions(time_limit_s=60)))
+    sol = milp.solve_extracted(milp.build_throughput_model(inst))
     claimed = {
         e.key for e in inst.graph.wireless_edges if sol.capacities_mbps.get(e.key, 0.0) > 1e-6
     }

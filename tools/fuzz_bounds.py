@@ -108,7 +108,11 @@ def _same_optimum(kind, counts, what, first, second, names) -> None:
 
 
 def _extracts(built, raw, counts: Counter, what: str) -> None:
-    """Count an extraction failure if ``raw`` has values that fail extraction."""
+    """Count an extraction failure if ``raw`` has values that fail extraction.
+
+    Not ``milp.solve_extracted``: this counts failures instead of raising,
+    and its callers still read the raw result's objective and ``dropped``.
+    """
     if raw.values is None:
         return
     try:
