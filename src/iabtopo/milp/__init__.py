@@ -23,7 +23,7 @@ from .builder import (
     model_bound,
 )
 from .extract import extract_solution, frontend_powers
-from .ir import ModelIR, Sense, VarKind
+from .ir import ModelIR
 
 
 def build(instance, problem, fixed_powers=None, routing_edges=None, start=None) -> BuiltModel:
@@ -51,11 +51,9 @@ __all__ = [
     "NetworkSolution",
     "PowerMode",
     "RawSolution",
-    "Sense",
     "SolveStatus",
     "SolverOptions",
     "THROUGHPUT",
-    "VarKind",
     "beats",
     "build",
     "build_energy_model",

@@ -88,15 +88,7 @@ from ..problem import (
     FixedPower,
     ProblemInstance,
 )
-from .ir import (
-    PRODUCT_ROWS,
-    SENSE_CODE,
-    ModelIR,
-    Sense,
-    VarKind,
-    indicator_row,
-    product_rows,
-)
+from .ir import PRODUCT_ROWS, ModelIR, indicator_row, product_rows
 
 # Smallest transmit power (fraction of p_max) a continuous-power frontend
 # may use while claiming any capacity; rules out the degenerate
@@ -105,8 +97,6 @@ MIN_ON_POWER_FRACTION = 1e-6
 
 THROUGHPUT = "throughput"
 ENERGY = "energy"
-
-_LE, _GE = SENSE_CODE[Sense.LE], SENSE_CODE[Sense.GE]
 
 
 class _Reps(NamedTuple):
@@ -401,7 +391,7 @@ def _build(
     # Airtime budgets: each wireless edge charges both its endpoints.
     nodes, row = np.unique(np.concatenate([src_ids, dst_ids]), return_inverse=True)
     ir.add_rows(
-        [f"airtime[{n}]" for n in nodes.tolist()], Sense.LE, 1.0,
+        [f"airtime[{n}]" for n in nodes.tolist()], -np.inf, 1.0,
         row, np.concatenate([alpha, alpha]), 1.0,
     )
 
@@ -410,17 +400,16 @@ def _build(
     capped = (count >= 2) & (nodes != g.donor.id)
     hit = capped[row]
     ir.add_rows(
-        [f"indegree[{n}]" for n in nodes[capped].tolist()], Sense.LE, 1.0,
+        [f"indegree[{n}]" for n in nodes[capped].tolist()], -np.inf, 1.0,
         (np.cumsum(capped) - 1)[row[hit]], use[hit], 1.0,
     )
 
     # Commodity flows.
     routing = wireless + wired
-    flow_kind = VarKind.BINARY if problem == ENERGY else VarKind.CONTINUOUS
     flow_ub = 1.0 if problem == ENERGY else instance.capacity_table.max_capacity_mbps
     flows = np.asarray(ir.add_vars(
         [f"f[k{c.id},{e.src}->{e.dst}]" for c in commodities for e in routing],
-        flow_kind, 0.0, flow_ub,
+        problem == ENERGY, 0.0, flow_ub,
     ), dtype=np.int64).reshape(len(commodities), len(routing))
     _emit_conservation(ir, g, problem, commodities, routing, flows)
 
@@ -428,7 +417,7 @@ def _build(
     weight = [c.demand_mbps if problem == ENERGY else 1.0 for c in commodities]
     edge_at = np.arange(n_wl)
     ir.add_rows(
-        [f"capacity[{e.src}->{e.dst}]" for e in wireless], Sense.LE, 0.0,
+        [f"capacity[{e.src}->{e.dst}]" for e in wireless], -np.inf, 0.0,
         np.concatenate([np.tile(edge_at, len(commodities)), edge_at]),
         np.concatenate([flows[:, :n_wl].ravel(), cap]),
         np.concatenate([np.repeat(weight, n_wl), -np.ones(n_wl)]),
@@ -473,15 +462,14 @@ def _emit_edges(ir: ModelIR, instance: ProblemInstance, reps: _Reps, lad: _Ladde
     v0 = ir.num_vars + np.cumsum(n_vars) - n_vars
     r0 = np.cumsum(n_rows) - n_rows
 
-    names, kinds, ubs, row_names = [], [], [], []
+    names, binary, ubs, row_names = [], [], [], []
     c_max = table.max_capacity_mbps
-    cont, binary = VarKind.CONTINUOUS, VarKind.BINARY
     for e, f, t, pw in zip(lad.edges, floor.tolist(), top.tolist(), powered.tolist()):
         k = f"{e.src}->{e.dst}"
         steps = [i for i in range(f, t) if delta[i] != 0.0]
         names += [f"alpha[{k}]", f"use[{k}]", f"cap[{k}]"]
         names += [f"phi[{k},{i}]" for i in range(f, t)] + [f"y[{k},{i}]" for i in steps]
-        kinds += [cont, binary, cont] + [binary] * (t - f) + [cont] * len(steps)
+        binary += [False, True, False] + [True] * (t - f) + [False] * len(steps)
         cap_ub = 0.0 if t == 0 else caps[t - 1] if f == t else c_max
         ubs += [0.0 if t == 0 else 1.0, 1.0, cap_ub] + [1.0] * (t - f + len(steps))
         row_names.append(f"use_ge_alpha[{k}]")
@@ -495,13 +483,12 @@ def _emit_edges(ir: ModelIR, instance: ProblemInstance, reps: _Reps, lad: _Ladde
             row_names.append(f"powered[{k}]")
         row_names += [f"y[{k},{i}]{s}" for i in steps for s in PRODUCT_ROWS]
         row_names.append(f"couple[{k}]")
-    ir.add_vars(names, kinds, 0.0, ubs)
+    ir.add_vars(names, binary, 0.0, ubs)
 
-    codes = np.full(len(row_names), _LE)
-    rhs = np.zeros(len(row_names))
+    lo, hi = np.full(len(row_names), -np.inf), np.zeros(len(row_names))
     normalize = np.zeros(len(row_names), dtype=bool)
     out = _Terms()
-    codes[r0] = _GE
+    lo[r0], hi[r0] = 0.0, np.inf
     out.add(r0, v0 + 1, 1.0)
     out.add(r0, v0, -1.0)
 
@@ -522,7 +509,7 @@ def _emit_edges(ir: ModelIR, instance: ProblemInstance, reps: _Reps, lad: _Ladde
     who, k = np.nonzero(((lad.g_int != 0) & (reps.var >= 0))[e_of])
     interference = (who, reps.var[k], -th_l[who] * (lad.g_int[e_of[who], k] * reps.coef[k]))
     for rows, sense, big_m in ((on, "geq", m_on), (on + 1, "leq", m_off)):
-        coeff, codes[rows], rhs[rows] = indicator_row(sense, big_m, expr_const)
+        coeff, lo[rows], hi[rows] = indicator_row(sense, big_m, expr_const)
         normalize[rows] = True
         out.add(rows, phi, coeff)
         for who, cols, coefs in (signal, interference):
@@ -540,7 +527,7 @@ def _emit_edges(ir: ModelIR, instance: ProblemInstance, reps: _Reps, lad: _Ladde
     lam = reps.level_col[src[by_on]]
     out.add(p_row[by_on][np.nonzero(lam >= 0)[0]], lam[lam >= 0], -1.0)
     by_cont = powered & ~reps.has_on[src]
-    codes[p_row[by_cont]] = _GE
+    lo[p_row[by_cont]], hi[p_row[by_cont]] = 0.0, np.inf
     out.add(p_row[by_cont], reps.cont[src[by_cont]], 1.0)
     p_eps = MIN_ON_POWER_FRACTION * instance.radio.p_max_mw
     out.add(p_row[by_cont], v0[by_cont] + 3, -p_eps)
@@ -550,9 +537,9 @@ def _emit_edges(ir: ModelIR, instance: ProblemInstance, reps: _Reps, lad: _Ladde
     rank = (stepped[lvl] - stepped[floor[e_of]])[step]
     y = (v0 + 3 + n_lvl)[e_of][step] + rank
     y_row = (p_row + powered)[e_of][step] + 3 * rank
-    rows, cols, coefs, y_codes, y_rhs = product_rows(phi[step], v0[e_of][step], 1.0, y)
+    rows, cols, coefs, y_lo, y_hi = product_rows(phi[step], v0[e_of][step], 1.0, y)
     placed = (y_row[:, None] + np.arange(3)).ravel()  # block row of each product row
-    codes[placed], rhs[placed] = y_codes, y_rhs
+    lo[placed], hi[placed] = y_lo, y_hi
     out.add(placed[rows], cols, coefs)
 
     # Levels below the floor always hold, so they add caps[floor-1]*alpha.
@@ -562,7 +549,7 @@ def _emit_edges(ir: ModelIR, instance: ProblemInstance, reps: _Reps, lad: _Ladde
     low = live & (floor > 0)
     out.add(c_row[low], v0[low], -caps[floor[low] - 1])
     out.add(c_row[e_of][step], y, -delta[lvl][step])
-    ir.add_rows(row_names, codes, rhs, *out.coo(), normalize)
+    ir.add_rows(row_names, lo, hi, *out.coo(), normalize)
     return v0
 
 
@@ -605,7 +592,7 @@ def _emit_conservation(ir, g, problem, commodities, routing, flows) -> None:
                 out.add(r, f[m], c)
             for m, c in dst_net:
                 out.add(r, f[m], -c)
-    ir.add_rows(names, Sense.EQ, rhs, *out.coo())
+    ir.add_rows(names, rhs, rhs, *out.coo())
 
 
 def _finish_throughput(
@@ -614,14 +601,14 @@ def _finish_throughput(
     ir, reps, v0, flows = built.ir, built.power_reps, built.v0, built.flows
     commodities = built.commodities
     c_max = built.instance.capacity_table.max_capacity_mbps
-    (z,) = ir.add_vars(["Z"], VarKind.CONTINUOUS, 0.0, c_max)
+    (z,) = ir.add_vars(["Z"], ub=c_max)
     heads = np.array([e.dst for e in built.routing_wireless + built.routing_wired], dtype=np.int64)
     dests = np.array([c.dest for c in commodities], dtype=np.int64)
     comm_of, edge_of = np.nonzero(heads[None, :] == dests[:, None])
     out = _Terms()
     out.add(comm_of, flows[comm_of, edge_of], 1.0)
     out.add(np.arange(len(commodities)), np.full(len(commodities), z), -1.0)
-    ir.add_rows([f"rate[k{c.id}]" for c in commodities], Sense.GE, 0.0, *out.coo())
+    ir.add_rows([f"rate[k{c.id}]" for c in commodities], 0.0, np.inf, *out.coo())
 
     # A source that can be off meets its edges' floor levels only while on,
     # so those edges carry traffic only then.
@@ -632,7 +619,7 @@ def _finish_throughput(
     out.add(np.nonzero(lam >= 0)[0], lam[lam >= 0], -1.0)
     ir.add_rows(
         [f"use_le_on[{e.src}->{e.dst}]" for e, m in zip(lad.edges, gated.tolist()) if m],
-        Sense.LE, 0.0, *out.coo(),
+        -np.inf, 0.0, *out.coo(),
     )
     ir.set_objective("max", [z], [1.0])
     if (reps.var >= 0).all():
@@ -764,13 +751,13 @@ def _finish_energy(built: BuiltModel, lad: _Ladders) -> None:
     gated = act >= 0
     n_rows = n_c + gated
     r0 = np.cumsum(n_rows) - n_rows
-    codes = np.full(int(n_rows.sum()), _GE)
+    lo, hi = np.zeros(int(n_rows.sum())), np.full(int(n_rows.sum()), np.inf)
     out = _Terms()
     e_of, k = np.repeat(np.arange(len(lad.edges)), n_c), np.tile(np.arange(n_c), len(lad.edges))
     out.add(r0[e_of] + k, v0[e_of] + 1, 1.0)
     out.add(r0[e_of] + k, flows[k, e_of], -1.0)
     act_row = r0[gated] + n_c
-    codes[act_row] = _LE
+    lo[act_row], hi[act_row] = -np.inf, 0.0
     out.add(act_row, v0[gated] + 1, 1.0)
     out.add(act_row, act[gated], -1.0)
     names = []
@@ -778,7 +765,7 @@ def _finish_energy(built: BuiltModel, lad: _Ladders) -> None:
         names += [f"use_ge_f[k{c.id},{e.src}->{e.dst}]" for c in built.commodities]
         if a:
             names.append(f"use_le_act[{e.src}->{e.dst}]")
-    ir.add_rows(names, codes, 0.0, *out.coo())
+    ir.add_rows(names, lo, hi, *out.coo())
 
     obj_cols = [a for a in reps.act.tolist() if a >= 0]
     obj_coefs = [pm.n_trx * (pm.p0_w - pm.p_sleep_w)] * len(obj_cols)
@@ -791,16 +778,16 @@ def _finish_energy(built: BuiltModel, lad: _Ladders) -> None:
         f"w[{lad.edges[i].src}->{lad.edges[i].dst},l{l}]"
         for i, l in zip(who.tolist(), lam.tolist())
     ]
-    w = np.asarray(ir.add_vars(names, VarKind.CONTINUOUS, 0.0, 1.0), dtype=np.int64)
-    rows, cols, coefs, codes, rhs = product_rows(lam, v0[who], 1.0, w)
-    ir.add_rows([n + s for n in names for s in PRODUCT_ROWS], codes, rhs, rows, cols, coefs)
+    w = np.asarray(ir.add_vars(names, ub=1.0), dtype=np.int64)
+    rows, cols, coefs, lo, hi = product_rows(lam, v0[who], 1.0, w)
+    ir.add_rows([n + s for n in names for s in PRODUCT_ROWS], lo, hi, rows, cols, coefs)
 
     if pm.p_active_unit_w > 0:
         units: dict[int, list[int]] = {}
         for fid, a in zip(reps.col, reps.act.tolist()):
             if a >= 0:
                 units.setdefault(g.node(fid).unit_id, []).append(a)
-        unit_on = ir.add_vars([f"unit_on[{u}]" for u in sorted(units)], VarKind.BINARY)
+        unit_on = ir.add_vars([f"unit_on[{u}]" for u in sorted(units)], binary=True)
         names, cols = [], []
         for unit, a_unit in zip(sorted(units), unit_on):
             for act_idx in units[unit]:
@@ -809,7 +796,7 @@ def _finish_energy(built: BuiltModel, lad: _Ladders) -> None:
             obj_cols.append(a_unit)
             obj_coefs.append(pm.p_active_unit_w)
         ir.add_rows(
-            names, Sense.GE, 0.0, np.repeat(np.arange(len(names)), 2), cols,
+            names, 0.0, np.inf, np.repeat(np.arange(len(names)), 2), cols,
             np.tile([1.0, -1.0], len(names)),
         )
 
@@ -878,12 +865,12 @@ def _power_reps(
     fixed_powers = dict(fixed_powers or {})
     p_max = instance.radio.p_max_mw
     fids = sorted(n.id for n in instance.graph.frontends)
-    names, kinds, ubs = [], [], []
+    names, binary, ubs = [], [], []
     lo, hi, cont, act, terms, levels, rows, defs = [], [], [], [], [], [], [], []
 
-    def declare(name: str, kind: VarKind = VarKind.BINARY, ub: float = 1.0) -> int:
+    def declare(name: str, is_binary: bool = True, ub: float = 1.0) -> int:
         names.append(name)
-        kinds.append(kind)
+        binary.append(is_binary)
         ubs.append(ub)
         return len(names) - 1
 
@@ -910,7 +897,7 @@ def _power_reps(
         elif isinstance(mode, ContinuousPower):
             if problem == ENERGY:
                 raise UnsupportedMode("energy problem cannot leave powers continuous")
-            c = declare(f"ptx[{fid}]", VarKind.CONTINUOUS, p_max)
+            c = declare(f"ptx[{fid}]", is_binary=False, ub=p_max)
             low, high, term = 0.0, p_max, (1.0, c)
         elif isinstance(mode, DiscretePower):
             grid = [l for l in mode.levels_mw if l > 0]
@@ -926,7 +913,7 @@ def _power_reps(
             if len(lam) > 1:
                 # One power column, as a fraction of the top level, stands
                 # for the level sum in every row that reads the power.
-                pw = declare(f"pw[{fid}]", VarKind.CONTINUOUS)
+                pw = declare(f"pw[{fid}]", is_binary=False)
                 defs.append((f"pw_def[{fid}]", [(1.0, pw)] + [(-l / high, i) for l, i in lam]))
                 term = (high, pw)
         else:
@@ -940,13 +927,13 @@ def _power_reps(
         levels.append(lam)
 
     def emit(ir) -> None:
-        ir.add_vars(names, kinds, 0.0, ubs)
+        ir.add_vars(names, binary, 0.0, ubs)
         # A grid's level binaries sum to its activation (energy) or to at most 1.
-        one = (Sense.EQ, 0.0) if problem == ENERGY else (Sense.LE, 1.0)
-        for block, (sense, rhs) in ((rows, one), (defs, (Sense.EQ, 0.0))):
+        one = (0.0, 0.0) if problem == ENERGY else (-np.inf, 1.0)
+        for block, (row_lo, row_hi) in ((rows, one), (defs, (0.0, 0.0))):
             flat = [t for _, row in block for t in row]
             ir.add_rows(
-                [name for name, _ in block], sense, rhs,
+                [name for name, _ in block], row_lo, row_hi,
                 np.repeat(np.arange(len(block)), [len(row) for _, row in block]),
                 np.array([i for _, i in flat], dtype=np.int64),
                 np.array([c for c, _ in flat], dtype=float),

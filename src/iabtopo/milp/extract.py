@@ -12,8 +12,6 @@ BackendError otherwise.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .. import oracle
@@ -141,7 +139,7 @@ def extract_solution(built: BuiltModel, raw: RawSolution) -> NetworkSolution:
     solution = NetworkSolution(
         problem=built.problem,
         status=status,
-        objective=raw.objective if raw.objective is not None else math.nan,
+        objective=raw.objective,
         chosen_edges=tuple(sorted(chosen)),
         flows=flows,
         airtimes=airtimes,

@@ -5,9 +5,10 @@ rows of big-M indicator implications and binary-times-continuous
 products.  Variables are declared a block at a time and live as arrays:
 a name list plus one ``binary``, ``lb`` and ``ub`` entry per column, read
 by column index from the builder through the backend to extraction.
-Constraint rows live in COO buffers (flat row, column and coefficient
-arrays, plus each row's name, sense and right-hand side) that are
-appended a block of rows at a time and handed to the backend as arrays.
+Constraint rows live as HiGHS loads them: COO buffers (flat row, column
+and coefficient arrays, plus each row's name and lower and upper bound,
+±inf where a side is open) that are appended a block of rows at a time
+and handed to the backend as arrays.
 Rows touching physically tiny coefficients (received powers in mW) can
 be normalized so the largest magnitude per row is 1, which keeps solver
 feasibility tolerances meaningful.
@@ -17,24 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
-
-
-class VarKind(str, Enum):
-    CONTINUOUS = "continuous"
-    BINARY = "binary"
-
-
-class Sense(str, Enum):
-    LE = "<="
-    EQ = "="
-    GE = ">="
-
-
-SENSE_CODE = {s: np.int8(i) for i, s in enumerate((Sense.LE, Sense.EQ, Sense.GE))}  # 0, 1, 2
 
 
 @dataclass
@@ -90,9 +76,9 @@ class ModelIR:
         self.bound: float | None = None
         self.row_names: list[str] = []
         empty = np.zeros(0, dtype=np.int64)
-        # (rows, cols, coefs, sense codes, rhs) per block of rows
+        # (rows, cols, coefs, lower, upper row bounds) per block of rows
         self._chunks: list[tuple[np.ndarray, ...]] = [
-            (empty, empty, np.zeros(0), np.zeros(0, dtype=np.int8), np.zeros(0))
+            (empty, empty, np.zeros(0), np.zeros(0), np.zeros(0))
         ]
         self._joined: tuple[np.ndarray, ...] | None = None
 
@@ -101,17 +87,16 @@ class ModelIR:
     def add_vars(
         self,
         names: Sequence[str],
-        kind: VarKind | Sequence[VarKind] = VarKind.CONTINUOUS,
+        binary: bool | Sequence[bool] = False,
         lb: float | Sequence[float] = 0.0,
         ub: float | Sequence[float] = math.inf,
     ) -> range:
-        """Declare one variable per name; ``kind``, ``lb`` and ``ub`` broadcast."""
+        """Declare one variable per name; ``binary``, ``lb`` and ``ub`` broadcast."""
         n = len(names)
         start = self.num_vars
-        kinds = [kind] * n if isinstance(kind, VarKind) else list(kind)
+        binary = np.array(np.broadcast_to(binary, (n,)), dtype=bool)
         lbs = np.full(n, lb, dtype=float) if np.isscalar(lb) else np.array(lb, dtype=float)
         ubs = np.full(n, ub, dtype=float) if np.isscalar(ub) else np.array(ub, dtype=float)
-        binary = np.array([k is VarKind.BINARY for k in kinds], dtype=bool)
         lbs[binary] = np.maximum(lbs[binary], 0.0)
         ubs[binary] = np.minimum(ubs[binary], 1.0)
         seen = set(self.var_names)
@@ -132,8 +117,8 @@ class ModelIR:
     def add_rows(
         self,
         names: Sequence[str],
-        sense: Sense | np.ndarray,
-        rhs,
+        lo,
+        hi,
         rows,
         cols,
         coefs,
@@ -144,12 +129,17 @@ class ModelIR:
         Term k adds ``coefs[k] * x[cols[k]]`` to block row ``rows[k]`` (a
         scalar ``coefs`` applies to every term).  In each row, duplicate
         columns are summed in term order, and zero coefficients and zero
-        sums are dropped.  A row whose ``normalize`` (a bool, or one per
-        row) is set is divided, right-hand side included, by its largest
-        absolute coefficient.  ``sense`` is one ``Sense`` or an array of
-        ``SENSE_CODE`` values, one per row; ``rhs`` is one value or one per row.
+        sums are dropped.  ``lo <= row <= hi`` bounds each row: each is one
+        value or one per row, and ±inf leaves a side open.  A row whose
+        ``normalize`` (a bool, or one per row) is set is divided, both
+        bounds included, by its largest absolute coefficient.
         """
         n = len(names)
+        lo, hi = _filled(lo, n), _filled(hi, n)
+        bad = ~(lo <= hi)  # NaN fails too
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"constraint {names[i]!r}: lower bound {lo[i]} not <= upper {hi[i]}")
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         coefs = _filled(coefs, len(rows))
@@ -158,18 +148,16 @@ class ModelIR:
             k = int(np.argmax(bad))
             raise ValueError(f"constraint {names[rows[k]]!r}: unknown variable index {cols[k]}")
         rows, cols, coefs = _merge(rows, cols, coefs, self.num_vars)
-        codes = np.full(n, SENSE_CODE[sense]) if isinstance(sense, Sense) else sense.astype(np.int8)
-        rhs = _filled(rhs, n)
         if np.any(normalize) and len(rows):
             starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
             scale = np.ones(n)
             scale[rows[starts]] = np.maximum.reduceat(np.abs(coefs), starts)
             scale[~np.broadcast_to(normalize, (n,))] = 1.0
             coefs = coefs / scale[rows]
-            rhs = rhs / scale
+            lo, hi = lo / scale, hi / scale
         first = len(self.row_names)
         self.row_names.extend(names)
-        self._chunks.append((rows + first, cols, coefs, codes, rhs))
+        self._chunks.append((rows + first, cols, coefs, lo, hi))
         self._joined = None
         return first
 
@@ -206,27 +194,24 @@ class ModelIR:
         return self._join()[:3]
 
     def row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper bound of every row (±inf where the sense leaves one open)."""
-        codes, rhs = self._join()[3:]
-        lo = np.where(codes == SENSE_CODE[Sense.LE], -np.inf, rhs)
-        hi = np.where(codes == SENSE_CODE[Sense.GE], np.inf, rhs)
-        return lo, hi
+        """Lower and upper bound of every row (±inf where a side is open)."""
+        return self._join()[3:]
 
 
 # -- big-M rows ----------------------------------------------------------------
 
 
 def indicator_row(sense: str, big_m, expr_const):
-    """Indicator coefficient, row sense code and rhs of a big-M implication.
+    """Indicator coefficient and row bounds (lo, hi) of a big-M implication.
 
     sense "geq": indicator=1 forces expr >= 0, via expr >= -M*(1-indicator),
     i.e. expr - M*ind >= -M - const.  sense "leq": indicator=0 forces
     expr <= 0, via expr - M*ind <= -const.  Works on arrays.
     """
     if sense == "geq":
-        return -big_m, SENSE_CODE[Sense.GE], -big_m - expr_const
+        return -big_m, -big_m - expr_const, np.inf
     if sense == "leq":
-        return -big_m, SENSE_CODE[Sense.LE], -expr_const
+        return -big_m, -np.inf, -expr_const
     raise ValueError(f"indicator sense {sense!r}")
 
 
@@ -234,10 +219,10 @@ PRODUCT_ROWS = ("_le_cont", "_le_bin", "_ge")  # name suffixes of a product's ro
 
 
 def product_rows(binary_idx, cont_idx, cont_upper, aux_idx):
-    """COO terms, sense codes and rhs of aux = binary * continuous, 3 rows each.
+    """COO terms and row bounds of aux = binary * continuous, 3 rows each.
 
     Per product: aux <= cont; aux <= ub * binary; aux >= cont + ub * binary - ub.
-    Returns (rows, cols, coefs, codes, rhs) with rows local to the block.
+    Returns (rows, cols, coefs, lo, hi) with rows local to the block.
     """
     n = len(aux_idx)
     base = 3 * np.arange(n)
@@ -245,7 +230,6 @@ def product_rows(binary_idx, cont_idx, cont_upper, aux_idx):
     cols = np.concatenate([aux_idx, cont_idx, aux_idx, binary_idx, aux_idx, cont_idx, binary_idx])
     one, ub = np.ones(n), np.full(n, float(cont_upper))
     coefs = np.concatenate([one, -one, one, -ub, one, -one, -ub])
-    le, ge = SENSE_CODE[Sense.LE], SENSE_CODE[Sense.GE]
-    rhs = np.zeros(3 * n)
-    rhs[2::3] = -ub
-    return rows, cols, coefs, np.tile(np.array([le, le, ge]), n), rhs
+    lo, hi = np.full(3 * n, -np.inf), np.zeros(3 * n)
+    lo[2::3], hi[2::3] = -ub, np.inf
+    return rows, cols, coefs, lo, hi

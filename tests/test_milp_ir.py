@@ -18,15 +18,13 @@ from iabtopo.capacity import default_table
 from iabtopo.errors import BackendError
 from iabtopo.milp import (
     ModelIR,
-    Sense,
     SolverOptions,
-    VarKind,
     build_throughput_model,
     extract_solution,
     solve,
 )
 from iabtopo.milp import backend
-from iabtopo.milp.ir import PRODUCT_ROWS, SENSE_CODE, indicator_row, product_rows
+from iabtopo.milp.ir import PRODUCT_ROWS, indicator_row, product_rows
 from iabtopo.graph import Commodity
 from iabtopo.oracle import validate_solution
 from iabtopo.problem import ContinuousPower, ProblemInstance, SolveStatus
@@ -42,8 +40,8 @@ def test_solver_options_validation():
 
 def test_trivial_model_optimal():
     ir = ModelIR()
-    (x,) = ir.add_vars(["x"], VarKind.CONTINUOUS, 0, 10)
-    ir.add_rows(["cap"], Sense.LE, 4.0, [0], [x], [1.0])
+    (x,) = ir.add_vars(["x"], False, 0, 10)
+    ir.add_rows(["cap"], -np.inf, 4.0, [0], [x], [1.0])
     ir.set_objective("max", [x], [1.0])
     raw = solve(ir)
     assert raw.status is SolveStatus.OPTIMAL
@@ -53,9 +51,9 @@ def test_trivial_model_optimal():
 
 def test_contradictory_bounds_infeasible():
     ir = ModelIR()
-    (z,) = ir.add_vars(["z"], VarKind.CONTINUOUS, 0, 100)
-    ir.add_rows(["lo"], Sense.GE, 10.0, [0], [z], 1.0)
-    ir.add_rows(["hi"], Sense.LE, 5.0, [0], [z], 1.0)
+    (z,) = ir.add_vars(["z"], False, 0, 100)
+    ir.add_rows(["lo"], 10.0, np.inf, [0], [z], 1.0)
+    ir.add_rows(["hi"], -np.inf, 5.0, [0], [z], 1.0)
     ir.set_objective("max", [z], [1.0])
     raw = solve(ir)
     assert raw.status is SolveStatus.INFEASIBLE
@@ -64,7 +62,7 @@ def test_contradictory_bounds_infeasible():
 
 def test_minimize_with_constant_offset():
     ir = ModelIR()
-    (x,) = ir.add_vars(["x"], VarKind.CONTINUOUS, 2, 10)
+    (x,) = ir.add_vars(["x"], False, 2, 10)
     ir.set_objective("min", [x], [3.0], constant=7.0)
     raw = solve(ir)
     assert raw.objective == pytest.approx(13.0)
@@ -98,8 +96,8 @@ def test_dump_holds_the_model_highs_loads(tmp_path):
     # load.  The solve counts it, and the dump holds what HiGHS minimises:
     # the max negated, no constant, and no b in row "tiny".
     ir = ModelIR()
-    x, b = ir.add_vars(["x", "b"], [VarKind.CONTINUOUS, VarKind.BINARY], 0, [5, 1])
-    ir.add_rows(["row", "tiny"], np.array([0, 2], dtype=np.int8), [3.0, 1.0],
+    x, b = ir.add_vars(["x", "b"], [False, True], 0, [5, 1])
+    ir.add_rows(["row", "tiny"], [-np.inf, 1.0], [3.0, np.inf],
                 [0, 0, 1, 1], [x, b, x, b], [1.0, -2.0, 1.0, 5e-10])
     ir.set_objective("max", [x], [1.0], constant=7.0)
     raw = solve(ir)
@@ -116,21 +114,22 @@ def test_dump_holds_the_model_highs_loads(tmp_path):
     }
 
 
-# Rows as (name, terms, sense, rhs, normalize): y's three terms sum in
-# term order, the "zeros" row loses every term, "scaled" is divided by
-# its largest magnitude (4e-9 after summing z's two terms).
+# Rows as (name, terms, lo, hi, normalize): y's three terms sum in term
+# order, the "zeros" row loses every term, "scaled" is divided, both
+# bounds included, by its largest magnitude (4e-9 after summing z's two
+# terms).
 _ROWS = [
-    ("dup", [(0.1, 1), (0.2, 0), (0.2, 1), (0.3, 1)], Sense.LE, 1.5, False),
-    ("zeros", [(0.0, 0), (2.0, 1), (-0.0, 2), (-2.0, 1)], Sense.GE, 0.25, False),
-    ("scaled", [(-3e-9, 0), (2.5e-9, 2), (1.5e-9, 2)], Sense.EQ, 6e-9, True),
-    ("empty", [], Sense.LE, 3.0, True),
-    ("unit", [(-1.0, 2), (1.0, 0)], Sense.GE, -2.0, True),
+    ("dup", [(0.1, 1), (0.2, 0), (0.2, 1), (0.3, 1)], -np.inf, 1.5, False),
+    ("zeros", [(0.0, 0), (2.0, 1), (-0.0, 2), (-2.0, 1)], 0.25, np.inf, False),
+    ("scaled", [(-3e-9, 0), (2.5e-9, 2), (1.5e-9, 2)], 6e-9, 6e-9, True),
+    ("empty", [], -np.inf, 3.0, True),
+    ("unit", [(-1.0, 2), (1.0, 0)], -2.0, np.inf, True),
 ]
 
 
 def _rows_model():
     ir = ModelIR()
-    ir.add_vars(["x", "y", "z"], VarKind.CONTINUOUS, -5.0, 5.0)
+    ir.add_vars(["x", "y", "z"], False, -5.0, 5.0)
     return ir
 
 
@@ -138,7 +137,7 @@ def test_block_rows_match_one_row_constraints():
     block = _rows_model()
     block.add_rows(
         [r[0] for r in _ROWS],
-        np.array([SENSE_CODE[r[2]] for r in _ROWS]),
+        [r[2] for r in _ROWS],
         [r[3] for r in _ROWS],
         [k for k, r in enumerate(_ROWS) for _ in r[1]],
         [i for r in _ROWS for _, i in r[1]],
@@ -169,9 +168,19 @@ def test_block_rows_match_one_row_constraints():
 def test_unknown_variable_index_rejected(idx):
     ir = _rows_model()
     with pytest.raises(ValueError, match="unknown variable index"):
-        ir.add_rows(["bad"], Sense.LE, 0.0, [0, 0], [0, idx], [1.0, 0.0])
+        ir.add_rows(["bad"], -np.inf, 0.0, [0, 0], [0, idx], [1.0, 0.0])
     with pytest.raises(ValueError, match="'bad2': unknown variable index"):
-        ir.add_rows(["ok", "bad2"], Sense.LE, 0.0, [0, 1], [1, idx], [1.0, 1.0])
+        ir.add_rows(["ok", "bad2"], -np.inf, 0.0, [0, 1], [1, idx], [1.0, 1.0])
+    assert ir.num_rows == 0 and model_rows(ir) == []
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (np.nan, 1.0), (-np.inf, np.nan)])
+def test_row_bounds_out_of_order_rejected(lo, hi):
+    # As a column with lb above ub, a row whose bounds fail lo <= hi (NaN
+    # included) is an error, not a model HiGHS would call infeasible.
+    ir = _rows_model()
+    with pytest.raises(ValueError, match="^constraint 'bad': lower bound"):
+        ir.add_rows(["ok", "bad"], [0.0, lo], [0.0, hi], [0, 1], [0, 1], 1.0)
     assert ir.num_rows == 0 and model_rows(ir) == []
 
 
@@ -180,15 +189,13 @@ def test_unknown_variable_index_rejected(idx):
 
 def _add_indicator(ir, x, phi, sense, big_m, coeff=1.0, const=0.0):
     """The builder's indicator row for expr = coeff*x + const against phi."""
-    ind, code, rhs = indicator_row(sense, big_m, const)
-    ir.add_rows([f"ind_{sense}"], np.array([code]), rhs, [0, 0], [x, phi], [coeff, ind], True)
+    ind, lo, hi = indicator_row(sense, big_m, const)
+    ir.add_rows([f"ind_{sense}"], lo, hi, [0, 0], [x, phi], [coeff, ind], True)
 
 
 def _indicator_model(phi_value, sense, big_m, coeff=1.0, const=0.0):
     ir = ModelIR()
-    x, phi = ir.add_vars(
-        ["x", "phi"], [VarKind.CONTINUOUS, VarKind.BINARY], [-50, phi_value], [50, phi_value]
-    )
+    x, phi = ir.add_vars(["x", "phi"], [False, True], [-50, phi_value], [50, phi_value])
     _add_indicator(ir, x, phi, sense, big_m, coeff, const)
     return ir, x, phi
 
@@ -220,7 +227,7 @@ def test_indicator_pair_matches_pointwise_logic():
     big_m = 60.0
     for const in (0.0, -5.0):
         ir = ModelIR()
-        x, phi = ir.add_vars(["x", "phi"], [VarKind.CONTINUOUS, VarKind.BINARY], [-50, 0], 50)
+        x, phi = ir.add_vars(["x", "phi"], [False, True], [-50, 0], 50)
         _add_indicator(ir, x, phi, "geq", big_m, const=const)
         _add_indicator(ir, x, phi, "leq", big_m, const=const)
 
@@ -246,14 +253,14 @@ def test_product_corners():
         ir = ModelIR()
         b, c, y = ir.add_vars(
             ["b", "c", "y"],
-            [VarKind.BINARY, VarKind.CONTINUOUS, VarKind.CONTINUOUS],
+            [True, False, False],
             [b_val, c_val, 0.0],
             [b_val, c_val, 1.0],
         )
-        rows, cols, coefs, codes, rhs = product_rows(
+        rows, cols, coefs, lo, hi = product_rows(
             np.array([b]), np.array([c]), 1.0, np.array([y])
         )
-        ir.add_rows([f"y{s}" for s in PRODUCT_ROWS], codes, rhs, rows, cols, coefs)
+        ir.add_rows([f"y{s}" for s in PRODUCT_ROWS], lo, hi, rows, cols, coefs)
         ir.set_objective("max", [y], [1.0])
         raw = solve(ir)
         assert raw.status is SolveStatus.OPTIMAL
@@ -269,10 +276,10 @@ def test_time_limit_contract():
     # what matters.
     rng = np.random.default_rng(0)
     ir = ModelIR()
-    xs = ir.add_vars([f"x{i}" for i in range(60)], VarKind.BINARY)
+    xs = ir.add_vars([f"x{i}" for i in range(60)], True)
     w = rng.uniform(1, 10, size=60)
     v = rng.uniform(1, 10, size=60)
-    ir.add_rows(["w"], Sense.LE, 25.0, np.zeros(60, dtype=int), xs, w)
+    ir.add_rows(["w"], -np.inf, 25.0, np.zeros(60, dtype=int), xs, w)
     ir.set_objective("max", xs, v)
     raw = solve(ir, SolverOptions(time_limit_s=0.01))
     assert raw.status in (SolveStatus.OPTIMAL, SolveStatus.TIME_LIMIT)
@@ -286,8 +293,9 @@ def test_seeded_solve_ends_within_its_time_limit(monkeypatch):
     n = 30
     weights = 2.0 * np.random.default_rng(0).integers(100_000, 1_000_000, n)
     ir = ModelIR()
-    xs = ir.add_vars([f"x{i}" for i in range(n)], VarKind.BINARY)
-    ir.add_rows(["sum"], Sense.EQ, weights.sum() // 2 + 1, np.zeros(n, dtype=int), xs, weights)
+    xs = ir.add_vars([f"x{i}" for i in range(n)], True)
+    target = weights.sum() // 2 + 1
+    ir.add_rows(["sum"], target, target, np.zeros(n, dtype=int), xs, weights)
     ir.set_objective("max", xs, np.ones(n))
     ir.seed = (np.array([0]), np.array([1.0]))
     pinned = []
@@ -311,7 +319,7 @@ def test_highs_optimal_verdict_kept_with_small_gap(monkeypatch):
     # HiGHS may stop "optimal" on a gap of a few 1e-9 (its own tolerances
     # on the objective); the backend keeps that verdict and the gap.
     ir = ModelIR()
-    (x,) = ir.add_vars(["x"], VarKind.BINARY)
+    (x,) = ir.add_vars(["x"], True)
     ir.set_objective("max", [x], [132.873741])
     result = OptimizeResult(
         status=0, message="Optimal", x=np.array([1.0]), mip_gap=5.16e-9
@@ -420,9 +428,8 @@ def _cutoff_model(sense, binary=True):
     # Pick two of a, b, c at costs 3, 2, 4 (LP relaxation without binaries),
     # plus a constant of 7: min 12, max 14.
     ir = ModelIR()
-    kind = VarKind.BINARY if binary else VarKind.CONTINUOUS
-    xs = ir.add_vars(list("abc"), kind, 0, 1)
-    ir.add_rows(["two"], Sense.EQ, 2.0, [0, 0, 0], xs, 1.0)
+    xs = ir.add_vars(list("abc"), binary, 0, 1)
+    ir.add_rows(["two"], 2.0, 2.0, [0, 0, 0], xs, 1.0)
     ir.set_objective(sense, xs, [3.0, 2.0, 4.0], constant=7.0)
     return ir
 
@@ -679,8 +686,9 @@ def test_the_seed_runs_point_starts_the_full_run(monkeypatch):
     subsets = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
     assert (subsets @ weights == weights[pick].sum()).sum() == 1
     ir = ModelIR()
-    xs = ir.add_vars([f"x{i}" for i in range(n)], VarKind.BINARY)
-    ir.add_rows(["sum"], Sense.EQ, weights[pick].sum(), np.zeros(n, dtype=int), xs, weights)
+    xs = ir.add_vars([f"x{i}" for i in range(n)], True)
+    target = weights[pick].sum()
+    ir.add_rows(["sum"], target, target, np.zeros(n, dtype=int), xs, weights)
     ir.set_objective("max", xs, values)
     ir.bound = float(values[pick].sum())
     ir.seed = (np.arange(n), pick.astype(float))

@@ -24,55 +24,59 @@ from conftest import random_small_instance, two_unit_instance
 # _model_digest of each model.  These replaced a pair of text digests (the
 # IR's LP dump and an exact repr of its rows) once that dump was removed;
 # they were computed on the commit whose text digests they replaced.
+# Every entry was re-pinned when the digest moved from each row's sense
+# code and right-hand side to its public (lower, upper) bounds: the new
+# digests were computed on the commit before rows came to be stored as
+# bounds, where every entry before still held.
 MODEL_SHA256 = {
     ("two_unit", "throughput", "fixed"):
-        "ffd10368a19e5b322ddea59a8cfbf2fd9fbe9888f3c4d34951a0eee9cbe740fe",
+        "742eda0c9b92bb8066fbdb0b8dd8ffc1118432c21f16cb65ba76ec4a8761f36d",
     ("two_unit", "throughput", "one_free"):
-        "07d13c7a771b03d3d0829c144ec45728bc2d3d66342f6d7cd59f5bd1855e5c1b",
+        "351f2d83a1584fd3e4be73eff506db730e9dd0e988f952f75400de6f3157b96f",
     ("two_unit", "throughput", "exact"):
-        "32b0cd0cce6a2f9a7f999fb532bd68903e32b7dc2a35e15bace4042d94bca8ed",
+        "80617edebc488247492390c0c5337884c7555de3929c3c49a3fc99d3a946e78b",
     ("two_unit", "energy", "fixed"):
-        "b6fe0d6ff9352ac61d94e088bc0284b1d42e096fba072c7c254ee88a03cf150d",
+        "f119bf8e9d6f97006917a23bff72a885dc5c021bdb4bf37ade1944efe64254b6",
     ("two_unit", "energy", "one_free"):
-        "a0d93c2c89bd446f589952d4b9d528aa7cceb43cc3b99d576b7eb02172968a96",
+        "9461fb3f4ee252b20d8d331d48370288787e7e2d6ea8fe505d201ebd0134639f",
     ("two_unit", "energy", "exact"):
-        "f3583f400a3c642c50ef171663e433df9fdcf6aba083c45ffe7602df99ef5a9a",
+        "98ecc96afca1afaa1c9e547321d49c26592b98f881c5cd3469b2747f251145f7",
     ("random0", "throughput", "fixed"):
-        "6d74d0d19e2bad89fc0aa1402b29d427d79d031767ae79b2efbe6489601a187a",
+        "ee84845f7f33550c4cebc9aa11d29b194d166011cd7019f3d2f32e8c5c5e3a00",
     ("random0", "throughput", "one_free"):
-        "b3688725d2a508c29b774ce5c8181c3e86eda3e5bba14c54c79ae69ef4600341",
+        "d6867cf387ef8bff4172a8379931abea0ddc1850f49d7d64d8db5d04c5eb90f3",
     ("random0", "throughput", "exact"):
-        "55f4697e7f89375328af5b57497210b553a66b2ae6427d0e96b851caa45d2d43",
+        "dbdd5deeff47f6e60d1fb0e50238c050aa5fa3f1ec8d4b7df2c2bed8842c7b99",
     ("random0", "energy", "fixed"):
-        "007cd5c64ac8861c52e2b24532edf3b8e72e5928f9596d97476b1fea209dba22",
+        "b46e085e1cd97a7e3450693b7c3f9f85549a89e8cab05133400b370da0e14e43",
     ("random0", "energy", "one_free"):
-        "931c05009637e4f3e569be60334c58b6b13b5de3eaecc73c369b0f6e9ff4aacd",
+        "453f0891f78b85e41dcae80c4ff8fe6b88aa0c18ab06adcdb0550c29b51f38c4",
     ("random0", "energy", "exact"):
-        "11c3b1b80150e640f15d0c6db6bdc62dce68ad780e21d323263808e1550af6a3",
+        "a8a7f00f435a072808f0bbb8e35ad8d2dac2d67dfb682aa8aa919a85eb07b583",
     ("random1", "throughput", "fixed"):
-        "5e9e77475256aa9d6309c881c1dd320930b4c9bcd73c0f6aca0d8f80f12c3d45",
+        "1a8e311170f31969d88d05acbefdc4d54a1650c7e031420fa2d1117c9a0cd7ba",
     ("random1", "throughput", "one_free"):
-        "fd373fd06fb488847f71e4a5e421f0b7633a5f86d4b9eb4df93121c396bc1b4d",
+        "8336e092111c1ad92aa354494499f9fd0b189183fa925a49aa228ff4e22ac031",
     ("random1", "throughput", "exact"):
-        "e7aad0d33fbefb675d6212293b3f82a21a9131653bba56097c4e3111413067d3",
+        "2653f869a0b7e3f56fd58cb9272a2c57235fb95f660fed037d7df94481a02d27",
     ("random1", "energy", "fixed"):
-        "1cf2677dc3b9338426d017957d4dedd0858b117fc1fa01fc302a2348a33bc9a6",
+        "82784edc8b1295e3b93ade2a7a06d3dc3d8423b1613707a2dfda1081cdff6349",
     ("random1", "energy", "one_free"):
-        "933bf29676388327e840da32e5a4856aad861c9f080ff14a2af53ae6c6e46f5f",
+        "28ef9fa13d779ee0a7365aac7295de9b30fe28bc1d29a616673e65870685c52f",
     ("random1", "energy", "exact"):
-        "4ff6d7b41308f864098599430ecd42ff6bae5467efc9cf3d54024c87deb279e9",
+        "5fea72f21451a9bdabaa67a50106c5bdd016b93296499ca6922a1d14bb120042",
     ("random2", "throughput", "fixed"):
-        "682c133d03667eef0594b84939f91515fae2383528088118dcfcb8e34f3582f5",
+        "8a7e51b73044f6653361ba18e8d775da3f15af795f6ea121b09740d41e0ac05d",
     ("random2", "throughput", "one_free"):
-        "98bf41434e95984009bc60141fad75220ccd11ba5ccc4871f12fabb80d84d469",
+        "0d706a59a4c19c75fda80cb1af940619ea3bfb60ac9a0161d3096daa12f013e8",
     ("random2", "throughput", "exact"):
-        "3e841940e3ce655783f6b69e27dfe46ca565485e72b0d3d53ad84bfc941edca3",
+        "e62de00f2cbb9670b2ad012bac6974c3aade4f00506269e29ed726047400dc15",
     ("random2", "energy", "fixed"):
-        "19e15e6b5b21e9da1528b487915ba6c4e777fd60f7e93041460b0f064f4b6742",
+        "890f16cb281bfbb6bea74aba4d22e2a0941f68288e492c268501ee5e98d24ac0",
     ("random2", "energy", "one_free"):
-        "b2e205c30f70a31ef39c86358ba841c589d6cdd9f3340965e58500f6cdf14967",
+        "67d5ba6909f518ac6a12686b8708719b0144e84eb1e00b98e6f8d90af12790d9",
     ("random2", "energy", "exact"):
-        "e93e775b4b39dd8ea56d8969413108bacbb2fd0435a9f26de1b4f23d57dd38e0",
+        "8c3bb05bf42459a42d8b1daf36bb169c2c77ae3c9eeb5f4a1bf7f4fecff07cdf",
 }
 
 # Fixed powers cycle through these, in frontend id order.
@@ -108,10 +112,9 @@ def _hash(arrays):
 
 def _model_digest(ir):
     """sha256 of a model IR's names, columns, rows and objective."""
-    codes, rhs = ir._join()[3:]  # each row's sense code and right-hand side
     obj = ir.objective
     return _hash((
-        ir.var_names, ir.binary, ir.lb, ir.ub, ir.row_names, *ir.coo(), codes, rhs,
+        ir.var_names, ir.binary, ir.lb, ir.ub, ir.row_names, *ir.coo(), *ir.row_bounds(),
         obj.sense, obj.cols, obj.coefs, obj.constant,
     )).hexdigest()
 
