@@ -32,6 +32,29 @@ an edge outside ``routing_edges``: it gets no variables and no rows.
 Dead edges of continuous or multi-level sources stay, with capacity and
 airtime bounded to 0.
 
+The energy objective prices each edge's amplifier as delta_p * P * alpha,
+one product w[e,l] = lam_l * alpha(e) per power level of the source, each
+exact at binary lam by its three McCormick rows (Math. Programming 10,
+1976).  Their LP relaxation is nearly free, so every edge whose source
+has level binaries also gets two rows that are products of a row with a
+variable (Sherali & Adams, SIAM J. Discrete Math. 3, 1990):
+
+    wsum[e]:  sum_l w[e,l] = alpha(e),
+    capw[e]:  cap(e) <= sum_l C_l(e) * w[e,l].
+
+wsum holds since the level binaries sum to the activation act (act_def,
+or the one act of a fixed power) and alpha <= use <= act (use_ge_alpha,
+use_le_act), so sum_l w = alpha * act = alpha.  C_l(e) is the capacity
+of the levels met at (g_sig*P_l, I_lo): no interference is below I_lo,
+so at power P_l the edge meets no more levels; capacities never fall up
+the ladder, so cap(e) <= C_l(e) * alpha = C_l(e) * w[e,l] with every
+other product 0.  The levels come from the rule that sets ``top``, and
+the power bound reads the same C_l.  Without a per-unit power, the LP
+relaxation is then at least the power bound: use_ge_f and the flow rows
+wake one frontend in total for each UE, and its in-edges carry its
+demand d within cap <= sum_l C_l*w, so their amplifier terms are at
+least d times the cheapest delta_p * P_l / C_l.
+
 Interference coefficients always come from the full measurement graph,
 even when routing is restricted to a pruned edge subset or an edge is
 dead; a solution of a restricted model is therefore feasible in the
@@ -772,8 +795,8 @@ def _finish_energy(built: BuiltModel, lad: _Ladders) -> None:
 
     # Amplifier term: delta_p * P_tx * alpha, expanded per power level with
     # exact products w = lam * alpha.
-    who, at = np.nonzero(reps.level_col[lad.src] >= 0)
-    lam, p_mw = reps.level_col[lad.src[who], at], reps.level_mw[lad.src[who], at]
+    who, at, p_mw, level_cap = _level_caps(instance, reps, lad)
+    lam = reps.level_col[lad.src[who], at]
     names = [
         f"w[{lad.edges[i].src}->{lad.edges[i].dst},l{l}]"
         for i, l in zip(who.tolist(), lam.tolist())
@@ -781,6 +804,21 @@ def _finish_energy(built: BuiltModel, lad: _Ladders) -> None:
     w = np.asarray(ir.add_vars(names, ub=1.0), dtype=np.int64)
     rows, cols, coefs, lo, hi = product_rows(lam, v0[who], 1.0, w)
     ir.add_rows([n + s for n in names for s in PRODUCT_ROWS], lo, hi, rows, cols, coefs)
+
+    # Each edge's products summed (wsum: sum_l w = alpha), and its capacity
+    # capped level by level (capw: cap <= sum_l C_l * w); see the docstring.
+    edge_at, row = np.unique(who, return_inverse=True)
+    n_e = len(edge_at)
+    out = _Terms()
+    out.add(row, w, 1.0)
+    out.add(np.arange(n_e), v0[edge_at], -1.0)
+    out.add(n_e + row, w, -level_cap)
+    out.add(n_e + np.arange(n_e), v0[edge_at] + 2, 1.0)
+    keys = [f"{lad.edges[i].src}->{lad.edges[i].dst}" for i in edge_at.tolist()]
+    ir.add_rows(
+        [f"wsum[{k}]" for k in keys] + [f"capw[{k}]" for k in keys],
+        np.repeat([0.0, -np.inf], n_e), 0.0, *out.coo(),
+    )
 
     if pm.p_active_unit_w > 0:
         units: dict[int, list[int]] = {}
@@ -817,6 +855,19 @@ def _asleep_w(reps: _Reps, instance: ProblemInstance) -> float:
     return constant
 
 
+def _level_caps(instance: ProblemInstance, reps: _Reps, lad: _Ladders):
+    """Each edge's source power levels: (edge, level, mW, capacity at (g_sig*mW, I_lo)).
+
+    No interference is below I_lo, so at that power the edge meets no
+    more levels than these; the rule is ``_levels_met``, as for ``top``.
+    """
+    table = instance.capacity_table
+    who, at = np.nonzero(reps.level_col[lad.src] >= 0)
+    p_mw = reps.level_mw[lad.src[who], at]
+    met = _levels_met(np.asarray(table.thresholds_linear), lad.g_sig[who] * p_mw, lad.i_lo[who])
+    return who, at, p_mw, np.where(met > 0, np.asarray(table.capacities_mbps)[met - 1], 0.0)
+
+
 def _power_bound(
     instance: ProblemInstance,
     commodities: tuple[Commodity, ...],
@@ -836,12 +887,7 @@ def _power_bound(
     if not commodities:
         return constant
     pm = instance.power_model
-    table = instance.capacity_table
-    caps = np.asarray(table.capacities_mbps)
-    who, at = np.nonzero(reps.level_col[lad.src] >= 0)  # each edge's source power levels
-    p_mw = reps.level_mw[lad.src[who], at]
-    met = _levels_met(np.asarray(table.thresholds_linear), lad.g_sig[who] * p_mw, lad.i_lo[who])
-    cap = np.where(met > 0, caps[met - 1], 0.0)
+    who, _, p_mw, cap = _level_caps(instance, reps, lad)
     w_per_mbps = np.full(len(lad.edges), np.inf)
     with np.errstate(divide="ignore"):
         np.minimum.at(w_per_mbps, who, np.where(cap > 0, pm.delta_p * (p_mw / 1000.0) / cap, np.inf))

@@ -485,6 +485,28 @@ def test_power_bound_holds_at_random_fixed_powers():
     assert tight >= 4
 
 
+def test_energy_lp_meets_the_power_bound():
+    # The LP relaxation (integrality dropped) of an energy model is at least
+    # its power bound: with no per-unit power, as in these draws, the flow
+    # rows and use_ge_f already charge one awake frontend, and the capw rows
+    # charge each UE's in-edges at least their cheapest watts per Mbps.
+    # Without the wsum and capw rows the LP sat below the bound on 22 of
+    # these 40 draws.
+    grid = DiscretePower(default_power_levels(6300.0, 5))
+    rng = np.random.default_rng(7)
+    draws = [random_small_instance(rng) for _ in range(40)]
+    instances = [two_unit_instance()] + [
+        inst.with_power_mode(grid) if k % 2 else inst for k, inst in enumerate(draws)
+    ]
+    for inst in instances:
+        built = milp.build_energy_model(inst)
+        bound = built.bound
+        built.ir.binary[:], built.ir.bound = False, None
+        raw = milp.solve(built.ir, SolverOptions(time_limit_s=30))
+        assert raw.status is SolveStatus.OPTIMAL
+        assert raw.objective >= bound * (1.0 - 1e-9)
+
+
 def test_rate_bound_charges_shared_airtime(monkeypatch):
     # Both UEs hear frontend 1 well and frontend 2 barely (noise-limited),
     # so the optimum serves both from 1 and splits its airtime: Z =

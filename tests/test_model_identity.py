@@ -27,7 +27,9 @@ from conftest import random_small_instance, two_unit_instance
 # Every entry was re-pinned when the digest moved from each row's sense
 # code and right-hand side to its public (lower, upper) bounds: the new
 # digests were computed on the commit before rows came to be stored as
-# bounds, where every entry before still held.
+# bounds, where every entry before still held.  The twelve energy entries
+# were re-pinned when energy models gained their wsum and capw rows: each
+# model with those rows taken out hashes as the entry before.
 MODEL_SHA256 = {
     ("two_unit", "throughput", "fixed"):
         "742eda0c9b92bb8066fbdb0b8dd8ffc1118432c21f16cb65ba76ec4a8761f36d",
@@ -36,11 +38,11 @@ MODEL_SHA256 = {
     ("two_unit", "throughput", "exact"):
         "80617edebc488247492390c0c5337884c7555de3929c3c49a3fc99d3a946e78b",
     ("two_unit", "energy", "fixed"):
-        "f119bf8e9d6f97006917a23bff72a885dc5c021bdb4bf37ade1944efe64254b6",
+        "27caae09e6a484d1a87af9e218b067b409385eff9af927c4ac7cb4ddc606d1b1",
     ("two_unit", "energy", "one_free"):
-        "9461fb3f4ee252b20d8d331d48370288787e7e2d6ea8fe505d201ebd0134639f",
+        "c6513a263a99b6a300698fcc80c0c0166423e37caac737879cdc859b702dac85",
     ("two_unit", "energy", "exact"):
-        "98ecc96afca1afaa1c9e547321d49c26592b98f881c5cd3469b2747f251145f7",
+        "58d192c7ca23f70dcccacedd7e238aecdbcb8343979a4c3514b66515388cb965",
     ("random0", "throughput", "fixed"):
         "ee84845f7f33550c4cebc9aa11d29b194d166011cd7019f3d2f32e8c5c5e3a00",
     ("random0", "throughput", "one_free"):
@@ -48,11 +50,11 @@ MODEL_SHA256 = {
     ("random0", "throughput", "exact"):
         "dbdd5deeff47f6e60d1fb0e50238c050aa5fa3f1ec8d4b7df2c2bed8842c7b99",
     ("random0", "energy", "fixed"):
-        "b46e085e1cd97a7e3450693b7c3f9f85549a89e8cab05133400b370da0e14e43",
+        "c0f0017d1da08de292f83ae3aca02754334a80fd1c7f58e41a34607afeb6f7aa",
     ("random0", "energy", "one_free"):
-        "453f0891f78b85e41dcae80c4ff8fe6b88aa0c18ab06adcdb0550c29b51f38c4",
+        "7f2d7318258989a2f2884208804709bcbdc838003abab7edae170492fbe3f4de",
     ("random0", "energy", "exact"):
-        "a8a7f00f435a072808f0bbb8e35ad8d2dac2d67dfb682aa8aa919a85eb07b583",
+        "9e84b1783449922d7f37edcdae60d3b6c420b009770b2c89f650a800670fb7e4",
     ("random1", "throughput", "fixed"):
         "1a8e311170f31969d88d05acbefdc4d54a1650c7e031420fa2d1117c9a0cd7ba",
     ("random1", "throughput", "one_free"):
@@ -60,11 +62,11 @@ MODEL_SHA256 = {
     ("random1", "throughput", "exact"):
         "2653f869a0b7e3f56fd58cb9272a2c57235fb95f660fed037d7df94481a02d27",
     ("random1", "energy", "fixed"):
-        "82784edc8b1295e3b93ade2a7a06d3dc3d8423b1613707a2dfda1081cdff6349",
+        "014e20dfb6d7791ed2da2c8682c80fb7e5a06b058ab7e3889695b1964d111528",
     ("random1", "energy", "one_free"):
-        "28ef9fa13d779ee0a7365aac7295de9b30fe28bc1d29a616673e65870685c52f",
+        "ac7138b16300fa6a41a626f33ecb7472e8cc4d07b8a41e3ba84c9adca9145742",
     ("random1", "energy", "exact"):
-        "5fea72f21451a9bdabaa67a50106c5bdd016b93296499ca6922a1d14bb120042",
+        "db17382d411f4305a395c5b7811140d4849282fb919e1287f8f05df9a5d5864b",
     ("random2", "throughput", "fixed"):
         "8a7e51b73044f6653361ba18e8d775da3f15af795f6ea121b09740d41e0ac05d",
     ("random2", "throughput", "one_free"):
@@ -72,11 +74,11 @@ MODEL_SHA256 = {
     ("random2", "throughput", "exact"):
         "e62de00f2cbb9670b2ad012bac6974c3aade4f00506269e29ed726047400dc15",
     ("random2", "energy", "fixed"):
-        "890f16cb281bfbb6bea74aba4d22e2a0941f68288e492c268501ee5e98d24ac0",
+        "ce322d2f8cb2e0f2bfe2d37806989c7e21d014df2877ac6abdd4fc17e357978b",
     ("random2", "energy", "one_free"):
-        "67d5ba6909f518ac6a12686b8708719b0144e84eb1e00b98e6f8d90af12790d9",
+        "a26249990e369fae007c6616a69333737b032a16e6d5e50ac9f0a812c38428bf",
     ("random2", "energy", "exact"):
-        "8c3bb05bf42459a42d8b1daf36bb169c2c77ae3c9eeb5f4a1bf7f4fecff07cdf",
+        "2b7ab10d53821e41921f542d2593f7329997fbb9612bad8075ba103c2e6becb4",
 }
 
 # Fixed powers cycle through these, in frontend id order.
@@ -155,7 +157,9 @@ def _highs_digest(kwargs):
 # the stop became HiGHS's ``objective_target`` option: each digest
 # without the options' and the stop's bytes is unchanged, the options
 # are the entry's options before plus that target, and the target is the
-# stop before plus 1e-9 relative (with a floor of 1).
+# stop before plus 1e-9 relative (with a floor of 1).  The twelve energy
+# entries were re-pinned with the wsum and capw rows: each digest of the
+# model with those rows taken out equals the entry before.
 HIGHS_SHA256 = {
     ("two_unit", "throughput", "fixed"):
         "203177b13bcf5c642451a72acbf039c8097c62da23e48a145469c813682aa47e",
@@ -164,11 +168,11 @@ HIGHS_SHA256 = {
     ("two_unit", "throughput", "exact"):
         "c2ca561cc8d7947fdb946d34930b16167dd87b2f66ca8077585c5df8e7a0635f",
     ("two_unit", "energy", "fixed"):
-        "93d6ac8f68ce33c976d8bfd8ee4e4120f8168b155baf04ce98dd8a3a36004456",
+        "e84f06756b32b9d0ef96284c8412cbb8c3ef92591119dea58bcf77c0cac69d0a",
     ("two_unit", "energy", "one_free"):
-        "9d2005483d0a4b228d9e6076ff2e6090748b06a19d4ab8d85d8d1d22666b874c",
+        "c4883edef6cb198265d416fa07a840ce340928cd3dc7926ee07a105fd37934f3",
     ("two_unit", "energy", "exact"):
-        "576055c07d2f3f1448b692216774b8aa19c5b213bb18d6c9a809073abfaa35fe",
+        "f25e1f8a5a9e0cd8d3477781e3881be96955cc7f4e5814b6386922b12719ecda",
     ("random0", "throughput", "fixed"):
         "694037db9b757c1440aad4b9ad1aab2de9ff26bb9f5985e2d1db4390e6b7e19f",
     ("random0", "throughput", "one_free"):
@@ -176,11 +180,11 @@ HIGHS_SHA256 = {
     ("random0", "throughput", "exact"):
         "277afa4e0c745dfd1b53fc22f4226cfa1d7f66aada94b618f749b3d89da8436d",
     ("random0", "energy", "fixed"):
-        "ed251a586c643733f8702613ae3779c94239f9ca7e819589d0194ea3d153d687",
+        "f9e65d173534a482c41ef07d188db9920be861bcb37b6fcab04cf9d923306369",
     ("random0", "energy", "one_free"):
-        "8d7a4f6e3da141834f004d83defaa53958d95706da6a015001f65f18d6f8779e",
+        "38fad322d4aace90d0f44f1c2e5179d1daf9a73cff16464135b24a3cf13b4902",
     ("random0", "energy", "exact"):
-        "60967d7fa8de3ce0714e25e07c3f2c1aa8f5e86ca3a4f70312fd2ae134aa968d",
+        "b964ea60a9f36a88b8b569da61af056e5944f72e85e54f43afd6d119c2eadd74",
     ("random1", "throughput", "fixed"):
         "148eb11840f533f1e2c0f0b100591cec3f712088c969ea32afec012cae872bc4",
     ("random1", "throughput", "one_free"):
@@ -188,11 +192,11 @@ HIGHS_SHA256 = {
     ("random1", "throughput", "exact"):
         "49ea36b7b4d5997382152f4e818c9fa48eb139ec2cbd22ed557f6891ae487fb1",
     ("random1", "energy", "fixed"):
-        "1e1ee0361fa937ad3777b4e4d775914e79b935df5ba8c49fa176107be30a7f1e",
+        "10e39013f5d14c088a1ca3bd045e590468dc17ea646322183862d20fbbdda485",
     ("random1", "energy", "one_free"):
-        "309f7c790ee5854b909f51533dd46f7c8401b1f5c54a06f0a5948c19e1dfd1f2",
+        "c85f8a70e350ff6f20aa7e977a8fc83ac9a58b34dd9f352e270186b235523109",
     ("random1", "energy", "exact"):
-        "50058df79f4eae9a0af3543fbf216bd42d66c7906eed8c5dc48e1eecdfa94e5f",
+        "c75f791391a6d2772e553039241aba7cf4d15bc6f72ef15376d2f21d9fb00855",
     ("random2", "throughput", "fixed"):
         "ef1232a0ffee87aa78873b81221e42b0db04f71a57c5a543babdeafdade97f3e",
     ("random2", "throughput", "one_free"):
@@ -200,11 +204,11 @@ HIGHS_SHA256 = {
     ("random2", "throughput", "exact"):
         "fd648f865fef56c877015de0ebeabf43df2fb1a83d09ce51d6cb3d7628c089f2",
     ("random2", "energy", "fixed"):
-        "435c9e4de4a73a33bea24a772cb6ccdb4ccdd8a929d9fd47c285844c48e28ef1",
+        "4c5fb32d1604dac1016a1af432d56ef7e346f5f137ae5251db8c93648af575e0",
     ("random2", "energy", "one_free"):
-        "0dc91076f142654634f34c965428524e063cc728a7e55b9c75b60af434dd11c4",
+        "9418a79d8b58348d6b736c99274a239ad20a64bb46229df752c35bcb74a01533",
     ("random2", "energy", "exact"):
-        "add64324f3ae390e1c8b69edc1c2b3d71bc3623e08bd7e9b37bdd2484d6bdfe7",
+        "3b7a0a3a2af5384079f12ae9aa149b687f6486ba74f9c8dc3d18a179a8b3160b",
 }
 
 

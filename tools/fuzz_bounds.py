@@ -17,6 +17,11 @@ power:
 - on the all-max fixed-power model and on one random fixed-power model,
   against HiGHS's optimum, solved without the bound as a stop.
 
+It also holds the full energy model's LP relaxation (integrality
+dropped) to the brute-force optimum: a row that cuts off the optimum,
+such as an invalid reformulation row, lifts the LP above it and counts as
+a bound violation.
+
 HiGHS stops once its incumbent meets the model's proven bound, so an
 unsound bound gives a wrong answer, not just a skipped trial.  The script
 solves each full model of both problems with that stop and without it,
@@ -161,6 +166,13 @@ def check_stop(
             _same_optimum("start", counts, where, raw, plain, ("started", "unseeded"))
 
 
+def lp_relaxation(inst: ProblemInstance):
+    """HiGHS's answer to the full energy model with integrality dropped."""
+    built = milp.build(inst, milp.ENERGY)
+    built.ir.binary[:], built.ir.bound = False, None
+    return milp.solve(built.ir, SolverOptions(time_limit_s=60.0))
+
+
 def check(
     inst: ProblemInstance, rng: np.random.Generator, counts: Counter, what: str
 ) -> dict[int, float]:
@@ -185,6 +197,20 @@ def check(
             if beats_bound(sense, optimum, bound):
                 counts["bound violations"] += 1
                 print(f"{what} {problem} full: optimum {optimum!r} beats bound {bound!r}")
+            if problem == milp.ENERGY:
+                lp = lp_relaxation(inst)
+                if lp.status is SolveStatus.INFEASIBLE:
+                    # Brute force met every row, so only a row that cuts
+                    # off every feasible point can make the LP infeasible.
+                    counts["bound violations"] += 1
+                    print(f"{what} energy LP infeasible: optimum {optimum!r}")
+                elif lp.status is not SolveStatus.OPTIMAL:
+                    counts[f"energy LP {lp.status.value}"] += 1
+                else:
+                    counts["energy LP checks"] += 1
+                    if beats_bound(sense, optimum, lp.objective):
+                        counts["bound violations"] += 1
+                        print(f"{what} energy LP: optimum {optimum!r} beats LP {lp.objective!r}")
         for name, fixed in trials:
             built = milp.build(inst, problem, fixed)
             # HiGHS's own optimum: the bound under test must not stop it.
