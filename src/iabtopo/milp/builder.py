@@ -83,9 +83,18 @@ binary of the power's level at 1, or every level binary of a frontend
 started at 0 at 0; selective reduction starts from the throughput
 search's powers this way.  HiGHS first solves the model with those
 columns pinned, which is the fixed-power flow problem at that point, and
-starts the full solve from its answer.  Models with a fixed power carry
-none, and nor do energy models: on the benchmark's exact energy solves
-an all-max start saved nothing clear and slowed the demo's hour 6.
+starts the full solve from its answer.
+
+An exact energy model's seed wakes the fewest frontends that reach every
+demanded UE from the donor over wired routing edges and the live wireless routing
+edges out of awake frontends, at most ``MAX_AWAKE_SEED`` of them: it pins
+their ``act`` at 1 and every level binary of every other frontend at 0,
+and leaves the levels to the pinned run.  No served point wakes fewer
+frontends, and waking one costs n_trx * (p0 - p_sleep), 34 W in the
+demo's power model, where each amplifier term of a 5 Mbps UE is a
+fraction of a watt; so the optimum tends to wake a set this small.  A
+model that needs more frontends carries none, and so does every model
+with a fixed power.
 
 Models are built from arrays.  Each graph's channel gains are computed
 once per radio and shared by every model built on it; every edge's
@@ -96,6 +105,7 @@ a scalar computation of one term at a time would use.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
@@ -150,6 +160,12 @@ class _Reps(NamedTuple):
     def single(self) -> np.ndarray:
         """At most one power above zero: a constant, or one switchable level."""
         return (self.cont < 0) & ((self.level_col >= 0).sum(axis=1) <= 1)
+
+    @property
+    def free(self) -> np.ndarray:
+        """Whether the model picks the power: ``ptx``, or level binaries other than ``act``."""
+        levels = (self.level_col >= 0) & (self.level_col != self.act[:, None])
+        return (self.cont >= 0) | levels.any(axis=1)
 
     @property
     def on(self) -> np.ndarray:
@@ -645,7 +661,7 @@ def _finish_throughput(
         -np.inf, 0.0, *out.coo(),
     )
     ir.set_objective("max", [z], [1.0])
-    if (reps.var >= 0).all():
+    if reps.free.all():
         ir.seed = _seed(reps, start)
 
 
@@ -844,6 +860,65 @@ def _finish_energy(built: BuiltModel, lad: _Ladders) -> None:
         np.concatenate([pm.delta_p * p_mw / 1000.0, np.array(obj_coefs, dtype=float)]),
         _asleep_w(reps, instance),
     )
+    if reps.free.all():
+        ir.seed = _awake_seed(built, lad)
+
+
+# The most frontends ``_awake_seed`` tries to wake.
+MAX_AWAKE_SEED = 3
+
+
+def _awake_seed(built: BuiltModel, lad: _Ladders):
+    """(columns, values) that wake the fewest frontends that reach every UE, or ().
+
+    A UE is reached from the donor over wired routing edges and the live
+    wireless routing edges out of awake frontends.  Sets are tried by
+    size, then by ascending frontend ids, up to ``MAX_AWAKE_SEED``
+    frontends; the first that reaches every demanded UE is pinned awake
+    (``act`` at 1), and every level binary of every other frontend at 0.
+    The levels stay free, so HiGHS's pinned run picks them.
+    """
+    reps = built.power_reps
+    wired: dict[int, list[int]] = {}
+    for e in built.routing_wired:
+        wired.setdefault(e.src, []).append(e.dst)
+    radiates: dict[int, list[int]] = {}
+    for e, live in zip(lad.edges, (lad.top > 0).tolist()):
+        if live:
+            radiates.setdefault(e.src, []).append(e.dst)
+    dests = {c.dest for c in built.commodities}
+
+    def reaches_all(awake: tuple[int, ...]) -> bool:
+        todo = [built.instance.graph.donor.id]
+        reached = set(todo)
+        while todo:
+            n = todo.pop()
+            for m in wired.get(n, []) + (radiates[n] if n in awake else []):
+                if m not in reached:
+                    reached.add(m)
+                    todo.append(m)
+        return dests <= reached
+
+    # A first covering set wakes only frontends with live edges: any other
+    # member could leave it, giving a smaller covering set.
+    sets = (
+        awake
+        for size in range(MAX_AWAKE_SEED + 1)
+        for awake in itertools.combinations(sorted(radiates), size)
+    )
+    awake = next(filter(reaches_all, sets), None)
+    if awake is None:
+        return ()
+    cols, values = [], []
+    for fid, j in reps.col.items():
+        if fid in awake:
+            cols.append(reps.act[j])
+            values.append(1.0)
+        else:
+            lam = reps.level_col[j][reps.level_col[j] >= 0]
+            cols.extend(lam)
+            values.extend([0.0] * len(lam))
+    return np.array(cols, dtype=np.int64), np.array(values, dtype=float)
 
 
 def _asleep_w(reps: _Reps, instance: ProblemInstance) -> float:

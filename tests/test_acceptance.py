@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from iabtopo import heuristics, milp
+from iabtopo import heuristics, milp, oracle
 from iabtopo.capacity import capacity_from_sinr, default_table
 from iabtopo.channel import RadioParams
 from iabtopo.cli import evolution_stats
@@ -235,6 +235,32 @@ def test_power_bound_covers_the_brute_force_optimum(instance_suite):
         if rec["p_oracle"] is not None:
             bound = milp.model_bound(rec["instance"], milp.ENERGY)
             assert bound <= rec["p_oracle"] * (1.0 + 1e-9)
+
+
+def test_brute_force_energy_optimum_wakes_no_fewer_frontends_than_the_seed(
+    instance_suite, monkeypatch
+):
+    # The exact energy model's seed wakes the fewest frontends that reach
+    # every UE.  The frontends any served point wakes reach them all, so
+    # no optimum wakes fewer; on all 50 draws it wakes as many.
+    priced = []
+    price = oracle.network_power
+
+    def counting(powers, activations, *args):
+        report = price(powers, activations, *args)
+        priced.append((report.total_w, sum(activations.values())))
+        return report
+
+    monkeypatch.setattr(oracle, "network_power", counting)
+    for rec in instance_suite:
+        if rec["p_oracle"] is None:
+            continue
+        _, values = milp.build(rec["instance"], milp.ENERGY).ir.seed
+        del priced[:]
+        optimum = enumerate_optimal_energy(rec["instance"])
+        assert optimum == rec["p_oracle"]
+        woken = min(n for total, n in priced if total == optimum)
+        assert woken >= values.sum()
 
 
 def test_criterion_5_heuristic_soundness(instance_suite):

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import math
 
 import numpy as np
@@ -764,7 +765,8 @@ def test_single_level_grid_has_no_power_column():
 def test_exact_throughput_seed_is_every_top_power(mode):
     # The exact throughput model's seed is one column per frontend, at its
     # top power: ptx at p_max, a single level's binary, or the binary of a
-    # grid's top level.  Energy, all-fixed and one-free models get none.
+    # grid's top level.  All-fixed and one-free models of either problem
+    # get none; the exact energy model gets its awake-set seed.
     inst = two_unit_instance().with_power_mode(mode)
     built = milp.build(inst, milp.THROUGHPUT)
     fids = sorted(built.power_reps.col)
@@ -805,7 +807,8 @@ def test_exact_throughput_seed_is_every_top_power(mode):
         (milp.THROUGHPUT, inst.with_power_mode(FixedPower(all_max)), None),
     ]
     if not isinstance(mode, ContinuousPower):
-        trials += [(milp.ENERGY, inst, powers) for powers in (None, all_max, one_free)]
+        trials += [(milp.ENERGY, inst, powers) for powers in (all_max, one_free)]
+        assert milp.build(inst, milp.ENERGY).ir.seed
     for problem, model, powers in trials:
         assert milp.build(model, problem, powers).ir.seed == ()
 
@@ -825,11 +828,12 @@ def _seeded_instances():
 
 def test_seeded_and_unseeded_solves_reach_one_optimum():
     # The start changes where HiGHS begins, not what it proves: with and
-    # without the seed the exact model reaches one optimum (within
-    # criterion 4's 1e-6 relative), and the seeded answer extracts and
-    # validates.
-    for inst in _seeded_instances():
-        built = milp.build(inst, milp.THROUGHPUT)
+    # without the seed the exact model of either problem reaches one
+    # optimum (within criterion 4's 1e-6 relative), and the seeded answer
+    # extracts and validates.
+    problems = (milp.THROUGHPUT, milp.ENERGY)
+    for problem, inst in itertools.product(problems, _seeded_instances()):
+        built = milp.build(inst, problem)
         assert built.ir.seed
         seeded = milp.solve(built.ir, SolverOptions(time_limit_s=60))
         solution = milp.extract_solution(built, seeded)
@@ -838,6 +842,68 @@ def test_seeded_and_unseeded_solves_reach_one_optimum():
         plain = milp.solve(built.ir, SolverOptions(time_limit_s=60))
         assert seeded.status is plain.status is SolveStatus.OPTIMAL
         assert seeded.objective == pytest.approx(plain.objective, rel=1e-6)
+
+
+def _relay_instance(relays: int) -> ProblemInstance:
+    """A UE at the end of a chain of ``relays`` units behind the donor's unit.
+
+    Frontends 1, 3, 5, ... sit on units 0, 1, 2, ...; each unit's frontend
+    reaches the next unit's MT+DU, and only the last frontend reaches the UE.
+    """
+    nodes = [
+        Node(0, NodeKind.DONOR_DU, (0.0, 0.0, 10.0), unit_id=0),
+        Node(1, NodeKind.FRONTEND, (0.0, 0.0, 10.0), unit_id=0),
+    ]
+    edges = [Edge(0, 1, EdgeKind.WIRED)]
+    for unit in range(1, relays + 1):
+        x = 100.0 * unit
+        nodes += [
+            Node(2 * unit, NodeKind.MT_DU, (x, 0.0, 10.0), unit_id=unit),
+            Node(2 * unit + 1, NodeKind.FRONTEND, (x, 0.0, 10.0), unit_id=unit),
+        ]
+        edges += [
+            Edge(2 * unit - 1, 2 * unit, EdgeKind.WIRELESS, pathloss_db=80.0, los=True),
+            Edge(2 * unit, 2 * unit + 1, EdgeKind.WIRED),
+        ]
+    ue = 2 * relays + 2
+    nodes.append(Node(ue, NodeKind.UE, (100.0 * relays + 20.0, 10.0, 1.5)))
+    edges.append(Edge(ue - 1, ue, EdgeKind.WIRELESS, pathloss_db=80.0, los=True))
+    return ProblemInstance(
+        graph=build_graph(nodes, edges),
+        commodities=(Commodity(0, 0, ue, 5.0),),
+        capacity_table=coarse_table(),
+        power_mode=DiscretePower(default_power_levels(6300.0, 5)),
+    )
+
+
+def _awake(built) -> list[str]:
+    """The columns an energy seed pins at 1."""
+    cols, values = built.ir.seed
+    return [built.ir.var_names[c] for c in cols[values == 1.0].tolist()]
+
+
+def test_energy_seed_wakes_the_fewest_frontends_that_reach_every_ue():
+    # The exact energy model's seed wakes the fewest frontends whose live
+    # edges reach every UE from the donor, and pins every level binary of
+    # the others at 0.  Behind one relay that is the donor's frontend and
+    # the relay's; a UE that needs more than three gets no seed.
+    built = milp.build(_relay_instance(1), milp.ENERGY)
+    assert _awake(built) == ["act[1]", "act[3]"]
+    assert len(built.ir.seed[0]) == 2  # an awake frontend's levels stay free
+    seeded = milp.solve_extracted(built, SolverOptions(time_limit_s=60))
+    assert {fid for fid, p in seeded.powers_mw.items() if p > 0} == {1, 3}
+    assert _awake(milp.build(_relay_instance(2), milp.ENERGY)) == ["act[1]", "act[3]", "act[5]"]
+    assert milp.build(_relay_instance(3), milp.ENERGY).ir.seed == ()
+    # Only routing edges reach: without the UE's one in-edge no set does.
+    built = milp.build(_relay_instance(1), milp.ENERGY, routing_edges=[(0, 1), (1, 2), (2, 3)])
+    assert built.ir.seed == ()
+
+    # Every frontend left out of the set has each level binary pinned at 0.
+    inst = two_unit_instance().with_power_mode(DiscretePower(default_power_levels(6300.0, 5)))
+    built = milp.build(inst, milp.ENERGY)
+    cols, values = built.ir.seed
+    pinned = dict(zip((built.ir.var_names[c] for c in cols.tolist()), values.tolist()))
+    assert pinned == {"act[1]": 1.0, **{f"lam[11,{i}]": 0.0 for i in range(4)}}
 
 
 def test_search_started_solves_reach_the_seeded_optimum():

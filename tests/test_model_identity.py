@@ -159,7 +159,9 @@ def _highs_digest(kwargs):
 # are the entry's options before plus that target, and the target is the
 # stop before plus 1e-9 relative (with a floor of 1).  The twelve energy
 # entries were re-pinned with the wsum and capw rows: each digest of the
-# model with those rows taken out equals the entry before.
+# model with those rows taken out equals the entry before.  The four exact
+# energy entries were re-pinned when those models got their awake-set
+# seed: each digest without the seed's bytes equals the entry before.
 HIGHS_SHA256 = {
     ("two_unit", "throughput", "fixed"):
         "203177b13bcf5c642451a72acbf039c8097c62da23e48a145469c813682aa47e",
@@ -172,7 +174,7 @@ HIGHS_SHA256 = {
     ("two_unit", "energy", "one_free"):
         "c4883edef6cb198265d416fa07a840ce340928cd3dc7926ee07a105fd37934f3",
     ("two_unit", "energy", "exact"):
-        "f25e1f8a5a9e0cd8d3477781e3881be96955cc7f4e5814b6386922b12719ecda",
+        "b6733465bbae742008c8e13b86960a08fa5222517716f301756bc30bba760a6c",
     ("random0", "throughput", "fixed"):
         "694037db9b757c1440aad4b9ad1aab2de9ff26bb9f5985e2d1db4390e6b7e19f",
     ("random0", "throughput", "one_free"):
@@ -184,7 +186,7 @@ HIGHS_SHA256 = {
     ("random0", "energy", "one_free"):
         "38fad322d4aace90d0f44f1c2e5179d1daf9a73cff16464135b24a3cf13b4902",
     ("random0", "energy", "exact"):
-        "b964ea60a9f36a88b8b569da61af056e5944f72e85e54f43afd6d119c2eadd74",
+        "2fa7707cfadabca280997514ca9ab128e07dc8de60022118ea1aba7500337272",
     ("random1", "throughput", "fixed"):
         "148eb11840f533f1e2c0f0b100591cec3f712088c969ea32afec012cae872bc4",
     ("random1", "throughput", "one_free"):
@@ -196,7 +198,7 @@ HIGHS_SHA256 = {
     ("random1", "energy", "one_free"):
         "c85f8a70e350ff6f20aa7e977a8fc83ac9a58b34dd9f352e270186b235523109",
     ("random1", "energy", "exact"):
-        "c75f791391a6d2772e553039241aba7cf4d15bc6f72ef15376d2f21d9fb00855",
+        "425363b9dc4f40c4ef38f4bc01ef8f130067322d85a77325ffcbba918ba4c488",
     ("random2", "throughput", "fixed"):
         "ef1232a0ffee87aa78873b81221e42b0db04f71a57c5a543babdeafdade97f3e",
     ("random2", "throughput", "one_free"):
@@ -208,7 +210,7 @@ HIGHS_SHA256 = {
     ("random2", "energy", "one_free"):
         "9418a79d8b58348d6b736c99274a239ad20a64bb46229df752c35bcb74a01533",
     ("random2", "energy", "exact"):
-        "3b7a0a3a2af5384079f12ae9aa149b687f6486ba74f9c8dc3d18a179a8b3160b",
+        "5fc48557855e98408b0bbcb678066d82bdd0df64567f62e1a78bb6801febdfa3",
 }
 
 
