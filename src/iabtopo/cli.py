@@ -408,6 +408,13 @@ def cmd_sweep(
 # -- report -------------------------------------------------------------------
 
 
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _cdf_points(values: list[float]) -> list[tuple[float, float]]:
     ordered = sorted(values)
     n = len(ordered)
@@ -459,33 +466,20 @@ def cmd_report(results_path, states_dir, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    throughput_vals = [
-        float(r["objective"]) for r in ok_rows if r["problem"] == "throughput" and r["objective"]
-    ]
-    if throughput_vals:
-        with open(out / "throughput_cdf.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["throughput_mbps", "cdf"])
-            writer.writerows(
-                (f"{v:.6f}", f"{c:.6f}") for v, c in _cdf_points(throughput_vals)
-            )
+    for problem, column, name, header in (
+        ("throughput", "objective", "throughput_cdf.csv", "throughput_mbps"),
+        ("energy", "eta_mbps_per_w", "eta_cdf.csv", "eta_mbps_per_w"),
+    ):
+        values = [float(r[column]) for r in ok_rows if r["problem"] == problem and r[column]]
+        if values:
+            cdf = ((f"{v:.6f}", f"{c:.6f}") for v, c in _cdf_points(values))
+            _write_csv(out / name, [header, "cdf"], cdf)
 
-    eta_vals = [
-        float(r["eta_mbps_per_w"])
-        for r in ok_rows
-        if r["problem"] == "energy" and r["eta_mbps_per_w"]
-    ]
-    if eta_vals:
-        with open(out / "eta_cdf.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["eta_mbps_per_w", "cdf"])
-            writer.writerows((f"{v:.6f}", f"{c:.6f}") for v, c in _cdf_points(eta_vals))
-
-    with open(out / "activation_timeseries.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["hour", "method", "problem", "activated_frontends"])
-        for r in ok_rows:
-            writer.writerow([r["hour"], r["method"], r["problem"], r["activated_frontends"]])
+    _write_csv(
+        out / "activation_timeseries.csv",
+        ["hour", "method", "problem", "activated_frontends"],
+        ([r["hour"], r["method"], r["problem"], r["activated_frontends"]] for r in ok_rows),
+    )
 
     if states_dir:
         evo_rows = []
@@ -507,12 +501,11 @@ def cmd_report(results_path, states_dir, out_dir):
                     f"{stats['total_time_s']:.2f}",
                 ]
             )
-        with open(out / "evolution.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["run", "initial", "final", "improvement_pct", "time_to_near_final_s", "total_time_s"]
-            )
-            writer.writerows(evo_rows)
+        _write_csv(
+            out / "evolution.csv",
+            ["run", "initial", "final", "improvement_pct", "time_to_near_final_s", "total_time_s"],
+            evo_rows,
+        )
 
     click.echo(f"wrote report files to {out}")
 

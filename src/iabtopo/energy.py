@@ -7,6 +7,7 @@ links); a silent frontend drops to sleep power.  All figures in watts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
@@ -29,8 +30,9 @@ class PowerModelParams:
     p_active_unit_w: float = 0.0  # optional per-active-unit baseband adder
 
     def __post_init__(self):
-        if min(self.n_trx, self.p0_w, self.delta_p, self.p_sleep_w, self.p_max_w) < 0:
-            raise ValueError("power model constants must be >= 0")
+        for name, value in vars(self).items():
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.p_sleep_w > self.p0_w:
             raise ValueError("sleep power above idle baseline")
 

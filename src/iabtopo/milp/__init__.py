@@ -4,15 +4,7 @@
 they call up on this package, so wrappers set on its attributes see each call.
 """
 
-from ..problem import (
-    ContinuousPower,
-    DiscretePower,
-    FixedPower,
-    NetworkSolution,
-    PowerMode,
-    SolveStatus,
-    default_power_levels,
-)
+from ..problem import NetworkSolution, SolveStatus, default_power_levels
 from .backend import RawSolution, SolverOptions, beats, solve, write_model
 from .builder import (
     ENERGY,
@@ -43,13 +35,9 @@ def solve_extracted(built: BuiltModel, options: SolverOptions | None = None) -> 
 
 __all__ = [
     "BuiltModel",
-    "ContinuousPower",
-    "DiscretePower",
     "ENERGY",
-    "FixedPower",
     "ModelIR",
     "NetworkSolution",
-    "PowerMode",
     "RawSolution",
     "SolveStatus",
     "SolverOptions",

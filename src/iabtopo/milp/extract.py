@@ -128,9 +128,7 @@ def extract_solution(built: BuiltModel, raw: RawSolution) -> NetworkSolution:
         if built.problem == ENERGY:
             per_ue[comm.dest] = comm.demand_mbps
         else:
-            inflow = sum(v for (src, dst), v in flows[comm.id].items() if dst == comm.dest)
-            outflow = sum(v for (src, dst), v in flows[comm.id].items() if src == comm.dest)
-            per_ue[comm.dest] = inflow - outflow
+            per_ue[comm.dest] = sum(v for (_, dst), v in flows[comm.id].items() if dst == comm.dest)
 
     status = raw.status
     if status is SolveStatus.TIME_LIMIT:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .capacity import CapacityTable, capacity_from_sinr
 from .channel import link_budgets
@@ -95,19 +95,22 @@ def _power_grids(instance: ProblemInstance) -> tuple[list[int], list[list[float]
     raise UnsupportedMode("enumeration needs fixed or discrete powers")
 
 
-def _trees(instance: ProblemInstance, ue_ids: Sequence[int], shape):
-    """Yield (powers, capacities, shape) of every candidate tree.
+def _trees(instance: ProblemInstance, demand: Mapping[int, float]):
+    """Yield (powers, capacities, loads) of every candidate tree.
 
-    Powers range over the instance's grid.  Each UE takes one wireless
-    parent and each MT-DU one wireless parent or none, both only over
-    links with positive capacity at those powers; powers that leave a UE
-    unservable are skipped.  ``shape(tree)`` gets the choice's edges: the
-    graph's wired edges plus every chosen wireless link.  A tree does not
-    depend on the powers, so ``shape``, the per-tree data the caller needs,
-    runs once per distinct parent choice; choices it maps to None (a UE
-    cut off from the donor, or a cycle among unit parents) are skipped.
+    Powers range over the instance's grid.  Each UE of ``demand`` takes one
+    wireless parent and each MT-DU one wireless parent or none, both only
+    over links with positive capacity at those powers; powers that leave a
+    UE unservable are skipped.  A tree is the graph's wired edges plus the
+    chosen wireless links and does not depend on the powers, so
+    ``_routed_demand`` turns each distinct parent choice into loads once;
+    choices it rejects (a UE cut off from the donor, or a cycle among unit
+    parents) are skipped.
     """
     g = instance.graph
+    ue_ids = sorted(demand)
+    donor = g.donor.id
+    wireless = {e.key for e in g.wireless_edges}
     frontends, grids = _power_grids(instance)
     ue_candidates = {
         ue: [e.src for e in g.in_edges(ue) if e.kind is EdgeKind.WIRELESS]
@@ -131,7 +134,7 @@ def _trees(instance: ProblemInstance, ue_ids: Sequence[int], shape):
     table = instance.capacity_table
     budgets = link_budgets(g, g.wireless_edges, instance.radio)
     wired = [e.key for e in g.wired_edges]
-    shapes: dict[tuple, object] = {}  # parent choice -> shape(tree) or None
+    routed: dict[tuple, dict | None] = {}  # parent choice -> loads or None
     for combo in itertools.product(*grids):
         powers = dict(zip(frontends, combo))
         caps = {
@@ -149,28 +152,23 @@ def _trees(instance: ProblemInstance, ue_ids: Sequence[int], shape):
         for choice in itertools.product(
             itertools.product(*ue_options), itertools.product(*mtdu_options)
         ):
-            if choice not in shapes:
+            if choice not in routed:
                 ue_pick, m_pick = choice
                 tree = set(wired)
                 tree.update(zip(ue_pick, ue_ids))
                 tree.update((f, m) for f, m in zip(m_pick, mtdus) if f is not None)
-                shapes[choice] = shape(tree)
-            if shapes[choice] is not None:
-                yield powers, caps, shapes[choice]
+                routed[choice] = _routed_demand(tree, demand, donor, wireless)
+            if routed[choice] is not None:
+                yield powers, caps, routed[choice]
 
 
 def enumerate_optimal_throughput(instance: ProblemInstance) -> float:
     """Exact max-min rate by exhausting powers, parents and airtime."""
-    ue_ids = sorted({c.dest for c in instance.commodities})
-    if not ue_ids:
+    ues = {ue: 1 for ue in sorted({c.dest for c in instance.commodities})}
+    if not ues:
         return 0.0
-    ues = {ue: 1 for ue in ue_ids}
-    donor = instance.graph.donor.id
-    wireless = {e.key for e in instance.graph.wireless_edges}
     best = 0.0
-    for _powers, caps, loads in _trees(
-        instance, ue_ids, lambda tree: _routed_demand(tree, ues, donor, wireless)
-    ):
+    for _powers, caps, loads in _trees(instance, ues):
         z = _max_min(loads, caps)
         if z > best:
             best = z
@@ -186,14 +184,9 @@ def enumerate_optimal_energy(instance: ProblemInstance) -> float:
         asleep = {n.id: 0.0 for n in g.frontends}
         return network_power(asleep, {}, {}, pm, g).total_w
 
-    ue_ids = sorted({c.dest for c in commodities})
     demand = {c.dest: c.demand_mbps for c in commodities}
-    donor = g.donor.id
-    wireless = {e.key for e in g.wireless_edges}
     best = math.inf
-    for powers, caps, load in _trees(
-        instance, ue_ids, lambda tree: _routed_demand(tree, demand, donor, wireless)
-    ):
+    for powers, caps, load in _trees(instance, demand):
         airtimes = {key: d_e / caps[key] for key, d_e in load.items()}
         if any(v > 1.0 + 1e-9 for v in _node_airtime(airtimes).values()):
             continue

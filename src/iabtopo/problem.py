@@ -8,6 +8,7 @@ the capacity ladder and the transmit-power mode.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, Union
@@ -46,8 +47,8 @@ class DiscretePower:
             raise ValueError("power levels must be sorted and unique")
         if not levels or levels[0] != 0.0:
             raise ValueError("power grid must start at 0")
-        if levels[-1] < 0:
-            raise ValueError("power levels must be >= 0")
+        if not all(map(math.isfinite, levels)):
+            raise ValueError("power levels must be finite")
 
 
 PowerMode = Union[FixedPower, ContinuousPower, DiscretePower]

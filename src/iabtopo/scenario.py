@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -216,25 +216,8 @@ def generate(
 
 
 def config_to_json(config: ScenarioConfig, path) -> None:
-    payload = {
-        "area_km2": config.area_km2,
-        "lambda_gnb": config.lambda_gnb,
-        "sectors_per_unit": config.sectors_per_unit,
-        "l_ue_per_gnb": config.l_ue_per_gnb,
-        "r_indoor": config.r_indoor,
-        "seed": config.seed,
-        "donor_rule": config.donor_rule,
-        "coupling_cutoff_db": config.coupling_cutoff_db,
-        "gnb_height_m": config.gnb_height_m,
-        "ue_height_m": config.ue_height_m,
-        "demand_mbps": config.demand_mbps,
-        "radio": vars(config.radio).copy(),
-        "power_model": vars(config.power_model).copy(),
-        "unit_positions": config.unit_positions,
-        "ue_positions": config.ue_positions,
-    }
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(asdict(config), fh, indent=2)
         fh.write("\n")
 
 

@@ -592,6 +592,59 @@ def test_single_row_cdf_degenerate(tmp_path):
     assert rows == [["100.000000", "1.000000"]]
 
 
+def _write_rows(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def test_report_files_byte_for_byte(tmp_path):
+    # Every file `report` writes, pinned as text: its header, number
+    # formats, row order and CRLF line ends.  The error row is in no file.
+    results = tmp_path / "results.csv"
+    _write_rows(results, RESULT_COLUMNS, [
+        [6, "local-search", "throughput", "optimal", "120.5", "120.5", 3, "250.0", "0.482", "1.0"],
+        [6, "local-search", "energy", "optimal", "240.25", "5.0", 2, "240.25", "0.5", "2.0"],
+        [19, "exact", "throughput", "feasible", "98.125", "98.125", 4, "262.0", "0.3745", "30.0"],
+        [19, "exact", "energy", "error:ExtractionMismatch", "", "", "", "", "", "3.5"],
+        [21, "selective-reduction", "throughput", "optimal", "101.0", "101.0", 3, "251.5", "0.4016", "4.0"],
+        [21, "selective-reduction", "energy", "optimal", "239.75", "5.0", 2, "239.75", "0.75", "5.0"],
+    ])
+    states = tmp_path / "states"
+    states.mkdir()
+    state_header = ["iter", "timestamp_s", "objective"]
+    _write_rows(states / "hour006_local-search_throughput_state.csv", state_header,
+                [[0, "0.000000", "100.0"], [1, "0.500000", "119.5"], [2, "1.250000", "120.5"]])
+    _write_rows(states / "hour006_local-search_energy_state.csv", state_header,
+                [[0, "0.000000", "240.25"], [1, "0.750000", "240.25"]])
+    out = tmp_path / "rep"
+    args = ["report", "--results", str(results), "--out-dir", str(out)]
+    assert _run(args + ["--states-dir", str(states)]).exit_code == 0
+    expected = {
+        "throughput_cdf.csv": "throughput_mbps,cdf\r\n98.125000,0.333333\r\n"
+        "101.000000,0.666667\r\n120.500000,1.000000\r\n",
+        "eta_cdf.csv": "eta_mbps_per_w,cdf\r\n0.500000,0.500000\r\n0.750000,1.000000\r\n",
+        "activation_timeseries.csv": "hour,method,problem,activated_frontends\r\n"
+        "6,local-search,throughput,3\r\n6,local-search,energy,2\r\n19,exact,throughput,4\r\n"
+        "21,selective-reduction,throughput,3\r\n21,selective-reduction,energy,2\r\n",
+        "evolution.csv": "run,initial,final,improvement_pct,time_to_near_final_s,total_time_s\r\n"
+        "hour006_local-search_energy,240.25,240.25,0.00,,0.75\r\n"
+        "hour006_local-search_throughput,100.00,120.50,20.50,0.50,1.25\r\n",
+    }
+    assert {p.name: p.read_bytes().decode() for p in out.iterdir()} == expected
+
+    # Without energy rows there is no eta CDF; without states, no evolution.
+    throughput_only = tmp_path / "throughput.csv"
+    with open(results, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r[2] != "energy"]
+    _write_rows(throughput_only, rows[0], rows[1:])
+    out = tmp_path / "rep2"
+    assert _run(["report", "--results", str(throughput_only), "--out-dir", str(out)]).exit_code == 0
+    assert sorted(p.name for p in out.iterdir()) == ["activation_timeseries.csv", "throughput_cdf.csv"]
+    assert (out / "throughput_cdf.csv").read_bytes().decode() == expected["throughput_cdf.csv"]
+
+
 def test_evolution_stats_near_final_rule():
     log = [(0.0, 100.0), (5.0, 198.5), (9.0, 200.0), (12.0, 200.0)]
     stats = evolution_stats(log)

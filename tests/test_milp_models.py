@@ -120,6 +120,12 @@ def test_two_equal_ues_split_evenly():
     assert sol.objective == pytest.approx(table.max_capacity_mbps / 2, rel=1e-9)
 
 
+@pytest.mark.parametrize("levels", [(0.0, math.nan), (0.0, 3150.0, math.inf)])
+def test_power_grid_levels_must_be_finite(levels):
+    with pytest.raises(ValueError, match="power levels must be finite"):
+        DiscretePower(levels)
+
+
 def test_empty_commodities_rejected():
     inst = _single_frontend_instance(coarse_table(), [80.0])
     bare = ProblemInstance(

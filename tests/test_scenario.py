@@ -1,10 +1,12 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from iabtopo.energy import PowerModelParams
 from iabtopo.errors import BadRange, DuplicateHour, EmptyScenario, MissingHour, ParseError
 from iabtopo.graph import Commodity, NodeKind, save_graph
 from iabtopo.scenario import (
@@ -214,6 +216,17 @@ def test_config_json_round_trip(tmp_path):
     config_to_json(cfg, path)
     assert config_from_json(path) == cfg
 
+    # The writer reproduces the demo file byte for byte.
+    demo = Path(__file__).resolve().parent.parent / "demo" / "scenario_config.json"
+    config_to_json(config_from_json(demo), path)
+    assert path.read_bytes() == demo.read_bytes()
+
+    placed = ScenarioConfig(
+        unit_positions=((0.0, 0.0), (120.5, 80.25)), ue_positions=((60.0, 40.0),)
+    )
+    config_to_json(placed, path)
+    assert config_from_json(path) == placed
+
 
 def test_config_rejects_bad_json(tmp_path):
     path = tmp_path / "bad.json"
@@ -232,4 +245,22 @@ def test_demand_must_be_finite_and_non_negative(tmp_path, demand):
     config_to_json(ScenarioConfig(), path)
     path.write_text(json.dumps({**json.loads(path.read_text()), "demand_mbps": demand}))
     with pytest.raises(ParseError, match="demand_mbps"):
+        config_from_json(path)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("p_active_unit_w", -5.0), ("p0_w", math.nan), ("delta_p", math.inf), ("n_trx", -1)],
+)
+def test_power_model_constants_must_be_finite_and_non_negative(tmp_path, name, value):
+    # A negative adder or a NaN constant would leave the proven power
+    # bound below what the model reaches, or NaN.
+    with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+        PowerModelParams(**{name: value})
+    path = tmp_path / "cfg.json"
+    config_to_json(ScenarioConfig(), path)
+    raw = json.loads(path.read_text())
+    raw["power_model"][name] = value
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ParseError, match=name):
         config_from_json(path)
