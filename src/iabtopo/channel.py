@@ -39,8 +39,14 @@ class RadioParams:
     noise_mw: float = 0.0
 
     def __post_init__(self):
-        if self.p_max_mw <= 0:
-            raise ValueError("p_max_mw must be positive")
+        for name, value in vars(self).items():
+            if not -math.inf < value < math.inf:
+                raise ValueError(f"{name} must be finite")
+        for name in ("p_max_mw", "carrier_ghz", "bandwidth_mhz"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.mimo_layers < 1:
+            raise ValueError("mimo_layers must be >= 1")
         if self.g_tx_main_dbi < self.g_tx_side_dbi:
             raise ValueError("tx main-lobe gain below side-lobe gain")
         if self.g_rx_main_dbi < self.g_rx_side_dbi:

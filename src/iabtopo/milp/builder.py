@@ -72,7 +72,11 @@ function of the trial (commodities, power reps, ladders, wired edges and
 bound), computes it before any model exists, so ``model_bound`` lets a
 search rule out a trial without building its model.  The build puts the
 bound on the model IR, ``ir.bound``, which ``BuiltModel.bound`` reads:
-HiGHS is handed it and stops once its incumbent meets it.
+HiGHS is handed it and stops once its incumbent meets it.  A throughput
+model whose powers are all free grid levels (an exact model with no
+``ptx`` column) also caps Z's column at the bound, so its LP relaxation
+starts there; every other throughput model caps Z at the table's top
+capacity.
 
 A throughput model in which every frontend's power is free (the exact
 model) carries a seed, ``ir.seed``: columns and the values that pin each
@@ -639,8 +643,13 @@ def _finish_throughput(
 ) -> None:
     ir, reps, v0, flows = built.ir, built.power_reps, built.v0, built.flows
     commodities = built.commodities
-    c_max = built.instance.capacity_table.max_capacity_mbps
-    (z,) = ir.add_vars(["Z"], ub=c_max)
+    exact = reps.free.all()
+    # An exact model on a power grid caps Z at the proven bound, so its LP
+    # starts there; other models keep the table's top.
+    z_ub = built.instance.capacity_table.max_capacity_mbps
+    if exact and (reps.cont < 0).all():
+        z_ub = min(z_ub, ir.bound)
+    (z,) = ir.add_vars(["Z"], ub=z_ub)
     heads = np.array([e.dst for e in built.routing_wireless + built.routing_wired], dtype=np.int64)
     dests = np.array([c.dest for c in commodities], dtype=np.int64)
     comm_of, edge_of = np.nonzero(heads[None, :] == dests[:, None])
@@ -661,7 +670,7 @@ def _finish_throughput(
         -np.inf, 0.0, *out.coo(),
     )
     ir.set_objective("max", [z], [1.0])
-    if reps.free.all():
+    if exact:
         ir.seed = _seed(reps, start)
 
 

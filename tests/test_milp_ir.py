@@ -654,6 +654,9 @@ def test_stopped_and_unstopped_solves_reach_one_optimum(monkeypatch):
     # and brute-force optimum 408.975021 within HiGHS's feasibility
     # tolerance; on the added draws only, an unstopped answer may pass the
     # bound by 5e-9 relative, and the stopped answer must meet the bound.
+    # The solve without the stop uses the bound nowhere: Z's column, which
+    # exact throughput models on a power grid cap at the bound, is set
+    # back to the table's top capacity for it.
     runs = _spy_highs(monkeypatch)
     target = HighsModelStatus.kObjectiveTarget
     rng = np.random.default_rng(25)
@@ -665,9 +668,12 @@ def test_stopped_and_unstopped_solves_reach_one_optimum(monkeypatch):
     first_added = len(MODEL_SHA256) + 2 * 8
     stopped = 0
     for i, built in enumerate(trials):
-        bound, built.ir.bound = built.ir.bound, None
+        bound, built.ir.bound, ub = built.ir.bound, None, built.ir.ub.copy()
+        if built.problem == milp.THROUGHPUT:
+            z = built.ir.var_names.index("Z")
+            built.ir.ub[z] = built.instance.capacity_table.max_capacity_mbps
         plain = solve(built.ir, SolverOptions(time_limit_s=60))
-        built.ir.bound = bound
+        built.ir.bound, built.ir.ub = bound, ub
         del runs[:]
         raw = solve(built.ir, SolverOptions(time_limit_s=60))
         stopped += target in runs

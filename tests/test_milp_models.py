@@ -645,6 +645,39 @@ def test_extraction_holds_the_answer_to_the_power_bound():
         milp.extract_solution(built, raw)
 
 
+def test_exact_grid_models_cap_z_at_the_proven_bound():
+    # Exact throughput models on a power grid carry their proven bound in
+    # Z's column too, so even a solve without the stop cannot pass it.
+    # Under a Z capped only at the table's top, the ninth draw below
+    # (one frontend, {0, p_max}) bent its airtime rows within HiGHS's
+    # tolerance to 408.975022 Mbps, past its bound 408.975021.
+    rng = np.random.default_rng(25)
+    inst = [random_small_instance(rng, max_units=4, max_ues=4) for _ in range(9)][-1]
+    built = milp.build(inst, milp.THROUGHPUT)
+    bound, built.ir.bound = built.bound, None
+    raw = milp.solve(built.ir, SolverOptions(time_limit_s=60))
+    assert raw.status is SolveStatus.OPTIMAL
+    assert raw.objective <= bound
+
+    # Continuous exact, all-fixed and one-free models keep the table's top.
+    inst = two_unit_instance()
+    c_max = inst.capacity_table.max_capacity_mbps
+    grid = inst.with_power_mode(DiscretePower(default_power_levels(6300.0, 5)))
+    for model, powers, capped in (
+        (inst, None, True),
+        (grid, None, True),
+        (inst.with_power_mode(ContinuousPower()), None, False),
+        (inst, {1: 6300.0, 11: 6300.0}, False),
+        (inst.with_power_mode(FixedPower({1: 6300.0, 11: 3150.0})), None, False),
+        (inst, {11: 6300.0}, False),
+        (grid, {11: 3150.0}, False),
+    ):
+        built = milp.build(model, milp.THROUGHPUT, powers)
+        assert built.bound < c_max
+        z_ub = built.ir.ub[built.ir.var_names.index("Z")]
+        assert z_ub == (min(c_max, built.bound) if capped else c_max)
+
+
 MULTI_LEVEL_GRID = (0.0, 2100.0, 4200.0, 6300.0)
 
 

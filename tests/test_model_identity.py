@@ -29,14 +29,18 @@ from conftest import random_small_instance, two_unit_instance
 # digests were computed on the commit before rows came to be stored as
 # bounds, where every entry before still held.  The twelve energy entries
 # were re-pinned when energy models gained their wsum and capw rows: each
-# model with those rows taken out hashes as the entry before.
+# model with those rows taken out hashes as the entry before.  Three exact
+# throughput entries (two_unit, random0, random1) were re-pinned when
+# exact models on a power grid got Z's upper bound at their proven bound:
+# each model with Z's upper bound set back to the table's top capacity
+# hashes as the entry before (random2's bound is that top capacity).
 MODEL_SHA256 = {
     ("two_unit", "throughput", "fixed"):
         "742eda0c9b92bb8066fbdb0b8dd8ffc1118432c21f16cb65ba76ec4a8761f36d",
     ("two_unit", "throughput", "one_free"):
         "351f2d83a1584fd3e4be73eff506db730e9dd0e988f952f75400de6f3157b96f",
     ("two_unit", "throughput", "exact"):
-        "80617edebc488247492390c0c5337884c7555de3929c3c49a3fc99d3a946e78b",
+        "e1106bdfccc420bb64ad2076f653f23233901fd8b1e19529eb8fe6b09de1d8c4",
     ("two_unit", "energy", "fixed"):
         "27caae09e6a484d1a87af9e218b067b409385eff9af927c4ac7cb4ddc606d1b1",
     ("two_unit", "energy", "one_free"):
@@ -48,7 +52,7 @@ MODEL_SHA256 = {
     ("random0", "throughput", "one_free"):
         "d6867cf387ef8bff4172a8379931abea0ddc1850f49d7d64d8db5d04c5eb90f3",
     ("random0", "throughput", "exact"):
-        "dbdd5deeff47f6e60d1fb0e50238c050aa5fa3f1ec8d4b7df2c2bed8842c7b99",
+        "833d560c5c4d0111df9a9e3bf622c34fa005b9653f2d3440b2a5d4f6a48ab767",
     ("random0", "energy", "fixed"):
         "c0f0017d1da08de292f83ae3aca02754334a80fd1c7f58e41a34607afeb6f7aa",
     ("random0", "energy", "one_free"):
@@ -60,7 +64,7 @@ MODEL_SHA256 = {
     ("random1", "throughput", "one_free"):
         "8336e092111c1ad92aa354494499f9fd0b189183fa925a49aa228ff4e22ac031",
     ("random1", "throughput", "exact"):
-        "2653f869a0b7e3f56fd58cb9272a2c57235fb95f660fed037d7df94481a02d27",
+        "74a389f914304bedf1d5c5d37c92ca190df13c01be9cc47559316747562d6579",
     ("random1", "energy", "fixed"):
         "014e20dfb6d7791ed2da2c8682c80fb7e5a06b058ab7e3889695b1964d111528",
     ("random1", "energy", "one_free"):
@@ -161,14 +165,17 @@ def _highs_digest(kwargs):
 # entries were re-pinned with the wsum and capw rows: each digest of the
 # model with those rows taken out equals the entry before.  The four exact
 # energy entries were re-pinned when those models got their awake-set
-# seed: each digest without the seed's bytes equals the entry before.
+# seed: each digest without the seed's bytes equals the entry before.  The
+# same three exact throughput entries as in MODEL_SHA256 were re-pinned
+# with Z's upper bound at the proven bound: with Z's upper bound set back
+# to the table's top capacity, each digest equals the entry before.
 HIGHS_SHA256 = {
     ("two_unit", "throughput", "fixed"):
         "203177b13bcf5c642451a72acbf039c8097c62da23e48a145469c813682aa47e",
     ("two_unit", "throughput", "one_free"):
         "119910dd5981735631cc909929832fb09111b0090d6896e307e26340fc7db38b",
     ("two_unit", "throughput", "exact"):
-        "c2ca561cc8d7947fdb946d34930b16167dd87b2f66ca8077585c5df8e7a0635f",
+        "529125f197a46ab3e614bfbb112780ec4d38b5c8589a9e1dacf064ad5d73306f",
     ("two_unit", "energy", "fixed"):
         "e84f06756b32b9d0ef96284c8412cbb8c3ef92591119dea58bcf77c0cac69d0a",
     ("two_unit", "energy", "one_free"):
@@ -180,7 +187,7 @@ HIGHS_SHA256 = {
     ("random0", "throughput", "one_free"):
         "4e7f361640ad6aa85ab2639022a70168a82106da4cc745ba6f5c099d61679226",
     ("random0", "throughput", "exact"):
-        "277afa4e0c745dfd1b53fc22f4226cfa1d7f66aada94b618f749b3d89da8436d",
+        "b7ff80b26fe059c2f3d83b9edca53ecda764203edc102908e7169e284003b24a",
     ("random0", "energy", "fixed"):
         "f9e65d173534a482c41ef07d188db9920be861bcb37b6fcab04cf9d923306369",
     ("random0", "energy", "one_free"):
@@ -192,7 +199,7 @@ HIGHS_SHA256 = {
     ("random1", "throughput", "one_free"):
         "6672856f168efa6d4ac8dddd025396eb867b933cc4d20e49915b1fe7010c437f",
     ("random1", "throughput", "exact"):
-        "49ea36b7b4d5997382152f4e818c9fa48eb139ec2cbd22ed557f6891ae487fb1",
+        "6dee6b97ef9bf626268867d9a4081dc6e7a7dbdf9eab1f86e387337cbbe196f1",
     ("random1", "energy", "fixed"):
         "10e39013f5d14c088a1ca3bd045e590468dc17ea646322183862d20fbbdda485",
     ("random1", "energy", "one_free"):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from iabtopo.channel import RadioParams
 from iabtopo.energy import PowerModelParams
 from iabtopo.errors import BadRange, DuplicateHour, EmptyScenario, MissingHour, ParseError
 from iabtopo.graph import Commodity, NodeKind, save_graph
@@ -261,6 +262,28 @@ def test_power_model_constants_must_be_finite_and_non_negative(tmp_path, name, v
     config_to_json(ScenarioConfig(), path)
     raw = json.loads(path.read_text())
     raw["power_model"][name] = value
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ParseError, match=name):
+        config_from_json(path)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("p_max_mw", math.nan), ("p_max_mw", math.inf), ("noise_mw", math.nan),
+        ("noise_mw", math.inf), ("bandwidth_mhz", 0.0), ("bandwidth_mhz", -100.0),
+        ("carrier_ghz", -3.6), ("mimo_layers", 0), ("g_tx_main_dbi", math.nan),
+    ],
+)
+def test_radio_params_must_be_finite_and_possible(tmp_path, name, value):
+    # NaN noise made every link's interference NaN, which the ladders read
+    # as the top level: the two-unit instance solved as at zero noise.
+    with pytest.raises(ValueError, match=name):
+        RadioParams(**{name: value})
+    path = tmp_path / "cfg.json"
+    config_to_json(ScenarioConfig(), path)
+    raw = json.loads(path.read_text())
+    raw["radio"][name] = value
     path.write_text(json.dumps(raw))
     with pytest.raises(ParseError, match=name):
         config_from_json(path)
