@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -97,6 +98,10 @@ class CapacityTable:
             raise NonMonotoneTable(f"table must hold 1..28 entries, got {len(self.entries)}")
         prev = None
         for e in self.entries:
+            if not math.isfinite(e.sinr_threshold_db) or not 0 <= e.capacity_mbps < math.inf:
+                raise NonMonotoneTable(
+                    f"index {e.index} needs a finite threshold and a finite capacity >= 0"
+                )
             if prev is not None:
                 if e.sinr_threshold_db <= prev.sinr_threshold_db:
                     raise NonMonotoneTable(
@@ -104,8 +109,6 @@ class CapacityTable:
                     )
                 if e.capacity_mbps < prev.capacity_mbps:
                     raise NonMonotoneTable(f"capacity at index {e.index} decreases")
-            if e.capacity_mbps < 0:
-                raise NonMonotoneTable(f"negative capacity at index {e.index}")
             prev = e
 
     # cached_property works on frozen dataclasses (writes to __dict__

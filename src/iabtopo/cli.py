@@ -312,7 +312,7 @@ def _parse_hours(text: str) -> list[int]:
 
 
 def _parse_names(text: str, allowed: tuple[str, ...], what: str) -> list[str]:
-    names = sorted(n.strip() for n in text.split(",") if n.strip())
+    names = sorted({n.strip() for n in text.split(",") if n.strip()})
     for n in names:
         if n not in allowed:
             _fail(f"unknown {what} {n!r}")

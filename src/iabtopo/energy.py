@@ -26,7 +26,6 @@ class PowerModelParams:
     p0_w: float = 56.0
     delta_p: float = 2.6
     p_sleep_w: float = 39.0
-    p_max_w: float = 6.3
     p_active_unit_w: float = 0.0  # optional per-active-unit baseband adder
 
     def __post_init__(self):
@@ -39,8 +38,8 @@ class PowerModelParams:
 
 def frontend_power(params: PowerModelParams, p_tx_w: float, airtime_alpha: float) -> float:
     """Consumed power of one frontend at the given transmit power and duty cycle."""
-    if not 0 <= p_tx_w <= params.p_max_w:
-        raise PowerOutOfRange(f"p_tx {p_tx_w} W outside [0, {params.p_max_w}]")
+    if not 0 <= p_tx_w < math.inf:
+        raise PowerOutOfRange(f"p_tx {p_tx_w} W must be finite and >= 0")
     if not 0 <= airtime_alpha <= 1:
         raise PowerOutOfRange(f"airtime {airtime_alpha} outside [0, 1]")
     if p_tx_w == 0:

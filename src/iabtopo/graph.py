@@ -83,9 +83,9 @@ class Edge:
 
     def __post_init__(self):
         if self.kind is EdgeKind.WIRELESS:
-            if self.pathloss_db is None or self.pathloss_db < 0:
+            if self.pathloss_db is None or not 0 <= self.pathloss_db < math.inf:
                 raise ValueError(
-                    f"wireless edge {self.src}->{self.dst} needs pathloss_db >= 0"
+                    f"wireless edge {self.src}->{self.dst} needs a finite pathloss_db >= 0"
                 )
         elif self.pathloss_db is not None or self.los is not None:
             raise ValueError(f"wired edge {self.src}->{self.dst} carries no radio fields")
@@ -271,16 +271,20 @@ def build_graph(nodes: Iterable[Node], edges: Iterable[Edge]) -> MeasurementGrap
 
 
 @dataclass(frozen=True)
-class TreeViolation:
+class Violation:
     rule: str
     location: tuple
-    detail: str = ""
+    magnitude: float = 0.0
+
+    def __str__(self):
+        where = ",".join(str(x) for x in self.location)
+        return f"{self.rule}@{where}: {self.magnitude:.3e}"
 
 
 @dataclass(frozen=True)
 class TreeReport:
     ok: bool
-    violations: tuple[TreeViolation, ...]
+    violations: tuple[Violation, ...]
     reached: frozenset[int]
 
 
@@ -301,7 +305,7 @@ def validate_tree(
     if unknown:
         raise ValueError(f"chosen edges not in graph: {sorted(unknown)}")
 
-    violations: list[TreeViolation] = []
+    violations: list[Violation] = []
     out_adj: dict[int, list[int]] = {}
     indeg: dict[int, int] = {}
     for src, dst in sorted(chosen):
@@ -322,14 +326,12 @@ def validate_tree(
         if node_id == donor_id:
             continue
         if indeg.get(node_id, 0) > 1:
-            violations.append(
-                TreeViolation("InDegree", (node_id,), f"in-degree {indeg[node_id]}")
-            )
+            violations.append(Violation("InDegree", (node_id,)))
 
     if required_ues is not None:
         for ue in sorted(set(required_ues)):
             if ue not in reached:
-                violations.append(TreeViolation("UnreachedUe", (ue,)))
+                violations.append(Violation("UnreachedUe", (ue,)))
 
     # Cycle detection over the full chosen set (iterative DFS, 3-color).
     color: dict[int, int] = {}
@@ -347,7 +349,7 @@ def validate_tree(
                 nxt = succ[idx]
                 state = color.get(nxt, 0)
                 if state == 1:
-                    violations.append(TreeViolation("Cycle", (node, nxt)))
+                    violations.append(Violation("Cycle", (node, nxt)))
                 elif state == 0:
                     stack2.append((nxt, 0))
             else:
@@ -427,13 +429,18 @@ def _parse_edge(raw: dict, where: str) -> Edge:
         raise ParseError(f"{where}: {exc}") from exc
 
 
-def load_graph(path) -> MeasurementGraph:
-    """Load and fully validate a graph JSON file."""
+def read_json(path):
+    """``path``'s JSON payload; invalid JSON raises ParseError."""
     try:
         with open(path) as fh:
-            payload = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+
+
+def load_graph(path) -> MeasurementGraph:
+    """Load and fully validate a graph JSON file."""
+    payload = read_json(path)
     if not isinstance(payload, dict) or "nodes" not in payload or "edges" not in payload:
         raise ParseError(f"{path}: expected object with 'nodes' and 'edges'")
     nodes = [_parse_node(raw, f"nodes[{i}]") for i, raw in enumerate(payload["nodes"])]

@@ -8,7 +8,8 @@ phases differ only in the move and in how far the cutoff sits from the
 best objective:
 
 - phase one toggles a frontend between 0 and full power, ties allowed:
-  the cutoff is the tolerance worse than the best;
+  the cutoff is the tolerance worse than the best (a ``FixedPower``
+  instance keeps its powers, so no phase moves a frontend);
 - a certify pass repeats the toggles with the cutoff the tolerance better
   than the best, so its last clean pass proves no single on/off flip
   improves the phase-one powers;
@@ -53,7 +54,6 @@ from .errors import DemandExceedsMaxMin, ModelInfeasible, NoFeasibleStart, NoFea
 from .graph import Edge, MeasurementGraph, build_graph
 from .milp import SolverOptions
 from .problem import (
-    ContinuousPower,
     DiscretePower,
     FixedPower,
     NetworkSolution,
@@ -243,15 +243,17 @@ def _throughput_search(
     instance: ProblemInstance, options: SearchOptions, clock: _Clock
 ) -> tuple[SearchState, int]:
     """Phase one, certify and phase two; returns the state and iteration count."""
-    frontends = sorted(n.id for n in instance.graph.frontends)
     # "Full power" and the phase-2 refinement domain follow the instance's
-    # power mode, so the search never leaves the declared power space.
-    discrete = isinstance(instance.power_mode, DiscretePower)
-    p_max = max(instance.power_mode.levels_mw) if discrete else instance.radio.p_max_mw
-    refine = instance if discrete else instance.with_power_mode(ContinuousPower())
+    # power mode, so the search never leaves the declared power space: a
+    # fixed mode starts at its powers and moves no frontend.
+    mode = instance.power_mode
+    fixed = isinstance(mode, FixedPower)
+    p_max = max(mode.levels_mw) if isinstance(mode, DiscretePower) else instance.radio.p_max_mw
+    frontends = sorted(n.id for n in instance.graph.frontends)
+    powers = {u: mode.powers_mw[u] if fixed else p_max for u in frontends}
+    movable = [] if fixed else frontends
 
     solve = _memo_solve(milp.THROUGHPUT, options, clock)
-    powers = {u: p_max for u in frontends}
     state = _start(solve(instance, powers)[0], powers, clock, "initial all-on solve")
 
     def toggle(u: int, cutoff: float) -> _Solved:
@@ -259,22 +261,22 @@ def _throughput_search(
         trial[u] = p_max if trial[u] == 0 else 0.0
         return solve(instance, trial, cutoff)
 
-    iteration = _sweep(state, frontends, clock, 0, toggle, -_IMPROVE_TOL)
-    iteration = _sweep(state, frontends, clock, iteration, toggle, _IMPROVE_TOL)
+    iteration = _sweep(state, movable, clock, 0, toggle, -_IMPROVE_TOL)
+    iteration = _sweep(state, movable, clock, iteration, toggle, _IMPROVE_TOL)
     state.phase1_powers = dict(state.curr_best_sol)
 
-    # Phase 2 is continuous in [0, p_max] unless the instance itself
-    # restricts powers to a grid.  A one-free answer counts only if its
+    # Phase 2 frees one power in the instance's own mode: continuous in
+    # [0, p_max], or its grid.  A one-free answer counts only if its
     # power, fixed, beats the cutoff too: the final solve fixes every
     # power, so the best objective is that model's value.
     def free(u: int, cutoff: float) -> _Solved:
-        z, powers = solve(refine, _one_free(state, u), cutoff)
+        z, powers = solve(instance, _one_free(state, u), cutoff)
         if z is None:
             return _REJECTED
         z, _ = solve(instance, {**state.curr_best_sol, u: powers[u]}, cutoff)
         return _REJECTED if z is None else (z, powers)
 
-    iteration = _sweep(state, frontends, clock, iteration, free, _IMPROVE_TOL)
+    iteration = _sweep(state, movable, clock, iteration, free, _IMPROVE_TOL)
     return state, iteration
 
 
@@ -339,11 +341,11 @@ def rank_edges(graph: MeasurementGraph, radio_params) -> list[Edge]:
     return sorted(graph.wireless_edges, key=lambda e: (-metric(e), e.src, e.dst))
 
 
-def prune_graph(graph: MeasurementGraph, k: int, radio_params=None) -> MeasurementGraph:
+def prune_graph(graph: MeasurementGraph, k: int, radio_params: RadioParams) -> MeasurementGraph:
     """Keep each node's k best-ranked incoming wireless edges (wired survive)."""
     if k < 1:
         raise ValueError("retention count must be >= 1")
-    ranked = rank_edges(graph, radio_params or RadioParams())
+    ranked = rank_edges(graph, radio_params)
     kept: list[Edge] = list(graph.wired_edges)
     per_node: dict[int, int] = {}
     for e in ranked:

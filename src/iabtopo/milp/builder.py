@@ -680,20 +680,28 @@ def _seed(reps: _Reps, start: Mapping[int, float] | None):
     ``ptx`` is pinned at the power itself; on a grid, the binary of the
     power's level is pinned at 1, or every level binary at 0 for power 0.
     """
-    cols, values = [], []
+    lit = {}
     for fid, j in reps.col.items():
         p = reps.hi[j] if start is None else start[fid]
-        lam = reps.level_col[j][reps.level_col[j] >= 0]
         if reps.cont[j] >= 0:
-            cols.append(reps.cont[j])
-            values.append(p)
+            lit[fid] = (reps.cont[j], p)
         elif p > 0:
-            at = np.flatnonzero(reps.level_mw[j, :len(lam)] == p)
+            at = np.flatnonzero(reps.level_mw[j] == p)
             if at.size != 1:
                 raise ValueError(f"frontend {fid}: start power {p} mW is not a grid level")
-            cols.append(lam[at[0]])
-            values.append(1.0)
+            lit[fid] = (reps.level_col[j, at[0]], 1.0)
+    return _pins(reps, lit)
+
+
+def _pins(reps: _Reps, lit: Mapping[int, tuple[int, float]]):
+    """(columns, values): ``lit``'s (column, value) per frontend, else its level binaries at 0."""
+    cols, values = [], []
+    for fid, j in reps.col.items():
+        if fid in lit:
+            cols.append(lit[fid][0])
+            values.append(lit[fid][1])
         else:
+            lam = reps.level_col[j][reps.level_col[j] >= 0]
             cols.extend(lam)
             values.extend([0.0] * len(lam))
     return np.array(cols, dtype=np.int64), np.array(values, dtype=float)
@@ -918,16 +926,7 @@ def _awake_seed(built: BuiltModel, lad: _Ladders):
     awake = next(filter(reaches_all, sets), None)
     if awake is None:
         return ()
-    cols, values = [], []
-    for fid, j in reps.col.items():
-        if fid in awake:
-            cols.append(reps.act[j])
-            values.append(1.0)
-        else:
-            lam = reps.level_col[j][reps.level_col[j] >= 0]
-            cols.extend(lam)
-            values.extend([0.0] * len(lam))
-    return np.array(cols, dtype=np.int64), np.array(values, dtype=float)
+    return _pins(reps, {fid: (reps.act[reps.col[fid]], 1.0) for fid in awake})
 
 
 def _asleep_w(reps: _Reps, instance: ProblemInstance) -> float:

@@ -17,7 +17,7 @@ from .capacity import CapacityTable, capacity_from_sinr
 from .channel import link_budgets
 from .energy import network_power, total_power
 from .errors import NoFeasible, TooLarge, UnsupportedMode, ZeroCapacityLink
-from .graph import EdgeKey, EdgeKind, MeasurementGraph, NodeKind, validate_tree
+from .graph import EdgeKey, EdgeKind, MeasurementGraph, NodeKind, Violation, validate_tree
 from .problem import (
     DiscretePower,
     FixedPower,
@@ -234,17 +234,6 @@ def _routed_demand(
 
 
 @dataclass(frozen=True)
-class Violation:
-    rule: str
-    location: tuple
-    magnitude: float = 0.0
-
-    def __str__(self):
-        where = ",".join(str(x) for x in self.location)
-        return f"{self.rule}@{where}: {self.magnitude:.3e}"
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     ok: bool
     violations: tuple[Violation, ...]
@@ -362,9 +351,7 @@ def validate_solution(
         for comm in commodities
         if is_energy or rates.get(comm.dest, 0.0) > _TOL
     ]
-    tree_report = validate_tree(g, solution.chosen_edges, required_ues=required)
-    for tv in tree_report.violations:
-        violations.append(Violation(tv.rule, tv.location))
+    violations.extend(validate_tree(g, solution.chosen_edges, required_ues=required).violations)
 
     # Activation consistency (sleeping frontends neither transmit nor serve).
     chosen = set(solution.chosen_edges)

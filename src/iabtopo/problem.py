@@ -17,7 +17,7 @@ from .capacity import CapacityTable, default_table
 from .channel import RadioParams
 from .energy import PowerModelParams
 from .errors import ParseError
-from .graph import Commodity, EdgeKey, MeasurementGraph
+from .graph import Commodity, EdgeKey, MeasurementGraph, read_json
 
 
 # -- power modes ----------------------------------------------------------
@@ -174,30 +174,36 @@ def save_solution(solution: NetworkSolution, path) -> None:
         fh.write("\n")
 
 
+def _finite(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{value!r} is not a finite number")
+    return x
+
+
 def load_solution(path) -> NetworkSolution:
+    """Read a solution file; another problem or a non-finite value raises ParseError."""
+    raw = read_json(path)
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    try:
+        if raw["problem"] not in ("throughput", "energy"):
+            raise ValueError(f"unknown problem {raw['problem']!r}")
         return NetworkSolution(
             problem=raw["problem"],
             status=SolveStatus(raw["status"]),
-            objective=float(raw["objective"]),
-            gap=float(raw.get("gap", 0.0)),
+            objective=_finite(raw["objective"]),
+            gap=float(raw.get("gap", 0.0)),  # HiGHS's relative gap is inf at a 0 objective
             chosen_edges=tuple((int(a), int(b)) for a, b in raw["chosen_edges"]),
             flows={
-                int(k): {_parse_edge_key(e): float(v) for e, v in per_edge.items()}
+                int(k): {_parse_edge_key(e): _finite(v) for e, v in per_edge.items()}
                 for k, per_edge in raw["flows"].items()
             },
-            airtimes={_parse_edge_key(e): float(v) for e, v in raw["airtimes"].items()},
-            powers_mw={int(k): float(v) for k, v in raw["powers_mw"].items()},
+            airtimes={_parse_edge_key(e): _finite(v) for e, v in raw["airtimes"].items()},
+            powers_mw={int(k): _finite(v) for k, v in raw["powers_mw"].items()},
             activations={int(k): int(v) for k, v in raw["activations"].items()},
             capacities_mbps={
-                _parse_edge_key(e): float(v) for e, v in raw["capacities_mbps"].items()
+                _parse_edge_key(e): _finite(v) for e, v in raw["capacities_mbps"].items()
             },
-            per_ue_mbps={int(k): float(v) for k, v in raw["per_ue_mbps"].items()},
+            per_ue_mbps={int(k): _finite(v) for k, v in raw["per_ue_mbps"].items()},
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc

@@ -19,7 +19,7 @@ import numpy as np
 from .channel import RadioParams, los_probability, o2i_loss, pathloss_umi
 from .energy import PowerModelParams
 from .errors import BadRange, DuplicateHour, EmptyScenario, MissingHour, ParseError
-from .graph import Commodity, Edge, EdgeKind, MeasurementGraph, Node, NodeKind, build_graph
+from .graph import Commodity, Edge, EdgeKind, MeasurementGraph, Node, NodeKind, build_graph, read_json
 
 _SECTOR_AZIMUTHS = (0.0, 120.0, 240.0)
 
@@ -223,12 +223,7 @@ def config_to_json(config: ScenarioConfig, path) -> None:
 
 def config_from_json(path) -> ScenarioConfig:
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    try:
-        kwargs = dict(raw)
+        kwargs = dict(read_json(path))
         if "radio" in kwargs:
             kwargs["radio"] = RadioParams(**kwargs["radio"])
         if "power_model" in kwargs:

@@ -90,6 +90,23 @@ def test_load_table_rejects_bad_rows(tmp_path):
         load_table(bad_cell)
 
 
+@pytest.mark.parametrize(
+    "threshold, capacity",
+    [(float("nan"), 20.0), (float("inf"), 20.0), (5.0, float("nan")), (5.0, float("inf"))],
+)
+def test_non_finite_ladder_entries_rejected(tmp_path, threshold, capacity):
+    # NaN fails every order comparison, so the monotonicity checks alone let it in.
+    entries = (McsEntry(0, 0.0, 10.0), McsEntry(1, threshold, capacity))
+    with pytest.raises(NonMonotoneTable, match="index 1"):
+        CapacityTable(entries=entries)
+    path = tmp_path / "t.csv"
+    path.write_text(
+        f"index,sinr_threshold_db,capacity_mbps\n0,0.0,10.0\n1,{threshold},{capacity}\n"
+    )
+    with pytest.raises(NonMonotoneTable, match="index 1"):
+        load_table(path)
+
+
 # -- lookups --------------------------------------------------------------------
 
 

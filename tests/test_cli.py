@@ -83,6 +83,41 @@ def test_validate_flags_tampered_airtime(workspace):
     assert "AirtimeBudget" in result.output
 
 
+def test_validate_refuses_a_solution_it_cannot_check(workspace):
+    # Every rule compares with < or >, which a NaN fails both ways, and the
+    # rules follow the problem named in the file.
+    tmp, cfg, profile = workspace
+    graph_path = tmp / "g.json"
+    _run(["scenario-gen", "--config", str(cfg), "--profile", str(profile),
+          "--hour", "10", "--out", str(graph_path)])
+    sol_path = tmp / "sol.json"
+    _run(["solve", "--graph", str(graph_path), "--config", str(cfg),
+          "--problem", "throughput", "--method", "local-search",
+          "--time-limit", "20", "--global-budget", "60",
+          "--out-solution", str(sol_path)])
+    def set_first(d, value):
+        d[next(iter(d))] = value
+
+    tampers = {
+        "objective": lambda p: p.update(objective=float("nan")),
+        "airtime": lambda p: set_first(p["airtimes"], float("nan")),
+        "per-UE rate": lambda p: set_first(p["per_ue_mbps"], float("inf")),
+        "flow": lambda p: set_first(p["flows"]["0"], float("nan")),
+        "problem": lambda p: p.update(problem="Energy"),
+    }
+    for what, tamper in tampers.items():
+        payload = json.loads(sol_path.read_text())
+        tamper(payload)
+        tampered = tmp / "tampered.json"
+        tampered.write_text(json.dumps(payload))
+        result = _run(
+            ["validate", "--solution", str(tampered), "--graph", str(graph_path),
+             "--config", str(cfg)]
+        )
+        assert result.exit_code == 2, (what, result.output)
+        assert result.output.startswith("error: "), (what, result.output)
+
+
 def test_validate_rejects_mismatched_graph(workspace):
     tmp, cfg, profile = workspace
     g10, g_other = tmp / "g10.json", tmp / "gother.json"
@@ -315,6 +350,45 @@ def test_sweep_prints_one_progress_line_per_row(workspace):
         for r in rows
     ]
     assert result.stdout == f"wrote {out_dir / 'results.csv'} (2 rows)\n"
+
+
+def test_sweep_runs_each_method_and_problem_once(workspace):
+    tmp, cfg, profile = workspace
+    out_dir = tmp / "sweep"
+    result = _run(_sweep_args(
+        cfg, profile, out_dir, "--hours", "0", "--methods", "local-search,local-search",
+        "--problems", "throughput, throughput",
+    ))
+    assert result.exit_code == 0, result.output
+    assert [(r["method"], r["problem"]) for r in _rows_without_runtime(out_dir)] == [
+        ("local-search", "throughput")
+    ]
+    assert result.stdout == f"wrote {out_dir / 'results.csv'} (1 rows)\n"
+
+
+def test_selective_reduction_sweep_solutions_validate(workspace):
+    tmp, cfg, profile = workspace
+    out_dir = tmp / "sweep"
+    result = _run(_sweep_args(
+        cfg, profile, out_dir, "--hours", "10", "--methods", "selective-reduction",
+        "--problems", "throughput,energy",
+    ))
+    assert result.exit_code == 0, result.output
+    rows = _rows_without_runtime(out_dir)
+    assert [(r["method"], r["problem"], r["status"]) for r in rows] == [
+        ("selective-reduction", "energy", "optimal"),
+        ("selective-reduction", "throughput", "optimal"),
+    ]
+    graph_path = tmp / "g.json"
+    _run(["scenario-gen", "--config", str(cfg), "--profile", str(profile),
+          "--hour", "10", "--out", str(graph_path)])
+    for problem in ("energy", "throughput"):
+        result = _run(
+            ["validate", "--solution",
+             str(out_dir / f"hour010_selective-reduction_{problem}_solution.json"),
+             "--graph", str(graph_path), "--config", str(cfg), "--demand-mbps", "2"]
+        )
+        assert (result.exit_code, result.output) == (0, "ok\n")
 
 
 def test_interrupted_sweep_keeps_finished_rows(workspace, monkeypatch):

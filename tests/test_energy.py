@@ -34,7 +34,7 @@ def test_sleep_branch():
 
 
 def test_micro_cell_worked_example():
-    params = PowerModelParams(n_trx=2, p0_w=56.0, delta_p=2.6, p_sleep_w=39.0, p_max_w=6.3)
+    params = PowerModelParams(n_trx=2, p0_w=56.0, delta_p=2.6, p_sleep_w=39.0)
     assert frontend_power(params, 6.3, 1.0) == pytest.approx(128.38)
 
 
@@ -46,7 +46,7 @@ def test_idle_amplifier_draws_baseline_only():
 def test_power_bounds_checked():
     params = PowerModelParams()
     with pytest.raises(PowerOutOfRange):
-        frontend_power(params, 7.0, 0.5)
+        frontend_power(params, -1.0, 0.5)
     with pytest.raises(PowerOutOfRange):
         frontend_power(params, 1.0, 1.5)
 

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -110,6 +113,23 @@ def test_wired_crossing_units_rejected():
 def test_wireless_edge_requires_pathloss():
     with pytest.raises(ValueError):
         Edge(1, 2, EdgeKind.WIRELESS)
+
+
+@pytest.mark.parametrize("pathloss", [math.nan, math.inf, -math.inf, -1.0])
+def test_wireless_edge_requires_a_finite_non_negative_pathloss(pathloss):
+    with pytest.raises(ValueError, match="finite pathloss_db"):
+        Edge(1, 2, EdgeKind.WIRELESS, pathloss_db=pathloss, los=True)
+
+
+@pytest.mark.parametrize("pathloss", [math.nan, math.inf])
+def test_graph_file_with_a_non_finite_pathloss_is_a_parse_error(tmp_path, minimal_graph, pathloss):
+    path = tmp_path / "g.json"
+    save_graph(minimal_graph, path)
+    payload = json.loads(path.read_text())
+    payload["edges"][1]["pathloss_db"] = pathloss
+    path.write_text(json.dumps(payload))  # the bare token NaN or Infinity
+    with pytest.raises(ParseError, match="finite pathloss_db"):
+        load_graph(path)
 
 
 def test_endpoint_rule_over_random_soups():

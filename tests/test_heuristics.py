@@ -34,7 +34,7 @@ from iabtopo.oracle import (
     enumerate_optimal_throughput,
     validate_solution,
 )
-from iabtopo.problem import ContinuousPower, DiscretePower, ProblemInstance
+from iabtopo.problem import ContinuousPower, DiscretePower, FixedPower, ProblemInstance
 
 from conftest import coarse_table, random_small_instance, two_unit_instance
 
@@ -598,6 +598,16 @@ def test_rank_permutation_invariance():
         assert [e.key for e in rank_edges(g2, inst.radio)] == baseline
 
 
+def test_throughput_search_keeps_a_fixed_modes_powers():
+    # Switching frontend 11 off would reach 613.4625315 Mbps, a point a
+    # FixedPower instance does not have; its exact optimum is 550.6896213.
+    inst = two_unit_instance().with_power_mode(FixedPower({1: 6300.0, 11: 6300.0}))
+    exact = milp.solve_extracted(milp.build(inst, milp.THROUGHPUT))
+    sol, state = local_search_throughput(inst, FAST)
+    assert sol.powers_mw == state.phase1_powers == {1: 6300.0, 11: 6300.0}
+    assert sol.objective == exact.objective == pytest.approx(550.6896213, abs=1e-6)
+
+
 def test_prune_keeps_top_k_incoming():
     nodes = [Node(0, NodeKind.DONOR_DU, (0.0, 0.0, 10.0), unit_id=0)]
     edges = []
@@ -612,11 +622,11 @@ def test_prune_keeps_top_k_incoming():
         f = 2 + 2 * u
         edges.append(Edge(f, 100, EdgeKind.WIRELESS, pathloss_db=80.0 + u, los=True))
     g = build_graph(nodes, edges)
-    pruned = prune_graph(g, 5)
+    pruned = prune_graph(g, 5, RadioParams())
     incoming = [e for e in pruned.wireless_edges if e.dst == 100]
     assert len(incoming) == 5
     assert {e.pathloss_db for e in incoming} == {80.0, 81.0, 82.0, 83.0, 84.0}
-    assert prune_graph(g, 50).edges == tuple(sorted(g.edges, key=lambda e: e.key))
+    assert prune_graph(g, 50, RadioParams()).edges == tuple(sorted(g.edges, key=lambda e: e.key))
     assert set(pruned.edges) <= set(g.edges)
 
 

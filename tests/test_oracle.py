@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -260,6 +261,42 @@ def test_milp_solutions_validate_clean():
     inst = two_unit_instance()
     sol = milp.solve_extracted(milp.build_throughput_model(inst))  # raises on a dirty solution
     assert validate_solution(inst, sol).ok
+
+
+@pytest.fixture(scope="module")
+def two_unit_solutions():
+    inst = two_unit_instance()
+    return inst, {p: milp.solve_extracted(milp.build(inst, p)) for p in (milp.THROUGHPUT, milp.ENERGY)}
+
+
+# (problem, rule, how to break the extracted solution so the rule fires)
+_BREAKS = [
+    ("throughput", "CapacityOnNonWireless", lambda s: s.capacities_mbps.update({(0, 1): 5.0})),
+    ("energy", "NonBinaryFlow", lambda s: s.flows[0].update({(0, 1): 0.5, (1, 20): 0.5})),
+    ("throughput", "NegativeFlow", lambda s: s.flows[0].update({(11, 20): -1.0})),
+    ("energy", "NegativeFlow", lambda s: s.flows[1].update({(11, 21): -1.0})),
+    ("throughput", "FlowOffGraph", lambda s: s.flows[0].update({(20, 21): 1.0})),
+    ("throughput", "FlowConservation", lambda s: s.flows[0].update({(0, 1): 1.0})),
+    ("energy", "FlowConservation", lambda s: s.flows[1].update({(0, 1): 0.0})),
+    ("throughput", "SleepingTransmitter", lambda s: s.powers_mw.update({11: 100.0})),
+    ("energy", "SleepingServer", lambda s: s.activations.update({1: 0})),
+    ("energy", "EnergyRecompute", lambda s: s.powers_mw.update({11: 100.0})),
+    ("throughput", "ObjectiveMismatch", lambda s: setattr(s, "objective", s.objective + 1.0)),
+    ("energy", "ObjectiveMismatch", lambda s: setattr(s, "objective", s.objective - 1.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "problem, rule, tamper", _BREAKS, ids=[f"{p}-{r}" for p, r, _ in _BREAKS]
+)
+def test_each_validator_rule_flags_its_broken_value(two_unit_solutions, problem, rule, tamper):
+    inst, solutions = two_unit_solutions
+    assert validate_solution(inst, solutions[problem]).ok
+    broken = copy.deepcopy(solutions[problem])
+    tamper(broken)
+    report = validate_solution(inst, broken)
+    assert not report.ok
+    assert rule in {v.rule for v in report.violations}
 
 
 def test_validation_computes_gains_only_for_claimed_wireless_edges(monkeypatch):

@@ -267,6 +267,19 @@ def test_power_model_constants_must_be_finite_and_non_negative(tmp_path, name, v
         config_from_json(path)
 
 
+def test_power_model_has_no_transmit_power_cap(tmp_path):
+    # The radio's p_max_mw caps transmit power; a config that still sets
+    # the power model's old p_max_w names it as an unknown key.
+    path = tmp_path / "cfg.json"
+    config_to_json(ScenarioConfig(), path)
+    raw = json.loads(path.read_text())
+    assert "p_max_w" not in raw["power_model"]
+    raw["power_model"]["p_max_w"] = 6.3
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ParseError, match="p_max_w"):
+        config_from_json(path)
+
+
 @pytest.mark.parametrize(
     "name, value",
     [
