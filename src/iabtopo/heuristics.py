@@ -16,7 +16,8 @@ best objective:
 - phase two frees one frontend's power at a time, cutoff the tolerance
   better; a freed power counts only if, fixed, it beats the cutoff too;
 - energy refinement frees one frontend on a power grid, cutoff the
-  tolerance better (lower).
+  tolerance better (lower); on a ``FixedPower`` instance it moves none,
+  since the energy model at the mode's powers is then the exact model.
 
 One rule decides a move: a trial is solved against its cutoff, and the
 move is taken exactly when the solve returns values (a phase-two trial
@@ -304,7 +305,11 @@ def local_search_energy(
                 f"demand {comm.demand_mbps} Mbps >= reachable max-min rate {z}"
             )
 
-    frontends = sorted(n.id for n in instance.graph.frontends)
+    # A fixed mode's energy model already chooses each frontend's sleep or
+    # wake bit at its power, so the starting solve is its exact model, and
+    # no frontend moves off the mode's powers.
+    fixed = isinstance(instance.power_mode, FixedPower)
+    frontends = [] if fixed else sorted(n.id for n in instance.graph.frontends)
     if isinstance(instance.power_mode, DiscretePower):
         levels = instance.power_mode.levels_mw
     else:

@@ -64,8 +64,10 @@ Every model carries a proven bound on its objective, ``BuiltModel.bound``,
 which no feasible point beats.  For throughput it is the widest donor
 path to each UE, for any two UEs the airtime their in-edges share when
 both leave one node, and the first hop's airtime apportioned over the
-UEs that must leave through it (three UEs behind two donor sectors get
-at most half a sector each); for energy, one awake frontend plus each UE's
+UEs that must leave through it, at the capacities the sectors keep while
+every sector that carries one of them is on (three UEs behind two donor
+sectors get at most half a sector each, and a third of one where two
+sectors on drown each other); for energy, one awake frontend plus each UE's
 demand at its cheapest in-edge's watts per Mbps.  Both come from the
 ladder arrays and add no column or row.  The head of the build, a pure
 function of the trial (commodities, power reps, ladders, wired edges and
@@ -175,6 +177,16 @@ class _Reps(NamedTuple):
     def on(self) -> np.ndarray:
         """The one power above zero, or 0 where there are several."""
         return np.where(self.single, self.hi, 0.0)
+
+    @property
+    def rise(self) -> np.ndarray:
+        """How far the power is above ``lo`` at least, while the frontend is on.
+
+        Only level binaries switch a power on, and they come with ``lo`` 0,
+        so that is the lowest level: a single rep's one power, or a sorted
+        grid's ``level_mw[j, 0]``.  Constants and continuous powers rise by 0.
+        """
+        return self.level_mw[:, 0] if self.level_mw.shape[1] else np.zeros(len(self.lo))
 
 
 @dataclass
@@ -406,7 +418,7 @@ def _head(
     if problem == ENERGY:
         bound = _power_bound(instance, commodities, reps, lad, _asleep_w(reps, instance))
     else:
-        bound = _rate_bound(instance, commodities, lad, wired)
+        bound = _rate_bound(instance, commodities, reps, lad, wired)
     return commodities, reps, emit, lad, wired, bound
 
 
@@ -710,6 +722,7 @@ def _pins(reps: _Reps, lit: Mapping[int, tuple[int, float]]):
 def _rate_bound(
     instance: ProblemInstance,
     commodities: tuple[Commodity, ...],
+    reps: _Reps,
     lad: _Ladders,
     wired: tuple[Edge, ...],
 ) -> float:
@@ -736,12 +749,21 @@ def _rate_bound(
     sources (its sectors).  No UE is among them, so the parent chain of
     each of the K UEs leaves that reach over one wireless edge, out of
     one first-hop source f, and that edge carries at least Z for the UE.
-    f's out-edges carry at most C(e) * alpha(e) each within f's airtime
-    of at most 1, so at most C_f in total, the largest C(e) among them.
-    So the n_f UEs whose chains leave over f need n_f * Z <= C_f, and
-    sum_f floor(C_f / Z) >= K: Z is at most the K-th largest of the
-    quotients C_f / j, j = 1..K, the Jefferson (D'Hondt) apportionment
-    of K seats (Balinski & Young, Fair Representation, 1982).
+    Let S* be the sources the K chains leave over, at most K of them.
+    Each carries traffic, so it is on (use_le_on, or the powered row)
+    and its power is at least ``_Reps.rise`` above its ``lo``: every
+    other member g adds at least g_int[e, g] * rise(g) to I_lo at the
+    receiver of f's edge e.  So e meets no level above those met at
+    (S_hi, I_lo + that sum), whose top capacity is C(e, S*), and f's
+    out-edges carry at most C(e, S*) * alpha(e) each within f's airtime
+    of at most 1, so at most C_f(S*) in total, the largest C(e, S*)
+    among them.  So the n_f UEs whose chains leave over f need
+    n_f * Z <= C_f(S*), and sum_f floor(C_f(S*) / Z) >= K: Z is at most
+    the K-th largest of the quotients C_f(S*) / j, j = 1..K, the
+    Jefferson (D'Hondt) apportionment of K seats (Balinski & Young, Fair
+    Representation, 1982).  S* is not known, so the term is the largest
+    of that apportionment over every set S of at most K first-hop
+    sources.
     """
     caps = np.asarray(instance.capacity_table.capacities_mbps)
     live = lad.top > 0
@@ -765,7 +787,8 @@ def _rate_bound(
     hop = np.isinf(widest[tail[:n_live]])  # live wireless edges out of the wired reach
     hop_caps = np.zeros(len(pos))
     np.maximum.at(hop_caps, tail[:n_live][hop], width[:n_live][hop])
-    bound = min(bound, _first_hop_bound(hop_caps, len(dests)))
+    first = np.flatnonzero(live)[hop]
+    bound = min(bound, _first_hop_term(instance, lad, first, reps.rise, hop_caps, len(dests)))
     ends = []  # per commodity: its in-edges' w(e), airtime per Mbps and source
     for d in dests:
         into = head == d
@@ -775,8 +798,45 @@ def _rate_bound(
     return min(bound, _shared_airtime_bound(ends))
 
 
+def _first_hop_term(
+    instance: ProblemInstance,
+    lad: _Ladders,
+    first: np.ndarray,
+    rise: np.ndarray,
+    hop_caps: np.ndarray,
+    k: int,
+) -> float:
+    """The first-hop term of ``_rate_bound``: the largest, over sets S, of k-th largest C_f(S) / j.
+
+    ``first`` are the first-hop edges' entries in ``lad``, ``rise`` each
+    frontend's ``_Reps.rise`` and ``hop_caps`` each first-hop source's
+    C_f, in any order.  S runs over the sets of at most k sources of the
+    first-hop edges; while none of them rises, each C_f(S) is C_f, and
+    the term is the apportionment of every C_f at once.
+    """
+    src = lad.src[first]
+    if not rise[src].any():
+        return _first_hop_bound(hop_caps, k)
+    caps = np.asarray(instance.capacity_table.capacities_mbps)
+    th = np.asarray(instance.capacity_table.thresholds_linear)
+    sources, term = np.unique(src).tolist(), 0.0
+    for size in range(1, k + 1):
+        for s in itertools.combinations(sources, size):
+            # Every other member of S is on; a source does not interfere
+            # with its own edges (its g_int is 0 there).
+            i_on = lad.i_lo[first]
+            for g in s:
+                i_on += lad.g_int[first, g] * rise[g]
+            met = _levels_met(th, lad.s_hi[first], i_on)
+            inside = np.isin(src, s) & (met > 0)
+            c_s = np.zeros(len(rise))
+            np.maximum.at(c_s, src[inside], caps[met[inside] - 1])
+            term = max(term, _first_hop_bound(c_s, k))
+    return term
+
+
 def _first_hop_bound(hop_caps: np.ndarray, k: int) -> float:
-    """The first-hop term of ``_rate_bound``: the k-th largest C_f / j, j = 1..k, k >= 1."""
+    """The apportionment of k UEs over capacities C_f: the k-th largest C_f / j, j = 1..k."""
     quotients = np.sort((hop_caps[hop_caps > 0][:, None] / np.arange(1, k + 1)).ravel())
     return float(quotients[-k]) if len(quotients) >= k else 0.0
 

@@ -195,38 +195,59 @@ def test_rate_bound_covers_the_brute_force_optimum(instance_suite):
         assert bound >= rec["z_oracle"] * (1.0 - 1e-9)
 
 
-def _fuzz_instances():
-    """``tools/fuzz_bounds.py``'s instances, seeds 100-119: 3 UEs, 2 sectors per unit."""
+def _fuzz():
+    """``tools/fuzz_bounds.py``, whose instances have 3 UEs and 2 sectors per unit."""
     path = Path(__file__).resolve().parent.parent / "tools" / "fuzz_bounds.py"
     spec = importlib.util.spec_from_file_location("fuzz_bounds", path)
     fuzz = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(fuzz)
+    return fuzz
+
+
+def _fuzz_instances():
+    """The bound fuzz's instances, seeds 100-119."""
+    fuzz = _fuzz()
     return [fuzz.instance(seed, hour) for seed in range(100, 120) for hour in fuzz.HOURS]
 
 
 def test_first_hop_term_covers_the_brute_force_optimum(instance_suite, monkeypatch):
     # The rate bound's first-hop term on its own, on criterion 4's instances
     # and on the bound fuzz's, never beats the enumerated optimum.  It is
-    # the optimum, below C, on 102 of the 170: on each of the 70 fuzz
-    # instances whose optimum is C/2 (3 UEs, 2 donor sectors), and on 32
-    # of criterion 4's.
+    # the optimum, below C, on 107 of the 170: on each of the 70 fuzz
+    # instances whose optimum is C/2 (3 UEs, 2 donor sectors), on the 5
+    # whose optimum is C/3 (test_sector_sets_read_the_fuzz_optimum), and
+    # on 32 of criterion 4's.
     terms = []
-    real = builder._first_hop_bound
+    real = builder._first_hop_term
 
-    def first_hop(hop_caps, k):
-        terms.append(real(hop_caps, k))
+    def first_hop(*args):
+        terms.append(real(*args))
         return terms[-1]
 
-    monkeypatch.setattr(builder, "_first_hop_bound", first_hop)
+    monkeypatch.setattr(builder, "_first_hop_term", first_hop)
     cases = [(rec["instance"], rec["z_oracle"]) for rec in instance_suite]
     cases += [(inst, enumerate_optimal_throughput(inst)) for inst in _fuzz_instances()]
     tight = 0
     for inst, optimum in cases:
         del terms[:]
         milp.model_bound(inst, milp.THROUGHPUT)
-        assert terms and min(terms) >= optimum * (1.0 - 1e-9)
-        tight += min(terms) == optimum < inst.capacity_table.max_capacity_mbps
+        (term,) = terms
+        assert term >= optimum * (1.0 - 1e-9)
+        tight += term == optimum < inst.capacity_table.max_capacity_mbps
     assert tight >= 70
+
+
+@pytest.mark.parametrize("seed, hour", [(102, 5), (109, 1), (110, 5), (111, 5), (112, 3)])
+def test_sector_sets_read_the_fuzz_optimum(seed, hour):
+    # Each UE has a path at C, but with both donor sectors on neither keeps
+    # a top capacity that serves its share of the 3 UEs above C/3, so the
+    # best split is all three behind one sector: C/3, the optimum.  The
+    # interference-free first-hop term read C/2 here.
+    inst = _fuzz().instance(seed, hour)
+    bound = milp.model_bound(inst, milp.THROUGHPUT)
+    assert bound == pytest.approx(inst.capacity_table.max_capacity_mbps / 3, rel=1e-12)
+    assert bound == pytest.approx(408.975021, abs=1e-6)
+    assert bound >= enumerate_optimal_throughput(inst) * (1.0 - 1e-9)
 
 
 def test_power_bound_covers_the_brute_force_optimum(instance_suite):

@@ -608,6 +608,17 @@ def test_throughput_search_keeps_a_fixed_modes_powers():
     assert sol.objective == exact.objective == pytest.approx(550.6896213, abs=1e-6)
 
 
+def test_energy_search_keeps_a_fixed_modes_powers():
+    # Freeing frontend 1 on the default grid would reach 190.0667522 W at
+    # 787.5 mW, a point a FixedPower instance does not have; its exact
+    # optimum is 190.5340179 W.
+    inst = two_unit_instance().with_power_mode(FixedPower({1: 6300.0, 11: 6300.0}))
+    exact = milp.solve_extracted(milp.build(inst, milp.ENERGY))
+    sol, _ = local_search_energy(inst, FAST)
+    assert set(sol.powers_mw.values()) <= {0.0, 6300.0}
+    assert sol.objective == exact.objective == pytest.approx(190.5340179, abs=1e-6)
+
+
 def test_prune_keeps_top_k_incoming():
     nodes = [Node(0, NodeKind.DONOR_DU, (0.0, 0.0, 10.0), unit_id=0)]
     edges = []

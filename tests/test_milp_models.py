@@ -546,11 +546,8 @@ def test_rate_bound_charges_shared_airtime(monkeypatch):
     assert widest == inst.capacity_table.max_capacity_mbps > bound
 
 
-def test_first_hop_term_stops_the_solve_at_the_optimum(monkeypatch):
-    # Three UEs hear both donor sectors, each best from its own side, so
-    # every UE has a path at C and any two can be served from distinct
-    # sectors.  But two sectors carry three UEs: one carries two, at C/2
-    # each, and only the first-hop term reads that.
+def _three_ue_instance(far_db, levels):
+    """Three UEs hearing both donor sectors: 80 dB from their own, ``far_db`` from the other."""
     nodes = [
         Node(0, NodeKind.DONOR_DU, (0.0, 0.0, 10.0), unit_id=0),
         Node(1, NodeKind.FRONTEND, (0.0, 0.0, 10.0), unit_id=0),
@@ -563,15 +560,23 @@ def test_first_hop_term_stops_the_solve_at_the_optimum(monkeypatch):
     for ue, near, far in ((10, 1, 2), (11, 1, 2), (12, 2, 1)):
         edges += [
             Edge(near, ue, EdgeKind.WIRELESS, pathloss_db=80.0, los=True),
-            Edge(far, ue, EdgeKind.WIRELESS, pathloss_db=100.0, los=True),
+            Edge(far, ue, EdgeKind.WIRELESS, pathloss_db=far_db, los=True),
         ]
-    inst = ProblemInstance(
+    return ProblemInstance(
         graph=build_graph(nodes, edges),
         commodities=tuple(Commodity(k, 0, ue, 5.0) for k, ue in enumerate((10, 11, 12))),
         radio=RadioParams(noise_mw=1e-9),
         capacity_table=default_table(),
-        power_mode=DiscretePower((0.0, 6300.0)),
+        power_mode=DiscretePower(levels),
     )
+
+
+def test_first_hop_term_stops_the_solve_at_the_optimum(monkeypatch):
+    # Three UEs hear both donor sectors, each best from its own side, so
+    # every UE has a path at C and any two can be served from distinct
+    # sectors.  But two sectors carry three UEs: one carries two, at C/2
+    # each, and only the first-hop term reads that.
+    inst = _three_ue_instance(100.0, (0.0, 6300.0))
     c_max = inst.capacity_table.max_capacity_mbps
     built = milp.build_throughput_model(inst)
     assert built.bound == c_max / 2 == oracle.enumerate_optimal_throughput(inst)
@@ -587,6 +592,51 @@ def test_first_hop_term_stops_the_solve_at_the_optimum(monkeypatch):
 
     monkeypatch.setattr(builder, "_first_hop_bound", lambda hop_caps, k: math.inf)
     assert milp.model_bound(inst, milp.THROUGHPUT) == c_max
+
+
+def test_sector_sets_count_a_grid_sectors_lowest_level(monkeypatch):
+    # Each UE hears the other sector only 5 dB below its own.  On the grid
+    # {0, 3150, 6300} mW a sector that is on sends at least 3150 mW, so
+    # with both on each one's top capacity falls, and the term reads the
+    # optimum, below the interference-free C/2.  Counted at 6300 mW, the
+    # top level, the same sets would read below the optimum.
+    inst = _three_ue_instance(85.0, default_power_levels(6300.0, 3))
+    optimum = oracle.enumerate_optimal_throughput(inst)
+    built = milp.build_throughput_model(inst)
+    assert built.bound == pytest.approx(optimum, rel=1e-12)
+    assert built.bound >= optimum and built.bound < inst.capacity_table.max_capacity_mbps / 2
+    solution = milp.solve_extracted(built, SolverOptions(time_limit_s=60))
+    assert solution.objective == pytest.approx(optimum, rel=1e-9)
+    monkeypatch.setattr(builder._Reps, "rise", property(lambda reps: reps.hi.copy()))
+    assert milp.model_bound(inst, milp.THROUGHPUT) < optimum * (1.0 - 1e-6)
+
+
+def test_first_hop_term_is_interference_free_without_a_rising_power(monkeypatch):
+    # Fixed and continuous powers rise by 0 while on, so no sector set is
+    # enumerated: the term is the apportionment of the interference-free
+    # capacities, bit for bit, on all-fixed trials, one-free continuous
+    # trials and continuous exact models.
+    calls = []
+    real = builder._first_hop_term
+
+    def spy(instance, lad, first, rise, hop_caps, k):
+        term = real(instance, lad, first, rise, hop_caps, k)
+        calls.append((rise, term, builder._first_hop_bound(hop_caps, k)))
+        return term
+
+    monkeypatch.setattr(builder, "_first_hop_term", spy)
+    rng = np.random.default_rng(47)
+    for _ in range(10):
+        inst = random_small_instance(rng, max_units=4, max_ues=4)
+        continuous = inst.with_power_mode(ContinuousPower())
+        fids = sorted(n.id for n in inst.graph.frontends)
+        fixed = {f: float(rng.choice((0.0, 3150.0, 6300.0))) for f in fids}
+        for model, powers in ((inst, fixed), (continuous, {f: fixed[f] for f in fids[1:]})):
+            milp.model_bound(model, milp.THROUGHPUT, powers)
+        milp.model_bound(continuous, milp.THROUGHPUT)
+    assert len(calls) == 30
+    for rise, term, flat in calls:
+        assert not rise.any() and term == flat
 
 
 def test_model_bound_is_the_built_models_bound():

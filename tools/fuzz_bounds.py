@@ -38,8 +38,10 @@ must pass extraction, and the coefficients HiGHS dropped at load are
 summed.
 
 The summary also counts the throughput bounds checked (full, all-max and
-random models) and those the rate bound's first-hop term sets, that is,
-those that would be higher without that term.
+random models), those the rate bound's first-hop term sets, that is,
+those that would be higher without that term, and those its sector sets
+set, that is, those that would be higher if no donor sector that must be
+on added interference (the term's interference-free form).
 
 A check fails when the optimum beats the bound (a bound violation), or
 when two optima of one model differ (a differing optimum), by more than
@@ -47,7 +49,7 @@ extraction's tolerance, 1e-6 relative with a floor of 1, or when a
 stopped or started answer fails extraction (an extraction failure).  The
 script prints one line per failure and a summary line of counts, the
 three kinds of failure counted apart, and exits 1 if any check failed.
-The 20 seeds above (120 instances) take about 225 s on a 2-vCPU VM; the
+The 20 seeds above (120 instances) take about 185 s on a 2-vCPU VM; the
 script is not part of the tier-1 tests, but CI runs it on seeds 100-102.
 """
 
@@ -132,10 +134,20 @@ def _extracts(built, raw, counts: Counter, what: str) -> None:
 
 
 def _count_first_hop(inst: ProblemInstance, fixed, bound: float, counts: Counter) -> None:
-    """Count a throughput bound, and whether the first-hop term sets it."""
+    """Count a throughput bound, and whether the first-hop term or its sector sets set it."""
     counts["throughput bounds"] += 1
     with mock.patch.object(builder, "_first_hop_bound", lambda hop_caps, k: math.inf):
         counts["throughput bounds the first hop sets"] += (
+            milp.model_bound(inst, milp.THROUGHPUT, fixed) > bound
+        )
+    term = builder._first_hop_term
+
+    def flat(instance, lad, first, rise, hop_caps, k):
+        # No power rises while on: each sector set's capacities are interference-free.
+        return term(instance, lad, first, 0.0 * rise, hop_caps, k)
+
+    with mock.patch.object(builder, "_first_hop_term", flat):
+        counts["throughput bounds the sector sets set"] += (
             milp.model_bound(inst, milp.THROUGHPUT, fixed) > bound
         )
 
@@ -246,7 +258,7 @@ def main(argv=None) -> int:
     failures = ("bound violations", "differing optima", "extraction failures")
     counts = Counter({
         **dict.fromkeys(failures, 0), "dropped coefficients": 0,
-        "throughput bounds the first hop sets": 0,
+        "throughput bounds the first hop sets": 0, "throughput bounds the sector sets set": 0,
     })
     for seed in args.seeds:
         rng = np.random.default_rng(seed)
