@@ -9,14 +9,14 @@ other bandwidths/layer counts scale linearly while thresholds stay put.
 
 from __future__ import annotations
 
-import csv
 import importlib.resources
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import BadRow, NonMonotoneTable
+from .errors import NonMonotoneTable, ParseError
+from .graph import read_csv
 
 _VALID_SCALING = (1.0, 0.8, 0.75, 0.4)
 _VALID_Q = (2, 4, 6, 8)
@@ -184,29 +184,13 @@ def capacity_from_sinr(
 
 def load_table(path) -> CapacityTable:
     """Read a ladder CSV with header ``index,sinr_threshold_db,capacity_mbps``."""
-    entries: list[McsEntry] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["index", "sinr_threshold_db", "capacity_mbps"]:
-            raise BadRow(f"{path}: bad or missing header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise BadRow(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            try:
-                entries.append(
-                    McsEntry(
-                        index=int(row[0]),
-                        sinr_threshold_db=float(row[1]),
-                        capacity_mbps=float(row[2]),
-                    )
-                )
-            except ValueError as exc:
-                raise BadRow(f"{path}:{lineno}: {exc}") from exc
+    entries = read_csv(
+        path,
+        ["index", "sinr_threshold_db", "capacity_mbps"],
+        lambda row: McsEntry(int(row[0]), float(row[1]), float(row[2])),
+    )
     if entries != sorted(entries, key=lambda e: e.index):
-        raise BadRow(f"{path}: rows not sorted by index")
+        raise ParseError(f"{path}: rows not sorted by index")
     return CapacityTable(entries=tuple(entries))
 
 

@@ -25,8 +25,8 @@ from . import heuristics, milp, oracle
 from .capacity import default_table, load_table
 from .energy import energy_efficiency, total_power
 from .errors import EmptyResults, IabError, ParseError
-from .graph import Commodity, load_graph, save_graph
-from .heuristics import PruneParams, SearchOptions, SearchState
+from .graph import Commodity, load_graph, read_csv, save_graph, write_csv
+from .heuristics import STATE_COLUMNS, PruneParams, SearchOptions, SearchState
 from .problem import (
     ContinuousPower,
     DiscretePower,
@@ -68,6 +68,24 @@ def main():
 def _fail(message: str, code: int = 2):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _check_out_files(*paths) -> None:
+    """Exit 2 unless each given path is a file a command could write."""
+    for path in map(Path, filter(None, paths)):
+        if not path.parent.is_dir():
+            _fail(f"{path}: No such file or directory")
+        if path.is_dir():
+            _fail(f"{path}: Is a directory")
+
+
+def _out_dir(path) -> Path:
+    """The directory ``path``, made if missing; exit 2 if it cannot be made."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _fail(f"{path}: {exc.strerror}")
+    return Path(path)
 
 
 def _resolve_power_mode(name: str, problem: str, method: str) -> str:
@@ -214,6 +232,7 @@ def _error_record(hour, method, problem, exc, runtime_s) -> dict:
 @click.option("--out", "out_path", required=True, type=click.Path())
 def cmd_scenario_gen(config_path, profile_path, hour, out_path):
     """Generate one hour's measurement graph to JSON."""
+    _check_out_files(out_path)
     try:
         config = config_from_json(config_path)
         profile = load_profile_csv(profile_path)
@@ -259,6 +278,7 @@ def cmd_solve(
     lp_out,
 ):
     """Solve one problem on one graph file."""
+    _check_out_files(out_solution, out_state, lp_out)
     try:
         graph = load_graph(graph_path)
         build = functools.partial(
@@ -379,10 +399,10 @@ def cmd_sweep(
     except IabError as exc:
         _fail(str(exc))
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
     run = functools.partial(_sweep_one, config, profile, options, prune)
     results_path = out / "results.csv"
+    _check_out_files(results_path)
     with (
         ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
     ) as pool, open(results_path, "w", newline="") as fh:
@@ -408,11 +428,12 @@ def cmd_sweep(
 # -- report -------------------------------------------------------------------
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _result_row(row: list[str]) -> dict:
+    """A results.csv row by column; the cells ``report`` reads as numbers are floats or None."""
+    r = dict(zip(RESULT_COLUMNS, row))
+    for column in ("objective", "eta_mbps_per_w"):
+        r[column] = float(r[column]) if r[column] else None
+    return r
 
 
 def _cdf_points(values: list[float]) -> list[tuple[float, float]]:
@@ -454,39 +475,37 @@ def evolution_stats(log: list[tuple[float, float]]) -> dict:
 @click.option("--out-dir", required=True, type=click.Path())
 def cmd_report(results_path, states_dir, out_dir):
     """Summarize a results CSV into plot-ready CDF/time-series/evolution CSVs."""
-    with open(results_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != RESULT_COLUMNS:
-            _fail(f"{results_path}: unexpected columns {reader.fieldnames}")
-        rows = [r for r in reader]
+    try:
+        rows = read_csv(results_path, RESULT_COLUMNS, _result_row)
+        traces = [
+            (state_path, read_csv(state_path, STATE_COLUMNS, lambda r: (float(r[1]), float(r[2]))))
+            for state_path in sorted(Path(states_dir).glob("*_state.csv"))
+        ] if states_dir else None
+    except IabError as exc:
+        _fail(str(exc))
     ok_rows = [r for r in rows if not r["status"].startswith("error")]
     if not rows:
         _fail("results file has no rows")
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
+    out = _out_dir(out_dir)
     for problem, column, name, header in (
         ("throughput", "objective", "throughput_cdf.csv", "throughput_mbps"),
         ("energy", "eta_mbps_per_w", "eta_cdf.csv", "eta_mbps_per_w"),
     ):
-        values = [float(r[column]) for r in ok_rows if r["problem"] == problem and r[column]]
+        values = [r[column] for r in ok_rows if r["problem"] == problem and r[column] is not None]
         if values:
             cdf = ((f"{v:.6f}", f"{c:.6f}") for v, c in _cdf_points(values))
-            _write_csv(out / name, [header, "cdf"], cdf)
+            write_csv(out / name, [header, "cdf"], cdf)
 
-    _write_csv(
+    write_csv(
         out / "activation_timeseries.csv",
         ["hour", "method", "problem", "activated_frontends"],
         ([r["hour"], r["method"], r["problem"], r["activated_frontends"]] for r in ok_rows),
     )
 
-    if states_dir:
+    if traces is not None:
         evo_rows = []
-        for state_path in sorted(Path(states_dir).glob("*_state.csv")):
-            with open(state_path, newline="") as fh:
-                reader = csv.DictReader(fh)
-                log = [(float(r["timestamp_s"]), float(r["objective"])) for r in reader]
+        for state_path, log in traces:
             if not log:
                 continue
             stats = evolution_stats(log)
@@ -501,7 +520,7 @@ def cmd_report(results_path, states_dir, out_dir):
                     f"{stats['total_time_s']:.2f}",
                 ]
             )
-        _write_csv(
+        write_csv(
             out / "evolution.csv",
             ["run", "initial", "final", "improvement_pct", "time_to_near_final_s", "total_time_s"],
             evo_rows,

@@ -46,10 +46,6 @@ class NonMonotoneTable(IabError):
     pass
 
 
-class BadRow(IabError):
-    pass
-
-
 # -- energy ------------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""Typed directed measurement graph: topology types, validation, JSON I/O.
+"""Typed directed measurement graph: topology types, validation, file I/O.
 
 Node roles: user terminals (UE), radio frontends, baseband units (MT+DU)
 and the single donor baseband that roots every routing tree.  Wireless
@@ -9,6 +9,7 @@ are capacity-free.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -391,9 +392,7 @@ def save_graph(graph: MeasurementGraph, path) -> None:
         "nodes": [_node_to_dict(n) for n in graph.nodes],
         "edges": [_edge_to_dict(e) for e in graph.edges],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def _parse_node(raw: dict, where: str) -> Node:
@@ -436,6 +435,43 @@ def read_json(path):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` to ``path`` as JSON indented by 2, with a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+def read_csv(path, header: list[str], parse) -> list:
+    """``parse(row)`` of each non-blank row of ``path``, a CSV headed by ``header``.
+
+    Another header, a row of another width, or a cell ``parse`` refuses
+    with ValueError raises ParseError naming the file and the line.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found != header:
+            raise ParseError(f"{path}: expected header {','.join(header)!r}, got {found}")
+        parsed = []
+        for row in filter(None, reader):
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} columns, got {len(row)}")
+                parsed.append(parse(row))
+            except ValueError as exc:
+                raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
+    return parsed
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write ``header`` and then ``rows`` to ``path`` as CSV."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def load_graph(path) -> MeasurementGraph:

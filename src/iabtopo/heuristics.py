@@ -43,8 +43,6 @@ every k's exact model starts from the search's powers.
 
 from __future__ import annotations
 
-import csv
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -52,7 +50,7 @@ from typing import Callable
 from . import milp
 from .channel import RadioParams, serving_gains_dbi
 from .errors import DemandExceedsMaxMin, ModelInfeasible, NoFeasibleStart, NoFeasibleWithinKmax
-from .graph import Edge, MeasurementGraph, build_graph
+from .graph import Edge, MeasurementGraph, build_graph, write_csv
 from .milp import SolverOptions
 from .problem import (
     DiscretePower,
@@ -64,6 +62,7 @@ from .problem import (
 )
 
 _IMPROVE_TOL = 1e-6
+STATE_COLUMNS = ["iter", "timestamp_s", "objective"]  # SearchState.write_csv's header
 
 
 @dataclass(frozen=True)
@@ -71,6 +70,12 @@ class SearchOptions:
     solve_time_limit_s: float = 60.0
     global_budget_s: float = 2400.0
     power_levels: int = 9  # grid size for the energy refinement sweeps
+
+    def __post_init__(self):
+        # ``x > 0`` is false for NaN too; inf is "no limit".
+        ok = self.solve_time_limit_s > 0 and self.global_budget_s > 0 and self.power_levels >= 2
+        if not ok:
+            raise ValueError("need solve_time_limit_s > 0, global_budget_s > 0, power_levels >= 2")
 
     def solver(
         self, remaining_s: float | None = None, cutoff: float | None = None
@@ -111,13 +116,8 @@ class SearchState:
         self.log.append(LogEntry(iteration, timestamp_s, objective))
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "timestamp_s", "objective"])
-            for entry in self.log:
-                writer.writerow(
-                    [entry.iteration, f"{entry.timestamp_s:.6f}", repr(entry.objective)]
-                )
+        rows = ([e.iteration, f"{e.timestamp_s:.6f}", repr(e.objective)] for e in self.log)
+        write_csv(path, STATE_COLUMNS, rows)
 
 
 class _Clock:
@@ -146,10 +146,9 @@ def _memo_solve(problem: str, options: SearchOptions, clock: _Clock) -> Callable
     Each (instance, fixed powers) keeps one number, the value no point of
     the trial beats.  It starts at the model's proven bound, asked of
     ``milp.model_bound`` before any build, and only tightens with proven
-    solves: to the optimum, to the cutoff it did not beat, or to the worst
-    value if the trial is infeasible.  A call whose cutoff that value does
-    not beat is rejected unbuilt; every other call builds and solves, and
-    no model outlives its solve.
+    solves: to the optimum, or to the cutoff it did not beat.  A call whose
+    cutoff that value does not beat is rejected unbuilt; every other call
+    builds and solves, and no model outlives its solve.
     """
     unbeaten: dict[tuple, float] = {}
     sense, worse = ("max", min) if problem == milp.THROUGHPUT else ("min", max)
@@ -171,8 +170,6 @@ def _memo_solve(problem: str, options: SearchOptions, clock: _Clock) -> Callable
             unbeaten[key] = worse(unbeaten[key], raw.objective)
         elif raw.status is SolveStatus.CUTOFF:
             unbeaten[key] = cutoff
-        elif raw.status is SolveStatus.INFEASIBLE:
-            unbeaten[key] = -math.inf if sense == "max" else math.inf
         if raw.values is None:
             return _REJECTED
         return raw.objective, milp.frontend_powers(built, raw)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -30,8 +31,10 @@ class SolverOptions:
     """Objective (model sense, constant included) a solution must strictly beat."""
 
     def __post_init__(self):
-        if self.time_limit_s <= 0:
+        if not self.time_limit_s > 0:  # NaN too; inf is no limit
             raise ValueError("time_limit_s must be positive")
+        if self.cutoff is not None and math.isnan(self.cutoff):
+            raise ValueError("cutoff must be a number")
 
 
 @dataclass

@@ -7,7 +7,6 @@ the capacity ladder and the transmit-power mode.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -17,7 +16,7 @@ from .capacity import CapacityTable, default_table
 from .channel import RadioParams
 from .energy import PowerModelParams
 from .errors import ParseError
-from .graph import Commodity, EdgeKey, MeasurementGraph, read_json
+from .graph import Commodity, EdgeKey, MeasurementGraph, read_json, write_json
 
 
 # -- power modes ----------------------------------------------------------
@@ -169,9 +168,7 @@ def solution_payload(solution: NetworkSolution) -> dict:
 
 
 def save_solution(solution: NetworkSolution, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(solution_payload(solution), fh, indent=2)
-        fh.write("\n")
+    write_json(path, solution_payload(solution))
 
 
 def _finite(value) -> float:

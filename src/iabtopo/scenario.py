@@ -9,8 +9,6 @@ stays under a coupling cutoff.  All randomness is keyed by (seed, hour).
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -19,7 +17,8 @@ import numpy as np
 from .channel import RadioParams, los_probability, o2i_loss, pathloss_umi
 from .energy import PowerModelParams
 from .errors import BadRange, DuplicateHour, EmptyScenario, MissingHour, ParseError
-from .graph import Commodity, Edge, EdgeKind, MeasurementGraph, Node, NodeKind, build_graph, read_json
+from .graph import Commodity, Edge, EdgeKind, MeasurementGraph, Node, NodeKind, build_graph
+from .graph import read_csv, read_json, write_json
 
 _SECTOR_AZIMUTHS = (0.0, 120.0, 240.0)
 
@@ -46,22 +45,8 @@ class LoadProfile:
 
 
 def load_profile_csv(path) -> LoadProfile:
-    hours: list[int] = []
-    values: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["hour", "p"]:
-            raise ParseError(f"{path}: expected header 'hour,p', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                hours.append(int(row[0]))
-                values.append(float(row[1]))
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    return LoadProfile(hours=tuple(hours), p=tuple(values))
+    rows = read_csv(path, ["hour", "p"], lambda row: (int(row[0]), float(row[1])))
+    return LoadProfile(hours=tuple(h for h, _ in rows), p=tuple(p for _, p in rows))
 
 
 @dataclass(frozen=True)
@@ -168,41 +153,26 @@ def generate(
     ]
 
     carrier = config.radio.carrier_ghz
-    node_by_id = {n.id: n for n in nodes}
-
-    def synth_edge(frontend: int, target: int, los: bool, extra_db: float) -> Edge | None:
-        a, b = node_by_id[frontend].pos, node_by_id[target].pos
-        d2d = max(math.hypot(a[0] - b[0], a[1] - b[1]), 1.0)
-        d3d = max(math.dist(a, b), 1.0)
-        pl = pathloss_umi(carrier, d2d, d3d, a[2], b[2], los) + extra_db
-        if pl > config.coupling_cutoff_db:
-            return None
-        return Edge(frontend, target, EdgeKind.WIRELESS, round(pl, 6), los)
-
-    # One LOS draw per (unit, target) pair: colocated sector frontends share it.
-    for u in range(len(unit_xy)):
-        bb = node_by_id[baseband_ids[u]]
-        for ue, indoor in zip(ue_ids, indoor_flags):
-            d2d = math.hypot(
-                bb.pos[0] - node_by_id[ue].pos[0], bb.pos[1] - node_by_id[ue].pos[1]
+    pos = {n.id: n.pos for n in nodes}
+    # One LOS draw and pathloss per (unit, target) pair: colocated sector
+    # frontends share them.  A unit's targets are the UEs, then the other
+    # relay basebands (backhaul terminates at relay basebands only).
+    relays = [(baseband_ids[v], False) for v in range(len(unit_xy)) if v != donor_unit]
+    for u, bb in enumerate(baseband_ids):
+        a = pos[bb]
+        for target, indoor in [*zip(ue_ids, indoor_flags), *relays]:
+            if target == bb:
+                continue
+            b = pos[target]
+            d2d = max(math.hypot(a[0] - b[0], a[1] - b[1]), 1.0)
+            los = False if indoor else bool(rng.random() < los_probability(d2d))
+            extra_db = o2i_loss(carrier) if indoor else 0.0
+            pl = pathloss_umi(carrier, d2d, max(math.dist(a, b), 1.0), a[2], b[2], los) + extra_db
+            if pl > config.coupling_cutoff_db:
+                continue
+            edges.extend(
+                Edge(fid, target, EdgeKind.WIRELESS, round(pl, 6), los) for fid in frontend_ids[u]
             )
-            los = False if indoor else bool(rng.random() < los_probability(max(d2d, 1.0)))
-            extra = o2i_loss(carrier) if indoor else 0.0
-            for fid in frontend_ids[u]:
-                edge = synth_edge(fid, ue, los, extra)
-                if edge is not None:
-                    edges.append(edge)
-        for v in range(len(unit_xy)):
-            if v == u or v == donor_unit:
-                continue  # backhaul terminates at relay basebands only
-            d2d = math.hypot(
-                bb.pos[0] - unit_xy[v][0], bb.pos[1] - unit_xy[v][1]
-            )
-            los = bool(rng.random() < los_probability(max(d2d, 1.0)))
-            for fid in frontend_ids[u]:
-                edge = synth_edge(fid, baseband_ids[v], los, 0.0)
-                if edge is not None:
-                    edges.append(edge)
 
     graph = build_graph(nodes, edges)
     donor_id = baseband_ids[donor_unit]
@@ -216,9 +186,7 @@ def generate(
 
 
 def config_to_json(config: ScenarioConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(asdict(config), fh, indent=2)
-        fh.write("\n")
+    write_json(path, asdict(config))
 
 
 def config_from_json(path) -> ScenarioConfig:

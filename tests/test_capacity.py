@@ -10,7 +10,7 @@ from iabtopo.capacity import (
     load_table,
     ts38306_rate,
 )
-from iabtopo.errors import BadRow, NonMonotoneTable
+from iabtopo.errors import NonMonotoneTable, ParseError
 
 TOP_MBPS = 1226.925063
 BOTTOM_MBPS = 51.76899
@@ -82,11 +82,11 @@ def test_load_table_round_trip(tmp_path):
 def test_load_table_rejects_bad_rows(tmp_path):
     bad_header = tmp_path / "h.csv"
     bad_header.write_text("a,b,c\n0,1,2\n")
-    with pytest.raises(BadRow):
+    with pytest.raises(ParseError):
         load_table(bad_header)
     bad_cell = tmp_path / "c.csv"
     bad_cell.write_text("index,sinr_threshold_db,capacity_mbps\n0,x,2\n")
-    with pytest.raises(BadRow):
+    with pytest.raises(ParseError):
         load_table(bad_cell)
 
 

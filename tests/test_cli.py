@@ -733,3 +733,155 @@ def test_evolution_stats_flat_run_has_no_near_final_time():
     stats = evolution_stats([(0.0, 50.0), (3.0, 50.0)])
     assert stats["improvement_pct"] == 0.0
     assert stats["time_to_near_final_s"] is None
+
+
+def _report_inputs(tmp_path):
+    """A results file of one throughput row and a states dir of one trace."""
+    results = tmp_path / "results.csv"
+    _write_rows(results, RESULT_COLUMNS, [
+        [6, "local-search", "throughput", "optimal", "120.5", "120.5", 3, "250.0", "0.482", "1.0"],
+    ])
+    states = tmp_path / "states"
+    states.mkdir()
+    _write_rows(states / "hour006_local-search_throughput_state.csv",
+                ["iter", "timestamp_s", "objective"], [[0, "0.000000", "120.5"]])
+    return results, states
+
+
+@pytest.mark.parametrize(
+    "target, header, rows, where",
+    [
+        ("state", ["iter", "objective"], [[0, "120.5"]], "state.csv"),
+        ("state", ["iter", "timestamp_s", "objective"], [[0, "soon", "120.5"]], "state.csv:2"),
+        ("state", ["iter", "timestamp_s", "objective"], [[0, "0.0", "high"]], "state.csv:2"),
+        ("results", RESULT_COLUMNS,
+         [[6, "exact", "throughput", "optimal", "lots", "1.0", 3, "250.0", "0.4", "1.0"]],
+         "results.csv:2"),
+        ("results", RESULT_COLUMNS,
+         [[6, "exact", "energy", "optimal", "1.0", "1.0", 3, "250.0", "n/a", "1.0"]],
+         "results.csv:2"),
+        ("results", RESULT_COLUMNS, [[6, "exact", "throughput", "optimal", "1.0"]], "results.csv:2"),
+    ],
+)
+def test_report_refuses_malformed_input(tmp_path, target, header, rows, where):
+    results, states = _report_inputs(tmp_path)
+    path = results if target == "results" else next(states.iterdir())
+    _write_rows(path, header, rows)
+    out = tmp_path / "rep"
+    result = _run(["report", "--results", str(results), "--states-dir", str(states),
+                   "--out-dir", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: ") and where in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("header, rows", [(["hour", "objective"], [[6, "1.0"]]), (RESULT_COLUMNS, [])])
+def test_report_refuses_other_columns_and_no_rows(tmp_path, header, rows):
+    results, _states = _report_inputs(tmp_path)
+    _write_rows(results, header, rows)
+    result = _run(["report", "--results", str(results), "--out-dir", str(tmp_path / "rep")])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ")
+
+
+def test_scenario_gen_refuses_an_hour_the_profile_lacks(workspace):
+    tmp, cfg, _profile = workspace
+    profile = tmp / "short.csv"
+    profile.write_text("hour,p\n0,0.5\n")
+    out = tmp / "g.json"
+    result = _run(["scenario-gen", "--config", str(cfg), "--profile", str(profile),
+                   "--hour", "5", "--out", str(out)])
+    assert result.exit_code == 2
+    assert "hour 5 not in profile" in result.output
+    assert not out.exists()
+
+
+def test_sweep_refuses_an_unknown_method(workspace):
+    tmp, cfg, profile = workspace
+    out_dir = tmp / "sweep"
+    result = _run(["sweep", "--config", str(cfg), "--profile", str(profile), "--hours", "10",
+                   "--methods", "local-search,bogus", "--seed", "3", "--out-dir", str(out_dir)])
+    assert result.exit_code == 2
+    assert "unknown method 'bogus'" in result.output
+    assert not out_dir.exists()
+
+
+def test_validate_refuses_an_unknown_frontend(workspace):
+    tmp, cfg, profile = workspace
+    graph_path = tmp / "g.json"
+    _run(["scenario-gen", "--config", str(cfg), "--profile", str(profile),
+          "--hour", "10", "--out", str(graph_path)])
+    sol_path = tmp / "sol.json"
+    _run(["solve", "--graph", str(graph_path), "--config", str(cfg),
+          "--problem", "throughput", "--method", "local-search",
+          "--time-limit", "20", "--global-budget", "60", "--out-solution", str(sol_path)])
+    payload = json.loads(sol_path.read_text())
+    payload["powers_mw"]["9999"] = 0.0
+    sol_path.write_text(json.dumps(payload))
+    result = _run(["validate", "--solution", str(sol_path), "--graph", str(graph_path),
+                   "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert "unknown frontend 9999" in result.output
+
+
+@pytest.mark.parametrize("flag", ["--out-solution", "--out-state"])
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_solve_checks_its_output_paths_before_it_solves(workspace, monkeypatch, flag, where):
+    tmp, cfg, profile = workspace
+    graph_path = tmp / "g.json"
+    _run(["scenario-gen", "--config", str(cfg), "--profile", str(profile),
+          "--hour", "10", "--out", str(graph_path)])
+    out = tmp / "missing" / "out" if where == "missing" else tmp
+    solves = []
+    monkeypatch.setattr(milp, "solve", lambda *args, **kwargs: solves.append(args))
+    result = _run(["solve", "--graph", str(graph_path), "--config", str(cfg),
+                   "--problem", "throughput", flag, str(out)])
+    assert result.exit_code == 2
+    reason = "No such file or directory" if where == "missing" else "Is a directory"
+    assert f"error: {out}: {reason}" in result.output
+    assert solves == []
+
+
+def test_exact_solve_writes_no_state(workspace):
+    tmp, cfg, profile = workspace
+    graph_path = tmp / "g.json"
+    _run(["scenario-gen", "--config", str(cfg), "--profile", str(profile),
+          "--hour", "10", "--out", str(graph_path)])
+    state_path = tmp / "state.csv"
+    result = _run(["solve", "--graph", str(graph_path), "--config", str(cfg),
+                   "--problem", "throughput", "--method", "exact", "--out-state", str(state_path)])
+    assert result.exit_code == 0, result.output
+    assert not state_path.exists()
+
+
+def test_scenario_gen_checks_its_output_path_first(workspace):
+    tmp, cfg, profile = workspace
+    out = tmp / "missing" / "g.json"
+    result = _run(["scenario-gen", "--config", str(cfg), "--profile", str(profile),
+                   "--hour", "10", "--out", str(out)])
+    assert result.exit_code == 2
+    assert f"error: {out}: No such file or directory" in result.output
+
+
+@pytest.mark.parametrize("command", ["sweep", "report"])
+def test_an_out_dir_that_names_a_file_is_an_input_error(workspace, command):
+    tmp, cfg, profile = workspace
+    results, _states = _report_inputs(tmp)
+    if command == "sweep":
+        args = ["sweep", "--config", str(cfg), "--profile", str(profile), "--hours", "10",
+                "--methods", "local-search", "--seed", "3"]
+    else:
+        args = ["report", "--results", str(results)]
+    result = _run(args + ["--out-dir", str(results)])
+    assert result.exit_code == 2
+    assert f"error: {results}: File exists" in result.output
+
+
+def test_sweep_checks_its_results_path_first(workspace):
+    tmp, cfg, profile = workspace
+    (tmp / "sweep" / "results.csv").mkdir(parents=True)
+    result = _run(["sweep", "--config", str(cfg), "--profile", str(profile), "--hours", "10",
+                   "--methods", "local-search", "--seed", "3", "--out-dir", str(tmp / "sweep")])
+    assert result.exit_code == 2
+    assert "results.csv: Is a directory" in result.output
+    assert sorted(p.name for p in (tmp / "sweep").iterdir()) == ["results.csv"]

@@ -108,6 +108,11 @@ def test_network_power_reads_plain_mappings():
     assert report.total_w == pytest.approx(expected, rel=1e-12)
 
 
+def test_per_unit_adder_needs_the_graph():
+    with pytest.raises(ValueError, match="needs the graph"):
+        network_power({1: 6300.0}, {1: 1}, {}, PowerModelParams(p_active_unit_w=10.0))
+
+
 def test_energy_efficiency():
     assert energy_efficiency(0.0, 100.0) == 0.0
     assert energy_efficiency(5.0, 100.0) == pytest.approx(0.05)

@@ -42,6 +42,27 @@ FAST = SearchOptions(solve_time_limit_s=20.0, global_budget_s=120.0)
 _GRID = (0.0, 1575.0, 3150.0, 4725.0, 6300.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("solve_time_limit_s", -1.0),
+        ("solve_time_limit_s", 0.0),
+        ("solve_time_limit_s", math.nan),
+        ("global_budget_s", 0.0),
+        ("global_budget_s", math.nan),
+        ("power_levels", 1),
+    ],
+)
+def test_search_options_refuse_values_they_cannot_use(field, value):
+    with pytest.raises(ValueError, match=field):
+        SearchOptions(**{field: value})
+
+
+def test_search_options_take_infinite_budgets():
+    options = SearchOptions(solve_time_limit_s=math.inf, global_budget_s=math.inf)
+    assert options.solver().time_limit_s == math.inf
+
+
 def test_single_frontend_converges_to_capacity():
     from test_milp_models import _single_frontend_instance
 

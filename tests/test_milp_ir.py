@@ -36,6 +36,24 @@ from test_model_identity import MODEL_SHA256, _build_args, _instance
 def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(time_limit_s=0)
+    # NaN fails every comparison, so `<= 0` lets it in; HiGHS then runs
+    # without a limit, and a NaN cutoff returns CUTOFF from every solve.
+    with pytest.raises(ValueError, match="time_limit_s"):
+        SolverOptions(time_limit_s=float("nan"))
+    with pytest.raises(ValueError, match="cutoff"):
+        SolverOptions(cutoff=float("nan"))
+    SolverOptions(time_limit_s=float("inf"), cutoff=float("inf"))  # no limit; nothing beats it
+
+
+def test_model_ir_refuses_bad_bounds_and_objectives():
+    ir = ModelIR()
+    with pytest.raises(ValueError, match="lb 2.0 above ub 1.0"):
+        ir.add_vars(["x"], False, 2.0, 1.0)
+    (x,) = ir.add_vars(["x"], False, 0.0, 1.0)
+    with pytest.raises(ValueError, match="sense"):
+        ir.set_objective("maximise", [x], [1.0])
+    with pytest.raises(ValueError, match="unknown variable"):
+        ir.set_objective("max", [x + 1], [1.0])
 
 
 def test_trivial_model_optimal():

@@ -166,6 +166,9 @@ def test_max_min_unreachable_ue_is_zero_and_unloaded_tree_unbounded():
     # UE 20 sits outside the tree: unreachable, so no common rate.
     assert max_min_on_tree(g, [(0, 1), (1, 21)], caps, [20]) == 0.0
     assert max_min_on_tree(g, [(0, 1)], caps, []) == 0.0
+    # UE 20 under two parents has no unique path to the donor.
+    two_parents = [(0, 1), (1, 10), (10, 11), (1, 20), (11, 20), (1, 21)]
+    assert max_min_on_tree(g, two_parents, {**caps, (1, 10): 500.0, (11, 20): 80.0}, [20, 21]) == 0.0
     # A target reached over wired hops only loads no airtime.
     g = _chain_graph()
     assert max_min_on_tree(g, [(0, 1)], {(1, 2): 50.0, (3, 4): 80.0}, [1]) == 81.0

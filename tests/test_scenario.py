@@ -61,6 +61,14 @@ def test_profile_rejects_duplicate_hour(tmp_path):
         load_profile_csv(path)
 
 
+@pytest.mark.parametrize("row", [(0,), (0, 0.5, 0.7), ("noon", 0.5)])
+def test_profile_rows_are_an_hour_and_a_load(tmp_path, row):
+    path = tmp_path / "p.csv"
+    _write_profile(path, [(1, 0.5), row])
+    with pytest.raises(ParseError, match="p.csv:3"):
+        load_profile_csv(path)
+
+
 def test_missing_hour():
     profile = LoadProfile(hours=(0, 1), p=(0.5, 0.6))
     with pytest.raises(MissingHour):
