@@ -122,7 +122,9 @@ def milp(c, *, integrality, bounds, constraints, options, seed=()) -> OptimizeRe
 
     ``seed`` (column indices and their values; scipy has no such
     argument) adds a first run on the same instance with each of those
-    columns pinned at its value (``_start_from_seed``).  Its point, when
+    columns pinned at its value (``_start_from_seed``).  That run
+    presolves, whatever ``presolve`` says, unless HiGHS dropped a
+    coefficient at load; the full run keeps the option.  Its point, when
     it finds one, starts the full run, and its seconds come out of
     ``time_limit``, so the full run gets what is left.  The answer is the
     full run's.
@@ -146,7 +148,7 @@ def milp(c, *, integrality, bounds, constraints, options, seed=()) -> OptimizeRe
     loaded = dropped is not None
     if loaded and len(seed):
         cols, values = seed
-        _start_from_seed(highs, np.asarray(cols, dtype=np.int32), values, bounds)
+        _start_from_seed(highs, np.asarray(cols, dtype=np.int32), values, bounds, not dropped)
     ran = loaded and highs.run() != HighsStatus.kError
     # scipy reports a model HiGHS refuses to load as a model error.
     model_status = highs.getModelStatus() if loaded else _MS.kModelError
@@ -174,16 +176,30 @@ def milp(c, *, integrality, bounds, constraints, options, seed=()) -> OptimizeRe
     return res
 
 
-def _start_from_seed(highs, cols: np.ndarray, values: np.ndarray, bounds) -> None:
+def _start_from_seed(highs, cols: np.ndarray, values: np.ndarray, bounds, presolve: bool) -> None:
     """Run with each of ``cols`` pinned at its value, then lift the pins.
 
-    HiGHS keeps the run's point, when it finds one, as its solution while
-    the bounds change, and starts the next run from it.  The next run gets
-    the time limit less this run's seconds.
+    With ``presolve`` the pinned run presolves: presolve drops the fixed
+    columns and the rows they settle, so HiGHS solves about the problem a
+    build with those values as constants would give, not the whole model.
+    The option is set back before the next run.  HiGHS keeps the run's
+    point, when it finds one, as its solution while the bounds change, and
+    starts the next run from it after checking it against the full model
+    ("MIP start solution is feasible" in its log), so no answer rests on
+    presolve.  The next run gets the time limit less this run's seconds.
+
+    ``milp`` asks for presolve only where HiGHS dropped no coefficient at
+    load.  Where it did, which of the tied optima HiGHS returns decides
+    whether extraction accepts the answer, and the presolved start moves
+    it: demo continuous-power exact throughput at hour 12 went from a
+    validated optimum to ``ExtractionMismatch``.
     """
     n = len(cols)
     highs.changeColsBounds(n, cols, values, values)
+    _, kept = highs.getOptionValue("presolve")
+    highs.setOptionValue("presolve", "on" if presolve else kept)
     highs.run()
+    highs.setOptionValue("presolve", kept)
     highs.changeColsBounds(n, cols, bounds.lb[cols], bounds.ub[cols])
     _, limit = highs.getOptionValue("time_limit")
     highs.setOptionValue("time_limit", max(limit - highs.getRunTime(), 0.0))
@@ -241,7 +257,8 @@ def _scipy_backend(ir: ModelIR, options: SolverOptions) -> RawSolution:
     highs_options = {
         "disp": False,
         # The bundled HiGHS presolve returns wrong optima on some of these
-        # big-M models (verified against pinned assignments).
+        # big-M models (verified against pinned assignments).  Only a
+        # seed's pinned run may presolve; its point merely starts this run.
         "presolve": False,
         "time_limit": options.time_limit_s,
         "mip_rel_gap": 0.0,

@@ -72,13 +72,14 @@ demand at its cheapest in-edge's watts per Mbps.  Both come from the
 ladder arrays and add no column or row.  The head of the build, a pure
 function of the trial (commodities, power reps, ladders, wired edges and
 bound), computes it before any model exists, so ``model_bound`` lets a
-search rule out a trial without building its model.  The build puts the
-bound on the model IR, ``ir.bound``, which ``BuiltModel.bound`` reads:
-HiGHS is handed it and stops once its incumbent meets it.  A throughput
-model whose powers are all free grid levels (an exact model with no
-``ptx`` column) also caps Z's column at the bound, so its LP relaxation
-starts there; every other throughput model caps Z at the table's top
-capacity.
+search rule out a trial without building its model; a build of the same
+trial that follows takes the head ``model_bound`` computed.  The build
+puts the bound on the model IR, ``ir.bound``, which ``BuiltModel.bound``
+reads: HiGHS is handed it and stops once its incumbent meets it.  A
+throughput model whose powers are all free grid levels (an exact model
+with no ``ptx`` column) also caps Z's column at the bound, so its LP
+relaxation starts there; every other throughput model caps Z at the
+table's top capacity.
 
 A throughput model in which every frontend's power is free (the exact
 model) carries a seed, ``ir.seed``: columns and the values that pin each
@@ -89,7 +90,10 @@ binary of the power's level at 1, or every level binary of a frontend
 started at 0 at 0; selective reduction starts from the throughput
 search's powers this way.  HiGHS first solves the model with those
 columns pinned, which is the fixed-power flow problem at that point, and
-starts the full solve from its answer.
+starts the full solve from its answer.  Where HiGHS holds every
+coefficient, that pinned run presolves, so it costs about what the
+fixed-power model's own solve does; every run whose answer is returned
+keeps presolve off.
 
 An exact energy model's seed wakes the fewest frontends that reach every
 demanded UE from the donor over wired routing edges and the live wireless routing
@@ -257,9 +261,25 @@ def model_bound(
     """The proven bound of ``problem``'s model, ``built.bound``, without building it.
 
     It is the bound of the build's own head, so it equals the built
-    model's bound bit for bit, and it declares no model.
+    model's bound bit for bit, and it declares no model.  The head is kept
+    for the build of the same trial, which a search asks for next.
     """
-    return _head(instance, problem, fixed_powers, routing_edges)[-1]
+    global _screened
+    key = _trial_key(problem, fixed_powers, routing_edges)
+    head = _head(instance, problem, fixed_powers, key[-1])
+    _screened = (weakref.ref(instance), key, head)
+    return head[-1]
+
+
+# The last head ``model_bound`` computed: a weak reference to its instance,
+# the trial's key and the head.  No caller writes into a head.
+_screened: tuple = (lambda: None, None, None)
+
+
+def _trial_key(problem, fixed_powers, routing_edges) -> tuple:
+    """``problem``, the fixed powers sorted by frontend, the routing edges as a set."""
+    allowed = None if routing_edges is None else frozenset(routing_edges)
+    return problem, sorted((fixed_powers or {}).items()), allowed
 
 
 # -- channel gains, once per graph -------------------------------------------
@@ -429,9 +449,11 @@ def _build(
     routing_edges: Iterable[EdgeKey] | None,
     start: Mapping[int, float] | None = None,
 ) -> BuiltModel:
-    commodities, reps, emit, lad, wired, bound = _head(
-        instance, problem, fixed_powers, routing_edges
-    )
+    key = _trial_key(problem, fixed_powers, routing_edges)
+    held, held_key, head = _screened
+    if held() is not instance or held_key != key:
+        head = _head(instance, problem, fixed_powers, key[-1])
+    commodities, reps, emit, lad, wired, bound = head
     g = instance.graph
     ir = ModelIR()
     ir.bound = bound

@@ -27,7 +27,7 @@ from iabtopo.milp import backend
 from iabtopo.milp.ir import PRODUCT_ROWS, indicator_row, product_rows
 from iabtopo.graph import Commodity
 from iabtopo.oracle import validate_solution
-from iabtopo.problem import ContinuousPower, ProblemInstance, SolveStatus
+from iabtopo.problem import ContinuousPower, DiscretePower, ProblemInstance, SolveStatus
 
 from conftest import model_rows, random_small_instance
 from test_model_identity import MODEL_SHA256, _build_args, _instance
@@ -488,14 +488,13 @@ def test_cutoff_the_optimum_does_not_beat(sense, optimum, margin, binary):
     assert type(caught.value) is BackendError  # not ModelInfeasible
 
 
-def test_highs_debug_print_stays_off_stdout(capfd):
-    # A demo hour-6 phase-two trial under an objective bound: whatever
-    # HiGHS prints from C must not reach stdout.
+def _demo_instance(hour: int) -> ProblemInstance:
+    """The demo config's graph at ``hour``, continuous powers, 5 Mbps per UE."""
     demo = Path(__file__).resolve().parent.parent / "demo"
     config = scenario.config_from_json(demo / "scenario_config.json")
     profile = scenario.load_profile_csv(demo / "weekly_load_profile.csv")
-    graph, _ = scenario.generate(config, profile, 6)
-    instance = ProblemInstance(
+    graph, _ = scenario.generate(config, profile, hour)
+    return ProblemInstance(
         graph=graph,
         commodities=tuple(
             Commodity(i, graph.donor.id, ue.id, 5.0) for i, ue in enumerate(graph.ues)
@@ -505,6 +504,38 @@ def test_highs_debug_print_stays_off_stdout(capfd):
         capacity_table=default_table(config.radio.bandwidth_mhz, config.radio.mimo_layers),
         power_mode=ContinuousPower(),
     )
+
+
+def test_only_a_model_holding_every_coefficient_presolves_its_pinned_run(monkeypatch):
+    # Demo hour 9's exact throughput model from the all-max seed.  On the
+    # {0, p_max} grid HiGHS holds every coefficient, so the pinned run
+    # presolves and the full run does not.  With continuous powers HiGHS
+    # drops thousands of tiny ones at load, and neither run presolves: a
+    # presolved start there moves which tied optimum comes back, and
+    # extraction rejects some of them.
+    presolve = []
+
+    class Spy(_Highs):
+        def run(self):
+            presolve.append(self.getOptionValue("presolve")[1])
+            return super().run()
+
+    monkeypatch.setattr(backend, "_Highs", Spy)
+    for mode, runs in (
+        (DiscretePower((0.0, 6300.0)), ["on", "off"]),
+        (ContinuousPower(), ["off", "off"]),
+    ):
+        presolve.clear()
+        built = build_throughput_model(_demo_instance(9).with_power_mode(mode))
+        raw = solve(built.ir, SolverOptions(time_limit_s=0.2))
+        assert (raw.dropped > 0) == isinstance(mode, ContinuousPower)
+        assert presolve == runs
+
+
+def test_highs_debug_print_stays_off_stdout(capfd):
+    # A demo hour-6 phase-two trial under an objective bound: whatever
+    # HiGHS prints from C must not reach stdout.
+    instance = _demo_instance(6)
     on = (1, 2, 3, 14, 18, 19)
     fixed = {fid: 6300.0 if fid in on else 0.0 for fid in (*on, 5, 6, 9, 10, 11, 13, 15, 17)}
     built = build_throughput_model(instance, fixed_powers=fixed)

@@ -581,7 +581,14 @@ def test_first_hop_term_stops_the_solve_at_the_optimum(monkeypatch):
     built = milp.build_throughput_model(inst)
     assert built.bound == c_max / 2 == oracle.enumerate_optimal_throughput(inst)
 
-    # HiGHS stops at the bound and returns the point it proves without it.
+    # Seeded, the presolved pinned run solves the model outright and the
+    # full run proves that start optimal at the root.
+    seeded = milp.solve(built.ir, SolverOptions(time_limit_s=60))
+    assert seeded.status is SolveStatus.OPTIMAL and seeded.objective == c_max / 2
+
+    # Unseeded, HiGHS stops at the bound and returns the point it proves
+    # without it.
+    built.ir.seed = ()
     runs = _spy_highs(monkeypatch)
     stopped = milp.solve(built.ir, SolverOptions(time_limit_s=60))
     assert HighsModelStatus.kObjectiveTarget in runs

@@ -9,6 +9,7 @@ change that alters a model on purpose must argue it and re-pin that
 model.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from scipy.optimize import OptimizeResult
 
 from iabtopo import milp
-from iabtopo.milp import backend
+from iabtopo.milp import backend, builder
 from iabtopo.problem import DiscretePower, default_power_levels
 
 from conftest import random_small_instance, two_unit_instance
@@ -130,6 +131,33 @@ def test_model_pinned(name, problem, mode):
     inst, fixed = _build_args(_instance(name), mode)
     ir = milp.build(inst, problem, fixed).ir
     assert _model_digest(ir) == MODEL_SHA256[(name, problem, mode)]
+
+
+@pytest.mark.parametrize("name, problem, mode", list(MODEL_SHA256))
+def test_builds_after_the_bound_take_its_head_unchanged(name, problem, mode, monkeypatch):
+    # model_bound keeps its head for the build of the same trial.  Two
+    # builds from that one head are both the pinned model, so neither
+    # writes into it; another instance object or other fixed powers is
+    # another trial, with a head of its own.
+    inst, fixed = _build_args(_instance(name), mode)
+    heads = []
+    head = builder._head
+
+    def spy(*args):
+        heads.append(args)
+        return head(*args)
+
+    monkeypatch.setattr(builder, "_head", spy)
+    bound = milp.model_bound(inst, problem, fixed)
+    for _ in range(2):
+        built = milp.build(inst, problem, None if fixed is None else dict(fixed))
+        assert _model_digest(built.ir) == MODEL_SHA256[(name, problem, mode)]
+        assert built.bound == bound
+    assert len(heads) == 1
+    milp.build(dataclasses.replace(inst), problem, fixed)
+    first = min(n.id for n in inst.graph.frontends)
+    milp.build(inst, problem, {**(fixed or {}), first: 0.0})
+    assert len(heads) == 3
 
 
 def _highs_digest(kwargs):

@@ -134,11 +134,15 @@ def _extracts(built, raw, counts: Counter, what: str) -> None:
 
 
 def _count_first_hop(inst: ProblemInstance, fixed, bound: float, counts: Counter) -> None:
-    """Count a throughput bound, and whether the first-hop term or its sector sets set it."""
+    """Count a throughput bound, and whether the first-hop term or its sector sets set it.
+
+    The patched bounds come from the build's head itself, not from
+    ``milp.model_bound``, which keeps its head for the next build.
+    """
     counts["throughput bounds"] += 1
     with mock.patch.object(builder, "_first_hop_bound", lambda hop_caps, k: math.inf):
         counts["throughput bounds the first hop sets"] += (
-            milp.model_bound(inst, milp.THROUGHPUT, fixed) > bound
+            builder._head(inst, milp.THROUGHPUT, fixed, None)[-1] > bound
         )
     term = builder._first_hop_term
 
@@ -148,7 +152,7 @@ def _count_first_hop(inst: ProblemInstance, fixed, bound: float, counts: Counter
 
     with mock.patch.object(builder, "_first_hop_term", flat):
         counts["throughput bounds the sector sets set"] += (
-            milp.model_bound(inst, milp.THROUGHPUT, fixed) > bound
+            builder._head(inst, milp.THROUGHPUT, fixed, None)[-1] > bound
         )
 
 
