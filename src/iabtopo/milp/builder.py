@@ -1089,9 +1089,7 @@ def _power_reps(
         if fid in fixed_powers:
             p = float(fixed_powers[fid])
         elif isinstance(mode, FixedPower):
-            if fid not in mode.powers_mw:
-                raise ValueError(f"fixed power mode misses frontend {fid}")
-            p = float(mode.powers_mw[fid])
+            p = float(mode.powers_mw[fid])  # ProblemInstance refuses a missing frontend
         else:
             p = None
 

@@ -4,6 +4,26 @@ Everything here recomputes from first principles (channel arithmetic,
 ladder lookups, explicit enumeration) so the optimization models have a
 second, dumber implementation to agree with.  Enumeration is a test
 instrument with a hard size guard, not a solver.
+
+Both optima visit power points best-first under a bound the oracle's own
+arithmetic proves, and stop at the first point whose bound cannot
+strictly beat the best answer so far (Land & Doig, Econometrica 28,
+1960); no bound comes from the MILP.
+
+- Energy ranks a point by its power floor, ``network_power`` at that
+  point's powers and activations with no airtime.  Every amplifier term
+  ``alpha * delta_p * p / 1000`` is >= 0 and floating-point addition is
+  monotone, so no tree at the point prices below its floor; the walk
+  stops once a floor reaches the best power, since only a strictly lower
+  power replaces it.
+- Throughput ranks a point by its rate cap, the least over UEs of the
+  largest ``1 / (1 / c)`` over the UE's live in-links.  A UE's node
+  airtime per unit rate in ``_max_min`` is exactly ``1 / c`` of its one
+  in-link, so no tree at the point gives a rate above its cap, bit for
+  bit; the walk stops once a cap is no higher than the best rate.
+
+Points left after the stop cannot change the answer, so the optima are
+those of the exhaustive walk, bit for bit.
 """
 
 from __future__ import annotations
@@ -89,23 +109,29 @@ def _power_grids(instance: ProblemInstance) -> tuple[list[int], list[list[float]
     mode = instance.power_mode
     frontends = sorted(n.id for n in instance.graph.frontends)
     if isinstance(mode, FixedPower):
-        return frontends, [[float(mode.powers_mw.get(f, 0.0))] for f in frontends]
+        return frontends, [[float(mode.powers_mw[f])] for f in frontends]
     if isinstance(mode, DiscretePower):
         return frontends, [list(mode.levels_mw) for _ in frontends]
     raise UnsupportedMode("enumeration needs fixed or discrete powers")
 
 
-def _trees(instance: ProblemInstance, demand: Mapping[int, float]):
-    """Yield (powers, capacities, loads) of every candidate tree.
+def _trees(instance: ProblemInstance, demand: Mapping[int, float], rank):
+    """Yield ``(bound, trees)`` per power point, lowest ``rank`` first.
 
-    Powers range over the instance's grid.  Each UE of ``demand`` takes one
-    wireless parent and each MT-DU one wireless parent or none, both only
-    over links with positive capacity at those powers; powers that leave a
-    UE unservable are skipped.  A tree is the graph's wired edges plus the
-    chosen wireless links and does not depend on the powers, so
-    ``_routed_demand`` turns each distinct parent choice into loads once;
-    choices it rejects (a UE cut off from the donor, or a cycle among unit
-    parents) are skipped.
+    ``rank(powers, capacities)`` is a point's bound; ``capacities(powers)``
+    gives the link capacities at a point and computes them once, so a rank
+    that never calls it leaves them uncomputed at points nobody visits.
+    ``trees`` yields ``(powers, capacities, loads)`` once per distinct
+    ``loads``.  Powers range over the instance's grid.  Each UE of
+    ``demand`` takes one wireless parent and each MT-DU one wireless parent
+    or none, both only over links with positive capacity at those powers; a
+    point that leaves a UE unservable has no trees.  A tree is the graph's
+    wired edges plus the chosen wireless links and does not depend on the
+    powers, so ``_routed_demand`` turns each distinct parent choice into
+    loads once; choices it rejects (a UE cut off from the donor, or a cycle
+    among unit parents) are skipped.  Choices that differ only in an MT-DU
+    parent no UE's path crosses route the same loads, which a point yields
+    once.
     """
     g = instance.graph
     ue_ids = sorted(demand)
@@ -133,22 +159,33 @@ def _trees(instance: ProblemInstance, demand: Mapping[int, float]):
 
     table = instance.capacity_table
     budgets = link_budgets(g, g.wireless_edges, instance.radio)
+    computed: dict[tuple, dict[EdgeKey, float]] = {}
+
+    def capacities(powers: Mapping[int, float]) -> dict[EdgeKey, float]:
+        point = tuple(powers.values())
+        if point not in computed:
+            computed[point] = {
+                key: capacity_from_sinr(table, s, i)[1]
+                for key, (s, i) in budgets(powers).items()
+            }
+        return computed[point]
+
     wired = [e.key for e in g.wired_edges]
-    routed: dict[tuple, dict | None] = {}  # parent choice -> loads or None
-    for combo in itertools.product(*grids):
-        powers = dict(zip(frontends, combo))
-        caps = {
-            key: capacity_from_sinr(table, s, i)[1] for key, (s, i) in budgets(powers).items()
-        }
+    routed: dict[tuple, dict | None] = {}  # parent choice -> interned loads or None
+    interned: dict[tuple, dict] = {}
+
+    def trees(powers: dict[int, float]):
+        caps = capacities(powers)
         ue_options = [
             [f for f in ue_candidates[ue] if caps.get((f, ue), 0.0) > 0] for ue in ue_ids
         ]
         if any(not opts for opts in ue_options):
-            continue  # some UE unservable at these powers
+            return  # some UE unservable at these powers
         mtdu_options = [
             [None] + [f for f in mtdu_candidates[m][1:] if caps.get((f, m), 0.0) > 0]
             for m in mtdus
         ]
+        priced: set[int] = set()
         for choice in itertools.product(
             itertools.product(*ue_options), itertools.product(*mtdu_options)
         ):
@@ -157,9 +194,34 @@ def _trees(instance: ProblemInstance, demand: Mapping[int, float]):
                 tree = set(wired)
                 tree.update(zip(ue_pick, ue_ids))
                 tree.update((f, m) for f, m in zip(m_pick, mtdus) if f is not None)
-                routed[choice] = _routed_demand(tree, demand, donor, wireless)
-            if routed[choice] is not None:
-                yield powers, caps, routed[choice]
+                loads = _routed_demand(tree, demand, donor, wireless)
+                if loads is not None:
+                    loads = interned.setdefault(tuple(loads.items()), loads)
+                routed[choice] = loads
+            loads = routed[choice]
+            if loads is not None and id(loads) not in priced:
+                priced.add(id(loads))
+                yield powers, caps, loads
+
+    points = [dict(zip(frontends, combo)) for combo in itertools.product(*grids)]
+    bounds = [rank(powers, capacities) for powers in points]
+    for i in sorted(range(len(points)), key=bounds.__getitem__):
+        yield bounds[i], trees(points[i])
+
+
+def _rate_cap(capacities: Mapping[EdgeKey, float], ue_ids: Iterable[int]) -> float:
+    """Throughput's rank: no tree at these capacities beats it (module docstring)."""
+    best_in = dict.fromkeys(ue_ids, 0.0)
+    for (_src, dst), c in capacities.items():
+        if dst in best_in and c > 0:
+            best_in[dst] = max(best_in[dst], 1.0 / (1.0 / c))
+    return min(best_in.values())
+
+
+def _power_floor(instance: ProblemInstance, powers: Mapping[int, float]) -> float:
+    """Energy's rank: no tree at these powers prices below it (module docstring)."""
+    activations = {f: int(p > 0) for f, p in powers.items()}
+    return network_power(powers, activations, {}, instance.power_model, instance.graph).total_w
 
 
 def enumerate_optimal_throughput(instance: ProblemInstance) -> float:
@@ -168,10 +230,15 @@ def enumerate_optimal_throughput(instance: ProblemInstance) -> float:
     if not ues:
         return 0.0
     best = 0.0
-    for _powers, caps, loads in _trees(instance, ues):
-        z = _max_min(loads, caps)
-        if z > best:
-            best = z
+    for neg_cap, trees in _trees(
+        instance, ues, lambda powers, capacities: -_rate_cap(capacities(powers), ues)
+    ):
+        if -neg_cap <= best:
+            break
+        for _powers, caps, loads in trees:
+            z = _max_min(loads, caps)
+            if z > best:
+                best = z
     return best
 
 
@@ -186,14 +253,19 @@ def enumerate_optimal_energy(instance: ProblemInstance) -> float:
 
     demand = {c.dest: c.demand_mbps for c in commodities}
     best = math.inf
-    for powers, caps, load in _trees(instance, demand):
-        airtimes = {key: d_e / caps[key] for key, d_e in load.items()}
-        if any(v > 1.0 + 1e-9 for v in _node_airtime(airtimes).values()):
-            continue
-        activations = {f: int(p > 0) for f, p in powers.items()}
-        value = network_power(powers, activations, airtimes, pm, g).total_w
-        if value < best:
-            best = value
+    for floor, trees in _trees(
+        instance, demand, lambda powers, _capacities: _power_floor(instance, powers)
+    ):
+        if floor >= best:
+            break
+        for powers, caps, load in trees:
+            airtimes = {key: d_e / caps[key] for key, d_e in load.items()}
+            if any(v > 1.0 + 1e-9 for v in _node_airtime(airtimes).values()):
+                continue
+            activations = {f: int(p > 0) for f, p in powers.items()}
+            value = network_power(powers, activations, airtimes, pm, g).total_w
+            if value < best:
+                best = value
     if not math.isfinite(best):
         raise NoFeasible("no power/tree/routing combination meets the demands")
     return best
@@ -353,12 +425,13 @@ def validate_solution(
     ]
     violations.extend(validate_tree(g, solution.chosen_edges, required_ues=required).violations)
 
-    # Activation consistency (sleeping frontends neither transmit nor serve).
+    # Activation consistency (sleeping frontends neither transmit nor serve);
+    # a frontend missing from the activations sleeps, as in ``network_power``.
     chosen = set(solution.chosen_edges)
     chosen_srcs = {src for src, _ in chosen}
-    for fid, on in sorted(solution.activations.items()):
+    for fid in sorted(solution.activations.keys() | {n.id for n in g.frontends}):
         p = solution.powers_mw.get(fid, 0.0)
-        if not on:
+        if not solution.activations.get(fid, 0):
             if p > _TOL:
                 violations.append(Violation("SleepingTransmitter", (fid,), p))
             wireless_out = {e.dst for e in g.out_edges(fid) if e.kind is EdgeKind.WIRELESS}

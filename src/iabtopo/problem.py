@@ -76,11 +76,23 @@ class ProblemInstance:
     def __post_init__(self):
         donor_id = self.graph.donor.id
         ue_ids = {n.id for n in self.graph.ues}
+        ids: set[int] = set()
+        dests: set[int] = set()
         for c in self.commodities:
             if c.source != donor_id:
                 raise ValueError(f"commodity {c.id}: source {c.source} is not the donor")
             if c.dest not in ue_ids:
                 raise ValueError(f"commodity {c.id}: dest {c.dest} is not a UE")
+            if c.id in ids:
+                raise ValueError(f"commodity id {c.id} appears twice")
+            if c.dest in dests:
+                raise ValueError(f"commodity {c.id}: UE {c.dest} already has a commodity")
+            ids.add(c.id)
+            dests.add(c.dest)
+        if isinstance(self.power_mode, FixedPower):
+            for n in self.graph.frontends:
+                if n.id not in self.power_mode.powers_mw:
+                    raise ValueError(f"fixed power mode misses frontend {n.id}")
 
     def with_power_mode(self, mode: PowerMode) -> "ProblemInstance":
         return replace(self, power_mode=mode)

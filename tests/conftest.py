@@ -1,3 +1,5 @@
+import importlib.util
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -7,6 +9,18 @@ from iabtopo.capacity import CapacityTable, McsEntry, default_table
 from iabtopo.channel import RadioParams
 from iabtopo.graph import Commodity, Edge, EdgeKind, Node, NodeKind, build_graph
 from iabtopo.problem import DiscretePower, ProblemInstance
+
+
+def fuzz_bounds():
+    """``tools/fuzz_bounds.py``, whose instances have 3 UEs and 2 sectors per unit.
+
+    Its ``instance(5, i)`` is the benchmark's oracle-xcheck instance i.
+    """
+    path = Path(__file__).resolve().parent.parent / "tools" / "fuzz_bounds.py"
+    spec = importlib.util.spec_from_file_location("fuzz_bounds", path)
+    fuzz = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fuzz)
+    return fuzz
 
 
 def coarse_table(n_keep: int = 5) -> CapacityTable:

@@ -6,9 +6,7 @@ so the exact solvers, enumeration oracles and heuristics all see the same
 problems.
 """
 
-import importlib.util
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +27,7 @@ from iabtopo.oracle import (
 from iabtopo.problem import FixedPower, ProblemInstance, SolveStatus
 from iabtopo.scenario import LoadProfile, ScenarioConfig, generate
 
-from conftest import coarse_table, random_small_instance, two_unit_graph
+from conftest import coarse_table, fuzz_bounds, random_small_instance, two_unit_graph
 
 REL_TOL = 1e-6
 FAST = SearchOptions(solve_time_limit_s=20.0, global_budget_s=120.0)
@@ -195,18 +193,9 @@ def test_rate_bound_covers_the_brute_force_optimum(instance_suite):
         assert bound >= rec["z_oracle"] * (1.0 - 1e-9)
 
 
-def _fuzz():
-    """``tools/fuzz_bounds.py``, whose instances have 3 UEs and 2 sectors per unit."""
-    path = Path(__file__).resolve().parent.parent / "tools" / "fuzz_bounds.py"
-    spec = importlib.util.spec_from_file_location("fuzz_bounds", path)
-    fuzz = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(fuzz)
-    return fuzz
-
-
 def _fuzz_instances():
     """The bound fuzz's instances, seeds 100-119."""
-    fuzz = _fuzz()
+    fuzz = fuzz_bounds()
     return [fuzz.instance(seed, hour) for seed in range(100, 120) for hour in fuzz.HOURS]
 
 
@@ -243,7 +232,7 @@ def test_sector_sets_read_the_fuzz_optimum(seed, hour):
     # a top capacity that serves its share of the 3 UEs above C/3, so the
     # best split is all three behind one sector: C/3, the optimum.  The
     # interference-free first-hop term read C/2 here.
-    inst = _fuzz().instance(seed, hour)
+    inst = fuzz_bounds().instance(seed, hour)
     bound = milp.model_bound(inst, milp.THROUGHPUT)
     assert bound == pytest.approx(inst.capacity_table.max_capacity_mbps / 3, rel=1e-12)
     assert bound == pytest.approx(408.975021, abs=1e-6)

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,13 @@ from iabtopo.oracle import (
 )
 from iabtopo.problem import FixedPower, ProblemInstance, NetworkSolution, SolveStatus
 
-from conftest import coarse_table, random_small_instance, two_unit_graph, two_unit_instance
+from conftest import (
+    coarse_table,
+    fuzz_bounds,
+    random_small_instance,
+    two_unit_graph,
+    two_unit_instance,
+)
 
 
 def _chain_graph():
@@ -283,6 +290,7 @@ _BREAKS = [
     ("energy", "FlowConservation", lambda s: s.flows[1].update({(0, 1): 0.0})),
     ("throughput", "SleepingTransmitter", lambda s: s.powers_mw.update({11: 100.0})),
     ("energy", "SleepingServer", lambda s: s.activations.update({1: 0})),
+    ("throughput", "SleepingServer", lambda s: s.activations.clear()),
     ("energy", "EnergyRecompute", lambda s: s.powers_mw.update({11: 100.0})),
     ("throughput", "ObjectiveMismatch", lambda s: setattr(s, "objective", s.objective + 1.0)),
     ("energy", "ObjectiveMismatch", lambda s: setattr(s, "objective", s.objective - 1.0)),
@@ -345,7 +353,8 @@ def test_fixed_power_milp_matches_tree_enumeration():
 # must reproduce them: (case, throughput, energy or None for NoFeasible).
 # Cases are built by `_pinned_instance`: "seedN" is a default-grid random
 # instance, "grid" a four-level grid, "fixedN" fixed powers, "heavy" an
-# instance whose demands no configuration meets.
+# instance whose demands no configuration meets, "xcheckN" the benchmark's
+# oracle-xcheck instance N.
 PINNED_OPTIMA = [
     ('seed0', 613.4625315005446, 274.6684185446443),
     ('seed1', 613.4625315005446, 199.01011639108657),
@@ -379,6 +388,12 @@ PINNED_OPTIMA = [
     ('fixed208', 0.0, None),
     ('fixed209', 930.5475952504734, 340.7643384159784),
     ('heavy', 408.9750210001769, None),
+    ('xcheck0', 613.4625315, 502.0801026916507),
+    ('xcheck1', 613.4625315, 502.0801026916507),
+    ('xcheck2', 408.97502099999997, 502.0801026916507),
+    ('xcheck3', 432.9831109699658, 502.0801026916507),
+    ('xcheck4', 613.4625315, 502.0801026916507),
+    ('xcheck5', 422.780085, 502.0801026916507),
 ]
 
 
@@ -397,6 +412,8 @@ def _pinned_instance(case: str) -> ProblemInstance:
         powers = {f: float(rng.choice([0.0, 3150.0, 6300.0])) for f in fs}
         powers[fs[0]] = 6300.0
         return base.with_power_mode(FixedPower(powers))
+    if case.startswith("xcheck"):
+        return fuzz_bounds().instance(5, int(case[6:]))
     assert case == "heavy"
     return random_small_instance(
         np.random.default_rng(300), table=default_table(), demand_range=(600.0, 1200.0)
@@ -439,7 +456,12 @@ def test_enumeration_builds_each_tree_and_gain_once(monkeypatch, enumerate_optim
     monkeypatch.setattr(oracle, "_routed_demand", counting_walk)
     monkeypatch.setattr(channel, "interference_coefficients", counting_gains)
     enumerate_optimal(inst)
-    assert len(trees) > 10
+    if enumerate_optimal is enumerate_optimal_energy:
+        # The power floor stops the walk early: only the lowest-floor
+        # points are visited, and their trees are these.
+        assert len(trees) == 6
+    else:
+        assert len(trees) > 10
     assert set(trees.values()) == {1}
     assert gains == {e.key: 1 for e in inst.graph.wireless_edges}
 
@@ -471,3 +493,82 @@ def test_energy_enumeration_prices_without_building_solutions(
 def test_node_airtime_charges_both_endpoints():
     loads = oracle._node_airtime({(1, 20): 0.25, (1, 21): 0.5, (20, 21): 0.125})
     assert loads == {1: 0.75, 20: 0.375, 21: 0.625}
+
+
+def _rank_family(name: str):
+    """Instances of one family the best-first stop is checked on."""
+    if name == "criterion4":
+        for seed in range(60):
+            yield random_small_instance(
+                np.random.default_rng(seed), table=coarse_table(), demand_range=(0.5, 2.0)
+            )
+    elif name == "grid":
+        for seed in range(100, 130):
+            yield random_small_instance(
+                np.random.default_rng(seed),
+                table=default_table(),
+                levels=(0.0, 2100.0, 4200.0, 6300.0),
+                demand_range=(1.0, 400.0),
+            )
+    elif name == "heavy":
+        for seed in range(300, 330):
+            yield random_small_instance(
+                np.random.default_rng(seed), table=default_table(), demand_range=(600.0, 1200.0)
+            )
+    elif name == "fixed":
+        for seed in range(200, 220):
+            rng = np.random.default_rng(seed)
+            base = random_small_instance(rng, table=default_table(), demand_range=(1.0, 400.0))
+            fs = sorted(n.id for n in base.graph.frontends)
+            yield base.with_power_mode(
+                FixedPower({f: float(rng.choice([0.0, 3150.0, 6300.0])) for f in fs})
+            )
+    else:
+        assert name == "fuzz"
+        fuzz = fuzz_bounds()
+        for seed in range(100, 110):
+            for hour in fuzz.HOURS:
+                yield fuzz.instance(seed, hour)
+
+
+def _optima(inst):
+    try:
+        energy = repr(enumerate_optimal_energy(inst))
+    except NoFeasible:
+        energy = None
+    return repr(enumerate_optimal_throughput(inst)), energy
+
+
+@pytest.mark.parametrize("family", ["criterion4", "grid", "heavy", "fixed", "fuzz"])
+def test_best_first_stop_gives_the_exhaustive_optima(monkeypatch, family):
+    # With a constant rank every point ties and none can stop the walk, so
+    # the enumeration is exhaustive; the ranked one must give the same
+    # optima, bit for bit, and the same NoFeasible.
+    instances = list(_rank_family(family))
+    ranked = [_optima(inst) for inst in instances]
+    monkeypatch.setattr(oracle, "_power_floor", lambda *args: -math.inf)
+    monkeypatch.setattr(oracle, "_rate_cap", lambda *args: math.inf)
+    assert [_optima(inst) for inst in instances] == ranked
+    if family in ("heavy", "fixed"):
+        assert any(energy is None for _, energy in ranked)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        # The oracle read only the last commodity's demand at a UE.
+        (lambda c: c + (Commodity(2, 0, 20, 50.0),), "UE 20 already has a commodity"),
+        (lambda c: c + (Commodity(0, 0, 21, 5.0),), "commodity id 0 appears twice"),
+    ],
+    ids=["second-commodity-to-one-ue", "duplicate-id"],
+)
+def test_instance_refuses_ambiguous_commodities(change, message):
+    inst = two_unit_instance()
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(inst, commodities=change(inst.commodities))
+
+
+def test_instance_refuses_fixed_powers_that_miss_a_frontend():
+    # Before, the model build raised while the oracle read the frontend as silent.
+    with pytest.raises(ValueError, match="fixed power mode misses frontend 11"):
+        two_unit_instance().with_power_mode(FixedPower({1: 6300.0}))
